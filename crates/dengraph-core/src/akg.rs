@@ -6,11 +6,11 @@
 //! 1. removes *stale* keywords (not seen in any quantum of the window),
 //! 2. promotes keywords that are *bursty* this quantum (≥ σ distinct users)
 //!    into the high state and hence into the AKG,
-//! 3. computes edge correlations for exactly the two candidate sets of
-//!    Section 3.2.1 — (1) pairwise among this quantum's bursty keywords and
-//!    (2) between AKG keywords occurring this quantum and their existing
-//!    neighbours — adding, re-weighting or removing edges against the
-//!    threshold τ, and
+//! 3. computes edge correlations for the two candidate sets of Section
+//!    3.2.1 — (1) pairs of this quantum's bursty keywords **whose window
+//!    sketches share a minimum** and (2) AKG keywords occurring this
+//!    quantum with their existing neighbours — adding, re-weighting or
+//!    removing edges against the threshold τ, and
 //! 4. lazily demotes AKG keywords that lost all their edges and are no
 //!    longer bursty (the hysteresis rule keeps cluster members alive even
 //!    when their frequency dips).
@@ -18,13 +18,28 @@
 //! Every change is reported as a [`GraphDelta`] so the cluster maintainer
 //! (Section 5) can update clusters locally.
 //!
+//! ## Candidate set 1 is a join, not a cross product
+//!
+//! Section 3.2.2 sizes the sketch (`p = min(σ/2, 1/τ)`) so that two
+//! keywords whose sketches share no minimum cannot reach τ, and the
+//! estimator agrees: it counts shared values, so such a pair scores
+//! exactly 0.0.  The set-1 apply loop acts only on `ec ≥ τ` — it adds or
+//! re-weights, and has no removal branch — so for τ > 0 (which
+//! [`DetectorConfig::validate`] enforces) a bursty pair without a shared
+//! minimum is a no-op whether or not it is scored.  Set 1 is therefore
+//! generated by a self-join of the bursty keywords on their sketch minima
+//! (`MinimaJoin`): work is bounded by the posting lists and the pairs
+//! emitted, not by C(|set 1|, 2), and the AKG, the delta log and every
+//! reported event are bit-identical to the all-pairs enumeration.  The
+//! `exact_edge_correlation` ablation has no sketches to join on and keeps
+//! the cross product.
+//!
 //! ## Two-phase edge recomputation
 //!
 //! Edge-correlation work is split into a read-only **score** phase — build
 //! one window sketch (or exact user set) per candidate keyword, then score
 //! every candidate pair against the window — and a serial **apply** phase
 //! that mutates the graph in canonical (sorted) order.  The score phase
-//! carries almost all of the cost and is embarrassingly parallel, so it
 //! fans out over shards per [`DetectorConfig::parallelism`]; because
 //! results are collected in input order and applied canonically, the
 //! parallel path is bit-identical to the serial one.
@@ -344,30 +359,138 @@ impl<'a> CorrelationCache<'a> {
     }
 
     #[inline]
-    fn slot(&self, keyword: KeywordId) -> usize {
+    fn slot(&self, keyword: KeywordId) -> u32 {
         self.involved
             .binary_search(&keyword)
-            .expect("candidate keyword missing from correlation cache")
+            .expect("candidate keyword missing from correlation cache") as u32
     }
 
-    /// Edge correlation of a cached pair; identical semantics to
-    /// [`WindowState::estimated_edge_correlation`] /
-    /// [`WindowState::exact_edge_correlation`].
-    fn correlation(&self, a: KeywordId, b: KeywordId) -> f64 {
-        let (ia, ib) = (self.slot(a), self.slot(b));
-        let estimate = |sa: &MinHashSketch, sb: &MinHashSketch| {
-            if !sa.shares_minimum(sb) {
-                return 0.0;
-            }
-            sa.estimate_jaccard(sb)
-        };
+    /// The window sketch cached for `slot`, whichever way the cache holds
+    /// it (the empty sketch in exact mode, which caches user sets).
+    #[inline]
+    fn sketch(&self, slot: usize) -> &MinHashSketch {
         match &self.data {
-            CacheData::Borrowed(sketches) => estimate(
-                sketches[ia].unwrap_or(&self.empty),
-                sketches[ib].unwrap_or(&self.empty),
-            ),
-            CacheData::Owned(sketches) => estimate(&sketches[ia], &sketches[ib]),
-            CacheData::Exact(sets) => dengraph_minhash::exact_jaccard(&sets[ia], &sets[ib]),
+            CacheData::Borrowed(sketches) => sketches[slot].unwrap_or(&self.empty),
+            CacheData::Owned(sketches) => &sketches[slot],
+            CacheData::Exact(_) => &self.empty,
+        }
+    }
+
+    /// Edge correlation of the keywords at two slots; identical to
+    /// [`WindowState::estimated_edge_correlation`] /
+    /// [`WindowState::exact_edge_correlation`].  The former's
+    /// `shares_minimum` gate needs no walk of its own here: the estimator
+    /// counts values present in both sketches, so a pair sharing none
+    /// estimates exactly 0.0.
+    fn correlation(&self, a: u32, b: u32) -> f64 {
+        let (a, b) = (a as usize, b as usize);
+        match &self.data {
+            CacheData::Exact(sets) => dengraph_minhash::exact_jaccard(&sets[a], &sets[b]),
+            _ => self.sketch(a).estimate_jaccard(self.sketch(b)),
+        }
+    }
+}
+
+/// The transient inverted index *sketch minimum → bursty keywords* behind
+/// candidate set 1 (see the module docs), rebuilt every quantum out of
+/// retained capacity.  Keywords are addressed by their
+/// [`CorrelationCache`] slot, so slot order is keyword order.
+#[derive(Debug, Default)]
+pub(crate) struct MinimaJoin {
+    /// One `(minimum, slot)` per sketch minimum of every set-1 keyword,
+    /// sorted: a run of equal minima lists the keywords sharing it,
+    /// ascending.
+    postings: Vec<(u64, u32)>,
+    /// Positions into `postings`, grouped by slot (a counting sort).
+    by_slot: Vec<u32>,
+    /// Per slot, where its `by_slot` group ends (it starts where the
+    /// previous slot's ends).
+    group_end: Vec<u32>,
+    /// `stamp[b] == a` once the pair `(a, b)` has been emitted: a family
+    /// of keywords over the same users shares every minimum, and must
+    /// still yield each of its pairs once.
+    stamp: Vec<u32>,
+}
+
+impl MinimaJoin {
+    /// Appends to `out` every slot pair `(a, b)`, `a < b`, of `set1`
+    /// keywords whose cached sketches share at least one minimum — each
+    /// pair once, ascending.  Costs one sort of the ≤ p·|set 1| postings
+    /// plus one stamp check per (pair, shared minimum); the degenerate
+    /// quantum in which every bursty keyword shares every minimum pays
+    /// p·C(n, 2) one-word checks, still less than the C(n, 2) sketch
+    /// walks the cross product costs.
+    fn bursty_pairs(
+        &mut self,
+        cache: &CorrelationCache<'_>,
+        set1: &[KeywordId],
+        out: &mut Vec<(u32, u32)>,
+    ) {
+        let Self {
+            postings,
+            by_slot,
+            group_end,
+            stamp,
+        } = self;
+        let slots = cache.involved.len();
+        postings.clear();
+        // `set1` is a sorted subset of `involved`: one forward walk finds
+        // every slot.
+        let mut slot = 0;
+        for &keyword in set1 {
+            while cache.involved[slot] != keyword {
+                slot += 1;
+            }
+            let minima = cache.sketch(slot).minima();
+            postings.extend(minima.iter().map(|&m| (m, slot as u32)));
+        }
+        postings.sort_unstable();
+
+        // Group posting positions by slot: count, prefix-sum to group
+        // starts, then scatter — which advances every start to its end.
+        group_end.clear();
+        group_end.resize(slots, 0);
+        for &(_, s) in postings.iter() {
+            group_end[s as usize] += 1;
+        }
+        let mut running = 0;
+        for g in group_end.iter_mut() {
+            let count = *g;
+            *g = running;
+            running += count;
+        }
+        by_slot.clear();
+        by_slot.resize(postings.len(), 0);
+        for (position, &(_, s)) in postings.iter().enumerate() {
+            let cursor = &mut group_end[s as usize];
+            by_slot[*cursor as usize] = position as u32;
+            *cursor += 1;
+        }
+
+        // Emit grouped by left keyword, so one stamp word per right
+        // keyword de-duplicates.  The postings after `(m, a)` in its run
+        // are exactly the keywords b > a sharing m.
+        stamp.clear();
+        stamp.resize(slots, u32::MAX);
+        let mut start = 0;
+        for (a, &end) in group_end.iter().enumerate() {
+            let a = a as u32;
+            let first = out.len();
+            for &position in &by_slot[start..end as usize] {
+                let position = position as usize;
+                let minimum = postings[position].0;
+                for &(m, b) in &postings[position + 1..] {
+                    if m != minimum {
+                        break;
+                    }
+                    if stamp[b as usize] != a {
+                        stamp[b as usize] = a;
+                        out.push((a, b));
+                    }
+                }
+            }
+            out[first..].sort_unstable();
+            start = end as usize;
         }
     }
 }
@@ -572,10 +695,10 @@ impl AkgMaintainer {
             ref mut nodes,
             ref mut set1,
             ref mut set2,
-            ref mut bursty_pairs,
             ref mut edge_pairs,
             ref mut all_pairs,
             ref mut involved,
+            ref mut join,
             ..
         } = *scratch;
         deltas.clear();
@@ -640,18 +763,17 @@ impl AkgMaintainer {
         let score_start = std::time::Instant::now();
 
         // --- 3. candidate collection (read-only) ------------------------------
-        // Exactly the two candidate sets of Section 3.2.1: (1) pairwise
-        // among this quantum's bursty keywords and (2) existing edges of
-        // AKG keywords seen this quantum (skipping pairs already covered
-        // by set 1).  Collected before any edge mutation so the score
-        // phase can run on an immutable snapshot.  `set1` is sorted, so
-        // membership is a binary search.
-        bursty_pairs.clear();
-        for i in 0..set1.len() {
-            for j in (i + 1)..set1.len() {
-                bursty_pairs.push((set1[i], set1[j]));
-            }
-        }
+        // The two candidate sets of Section 3.2.1, collected before any
+        // edge mutation so the score phase runs on an immutable snapshot:
+        // (2) existing edges of AKG keywords seen this quantum, and
+        // (1) pairs of this quantum's bursty keywords whose window
+        // sketches share a minimum.  Bursty pairs sharing none score
+        // exactly 0.0 < τ and the set-1 apply loop below only ever acts on
+        // `ec >= tau`, so leaving them out changes nothing but the work
+        // (module docs; τ > 0 is a validated precondition).  An existing
+        // edge between two bursty keywords belongs to set 1 alone — it is
+        // re-weighted there if still ≥ τ and otherwise left as it is.
+        // `set1` is sorted, so membership is a binary search.
         edge_pairs.clear();
         for &keyword in set2.iter() {
             let keyword_bursty = set1.binary_search(&keyword).is_ok();
@@ -672,27 +794,48 @@ impl AkgMaintainer {
         // canonicalise + dedup so each pair is evaluated exactly once.
         edge_pairs.sort_unstable();
         edge_pairs.dedup();
-        stats.pairs_evaluated = bursty_pairs.len() + edge_pairs.len();
+
+        // The correlation cache is built first: set 1 is joined on the
+        // sketches it holds, whichever window-index mode supplied them.
+        involved.clear();
+        involved.extend_from_slice(set1);
+        involved.extend(edge_pairs.iter().flat_map(|&(a, b)| [a, b]));
+        involved.sort_unstable();
+        involved.dedup();
+        let cache = CorrelationCache::build(&self.config, window, involved);
+
+        // Both candidate sets share one column of cache-slot pairs — set 1
+        // first, ascending (slot order is keyword order), which is the
+        // order the apply phase and hence cluster-id assignment rely on.
+        all_pairs.clear();
+        if self.config.exact_edge_correlation {
+            // No sketches to join on: the ablation scores the cross product.
+            for (i, &a) in set1.iter().enumerate() {
+                let a = cache.slot(a);
+                all_pairs.extend(set1[i + 1..].iter().map(|&b| (a, cache.slot(b))));
+            }
+        } else {
+            join.bursty_pairs(&cache, set1, all_pairs);
+        }
+        let bursty_count = all_pairs.len();
+        all_pairs.extend(
+            edge_pairs
+                .iter()
+                .map(|&(a, b)| (cache.slot(a), cache.slot(b))),
+        );
+        stats.pairs_evaluated = all_pairs.len();
 
         // --- 3a. score phase (parallel, read-only) ----------------------------
         // Both candidate sets are scored in a single fan-out (one fork-join
         // per quantum); the scores vector is split back afterwards.
-        all_pairs.clear();
-        all_pairs.extend(bursty_pairs.iter().copied());
-        all_pairs.extend(edge_pairs.iter().copied());
-        involved.clear();
-        involved.extend(all_pairs.iter().flat_map(|&(a, b)| [a, b]));
-        involved.sort_unstable();
-        involved.dedup();
-        let cache = CorrelationCache::build(&self.config, window, involved);
         let all_scores = par_map(parallelism, all_pairs, |&(a, b)| cache.correlation(a, b));
-        let (bursty_scores, edge_scores) = all_scores.split_at(bursty_pairs.len());
+        let (bursty_scores, edge_scores) = all_scores.split_at(bursty_count);
         self.score_ns += score_start.elapsed().as_nanos() as u64;
         let apply_start = std::time::Instant::now();
 
         // --- 3b. apply phase (serial, canonical order) ------------------------
-        for (&(a, b), &ec) in bursty_pairs.iter().zip(bursty_scores) {
-            let (na, nb) = (node_of(a), node_of(b));
+        for (&(a, b), &ec) in all_pairs[..bursty_count].iter().zip(bursty_scores) {
+            let (na, nb) = (node_of(involved[a as usize]), node_of(involved[b as usize]));
             if ec >= tau {
                 if self.graph.contains_edge(na, nb) {
                     self.graph.set_edge_weight(na, nb, ec);

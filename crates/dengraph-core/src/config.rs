@@ -44,7 +44,9 @@ pub enum ConfigError {
     ZeroHighStateThreshold,
     /// `min_sketch_size` is 0 — min-hash sketches need at least one minimum.
     ZeroSketchWidth,
-    /// `edge_correlation_threshold` lies outside `[0, 1]` (or is NaN).
+    /// `edge_correlation_threshold` lies outside `(0, 1]` (or is NaN).  Zero
+    /// is out: `ec ≥ 0` would admit every scored pair, zero-overlap ones
+    /// included, and the sketch-size rule `1/τ` has no value there.
     EdgeCorrelationOutOfRange(f64),
     /// `rank_threshold_factor` is negative or NaN.
     RankThresholdFactorOutOfRange(f64),
@@ -66,7 +68,7 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroSketchWidth => write!(f, "min_sketch_size must be at least 1"),
             ConfigError::EdgeCorrelationOutOfRange(v) => {
-                write!(f, "edge_correlation_threshold must lie in [0, 1], got {v}")
+                write!(f, "edge_correlation_threshold must lie in (0, 1], got {v}")
             }
             ConfigError::RankThresholdFactorOutOfRange(v) => {
                 write!(f, "rank_threshold_factor must be non-negative, got {v}")
@@ -261,7 +263,10 @@ impl DetectorConfig {
         if self.min_sketch_size == 0 {
             return Err(ConfigError::ZeroSketchWidth);
         }
-        if !(0.0..=1.0).contains(&self.edge_correlation_threshold) {
+        // τ > 0 is what makes a zero-overlap pair a non-candidate (see
+        // `crate::akg`).  (NaN is in no range.)
+        let tau = self.edge_correlation_threshold;
+        if !(0.0..=1.0).contains(&tau) || tau == 0.0 {
             return Err(ConfigError::EdgeCorrelationOutOfRange(
                 self.edge_correlation_threshold,
             ));
@@ -585,14 +590,22 @@ mod tests {
             .validate(),
             Err(ConfigError::ZeroSketchWidth)
         );
-        assert_eq!(
-            DetectorConfig {
-                edge_correlation_threshold: 1.5,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ConfigError::EdgeCorrelationOutOfRange(1.5))
-        );
+        for out_of_range in [1.5, 0.0, -0.0] {
+            assert_eq!(
+                DetectorConfig {
+                    edge_correlation_threshold: out_of_range,
+                    ..Default::default()
+                }
+                .validate(),
+                Err(ConfigError::EdgeCorrelationOutOfRange(out_of_range))
+            );
+        }
+        assert!(DetectorConfig {
+            edge_correlation_threshold: 1.0,
+            ..Default::default()
+        }
+        .validate()
+        .is_ok());
         assert_eq!(
             DetectorConfig {
                 rank_threshold_factor: -1.0,

@@ -24,7 +24,7 @@ use crate::cluster::ClusterMaintainer;
 use crate::config::DetectorConfig;
 use crate::event::{DetectedEvent, EventRecord, EventTracker};
 use crate::keyword_state::{QuantumRecord, WindowState};
-use crate::ranking::{cluster_rank, cluster_support};
+use crate::ranking::rank_and_support;
 use crate::scratch::ScratchArena;
 
 /// Summary of one processed quantum.
@@ -170,7 +170,7 @@ pub struct EventDetector {
     akg: AkgMaintainer,
     clusters: ClusterMaintainer,
     tracker: EventTracker,
-    noun_filter: Option<(KeywordInterner, NounHeuristic)>,
+    noun_filter: Option<NounFilter>,
     buffer: Vec<Message>,
     next_quantum: u64,
     total_messages: u64,
@@ -178,6 +178,43 @@ pub struct EventDetector {
     /// Reusable per-quantum buffers (never part of checkpoints; a fresh
     /// arena produces bit-identical output to a warmed one).
     scratch: ScratchArena,
+}
+
+/// The noun-based precision filter of Section 7.2.2: the stream's
+/// interner, the heuristic, and every verdict reached so far.  The
+/// interner never changes once the detector owns it, so a keyword's
+/// verdict is final and the report loop asks the heuristic (a character
+/// scan plus three hash probes per word) once per keyword, not once per
+/// event per quantum.
+#[derive(Debug)]
+struct NounFilter {
+    interner: KeywordInterner,
+    heuristic: NounHeuristic,
+    /// Indexed by keyword id; `None` until first asked.
+    verdicts: Vec<Option<bool>>,
+}
+
+impl NounFilter {
+    fn new(interner: KeywordInterner) -> Self {
+        Self {
+            verdicts: vec![None; interner.len()],
+            interner,
+            heuristic: NounHeuristic::new(),
+        }
+    }
+
+    /// Does `keyword` resolve to a noun?  Ids the interner does not know
+    /// resolve to nothing and are not nouns.
+    fn is_noun(&mut self, keyword: KeywordId) -> bool {
+        let Some(verdict) = self.verdicts.get_mut(keyword.0 as usize) else {
+            return false;
+        };
+        *verdict.get_or_insert_with(|| {
+            self.interner
+                .resolve(keyword)
+                .is_some_and(|word| self.heuristic.is_noun(word))
+        })
+    }
 }
 
 /// The fixed seed of the window's user hasher.  Part of the detector's
@@ -245,7 +282,7 @@ impl EventDetector {
     /// interner used by the message stream (needed to resolve keyword ids
     /// back to strings).
     pub fn with_interner(mut self, interner: KeywordInterner) -> Self {
-        self.noun_filter = Some((interner, NounHeuristic::new()));
+        self.noun_filter = Some(NounFilter::new(interner));
         self
     }
 
@@ -504,8 +541,8 @@ impl EventDetector {
             (
                 "interner",
                 match &self.noun_filter {
-                    Some((interner, _)) => {
-                        Value::arr(interner.iter().map(|(_, word)| Value::str(word)))
+                    Some(filter) => {
+                        Value::arr(filter.interner.iter().map(|(_, word)| Value::str(word)))
                     }
                     None => Value::Null,
                 },
@@ -565,7 +602,7 @@ impl EventDetector {
                 for word in words.as_arr()? {
                     interner.intern(word.as_str()?);
                 }
-                Some((interner, NounHeuristic::new()))
+                Some(NounFilter::new(interner))
             }
             None => None,
         };
@@ -640,10 +677,10 @@ impl EventDetector {
         self.clusters.to_bin(w);
         self.tracker.to_bin(w);
         match &self.noun_filter {
-            Some((interner, _)) => {
+            Some(filter) => {
                 w.bool(true);
-                w.usize(interner.len());
-                for (_, word) in interner.iter() {
+                w.usize(filter.interner.len());
+                for (_, word) in filter.interner.iter() {
                     w.str(word);
                 }
             }
@@ -686,7 +723,7 @@ impl EventDetector {
             for _ in 0..words {
                 interner.intern(&r.str()?);
             }
-            Some((interner, NounHeuristic::new()))
+            Some(NounFilter::new(interner))
         } else {
             None
         };
@@ -776,66 +813,77 @@ impl EventDetector {
     /// Ranks every live cluster and applies the reporting filters.
     ///
     /// The per-node support weights (distinct window users per keyword)
-    /// dominate the ranking cost, and each is an independent read of the
-    /// window — so they are precomputed in one sharded pass before the
-    /// serial rank-and-filter loop.  Returns the events plus the
-    /// nanoseconds spent in the support pass and the rank/filter loop.
-    fn report_events(&self, quantum: u64) -> (Vec<DetectedEvent>, u64, u64) {
+    /// are independent reads of the window, so they are precomputed in
+    /// one sharded pass before the serial rank-and-filter loop.  That
+    /// loop makes one pass per cluster ([`rank_and_support`]: rank,
+    /// support and the sorted member column together) and allocates
+    /// exactly the keyword list of each event it reports.  Returns the
+    /// events plus the nanoseconds spent in the support pass and the
+    /// rank/filter loop.
+    fn report_events(&mut self, quantum: u64) -> (Vec<DetectedEvent>, u64, u64) {
         let ranking_start = std::time::Instant::now();
-        let graph = self.akg.graph();
-        let mut cluster_nodes: Vec<dengraph_graph::NodeId> = self
-            .clusters
-            .clusters()
-            .flat_map(|c| c.nodes.iter().copied())
-            .collect();
-        cluster_nodes.sort_unstable();
-        cluster_nodes.dedup();
-        let cluster_keywords: Vec<KeywordId> =
-            cluster_nodes.iter().map(|&n| keyword_of(n)).collect();
-        let counts = self
-            .window
-            .window_user_counts(&cluster_keywords, self.config.parallelism);
-        // `cluster_nodes` is sorted, so the support lookup is a binary
+        let Self {
+            config,
+            window,
+            akg,
+            clusters,
+            noun_filter,
+            scratch,
+            ..
+        } = self;
+        let ScratchArena {
+            cluster_keywords,
+            rank_nodes,
+            ..
+        } = scratch;
+        let graph = akg.graph();
+        cluster_keywords.clear();
+        cluster_keywords.extend(
+            clusters
+                .clusters()
+                .flat_map(|c| c.nodes.iter().map(|&n| keyword_of(n))),
+        );
+        cluster_keywords.sort_unstable();
+        cluster_keywords.dedup();
+        let counts = window.window_user_counts(cluster_keywords, config.parallelism);
+        // `cluster_keywords` is sorted, so the support lookup is a binary
         // search over a dense column instead of a hash probe.
-        let support = |node: dengraph_graph::NodeId| {
-            cluster_nodes
-                .binary_search(&node)
+        let node_support = |node: dengraph_graph::NodeId| {
+            cluster_keywords
+                .binary_search(&keyword_of(node))
                 .map(|i| counts[i])
                 .unwrap_or(0)
         };
         let ranking_ns = ranking_start.elapsed().as_nanos() as u64;
         let report_start = std::time::Instant::now();
-        let mut events: Vec<DetectedEvent> = Vec::new();
-        for cluster in self.clusters.clusters() {
-            let rank = cluster_rank(cluster, graph, &support);
-            if rank < self.config.rank_report_threshold() {
+        let mut noun_filter = noun_filter.as_mut().filter(|_| config.require_noun);
+        let rank_threshold = config.rank_report_threshold();
+        let mut events: Vec<DetectedEvent> = Vec::with_capacity(clusters.cluster_count());
+        for cluster in clusters.clusters() {
+            let (rank, support) = rank_and_support(cluster, graph, &node_support, rank_nodes);
+            if rank < rank_threshold {
                 continue;
             }
-            let mut keywords: Vec<KeywordId> =
-                cluster.nodes.iter().map(|&n| keyword_of(n)).collect();
-            keywords.sort();
-            if self.config.require_noun {
-                if let Some((interner, heuristic)) = &self.noun_filter {
-                    let has_noun = keywords
-                        .iter()
-                        .filter_map(|k| interner.resolve(*k))
-                        .any(|w| heuristic.is_noun(w));
-                    if !has_noun {
-                        continue;
-                    }
+            // Node order is keyword order, so the sorted member column is
+            // the event's sorted keyword list.
+            let keywords = rank_nodes.iter().map(|&n| keyword_of(n));
+            if let Some(filter) = noun_filter.as_deref_mut() {
+                if !keywords.clone().any(|k| filter.is_noun(k)) {
+                    continue;
                 }
             }
             events.push(DetectedEvent {
                 cluster_id: cluster.id,
                 quantum,
                 rank,
-                support: cluster_support(cluster, &support),
-                keywords,
+                support,
+                keywords: keywords.collect(),
             });
         }
         // Best rank first; equal ranks tie-break on cluster id so the
-        // report order never depends on hash-map iteration order.
-        events.sort_by(|a, b| {
+        // report order never depends on hash-map iteration order (and,
+        // ids being unique, an unstable sort has nothing to reorder).
+        events.sort_unstable_by(|a, b| {
             b.rank
                 .total_cmp(&a.rank)
                 .then(a.cluster_id.cmp(&b.cluster_id))

@@ -308,28 +308,36 @@ impl EventTracker {
 
     /// Records one per-quantum event snapshot.
     pub fn observe(&mut self, event: &DetectedEvent) {
-        let record = self
-            .records
-            .entry(event.cluster_id)
-            .or_insert_with(|| EventRecord {
+        // Every observe leaves `all_keywords` sorted, so it needs sorting
+        // again only when this one created or extended it.
+        let mut union_changed = false;
+        let record = self.records.entry(event.cluster_id).or_insert_with(|| {
+            union_changed = true;
+            EventRecord {
                 cluster_id: event.cluster_id,
                 first_seen: event.quantum,
                 last_seen: event.quantum,
-                keywords: event.keywords.clone(),
+                keywords: Vec::new(),
                 all_keywords: event.keywords.clone(),
                 rank_history: Vec::new(),
                 peak_rank: 0.0,
                 peak_support: 0,
                 initial_size: event.keywords.len(),
-            });
+            }
+        });
         record.last_seen = event.quantum;
-        record.keywords = event.keywords.clone();
+        // Reuses the record's buffer: this runs once per reported event
+        // per quantum.
+        record.keywords.clone_from(&event.keywords);
         for k in &event.keywords {
             if !record.all_keywords.contains(k) {
                 record.all_keywords.push(*k);
+                union_changed = true;
             }
         }
-        record.all_keywords.sort();
+        if union_changed {
+            record.all_keywords.sort_unstable();
+        }
         record.rank_history.push((event.quantum, event.rank));
         if event.rank > record.peak_rank {
             record.peak_rank = event.rank;
@@ -464,6 +472,27 @@ mod tests {
         assert_eq!(r.all_keywords, k(&[1, 2, 3, 4]));
         assert!(r.evolved());
         assert!(!r.is_spurious_posthoc());
+    }
+
+    #[test]
+    fn keyword_union_stays_sorted_through_first_report_growth_and_repeats() {
+        let mut t = EventTracker::new();
+        // Unsorted on purpose: the union is sorted even on the report
+        // that creates the record.
+        t.observe(&snapshot(1, 5, &[9, 2, 5], 10.0));
+        let r = t.get(ClusterId(1)).unwrap();
+        assert_eq!(r.keywords, k(&[9, 2, 5]));
+        assert_eq!(r.all_keywords, k(&[2, 5, 9]));
+        // A repeat adds nothing; growth re-sorts; the latest snapshot
+        // replaces `keywords` each time.
+        t.observe(&snapshot(1, 6, &[2, 5, 9], 11.0));
+        assert_eq!(t.get(ClusterId(1)).unwrap().all_keywords, k(&[2, 5, 9]));
+        t.observe(&snapshot(1, 7, &[12, 5, 1], 9.0));
+        let r = t.get(ClusterId(1)).unwrap();
+        assert_eq!(r.keywords, k(&[12, 5, 1]));
+        assert_eq!(r.all_keywords, k(&[1, 2, 5, 9, 12]));
+        assert_eq!(r.initial_size, 3);
+        assert_eq!(r.reported_quanta(), 3);
     }
 
     #[test]

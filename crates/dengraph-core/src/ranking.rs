@@ -16,6 +16,7 @@
 //! Dense, strongly correlated, well-supported clusters therefore rank high;
 //! accidental clusters rank low.
 
+use dengraph_graph::dynamic_graph::EdgeKey;
 use dengraph_graph::DynamicGraph;
 use dengraph_graph::NodeId;
 
@@ -39,26 +40,50 @@ impl<F: Fn(NodeId) -> usize> NodeSupport for F {
 /// `support` supplies the per-node user counts.  Returns 0.0 for an empty
 /// cluster.
 pub fn cluster_rank<S: NodeSupport>(cluster: &Cluster, graph: &DynamicGraph, support: &S) -> f64 {
-    let n = cluster.size();
-    if n == 0 {
-        return 0.0;
+    rank_and_support(cluster, graph, support, &mut Vec::new()).0
+}
+
+/// Rank ([`cluster_rank`]) and total support ([`cluster_support`]) of a
+/// cluster in one pass, leaving its member nodes in `nodes`, ascending (a
+/// reported event's keyword list is exactly that column).  Allocates
+/// nothing once `nodes` has grown to the largest cluster.
+///
+/// The f64 accumulation is not associative, so the fold order is part of
+/// the result: each node's row starts at the diagonal `C_ii = 1` and adds
+/// its cluster edges' correlations ascending by neighbour, and the total
+/// adds `w_i · row_i` ascending by node — never in hash order, which
+/// would make the rank depend on how the sets happened to be built.  A
+/// node's row is read off its AKG adjacency, which is already in that
+/// order and carries the weights; the cluster's edge set only says which
+/// entries count.  (A cluster edge missing from the graph contributes
+/// 0.0 either way.)
+pub(crate) fn rank_and_support<S: NodeSupport>(
+    cluster: &Cluster,
+    graph: &DynamicGraph,
+    support: &S,
+    nodes: &mut Vec<NodeId>,
+) -> (f64, usize) {
+    nodes.clear();
+    // lint: allow(L001, collected into a column that is sorted before any use)
+    nodes.extend(cluster.nodes.iter().copied());
+    nodes.sort_unstable();
+    if nodes.is_empty() {
+        return (0.0, 0);
     }
     let mut total = 0.0;
-    // Sorted iteration: the f64 accumulation below is not associative, so
-    // summing in hash order would make the rank depend on how the node
-    // set happened to be built.
-    for node in cluster.sorted_nodes() {
-        let w = support.support(node) as f64;
-        // Diagonal contribution C_ii = 1.
+    let mut total_support = 0;
+    for &node in nodes.iter() {
+        let w = support.support(node);
+        total_support += w;
         let mut row = 1.0;
-        // Off-diagonal contributions: cluster edges incident to this node.
-        for other in cluster.cluster_neighbors(node) {
-            let ec = graph.edge_weight(node, other).unwrap_or(0.0);
-            row += ec;
+        for (other, ec) in graph.neighbors_weighted(node) {
+            if cluster.contains_edge(EdgeKey::new(node, other)) {
+                row += ec;
+            }
         }
-        total += w * row;
+        total += w as f64 * row;
     }
-    total / n as f64
+    (total / nodes.len() as f64, total_support)
 }
 
 /// Total support of a cluster: the number of distinct users behind its
@@ -73,11 +98,125 @@ pub fn cluster_support<S: NodeSupport>(cluster: &Cluster, support: &S) -> usize 
 mod tests {
     use super::*;
     use crate::cluster::ClusterId;
-    use dengraph_graph::dynamic_graph::EdgeKey;
     use dengraph_graph::fxhash::FxHashSet;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    /// The rank as it was computed before the single-pass rewrite, kept
+    /// as the reference the fast path must match bit for bit: sorted
+    /// nodes, and per node a scan of the whole edge set for its sorted
+    /// cluster neighbours with one graph lookup each.
+    fn cluster_rank_reference<S: NodeSupport>(
+        cluster: &Cluster,
+        graph: &DynamicGraph,
+        support: &S,
+    ) -> f64 {
+        let n = cluster.size();
+        if n == 0 {
+            return 0.0;
+        }
+        let mut total = 0.0;
+        for node in cluster.sorted_nodes() {
+            let w = support.support(node) as f64;
+            let mut row = 1.0;
+            for other in cluster.cluster_neighbors(node) {
+                let ec = graph.edge_weight(node, other).unwrap_or(0.0);
+                row += ec;
+            }
+            total += w * row;
+        }
+        total / n as f64
+    }
+
+    fn assert_matches_reference(cluster: &Cluster, graph: &DynamicGraph, context: &str) {
+        let support = |node: NodeId| (node.0 as usize * 7 + 3) % 41;
+        let mut nodes = Vec::new();
+        let (rank, total_support) = rank_and_support(cluster, graph, &support, &mut nodes);
+        assert_eq!(
+            rank.to_bits(),
+            cluster_rank_reference(cluster, graph, &support).to_bits(),
+            "{context}: rank"
+        );
+        assert_eq!(
+            cluster_rank(cluster, graph, &support).to_bits(),
+            rank.to_bits(),
+            "{context}: public entry point"
+        );
+        assert_eq!(
+            total_support,
+            cluster_support(cluster, &support),
+            "{context}: support"
+        );
+        assert_eq!(nodes, cluster.sorted_nodes(), "{context}: member column");
+    }
+
+    #[test]
+    fn single_pass_rank_is_bit_identical_to_the_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_0017);
+        let mut scratch_reused_across = Vec::new();
+        for case in 0..300 {
+            // A random AKG over a small id range (so clusters are dense
+            // and rows have many terms) with arbitrary f64 weights.
+            let universe = rng.gen_range(3..24u32);
+            let mut graph = DynamicGraph::new();
+            for _ in 0..rng.gen_range(2..120usize) {
+                let (a, b) = (rng.gen_range(0..universe), rng.gen_range(0..universe));
+                if a != b {
+                    graph.add_edge(n(a), n(b), rng.gen::<f64>());
+                }
+            }
+            // A cluster over a random subset of its edges, plus: a member
+            // node with no cluster edge, a cluster edge the graph does
+            // not carry, and an edge whose far endpoint is not a member.
+            let mut cluster = Cluster::new(
+                ClusterId(case),
+                FxHashSet::default(),
+                graph
+                    .edges()
+                    .filter(|_| rng.gen_bool(0.6))
+                    .map(|(edge, _)| edge)
+                    .collect(),
+                0,
+            );
+            cluster.sync_nodes_to_edges();
+            cluster.nodes.insert(n(universe + 1));
+            cluster.edges.insert(EdgeKey::new(n(0), n(universe + 2)));
+            cluster.nodes.insert(n(universe + 2));
+            cluster.edges.insert(EdgeKey::new(n(1), n(universe + 3)));
+            assert_matches_reference(&cluster, &graph, &format!("case {case}"));
+            // The scratch column carries nothing from one cluster to the next.
+            let support = |node: NodeId| node.0 as usize;
+            let reused = rank_and_support(&cluster, &graph, &support, &mut scratch_reused_across);
+            assert_eq!(
+                reused.0.to_bits(),
+                cluster_rank_reference(&cluster, &graph, &support).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn one_edge_and_edgeless_clusters_match_the_reference() {
+        let mut graph = DynamicGraph::new();
+        graph.add_edge(n(4), n(9), 0.37);
+        graph.add_edge(n(4), n(5), 0.91);
+        let one_edge = Cluster::new(
+            ClusterId(0),
+            [n(4), n(9)].into_iter().collect(),
+            [EdgeKey::new(n(9), n(4))].into_iter().collect(),
+            0,
+        );
+        assert_matches_reference(&one_edge, &graph, "one edge");
+        let edgeless = Cluster::new(
+            ClusterId(1),
+            [n(4), n(5), n(77)].into_iter().collect(),
+            FxHashSet::default(),
+            0,
+        );
+        assert_matches_reference(&edgeless, &graph, "no edges");
     }
 
     fn triangle_cluster(weights: f64) -> (Cluster, DynamicGraph) {

@@ -19,7 +19,7 @@ use dengraph_minhash::SketchLanes;
 use dengraph_stream::UserId;
 use dengraph_text::KeywordId;
 
-use crate::akg::GraphDelta;
+use crate::akg::{GraphDelta, MinimaJoin};
 use crate::keyword_state::{PairSortScratch, RecordStorage};
 
 /// Reusable buffers for one detector's per-quantum pipeline.
@@ -44,13 +44,19 @@ pub(crate) struct ScratchArena {
     pub set1: Vec<KeywordId>,
     /// Set 2 of Section 3.2.1: AKG keywords occurring this quantum, sorted.
     pub set2: Vec<KeywordId>,
-    /// Candidate pairs among set-1 keywords.
-    pub bursty_pairs: Vec<(KeywordId, KeywordId)>,
-    /// Candidate pairs along existing AKG edges.
+    /// Candidate pairs along existing AKG edges, sorted.
     pub edge_pairs: Vec<(KeywordId, KeywordId)>,
-    /// Both candidate sets concatenated for the single scoring fan-out.
-    pub all_pairs: Vec<(KeywordId, KeywordId)>,
-    /// Keywords involved in any candidate pair, sorted + deduped — the
+    /// Both candidate sets as `involved`-slot pairs — the set-1 join's
+    /// output, then `edge_pairs` — for the single scoring fan-out.
+    pub all_pairs: Vec<(u32, u32)>,
+    /// Set 1 plus the endpoints of `edge_pairs`, sorted + deduped — the
     /// key column of the correlation cache.
     pub involved: Vec<KeywordId>,
+    /// The set-1 shared-minimum join index (stage 2).
+    pub join: MinimaJoin,
+    /// Every live cluster's member keywords, sorted + deduped — the key
+    /// column of the ranking-support pass and lookup (stage 4).
+    pub cluster_keywords: Vec<KeywordId>,
+    /// The sorted member nodes of the cluster being ranked (stage 5).
+    pub rank_nodes: Vec<NodeId>,
 }

@@ -1064,6 +1064,10 @@ mod tests {
                 ConfigError::EdgeCorrelationOutOfRange(-0.1),
             ),
             (
+                builder().edge_correlation_threshold(0.0),
+                ConfigError::EdgeCorrelationOutOfRange(0.0),
+            ),
+            (
                 builder().rank_threshold_factor(-2.0),
                 ConfigError::RankThresholdFactorOutOfRange(-2.0),
             ),

@@ -15,70 +15,12 @@
 //! The binary contains exactly one test so no concurrent test thread can
 //! pollute the counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
 use dengraph_core::{DetectorBuilder, DetectorConfig, Parallelism, WindowIndexMode};
-use dengraph_stream::{Message, Quantum, UserId};
-use dengraph_text::KeywordId;
+use dengraph_stream::Quantum;
 
-/// Counts `alloc`/`realloc` calls while armed; delegates to the system
-/// allocator.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// A steady-state quantum: three disjoint correlated bursts from a fixed
-/// user population (so window refcounts oscillate without growing), plus
-/// fresh long-tail filler (below σ, so it never materializes index
-/// entries — exactly the real-stream shape).
-fn steady_quantum(q: u64, quantum_size: usize) -> Quantum {
-    let mut messages = Vec::with_capacity(quantum_size);
-    for group in 0..3u32 {
-        let keywords: Vec<KeywordId> = (0..3).map(|i| KeywordId(group * 10 + i)).collect();
-        for u in 0..4u64 {
-            messages.push(Message::new(
-                UserId(100 * group as u64 + u),
-                q * 1_000 + u,
-                keywords.clone(),
-            ));
-        }
-    }
-    let mut filler = 1_000_000 + q * 1_000;
-    while messages.len() < quantum_size {
-        messages.push(Message::new(
-            UserId(filler),
-            q * 1_000 + filler,
-            vec![KeywordId(1_000 + (filler % 50_000) as u32)],
-        ));
-        filler += 1;
-    }
-    Quantum { index: q, messages }
-}
+#[path = "support/alloc_gate.rs"]
+mod alloc_gate;
+use alloc_gate::{count_allocations, steady_quantum};
 
 #[test]
 fn steady_state_quanta_allocate_a_small_constant() {
@@ -95,7 +37,7 @@ fn steady_state_quanta_allocate_a_small_constant() {
         .expect("gate config is valid");
 
     // Pre-build every quantum so message construction never counts.
-    let quanta: Vec<Quantum> = (0..40).map(|q| steady_quantum(q, 48)).collect();
+    let quanta: Vec<Quantum> = (0..40).map(|q| steady_quantum(q, 3, 48)).collect();
     let (warmup, measured) = quanta.split_at(24);
 
     // Warm-up: fill the window, materialize the bursty keywords, grow
@@ -110,11 +52,7 @@ fn steady_state_quanta_allocate_a_small_constant() {
 
     let mut worst = 0u64;
     for quantum in measured {
-        ALLOCATIONS.store(0, Ordering::Relaxed);
-        ARMED.store(true, Ordering::Relaxed);
-        let summary = session.process_quantum(quantum);
-        ARMED.store(false, Ordering::Relaxed);
-        let count = ALLOCATIONS.load(Ordering::Relaxed);
+        let (summary, count) = count_allocations(|| session.process_quantum(quantum));
         worst = worst.max(count);
         assert_eq!(summary.quantum, quantum.index);
         assert!(!summary.events.is_empty());
@@ -124,9 +62,10 @@ fn steady_state_quanta_allocate_a_small_constant() {
     // Budget: the per-quantum constant — the returned summary's vectors,
     // the reported events (3 × keyword list), the correlation cache's
     // per-quantum columns, the scoring fan-out's result vector and the
-    // tracker's (amortised) history growth.  Measured ≈ 30 in release and
-    // ≈ 57 in debug on the current implementation (the gap predates the
-    // batch sketch kernels, which keep their lane buffers in the
+    // tracker's (amortised) history growth.  Measured 11 in release and
+    // 38 in debug on the current implementation (the gap is the cluster
+    // registry's `debug_assert!`ed invariant check, ~9 per live cluster;
+    // the batch sketch kernels keep their lane buffers in the
     // `ScratchArena` and merge through a stack buffer — zero steady-state
     // allocations in either profile).  The persistent AKG component index
     // is maintained in lock step inside this loop and contributes nothing
