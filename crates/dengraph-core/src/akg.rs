@@ -250,6 +250,24 @@ impl AkgQuantumStats {
         ])
     }
 
+    /// Streams the object [`Self::to_json`] builds, byte for byte.
+    pub fn write_json(&self, w: &mut dengraph_json::JsonWriter<'_>) {
+        w.begin_obj();
+        w.key("bursty_keywords");
+        w.u64(self.bursty_keywords as u64);
+        w.key("edges_added");
+        w.u64(self.edges_added as u64);
+        w.key("edges_removed");
+        w.u64(self.edges_removed as u64);
+        w.key("nodes_added");
+        w.u64(self.nodes_added as u64);
+        w.key("nodes_removed");
+        w.u64(self.nodes_removed as u64);
+        w.key("pairs_evaluated");
+        w.u64(self.pairs_evaluated as u64);
+        w.end_obj();
+    }
+
     /// Reconstructs statistics serialised by [`Self::to_json`].
     pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         Ok(Self {

@@ -83,6 +83,20 @@ impl MaintenanceStats {
         ])
     }
 
+    /// Streams the object [`Self::to_json`] builds, byte for byte.
+    pub fn write_json(&self, w: &mut dengraph_json::JsonWriter<'_>) {
+        w.begin_obj();
+        w.key("clusters_touched");
+        w.u64(self.clusters_touched as u64);
+        w.key("edge_additions");
+        w.u64(self.edge_additions as u64);
+        w.key("edge_deletions");
+        w.u64(self.edge_deletions as u64);
+        w.key("node_removals");
+        w.u64(self.node_removals as u64);
+        w.end_obj();
+    }
+
     /// Reconstructs statistics serialised by [`Self::to_json`].
     pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         Ok(Self {

@@ -81,6 +81,45 @@ impl QuantumSummary {
         ])
     }
 
+    /// Streams the object [`Self::to_json`] builds, byte for byte, with no
+    /// intermediate tree.
+    pub fn write_json(&self, w: &mut dengraph_json::JsonWriter<'_>) {
+        w.begin_obj();
+        self.write_fields(w);
+        w.end_obj();
+    }
+
+    /// The fields of [`Self::write_json`] without the enclosing braces, so
+    /// [`JsonLinesSink`](crate::session::JsonLinesSink) can append its
+    /// `"type"` tag (which sorts after every key here) to the same object.
+    pub(crate) fn write_fields(&self, w: &mut dengraph_json::JsonWriter<'_>) {
+        w.key("akg_edges");
+        w.u64(self.akg_edges as u64);
+        w.key("akg_nodes");
+        w.u64(self.akg_nodes as u64);
+        w.key("akg_stats");
+        self.akg_stats.write_json(w);
+        w.key("events");
+        w.begin_arr();
+        for event in &self.events {
+            event.write_json(w);
+        }
+        w.end_arr();
+        w.key("evicted_quantum");
+        match self.evicted_quantum {
+            Some(q) => w.u64(q),
+            None => w.null(),
+        }
+        w.key("live_clusters");
+        w.u64(self.live_clusters as u64);
+        w.key("maintenance_stats");
+        self.maintenance_stats.write_json(w);
+        w.key("messages");
+        w.u64(self.messages as u64);
+        w.key("quantum");
+        w.u64(self.quantum);
+    }
+
     /// Reconstructs a summary serialised by [`Self::to_json`].
     pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         Ok(Self {

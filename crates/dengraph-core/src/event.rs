@@ -10,13 +10,21 @@
 //! considered spurious".
 
 use dengraph_graph::fxhash::FxHashMap;
-use dengraph_json::Value;
+use dengraph_json::{JsonWriter, Value};
 use dengraph_text::KeywordId;
 
 use crate::cluster::ClusterId;
 
 fn keywords_to_json(keywords: &[KeywordId]) -> Value {
     Value::arr(keywords.iter().map(|k| Value::from(k.0)))
+}
+
+fn write_keywords(keywords: &[KeywordId], w: &mut JsonWriter<'_>) {
+    w.begin_arr();
+    for k in keywords {
+        w.u64(u64::from(k.0));
+    }
+    w.end_arr();
 }
 
 fn keywords_from_json(value: &Value) -> dengraph_json::Result<Vec<KeywordId>> {
@@ -63,6 +71,22 @@ impl DetectedEvent {
             ("rank", Value::from(self.rank)),
             ("support", Value::from(self.support)),
         ])
+    }
+
+    /// Streams the object [`Self::to_json`] builds, byte for byte.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_obj();
+        w.key("cluster_id");
+        w.u64(self.cluster_id.0);
+        w.key("keywords");
+        write_keywords(&self.keywords, w);
+        w.key("quantum");
+        w.u64(self.quantum);
+        w.key("rank");
+        w.f64(self.rank);
+        w.key("support");
+        w.u64(self.support as u64);
+        w.end_obj();
     }
 
     /// Reconstructs a snapshot serialised by [`Self::to_json`].
@@ -219,6 +243,67 @@ impl EventRecord {
         })
     }
 
+    /// Streams the *report* form of the record — what a
+    /// [`JsonLinesSink`](crate::session::JsonLinesSink) `event` line
+    /// carries: every field except `rank_history`, plus `"rank"` (the
+    /// newest history point; its quantum is `last_seen`) and `"reports"`
+    /// (the history's length).  The cost is O(keywords) whatever the
+    /// event's age; [`Self::absorb_report`] folds the forms back into the
+    /// full record.  Fields only, no braces, so the sink can add its
+    /// `"type"` tag (which sorts after every key here).
+    pub(crate) fn write_report_fields(&self, w: &mut JsonWriter<'_>) {
+        w.key("all_keywords");
+        write_keywords(&self.all_keywords, w);
+        w.key("cluster_id");
+        w.u64(self.cluster_id.0);
+        w.key("first_seen");
+        w.u64(self.first_seen);
+        w.key("initial_size");
+        w.u64(self.initial_size as u64);
+        w.key("keywords");
+        write_keywords(&self.keywords, w);
+        w.key("last_seen");
+        w.u64(self.last_seen);
+        w.key("peak_rank");
+        w.f64(self.peak_rank);
+        w.key("peak_support");
+        w.u64(self.peak_support as u64);
+        w.key("rank");
+        match self.rank_history.last() {
+            Some(&(_, rank)) => w.f64(rank),
+            None => w.null(),
+        }
+        w.key("reports");
+        w.u64(self.rank_history.len() as u64);
+    }
+
+    /// Folds one report form (see [`Self::write_report_fields`]) into the
+    /// record: overwrites every header field and appends
+    /// `(last_seen, rank)` to the history.  Returns the form's `reports`
+    /// count.  The record is untouched when the form is malformed.
+    fn absorb_report(&mut self, value: &Value) -> dengraph_json::Result<usize> {
+        let header = Self {
+            cluster_id: ClusterId(value.get("cluster_id")?.as_u64()?),
+            first_seen: value.get("first_seen")?.as_u64()?,
+            last_seen: value.get("last_seen")?.as_u64()?,
+            keywords: keywords_from_json(value.get("keywords")?)?,
+            all_keywords: keywords_from_json(value.get("all_keywords")?)?,
+            rank_history: Vec::new(),
+            peak_rank: value.get("peak_rank")?.as_f64()?,
+            peak_support: value.get("peak_support")?.as_usize()?,
+            initial_size: value.get("initial_size")?.as_usize()?,
+        };
+        let rank = value.get("rank")?.as_f64()?;
+        let reports = value.get("reports")?.as_usize()?;
+        let mut rank_history = std::mem::take(&mut self.rank_history);
+        rank_history.push((header.last_seen, rank));
+        *self = Self {
+            rank_history,
+            ..header
+        };
+        Ok(reports)
+    }
+
     /// Appends the compact binary encoding.  Rank-history quanta are
     /// ascending (one report per quantum), so they delta-encode.
     pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
@@ -345,6 +430,30 @@ impl EventTracker {
         if event.support > record.peak_support {
             record.peak_support = event.support;
         }
+    }
+
+    /// Folds one *report form* (what a `JsonLinesSink` `event` line
+    /// carries, see [`EventRecord::write_report_fields`]) into the record
+    /// of its event, created on its first report — [`Self::observe`] for a
+    /// consumer on the far side of the sink.  Returns the event, the
+    /// form's own `reports` count and the record's history length now; the
+    /// two counts differ when earlier reports of the event were never
+    /// folded.  A malformed form changes nothing.
+    pub(crate) fn absorb_report(
+        &mut self,
+        value: &Value,
+    ) -> dengraph_json::Result<(ClusterId, usize, usize)> {
+        let cluster_id = ClusterId(value.get("cluster_id")?.as_u64()?);
+        let mut first = EventRecord::default();
+        let known = self.records.get_mut(&cluster_id);
+        let is_first = known.is_none();
+        let record = known.unwrap_or(&mut first);
+        let reports = record.absorb_report(value)?;
+        let seen = record.rank_history.len();
+        if is_first {
+            self.records.insert(cluster_id, first);
+        }
+        Ok((cluster_id, reports, seen))
     }
 
     /// All event records, in order of first appearance.

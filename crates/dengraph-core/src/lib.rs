@@ -84,8 +84,8 @@ pub use event::{DetectedEvent, EventRecord, EventTracker};
 pub use keyword_state::WindowIndexMode;
 pub use ranking::cluster_rank;
 pub use session::{
-    Checkpoint, DetectorBuilder, DetectorSession, EventSink, FnSink, JsonLinesSink,
-    QuantumNotifications, RestoreError, VecSink,
+    Checkpoint, DetectorBuilder, DetectorSession, EventLineError, EventLineReader, EventSink,
+    FnSink, JsonLinesSink, QuantumNotifications, RestoreError, VecSink,
 };
 pub use wal::{
     DurableJournalConfig, FsyncPolicy, JournalFrameEvent, JournalReader, JournalSink,

@@ -55,14 +55,15 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use dengraph_json::{JsonError, WireFormat};
+use dengraph_json::{JsonError, JsonWriter, WireFormat};
 use dengraph_stream::{Message, Quantum};
 use dengraph_text::KeywordInterner;
 
 use crate::checkpoint::{self, CheckpointJournal, CheckpointMode};
+use crate::cluster::ClusterId;
 use crate::config::{ConfigError, DetectorConfig, Parallelism, WindowIndexMode};
 use crate::detector::{EventDetector, QuantumSummary};
-use crate::event::EventRecord;
+use crate::event::{EventRecord, EventTracker};
 use crate::wal::{self, DurableJournalConfig, RecoveryReport};
 
 // ---------------------------------------------------------------------------
@@ -260,7 +261,9 @@ impl DetectorBuilder {
 /// [`Self::on_quantum`] with the full summary, then [`Self::on_event`] once
 /// per event reported in that quantum — with the *up-to-date long-term
 /// record*, so subscribers see rank history and keyword evolution without
-/// keeping their own state.
+/// keeping their own state.  That is the in-process contract; what a sink
+/// puts on a wire is its own business ([`JsonLinesSink`] sends only what
+/// the report added, and [`EventLineReader`] rebuilds the records).
 pub trait EventSink {
     /// One quantum was processed.
     fn on_quantum(&mut self, _summary: &QuantumSummary) {}
@@ -383,12 +386,23 @@ impl EventSink for VecSink {
 }
 
 /// Writes one JSON object per notification to any [`Write`] destination
-/// (a file, a socket, a `Vec<u8>` in tests):
-/// `{"type":"quantum",…}`, `{"type":"event",…}`, `{"type":"slide",…}`.
+/// (a file, a socket, a `Vec<u8>` in tests), keys sorted, one line each:
 ///
-/// Writes are buffered behind a [`BufWriter`] and flushed **once per
-/// quantum batch** (and on drop), so a file- or socket-backed sink costs
-/// one syscall per quantum instead of one per notification.
+/// * `{…,"type":"quantum"}` — the fields of [`QuantumSummary::to_json`];
+/// * `{"evicted_quantum":…,"type":"slide","window_quanta":…}`;
+/// * `{…,"type":"event"}` — the reported event's record **without its
+///   `rank_history`**: every other [`EventRecord`] field, plus `"rank"`
+///   (the point this report appended; its quantum is `last_seen`) and
+///   `"reports"` (the history's length so far).  A line therefore costs
+///   O(keywords) however long the event has lived, instead of re-sending
+///   the whole history with every report.  [`EventLineReader`] folds the
+///   lines back into full records.
+///
+/// Lines are serialised straight into one reused buffer (no value tree,
+/// no allocation once the buffer has grown to the longest line), buffered
+/// behind a [`BufWriter`] and flushed **once per quantum batch** (and on
+/// drop), so a file- or socket-backed sink costs one syscall per quantum
+/// instead of one per notification.
 ///
 /// A sink must never abort the detector, so delivery failures do not
 /// propagate out of the notification callbacks; instead the **first**
@@ -401,6 +415,8 @@ pub struct JsonLinesSink<W: Write> {
     /// `None` only after `close`/`into_inner` moved the writer out.
     writer: Option<BufWriter<W>>,
     error: Option<io::Error>,
+    /// The line being serialised.
+    line: String,
 }
 
 impl<W: Write> JsonLinesSink<W> {
@@ -409,6 +425,7 @@ impl<W: Write> JsonLinesSink<W> {
         Self {
             writer: Some(BufWriter::new(writer)),
             error: None,
+            line: String::new(),
         }
     }
 
@@ -461,18 +478,19 @@ impl<W: Write> JsonLinesSink<W> {
         }
     }
 
-    fn write_line(&mut self, kind: &str, body: dengraph_json::Value) {
-        use dengraph_json::Value;
+    /// Writes one line: an object of the `fields` the closure streams
+    /// (its `"type"` tag included, in its sorted place).
+    fn write_line(&mut self, fields: impl FnOnce(&mut JsonWriter<'_>)) {
         let Some(writer) = &mut self.writer else {
             return;
         };
-        let mut line = match body {
-            Value::Obj(map) => map,
-            other => [("value".to_string(), other)].into_iter().collect(),
-        };
-        line.insert("type".to_string(), Value::str(kind));
-        let text = dengraph_json::to_string(&Value::Obj(line));
-        if let Err(e) = writeln!(writer, "{text}") {
+        self.line.clear();
+        let mut w = JsonWriter::new(&mut self.line);
+        w.begin_obj();
+        fields(&mut w);
+        w.end_obj();
+        self.line.push('\n');
+        if let Err(e) = writer.write_all(self.line.as_bytes()) {
             self.latch(e);
         }
     }
@@ -492,22 +510,30 @@ impl<W: Write> Drop for JsonLinesSink<W> {
 
 impl<W: Write> EventSink for JsonLinesSink<W> {
     fn on_quantum(&mut self, summary: &QuantumSummary) {
-        self.write_line("quantum", summary.to_json());
+        self.write_line(|w| {
+            summary.write_fields(w);
+            w.key("type");
+            w.str("quantum");
+        });
     }
 
     fn on_event(&mut self, record: &EventRecord) {
-        self.write_line("event", record.to_json());
+        self.write_line(|w| {
+            record.write_report_fields(w);
+            w.key("type");
+            w.str("event");
+        });
     }
 
     fn on_slide(&mut self, evicted_quantum: u64, window_quanta: usize) {
-        use dengraph_json::Value;
-        self.write_line(
-            "slide",
-            Value::obj([
-                ("evicted_quantum", Value::from(evicted_quantum)),
-                ("window_quanta", Value::from(window_quanta)),
-            ]),
-        );
+        self.write_line(|w| {
+            w.key("evicted_quantum");
+            w.u64(evicted_quantum);
+            w.key("type");
+            w.str("slide");
+            w.key("window_quanta");
+            w.u64(window_quanta as u64);
+        });
     }
 
     fn on_quantum_batch(&mut self, batch: &QuantumNotifications<'_>) {
@@ -540,6 +566,97 @@ impl<F: FnMut(&QuantumSummary)> FnSink<F> {
 impl<F: FnMut(&QuantumSummary)> EventSink for FnSink<F> {
     fn on_quantum(&mut self, summary: &QuantumSummary) {
         (self.f)(summary)
+    }
+}
+
+/// Why [`EventLineReader::push_line`] rejected a line.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EventLineError {
+    /// The line is not a JSON object with a `"type"`, or an `event` line
+    /// lacks a field.
+    Json(JsonError),
+    /// An `event` line is report number `reports` of its event, but the
+    /// reader has seen only `seen` of them (this one included): it joined
+    /// mid-stream or lines were lost, and the reassembled rank history
+    /// would be silently short.
+    MissedReports {
+        /// The event the line belongs to.
+        cluster_id: ClusterId,
+        /// The line's own report count.
+        reports: usize,
+        /// Reports of this event the reader has folded, this one included.
+        seen: usize,
+    },
+}
+
+impl std::fmt::Display for EventLineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EventLineError::Json(e) => write!(f, "malformed sink line: {e}"),
+            EventLineError::MissedReports {
+                cluster_id,
+                reports,
+                seen,
+            } => write!(
+                f,
+                "event {} is at report {reports} but only {seen} were read: \
+                 the stream was joined after its start or lost lines",
+                cluster_id.0
+            ),
+        }
+    }
+}
+
+impl std::error::Error for EventLineError {}
+
+impl From<JsonError> for EventLineError {
+    fn from(e: JsonError) -> Self {
+        EventLineError::Json(e)
+    }
+}
+
+/// Rebuilds full [`EventRecord`]s from the lines a [`JsonLinesSink`]
+/// wrote.  An `event` line carries the record's header and only the
+/// newest rank point; the reader groups lines by `cluster_id`, overwrites
+/// the header and appends the point, so after the last line its records
+/// equal [`DetectorSession::event_records`] field for field.
+#[derive(Debug, Default)]
+pub struct EventLineReader {
+    tracker: EventTracker,
+}
+
+impl EventLineReader {
+    /// Creates a reader with no records.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds one sink line in; `quantum` and `slide` lines are skipped.
+    /// Must see an event's lines from its first report on — a line whose
+    /// `reports` disagrees with what was read fails with
+    /// [`EventLineError::MissedReports`] (as will every later line of that
+    /// event; its record stays, with the history that was read).  A
+    /// malformed line changes nothing.
+    pub fn push_line(&mut self, line: &str) -> Result<(), EventLineError> {
+        let value = dengraph_json::parse(line)?;
+        if value.get("type")?.as_str()? != "event" {
+            return Ok(());
+        }
+        let (cluster_id, reports, seen) = self.tracker.absorb_report(&value)?;
+        if reports != seen {
+            return Err(EventLineError::MissedReports {
+                cluster_id,
+                reports,
+                seen,
+            });
+        }
+        Ok(())
+    }
+
+    /// The reassembled records, in order of first appearance (the order
+    /// of [`DetectorSession::event_records`]).
+    pub fn records(&self) -> Vec<&EventRecord> {
+        self.tracker.records()
     }
 }
 
@@ -1211,6 +1328,183 @@ mod tests {
         let slide = dengraph_json::parse(lines[1]).unwrap();
         assert_eq!(slide.get("type").unwrap().as_str().unwrap(), "slide");
         assert_eq!(slide.get("evicted_quantum").unwrap().as_u64().unwrap(), 7);
+    }
+
+    /// A `Write` whose bytes stay readable after the sink is boxed away
+    /// into a session.
+    #[derive(Debug, Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SharedBuf {
+        fn lines(&self) -> Vec<String> {
+            let text = String::from_utf8(self.0.lock().unwrap().clone()).unwrap();
+            text.lines().map(str::to_string).collect()
+        }
+    }
+
+    /// Eight quanta over a w = 4 window: event A (keywords 1‥) grows a
+    /// keyword per quantum for five reports, event B (keywords 50‥) joins
+    /// at quantum 2 and evolves once; the window slides from quantum 4 on.
+    /// Returns the session, the sink's lines and the per-quantum summaries.
+    fn evolving_session() -> (DetectorSession, Vec<String>, Vec<QuantumSummary>) {
+        let mut session = builder().quantum_size(40).build().unwrap();
+        let out = SharedBuf::default();
+        session.attach_sink(Box::new(JsonLinesSink::new(out.clone())));
+        let mut summaries = Vec::new();
+        for q in 0..8u64 {
+            let mut msgs = Vec::new();
+            if q < 5 {
+                let keywords: Vec<u32> = (1..=3 + q as u32).collect();
+                msgs.extend(event_quantum(7, 7, &keywords, q * 1_000));
+            }
+            if (2..7).contains(&q) {
+                let keywords: Vec<u32> = (50..53 + u32::from(q >= 4)).collect();
+                for (u, mut m) in event_quantum(6, 6, &keywords, q * 1_000 + 500)
+                    .into_iter()
+                    .enumerate()
+                {
+                    m.user = UserId(300 + u as u64);
+                    msgs.push(m);
+                }
+            }
+            let filler = 40 - msgs.len();
+            msgs.extend(event_quantum(filler, 0, &[], q * 1_000 + 700));
+            summaries.extend(session.run(&msgs));
+        }
+        (session, out.lines(), summaries)
+    }
+
+    /// The line the value-tree path wrote: the body's object plus a
+    /// `"type"` key, through `to_string`.
+    fn tree_line(kind: &str, body: dengraph_json::Value) -> String {
+        let dengraph_json::Value::Obj(mut map) = body else {
+            panic!("sink bodies are objects");
+        };
+        map.insert("type".to_string(), dengraph_json::Value::str(kind));
+        dengraph_json::to_string(&dengraph_json::Value::Obj(map))
+    }
+
+    fn streamed(write: impl FnOnce(&mut JsonWriter<'_>)) -> String {
+        let mut out = String::new();
+        write(&mut JsonWriter::new(&mut out));
+        out
+    }
+
+    #[test]
+    fn streamed_quantum_and_slide_lines_equal_the_tree_path_byte_for_byte() {
+        use dengraph_json::{to_string, Value};
+        let (session, lines, summaries) = evolving_session();
+        assert_eq!(summaries.len(), 8);
+        let mut expected = Vec::new();
+        for summary in &summaries {
+            if let Some(evicted) = summary.evicted_quantum {
+                expected.push(tree_line(
+                    "slide",
+                    Value::obj([
+                        ("evicted_quantum", Value::from(evicted)),
+                        ("window_quanta", Value::from(session.config().window_quanta)),
+                    ]),
+                ));
+            }
+            expected.push(tree_line("quantum", summary.to_json()));
+
+            // Each struct's streamed form equals its tree form.
+            assert_eq!(
+                streamed(|w| summary.write_json(w)),
+                to_string(&summary.to_json())
+            );
+            assert_eq!(
+                streamed(|w| summary.akg_stats.write_json(w)),
+                to_string(&summary.akg_stats.to_json())
+            );
+            assert_eq!(
+                streamed(|w| summary.maintenance_stats.write_json(w)),
+                to_string(&summary.maintenance_stats.to_json())
+            );
+            for event in &summary.events {
+                assert_eq!(
+                    streamed(|w| event.write_json(w)),
+                    to_string(&event.to_json())
+                );
+            }
+        }
+        let got: Vec<&String> = lines
+            .iter()
+            .filter(|l| !l.ends_with("\"type\":\"event\"}"))
+            .collect();
+        assert_eq!(got, expected.iter().collect::<Vec<_>>());
+        assert!(expected.iter().any(|l| l.contains("\"type\":\"slide\"")));
+        assert!(summaries.iter().any(|s| s.events.len() == 2));
+    }
+
+    #[test]
+    fn event_lines_reassemble_into_the_sessions_records() {
+        let (session, lines, _) = evolving_session();
+        let mut reader = EventLineReader::new();
+        for line in &lines {
+            reader.push_line(line).unwrap();
+        }
+        let records = session.event_records();
+        assert_eq!(reader.records(), records, "field for field");
+        assert!(records.len() >= 2);
+        assert!(records.iter().all(|r| r.rank_history.len() >= 3));
+        assert!(records.iter().all(|r| r.evolved()));
+
+        // An event line carries one rank point, never the history.
+        let event_lines: Vec<&String> =
+            lines.iter().filter(|l| l.contains("\"reports\"")).collect();
+        assert_eq!(
+            event_lines.len(),
+            records.iter().map(|r| r.rank_history.len()).sum::<usize>()
+        );
+        assert!(event_lines.iter().all(|l| !l.contains("rank_history")));
+        let last = dengraph_json::parse(event_lines[event_lines.len() - 1]).unwrap();
+        assert!(last.get("rank").unwrap().as_f64().is_ok());
+        assert!(last.get("reports").unwrap().as_u64().unwrap() >= 3);
+    }
+
+    #[test]
+    fn reader_rejects_a_stream_joined_after_its_start() {
+        let (_, lines, _) = evolving_session();
+        let first_event = lines
+            .iter()
+            .position(|l| l.contains("\"reports\""))
+            .unwrap();
+        let mut reader = EventLineReader::new();
+        let outcome: Result<(), EventLineError> = lines[first_event + 1..]
+            .iter()
+            .try_for_each(|line| reader.push_line(line));
+        assert!(
+            matches!(
+                outcome,
+                Err(EventLineError::MissedReports {
+                    reports: 2,
+                    seen: 1,
+                    ..
+                })
+            ),
+            "{outcome:?}"
+        );
+
+        // Malformed lines are typed errors and leave no record behind.
+        let mut reader = EventLineReader::new();
+        for bad in ["{not json", "[]", "{\"type\":\"event\",\"cluster_id\":9}"] {
+            assert!(matches!(
+                reader.push_line(bad),
+                Err(EventLineError::Json(_))
+            ));
+        }
+        assert!(reader.records().is_empty());
     }
 
     #[test]

@@ -239,66 +239,210 @@ impl Value {
 // Writer
 // ---------------------------------------------------------------------------
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// How many container levels a debug build checks key order on.
+#[cfg(debug_assertions)]
+const KEY_ORDER_DEPTH: usize = 8;
+
+/// A push-style JSON emitter appending to a caller-owned buffer.
+///
+/// The one emitter of the workspace: [`to_string`] walks a [`Value`] tree
+/// through it, and hot paths (the JSON-lines sink) call it directly to
+/// stream a struct's fields into a reused buffer with no tree and no
+/// allocation.  The caller supplies well-formed structure (`key` before
+/// each value inside an object, balanced `begin_*`/`end_*`); separators,
+/// escaping and the number formats are the writer's.
+///
+/// Keys must be written in ascending order within an object — that is
+/// what keeps a streamed object byte-identical to the same fields
+/// collected into a [`Value::Obj`] (a sorted map).  Debug builds assert
+/// it.
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// The enclosing container already holds an element, so the next key
+    /// or value is preceded by a comma.
+    comma: bool,
+    #[cfg(debug_assertions)]
+    depth: usize,
+    /// The last key written at each open level (`None` for a fresh object
+    /// or an array).
+    #[cfg(debug_assertions)]
+    last_keys: [Option<&'a str>; KEY_ORDER_DEPTH],
 }
 
-fn write_value(out: &mut String, value: &Value) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => {
-            let _ = write!(out, "{n}");
+impl<'a> JsonWriter<'a> {
+    /// Starts a document at the end of `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        Self {
+            out,
+            comma: false,
+            #[cfg(debug_assertions)]
+            depth: 0,
+            #[cfg(debug_assertions)]
+            last_keys: [None; KEY_ORDER_DEPTH],
         }
-        Value::Float(f) => {
-            if f.is_finite() {
-                // Rust's Display for f64 is the shortest round-trippable
-                // form; force a fractional marker so it re-parses as Float.
-                let s = format!("{f}");
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
+    }
+
+    /// Separator before a key or a value; leaves `comma` set for the
+    /// sibling that follows.
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.sep();
+        self.out.push(bracket);
+        self.comma = false;
+        #[cfg(debug_assertions)]
+        {
+            if let Some(slot) = self.last_keys.get_mut(self.depth) {
+                *slot = None;
+            }
+            self.depth += 1;
+        }
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.comma = true;
+        #[cfg(debug_assertions)]
+        {
+            self.depth = self.depth.saturating_sub(1);
+        }
+    }
+
+    /// Opens an object.
+    pub fn begin_obj(&mut self) {
+        self.open('{');
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) {
+        self.close('}');
+    }
+
+    /// Opens an array.
+    pub fn begin_arr(&mut self) {
+        self.open('[');
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) {
+        self.close(']');
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, key: &'a str) {
+        #[cfg(debug_assertions)]
+        if let Some(last) = self
+            .depth
+            .checked_sub(1)
+            .and_then(|level| self.last_keys.get_mut(level))
+        {
+            debug_assert!(
+                last.is_none_or(|last| last < key),
+                "object keys must ascend: {last:?} then {key:?}"
+            );
+            *last = Some(key);
+        }
+        self.str(key);
+        self.out.push(':');
+        self.comma = false;
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.sep();
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.sep();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, n: u64) {
+        self.sep();
+        let _ = write!(self.out, "{n}");
+    }
+
+    /// Writes a float in Rust's shortest round-trippable form, with a
+    /// forced fractional marker so it re-parses as [`Value::Float`];
+    /// NaN and the infinities, which JSON cannot spell, become `null`.
+    pub fn f64(&mut self, f: f64) {
+        if !f.is_finite() {
+            return self.null();
+        }
+        self.sep();
+        let from = self.out.len();
+        let _ = write!(self.out, "{f}");
+        if !self.out[from..].contains(['.', 'e', 'E']) {
+            self.out.push_str(".0");
+        }
+    }
+
+    /// Writes a string, escaping quotes, backslashes and control
+    /// characters; everything between two escapes is copied as one run.
+    pub fn str(&mut self, s: &str) {
+        self.sep();
+        self.out.push('"');
+        let mut clean = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            // `i` and `clean` sit next to ASCII bytes: char boundaries.
+            self.out.push_str(&s[clean..i]);
+            clean = i + 1;
+            match b {
+                b'"' => self.out.push_str("\\\""),
+                b'\\' => self.out.push_str("\\\\"),
+                b'\n' => self.out.push_str("\\n"),
+                b'\r' => self.out.push_str("\\r"),
+                b'\t' => self.out.push_str("\\t"),
+                _ => {
+                    let _ = write!(self.out, "\\u{b:04x}");
                 }
-            } else {
-                out.push_str("null"); // JSON has no NaN / infinity
             }
         }
-        Value::Str(s) => write_escaped(out, s),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        self.out.push_str(&s[clean..]);
+        self.out.push('"');
+    }
+
+    /// Writes a whole value tree.
+    pub fn value(&mut self, value: &'a Value) {
+        match value {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Int(n) => match u64::try_from(*n) {
+                Ok(n) => self.u64(n),
+                Err(_) => {
+                    self.sep();
+                    let _ = write!(self.out, "{n}");
                 }
-                write_value(out, item);
-            }
-            out.push(']');
-        }
-        Value::Obj(map) => {
-            out.push('{');
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+            },
+            Value::Float(f) => self.f64(*f),
+            Value::Str(s) => self.str(s),
+            Value::Arr(items) => {
+                self.begin_arr();
+                for item in items {
+                    self.value(item);
                 }
-                write_escaped(out, k);
-                out.push(':');
-                write_value(out, v);
+                self.end_arr();
             }
-            out.push('}');
+            Value::Obj(map) => {
+                self.begin_obj();
+                for (k, v) in map {
+                    self.key(k);
+                    self.value(v);
+                }
+                self.end_obj();
+            }
         }
     }
 }
@@ -306,7 +450,7 @@ fn write_value(out: &mut String, value: &Value) {
 /// Serialises a value to compact JSON.
 pub fn to_string(value: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, value);
+    JsonWriter::new(&mut out).value(value);
     out
 }
 
@@ -314,24 +458,27 @@ pub fn to_string(value: &Value) -> String {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest `[`/`{` nesting [`parse`] accepts.  The parser recurses per
+/// level, so input depth must be bounded or a hostile line overflows the
+/// stack; every document the workspace writes nests far shallower.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<()> {
@@ -344,7 +491,7 @@ impl<'a> Parser<'a> {
     }
 
     fn expect_literal(&mut self, lit: &str, value: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -352,124 +499,151 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Advances to the next `"` or `\` and returns the run skipped over.
+    /// Both delimiters are ASCII, so the run is whole UTF-8 scalars.
+    fn clean_run(&mut self) -> Result<&'a str> {
+        let tail = &self.src.as_bytes()[self.pos..];
+        let Some(len) = tail.iter().position(|&b| b == b'"' || b == b'\\') else {
+            return err("unterminated string", self.src.len());
+        };
+        let run = &self.src[self.pos..self.pos + len];
+        self.pos += len;
+        Ok(run)
+    }
+
+    /// The four hex digits of a `\uXXXX` escape, as a code unit.
+    fn hex4(&mut self) -> Result<u32> {
+        let hex = self
+            .src
+            .get(self.pos..self.pos + 4)
+            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()));
+        match hex.and_then(|hex| u32::from_str_radix(hex, 16).ok()) {
+            Some(unit) => {
+                self.pos += 4;
+                Ok(unit)
+            }
+            None => err("bad \\u escape", self.pos),
+        }
+    }
+
+    /// A `\uXXXX` escape, `\u` already consumed.  A high surrogate must be
+    /// followed by an escaped low one (how JSON spells anything outside
+    /// the BMP); a surrogate in any other position is an error.
+    fn unicode_escape(&mut self) -> Result<char> {
+        let unit = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&unit)
+            && self.src.as_bytes()[self.pos..].starts_with(b"\\u")
+        {
+            self.pos += 2;
+            match self.hex4()? {
+                low @ 0xDC00..=0xDFFF => 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00),
+                _ => return err("unpaired surrogate escape", self.pos),
+            }
+        } else {
+            unit
+        };
+        match char::from_u32(code) {
+            Some(c) => Ok(c),
+            None => err("unpaired surrogate escape", self.pos),
+        }
+    }
+
     fn parse_string(&mut self) -> Result<String> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return err("unterminated string", self.pos),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or(JsonError {
-                        message: "unterminated escape".into(),
-                        offset: self.pos,
-                    })?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or(JsonError {
-                                    message: "bad \\u escape".into(),
-                                    offset: self.pos,
-                                })?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| JsonError {
-                                message: "bad \\u escape".into(),
-                                offset: self.pos,
-                            })?;
-                            self.pos += 4;
-                            // Surrogate pairs: only the BMP subset dengraph
-                            // emits is supported; lone surrogates error out.
-                            match char::from_u32(code) {
-                                Some(c) => out.push(c),
-                                None => return err("unsupported surrogate escape", self.pos),
-                            }
-                        }
-                        other => {
-                            return err(format!("unknown escape '\\{}'", other as char), self.pos)
-                        }
-                    }
-                }
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    // Consume one multi-byte UTF-8 scalar.  Only the
-                    // scalar's own bytes are validated — validating the
-                    // whole remaining input here made parsing quadratic
-                    // on string-heavy documents (megabyte checkpoints
-                    // took seconds to restore).
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => {
-                            return err("invalid utf-8", self.pos);
-                        }
-                    };
-                    let end = self.pos + len;
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..end)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or(JsonError {
-                            message: "invalid utf-8".into(),
-                            offset: self.pos,
-                        })?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
+        // The common string has no escape: one exact-size copy.
+        let mut out = self.clean_run()?.to_owned();
+        while self.peek() == Some(b'\\') {
+            self.pos += 1;
+            let esc = self.peek().ok_or(JsonError {
+                message: "unterminated escape".into(),
+                offset: self.pos,
+            })?;
+            self.pos += 1;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => self.unicode_escape()?,
+                other => return err(format!("unknown escape '\\{}'", other as char), self.pos),
+            });
+            out.push_str(self.clean_run()?);
         }
+        self.pos += 1; // the closing quote `clean_run` stopped at
+        Ok(out)
     }
 
     fn parse_number(&mut self) -> Result<Value> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        let mut fractional = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    fractional = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
+        // Short digit runs — every id and timestamp — accumulate here;
+        // anything longer or fractional goes through `str::parse`.
+        let digits_from = self.pos;
+        let mut magnitude: u64 = 0;
+        while let Some(b @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            self.pos += 1;
         }
-        let Ok(text) = std::str::from_utf8(&self.bytes[start..self.pos]) else {
-            // The scan above only advances over single-byte ASCII, so
-            // this is unreachable; report a parse error rather than
-            // panicking if the invariant is ever broken.
-            return err("non-ASCII bytes inside a number".to_string(), start);
-        };
-        if fractional {
-            match text.parse::<f64>() {
-                Ok(f) => Ok(Value::Float(f)),
-                Err(_) => err(format!("bad number '{text}'"), start),
-            }
+        let digits = self.pos - digits_from;
+        let mut fractional = false;
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
+            fractional = true;
+            self.pos += 1;
+        }
+        let text = &self.src[start..self.pos];
+        let parsed = if text.starts_with('+') {
+            None // `str::parse` would take it; JSON does not
+        } else if fractional {
+            text.parse().ok().map(Value::Float)
+        } else if (1..=18).contains(&digits) {
+            let magnitude = i128::from(magnitude);
+            Some(Value::Int(if negative { -magnitude } else { magnitude }))
         } else {
-            match text.parse::<i128>() {
-                Ok(n) => Ok(Value::Int(n)),
-                Err(_) => err(format!("bad number '{text}'"), start),
+            text.parse().ok().map(Value::Int)
+        };
+        match parsed {
+            Some(value) => Ok(value),
+            None => err(format!("bad number '{text}'"), start),
+        }
+    }
+
+    /// Enters a container: consumes its bracket and counts the level.
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_DEPTH {
+            return err(format!("nesting deeper than {MAX_DEPTH} levels"), self.pos);
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// Leaves a container: consumes its closing bracket.
+    fn ascend(&mut self) {
+        self.depth -= 1;
+        self.pos += 1;
+    }
+
+    /// After a container element: `false` past a `,`, `true` past `close`.
+    fn element_end(&mut self, close: u8) -> Result<bool> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(false)
             }
+            Some(b) if b == close => {
+                self.ascend();
+                Ok(true)
+            }
+            _ => err(format!("expected ',' or '{}'", close as char), self.pos),
         }
     }
 
@@ -482,32 +656,24 @@ impl<'a> Parser<'a> {
             Some(b'f') => self.expect_literal("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
             Some(b'[') => {
-                self.pos += 1;
+                self.descend()?;
                 let mut items = Vec::new();
-                self.skip_ws();
                 if self.peek() == Some(b']') {
-                    self.pos += 1;
+                    self.ascend();
                     return Ok(Value::Arr(items));
                 }
                 loop {
                     items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return err("expected ',' or ']'", self.pos),
+                    if self.element_end(b']')? {
+                        return Ok(Value::Arr(items));
                     }
                 }
             }
             Some(b'{') => {
-                self.pos += 1;
+                self.descend()?;
                 let mut map = BTreeMap::new();
-                self.skip_ws();
                 if self.peek() == Some(b'}') {
-                    self.pos += 1;
+                    self.ascend();
                     return Ok(Value::Obj(map));
                 }
                 loop {
@@ -517,14 +683,8 @@ impl<'a> Parser<'a> {
                     self.expect(b':')?;
                     let value = self.parse_value()?;
                     map.insert(key, value);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(map));
-                        }
-                        _ => return err("expected ',' or '}'", self.pos),
+                    if self.element_end(b'}')? {
+                        return Ok(Value::Obj(map));
                     }
                 }
             }
@@ -533,15 +693,17 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses a JSON document.
+/// Parses a JSON document.  Never panics and never recurses deeper than
+/// [`MAX_DEPTH`] containers, whatever the input.
 pub fn parse(input: &str) -> Result<Value> {
     let mut parser = Parser {
-        bytes: input.as_bytes(),
+        src: input,
         pos: 0,
+        depth: 0,
     };
     let value = parser.parse_value()?;
     parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != input.len() {
         return err("trailing characters after document", parser.pos);
     }
     Ok(value)
@@ -647,5 +809,179 @@ mod tests {
         assert!(v.get("n").unwrap().as_str().is_err());
         assert!(v.get("missing").is_err());
         assert!(v.get("s").unwrap().as_u64().is_err());
+    }
+
+    /// Byte-for-byte goldens of the emitter: the float rule, integers past
+    /// `i64`, escapes and multi-byte text.
+    #[test]
+    fn to_string_goldens() {
+        let huge = format!("1{}.0", "0".repeat(300));
+        for (value, golden) in [
+            (Value::Float(0.1), "0.1"),
+            (Value::Float(1.0 / 3.0), "0.3333333333333333"),
+            (Value::Float(1e300), huge.as_str()),
+            (Value::Float(-2.5e-10), "-0.00000000025"),
+            (Value::Float(160.0), "160.0"),
+            (Value::Float(1e21), "1000000000000000000000.0"),
+            (Value::Float(-0.0), "-0.0"),
+            (Value::Float(f64::NAN), "null"),
+            (Value::Float(f64::NEG_INFINITY), "null"),
+            (Value::from(u64::MAX), "18446744073709551615"),
+            (
+                Value::Int(-(1i128 << 100)),
+                "-1267650600228229401496703205376",
+            ),
+            (Value::Int(-7), "-7"),
+            (
+                Value::str("a\"b\\c\nd\re\tf\u{0}\u{1f}\u{7f}"),
+                "\"a\\\"b\\\\c\\nd\\re\\tf\\u0000\\u001f\u{7f}\"",
+            ),
+            (Value::str("héllo 日本語 🦀"), "\"héllo 日本語 🦀\""),
+            (Value::str(""), "\"\""),
+            (
+                Value::obj([
+                    (
+                        "b",
+                        Value::arr([Value::Null, Value::Bool(true), Value::arr([])]),
+                    ),
+                    ("a\n", Value::obj::<&str, _>([])),
+                    ("c", Value::Float(2.0)),
+                ]),
+                r#"{"a\n":{},"b":[null,true,[]],"c":2.0}"#,
+            ),
+        ] {
+            assert_eq!(to_string(&value), golden, "{value:?}");
+        }
+    }
+
+    /// Streaming calls emit exactly what the same fields collected into a
+    /// tree do, and append to whatever the buffer already holds.
+    #[test]
+    fn writer_streams_what_the_tree_serialises() {
+        let tree = Value::obj([
+            ("id", Value::from(7u64)),
+            (
+                "keywords",
+                Value::arr([Value::from(1u32), Value::from(2u32)]),
+            ),
+            ("name", Value::str("q\"uake")),
+            (
+                "nested",
+                Value::obj([("rank", Value::Float(3.0)), ("why", Value::Null)]),
+            ),
+            ("ok", Value::Bool(false)),
+        ]);
+        let mut out = String::from("prefix ");
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_obj();
+        w.key("id");
+        w.u64(7);
+        w.key("keywords");
+        w.begin_arr();
+        w.u64(1);
+        w.u64(2);
+        w.end_arr();
+        w.key("name");
+        w.str("q\"uake");
+        w.key("nested");
+        w.begin_obj();
+        w.key("rank");
+        w.f64(3.0);
+        w.key("why");
+        w.null();
+        w.end_obj();
+        w.key("ok");
+        w.bool(false);
+        w.end_obj();
+        assert_eq!(out, format!("prefix {}", to_string(&tree)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys must ascend")]
+    fn writer_asserts_ascending_keys_in_debug_builds() {
+        let mut out = String::new();
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_obj();
+        w.key("type");
+        w.null();
+        w.key("quantum");
+    }
+
+    #[test]
+    fn parses_escaped_surrogate_pairs() {
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Value::str("😀"));
+        assert_eq!(
+            parse(r#""a\ud83d\ude00b\uD834\uDD1E\u00e9""#).unwrap(),
+            Value::str("a😀b𝄞é")
+        );
+        for bad in [
+            r#""\ud83d""#,         // lone high
+            r#""\ud83dx""#,        // high, then text
+            r#""\ude00""#,         // lone low
+            r#""\ude00\ud83d""#,   // mis-ordered
+            r#""\ud83d\n\ude00""#, // pair split by another escape
+            r#""\ud83dA""#,        // high, then a non-surrogate
+            r#""\ud83d\ud83d""#,   // high, high
+            r#""\ud83d\ude0""#,    // truncated low
+            r#""\u+041""#,
+            r#""\u00é""#,
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn caps_nesting_depth_instead_of_overflowing_the_stack() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"k\":", "}", MAX_DEPTH).replace(":}", ":0}")).is_ok());
+        for hostile in [
+            nested("[", "]", MAX_DEPTH + 1),
+            "[".repeat(200_000),
+            "{\"k\":".repeat(200_000),
+            "[{\"k\":".repeat(100_000),
+        ] {
+            let e = parse(&hostile).expect_err("too deep");
+            assert!(e.message.contains("128"), "{e}");
+        }
+        // Depth is nesting, not container count.
+        let wide = format!("[{}[]]", "[],".repeat(10_000));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn numbers_take_the_same_values_on_both_paths() {
+        for (text, value) in [
+            ("0", Value::Int(0)),
+            ("-0", Value::Int(0)),
+            ("007", Value::Int(7)),
+            ("999999999999999999", Value::Int(999_999_999_999_999_999)),
+            ("-999999999999999999", Value::Int(-999_999_999_999_999_999)),
+            ("1000000000000000000", Value::Int(1_000_000_000_000_000_000)),
+            ("18446744073709551615", Value::Int(u64::MAX as i128)),
+            (
+                "-170141183460469231731687303715884105728",
+                Value::Int(i128::MIN),
+            ),
+            ("1e3", Value::Float(1000.0)),
+            ("-2.5E-1", Value::Float(-0.25)),
+            ("1.", Value::Float(1.0)),
+        ] {
+            assert_eq!(parse(text).unwrap(), value, "{text}");
+        }
+        for bad in [
+            "+1",
+            "+1.5",
+            "-",
+            "--1",
+            "1-2",
+            "1e",
+            ".",
+            "-+1",
+            "170141183460469231731687303715884105728",
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! set of normalised, stop-word-free keywords before it touches the
 //! correlated-keyword graph.  This crate provides that reduction:
 //!
-//! * [`tokenizer`] — splits raw message text into candidate tokens, handling
-//!   URLs, mentions, hashtags and punctuation.
+//! * [`tokenizer`] — splits raw message text into candidate tokens borrowed
+//!   from it, handling URLs, mentions, hashtags and punctuation.
 //! * [`stopwords`] — an embedded English stop-word list (the paper removes
 //!   stop words before building the graph).
 //! * [`stemmer`] — a light suffix-stripping normaliser so that trivially
@@ -44,6 +44,4 @@ pub mod tokenizer;
 pub use interner::{KeywordId, KeywordInterner, SymbolTable, UserInterner, UserSym};
 pub use pipeline::{KeywordPipeline, PipelineConfig};
 pub use pos::{NounHeuristic, WordClass};
-#[allow(deprecated)]
-pub use tokenizer::keyword_tokens;
-pub use tokenizer::{tokenize, Token, TokenKind};
+pub use tokenizer::{tokenize, Token, TokenKind, Tokens};

@@ -4,7 +4,7 @@
 use crate::interner::{KeywordId, KeywordInterner, SymbolTable, UserSym};
 use crate::stemmer;
 use crate::stopwords;
-use crate::tokenizer::{self, TokenKind};
+use crate::tokenizer::{tokenize, TokenKind};
 
 /// Configuration of the keyword-extraction pipeline.
 #[derive(Debug, Clone)]
@@ -38,6 +38,9 @@ impl Default for PipelineConfig {
 pub struct KeywordPipeline {
     config: PipelineConfig,
     symbols: SymbolTable,
+    /// The one buffer every token is folded and stemmed in before its
+    /// interner lookup, so a post allocates only its returned id list.
+    scratch: String,
 }
 
 impl KeywordPipeline {
@@ -50,15 +53,17 @@ impl KeywordPipeline {
     pub fn with_config(config: PipelineConfig) -> Self {
         Self {
             config,
-            symbols: SymbolTable::new(),
+            ..Self::default()
         }
     }
 
     /// Processes one message, returning its de-duplicated keyword ids in
     /// first-occurrence order.
     pub fn process(&mut self, text: &str) -> Vec<KeywordId> {
-        let mut out: Vec<KeywordId> = Vec::new();
-        for token in tokenizer::tokenize(text) {
+        // Room for a typical post's keywords in the one allocation.
+        let mut out: Vec<KeywordId> = Vec::with_capacity(8);
+        let word = &mut self.scratch;
+        for token in tokenize(text) {
             let keep = match token.kind {
                 TokenKind::Word => true,
                 TokenKind::Hashtag => self.config.keep_hashtags,
@@ -68,17 +73,21 @@ impl KeywordPipeline {
             if !keep {
                 continue;
             }
-            let mut word = token.text;
-            if token.kind != TokenKind::Number && self.config.stem {
-                word = stemmer::normalize(&word);
+            token.fold_into(word);
+            if token.kind != TokenKind::Number {
+                if self.config.stem {
+                    stemmer::stem(word);
+                }
+                // A char is at most four bytes: count only short words.
+                let min = self.config.min_token_len;
+                if word.len() < min.saturating_mul(4) && word.chars().count() < min {
+                    continue;
+                }
+                if stopwords::is_stopword(word) {
+                    continue;
+                }
             }
-            if word.chars().count() < self.config.min_token_len && token.kind != TokenKind::Number {
-                continue;
-            }
-            if token.kind != TokenKind::Number && stopwords::is_stopword(&word) {
-                continue;
-            }
-            let id = self.symbols.keywords.intern(&word);
+            let id = self.symbols.keywords.intern(word);
             if !out.contains(&id) {
                 out.push(id);
             }
@@ -93,19 +102,6 @@ impl KeywordPipeline {
     pub fn process_post(&mut self, author: &str, text: &str) -> (UserSym, Vec<KeywordId>) {
         let user = self.symbols.users.intern(author);
         (user, self.process(text))
-    }
-
-    /// Processes a message but returns keyword strings.
-    #[deprecated(
-        since = "0.1.0",
-        note = "string-keyed read on the hot path: use `process` (dense ids) and resolve at \
-                the reporting boundary via `symbols().keywords.resolve`"
-    )]
-    pub fn process_to_words(&mut self, text: &str) -> Vec<String> {
-        self.process(text)
-            .into_iter()
-            .filter_map(|id| self.symbols.keywords.resolve(id).map(str::to_string))
-            .collect()
     }
 
     /// The stream's symbol table (keywords and users).
@@ -134,8 +130,7 @@ impl KeywordPipeline {
 mod tests {
     use super::*;
 
-    /// Id-based equivalent of the deprecated `process_to_words`: process,
-    /// then resolve at the boundary.
+    /// Process, then resolve at the boundary.
     fn words_of(p: &mut KeywordPipeline, text: &str) -> Vec<String> {
         p.process(text)
             .into_iter()
@@ -187,17 +182,6 @@ mod tests {
         assert!(!words_of(&mut drop, "magnitude 5.9").contains(&"5.9".to_string()));
     }
 
-    /// The deprecated string-returning read stays equivalent to the
-    /// id-based path for as long as it exists.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_process_to_words_matches_resolving_wrapper() {
-        let mut a = KeywordPipeline::new();
-        let mut b = KeywordPipeline::new();
-        let text = "Massive earthquake strikes eastern Turkey, magnitude 5.9";
-        assert_eq!(a.process_to_words(text), words_of(&mut b, text));
-    }
-
     #[test]
     fn process_post_interns_author_and_keywords() {
         let mut p = KeywordPipeline::new();
@@ -238,5 +222,136 @@ mod tests {
         let mut p = KeywordPipeline::new();
         assert!(p.process("").is_empty());
         assert!(p.process("the a of and").is_empty());
+    }
+
+    /// The `process` this module replaced, verbatim, over the reference
+    /// tokenizer and stemmer and a hash set of the stop list.
+    fn reference_process(
+        config: &PipelineConfig,
+        stop: &std::collections::HashSet<&str>,
+        interner: &mut KeywordInterner,
+        text: &str,
+    ) -> Vec<KeywordId> {
+        let mut out: Vec<KeywordId> = Vec::new();
+        for (text, kind) in crate::tokenizer::reference::tokenize(text) {
+            let keep = match kind {
+                TokenKind::Word => true,
+                TokenKind::Hashtag => config.keep_hashtags,
+                TokenKind::Number => config.keep_numbers,
+                TokenKind::Mention | TokenKind::Url => false,
+            };
+            if !keep {
+                continue;
+            }
+            let mut word = text;
+            if kind != TokenKind::Number && config.stem {
+                word = stemmer::reference_normalize(&word);
+            }
+            if word.chars().count() < config.min_token_len && kind != TokenKind::Number {
+                continue;
+            }
+            if kind != TokenKind::Number && stop.contains(word.as_str()) {
+                continue;
+            }
+            let id = interner.intern(&word);
+            if !out.contains(&id) {
+                out.push(id);
+            }
+        }
+        out
+    }
+
+    /// One generated post: chunks glued from word-like atoms, sigils,
+    /// punctuation and URL shapes, split by assorted Unicode whitespace.
+    fn random_text(rng: &mut rand_chacha::ChaCha8Rng) -> String {
+        use rand::Rng;
+        #[rustfmt::skip]
+        const WORDS: &[&str] = &[
+            "earthquake", "Earthquakes", "TURKEY", "turkey's", "worker's", "ross's", "ROSS'",
+            "stories", "Parties", "crashes", "boxes", "buzzes", "bus", "loss", "virus", "gets",
+            "this", "The", "and", "you're", "RT", "via", "a", "I", "x", "é", "''", "--", "_",
+            "pro-democracy", "ΟΔΟΣ", "ΣΑΣ", "İstanbul", "STRASSE", "straße", "日本語", "ǅungla",
+            "5.9", "1.2.3", "150.", "500", "0", "７５", "５.９", "3rd", "b2b", "covid-19", "🦀",
+        ];
+        #[rustfmt::skip]
+        const URLS: &[&str] = &[
+            "www.news.example", "WWW.news.example", "http://t.co/abc", "https://t.co/ÀB",
+            "x.com/y", "BIT.LY/x", "bit.ly/x", "a/b", "http:/x", "news.com",
+        ];
+        const GLUE: &[&str] = &[
+            "", "", ",", ".", "!", "?", "...", "(", ")", "\"", ":", "/", "#", "@", "'", "-", "’",
+        ];
+        #[rustfmt::skip]
+        const SPACE: &[&str] = &[
+            " ", " ", " ", "  ", "\t", "\n", "\u{3000}", "\u{a0}", " \u{2003} ",
+        ];
+        let pick = |rng: &mut rand_chacha::ChaCha8Rng, from: &[&'static str]| {
+            from[rng.gen_range(0..from.len())]
+        };
+        let mut text = String::new();
+        for _ in 0..rng.gen_range(0..14usize) {
+            match rng.gen_range(0..10u32) {
+                0 => text.push('#'),
+                1 => text.push('@'),
+                _ => {}
+            }
+            if rng.gen_bool(0.12) {
+                text.push_str(pick(rng, URLS));
+            }
+            for _ in 0..rng.gen_range(1..4usize) {
+                let word = pick(rng, WORDS);
+                match rng.gen_range(0..6u32) {
+                    0 => text.push_str(&word.to_uppercase()),
+                    1 => text.push_str(&word.to_lowercase()),
+                    _ => text.push_str(word),
+                }
+                text.push_str(pick(rng, GLUE));
+            }
+            text.push_str(pick(rng, SPACE));
+        }
+        text
+    }
+
+    /// Ids **and** interner spellings equal the replaced pipeline's on
+    /// generated posts, under every configuration shape.
+    #[test]
+    fn matches_the_reference_pipeline_on_generated_text() {
+        use rand::SeedableRng;
+        let stop = stopwords::STOPWORDS.iter().copied().collect();
+        let configs = [
+            PipelineConfig::default(),
+            PipelineConfig {
+                stem: false,
+                min_token_len: 1,
+                ..Default::default()
+            },
+            PipelineConfig {
+                keep_hashtags: false,
+                keep_numbers: false,
+                min_token_len: 4,
+                ..Default::default()
+            },
+            PipelineConfig {
+                min_token_len: 0,
+                ..Default::default()
+            },
+        ];
+        for (seed, config) in configs.into_iter().enumerate() {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2012 + seed as u64);
+            let mut pipeline = KeywordPipeline::with_config(config.clone());
+            let mut reference = KeywordInterner::new();
+            let mut keywords = 0;
+            for _ in 0..3_000 {
+                let text = random_text(&mut rng);
+                let got = pipeline.process(&text);
+                let want = reference_process(&config, &stop, &mut reference, &text);
+                assert_eq!(got, want, "{config:?} on {text:?}");
+                keywords += got.len();
+            }
+            assert!(keywords > 3_000, "the generator must exercise the pipeline");
+            let spelled: Vec<&str> = pipeline.interner().iter().map(|(_, w)| w).collect();
+            let want: Vec<&str> = reference.iter().map(|(_, w)| w).collect();
+            assert_eq!(spelled, want, "interner spellings under {config:?}");
+        }
     }
 }

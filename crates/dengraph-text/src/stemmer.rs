@@ -7,14 +7,48 @@
 //! than a Porter stemmer: it only strips plural `-s`/`-es` and possessive
 //! `'s`, and never rewrites short words where stripping is risky.
 
-/// Normalises a single lower-cased word.
+/// Normalises a single lower-cased word in place.
 ///
 /// Rules (applied once, in order):
 /// 1. strip a possessive `'s` / trailing apostrophe,
 /// 2. strip plural `-ies` → `-y` for words of length ≥ 5,
 /// 3. strip plural `-es` when preceded by `s`, `x`, `z`, `ch`, `sh`,
-/// 4. strip a final `-s` (but not `-ss`) for words of length ≥ 4.
-pub fn normalize(word: &str) -> String {
+/// 4. strip a final `-s` (but not `-ss`, `-us`) for words of length ≥ 4.
+///
+/// Lengths are in bytes.  Every suffix is ASCII, so each cut lands on a
+/// character boundary.
+pub fn stem(w: &mut String) {
+    // Every rule needs a final `s` or apostrophe; most words have neither.
+    if !matches!(w.as_bytes().last(), Some(b's' | b'\'')) {
+        return;
+    }
+    if w.ends_with("'s") {
+        w.truncate(w.len() - 2);
+    } else if w.ends_with('\'') {
+        w.pop();
+    }
+    if w.len() >= 5 && w.ends_with("ies") {
+        w.truncate(w.len() - 3);
+        w.push('y');
+        return;
+    }
+    if w.len() >= 4 {
+        if let Some(stem) = w.strip_suffix("es") {
+            if stem.ends_with(['s', 'x', 'z']) || stem.ends_with("ch") || stem.ends_with("sh") {
+                w.truncate(stem.len());
+                return;
+            }
+        }
+        if w.ends_with('s') && !w.ends_with("ss") && !w.ends_with("us") {
+            w.pop();
+        }
+    }
+}
+
+/// The `String`-returning stemmer [`stem`] replaced, kept verbatim as the
+/// reference of the differential tests (here and in `pipeline`).
+#[cfg(test)]
+pub(crate) fn reference_normalize(word: &str) -> String {
     let mut w = word.to_string();
     if let Some(stripped) = w.strip_suffix("'s") {
         w = stripped.to_string();
@@ -47,6 +81,13 @@ pub fn normalize(word: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn normalize(word: &str) -> String {
+        let mut w = word.to_string();
+        stem(&mut w);
+        assert_eq!(w, reference_normalize(word), "{word:?}");
+        w
+    }
 
     #[test]
     fn strips_simple_plurals() {
@@ -85,6 +126,17 @@ mod tests {
     fn keeps_non_plural_words() {
         assert_eq!(normalize("turkey"), "turkey");
         assert_eq!(normalize("5.9"), "5.9");
+    }
+
+    #[test]
+    fn matches_the_reference_on_edge_shapes() {
+        for w in [
+            "", "s", "'s", "'", "es", "ies", "xies", "skies", "ses", "ches", "aches", "shes",
+            "axes", "buzzes", "ss's", "bus's", "ross'", "énies", "日本s", "éés", "üs", "ües",
+            "üxes",
+        ] {
+            normalize(w);
+        }
     }
 
     #[test]
