@@ -31,10 +31,19 @@
 //! sniffs the format from the first bytes:
 //!
 //! ```text
-//! checkpoint  = D6 'D' 'G' 'C'  version  detector-state
+//! checkpoint  = D6 'D' 'G' 'C'  version  method  payload
+//! method      = 00 raw | 01 lzss (read only) | 02 block
 //! journal     = D6 'D' 'G' 'J'  version  format-byte  frame*
 //! frame       = tag(01 snapshot | 02 delta)  len u32-LE  crc32 u32-LE  payload
 //! ```
+//!
+//! A checkpoint's payload is the detector state
+//! ([`EventDetector::to_bin`]) stored raw or packed by one of the codecs
+//! of [`dengraph_json::lz`].  Documents are **written** with method 02
+//! (the LZ4-class block codec) or 00 (when packing does not shrink the
+//! body); method 01 is what documents carried before the block codec
+//! existed and is only ever read.  The state bytes under the wrapping
+//! are the same for all three.
 //!
 //! Snapshot payloads are complete checkpoint documents (themselves
 //! sniffable); delta payloads are [`DeltaRecord`]s in the journal's
@@ -45,10 +54,23 @@
 //! a torn tail (truncated or corrupt final frames, e.g. from a crash
 //! mid-append) rolls back to the last fully-durable quantum instead of
 //! failing the restore.
+//!
+//! ## The append path
+//!
+//! A journaled session pays for its journal inside every quantum's
+//! latency, and every `every`-th quantum pays for a whole snapshot, so
+//! the journal owns its buffers and moves each byte once: the state is
+//! encoded into a reused body buffer, packed straight into a reused
+//! frame buffer behind nine reserved header bytes, checksummed, and
+//! handed to the backend as **one** write.  A delta record is encoded
+//! directly behind the reserved bytes.  After the first rebase no frame
+//! allocates (`tests/allocation_gate_durable.rs`).
 
 use std::io;
 use std::path::Path;
 
+use dengraph_json::frame::{begin_frame, finish_frame, FRAME_HEADER_LEN};
+use dengraph_json::lz::{self, BlockEncoder};
 use dengraph_json::{BinReader, BinWriter, Decode, Encode, JsonError, Value, WireFormat};
 
 use crate::akg::{AkgQuantumStats, GraphDelta};
@@ -252,36 +274,47 @@ impl Encode for DeltaRecordView<'_> {
 // Checkpoint documents
 // ---------------------------------------------------------------------------
 
-/// Payload methods of a binary checkpoint container.
+/// Payload methods of a binary checkpoint container.  The writer emits
+/// `RAW` or `BLOCK`; `LZSS` is read for documents already on disk.
 const METHOD_RAW: u8 = 0;
 const METHOD_LZSS: u8 = 1;
+const METHOD_BLOCK: u8 = 2;
+
+/// Appends the binary checkpoint container holding `body` (a detector's
+/// [`EventDetector::to_bin`] bytes) to `out`: header, then the body
+/// packed by the block codec — or raw when packing does not shrink it
+/// (tiny or incompressible states).  The one container writer: the
+/// journal calls it with its own buffers, [`encode_checkpoint_document`]
+/// with temporaries.
+fn write_checkpoint_container(body: &[u8], codec: &mut BlockEncoder, out: &mut Vec<u8>) {
+    let mut header = BinWriter::from_vec(std::mem::take(out));
+    header.raw(&CHECKPOINT_MAGIC);
+    header.u64(CONTAINER_VERSION);
+    header.byte(METHOD_BLOCK);
+    *out = header.into_bytes();
+    let payload_at = out.len();
+    if !codec.compress_into(body, out) || out.len() - payload_at >= body.len() {
+        out.truncate(payload_at);
+        out[payload_at - 1] = METHOD_RAW;
+        out.extend_from_slice(body);
+    }
+}
 
 /// Encodes the complete detector as a standalone checkpoint document in
 /// the requested wire format: JSON text, or the headered binary layout
-/// whose payload is LZSS-compressed (the struct encodings strip JSON's
-/// framing; the container compression then folds the remaining
-/// redundancy — interner words, repeated column structure — typically
-/// another ~2×).
+/// whose payload is packed by the block codec (the struct encodings
+/// strip JSON's framing; the container compression then folds the
+/// remaining redundancy — interner words, repeated column structure —
+/// typically another ~1.5×).
 pub(crate) fn encode_checkpoint_document(detector: &EventDetector, format: WireFormat) -> Vec<u8> {
     match format {
         WireFormat::Json => dengraph_json::to_string(&detector.to_json()).into_bytes(),
         WireFormat::Binary => {
             let mut body = BinWriter::new();
             detector.to_bin(&mut body);
-            let packed = dengraph_json::lz::compress(body.as_slice());
-            let mut w = BinWriter::new();
-            w.raw(&CHECKPOINT_MAGIC);
-            w.u64(CONTAINER_VERSION);
-            // Store whichever payload is smaller; tiny or incompressible
-            // states fall back to the raw body.
-            if packed.len() < body.len() {
-                w.byte(METHOD_LZSS);
-                w.raw(&packed);
-            } else {
-                w.byte(METHOD_RAW);
-                w.raw(body.as_slice());
-            }
-            w.into_bytes()
+            let mut out = Vec::new();
+            write_checkpoint_container(body.as_slice(), &mut BlockEncoder::new(), &mut out);
+            out
         }
     }
 }
@@ -321,11 +354,15 @@ pub(crate) fn decode_checkpoint_document(bytes: &[u8]) -> Result<EventDetector, 
             }
             let method = r.byte()?;
             let payload = r.take(r.remaining())?;
-            let decompressed;
+            let mut decompressed = Vec::new();
             let body: &[u8] = match method {
                 METHOD_RAW => payload,
                 METHOD_LZSS => {
-                    decompressed = dengraph_json::lz::decompress(payload)?;
+                    decompressed = lz::decompress(payload)?;
+                    &decompressed
+                }
+                METHOD_BLOCK => {
+                    lz::decompress_block_into(payload, &mut decompressed)?;
                     &decompressed
                 }
                 other => {
@@ -387,6 +424,14 @@ pub struct CheckpointJournal {
     delta_frames: usize,
     delta_payload_bytes: u64,
     last_snapshot_bytes: usize,
+    /// A snapshot's detector state, before packing.  This and the next
+    /// two are scratch reused across frames (module docs, "The append
+    /// path").
+    body: BinWriter,
+    /// The frame being assembled: reserved header bytes + payload.
+    frame: Vec<u8>,
+    /// The block codec's table.
+    codec: BlockEncoder,
 }
 
 impl std::fmt::Debug for CheckpointJournal {
@@ -413,16 +458,24 @@ impl CheckpointJournal {
     pub(crate) fn with_format(mode: CheckpointMode, format: WireFormat) -> Self {
         let writer = JournalWriter::new(Vec::new(), format, FsyncPolicy::Never)
             .expect("writing to a Vec cannot fail");
+        Self::over(mode, format, JournalBackend::Memory(writer))
+    }
+
+    /// An empty journal over `backend`.
+    fn over(mode: CheckpointMode, format: WireFormat, backend: JournalBackend) -> Self {
         Self {
             mode,
             format,
-            backend: JournalBackend::Memory(writer),
+            backend,
             io_error: None,
             deltas_since_snapshot: 0,
             snapshot_frames: 0,
             delta_frames: 0,
             delta_payload_bytes: 0,
             last_snapshot_bytes: 0,
+            body: BinWriter::new(),
+            frame: Vec::new(),
+            codec: BlockEncoder::new(),
         }
     }
 
@@ -438,22 +491,13 @@ impl CheckpointJournal {
     ) -> io::Result<Self> {
         let segments =
             SegmentedJournal::create(dir, config.format, config.fsync, config.segment_bytes)?;
-        let mut journal = Self {
-            mode: config.mode,
-            format: config.format,
-            backend: JournalBackend::Durable(segments),
-            io_error: None,
-            deltas_since_snapshot: 0,
-            snapshot_frames: 0,
-            delta_frames: 0,
-            delta_payload_bytes: 0,
-            last_snapshot_bytes: 0,
-        };
+        let mut journal = Self::over(
+            config.mode,
+            config.format,
+            JournalBackend::Durable(segments),
+        );
         journal.append_snapshot_inner(detector)?;
         journal.sync()?;
-        if let JournalBackend::Durable(segments) = &mut journal.backend {
-            segments.compact()?;
-        }
         Ok(journal)
     }
 
@@ -508,15 +552,19 @@ impl CheckpointJournal {
     }
 
     /// Forces all appended frames to stable storage now, regardless of
-    /// [`FsyncPolicy`] (a no-op for in-memory journals).  Returns the
-    /// latched error if the journal already failed.
+    /// [`FsyncPolicy`], and then compacts: with the latest snapshot
+    /// durable, every segment behind it is deleted.  This is the only
+    /// point at which a running [`FsyncPolicy::Never`] journal sheds its
+    /// dead segments (the policies that sync also compact at every
+    /// rebase).  A no-op for in-memory journals.  Returns the latched
+    /// error if the journal already failed.
     pub fn sync(&mut self) -> io::Result<()> {
         if let Some(e) = &self.io_error {
             return Err(io::Error::new(e.kind(), e.to_string()));
         }
         let result = match &mut self.backend {
             JournalBackend::Memory(_) => Ok(()),
-            JournalBackend::Durable(segments) => segments.sync(),
+            JournalBackend::Durable(segments) => sync_and_compact(segments),
         };
         if let Err(e) = &result {
             self.io_error = Some(io::Error::new(e.kind(), e.to_string()));
@@ -631,19 +679,33 @@ impl CheckpointJournal {
         Ok(())
     }
 
-    fn push_frame(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
+    /// Completes the frame assembled in `self.frame` (payload behind the
+    /// reserved header bytes) and appends it: one write.  Returns the
+    /// payload length.
+    fn push_frame(&mut self, tag: u8) -> io::Result<usize> {
+        finish_frame(tag, &mut self.frame);
         match &mut self.backend {
-            JournalBackend::Memory(writer) => writer.append_frame(tag, payload),
-            JournalBackend::Durable(segments) => segments.append_frame(tag, payload),
-        }
+            JournalBackend::Memory(writer) => writer.append_assembled(&self.frame),
+            JournalBackend::Durable(segments) => segments.append_assembled(&self.frame),
+        }?;
+        Ok(self.frame.len() - FRAME_HEADER_LEN)
     }
 
     /// Appends a full-snapshot rebase frame.  The statistics counters
     /// update only when the frame actually reached the log.
     fn append_snapshot_inner(&mut self, detector: &EventDetector) -> io::Result<()> {
-        let payload = encode_checkpoint_document(detector, self.format);
-        self.push_frame(TAG_SNAPSHOT, &payload)?;
-        self.last_snapshot_bytes = payload.len();
+        begin_frame(&mut self.frame);
+        match self.format {
+            WireFormat::Json => self
+                .frame
+                .extend_from_slice(dengraph_json::to_string(&detector.to_json()).as_bytes()),
+            WireFormat::Binary => {
+                self.body.clear();
+                detector.to_bin(&mut self.body);
+                write_checkpoint_container(self.body.as_slice(), &mut self.codec, &mut self.frame);
+            }
+        }
+        self.last_snapshot_bytes = self.push_frame(TAG_SNAPSHOT)?;
         self.snapshot_frames += 1;
         self.deltas_since_snapshot = 0;
         Ok(())
@@ -688,24 +750,34 @@ impl CheckpointJournal {
         if rebase {
             self.append_snapshot_inner(detector)?;
             // A rebase makes every earlier segment dead weight — but only
-            // once the snapshot is durable.  Under `Never` nothing is
-            // synced, so compaction waits for the next explicit sync or
-            // the next startup.
+            // once the snapshot is durable.  Under `Never` the hot path
+            // syncs nothing, so compaction waits for the caller's next
+            // explicit [`Self::sync`] (or the next startup).
             if let JournalBackend::Durable(segments) = &mut self.backend {
                 if segments.fsync() != FsyncPolicy::Never {
-                    segments.sync()?;
-                    segments.compact()?;
+                    sync_and_compact(segments)?;
                 }
             }
         } else {
-            let payload = detector.encode_delta_record(summary, self.format);
-            self.push_frame(TAG_DELTA, &payload)?;
-            self.delta_payload_bytes += payload.len() as u64;
+            begin_frame(&mut self.frame);
+            let mut w = BinWriter::from_vec(std::mem::take(&mut self.frame));
+            detector.encode_delta_record(summary, self.format, &mut w);
+            self.frame = w.into_bytes();
+            self.delta_payload_bytes += self.push_frame(TAG_DELTA)? as u64;
             self.delta_frames += 1;
             self.deltas_since_snapshot += 1;
         }
         Ok(())
     }
+}
+
+/// Makes everything appended so far durable, then deletes the segments
+/// behind the latest snapshot — in that order, so a crash at any point
+/// leaves a complete snapshot on disk.
+fn sync_and_compact(segments: &mut SegmentedJournal) -> io::Result<()> {
+    segments.sync()?;
+    segments.compact()?;
+    Ok(())
 }
 
 /// Walks one journal segment's bytes frame by frame for

@@ -790,14 +790,16 @@ impl EventDetector {
     /// (`summary` must be its summary) as a journal delta-record payload:
     /// the window record, the AKG delta log still sitting in the scratch
     /// arena, the quantum's AKG statistics and the reported events.
-    /// Encodes straight from the borrowed state — this runs once per
-    /// quantum on the journaled hot path, so it must not clone the
-    /// delta log or the window record first.
+    /// Encodes straight from the borrowed state into the caller's writer
+    /// (the journal's frame buffer) — this runs once per quantum on the
+    /// journaled hot path, so it must not clone the delta log or the
+    /// window record first, nor allocate a payload of its own.
     pub(crate) fn encode_delta_record(
         &self,
         summary: &QuantumSummary,
         format: dengraph_json::WireFormat,
-    ) -> Vec<u8> {
+        w: &mut dengraph_json::BinWriter,
+    ) {
         use dengraph_json::Encode as _;
         let record = self.window.current().expect("a quantum was just processed");
         debug_assert_eq!(record.index, summary.quantum, "summary is stale");
@@ -807,7 +809,7 @@ impl EventDetector {
             akg_stats: self.akg.last_stats(),
             events: &summary.events,
         }
-        .encode(format)
+        .encode_into(format, w)
     }
 
     /// Redoes one quantum from a journal delta record — the replay half
@@ -1045,8 +1047,10 @@ mod tests {
             events: summary.events.clone(),
         };
         for format in [WireFormat::Json, WireFormat::Binary] {
+            let mut w = dengraph_json::BinWriter::new();
+            det.encode_delta_record(summary, format, &mut w);
             assert_eq!(
-                det.encode_delta_record(summary, format),
+                w.into_bytes(),
                 owned.encode(format),
                 "borrowed view must encode byte-identically ({format})"
             );

@@ -510,11 +510,11 @@ impl EventTracker {
     /// Appends the compact binary encoding: every record, ordered by
     /// cluster id.
     pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        let mut ids: Vec<ClusterId> = self.records.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            self.records[&id].to_bin(w);
+        let mut records: Vec<(&ClusterId, &EventRecord)> = self.records.iter().collect();
+        records.sort_unstable_by_key(|&(id, _)| *id);
+        w.usize(records.len());
+        for (_, record) in records {
+            record.to_bin(w);
         }
     }
 

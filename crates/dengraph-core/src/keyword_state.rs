@@ -1571,16 +1571,16 @@ impl KeywordStateMachine {
     /// Appends the compact binary encoding: the sorted High keywords as
     /// one delta column.
     pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        let high: Vec<u32> = self
-            .high_bits
-            .iter()
-            .enumerate()
-            .flat_map(|(word, &bits)| {
-                (0..64)
-                    .filter(move |b| bits & (1u64 << b) != 0)
-                    .map(move |b| (word * 64 + b) as u32)
-            })
-            .collect();
+        // Walks the set bits only: the bitset spans the whole vocabulary
+        // and a snapshot runs inside a quantum's latency.
+        let mut high: Vec<u32> = Vec::with_capacity(self.high_count);
+        for (word, &bits) in self.high_bits.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                high.push(word as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
         w.delta_u32s(high.iter().copied());
     }
 

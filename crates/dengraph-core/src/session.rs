@@ -1054,8 +1054,10 @@ impl DetectorSession {
     /// Forces all journaled frames to stable storage now, regardless of
     /// the configured [`FsyncPolicy`](crate::wal::FsyncPolicy) — the
     /// explicit sync point for `FsyncPolicy::Never`/`EveryN`
-    /// deployments.  A no-op without a journal; returns the latched
-    /// error if journaling already failed.
+    /// deployments — and then deletes the segments behind the latest
+    /// snapshot, which under `Never` nothing else does while the session
+    /// runs.  A no-op without a journal; returns the latched error if
+    /// journaling already failed.
     pub fn sync_journal(&mut self) -> io::Result<()> {
         match &mut self.journal {
             Some(journal) => journal.sync(),

@@ -9,11 +9,18 @@
 //! * [`JournalWriter`] streams frames to any [`JournalSink`] (a thin
 //!   extension of [`io::Write`] adding the `fsync` operation) with the
 //!   CRC-32 length framing of [`dengraph_json::frame`], under a
-//!   configurable [`FsyncPolicy`];
+//!   configurable [`FsyncPolicy`].  A frame reaches the sink as **one**
+//!   `write_all` of header + payload — assembled by the caller in its own
+//!   buffer (the journal's hot path) or, for [`JournalWriter::append_frame`],
+//!   in a buffer the writer reuses — so no frame is ever half-issued
+//!   between two calls and a quantum costs one syscall;
 //! * `SegmentedJournal` (crate-internal, driven by `CheckpointJournal`)
 //!   rotates the log across `seg-NNNNNNNN.dgj` files at a byte
 //!   threshold and compacts segments wholly behind the latest durable
-//!   snapshot;
+//!   snapshot — at every rebase under the policies that sync, and at the
+//!   caller's explicit sync under [`FsyncPolicy::Never`], after first
+//!   syncing the closed segments that policy's rotations left in the
+//!   page cache;
 //! * [`JournalReader`] scans one segment's bytes frame by frame, and the
 //!   crate-internal recovery routine folds every segment of a journal
 //!   directory into the *last fully-durable quantum*: a torn tail (bad
@@ -40,7 +47,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use dengraph_json::frame::{frame_header, FrameEvent, FrameScanner, TornReason};
+use dengraph_json::frame::{begin_frame, finish_frame, FrameEvent, FrameScanner, TornReason};
 use dengraph_json::{BinReader, BinWriter, Decode, JsonError, WireFormat};
 
 use crate::checkpoint::{
@@ -76,7 +83,7 @@ const SEGMENT_SUFFIX: &str = ".dgj";
 /// |---|---|---|
 /// | [`EveryFrame`](Self::EveryFrame) | nothing (≤ the torn frame) | one fsync per quantum |
 /// | [`EveryN`](Self::EveryN) | up to `n` quanta | one fsync per `n` quanta |
-/// | [`Never`](Self::Never) | up to the OS write-back window | none |
+/// | [`Never`](Self::Never) | up to the OS write-back window | none (and no compaction until an explicit sync) |
 ///
 /// Under every policy the journal itself stays *consistent*: recovery
 /// finds the last frame that fully reached the disk and resumes there.
@@ -84,7 +91,11 @@ const SEGMENT_SUFFIX: &str = ".dgj";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
     /// Never fsync; rely on OS write-back (suitable for benchmarks and
-    /// for deployments where the journal is itself replicated).
+    /// for deployments where the journal is itself replicated).  Dead
+    /// segments are deleted only once their successor snapshot is known
+    /// durable, so under this policy the journal grows until the caller
+    /// syncs explicitly
+    /// ([`DetectorSession::sync_journal`](crate::session::DetectorSession::sync_journal)).
     Never,
     /// Fsync after every appended frame — the "lose at most the quantum
     /// in flight" setting, and the default.
@@ -192,6 +203,9 @@ pub struct JournalWriter<S: JournalSink> {
     bytes_written: u64,
     frames_written: u64,
     frames_since_sync: u32,
+    /// Where [`Self::append_frame`] assembles header + payload, reused
+    /// across calls (empty for a writer fed assembled frames).
+    frame: Vec<u8>,
 }
 
 impl<S: JournalSink> JournalWriter<S> {
@@ -205,16 +219,30 @@ impl<S: JournalSink> JournalWriter<S> {
             bytes_written: header.len() as u64,
             frames_written: 0,
             frames_since_sync: 0,
+            frame: Vec::new(),
         })
     }
 
     /// Appends one frame (header + payload) and fsyncs if the policy says
-    /// the frame count since the last sync is due.
+    /// the frame count since the last sync is due.  The frame is
+    /// assembled in a buffer the writer keeps and issued as one write.
     pub fn append_frame(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
-        let header = frame_header(tag, payload);
-        self.sink.write_all(&header)?;
-        self.sink.write_all(payload)?;
-        self.bytes_written += (header.len() + payload.len()) as u64;
+        let mut frame = std::mem::take(&mut self.frame);
+        begin_frame(&mut frame);
+        frame.extend_from_slice(payload);
+        finish_frame(tag, &mut frame);
+        let result = self.append_assembled(&frame);
+        self.frame = frame;
+        result
+    }
+
+    /// [`Self::append_frame`] for a frame the caller already assembled
+    /// (header and payload contiguous, see
+    /// [`dengraph_json::frame::finish_frame`]): **one** `write_all`, so a
+    /// frame is never half-issued between two calls into the sink.
+    pub(crate) fn append_assembled(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.sink.write_all(frame)?;
+        self.bytes_written += frame.len() as u64;
         self.frames_written += 1;
         self.frames_since_sync += 1;
         if self.fsync.due(self.frames_since_sync) {
@@ -336,6 +364,11 @@ pub(crate) struct SegmentedJournal {
     frames_in_segment: u64,
     /// Segment holding the most recently appended snapshot frame.
     last_snapshot_seq: u64,
+    /// Every closed segment numbered below this is on stable storage.
+    /// [`Self::rotate`] skips the old segment's fsync under
+    /// [`FsyncPolicy::Never`], so closed segments from here up to the
+    /// live one may still sit in the page cache.
+    synced_before: u64,
 }
 
 impl SegmentedJournal {
@@ -360,6 +393,7 @@ impl SegmentedJournal {
             current_seq: next_seq,
             frames_in_segment: 0,
             last_snapshot_seq: next_seq,
+            synced_before: next_seq,
         })
     }
 
@@ -376,17 +410,18 @@ impl SegmentedJournal {
         JournalWriter::new(file, format, fsync)
     }
 
-    /// Appends one frame, rotating to a fresh segment first when the
-    /// current one has reached the byte threshold (a segment always
-    /// receives at least one frame, so rotation lands exactly on frame
-    /// boundaries).
-    pub(crate) fn append_frame(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
+    /// Appends one assembled frame (see
+    /// [`JournalWriter::append_assembled`]), rotating to a fresh segment
+    /// first when the current one has reached the byte threshold (a
+    /// segment always receives at least one frame, so rotation lands
+    /// exactly on frame boundaries).
+    pub(crate) fn append_assembled(&mut self, frame: &[u8]) -> io::Result<()> {
         if self.writer.bytes_written() >= self.segment_bytes && self.frames_in_segment > 0 {
             self.rotate()?;
         }
-        self.writer.append_frame(tag, payload)?;
+        self.writer.append_assembled(frame)?;
         self.frames_in_segment += 1;
-        if tag == TAG_SNAPSHOT {
+        if frame.first() == Some(&TAG_SNAPSHOT) {
             self.last_snapshot_seq = self.current_seq;
         }
         Ok(())
@@ -395,26 +430,38 @@ impl SegmentedJournal {
     /// Closes the current segment (syncing it unless the policy is
     /// [`FsyncPolicy::Never`]) and opens the next one.
     fn rotate(&mut self) -> io::Result<()> {
+        let next = self.current_seq + 1;
         if self.fsync != FsyncPolicy::Never {
             self.writer.sync()?;
+            self.synced_before = next;
         }
-        let next = self.current_seq + 1;
         self.writer = Self::open_segment(&self.dir, next, self.format, self.fsync)?;
         self.current_seq = next;
         self.frames_in_segment = 0;
         Ok(())
     }
 
-    /// Forces everything appended so far to stable storage.
+    /// Forces everything appended so far to stable storage: the closed
+    /// segments a [`FsyncPolicy::Never`] rotation left un-synced — those
+    /// from the latest snapshot's on; anything older is dead weight a
+    /// restore never reads — and then the live one.
     pub(crate) fn sync(&mut self) -> io::Result<()> {
-        self.writer.sync()
+        for seq in self.synced_before.max(self.last_snapshot_seq)..self.current_seq {
+            OpenOptions::new()
+                .write(true)
+                .open(segment_path(&self.dir, seq))?
+                .sync_data()?;
+        }
+        self.writer.sync()?;
+        self.synced_before = self.current_seq;
+        Ok(())
     }
 
     /// Deletes every segment strictly before the one holding the latest
     /// snapshot.  The caller must have made that snapshot durable first
-    /// (compaction after an unsynced snapshot could leave the journal
-    /// with no complete snapshot on disk after a crash).  Returns the
-    /// number of segments removed.
+    /// with [`Self::sync`] (compaction after an unsynced snapshot could
+    /// leave the journal with no complete snapshot on disk after a
+    /// crash).  Returns the number of segments removed.
     pub(crate) fn compact(&mut self) -> io::Result<usize> {
         let mut removed = 0;
         for (seq, path) in list_segments(&self.dir)? {

@@ -35,6 +35,18 @@ impl BinWriter {
         Self::default()
     }
 
+    /// Wraps a caller's buffer: writes append after whatever it already
+    /// holds, and [`Self::into_bytes`] hands it back — so a reused buffer
+    /// keeps its capacity across documents.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
+    /// Empties the writer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

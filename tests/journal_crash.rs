@@ -16,8 +16,8 @@
 //!
 //! Around the central property: rotation edge cases (threshold exactly at
 //! a frame boundary, one-frame segments, empty trailing segments),
-//! startup and rebase-time compaction, and durable-vs-in-memory restore
-//! equivalence.
+//! startup, rebase-time and explicit-sync compaction, and
+//! durable-vs-in-memory restore equivalence.
 
 use std::fs;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -161,7 +161,10 @@ struct Reference {
 
 /// Runs `messages` through a durably journaled session writing into
 /// `dir`, returning the per-quantum summary stream and the final binary
-/// checkpoint as the bit-identity reference.
+/// checkpoint as the bit-identity reference.  The journal is left
+/// un-synced: `sync_journal` compacts, and the kill matrix needs every
+/// frame since the initial snapshot (reads go through the page cache, so
+/// nothing here depends on the sync).
 fn run_journaled(
     trace: &Trace,
     messages: &[Message],
@@ -183,7 +186,6 @@ fn run_journaled(
         "journal append failed: {:?}",
         session.journal_io_error()
     );
-    session.sync_journal().expect("journal syncs");
     // Deep-check the detector state and re-read the whole segment chain
     // (headers, CRCs, delta quantum ordering) before using it as the
     // crash-matrix reference.
@@ -595,6 +597,91 @@ fn rebase_compaction_leaves_a_restorable_snapshot_with_zero_trailing_deltas() {
         resumed.checkpoint_bytes(WireFormat::Binary),
         reference.final_checkpoint
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `FsyncPolicy::Never` skips the sync (and so the compaction) at every
+/// rebase and at every rotation; `sync_journal` is its documented
+/// explicit sync point and must shed the dead segments itself — it used
+/// to leave every one of them in place until the next start-up.
+#[test]
+fn explicit_sync_compacts_a_never_journal_behind_its_latest_snapshot() {
+    let trace = StreamGenerator::new(tw_profile(79, ProfileScale::Small)).generate();
+    let config = edge_config();
+    let split = 11 * config.quantum_size;
+    let dir = scratch_dir("never-sync-compaction");
+    // Delta{every:4}: rebases at quanta 5 and 10; a small threshold
+    // rotates several times between them and once more after the last.
+    let mut session = DetectorBuilder::from_config(config.clone())
+        .interner(trace.interner.clone())
+        .durable_journal(
+            &dir,
+            DurableJournalConfig {
+                mode: CheckpointMode::Delta { every: 4 },
+                fsync: FsyncPolicy::Never,
+                segment_bytes: 4 * 1024,
+                ..DurableJournalConfig::default()
+            },
+        )
+        .build()
+        .expect("valid config and writable journal dir");
+    for message in &trace.messages[..split] {
+        session.push_message(message.clone());
+    }
+    assert!(session.journal_io_error().is_none());
+    let (before, _) = layout(&dir);
+    assert_eq!(before.len(), 12, "initial snapshot + one frame per quantum");
+    let segments_before = segment_files(&dir).len();
+    assert!(segments_before >= 4, "the journal must have rotated");
+
+    session.sync_journal().expect("journal syncs and compacts");
+    session
+        .validate_invariants()
+        .expect("compacted journal is structurally sound");
+
+    // Everything behind the quantum-10 rebase is gone: the chain now
+    // opens with that snapshot and holds only the delta after it.
+    let (after, _) = layout(&dir);
+    assert!(segment_files(&dir).len() < segments_before);
+    assert!(after[0].is_snapshot, "the chain must open with the rebase");
+    assert_eq!(
+        after.iter().filter(|span| span.is_snapshot).count(),
+        1,
+        "only the latest snapshot survives"
+    );
+    assert_eq!(
+        after.len(),
+        2,
+        "the rebase snapshot and the quantum-11 delta"
+    );
+
+    // What survives restores to the live state and continues identically.
+    let (mut resumed, report) =
+        DetectorSession::restore_from_dir_with_report(&dir).expect("compacted journal restores");
+    assert!(report.torn.is_none(), "{:?}", report.torn);
+    assert_eq!(report.deltas_replayed, 1);
+    assert_eq!(resumed.quanta_processed(), session.quanta_processed());
+    assert_eq!(
+        resumed.checkpoint_bytes(WireFormat::Binary),
+        session.checkpoint_bytes(WireFormat::Binary)
+    );
+    let (mut live_tail, mut resumed_tail) = (Vec::new(), Vec::new());
+    for message in &trace.messages[split..split + 4 * config.quantum_size] {
+        live_tail.extend(session.push_message(message.clone()));
+        resumed_tail.extend(resumed.push_message(message.clone()));
+    }
+    assert_eq!(live_tail.len(), 4);
+    assert_eq!(canonical(&live_tail), canonical(&resumed_tail));
+    assert_eq!(
+        resumed.checkpoint_bytes(WireFormat::Binary),
+        session.checkpoint_bytes(WireFormat::Binary),
+        "continuation not bit-identical"
+    );
+
+    // The live journal keeps appending to the compacted chain.
+    assert!(session.journal_io_error().is_none());
+    let again = DetectorSession::restore_from_dir(&dir).expect("extended journal restores");
+    assert_eq!(again.quanta_processed(), session.quanta_processed());
     let _ = fs::remove_dir_all(&dir);
 }
 
