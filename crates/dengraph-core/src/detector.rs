@@ -23,7 +23,7 @@ use crate::cluster::maintainer::MaintenanceStats;
 use crate::cluster::ClusterMaintainer;
 use crate::config::DetectorConfig;
 use crate::event::{DetectedEvent, EventRecord, EventTracker};
-use crate::keyword_state::{QuantumRecord, WindowState};
+use crate::keyword_state::{QuantumRecord, WindowIndexMode, WindowState};
 use crate::ranking::rank_and_support;
 use crate::scratch::ScratchArena;
 
@@ -333,6 +333,13 @@ impl EventDetector {
     /// The current AKG.
     pub fn akg(&self) -> &dengraph_graph::DynamicGraph {
         self.akg.graph()
+    }
+
+    /// The sliding window and its incremental index (read access).  The
+    /// index is derived state a checkpoint does not carry, so this is what
+    /// a test compares to show a restore rebuilt it exactly.
+    pub fn window(&self) -> &WindowState {
+        &self.window
     }
 
     /// The persistent connected-component index the AKG maintainer keeps
@@ -669,31 +676,37 @@ impl EventDetector {
 
     /// The window's geometry is derived state; a checkpoint whose window
     /// contradicts its own (validated) configuration is corrupt, and
-    /// restoring it would silently change slide/sketch behaviour.
-    /// The materialization threshold is deliberately *not* cross-checked:
-    /// every threshold yields bit-identical reads (non-materialized
-    /// keywords fall back to the record walk), so a checkpoint written
-    /// under a different threshold — including pre-threshold checkpoints,
-    /// which decode as "materialize everything" — restores correctly.
-    /// Shared by the JSON and binary decoders.
+    /// restoring it would silently change slide/sketch behaviour.  That
+    /// includes the index's materialization threshold: the detector always
+    /// wires it to σ, it decides which keywords get an entry, and a
+    /// document — of this version or an earlier one — that says otherwise
+    /// was not written by this detector.  Shared by the JSON and binary
+    /// decoders.
     fn check_window_geometry(
         config: &DetectorConfig,
         window: &WindowState,
     ) -> dengraph_json::Result<()> {
+        // A rebuild-mode window has no index, hence no threshold to check.
+        let threshold_matches = window.mode() == WindowIndexMode::Rebuild
+            || window.materialize_threshold() == config.high_state_threshold as usize;
         if window.capacity() != config.window_quanta
             || window.sketch_size() != config.sketch_size()
             || window.mode() != config.window_index_mode
+            || !threshold_matches
         {
             return Err(dengraph_json::JsonError {
                 message: format!(
-                    "window geometry (capacity {}, sketch size {}, mode {:?}) contradicts \
-                     the embedded configuration (window_quanta {}, sketch size {}, mode {:?})",
+                    "window geometry (capacity {}, sketch size {}, mode {:?}, index threshold {}) \
+                     contradicts the embedded configuration (window_quanta {}, sketch size {}, \
+                     mode {:?}, high_state_threshold {})",
                     window.capacity(),
                     window.sketch_size(),
                     window.mode(),
+                    window.materialize_threshold(),
                     config.window_quanta,
                     config.sketch_size(),
                     config.window_index_mode,
+                    config.high_state_threshold,
                 ),
                 offset: 0,
             });

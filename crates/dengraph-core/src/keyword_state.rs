@@ -20,12 +20,29 @@
 //!   naive cache-build cost the paper's incremental AKG design avoids;
 //!   kept as the ablation baseline),
 //! * [`WindowIndexMode::Incremental`] — a `WindowIndex` keeps, per
-//!   keyword, a refcounted window user multiset, per-quantum sub-sketches
-//!   merged into a cached window sketch, and a recency mark, all updated
-//!   in O(Δ) as the window slides, so reads are O(1) / O(set size).
+//!   keyword, the refcounted window user multiset as one column **ordered
+//!   by the users' hashes** and a recency mark, updated in O(Δ) as the
+//!   window slides, so reads are O(1) / O(set size).
 //!
 //! Both modes are **bit-identical**: same sketches, same counts, same
 //! user sets (`tests/window_index_equivalence.rs` gates this).
+//!
+//! ## The window sketch is the head of the column
+//!
+//! Section 3.2.2's sketch of a keyword is the `p` smallest hash values of
+//! the users who mentioned it in the window.  The index keeps those users
+//! anyway, with a count of the window quanta each occurs in, because that
+//! is the exact window user set.  [`UserHasher::hash`] is a bijection on
+//! `u64`, so ordering that column by hash instead of by user id is a total
+//! order, and the sketch is then the column's first `min(p, len)` rows:
+//! exact after every insert and every eviction, with no per-quantum
+//! sub-sketch to build, keep, re-merge when its quantum leaves, or
+//! serialise.
+//!
+//! The column is a function of the window's records, so a snapshot does
+//! not carry it either: it carries the list of live keyword ids — which is
+//! history the records cannot tell — and a restore derives every listed
+//! keyword's column from the records again.
 //!
 //! ## Dense-id layout
 //!
@@ -37,15 +54,16 @@
 //!   `(keyword, user)` pair list, and its backing storage is recycled from
 //!   the record that slid out of the window;
 //! * the incremental `WindowIndex` is a `Vec` indexed directly by keyword
-//!   id (a lookup is one bounds check), with evicted per-quantum
-//!   sub-sketch buffers pooled and reused, so steady-state sliding
-//!   performs no per-keyword allocation;
+//!   id (a lookup is one bounds check), each entry three parallel columns
+//!   (`hashes`, `users`, `counts`), with emptied entries pooled and
+//!   reused, so steady-state sliding performs no per-keyword allocation;
 //! * [`KeywordStateMachine`] is a bitset over keyword ids.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use dengraph_graph::fxhash::FxHashSet;
-use dengraph_minhash::{kernel, EpochSketchStore, MinHashSketch, SketchLanes, UserHasher};
+use dengraph_minhash::sketch::MAX_DECODED_SKETCH_SIZE;
+use dengraph_minhash::{kernel, MinHashSketch, SketchLanes, UserHasher};
 use dengraph_parallel::{par_chunks, par_map, Parallelism};
 use dengraph_stream::{Message, UserId};
 use dengraph_text::KeywordId;
@@ -415,47 +433,195 @@ pub enum WindowIndexMode {
     /// read (the ablation baseline).
     Rebuild,
     /// Maintain a per-keyword incremental index updated in O(Δ) per slide
-    /// (refcounted user multisets + merged per-quantum sub-sketches).
+    /// (one hash-ordered refcount column per keyword, whose head is the
+    /// window sketch).
     #[default]
     Incremental,
 }
 
-/// Per-keyword incremental state over the current window.
+/// Per-keyword incremental state over the current window: the keyword's
+/// exact window user multiset as three parallel columns **ordered by the
+/// users' hashes**.  [`UserHasher::hash`] is a bijection, so distinct
+/// users never tie and the order is total; the window sketch — the `p`
+/// smallest hashes of the window's users — is then the first
+/// `min(p, len)` rows of `hashes` after every insert and every eviction,
+/// with nothing kept per quantum and nothing to re-merge.
 #[derive(Debug, PartialEq)]
 struct KeywordWindowEntry {
-    /// `(user, number of window quanta in which the user mentioned the
-    /// keyword)`, sorted by user.  The user column is exactly the window
-    /// user set; its length the window user count.  A record's per-keyword
-    /// users arrive sorted, so refcount maintenance is a linear merge of
-    /// two sorted runs — no hashing.
-    users: Vec<(UserId, u32)>,
-    /// One sub-sketch per window quantum containing the keyword, merged
-    /// into a cached window sketch.
-    sketches: EpochSketchStore,
+    /// `hasher.hash(users[i])`, strictly ascending.  A column of its own:
+    /// every insert and eviction binary-searches it, at an 8-byte stride.
+    hashes: Vec<u64>,
+    /// The window user set (its length is the window user count).
+    users: Vec<UserId>,
+    /// Number of window quanta in which `users[i]` mentioned the keyword.
+    counts: Vec<u32>,
+    /// The head of `hashes` as the sketch [`WindowState::window_sketch_ref`]
+    /// hands out; re-copied only when a row below `p` came or went.
+    sketch: MinHashSketch,
     /// Most recent quantum index in which the keyword occurred.
     last_seen: u64,
 }
 
-/// Folds a sorted run of added users into a sorted `(user, refcount)`
-/// column: present users are incremented, absent ones inserted with a
-/// count of one.  The added run is tiny compared to the column (a keyword
-/// gains a handful of users per quantum but accumulates hundreds over a
-/// window), so each addition is a narrowing binary search plus, rarely,
-/// one insertion — not a full column rewrite.
-fn merge_refcounts(counts: &mut Vec<(UserId, u32)>, added: &[UserId]) {
-    // Successive additions are ascending, so the search window shrinks.
-    let mut from = 0usize;
-    for &u in added {
-        match counts[from..].binary_search_by_key(&u, |&(cu, _)| cu) {
-            Ok(pos) => {
-                counts[from + pos].1 += 1;
-                from += pos + 1;
-            }
-            Err(pos) => {
-                counts.insert(from + pos, (u, 1));
-                from += pos + 1;
+impl KeywordWindowEntry {
+    fn new(sketch_size: usize) -> Self {
+        // Entries are pooled, and a pooled entry serves whichever keyword
+        // materializes next: starting every column at a few quanta's worth
+        // of rows, in three allocations, keeps a recycled entry from
+        // growing step by step under each new owner.
+        const INITIAL_ROWS: usize = 32;
+        Self {
+            hashes: Vec::with_capacity(INITIAL_ROWS),
+            users: Vec::with_capacity(INITIAL_ROWS),
+            counts: Vec::with_capacity(INITIAL_ROWS),
+            sketch: MinHashSketch::new(sketch_size),
+            last_seen: 0,
+        }
+    }
+
+    fn refresh_sketch(&mut self) {
+        let head = self.hashes.len().min(self.sketch.capacity());
+        self.sketch.assign_sorted(&self.hashes[..head]);
+    }
+
+    /// Adds the users that mentioned the keyword in `quantum`.  The run is
+    /// tiny next to the column (a handful of users a quantum, hundreds
+    /// over a window): one narrowing binary search per user counts those
+    /// the column already holds and notes, in `at`, the row each new one
+    /// goes in front of; then the new rows go in together.
+    fn add(
+        &mut self,
+        quantum: u64,
+        users: &[UserId],
+        hasher: &UserHasher,
+        lanes: &mut SketchLanes,
+        at: &mut Vec<usize>,
+    ) {
+        let rows = kernel::hash_sorted_rows(hasher, users, |u| u.raw(), lanes);
+        at.clear();
+        // The run ascends by hash like the column, so the search narrows.
+        let mut from = 0usize;
+        for i in 0..rows.len() {
+            match self.hashes[from..].binary_search(&rows[i].0) {
+                Ok(pos) => {
+                    self.counts[from + pos] += 1;
+                    from += pos + 1;
+                }
+                Err(pos) => {
+                    from += pos;
+                    // New rows gather at the front of the run.
+                    rows[at.len()] = rows[i];
+                    at.push(from);
+                }
             }
         }
+        if let Some(&first) = at.first() {
+            self.insert_rows(at, &rows[..at.len()]);
+            if first < self.sketch.capacity() {
+                self.refresh_sketch();
+            }
+        }
+        self.last_seen = quantum;
+    }
+
+    /// Inserts `new[i]`, a `(hash, user)` seen once, in front of the row
+    /// that is at `at[i]` now (`at` ascending).  Works back from the tail
+    /// so that every row moves once however many go in: a busy keyword
+    /// brings tens of new users a quantum to a column of thousands, and
+    /// inserting them one by one would move half the column for each.
+    fn insert_rows(&mut self, at: &[usize], new: &[(u64, u64)]) {
+        let mut end = self.hashes.len();
+        let len = end + at.len();
+        self.hashes.resize(len, 0);
+        self.users.resize(len, UserId(0));
+        self.counts.resize(len, 1);
+        for (i, (&row, &(hash, user))) in at.iter().zip(new).enumerate().rev() {
+            // `i` rows go in below this one, so the tail it heads moves up
+            // by `i + 1` and leaves its slot free.
+            let slot = row + i;
+            self.hashes.copy_within(row..end, slot + 1);
+            self.users.copy_within(row..end, slot + 1);
+            self.counts.copy_within(row..end, slot + 1);
+            self.hashes[slot] = hash;
+            self.users[slot] = UserId(user);
+            self.counts[slot] = 1;
+            end = row;
+        }
+    }
+
+    /// Turns gathered rows — every `(hash, user)` of the keyword in the
+    /// window, one per quantum it occurs in, in any order, `counts` empty —
+    /// into the columns the same adds would have built: sorted by hash,
+    /// equal neighbours folded into one row and a count.  `rows` is
+    /// scratch.
+    fn settle(&mut self, rows: &mut Vec<(u64, UserId)>) {
+        rows.clear();
+        rows.extend(self.hashes.iter().copied().zip(self.users.iter().copied()));
+        rows.sort_unstable();
+        self.hashes.clear();
+        self.users.clear();
+        for &(hash, user) in rows.iter() {
+            match self.counts.last_mut() {
+                Some(count) if self.hashes.last() == Some(&hash) => *count += 1,
+                _ => {
+                    self.hashes.push(hash);
+                    self.users.push(user);
+                    self.counts.push(1);
+                }
+            }
+        }
+        self.refresh_sketch();
+    }
+
+    /// Takes back one evicted quantum's users: decrements, and drops the
+    /// rows whose count reaches zero.
+    fn remove(
+        &mut self,
+        users: &[UserId],
+        hasher: &UserHasher,
+        lanes: &mut SketchLanes,
+        at: &mut Vec<usize>,
+    ) {
+        at.clear();
+        let mut from = 0usize;
+        for &(hash, _) in kernel::hash_sorted_rows(hasher, users, |u| u.raw(), lanes).iter() {
+            match self.hashes[from..].binary_search(&hash) {
+                Ok(pos) => {
+                    let row = from + pos;
+                    self.counts[row] -= 1;
+                    if self.counts[row] == 0 {
+                        at.push(row);
+                    }
+                    from = row + 1;
+                }
+                Err(pos) => {
+                    debug_assert!(false, "evicted user missing from the window column");
+                    from += pos;
+                }
+            }
+        }
+        if let Some(&first) = at.first() {
+            self.remove_rows(at);
+            if first < self.sketch.capacity() {
+                self.refresh_sketch();
+            }
+        }
+    }
+
+    /// Removes the rows at `at` (strictly ascending), moving every later
+    /// row once.
+    fn remove_rows(&mut self, at: &[usize]) {
+        let len = self.hashes.len();
+        for (i, &row) in at.iter().enumerate() {
+            // The rows up to the next one to go close the `i + 1` gaps
+            // below them.
+            let next = at.get(i + 1).copied().unwrap_or(len);
+            self.hashes.copy_within(row + 1..next, row - i);
+            self.users.copy_within(row + 1..next, row - i);
+            self.counts.copy_within(row + 1..next, row - i);
+        }
+        self.hashes.truncate(len - at.len());
+        self.users.truncate(len - at.len());
+        self.counts.truncate(len - at.len());
     }
 }
 
@@ -464,13 +630,18 @@ fn merge_refcounts(counts: &mut Vec<(UserId, u32)>, added: &[UserId]) {
 ///
 /// Entries live in a `Vec` indexed **directly by keyword id** (ids are
 /// interner-dense), so a lookup is a bounds check instead of a hash probe.
-/// A slot is `Some` iff the keyword occurs somewhere in the window, so
-/// staleness is a slot miss.  Evicted sub-sketch buffers and emptied
-/// entries are pooled and recycled, keeping steady-state sliding
-/// allocation-free.
+/// A slot is `Some` iff the keyword is materialized and occurs somewhere
+/// in the window, so staleness is a slot miss.  Emptied entries are pooled
+/// and recycled, keeping steady-state sliding allocation-free.
+///
+/// Every column is a function of the window's records; what the records
+/// cannot tell is *which* keywords are live (an entry outlives the record
+/// that materialized it for as long as the keyword stays in the window).
+/// A snapshot therefore carries the threshold and the live keyword ids
+/// only, and [`Self::rebuild`] derives the columns from the records
+/// again, so a restored index is `==` the one that was saved.
 #[derive(Debug)]
 struct WindowIndex {
-    sketch_size: usize,
     /// A keyword is *materialized* (gets an incrementally maintained
     /// entry) once a single quantum brings it at least this many distinct
     /// users — the detector wires this to the burstiness threshold σ,
@@ -484,11 +655,10 @@ struct WindowIndex {
     entries: Vec<Option<KeywordWindowEntry>>,
     /// Number of live entries.
     live: usize,
-    /// Recycled sub-sketch buffers (scratch — excluded from equality and
-    /// serialisation).
-    sketch_pool: Vec<MinHashSketch>,
     /// Recycled entries (scratch — excluded from equality/serialisation).
     entry_pool: Vec<KeywordWindowEntry>,
+    /// Row positions staged by one entry update (scratch, likewise).
+    rows_at: Vec<usize>,
 }
 
 /// Equality compares the live entries only; pool contents and trailing
@@ -496,10 +666,7 @@ struct WindowIndex {
 /// index compares equal to the original.
 impl PartialEq for WindowIndex {
     fn eq(&self, other: &Self) -> bool {
-        if self.sketch_size != other.sketch_size
-            || self.materialize_threshold != other.materialize_threshold
-            || self.live != other.live
-        {
+        if self.materialize_threshold != other.materialize_threshold || self.live != other.live {
             return false;
         }
         let len = self.entries.len().max(other.entries.len());
@@ -512,14 +679,13 @@ impl PartialEq for WindowIndex {
 }
 
 impl WindowIndex {
-    fn new(sketch_size: usize) -> Self {
+    fn new(materialize_threshold: usize) -> Self {
         Self {
-            sketch_size,
-            materialize_threshold: 1,
+            materialize_threshold: materialize_threshold.max(1),
             entries: Vec::new(),
             live: 0,
-            sketch_pool: Vec::new(),
             entry_pool: Vec::new(),
+            rows_at: Vec::new(),
         }
     }
 
@@ -537,300 +703,264 @@ impl WindowIndex {
             .filter_map(|(i, slot)| slot.as_ref().map(|e| (KeywordId(i as u32), e)))
     }
 
-    /// Folds one freshly pushed quantum into the index, reusing pooled
-    /// buffers.  `past` holds the records already in the window (oldest
-    /// first, the new record not yet appended): when a keyword crosses the
-    /// materialization threshold for the first time, its entry is built
-    /// retroactively from those records, bit-identical to an entry that
-    /// had been maintained from the start (p-minima merging is
-    /// order-independent and refcount merging is commutative).
+    /// Puts an empty (pooled, if there is one) entry into the vacant slot
+    /// `idx`.
+    fn materialize(&mut self, idx: usize, sketch_size: usize) {
+        if idx >= self.entries.len() {
+            self.entries.resize_with(idx + 1, || None);
+        }
+        debug_assert!(self.entries[idx].is_none(), "slot is already live");
+        self.live += 1;
+        self.entries[idx] = Some(
+            self.entry_pool
+                .pop()
+                .unwrap_or_else(|| KeywordWindowEntry::new(sketch_size)),
+        );
+    }
+
+    /// Folds one freshly pushed quantum into the index.  `past` holds the
+    /// records already in the window (oldest first, the new record not
+    /// yet appended): when a keyword crosses the materialization
+    /// threshold for the first time, its entry is built retroactively
+    /// from those records, bit-identical to an entry that had been
+    /// maintained from the start (a column is the multiset of its adds,
+    /// whatever their order).
     fn insert_record(
         &mut self,
         record: &QuantumRecord,
         hasher: &UserHasher,
+        sketch_size: usize,
         past: &VecDeque<QuantumRecord>,
         lanes: &mut SketchLanes,
     ) {
-        let sketch_size = self.sketch_size;
-        let threshold = self.materialize_threshold;
-        let entries = &mut self.entries;
-        let sketch_pool = &mut self.sketch_pool;
-        let entry_pool = &mut self.entry_pool;
-        let take_sub = |pool: &mut Vec<MinHashSketch>| match pool.pop() {
-            Some(mut s) => {
-                s.reset(sketch_size);
-                s
-            }
-            None => MinHashSketch::new(sketch_size),
-        };
         for (keyword, users) in record.iter() {
             let idx = keyword.index();
-            let materialized = entries.get(idx).is_some_and(|slot| slot.is_some());
-            if !materialized {
-                if users.len() < threshold {
+            let fresh = self.entry(keyword).is_none();
+            if fresh {
+                if users.len() < self.materialize_threshold {
                     // Long-tail keyword: the detector will never read its
                     // window aggregates through the index; skip all
                     // bookkeeping (reads fall back to the record walk).
                     continue;
                 }
-                if idx >= entries.len() {
-                    entries.resize_with(idx + 1, || None);
-                }
-                let mut entry = entry_pool.pop().unwrap_or_else(|| KeywordWindowEntry {
-                    users: Vec::new(),
-                    sketches: EpochSketchStore::new(sketch_size),
-                    last_seen: record.index,
-                });
-                // Retroactive build over the records already in the window.
+                self.materialize(idx, sketch_size);
+            }
+            let entry = self.entries[idx].as_mut().expect("materialized above");
+            if fresh {
                 for old in past {
                     let old_users = old.users_of(keyword);
-                    if old_users.is_empty() {
-                        continue;
+                    if !old_users.is_empty() {
+                        entry.add(old.index, old_users, hasher, lanes, &mut self.rows_at);
                     }
-                    let mut sub = take_sub(sketch_pool);
-                    sub.insert_batch(hasher, old_users, |u| u.raw(), lanes);
-                    merge_refcounts(&mut entry.users, old_users);
-                    entry.sketches.push(old.index, sub);
-                    entry.last_seen = old.index;
                 }
-                self.live += 1;
-                entries[idx] = Some(entry);
             }
-            let entry = entries[idx].as_mut().expect("entry just ensured");
-            let mut sub = take_sub(sketch_pool);
-            sub.insert_batch(hasher, users, |u| u.raw(), lanes);
-            merge_refcounts(&mut entry.users, users);
-            entry.sketches.push(record.index, sub);
-            entry.last_seen = record.index;
+            entry.add(record.index, users, hasher, lanes, &mut self.rows_at);
         }
     }
 
-    /// Removes one evicted quantum's contributions: O(Δ) decrements plus a
-    /// sub-sketch re-merge for each touched keyword.  Evicted buffers go
-    /// back to the pools.
-    fn remove_record(&mut self, record: &QuantumRecord) {
-        let entries = &mut self.entries;
-        let sketch_pool = &mut self.sketch_pool;
-        let entry_pool = &mut self.entry_pool;
+    /// Removes one evicted quantum's contributions in O(Δ).  An entry
+    /// whose column empties dies and goes back to the pool.
+    fn remove_record(
+        &mut self,
+        record: &QuantumRecord,
+        hasher: &UserHasher,
+        lanes: &mut SketchLanes,
+    ) {
         for (keyword, users) in record.iter() {
             // Non-materialized keywords have no entry to maintain.
-            let Some(slot) = entries.get_mut(keyword.index()) else {
+            let Some(slot) = self.entries.get_mut(keyword.index()) else {
                 continue;
             };
             let Some(entry) = slot.as_mut() else {
                 continue;
             };
-            // Like the insert path: the removed run is tiny relative to
-            // the column, so decrement via narrowing binary searches and
-            // remove only the refcounts that reach zero.
-            let mut from = 0usize;
-            for &u in users {
-                match entry.users[from..].binary_search_by_key(&u, |&(cu, _)| cu) {
-                    Ok(pos) => {
-                        let at = from + pos;
-                        entry.users[at].1 -= 1;
-                        if entry.users[at].1 == 0 {
-                            entry.users.remove(at);
-                            from = at;
-                        } else {
-                            from = at + 1;
-                        }
-                    }
-                    Err(pos) => {
-                        debug_assert!(false, "evicted user missing from refcount column");
-                        from += pos;
-                    }
-                }
-            }
-            entry
-                .sketches
-                .evict_through_with(record.index, |sub| sketch_pool.push(sub));
-            if entry.users.is_empty() {
-                debug_assert!(entry.sketches.is_empty());
-                let mut dead = slot.take().expect("entry just matched");
+            entry.remove(users, hasher, lanes, &mut self.rows_at);
+            if entry.hashes.is_empty() {
+                // The sketch emptied with the column's head.
+                debug_assert!(entry.sketch.is_empty());
                 self.live -= 1;
-                dead.users.clear();
-                dead.sketches.clear_with(|sub| sketch_pool.push(sub));
-                entry_pool.push(dead);
+                if let Some(dead) = slot.take() {
+                    self.entry_pool.push(dead);
+                }
             }
         }
     }
 
-    /// Serialises the index: one `[keyword, entry]` pair per keyword, sorted
-    /// by keyword for a canonical encoding.
+    /// Rebuilds the index a snapshot described by its threshold and its
+    /// strictly ascending `live` keyword ids, from the snapshot's records.
+    /// Replaying the records through [`Self::insert_record`] would do, but
+    /// a restore wants whole columns at once: every listed keyword's rows
+    /// are gathered across the records, sorted once and folded into counts
+    /// ([`KeywordWindowEntry::settle`]) — the same columns, since a column
+    /// is the sorted multiset of its adds, at about half the cost.
+    ///
+    /// Errors on a list no window over these records can have produced:
+    /// ids out of order or beyond the decoder bound, a listed keyword that
+    /// occurs in no record, or an unlisted keyword some record gives at
+    /// least `materialize_threshold` users.
+    fn rebuild(
+        materialize_threshold: usize,
+        live: &[u32],
+        window: &VecDeque<QuantumRecord>,
+        hasher: &UserHasher,
+        sketch_size: usize,
+    ) -> dengraph_json::Result<Self> {
+        let corrupt = |message: String| dengraph_json::JsonError { message, offset: 0 };
+        if live.windows(2).any(|p| p[0] >= p[1]) {
+            return Err(corrupt(
+                "live index keywords must be strictly ascending".into(),
+            ));
+        }
+        if let Some(&last) = live.last() {
+            check_keyword_index(last as usize, 0)?;
+        }
+        // Every live keyword occurs in a record; checked in full below, but
+        // an entry is allocated per listed id first.
+        if live.len() > window.iter().map(QuantumRecord::keyword_count).sum() {
+            return Err(corrupt(
+                "more live index keywords than the window's records hold".into(),
+            ));
+        }
+        let mut index = Self::new(materialize_threshold);
+        for &keyword in live {
+            index.materialize(keyword as usize, sketch_size);
+        }
+        for record in window {
+            for (keyword, users) in record.iter() {
+                match index.entries.get_mut(keyword.index()) {
+                    Some(Some(entry)) => {
+                        entry
+                            .hashes
+                            .extend(users.iter().map(|u| hasher.hash(u.raw())));
+                        entry.users.extend_from_slice(users);
+                        entry.last_seen = record.index;
+                    }
+                    _ if users.len() >= index.materialize_threshold => {
+                        return Err(corrupt(format!(
+                            "{keyword} has {} users in quantum {} (threshold {}) but is \
+                             not in the live list",
+                            users.len(),
+                            record.index,
+                            index.materialize_threshold
+                        )));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut rows = Vec::new();
+        for &keyword in live {
+            let entry = index.entries[keyword as usize]
+                .as_mut()
+                .expect("materialized above");
+            if entry.hashes.is_empty() {
+                return Err(corrupt(format!(
+                    "live index keyword {} occurs in no window record",
+                    KeywordId(keyword)
+                )));
+            }
+            entry.settle(&mut rows);
+        }
+        Ok(index)
+    }
+
+    /// Serialises what the records cannot tell: the threshold and the
+    /// ascending live keyword ids.
     fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         Value::obj([
-            ("sketch_size", Value::from(self.sketch_size)),
             (
                 "materialize_threshold",
                 Value::from(self.materialize_threshold),
             ),
             (
-                "entries",
-                Value::arr(self.live_entries().map(|(k, entry)| {
-                    Value::arr([
-                        Value::from(k.0),
-                        Value::obj([
-                            (
-                                // Already sorted by user — the canonical
-                                // encoding falls out of the layout.
-                                "users",
-                                Value::arr(
-                                    entry.users.iter().map(|&(u, c)| {
-                                        Value::arr([Value::from(u.0), Value::from(c)])
-                                    }),
-                                ),
-                            ),
-                            ("sketches", entry.sketches.to_json()),
-                            ("last_seen", Value::from(entry.last_seen)),
-                        ]),
-                    ])
-                })),
+                "live",
+                Value::arr(self.live_entries().map(|(k, _)| Value::from(k.0))),
             ),
         ])
     }
 
-    /// Reconstructs an index serialised by [`Self::to_json`].
-    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let mut index = Self::new(value.get("sketch_size")?.as_usize()?);
-        index.materialize_threshold = match value.get_opt("materialize_threshold")? {
-            Some(v) => v.as_usize()?.max(1),
+    /// Reads `(threshold, live ids)` from [`Self::to_json`]'s object, or
+    /// from the `"entries"` object older documents carry: the keyword ids
+    /// are kept, the serialised columns and sub-sketches ignored.
+    fn header_from_json(value: &dengraph_json::Value) -> dengraph_json::Result<(usize, Vec<u32>)> {
+        let threshold = match value.get_opt("materialize_threshold")? {
+            Some(v) => v.as_usize()?,
             None => 1,
         };
-        for pair in value.get("entries")?.as_arr()? {
-            let parts = pair.as_arr()?;
-            if parts.len() != 2 {
-                return Err(dengraph_json::JsonError {
-                    message: format!("index entry has {} elements", parts.len()),
-                    offset: 0,
-                });
-            }
-            let keyword = KeywordId(parts[0].as_u32()?);
-            let entry = &parts[1];
-            let mut users: Vec<(UserId, u32)> = Vec::new();
-            for user in entry.get("users")?.as_arr()? {
-                let uc = user.as_arr()?;
-                if uc.len() != 2 {
-                    return Err(dengraph_json::JsonError {
-                        message: format!("user refcount pair has {} elements", uc.len()),
+        let live = match value.get_opt("live")? {
+            Some(ids) => ids
+                .as_arr()?
+                .iter()
+                .map(dengraph_json::Value::as_u32)
+                .collect::<dengraph_json::Result<_>>()?,
+            None => value
+                .get("entries")?
+                .as_arr()?
+                .iter()
+                .map(|pair| match pair.as_arr()? {
+                    [keyword, _] => keyword.as_u32(),
+                    parts => Err(dengraph_json::JsonError {
+                        message: format!("index entry has {} elements", parts.len()),
                         offset: 0,
-                    });
-                }
-                users.push((UserId(uc[0].as_u64()?), uc[1].as_u32()?));
-            }
-            // Canonical documents are already sorted; re-sort defensively
-            // so a hand-edited checkpoint cannot break the merge invariant.
-            users.sort_unstable_by_key(|&(u, _)| u);
-            let idx = keyword.index();
-            check_keyword_index(idx, 0)?;
-            if idx >= index.entries.len() {
-                index.entries.resize_with(idx + 1, || None);
-            }
-            if index.entries[idx]
-                .replace(KeywordWindowEntry {
-                    users,
-                    sketches: EpochSketchStore::from_json(entry.get("sketches")?)?,
-                    last_seen: entry.get("last_seen")?.as_u64()?,
+                    }),
                 })
-                .is_some()
-            {
-                return Err(dengraph_json::JsonError {
-                    message: format!("keyword {keyword} serialised twice in window index"),
-                    offset: 0,
-                });
-            }
-            index.live += 1;
-        }
-        Ok(index)
+                .collect::<dengraph_json::Result<_>>()?,
+        };
+        Ok((threshold, live))
     }
 
-    /// Appends the compact binary encoding: per live entry (ascending by
-    /// keyword) the sorted refcount column split into a delta-encoded user
-    /// column plus a count column, the sub-sketch store and the recency
-    /// mark.
+    /// Appends the binary form of [`Self::to_json`] (window mode byte 2):
+    /// the threshold, then the live ids as [`BinWriter::delta_u32s`] lays a
+    /// column out, written here without collecting it first.
+    ///
+    /// [`BinWriter::delta_u32s`]: dengraph_json::BinWriter::delta_u32s
     fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        w.usize(self.sketch_size);
         w.usize(self.materialize_threshold);
         w.usize(self.live);
-        let mut prev_k = 0u32;
-        for (i, (keyword, entry)) in self.live_entries().enumerate() {
-            w.u32(if i == 0 {
-                keyword.0
-            } else {
-                keyword.0 - prev_k
-            });
-            prev_k = keyword.0;
-            w.usize(entry.users.len());
-            let mut prev_u = 0u64;
-            for (j, &(u, _)) in entry.users.iter().enumerate() {
-                w.u64(if j == 0 { u.0 } else { u.0 - prev_u });
-                prev_u = u.0;
-            }
-            for &(_, count) in &entry.users {
-                w.u32(count);
-            }
-            entry.sketches.to_bin(w);
-            w.u64(entry.last_seen);
+        let mut prev = 0u32;
+        for (keyword, _) in self.live_entries() {
+            // The first id is its own difference from zero.
+            w.u32(keyword.0 - prev);
+            prev = keyword.0;
         }
     }
 
-    /// Reconstructs an index encoded by [`Self::to_bin`].  Keywords and
-    /// per-entry users must be strictly ascending (the canonical form).
-    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        let corrupt = |r: &dengraph_json::BinReader<'_>, message: &str| dengraph_json::JsonError {
-            message: message.into(),
-            offset: r.pos(),
-        };
-        let mut index = Self::new(r.usize()?);
-        index.materialize_threshold = r.usize()?.max(1);
-        let live = r.seq_len(4)?;
-        let mut prev_k = 0u32;
-        for i in 0..live {
-            let d = r.u32()?;
-            let keyword = if i == 0 {
-                d
-            } else {
-                match (d, prev_k.checked_add(d)) {
-                    (1.., Some(k)) => k,
-                    _ => return Err(corrupt(r, "index keywords must be strictly ascending")),
-                }
-            };
-            prev_k = keyword;
-            let len = r.seq_len(1)?;
-            let mut users: Vec<(UserId, u32)> = Vec::with_capacity(len);
-            let mut prev_u = 0u64;
-            for j in 0..len {
-                let d = r.u64()?;
-                let u = if j == 0 {
-                    d
-                } else {
-                    match (d, prev_u.checked_add(d)) {
-                        (1.., Some(u)) => u,
-                        _ => return Err(corrupt(r, "index users must be strictly ascending")),
-                    }
-                };
-                prev_u = u;
-                users.push((UserId(u), 0));
-            }
-            for slot in &mut users {
-                slot.1 = r.u32()?;
-            }
-            let sketches = EpochSketchStore::from_bin(r)?;
-            let last_seen = r.u64()?;
-            let idx = keyword as usize;
-            check_keyword_index(idx, r.pos())?;
-            if idx >= index.entries.len() {
-                index.entries.resize_with(idx + 1, || None);
-            }
-            index.entries[idx] = Some(KeywordWindowEntry {
-                users,
-                sketches,
-                last_seen,
+    /// Reads `(threshold, live ids)` from the index section older
+    /// documents carry (window mode byte 1): per live keyword its id, its
+    /// `(user, count)` columns, one sub-sketch per window quantum and its
+    /// recency mark.  Only the ids are kept; everything else is walked
+    /// with the reader's bounds checks and dropped.
+    fn legacy_header_from_bin(
+        r: &mut dengraph_json::BinReader<'_>,
+    ) -> dengraph_json::Result<(usize, Vec<u32>)> {
+        let _sketch_size = r.usize()?;
+        let threshold = r.usize()?;
+        let entries = r.seq_len(4)?;
+        let mut live: Vec<u32> = Vec::with_capacity(entries);
+        for _ in 0..entries {
+            let delta = r.u32()?;
+            live.push(match live.last() {
+                None => delta,
+                Some(prev) => prev.checked_add(delta).ok_or(dengraph_json::JsonError {
+                    message: "index keyword id overflows u32".into(),
+                    offset: r.pos(),
+                })?,
             });
-            index.live += 1;
+            // User deltas and counts: two varints a row.
+            for _ in 0..2 * r.seq_len(2)? {
+                r.u64()?;
+            }
+            let _p = r.usize()?;
+            for _ in 0..r.seq_len(3)? {
+                let (_epoch, _p) = (r.u64()?, r.usize()?);
+                for _ in 0..r.seq_len(1)? {
+                    r.u64()?;
+                }
+            }
+            let _last_seen = r.u64()?;
         }
-        Ok(index)
+        Ok((threshold, live))
     }
 }
 
@@ -865,7 +995,7 @@ impl WindowState {
             sketch_size,
             index: match mode {
                 WindowIndexMode::Rebuild => None,
-                WindowIndexMode::Incremental => Some(WindowIndex::new(sketch_size)),
+                WindowIndexMode::Incremental => Some(WindowIndex::new(1)),
             },
         }
     }
@@ -905,17 +1035,16 @@ impl WindowState {
         self.push_with_lanes(record, &mut SketchLanes::new())
     }
 
-    /// Like [`Self::push`], but reuses caller-owned kernel lanes for the
-    /// sub-sketch builds — the detector's hot path threads its
-    /// [`crate::scratch::ScratchArena`] lanes through here so steady-state
-    /// quanta fold without allocating.
+    /// Like [`Self::push`], but stages the hashed user runs in caller-owned
+    /// kernel lanes — the detector's hot path threads its `ScratchArena`
+    /// lanes through here so steady-state quanta slide without allocating.
     pub fn push_with_lanes(
         &mut self,
         record: QuantumRecord,
         lanes: &mut SketchLanes,
     ) -> Option<QuantumRecord> {
         if let Some(index) = &mut self.index {
-            index.insert_record(&record, &self.hasher, &self.window, lanes);
+            index.insert_record(&record, &self.hasher, self.sketch_size, &self.window, lanes);
         }
         self.window.push_back(record);
         let evicted = if self.window.len() > self.capacity {
@@ -924,7 +1053,7 @@ impl WindowState {
             None
         };
         if let (Some(index), Some(old)) = (&mut self.index, &evicted) {
-            index.remove_record(old);
+            index.remove_record(old, &self.hasher, lanes);
         }
         evicted
     }
@@ -968,7 +1097,7 @@ impl WindowState {
     /// Distinct users that mentioned `keyword` anywhere in the window.
     pub fn window_user_set(&self, keyword: KeywordId) -> FxHashSet<UserId> {
         if let Some(entry) = self.index_entry(keyword) {
-            return entry.users.iter().map(|&(u, _)| u).collect();
+            return entry.users.iter().copied().collect();
         }
         // Rebuild mode, or a keyword below the materialization threshold:
         // walk the records (bit-identical to the indexed read).
@@ -1009,7 +1138,7 @@ impl WindowState {
     /// materialization threshold); callers fall back to
     /// [`Self::window_sketch`], which walks the records.
     pub fn window_sketch_ref(&self, keyword: KeywordId) -> Option<&MinHashSketch> {
-        self.index_entry(keyword).map(|e| e.sketches.merged())
+        self.index_entry(keyword).map(|e| &e.sketch)
     }
 
     /// Builds the window sketch of every keyword in `keywords`, fanning out
@@ -1133,10 +1262,12 @@ impl WindowState {
     ///   invariant `fold_pairs` owns);
     /// * under [`WindowIndexMode::Incremental`]: the live-entry count
     ///   matches, every keyword some record brought at least
-    ///   `materialize_threshold` users is materialized, and each entry's
-    ///   refcount column, recency mark, per-quantum epoch list and cached
-    ///   merged sketch are identical to a from-scratch rebuild over the
-    ///   records.
+    ///   `materialize_threshold` users is materialized, and for each
+    ///   entry the three columns are equally long, `hashes` is strictly
+    ///   ascending with `hashes[i] == hash(users[i])`, the `user → count`
+    ///   multiset (every count ≥ 1) and the recency mark equal the record
+    ///   walk's, and the cached sketch is the head of `hashes` and equals
+    ///   a from-scratch [`MinHashSketch::from_ids`] over the walk.
     pub fn validate_invariants(&self) -> Result<(), String> {
         if self.window.len() > self.capacity {
             return Err(format!(
@@ -1190,12 +1321,6 @@ impl WindowState {
         let Some(index) = &self.index else {
             return Ok(());
         };
-        if index.sketch_size != self.sketch_size {
-            return Err(format!(
-                "index sketch size {} disagrees with the window's {}",
-                index.sketch_size, self.sketch_size
-            ));
-        }
         let live = index.entries.iter().filter(|slot| slot.is_some()).count();
         if live != index.live {
             return Err(format!(
@@ -1221,35 +1346,54 @@ impl WindowState {
             }
         }
         for (keyword, entry) in index.live_entries() {
-            // Rebuild the refcount column, epoch list and recency mark
-            // exactly the way the retroactive materialization path does.
-            let mut expected_users: Vec<(UserId, u32)> = Vec::new();
-            let mut expected_epochs: Vec<u64> = Vec::new();
-            let mut expected_last = None;
-            let mut sketch = MinHashSketch::new(self.sketch_size);
-            for record in &self.window {
-                let run = record.users_of(keyword);
-                if run.is_empty() {
-                    continue;
-                }
-                merge_refcounts(&mut expected_users, run);
-                expected_epochs.push(record.index);
-                expected_last = Some(record.index);
-                for u in run {
-                    sketch.insert(&self.hasher, u.raw());
-                }
-            }
-            if entry.users != expected_users {
+            let rows = entry.hashes.len();
+            if entry.users.len() != rows || entry.counts.len() != rows {
                 return Err(format!(
-                    "{keyword}: refcount column disagrees with the record walk \
-                     ({} cached vs {} recomputed entries)",
+                    "{keyword}: columns hold {rows} hashes, {} users and {} counts",
                     entry.users.len(),
-                    expected_users.len()
+                    entry.counts.len()
                 ));
             }
-            if expected_users.is_empty() {
+            if entry.hashes.windows(2).any(|p| p[0] >= p[1]) {
+                return Err(format!("{keyword}: hash column is not strictly ascending"));
+            }
+            if let Some(i) =
+                (0..rows).find(|&i| self.hasher.hash(entry.users[i].raw()) != entry.hashes[i])
+            {
+                return Err(format!(
+                    "{keyword}: row {i} holds hash {} for {}",
+                    entry.hashes[i], entry.users[i]
+                ));
+            }
+            // The window's multiset of this keyword's users and its recency
+            // mark, straight from the records.
+            let mut expected: BTreeMap<UserId, u32> = BTreeMap::new();
+            let mut expected_last = None;
+            for record in &self.window {
+                let run = record.users_of(keyword);
+                if !run.is_empty() {
+                    expected_last = Some(record.index);
+                }
+                for &u in run {
+                    *expected.entry(u).or_insert(0) += 1;
+                }
+            }
+            if expected.is_empty() {
                 return Err(format!(
                     "{keyword}: index entry is live but not in the window"
+                ));
+            }
+            let cached: BTreeMap<UserId, u32> = entry
+                .users
+                .iter()
+                .copied()
+                .zip(entry.counts.iter().copied())
+                .collect();
+            if cached != expected || entry.counts.contains(&0) {
+                return Err(format!(
+                    "{keyword}: refcount columns disagree with the record walk \
+                     ({rows} cached vs {} recomputed users)",
+                    expected.len()
                 ));
             }
             if Some(entry.last_seen) != expected_last {
@@ -1258,18 +1402,16 @@ impl WindowState {
                     entry.last_seen
                 ));
             }
-            if entry.sketches.len() != expected_epochs.len()
-                || entry.sketches.latest_epoch() != expected_last
-            {
+            let head = &entry.hashes[..rows.min(entry.sketch.capacity())];
+            let scratch = MinHashSketch::from_ids(
+                self.sketch_size,
+                &self.hasher,
+                expected.keys().map(|u| u.raw()),
+            );
+            if entry.sketch.minima() != head || entry.sketch != scratch {
                 return Err(format!(
-                    "{keyword}: {} sub-sketches cached but {} window quanta contain the keyword",
-                    entry.sketches.len(),
-                    expected_epochs.len()
-                ));
-            }
-            if *entry.sketches.merged() != sketch {
-                return Err(format!(
-                    "{keyword}: cached merged sketch differs from a from-scratch rebuild"
+                    "{keyword}: cached sketch is not the head of the hash column, or \
+                     differs from a from-scratch rebuild"
                 ));
             }
         }
@@ -1278,8 +1420,9 @@ impl WindowState {
 
     /// Serialises the window — capacity, sketch parameters, hasher seed,
     /// the retained quantum records (oldest first) and, under
-    /// [`WindowIndexMode::Incremental`], the live per-keyword index with
-    /// its sub-sketch stores.
+    /// [`WindowIndexMode::Incremental`], the index's threshold and live
+    /// keyword ids.  The index's columns are a function of the records and
+    /// are not written.
     pub fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         Value::obj([
@@ -1307,26 +1450,23 @@ impl WindowState {
         ])
     }
 
-    /// Reconstructs a window serialised by [`Self::to_json`].  The restored
-    /// window serves bit-identical reads to the original: records, index
-    /// multisets, cached sketches and recency marks all round-trip exactly.
+    /// Reconstructs a window serialised by [`Self::to_json`], by this
+    /// version or by one that still wrote the index's entries.  The
+    /// restored window is `==` the original: the records round-trip and
+    /// the index is rebuilt from them.
     pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let mode = match value.get("mode")?.as_str()? {
-            "rebuild" => WindowIndexMode::Rebuild,
-            "incremental" => WindowIndexMode::Incremental,
-            other => {
+        let header = match (value.get("mode")?.as_str()?, value.get_opt("index")?) {
+            ("rebuild", _) => None,
+            ("incremental", Some(index)) => Some(WindowIndex::header_from_json(index)?),
+            ("incremental", None) => {
                 return Err(dengraph_json::JsonError {
-                    message: format!("unknown window mode '{other}'"),
+                    message: "incremental window is missing its index".into(),
                     offset: 0,
                 })
             }
-        };
-        let index = match (mode, value.get_opt("index")?) {
-            (WindowIndexMode::Rebuild, _) => None,
-            (WindowIndexMode::Incremental, Some(v)) => Some(WindowIndex::from_json(v)?),
-            (WindowIndexMode::Incremental, None) => {
+            (other, _) => {
                 return Err(dengraph_json::JsonError {
-                    message: "incremental window is missing its index".into(),
+                    message: format!("unknown window mode '{other}'"),
                     offset: 0,
                 })
             }
@@ -1337,37 +1477,82 @@ impl WindowState {
             .iter()
             .map(QuantumRecord::from_json)
             .collect::<dengraph_json::Result<_>>()?;
+        Self::from_decoded(
+            value.get("capacity")?.as_usize()?,
+            value.get("sketch_size")?.as_usize()?,
+            value.get("seed")?.as_u64()?,
+            window,
+            header,
+            0,
+        )
+    }
+
+    /// The shared tail of both decoders: checks the geometry a decoder
+    /// must not act on unchecked, then rebuilds the index (if the document
+    /// has one) from the decoded records.
+    fn from_decoded(
+        capacity: usize,
+        sketch_size: usize,
+        seed: u64,
+        window: VecDeque<QuantumRecord>,
+        index_header: Option<(usize, Vec<u32>)>,
+        offset: usize,
+    ) -> dengraph_json::Result<Self> {
+        // No silent clamping: a zero capacity can only come from a corrupt
+        // document (construction enforces ≥ 1).  The sketch size sizes an
+        // allocation per live entry, so it is bounded before the rebuild;
+        // the detector-level decoder additionally cross-checks both, and
+        // the index threshold, against the validated configuration.
+        if capacity == 0 {
+            return Err(dengraph_json::JsonError {
+                message: "window capacity must be at least 1".into(),
+                offset,
+            });
+        }
+        if sketch_size > MAX_DECODED_SKETCH_SIZE {
+            return Err(dengraph_json::JsonError {
+                message: format!(
+                    "window sketch size {sketch_size} exceeds the decoder bound \
+                     {MAX_DECODED_SKETCH_SIZE}"
+                ),
+                offset,
+            });
+        }
+        let hasher = UserHasher::new(seed);
+        let index = match index_header {
+            Some((threshold, live)) => Some(WindowIndex::rebuild(
+                threshold,
+                &live,
+                &window,
+                &hasher,
+                sketch_size,
+            )?),
+            None => None,
+        };
         Ok(Self {
             window,
-            // No silent clamping: a zero capacity can only come from a
-            // corrupt document (construction enforces ≥ 1), and the
-            // detector-level decoder additionally cross-checks the value
-            // against the validated configuration.
-            capacity: match value.get("capacity")?.as_usize()? {
-                0 => {
-                    return Err(dengraph_json::JsonError {
-                        message: "window capacity must be at least 1".into(),
-                        offset: 0,
-                    })
-                }
-                c => c,
-            },
-            hasher: UserHasher::new(value.get("seed")?.as_u64()?),
-            sketch_size: value.get("sketch_size")?.as_usize()?,
+            capacity,
+            hasher,
+            sketch_size,
             index,
         })
     }
 
-    /// Appends the compact binary encoding — geometry, hasher seed, the
-    /// retained records (oldest first) and, in incremental mode, the live
-    /// index.
+    /// Appends the compact binary encoding — geometry, hasher seed, a mode
+    /// byte, the retained records (oldest first) and, in incremental mode,
+    /// the index's threshold and live keyword ids.
+    ///
+    /// The mode byte names the layout of what follows the records: `0` —
+    /// rebuild mode, nothing; `2` — incremental, the live list.  Byte `1`
+    /// (incremental, every entry's columns and sub-sketches) is what
+    /// earlier versions wrote; [`Self::from_bin`] still reads it.
     pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         w.usize(self.capacity);
         w.usize(self.sketch_size);
         w.u64(self.hasher.seed());
         w.byte(match self.mode() {
             WindowIndexMode::Rebuild => 0,
-            WindowIndexMode::Incremental => 1,
+            WindowIndexMode::Incremental => 2,
         });
         w.usize(self.window.len());
         for record in &self.window {
@@ -1378,45 +1563,30 @@ impl WindowState {
         }
     }
 
-    /// Reconstructs a window encoded by [`Self::to_bin`].
+    /// Reconstructs a window encoded by [`Self::to_bin`] (mode byte 0 or
+    /// 2) or by an earlier version (mode byte 1).
     pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        let capacity = match r.usize()? {
-            0 => {
-                return Err(dengraph_json::JsonError {
-                    message: "window capacity must be at least 1".into(),
-                    offset: r.pos(),
-                })
-            }
-            c => c,
-        };
+        let capacity = r.usize()?;
         let sketch_size = r.usize()?;
         let seed = r.u64()?;
-        let mode = match r.byte()? {
-            0 => WindowIndexMode::Rebuild,
-            1 => WindowIndexMode::Incremental,
-            other => {
-                return Err(dengraph_json::JsonError {
-                    message: format!("unknown window mode byte {other}"),
-                    offset: r.pos(),
-                })
-            }
-        };
+        let mode = r.byte()?;
+        if mode > 2 {
+            return Err(dengraph_json::JsonError {
+                message: format!("unknown window mode byte {mode}"),
+                offset: r.pos(),
+            });
+        }
         let records = r.seq_len(2)?;
-        let mut window = VecDeque::with_capacity(records.min(capacity + 1));
+        let mut window = VecDeque::with_capacity(records.min(capacity.saturating_add(1)));
         for _ in 0..records {
             window.push_back(QuantumRecord::from_bin(r)?);
         }
-        let index = match mode {
-            WindowIndexMode::Rebuild => None,
-            WindowIndexMode::Incremental => Some(WindowIndex::from_bin(r)?),
+        let header = match mode {
+            0 => None,
+            1 => Some(WindowIndex::legacy_header_from_bin(r)?),
+            _ => Some((r.usize()?, r.delta_u32s()?)),
         };
-        Ok(Self {
-            window,
-            capacity,
-            hasher: UserHasher::new(seed),
-            sketch_size,
-            index,
-        })
+        Self::from_decoded(capacity, sketch_size, seed, window, header, r.pos())
     }
 }
 

@@ -30,8 +30,8 @@ pub(crate) struct ScratchArena {
     /// Packed key column + ping-pong buffer for the radix pair sort
     /// (stage 1).
     pub pair_sort: PairSortScratch,
-    /// Batch-kernel hash/survivor lanes for the window sub-sketch builds
-    /// (stage 1).
+    /// Batch-kernel lanes: the window index stages each keyword's hashed
+    /// user run here (stage 1).
     pub lanes: SketchLanes,
     /// Backing storage recycled from the most recently evicted
     /// [`QuantumRecord`](crate::keyword_state::QuantumRecord).

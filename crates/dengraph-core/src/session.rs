@@ -1580,8 +1580,9 @@ mod tests {
 
     /// Derived state must agree with the validated configuration: a
     /// checkpoint whose window geometry was tampered (capacity, sketch
-    /// size or mode out of step with the config) is rejected instead of
-    /// silently restoring a self-contradictory detector.
+    /// size, mode or index threshold out of step with the config) is
+    /// rejected instead of silently restoring a self-contradictory
+    /// detector.
     #[test]
     fn restore_rejects_window_geometry_contradicting_the_config() {
         let mut session = builder().build().unwrap();
@@ -1590,6 +1591,10 @@ mod tests {
         for (needle, replacement) in [
             ("\"capacity\":4", "\"capacity\":2"),
             ("\"capacity\":4", "\"capacity\":0"),
+            // σ is 3: a lower threshold would index keywords the detector
+            // never indexed, a higher one drop entries it relies on.
+            ("\"materialize_threshold\":3", "\"materialize_threshold\":2"),
+            ("\"materialize_threshold\":3", "\"materialize_threshold\":4"),
         ] {
             let tampered = text.replace(needle, replacement);
             assert_ne!(text, tampered, "the fixture must actually tamper");

@@ -20,6 +20,12 @@ impl UserHasher {
     }
 
     /// Hashes a user id to a 64-bit value.
+    ///
+    /// A **bijection** on `u64` — an xor, two additions and two
+    /// xorshift-multiplies by odd constants, each invertible — so distinct
+    /// ids never collide.  The detector's window index relies on it: it
+    /// orders each keyword's users by this value and reads the window
+    /// sketch off the head of that order.
     #[inline]
     pub fn hash(&self, id: u64) -> u64 {
         // splitmix64 finaliser with the seed folded in twice so that

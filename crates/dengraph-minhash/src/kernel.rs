@@ -19,7 +19,10 @@
 //! * [`merge_walk`] — the shared overlap/estimator merge walk;
 //! * [`radix_sort_u64`] — an LSD radix sort for packed pair columns,
 //!   replacing the comparison `sort_unstable` in `QuantumRecord`
-//!   canonicalisation.
+//!   canonicalisation;
+//! * [`hash_sorted_rows`] — one keyword's users of one quantum as
+//!   `(hash, id)` rows in hash order, what the window index merges into
+//!   its hash-ordered columns.
 //!
 //! **Bit-identity is the contract.**  Every kernel produces exactly the
 //! same result as its scalar reference: the `p` smallest distinct hashes
@@ -43,6 +46,8 @@ pub struct SketchLanes {
     survivors: Vec<u64>,
     /// Merge output staging ([`fold_lanes_into`]).
     merged: Vec<u64>,
+    /// `(hash, raw id)` rows of the most recent [`hash_sorted_rows`] call.
+    rows: Vec<(u64, u64)>,
 }
 
 impl SketchLanes {
@@ -97,6 +102,28 @@ pub fn hash_batch<T: Copy>(
     }
 }
 
+/// Hashes every id in `ids` and returns the `(hash, raw id)` rows ascending
+/// by hash — the run the window index merges into (or subtracts from) a
+/// keyword's hash-ordered user column.  Distinct ids never tie
+/// ([`UserHasher::hash`] is a bijection), so for a duplicate-free `ids`
+/// the order is total.  The rows live in `lanes` until its next use and
+/// are the caller's to rearrange.
+pub fn hash_sorted_rows<'a, T: Copy>(
+    hasher: &UserHasher,
+    ids: &[T],
+    id_of: impl Fn(T) -> u64,
+    lanes: &'a mut SketchLanes,
+) -> &'a mut [(u64, u64)] {
+    let rows = &mut lanes.rows;
+    rows.clear();
+    rows.extend(ids.iter().map(|&id| {
+        let raw = id_of(id);
+        (hasher.hash(raw), raw)
+    }));
+    rows.sort_unstable();
+    rows
+}
+
 /// Two-pointer union of two sorted, internally de-duplicated minima lists,
 /// keeping the `p` smallest distinct values.  Writes into `out` (which
 /// must hold at least `min(p, a.len() + b.len())` slots) and returns the
@@ -104,7 +131,7 @@ pub fn hash_batch<T: Copy>(
 ///
 /// This is the O(p) replacement for merging one sketch into another by
 /// repeated `insert_hash` (a `binary_search` plus memmove per value —
-/// O(p²) per merge, paid on every epoch-store push and eviction re-merge).
+/// O(p²) per merge).
 pub fn merge_sorted_minima(a: &[u64], b: &[u64], p: usize, out: &mut [u64]) -> usize {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "a must be sorted+dedup");
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "b must be sorted+dedup");
@@ -151,6 +178,7 @@ pub fn fold_lanes_into(minima: &mut Vec<u64>, p: usize, lanes: &mut SketchLanes)
         hashes,
         survivors,
         merged,
+        ..
     } = lanes;
     let threshold = if minima.len() == p {
         minima[p - 1]
@@ -280,6 +308,21 @@ mod tests {
             hash_batch(&hasher, &ids, |id| id, &mut out);
             let scalar: Vec<u64> = ids.iter().map(|&id| hasher.hash(id)).collect();
             assert_eq!(out, scalar, "len {len}");
+        }
+    }
+
+    #[test]
+    fn hash_sorted_rows_pairs_each_id_with_its_hash_in_hash_order() {
+        let hasher = UserHasher::new(0xC0FFEE);
+        let mut lanes = SketchLanes::new();
+        for len in [0usize, 1, 5, 40] {
+            let ids: Vec<u64> = (0..len as u64).map(|i| (i * 37 + 5) | (i << 40)).collect();
+            let rows = hash_sorted_rows(&hasher, &ids, |id| id, &mut lanes).to_vec();
+            let mut expected: Vec<(u64, u64)> =
+                ids.iter().map(|&id| (hasher.hash(id), id)).collect();
+            expected.sort_unstable();
+            assert_eq!(rows, expected, "len {len}");
+            assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "len {len}");
         }
     }
 

@@ -18,26 +18,29 @@
 //!   harness and the ablation benchmarks.
 //! * [`batch`] — batch sketch construction over keyword shards, fanned out
 //!   via `dengraph-parallel` with deterministic (input-order) results.
-//! * [`store`] — [`EpochSketchStore`], a mergeable per-epoch sub-sketch
-//!   store for incremental sliding-window sketch maintenance.
 //! * [`kernel`] — the batch struct-of-arrays kernels behind all of the
 //!   above: 8-lane splitmix64 hashing, branch-free minima folding, O(p)
-//!   sorted-minima merging and an LSD radix sort for packed pair columns,
-//!   each bit-identical to its scalar reference.
+//!   sorted-minima merging, an LSD radix sort for packed pair columns and
+//!   the hash-ordered run the window index merges into its columns, each
+//!   bit-identical to its scalar reference.
+//!
+//! There is no sliding-window sketch *store* here.  [`UserHasher::hash`]
+//! is a bijection on `u64`, so a column of a keyword's window users kept
+//! in hash order has the window sketch as its first `p` rows; the
+//! detector's window index (`dengraph_core::keyword_state`) keeps exactly
+//! that column and nothing per quantum.
 
 pub mod batch;
 pub mod hasher;
 pub mod jaccard;
 pub mod kernel;
 pub mod sketch;
-pub mod store;
 
 pub use batch::build_sketches;
 pub use hasher::{HashFamily, UserHasher};
 pub use jaccard::{exact_jaccard, exact_jaccard_sorted, overlap_coefficient_sorted};
 pub use kernel::SketchLanes;
 pub use sketch::MinHashSketch;
-pub use store::EpochSketchStore;
 
 /// Computes the sketch size `p` from the high-state threshold `sigma` and
 /// the edge-correlation threshold `tau`, per Section 3.2.2:

@@ -106,12 +106,9 @@ impl MinHashSketch {
     /// Merges another sketch into this one (union of the underlying sets).
     ///
     /// One O(p) two-pointer walk over the two sorted minima columns
-    /// ([`kernel::merge_sorted_minima`]); the epoch-store union
-    /// maintenance pays this on every push and eviction re-merge, so the
-    /// quadratic repeated-`insert_hash` formulation was the window
-    /// stage's hottest scalar loop.  Allocation-free for `p ≤ 128` (a
-    /// stack buffer); larger sketches only occur in tests/ablations and
-    /// fall back to the per-value path.
+    /// ([`kernel::merge_sorted_minima`]).  Allocation-free for `p ≤ 128`
+    /// (a stack buffer); larger sketches only occur in tests/ablations
+    /// and fall back to the per-value path.
     pub fn merge(&mut self, other: &MinHashSketch) {
         if other.minima.is_empty() {
             return;
@@ -169,12 +166,18 @@ impl MinHashSketch {
         self.minima.clear();
     }
 
-    /// Clears the sketch and re-targets it to keep `p` minima, reusing the
-    /// existing allocation.  This is what buffer pools use to recycle
-    /// evicted sub-sketches instead of allocating fresh ones per quantum.
-    pub fn reset(&mut self, p: usize) {
-        self.p = p.max(1);
+    /// Replaces the minima with `sorted`, which must already be the
+    /// sketch: strictly ascending and at most `p` values.  The window
+    /// index keeps each keyword's users in hash order, so its window
+    /// sketch is the head of that column and a refresh is this copy.
+    pub fn assign_sorted(&mut self, sorted: &[u64]) {
+        debug_assert!(sorted.len() <= self.p, "more minima than the sketch keeps");
+        debug_assert!(
+            sorted.windows(2).all(|w| w[0] < w[1]),
+            "minima must be strictly ascending"
+        );
         self.minima.clear();
+        self.minima.extend_from_slice(sorted);
     }
 
     /// Serialises the sketch to a [`dengraph_json::Value`] (`p` plus the
@@ -225,11 +228,8 @@ impl MinHashSketch {
 /// (`min(σ/2, 1/τ)` with a small configured floor).
 pub const MAX_DECODED_SKETCH_SIZE: usize = 1 << 20;
 
-/// Reads and bounds a sketch size for [`MinHashSketch::from_bin`] /
-/// [`EpochSketchStore::from_bin`](crate::EpochSketchStore::from_bin).
-pub(crate) fn decode_sketch_size(
-    r: &mut dengraph_json::BinReader<'_>,
-) -> dengraph_json::Result<usize> {
+/// Reads and bounds a sketch size for [`MinHashSketch::from_bin`].
+fn decode_sketch_size(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<usize> {
     let p = r.usize()?;
     if p > MAX_DECODED_SKETCH_SIZE {
         return Err(dengraph_json::JsonError {
@@ -389,6 +389,21 @@ mod tests {
         let b = MinHashSketch::new(4);
         assert_eq!(a.estimate_jaccard(&b), 0.0);
         assert!(!a.shares_minimum(&b));
+    }
+
+    #[test]
+    fn assign_sorted_replaces_the_minima() {
+        let h = hasher();
+        let mut hashes: Vec<u64> = (0..40).map(|i| h.hash(i)).collect();
+        hashes.sort_unstable();
+        let mut s = MinHashSketch::from_ids(4, &h, 100..120);
+        s.assign_sorted(&hashes[..4]);
+        assert_eq!(s, MinHashSketch::from_ids(4, &h, 0..40));
+        s.assign_sorted(&hashes[..2]);
+        assert_eq!(s.minima(), &hashes[..2]);
+        assert_eq!(s.capacity(), 4);
+        s.assign_sorted(&[]);
+        assert!(s.is_empty());
     }
 
     #[test]

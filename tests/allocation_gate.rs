@@ -3,7 +3,7 @@
 //! The dense-ID refactor made steady-state quanta (after warm-up, with a
 //! stable keyword population) run out of recycled buffers: the quantum
 //! record reuses the evicted record's storage, the window index pools its
-//! sub-sketches and entries, and the AKG works out of the detector's
+//! entries and their columns, and the AKG works out of the detector's
 //! `ScratchArena`.  This test pins that property with a counting global
 //! allocator: one steady-state quantum in the default (serial,
 //! incremental-index) configuration must stay under a small constant

@@ -1,8 +1,8 @@
 //! The checkpoint/restore contract, at three levels.
 //!
 //! **State round-trips** — for every serialised state struct (dynamic
-//! graph, sliding-window state incl. the incremental index, epoch sketch
-//! store, cluster registry) a ChaCha8-seeded property loop asserts
+//! graph, sliding-window state incl. the incremental index, cluster
+//! registry) a ChaCha8-seeded property loop asserts
 //! `from_json(to_json(state)) == state` over randomly built instances
 //! (the binary↔JSON equivalence loops live in
 //! `tests/codec_equivalence.rs`).
@@ -32,7 +32,7 @@ use dengraph_core::{
     QuantumSummary, VecSink, WindowIndexMode, WireFormat,
 };
 use dengraph_graph::{DynamicGraph, NodeId};
-use dengraph_minhash::{EpochSketchStore, MinHashSketch, UserHasher};
+use dengraph_minhash::UserHasher;
 use dengraph_stream::generator::profiles::{es_profile, tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace, UserId};
 use dengraph_text::KeywordId;
@@ -73,34 +73,6 @@ fn dynamic_graph_round_trips_under_random_workloads() {
         let text = dengraph_json::to_string(&graph.to_json());
         let back = DynamicGraph::from_json(&dengraph_json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, graph, "case {case}: graph diverged via string");
-    }
-}
-
-#[test]
-fn sketch_store_round_trips_under_random_workloads() {
-    for case in 0..32u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(0x5304_0000 + case);
-        let hasher = UserHasher::new(rng.gen());
-        let p = rng.gen_range(1..8usize);
-        let mut store = EpochSketchStore::new(p);
-        let mut epoch = 0u64;
-        for _ in 0..rng.gen_range(1..20u32) {
-            if rng.gen_range(0..4u32) == 0 && !store.is_empty() {
-                let horizon = epoch.saturating_sub(rng.gen_range(0..3u64));
-                store.evict_through(horizon);
-            }
-            let ids: Vec<u64> = (0..rng.gen_range(0..12u64))
-                .map(|_| rng.gen_range(0..40u64))
-                .collect();
-            store.push(
-                epoch + 1,
-                MinHashSketch::from_ids(p, &hasher, ids.iter().copied()),
-            );
-            epoch += rng.gen_range(1..3u64);
-        }
-        let back = EpochSketchStore::from_json(&store.to_json()).unwrap();
-        assert_eq!(back, store, "case {case}: store diverged");
-        assert_eq!(back.merged(), store.merged());
     }
 }
 

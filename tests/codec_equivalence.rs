@@ -28,7 +28,7 @@ use dengraph_core::{
 };
 use dengraph_graph::{DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
-use dengraph_minhash::{EpochSketchStore, MinHashSketch, UserHasher};
+use dengraph_minhash::{MinHashSketch, UserHasher};
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, UserId};
 use dengraph_text::KeywordId;
@@ -84,28 +84,6 @@ fn minhash_sketch_codecs_agree() {
             .collect();
         let sketch = MinHashSketch::from_ids(p, &hasher, ids);
         assert_codecs_agree(&sketch, &format!("sketch case {case}"));
-    }
-}
-
-#[test]
-fn epoch_sketch_store_codecs_agree() {
-    for case in 0..32u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(0x0DEC_1000 + case);
-        let hasher = UserHasher::new(rng.gen());
-        let p = rng.gen_range(1..8usize);
-        let mut store = EpochSketchStore::new(p);
-        let mut epoch = 0u64;
-        for _ in 0..rng.gen_range(1..20u32) {
-            if rng.gen_range(0..4u32) == 0 && !store.is_empty() {
-                store.evict_through(epoch.saturating_sub(rng.gen_range(0..3u64)));
-            }
-            let ids: Vec<u64> = (0..rng.gen_range(0..12u64))
-                .map(|_| rng.gen_range(0..40u64))
-                .collect();
-            store.push(epoch + 1, MinHashSketch::from_ids(p, &hasher, ids));
-            epoch += rng.gen_range(1..3u64);
-        }
-        assert_codecs_agree(&store, &format!("store case {case}"));
     }
 }
 
@@ -349,10 +327,17 @@ fn binary_decoders_bound_corrupt_sizes_and_ids() {
     w.usize(0); // empty minima column
     assert!(MinHashSketch::decode(w.as_slice(), WireFormat::Binary).is_err());
 
+    // A window rebuilds its index while decoding, one sketch per live
+    // keyword: its sketch size is bounded before that.
     let mut w = BinWriter::new();
-    w.u64(1 << 40); // absurd store sketch size
-    w.usize(0); // no epochs
-    assert!(EpochSketchStore::decode(w.as_slice(), WireFormat::Binary).is_err());
+    w.usize(4); // capacity
+    w.u64(1 << 40); // absurd window sketch size
+    w.u64(7); // hasher seed
+    w.byte(2); // incremental: a live list follows the records
+    w.usize(0); // no records
+    w.usize(1); // materialization threshold
+    w.usize(0); // empty live list
+    assert!(WindowState::decode(w.as_slice(), WireFormat::Binary).is_err());
 
     let mut w = BinWriter::new();
     w.usize(1); // one High keyword…

@@ -1,20 +1,26 @@
 //! The incremental window index's contract: for any trace, window length
-//! and parallelism profile, `WindowIndexMode::Incremental` (refcounted
-//! window user multisets + merged per-quantum sub-sketches) emits
-//! **bit-identical** output to `WindowIndexMode::Rebuild` (walk all `w`
-//! quanta per read).  Identity is checked at two levels: the full
-//! `QuantumSummary` stream (events, ranks, AKG delta statistics) through
-//! the detector, and the raw window reads (sketches, user sets, counts,
-//! recency) through `WindowState` itself under seeded ChaCha8 workloads.
+//! and parallelism profile, `WindowIndexMode::Incremental` (one refcount
+//! column per keyword ordered by the users' hashes, whose head is the
+//! window sketch) emits **bit-identical** output to
+//! `WindowIndexMode::Rebuild` (walk all `w` quanta per read).  Identity is
+//! checked at three levels: the full `QuantumSummary` stream (events,
+//! ranks, AKG delta statistics) through the detector; the raw window reads
+//! (sketches, user sets, counts, recency) through `WindowState` itself
+//! under seeded ChaCha8 workloads; and, for the churn a hash-ordered
+//! column has to get right, both modes against a sketch built from scratch
+//! over the users a plain copy of the last `w` quanta holds.
+
+use std::collections::{BTreeSet, VecDeque};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
 use dengraph_core::{
-    DetectorBuilder, DetectorConfig, Parallelism, QuantumSummary, WindowIndexMode,
+    DetectorBuilder, DetectorConfig, Parallelism, QuantumSummary, WindowIndexMode, WireFormat,
 };
-use dengraph_minhash::UserHasher;
+use dengraph_json::{Decode, Encode};
+use dengraph_minhash::{MinHashSketch, UserHasher};
 use dengraph_stream::generator::profiles::{es_profile, tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace, UserId};
 use dengraph_text::KeywordId;
@@ -201,5 +207,289 @@ fn window_reads_are_bit_identical_under_random_workloads() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Differential churn: Rebuild vs Incremental vs from scratch
+// ---------------------------------------------------------------------------
+
+const CHURN_SEED: u64 = 0xC0DE;
+
+fn churn_hasher() -> UserHasher {
+    UserHasher::new(CHURN_SEED)
+}
+
+fn post(user: u64, quantum: u64, keywords: &[u32]) -> Message {
+    Message::new(
+        UserId(user),
+        quantum,
+        keywords.iter().map(|&k| KeywordId(k)).collect(),
+    )
+}
+
+/// `users` ordered by their hash: the order of a keyword's column.
+fn by_hash(users: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    let hasher = churn_hasher();
+    let mut users: Vec<u64> = users.into_iter().collect();
+    users.sort_unstable_by_key(|&u| hasher.hash(u));
+    users
+}
+
+/// One window per mode plus a plain copy of the last `w` quanta, fed the
+/// same stream and compared after every quantum.
+struct Differential {
+    sketch_size: usize,
+    rebuild: WindowState,
+    incremental: WindowState,
+    recent: VecDeque<(u64, Vec<Message>)>,
+    pushed: u64,
+}
+
+impl Differential {
+    fn new(sketch_size: usize, threshold: usize, w: usize) -> Self {
+        let window = |mode| {
+            WindowState::with_mode(w, sketch_size, churn_hasher(), mode)
+                .with_materialize_threshold(threshold)
+        };
+        Self {
+            sketch_size,
+            rebuild: window(WindowIndexMode::Rebuild),
+            incremental: window(WindowIndexMode::Incremental),
+            recent: VecDeque::new(),
+            pushed: 0,
+        }
+    }
+
+    /// The users that mention `keyword` in the copied quanta, and the last
+    /// of those quanta it occurs in.
+    fn expected(&self, keyword: KeywordId) -> (BTreeSet<UserId>, Option<u64>) {
+        let mut users = BTreeSet::new();
+        let mut last_seen = None;
+        for (quantum, messages) in &self.recent {
+            for message in messages.iter().filter(|m| m.keywords.contains(&keyword)) {
+                users.insert(message.user);
+                last_seen = Some(*quantum);
+            }
+        }
+        (users, last_seen)
+    }
+
+    fn push(&mut self, messages: &[Message], keywords: u32, label: &str) {
+        let quantum = self.pushed;
+        self.pushed += 1;
+        let record = QuantumRecord::from_messages(quantum, messages);
+        self.rebuild.push(record.clone());
+        self.incremental.push(record);
+        self.recent.push_back((quantum, messages.to_vec()));
+        if self.recent.len() > self.incremental.capacity() {
+            self.recent.pop_front();
+        }
+
+        self.incremental
+            .validate_invariants()
+            .unwrap_or_else(|e| panic!("{label}, quantum {quantum}: {e}"));
+        // One keyword past the universe: never in the window.
+        for keyword in (0..=keywords).map(KeywordId) {
+            let at = format!("{label}, quantum {quantum}, {keyword}");
+            let (users, last_seen) = self.expected(keyword);
+            let scratch = MinHashSketch::from_ids(
+                self.sketch_size,
+                &churn_hasher(),
+                users.iter().map(|u| u.raw()),
+            );
+            assert_eq!(self.rebuild.window_sketch(keyword), scratch, "{at}");
+            assert_eq!(self.incremental.window_sketch(keyword), scratch, "{at}");
+            if let Some(cached) = self.incremental.window_sketch_ref(keyword) {
+                assert_eq!(*cached, scratch, "{at}: cached sketch");
+            }
+            for window in [&self.rebuild, &self.incremental] {
+                let set: BTreeSet<UserId> = window.window_user_set(keyword).into_iter().collect();
+                assert_eq!(set, users, "{at}");
+                assert_eq!(window.window_user_count(keyword), users.len(), "{at}");
+                assert_eq!(window.last_seen(keyword), last_seen, "{at}");
+            }
+        }
+        // What a snapshot does not carry comes back from the records.
+        for format in [WireFormat::Binary, WireFormat::Json] {
+            let back = WindowState::decode(&self.incremental.encode(format), format)
+                .unwrap_or_else(|e| panic!("{label}, quantum {quantum}: {format:?} decode: {e}"));
+            assert!(
+                back == self.incremental,
+                "{label}, quantum {quantum}: {format:?}"
+            );
+        }
+    }
+}
+
+/// A stream built to churn a hash-ordered column, over keywords 0..=5 and a
+/// seeded background:
+///
+/// * keyword 0 — a crowd whose lowest-hash users post in two quanta, then
+///   in one, then stop, while the rest keep posting: the head of the column
+///   must survive losing one of its quanta and promote the next row when
+///   it leaves;
+/// * keyword 1 — three users in all: a column shorter than any `p` ≥ 4;
+/// * keyword 2 — bursts, falls silent for longer than the window (its entry
+///   dies and is pooled), and bursts again with other users;
+/// * keyword 3 — first seen right after keyword 2 died, so it is handed the
+///   pooled entry;
+/// * keyword 4 — fewer than four users a quantum for a whole window, then a
+///   burst: materialised late, from a full `past`, when the threshold is 4;
+/// * keyword 5 and every other one — one user posts all of them in every
+///   second quantum;
+/// * user ids above 2³² throughout (the comparison-sort path of the record
+///   builder), and an empty quantum every seventh.
+fn churn_stream(w: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<Message>> {
+    const BIG: u64 = 1 << 32;
+    let crowd = by_hash((0..12).map(|u| 100 + u));
+    let (heads, rest) = crowd.split_at(2);
+    let w = w as u64;
+    let quanta = 3 * w + 12;
+    (0..quanta)
+        .map(|q| {
+            if q % 7 == 6 {
+                return Vec::new();
+            }
+            let mut messages = Vec::new();
+            // Keyword 0: both heads in quanta 0 and 1, the first in 2 as well.
+            for &u in heads.iter().take(match q {
+                0 | 1 => 2,
+                2 => 1,
+                _ => 0,
+            }) {
+                messages.push(post(u, q, &[0]));
+            }
+            for _ in 0..4 {
+                messages.push(post(rest[rng.gen_range(0..rest.len())], q, &[0]));
+            }
+            // Keyword 1: the same three users, one or two a quantum.
+            for u in 0..rng.gen_range(1..3u64) {
+                messages.push(post(BIG + 200 + (q + u) % 3, q, &[1]));
+            }
+            // Keyword 2: a burst, silence for w + 2 quanta, another burst.
+            if q < 2 {
+                for u in 0..6 {
+                    messages.push(post(300 + u, q, &[2]));
+                }
+            } else if q >= w + 4 {
+                for u in 0..5 {
+                    messages.push(post(u64::MAX - u, q, &[2]));
+                }
+            }
+            // Keyword 3: from the quantum after keyword 2's last record left.
+            if q >= w + 2 {
+                for u in 0..4 + q % 3 {
+                    messages.push(post(BIG * 7 + 400 + u, q, &[3]));
+                }
+            }
+            // Keyword 4: a trickle for a window and more, then bursts.
+            let trickle = if q <= w + 1 { 1 + q % 3 } else { 4 + q % 4 };
+            for u in 0..trickle {
+                messages.push(post(500 + (3 * q + u) % 17, q, &[4]));
+            }
+            if q % 2 == 0 {
+                messages.push(post(BIG + 7, q, &[0, 1, 2, 3, 4, 5]));
+            }
+            for _ in 0..rng.gen_range(0..6u32) {
+                let user = 600 + rng.gen_range(0..9u64);
+                messages.push(post(user, q, &[rng.gen_range(0..6u32)]));
+            }
+            messages
+        })
+        .collect()
+}
+
+#[test]
+fn churned_columns_match_rebuild_and_from_scratch_sketches() {
+    for sketch_size in [1usize, 2, 16, 64] {
+        for threshold in [1usize, 4] {
+            for w in [1usize, 2, 30] {
+                let label = format!("p={sketch_size} threshold={threshold} w={w}");
+                let mut rng = ChaCha8Rng::seed_from_u64(CHURN_SEED + w as u64);
+                let mut windows = Differential::new(sketch_size, threshold, w);
+                for messages in churn_stream(w, &mut rng) {
+                    windows.push(&messages, 6, &label);
+                }
+            }
+        }
+    }
+}
+
+/// The head of a column is its lowest hash.  A head user present in two
+/// window quanta keeps the head when one of them slides out, and the next
+/// row takes over when the other does.
+#[test]
+fn the_head_survives_one_eviction_and_promotes_on_the_last() {
+    let hasher = churn_hasher();
+    let crowd = by_hash(0..10);
+    let (head, second, third) = (crowd[0], crowd[1], crowd[2]);
+    let k = KeywordId(0);
+    for sketch_size in [1usize, 2, 16] {
+        let mut windows = Differential::new(sketch_size, 1, 2);
+        let label = format!("p={sketch_size}");
+        let head_of = |windows: &Differential| {
+            windows
+                .incremental
+                .window_sketch_ref(k)
+                .expect("live")
+                .minima()[0]
+        };
+        // The head posts in quanta 0 and 1; the second-lowest only in 1.
+        windows.push(&[post(head, 0, &[0]), post(crowd[5], 0, &[0])], 1, &label);
+        windows.push(&[post(head, 1, &[0]), post(second, 1, &[0])], 1, &label);
+        assert_eq!(head_of(&windows), hasher.hash(head));
+        // Quantum 0 leaves: the head loses one of its two quanta.
+        windows.push(&[post(third, 2, &[0])], 1, &label);
+        assert_eq!(head_of(&windows), hasher.hash(head));
+        assert_eq!(windows.incremental.window_user_count(k), 3);
+        // Quantum 1 leaves: the head and the second go together.
+        windows.push(&[post(crowd[7], 3, &[0])], 1, &label);
+        assert_eq!(head_of(&windows), hasher.hash(third));
+        assert_eq!(windows.incremental.window_user_count(k), 2);
+    }
+}
+
+/// An entry whose keyword leaves the window is pooled and handed to the
+/// next keyword that materialises: neither the old rows nor the old cached
+/// sketch may come with it.
+#[test]
+fn a_pooled_entry_starts_clean() {
+    let hasher = churn_hasher();
+    for sketch_size in [2usize, 16] {
+        let mut windows = Differential::new(sketch_size, 4, 1);
+        let label = format!("p={sketch_size}");
+        let first: Vec<u64> = (0..9).collect();
+        let second: Vec<u64> = (1 << 33..(1 << 33) + 4).collect();
+        let burst = |users: &[u64], q: u64, keyword: u32| -> Vec<Message> {
+            users.iter().map(|&u| post(u, q, &[keyword])).collect()
+        };
+        windows.push(&burst(&first, 0, 0), 2, &label);
+        assert_eq!(windows.incremental.window_user_count(KeywordId(0)), 9);
+        // w = 1: keyword 0 dies here and keyword 1 takes its entry.
+        windows.push(&burst(&second, 1, 1), 2, &label);
+        assert!(windows
+            .incremental
+            .window_sketch_ref(KeywordId(0))
+            .is_none());
+        let sketch = windows
+            .incremental
+            .window_sketch_ref(KeywordId(1))
+            .expect("live");
+        let expected: Vec<u64> = by_hash(second.iter().copied())
+            .iter()
+            .take(sketch_size)
+            .map(|&u| hasher.hash(u))
+            .collect();
+        assert_eq!(sketch.minima(), expected);
+        // And back again, into the entry keyword 1 gives up.
+        windows.push(&burst(&first[..5], 2, 0), 2, &label);
+        assert_eq!(windows.incremental.window_user_count(KeywordId(0)), 5);
+        // An empty quantum empties the window and the index with it.
+        windows.push(&[], 2, &label);
+        assert!(windows
+            .incremental
+            .window_sketch_ref(KeywordId(0))
+            .is_none());
     }
 }
