@@ -3,6 +3,7 @@
 //! Table 2 of the paper lists the tunable parameters and their nominal
 //! values; those nominal values are the defaults here.
 
+use dengraph_minhash::sketch::MAX_DECODED_SKETCH_SIZE;
 pub use dengraph_parallel::Parallelism;
 
 pub use crate::keyword_state::WindowIndexMode;
@@ -44,6 +45,11 @@ pub enum ConfigError {
     ZeroHighStateThreshold,
     /// `min_sketch_size` is 0 — min-hash sketches need at least one minimum.
     ZeroSketchWidth,
+    /// The effective sketch size `p` (carried here) exceeds
+    /// [`MAX_DECODED_SKETCH_SIZE`] — every materialized keyword sizes a
+    /// sketch and a `4p`-row head by it, and the window decoder refuses
+    /// anything larger.
+    SketchWidthTooLarge(usize),
     /// `edge_correlation_threshold` lies outside `(0, 1]` (or is NaN).  Zero
     /// is out: `ec ≥ 0` would admit every scored pair, zero-overlap ones
     /// included, and the sketch-size rule `1/τ` has no value there.
@@ -67,6 +73,10 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "high_state_threshold must be at least 1")
             }
             ConfigError::ZeroSketchWidth => write!(f, "min_sketch_size must be at least 1"),
+            ConfigError::SketchWidthTooLarge(p) => write!(
+                f,
+                "sketch size {p} exceeds the supported maximum {MAX_DECODED_SKETCH_SIZE}"
+            ),
             ConfigError::EdgeCorrelationOutOfRange(v) => {
                 write!(f, "edge_correlation_threshold must lie in (0, 1], got {v}")
             }
@@ -248,8 +258,9 @@ impl DetectorConfig {
     ///
     /// Every degenerate value that used to slip through and panic or hang
     /// deep in the pipeline is rejected here: zero quantum/window/σ sizes,
-    /// a zero sketch width, out-of-range or NaN thresholds, and a
-    /// zero-thread worker pool.
+    /// a zero sketch width or one beyond what the window can allocate per
+    /// keyword, out-of-range or NaN thresholds, and a zero-thread worker
+    /// pool.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.quantum_size == 0 {
             return Err(ConfigError::ZeroQuantumSize);
@@ -262,6 +273,9 @@ impl DetectorConfig {
         }
         if self.min_sketch_size == 0 {
             return Err(ConfigError::ZeroSketchWidth);
+        }
+        if self.sketch_size() > MAX_DECODED_SKETCH_SIZE {
+            return Err(ConfigError::SketchWidthTooLarge(self.sketch_size()));
         }
         // τ > 0 is what makes a zero-overlap pair a non-candidate (see
         // `crate::akg`).  (NaN is in no range.)
@@ -590,6 +604,21 @@ mod tests {
             .validate(),
             Err(ConfigError::ZeroSketchWidth)
         );
+        // One bound for the builder and the window decoder.
+        assert_eq!(
+            DetectorConfig {
+                min_sketch_size: 1 << 40,
+                ..Default::default()
+            }
+            .validate(),
+            Err(ConfigError::SketchWidthTooLarge(1 << 40))
+        );
+        assert!(DetectorConfig {
+            min_sketch_size: MAX_DECODED_SKETCH_SIZE,
+            ..Default::default()
+        }
+        .validate()
+        .is_ok());
         for out_of_range in [1.5, 0.0, -0.0] {
             assert_eq!(
                 DetectorConfig {

@@ -462,7 +462,7 @@ impl EventDetector {
             &mut self.scratch.pair_sort,
             storage,
         );
-        let evicted = self.window.push_with_lanes(record, &mut self.scratch.lanes);
+        let evicted = self.window.push(record);
         let evicted_quantum = evicted.as_ref().map(|r| r.index);
         if let Some(old) = evicted {
             self.scratch.record_storage = Some(old.into_storage());
@@ -1000,6 +1000,45 @@ mod tests {
             filler_id += 1;
         }
         msgs
+    }
+
+    /// A checkpoint embeds its configuration, and both decoders re-validate
+    /// it: a sketch width beyond the window's bound is an error, not an
+    /// allocation.
+    #[test]
+    fn decoders_reject_an_embedded_sketch_width_beyond_the_bound() {
+        let mut det = detector(cfg());
+        det.process_messages(&event_quantum(&cfg(), 6, 0, &[1, 2, 3], 0));
+        let wide = DetectorConfig {
+            min_sketch_size: 1 << 40,
+            ..cfg()
+        };
+
+        let text = dengraph_json::to_string(&det.to_json());
+        let tampered = text.replace(
+            "\"min_sketch_size\":16",
+            "\"min_sketch_size\":1099511627776",
+        );
+        assert_ne!(text, tampered, "the fixture must actually tamper");
+        let err = EventDetector::from_json(&dengraph_json::parse(&tampered).unwrap()).unwrap_err();
+        assert!(err.message.contains("1099511627776"), "{}", err.message);
+
+        // Binary: the same state behind the wide configuration's bytes.
+        let (mut honest, mut config_bytes, mut tampered) = (
+            dengraph_json::BinWriter::new(),
+            dengraph_json::BinWriter::new(),
+            dengraph_json::BinWriter::new(),
+        );
+        det.to_bin(&mut honest);
+        cfg().to_bin(&mut config_bytes);
+        wide.to_bin(&mut tampered);
+        tampered.raw(&honest.as_slice()[config_bytes.len()..]);
+        assert!(
+            EventDetector::from_bin(&mut dengraph_json::BinReader::new(honest.as_slice())).is_ok()
+        );
+        let err = EventDetector::from_bin(&mut dengraph_json::BinReader::new(tampered.as_slice()))
+            .unwrap_err();
+        assert!(err.message.contains("1099511627776"), "{}", err.message);
     }
 
     #[test]

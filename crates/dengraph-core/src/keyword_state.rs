@@ -8,8 +8,9 @@
 //!   burstiness test against the high-state threshold σ),
 //! * the min-hash sketch of the users who mentioned it anywhere in the
 //!   window (for edge-correlation estimation),
-//! * the exact user-id set over the window (for exact-EC ablation and for
-//!   cluster support in the ranking function), and
+//! * how many distinct users mentioned it anywhere in the window (cluster
+//!   support in the ranking function) — and, for the exact-EC ablation
+//!   only, that exact user-id set — and
 //! * the most recent quantum in which it occurred (for stale removal).
 //!
 //! Each quantum contributes one immutable [`QuantumRecord`]; sliding the
@@ -20,43 +21,76 @@
 //!   naive cache-build cost the paper's incremental AKG design avoids;
 //!   kept as the ablation baseline),
 //! * [`WindowIndexMode::Incremental`] — a `WindowIndex` keeps, per
-//!   keyword, the refcounted window user multiset as one column **ordered
-//!   by the users' hashes** and a recency mark, updated in O(Δ) as the
-//!   window slides, so reads are O(1) / O(set size).
+//!   keyword, what the detector reads — the `p` smallest user hashes of
+//!   the window (the sketch), the exact distinct-user count and a recency
+//!   mark — updated in O(Δ) as the window slides, so those reads are O(1).
+//!   Exact user *sets* (the exact-EC ablation) are not indexed: they walk
+//!   the records in either mode.
 //!
 //! Both modes are **bit-identical**: same sketches, same counts, same
 //! user sets (`tests/window_index_equivalence.rs` gates this).
 //!
-//! ## The window sketch is the head of the column
+//! ## Order only what the sketch reads
 //!
 //! Section 3.2.2's sketch of a keyword is the `p` smallest hash values of
-//! the users who mentioned it in the window.  The index keeps those users
-//! anyway, with a count of the window quanta each occurs in, because that
-//! is the exact window user set.  [`UserHasher::hash`] is a bijection on
-//! `u64`, so ordering that column by hash instead of by user id is a total
-//! order, and the sketch is then the column's first `min(p, len)` rows:
-//! exact after every insert and every eviction, with no per-quantum
-//! sub-sketch to build, keep, re-merge when its quantum leaves, or
-//! serialise.
+//! the users who mentioned it in the window — a `LIMIT p` over the user
+//! set — and ranking needs the set's size.  Nothing reads the rest of the
+//! set in order, so the index orders only its low end.  Per keyword:
 //!
-//! The column is a function of the window's records, so a snapshot does
-//! not carry it either: it carries the list of live keyword ids — which is
-//! history the records cannot tell — and a restore derives every listed
-//! keyword's column from the records again.
+//! * a **head**: the keyword's smallest live hashes, strictly ascending,
+//!   at most `4p` rows, each with a *stamp* — the last window push that
+//!   saw that user ([`UserHasher::hash`] is a bijection on `u64`, so a
+//!   hash stands for its user and distinct users never tie);
+//! * a count `over` of the rows above the head, which live in one
+//!   open-addressed **overflow table** `(keyword, hash) → stamp` shared by
+//!   all keywords.
+//!
+//! One invariant carries everything: *a live hash ≤ the head's last row is
+//! in the head, anything larger is in the table.*  So membership, insert
+//! and expiry of a `(keyword, user)` row are one binary search over ≤ `4p`
+//! hashes **or** one table probe — never a move of a window-long column;
+//! the sketch is by construction the first `min(p, len)` head rows; the
+//! user count is `len + over`; and a keyword with at most `4p` window
+//! users never touches the table.
+//!
+//! * **Stamps, not counts.**  A row dies exactly when the push it is
+//!   stamped with is evicted: a re-mention restamps, an eviction removes
+//!   the rows still carrying the evicted push's stamp.  Stamps come from
+//!   the index's own wrapping push counter, not from
+//!   [`QuantumRecord::index`], which callers may set to anything.
+//! * **Spill.**  An insert below the last row of a full head pushes that
+//!   last row into the table (`over += 1`).
+//! * **Refill.**  When evictions shrink a spilled head below `p`, the
+//!   `4p − len` smallest rows above it are moved back from the table.  The
+//!   table cannot be read in order, so the candidates come from a walk
+//!   over the window's records — rare (about one keyword every other
+//!   quantum on the benchmark's streams) because a head has `3p` rows of
+//!   slack to lose first.
+//!
+//! Heads, table and stamps are a function of the window's records, so a
+//! snapshot carries none of them: it carries the list of live keyword ids
+//! — which is history the records cannot tell — and a restore replays the
+//! records into the listed entries.
+//!
+//! The table's slot hash mixes `UserHasher::hash(user)` — an unkeyed
+//! bijection — with the keyword id: the trust model of the `FxHash*` maps
+//! the engine already keys by user id.  User ids chosen to collide cost
+//! probes, never answers.
 //!
 //! ## Dense-id layout
 //!
 //! Keywords are interner-dense `u32` ids (see `dengraph_text`), so the hot
-//! structures here avoid hashing entirely:
+//! structures here avoid hashing keywords entirely:
 //!
 //! * a [`QuantumRecord`] is two flat arrays — a sorted user column plus one
 //!   `(keyword, start, end)` span per keyword — built from a single sorted
 //!   `(keyword, user)` pair list, and its backing storage is recycled from
 //!   the record that slid out of the window;
 //! * the incremental `WindowIndex` is a `Vec` indexed directly by keyword
-//!   id (a lookup is one bounds check), each entry three parallel columns
-//!   (`hashes`, `users`, `counts`), with emptied entries pooled and
-//!   reused, so steady-state sliding performs no per-keyword allocation;
+//!   id (a lookup is one bounds check), each entry two short parallel
+//!   columns (`hashes`, `stamps`), with emptied entries pooled and reused
+//!   and the overflow table grown during warm-up only, so steady-state
+//!   sliding performs no allocation;
 //! * [`KeywordStateMachine`] is a bitset over keyword ids.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -433,28 +467,194 @@ pub enum WindowIndexMode {
     /// read (the ablation baseline).
     Rebuild,
     /// Maintain a per-keyword incremental index updated in O(Δ) per slide
-    /// (one hash-ordered refcount column per keyword, whose head is the
-    /// window sketch).
+    /// (per keyword a short hash-ordered head whose first `p` rows are the
+    /// window sketch, plus a count of the rows above it).
     #[default]
     Incremental,
 }
 
-/// Per-keyword incremental state over the current window: the keyword's
-/// exact window user multiset as three parallel columns **ordered by the
-/// users' hashes**.  [`UserHasher::hash`] is a bijection, so distinct
-/// users never tie and the order is total; the window sketch — the `p`
-/// smallest hashes of the window's users — is then the first
-/// `min(p, len)` rows of `hashes` after every insert and every eviction,
-/// with nothing kept per quantum and nothing to re-merge.
-#[derive(Debug, PartialEq)]
+/// Head rows kept per sketch row: a head holds at most `4p` hashes.  The
+/// sketch reads the first `p`; the other `3p` are slack, so that evictions
+/// have to take `3p + 1` head rows — with no smaller hash arriving in
+/// between — before the head must be refilled from the records.  Measured
+/// on the benchmark's streams (README "The window layer"): `2p` refills
+/// too often, `8p` moves more rows per insert, `4p` is the flat bottom.
+const HEAD_ROWS_PER_SKETCH_ROW: usize = 4;
+
+/// One row of the [`OverflowTable`]: a window user of `keyword`, by hash,
+/// with the last window push that saw it.
+#[derive(Debug, Clone, Copy)]
+struct OverflowSlot {
+    hash: u64,
+    /// [`VACANT`] marks a free slot.
+    keyword: u32,
+    stamp: u32,
+}
+
+/// The keyword id no live entry can have (checked where entries
+/// materialize), so it can mark a free [`OverflowSlot`].
+const VACANT: u32 = u32::MAX;
+
+/// The window rows *above* their keyword's head, for all keywords at once:
+/// an open-addressed `(keyword, hash) → stamp` table with linear probing,
+/// 16-byte slots, load at most ½ and backward-shift deletion (no
+/// tombstones: a slide deletes as many rows as it inserts, forever).
+///
+/// Nothing reads these rows in order — they are counted (`over`), probed
+/// by key on insert and expiry, and drawn back into a head only by
+/// [`KeywordWindowEntry::refill`], which finds them through the records.
+///
+/// The slot of a row mixes the user's hash with the keyword id (see the
+/// module docs for the trust model); a probe compares the whole
+/// `(keyword, hash)` key, so colliding rows cost probes, never answers.
+#[derive(Debug, Default)]
+struct OverflowTable {
+    /// Empty, or a power of two long.
+    slots: Vec<OverflowSlot>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl OverflowTable {
+    /// Slots of the first allocation (1 KB).
+    const MIN_SLOTS: usize = 64;
+
+    /// Where the probe run of `(keyword, hash)` starts.  Only called on a
+    /// non-empty slot array.
+    #[inline]
+    fn home(&self, keyword: u32, hash: u64) -> usize {
+        let mixed = (hash ^ u64::from(keyword).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        // The top log2(slots) bits: the best-mixed ones of a multiply.
+        (mixed >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The slot holding `(keyword, hash)`, or the vacant slot that ends its
+    /// probe run.  Only called on a non-empty slot array (which, at load
+    /// ≤ ½, always has a vacant slot to stop at).
+    #[inline]
+    fn probe(&self, keyword: u32, hash: u64) -> (usize, bool) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(keyword, hash);
+        loop {
+            let slot = &self.slots[at];
+            if slot.keyword == VACANT {
+                return (at, false);
+            }
+            if slot.hash == hash && slot.keyword == keyword {
+                return (at, true);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Stamps the row `(keyword, hash)`, inserting it if absent; returns
+    /// whether it was absent.
+    #[inline]
+    fn touch(&mut self, keyword: u32, hash: u64, stamp: u32) -> bool {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let (at, found) = self.probe(keyword, hash);
+        self.slots[at] = OverflowSlot {
+            hash,
+            keyword,
+            stamp,
+        };
+        self.len += usize::from(!found);
+        !found
+    }
+
+    /// Removes the row `(keyword, hash)` if it is there and — when `stamp`
+    /// is given — carries exactly that stamp; returns the stamp it carried.
+    #[inline]
+    fn take(&mut self, keyword: u32, hash: u64, stamp: Option<u32>) -> Option<u32> {
+        if self.len == 0 {
+            return None;
+        }
+        let (at, found) = self.probe(keyword, hash);
+        let carried = self.slots[at].stamp;
+        if !found || stamp.is_some_and(|s| s != carried) {
+            return None;
+        }
+        self.remove_at(at);
+        Some(carried)
+    }
+
+    /// Frees slot `hole` and closes the probe runs that passed over it:
+    /// every following row up to the next vacant slot moves back into the
+    /// hole if its own run starts at or before it.
+    fn remove_at(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut next = (hole + 1) & mask;
+        loop {
+            let slot = self.slots[next];
+            if slot.keyword == VACANT {
+                break;
+            }
+            let home = self.home(slot.keyword, slot.hash);
+            // Distances along the probe direction, modulo the table.
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
+                self.slots[hole] = slot;
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.slots[hole].keyword = VACANT;
+        self.len -= 1;
+    }
+
+    /// Doubles the slot array (never shrinks: a steady-state window keeps
+    /// the size its warm-up reached) and re-seats every row.
+    fn grow(&mut self) {
+        let vacant = OverflowSlot {
+            hash: 0,
+            keyword: VACANT,
+            stamp: 0,
+        };
+        let doubled = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![vacant; doubled]);
+        for slot in old.into_iter().filter(|s| s.keyword != VACANT) {
+            let (at, _) = self.probe(slot.keyword, slot.hash);
+            self.slots[at] = slot;
+        }
+    }
+
+    /// The occupied slots, in table order.
+    fn rows(&self) -> impl Iterator<Item = &OverflowSlot> {
+        self.slots.iter().filter(|s| s.keyword != VACANT)
+    }
+}
+
+/// Per-keyword incremental state over the current window: the **head** of
+/// the keyword's window users in hash order, a count of the rest, and the
+/// sketch.
+///
+/// One invariant carries everything: *a live hash ≤ the head's last row is
+/// in the head; anything larger is in the [`OverflowTable`]* (and while
+/// `over == 0` there is nothing larger, so the head is the whole set).
+/// [`UserHasher::hash`] is a bijection, so distinct users never tie and
+/// "the `len` smallest" is well defined.  Hence
+///
+/// * membership, insert and expiry of a row are one binary search over at
+///   most `4p` hashes **or** one table probe, never a column move;
+/// * the window sketch — the `p` smallest hashes of the window's users —
+///   is the first `min(p, len)` rows of `hashes`;
+/// * the window user count is `hashes.len() + over`.
+///
+/// A row carries a *stamp*, the last window push that saw its user, in
+/// place of a count of the quanta it occurs in: the row dies exactly when
+/// the push it is stamped with is evicted.
+#[derive(Debug)]
 struct KeywordWindowEntry {
-    /// `hasher.hash(users[i])`, strictly ascending.  A column of its own:
-    /// every insert and eviction binary-searches it, at an 8-byte stride.
+    /// The keyword's smallest live hashes, strictly ascending; at most
+    /// `4p`, and at least `min(p, window users)` at rest.
     hashes: Vec<u64>,
-    /// The window user set (its length is the window user count).
-    users: Vec<UserId>,
-    /// Number of window quanta in which `users[i]` mentioned the keyword.
-    counts: Vec<u32>,
+    /// `stamps[i]` — the newest in-window push (the index's wrapping push
+    /// counter) that saw the user `hashes[i]` stands for.
+    stamps: Vec<u32>,
+    /// Rows of this keyword in the overflow table.
+    over: u32,
     /// The head of `hashes` as the sketch [`WindowState::window_sketch_ref`]
     /// hands out; re-copied only when a row below `p` came or went.
     sketch: MinHashSketch,
@@ -464,18 +664,24 @@ struct KeywordWindowEntry {
 
 impl KeywordWindowEntry {
     fn new(sketch_size: usize) -> Self {
+        let sketch = MinHashSketch::new(sketch_size);
         // Entries are pooled, and a pooled entry serves whichever keyword
-        // materializes next: starting every column at a few quanta's worth
-        // of rows, in three allocations, keeps a recycled entry from
-        // growing step by step under each new owner.
-        const INITIAL_ROWS: usize = 32;
+        // materializes next: starting both columns at a few quanta's worth
+        // of rows keeps a recycled entry from growing step by step under
+        // each new owner.
+        let rows = 32.min(HEAD_ROWS_PER_SKETCH_ROW * sketch.capacity());
         Self {
-            hashes: Vec::with_capacity(INITIAL_ROWS),
-            users: Vec::with_capacity(INITIAL_ROWS),
-            counts: Vec::with_capacity(INITIAL_ROWS),
-            sketch: MinHashSketch::new(sketch_size),
+            hashes: Vec::with_capacity(rows),
+            stamps: Vec::with_capacity(rows),
+            over: 0,
+            sketch,
             last_seen: 0,
         }
+    }
+
+    /// Window users of the keyword.
+    fn user_count(&self) -> usize {
+        self.hashes.len() + self.over as usize
     }
 
     fn refresh_sketch(&mut self) {
@@ -483,145 +689,154 @@ impl KeywordWindowEntry {
         self.sketch.assign_sorted(&self.hashes[..head]);
     }
 
-    /// Adds the users that mentioned the keyword in `quantum`.  The run is
-    /// tiny next to the column (a handful of users a quantum, hundreds
-    /// over a window): one narrowing binary search per user counts those
-    /// the column already holds and notes, in `at`, the row each new one
-    /// goes in front of; then the new rows go in together.
-    fn add(
-        &mut self,
-        quantum: u64,
-        users: &[UserId],
-        hasher: &UserHasher,
-        lanes: &mut SketchLanes,
-        at: &mut Vec<usize>,
-    ) {
-        let rows = kernel::hash_sorted_rows(hasher, users, |u| u.raw(), lanes);
-        at.clear();
-        // The run ascends by hash like the column, so the search narrows.
-        let mut from = 0usize;
-        for i in 0..rows.len() {
-            match self.hashes[from..].binary_search(&rows[i].0) {
-                Ok(pos) => {
-                    self.counts[from + pos] += 1;
-                    from += pos + 1;
+    /// Routes `hash` by the entry's one invariant: within the head's range
+    /// — found at `Ok(row)`, or absent and belonging at `Err(row)` — or,
+    /// `None`, above the head's last row.
+    #[inline]
+    fn head_row(&self, hash: u64) -> Option<Result<usize, usize>> {
+        match self.hashes.last() {
+            Some(&last) if hash <= last => Some(self.hashes.binary_search(&hash)),
+            _ => None,
+        }
+    }
+
+    /// Records that push `stamp` saw the user hashing to `hash`.  Returns
+    /// whether a row below `p` came (the sketch is then stale).
+    #[inline]
+    fn see(&mut self, keyword: u32, hash: u64, stamp: u32, table: &mut OverflowTable) -> bool {
+        let p = self.sketch.capacity();
+        let cap = HEAD_ROWS_PER_SKETCH_ROW * p;
+        match self.head_row(hash) {
+            Some(Ok(row)) => {
+                self.stamps[row] = stamp;
+                false
+            }
+            Some(Err(row)) => {
+                if self.hashes.len() == cap {
+                    // A full head spills its last row: still larger than
+                    // everything that stays.
+                    if let (Some(h), Some(s)) = (self.hashes.pop(), self.stamps.pop()) {
+                        let spilled = table.touch(keyword, h, s);
+                        debug_assert!(spilled, "a head row was in the table as well");
+                        self.over += 1;
+                    }
                 }
-                Err(pos) => {
-                    from += pos;
-                    // New rows gather at the front of the run.
-                    rows[at.len()] = rows[i];
-                    at.push(from);
-                }
+                self.hashes.insert(row, hash);
+                self.stamps.insert(row, stamp);
+                row < p
+            }
+            // With nothing spilled the head is the whole set and, until it
+            // is full, simply grows.
+            None if self.over == 0 && self.hashes.len() < cap => {
+                self.hashes.push(hash);
+                self.stamps.push(stamp);
+                self.hashes.len() <= p
+            }
+            None => {
+                self.over += u32::from(table.touch(keyword, hash, stamp));
+                false
             }
         }
-        if let Some(&first) = at.first() {
-            self.insert_rows(at, &rows[..at.len()]);
-            if first < self.sketch.capacity() {
-                self.refresh_sketch();
-            }
+    }
+
+    /// Adds the users that mentioned the keyword in `quantum`, the record
+    /// of push `stamp`.
+    fn add(
+        &mut self,
+        keyword: KeywordId,
+        quantum: u64,
+        users: &[UserId],
+        stamp: u32,
+        hasher: &UserHasher,
+        table: &mut OverflowTable,
+    ) {
+        let mut stale = false;
+        for user in users {
+            stale |= self.see(keyword.0, hasher.hash(user.raw()), stamp, table);
+        }
+        if stale {
+            self.refresh_sketch();
         }
         self.last_seen = quantum;
     }
 
-    /// Inserts `new[i]`, a `(hash, user)` seen once, in front of the row
-    /// that is at `at[i]` now (`at` ascending).  Works back from the tail
-    /// so that every row moves once however many go in: a busy keyword
-    /// brings tens of new users a quantum to a column of thousands, and
-    /// inserting them one by one would move half the column for each.
-    fn insert_rows(&mut self, at: &[usize], new: &[(u64, u64)]) {
-        let mut end = self.hashes.len();
-        let len = end + at.len();
-        self.hashes.resize(len, 0);
-        self.users.resize(len, UserId(0));
-        self.counts.resize(len, 1);
-        for (i, (&row, &(hash, user))) in at.iter().zip(new).enumerate().rev() {
-            // `i` rows go in below this one, so the tail it heads moves up
-            // by `i + 1` and leaves its slot free.
-            let slot = row + i;
-            self.hashes.copy_within(row..end, slot + 1);
-            self.users.copy_within(row..end, slot + 1);
-            self.counts.copy_within(row..end, slot + 1);
-            self.hashes[slot] = hash;
-            self.users[slot] = UserId(user);
-            self.counts[slot] = 1;
-            end = row;
-        }
-    }
-
-    /// Turns gathered rows — every `(hash, user)` of the keyword in the
-    /// window, one per quantum it occurs in, in any order, `counts` empty —
-    /// into the columns the same adds would have built: sorted by hash,
-    /// equal neighbours folded into one row and a count.  `rows` is
-    /// scratch.
-    fn settle(&mut self, rows: &mut Vec<(u64, UserId)>) {
-        rows.clear();
-        rows.extend(self.hashes.iter().copied().zip(self.users.iter().copied()));
-        rows.sort_unstable();
-        self.hashes.clear();
-        self.users.clear();
-        for &(hash, user) in rows.iter() {
-            match self.counts.last_mut() {
-                Some(count) if self.hashes.last() == Some(&hash) => *count += 1,
-                _ => {
-                    self.hashes.push(hash);
-                    self.users.push(user);
-                    self.counts.push(1);
-                }
-            }
-        }
-        self.refresh_sketch();
-    }
-
-    /// Takes back one evicted quantum's users: decrements, and drops the
-    /// rows whose count reaches zero.
-    fn remove(
+    /// Takes back the users of the evicted push `stamp`: a row goes iff it
+    /// still carries that stamp (no later push saw its user).  Returns
+    /// whether a row below `p` went.
+    fn expire(
         &mut self,
+        keyword: KeywordId,
         users: &[UserId],
+        stamp: u32,
         hasher: &UserHasher,
-        lanes: &mut SketchLanes,
-        at: &mut Vec<usize>,
-    ) {
-        at.clear();
-        let mut from = 0usize;
-        for &(hash, _) in kernel::hash_sorted_rows(hasher, users, |u| u.raw(), lanes).iter() {
-            match self.hashes[from..].binary_search(&hash) {
-                Ok(pos) => {
-                    let row = from + pos;
-                    self.counts[row] -= 1;
-                    if self.counts[row] == 0 {
-                        at.push(row);
+        table: &mut OverflowTable,
+    ) -> bool {
+        let mut stale = false;
+        for user in users {
+            let hash = hasher.hash(user.raw());
+            match self.head_row(hash) {
+                Some(Ok(row)) if self.stamps[row] == stamp => {
+                    self.hashes.remove(row);
+                    self.stamps.remove(row);
+                    stale |= row < self.sketch.capacity();
+                }
+                // Seen again by a later push.
+                Some(Ok(_)) => {}
+                Some(Err(_)) => debug_assert!(false, "evicted user missing from the head"),
+                None => {
+                    if table.take(keyword.0, hash, Some(stamp)).is_some() {
+                        self.over -= 1;
                     }
-                    from = row + 1;
-                }
-                Err(pos) => {
-                    debug_assert!(false, "evicted user missing from the window column");
-                    from += pos;
                 }
             }
         }
-        if let Some(&first) = at.first() {
-            self.remove_rows(at);
-            if first < self.sketch.capacity() {
-                self.refresh_sketch();
-            }
-        }
+        stale
     }
 
-    /// Removes the rows at `at` (strictly ascending), moving every later
-    /// row once.
-    fn remove_rows(&mut self, at: &[usize]) {
-        let len = self.hashes.len();
-        for (i, &row) in at.iter().enumerate() {
-            // The rows up to the next one to go close the `i + 1` gaps
-            // below them.
-            let next = at.get(i + 1).copied().unwrap_or(len);
-            self.hashes.copy_within(row + 1..next, row - i);
-            self.users.copy_within(row + 1..next, row - i);
-            self.counts.copy_within(row + 1..next, row - i);
+    /// Draws the smallest rows above the head back out of the table until
+    /// the head is full again (or nothing is left above it).  The table
+    /// cannot be read in order, so the candidates come from the records:
+    /// every user of the keyword in `window` (oldest first, the record of
+    /// push `oldest_stamp` leading) hashing above the head's last row.
+    /// `rows` is scratch.
+    fn refill(
+        &mut self,
+        keyword: KeywordId,
+        window: &VecDeque<QuantumRecord>,
+        oldest_stamp: u32,
+        hasher: &UserHasher,
+        table: &mut OverflowTable,
+        rows: &mut Vec<(u64, u32)>,
+    ) {
+        let floor = self.hashes.last().copied();
+        rows.clear();
+        for (age, record) in window.iter().enumerate() {
+            for user in record.users_of(keyword) {
+                let hash = hasher.hash(user.raw());
+                if floor.is_none_or(|floor| hash > floor) {
+                    rows.push((hash, age as u32));
+                }
+            }
         }
-        self.hashes.truncate(len - at.len());
-        self.users.truncate(len - at.len());
-        self.counts.truncate(len - at.len());
+        // By hash, a user's mentions oldest first: the last of a run of
+        // equal hashes names the newest push that saw the user.
+        rows.sort_unstable();
+        let cap = HEAD_ROWS_PER_SKETCH_ROW * self.sketch.capacity();
+        for (i, &(hash, age)) in rows.iter().enumerate() {
+            if self.hashes.len() == cap {
+                break;
+            }
+            if rows.get(i + 1).is_some_and(|next| next.0 == hash) {
+                continue;
+            }
+            let stamp = table.take(keyword.0, hash, None);
+            debug_assert_eq!(stamp, Some(oldest_stamp.wrapping_add(age)));
+            if let Some(stamp) = stamp {
+                self.hashes.push(hash);
+                self.stamps.push(stamp);
+                self.over -= 1;
+            }
+        }
     }
 }
 
@@ -634,12 +849,12 @@ impl KeywordWindowEntry {
 /// in the window, so staleness is a slot miss.  Emptied entries are pooled
 /// and recycled, keeping steady-state sliding allocation-free.
 ///
-/// Every column is a function of the window's records; what the records
-/// cannot tell is *which* keywords are live (an entry outlives the record
-/// that materialized it for as long as the keyword stays in the window).
-/// A snapshot therefore carries the threshold and the live keyword ids
-/// only, and [`Self::rebuild`] derives the columns from the records
-/// again, so a restored index is `==` the one that was saved.
+/// Heads, table rows and stamps are all a function of the window's
+/// records; what the records cannot tell is *which* keywords are live (an
+/// entry outlives the record that materialized it for as long as the
+/// keyword stays in the window).  A snapshot therefore carries the
+/// threshold and the live keyword ids only, and [`Self::rebuild`] replays
+/// the records into the listed entries.
 #[derive(Debug)]
 struct WindowIndex {
     /// A keyword is *materialized* (gets an incrementally maintained
@@ -655,26 +870,37 @@ struct WindowIndex {
     entries: Vec<Option<KeywordWindowEntry>>,
     /// Number of live entries.
     live: usize,
+    /// The rows above their keyword's head, for every live entry.
+    table: OverflowTable,
+    /// Records pushed so far, wrapping: the stamp of the next push.  The
+    /// window's records carry the `window.len()` stamps below it, oldest
+    /// first — the index counts pushes itself because
+    /// [`WindowState::push`] accepts any `QuantumRecord::index`.
+    pushes: u32,
     /// Recycled entries (scratch — excluded from equality/serialisation).
     entry_pool: Vec<KeywordWindowEntry>,
-    /// Row positions staged by one entry update (scratch, likewise).
-    rows_at: Vec<usize>,
+    /// Candidate rows of one refill (scratch, likewise).
+    refill_rows: Vec<(u64, u32)>,
 }
 
-/// Equality compares the live entries only; pool contents and trailing
-/// empty slots (artifacts of eviction history) are ignored, so a restored
-/// index compares equal to the original.
+/// Equality is **logical**: the threshold, the live keywords and, per
+/// entry, what the window serves from it — user count, recency mark and
+/// sketch.  Which rows sit in the head and which in the table, and the
+/// absolute stamps, depend on history (a head that shrank towards `p`
+/// holds fewer rows than the full head a restore replays) and are a
+/// function of the records, which [`WindowState`]'s equality compares
+/// anyway; `validate_invariants()` re-derives them.
 impl PartialEq for WindowIndex {
     fn eq(&self, other: &Self) -> bool {
         if self.materialize_threshold != other.materialize_threshold || self.live != other.live {
             return false;
         }
-        let len = self.entries.len().max(other.entries.len());
-        (0..len).all(|i| {
-            let a = self.entries.get(i).and_then(Option::as_ref);
-            let b = other.entries.get(i).and_then(Option::as_ref);
-            a == b
-        })
+        fn served(e: &KeywordWindowEntry) -> (usize, u64, &MinHashSketch) {
+            (e.user_count(), e.last_seen, &e.sketch)
+        }
+        self.live_entries()
+            .map(|(k, e)| (k, served(e)))
+            .eq(other.live_entries().map(|(k, e)| (k, served(e))))
     }
 }
 
@@ -684,8 +910,10 @@ impl WindowIndex {
             materialize_threshold: materialize_threshold.max(1),
             entries: Vec::new(),
             live: 0,
+            table: OverflowTable::default(),
+            pushes: 0,
             entry_pool: Vec::new(),
-            rows_at: Vec::new(),
+            refill_rows: Vec::new(),
         }
     }
 
@@ -706,6 +934,10 @@ impl WindowIndex {
     /// Puts an empty (pooled, if there is one) entry into the vacant slot
     /// `idx`.
     fn materialize(&mut self, idx: usize, sketch_size: usize) {
+        assert!(
+            idx < VACANT as usize,
+            "keyword id {idx} is reserved for vacant overflow slots"
+        );
         if idx >= self.entries.len() {
             self.entries.resize_with(idx + 1, || None);
         }
@@ -722,17 +954,17 @@ impl WindowIndex {
     /// records already in the window (oldest first, the new record not
     /// yet appended): when a keyword crosses the materialization
     /// threshold for the first time, its entry is built retroactively
-    /// from those records, bit-identical to an entry that had been
-    /// maintained from the start (a column is the multiset of its adds,
-    /// whatever their order).
+    /// from those records, the same rows and stamps an entry maintained
+    /// from the start would hold.
     fn insert_record(
         &mut self,
         record: &QuantumRecord,
         hasher: &UserHasher,
         sketch_size: usize,
         past: &VecDeque<QuantumRecord>,
-        lanes: &mut SketchLanes,
     ) {
+        let stamp = self.pushes;
+        self.pushes = stamp.wrapping_add(1);
         for (keyword, users) in record.iter() {
             let idx = keyword.index();
             let fresh = self.entry(keyword).is_none();
@@ -747,25 +979,40 @@ impl WindowIndex {
             }
             let entry = self.entries[idx].as_mut().expect("materialized above");
             if fresh {
-                for old in past {
+                let oldest = stamp.wrapping_sub(past.len() as u32);
+                for (age, old) in past.iter().enumerate() {
                     let old_users = old.users_of(keyword);
                     if !old_users.is_empty() {
-                        entry.add(old.index, old_users, hasher, lanes, &mut self.rows_at);
+                        let old_stamp = oldest.wrapping_add(age as u32);
+                        entry.add(
+                            keyword,
+                            old.index,
+                            old_users,
+                            old_stamp,
+                            hasher,
+                            &mut self.table,
+                        );
                     }
                 }
             }
-            entry.add(record.index, users, hasher, lanes, &mut self.rows_at);
+            entry.add(keyword, record.index, users, stamp, hasher, &mut self.table);
         }
     }
 
-    /// Removes one evicted quantum's contributions in O(Δ).  An entry
-    /// whose column empties dies and goes back to the pool.
+    /// Removes the contributions of `record`, which just slid out and left
+    /// `window` behind, in O(Δ) — plus a record walk for each spilled head
+    /// the evictions shrank below `p`.  An entry that loses its last row
+    /// dies and goes back to the pool.
     fn remove_record(
         &mut self,
         record: &QuantumRecord,
         hasher: &UserHasher,
-        lanes: &mut SketchLanes,
+        window: &VecDeque<QuantumRecord>,
     ) {
+        // The window's records carry the stamps just below `pushes`; the
+        // evicted one the stamp below those.
+        let oldest = self.pushes.wrapping_sub(window.len() as u32);
+        let evicted = oldest.wrapping_sub(1);
         for (keyword, users) in record.iter() {
             // Non-materialized keywords have no entry to maintain.
             let Some(slot) = self.entries.get_mut(keyword.index()) else {
@@ -774,10 +1021,24 @@ impl WindowIndex {
             let Some(entry) = slot.as_mut() else {
                 continue;
             };
-            entry.remove(users, hasher, lanes, &mut self.rows_at);
+            let mut stale = entry.expire(keyword, users, evicted, hasher, &mut self.table);
+            if entry.over > 0 && entry.hashes.len() < entry.sketch.capacity() {
+                entry.refill(
+                    keyword,
+                    window,
+                    oldest,
+                    hasher,
+                    &mut self.table,
+                    &mut self.refill_rows,
+                );
+                stale = true;
+            }
+            if stale {
+                entry.refresh_sketch();
+            }
             if entry.hashes.is_empty() {
-                // The sketch emptied with the column's head.
-                debug_assert!(entry.sketch.is_empty());
+                // A refill leaves an empty head only over an empty table.
+                debug_assert!(entry.over == 0 && entry.sketch.is_empty());
                 self.live -= 1;
                 if let Some(dead) = slot.take() {
                     self.entry_pool.push(dead);
@@ -787,12 +1048,11 @@ impl WindowIndex {
     }
 
     /// Rebuilds the index a snapshot described by its threshold and its
-    /// strictly ascending `live` keyword ids, from the snapshot's records.
-    /// Replaying the records through [`Self::insert_record`] would do, but
-    /// a restore wants whole columns at once: every listed keyword's rows
-    /// are gathered across the records, sorted once and folded into counts
-    /// ([`KeywordWindowEntry::settle`]) — the same columns, since a column
-    /// is the sorted multiset of its adds, at about half the cost.
+    /// strictly ascending `live` keyword ids, from the snapshot's records:
+    /// the listed entries are created first and the records replayed into
+    /// them oldest first, through the path a live push takes.  The result
+    /// is `==` the index that was saved (a replayed head is full where the
+    /// live one may have shrunk towards `p`; see the equality above).
     ///
     /// Errors on a list no window over these records can have produced:
     /// ids out of order or beyond the decoder bound, a listed keyword that
@@ -826,14 +1086,19 @@ impl WindowIndex {
             index.materialize(keyword as usize, sketch_size);
         }
         for record in window {
+            let stamp = index.pushes;
+            index.pushes = stamp.wrapping_add(1);
             for (keyword, users) in record.iter() {
                 match index.entries.get_mut(keyword.index()) {
                     Some(Some(entry)) => {
-                        entry
-                            .hashes
-                            .extend(users.iter().map(|u| hasher.hash(u.raw())));
-                        entry.users.extend_from_slice(users);
-                        entry.last_seen = record.index;
+                        entry.add(
+                            keyword,
+                            record.index,
+                            users,
+                            stamp,
+                            hasher,
+                            &mut index.table,
+                        );
                     }
                     _ if users.len() >= index.materialize_threshold => {
                         return Err(corrupt(format!(
@@ -848,18 +1113,10 @@ impl WindowIndex {
                 }
             }
         }
-        let mut rows = Vec::new();
-        for &keyword in live {
-            let entry = index.entries[keyword as usize]
-                .as_mut()
-                .expect("materialized above");
-            if entry.hashes.is_empty() {
-                return Err(corrupt(format!(
-                    "live index keyword {} occurs in no window record",
-                    KeywordId(keyword)
-                )));
-            }
-            entry.settle(&mut rows);
+        if let Some((keyword, _)) = index.live_entries().find(|(_, e)| e.hashes.is_empty()) {
+            return Err(corrupt(format!(
+                "live index keyword {keyword} occurs in no window record"
+            )));
         }
         Ok(index)
     }
@@ -1032,19 +1289,8 @@ impl WindowState {
     /// out of the window, if the window was already full (callers can
     /// recycle its storage via `QuantumRecord::into_storage`).
     pub fn push(&mut self, record: QuantumRecord) -> Option<QuantumRecord> {
-        self.push_with_lanes(record, &mut SketchLanes::new())
-    }
-
-    /// Like [`Self::push`], but stages the hashed user runs in caller-owned
-    /// kernel lanes — the detector's hot path threads its `ScratchArena`
-    /// lanes through here so steady-state quanta slide without allocating.
-    pub fn push_with_lanes(
-        &mut self,
-        record: QuantumRecord,
-        lanes: &mut SketchLanes,
-    ) -> Option<QuantumRecord> {
         if let Some(index) = &mut self.index {
-            index.insert_record(&record, &self.hasher, self.sketch_size, &self.window, lanes);
+            index.insert_record(&record, &self.hasher, self.sketch_size, &self.window);
         }
         self.window.push_back(record);
         let evicted = if self.window.len() > self.capacity {
@@ -1053,9 +1299,21 @@ impl WindowState {
             None
         };
         if let (Some(index), Some(old)) = (&mut self.index, &evicted) {
-            index.remove_record(old, &self.hasher, lanes);
+            index.remove_record(old, &self.hasher, &self.window);
         }
         evicted
+    }
+
+    /// [`Self::push`], for callers that own kernel lanes.  A slide stages
+    /// nothing in them (a row is hashed where it is routed: one head search
+    /// or one table probe); the signature is what the repo benchmark, which
+    /// a change claiming a gain may not edit, calls.
+    pub fn push_with_lanes(
+        &mut self,
+        record: QuantumRecord,
+        _lanes: &mut SketchLanes,
+    ) -> Option<QuantumRecord> {
+        self.push(record)
     }
 
     /// Number of quanta currently held.
@@ -1095,12 +1353,10 @@ impl WindowState {
     }
 
     /// Distinct users that mentioned `keyword` anywhere in the window.
+    /// Always a walk over the records, in either mode: the index keeps
+    /// hashes and a count, not user ids (only the exact-EC ablation reads
+    /// user sets).
     pub fn window_user_set(&self, keyword: KeywordId) -> FxHashSet<UserId> {
-        if let Some(entry) = self.index_entry(keyword) {
-            return entry.users.iter().copied().collect();
-        }
-        // Rebuild mode, or a keyword below the materialization threshold:
-        // walk the records (bit-identical to the indexed read).
         let mut users = FxHashSet::default();
         for record in &self.window {
             users.extend(record.users_of(keyword).iter().copied());
@@ -1112,7 +1368,7 @@ impl WindowState {
     /// the node weight `w_i` of the ranking function.
     pub fn window_user_count(&self, keyword: KeywordId) -> usize {
         if let Some(entry) = self.index_entry(keyword) {
-            return entry.users.len();
+            return entry.user_count();
         }
         self.window_user_set(keyword).len()
     }
@@ -1261,13 +1517,19 @@ impl WindowState {
     ///   span's user run is non-empty and strictly ascending (the
     ///   invariant `fold_pairs` owns);
     /// * under [`WindowIndexMode::Incremental`]: the live-entry count
-    ///   matches, every keyword some record brought at least
-    ///   `materialize_threshold` users is materialized, and for each
-    ///   entry the three columns are equally long, `hashes` is strictly
-    ///   ascending with `hashes[i] == hash(users[i])`, the `user → count`
-    ///   multiset (every count ≥ 1) and the recency mark equal the record
-    ///   walk's, and the cached sketch is the head of `hashes` and equals
-    ///   a from-scratch [`MinHashSketch::from_ids`] over the walk.
+    ///   matches and every keyword some record brought at least
+    ///   `materialize_threshold` users is materialized; the overflow table
+    ///   is empty or a power of two long, at most half full, counts its
+    ///   rows and finds each of them by probing; and for each entry,
+    ///   against the record walk (user → newest in-window push): `hashes`
+    ///   is strictly ascending, as long as `stamps`, at most `4p` and at
+    ///   least `min(p, users)` rows; the table holds exactly `over` rows of
+    ///   the keyword, all above the head's last; head ∪ table rows are the
+    ///   walk's distinct users, each stamped with the newest push that
+    ///   holds it; the recency mark equals the walk's; the cached sketch
+    ///   is the first `min(p, len)` head rows and equals a from-scratch
+    ///   [`MinHashSketch::from_ids`] over the walk.  No table row belongs
+    ///   to a keyword without a live entry.
     pub fn validate_invariants(&self) -> Result<(), String> {
         if self.window.len() > self.capacity {
             return Err(format!(
@@ -1345,37 +1607,63 @@ impl WindowState {
                 }
             }
         }
+        let table = &index.table;
+        let slots = table.slots.len();
+        if (slots != 0 && !slots.is_power_of_two()) || table.len * 2 > slots {
+            return Err(format!(
+                "overflow table holds {} rows in {slots} slots",
+                table.len
+            ));
+        }
+        // The table's rows by keyword, each found where a probe looks.
+        let mut spilled: BTreeMap<u32, BTreeMap<u64, u32>> = BTreeMap::new();
+        for row in table.rows() {
+            if !table.probe(row.keyword, row.hash).1 {
+                return Err(format!(
+                    "overflow row ({}, {}) is not on its probe run",
+                    KeywordId(row.keyword),
+                    row.hash
+                ));
+            }
+            spilled
+                .entry(row.keyword)
+                .or_default()
+                .insert(row.hash, row.stamp);
+        }
+        let counted: usize = spilled.values().map(BTreeMap::len).sum();
+        if counted != table.len {
+            return Err(format!(
+                "overflow table counts {} rows but holds {counted} distinct ones",
+                table.len
+            ));
+        }
+        // The window's records carry the stamps just below `pushes`.
+        let oldest = index.pushes.wrapping_sub(self.window.len() as u32);
         for (keyword, entry) in index.live_entries() {
             let rows = entry.hashes.len();
-            if entry.users.len() != rows || entry.counts.len() != rows {
+            let p = entry.sketch.capacity();
+            if entry.stamps.len() != rows || rows > HEAD_ROWS_PER_SKETCH_ROW * p {
                 return Err(format!(
-                    "{keyword}: columns hold {rows} hashes, {} users and {} counts",
-                    entry.users.len(),
-                    entry.counts.len()
+                    "{keyword}: head holds {rows} hashes and {} stamps (p = {p})",
+                    entry.stamps.len()
                 ));
             }
             if entry.hashes.windows(2).any(|p| p[0] >= p[1]) {
-                return Err(format!("{keyword}: hash column is not strictly ascending"));
+                return Err(format!("{keyword}: head is not strictly ascending"));
             }
-            if let Some(i) =
-                (0..rows).find(|&i| self.hasher.hash(entry.users[i].raw()) != entry.hashes[i])
-            {
-                return Err(format!(
-                    "{keyword}: row {i} holds hash {} for {}",
-                    entry.hashes[i], entry.users[i]
-                ));
-            }
-            // The window's multiset of this keyword's users and its recency
-            // mark, straight from the records.
-            let mut expected: BTreeMap<UserId, u32> = BTreeMap::new();
+            // The keyword's window users with the newest push that holds
+            // each, and its recency mark, straight from the records.
+            let mut expected: BTreeMap<u64, u32> = BTreeMap::new();
+            let mut users: Vec<u64> = Vec::new();
             let mut expected_last = None;
-            for record in &self.window {
+            for (age, record) in self.window.iter().enumerate() {
                 let run = record.users_of(keyword);
                 if !run.is_empty() {
                     expected_last = Some(record.index);
                 }
-                for &u in run {
-                    *expected.entry(u).or_insert(0) += 1;
+                for u in run {
+                    expected.insert(self.hasher.hash(u.raw()), oldest.wrapping_add(age as u32));
+                    users.push(u.raw());
                 }
             }
             if expected.is_empty() {
@@ -1383,16 +1671,39 @@ impl WindowState {
                     "{keyword}: index entry is live but not in the window"
                 ));
             }
-            let cached: BTreeMap<UserId, u32> = entry
-                .users
-                .iter()
-                .copied()
-                .zip(entry.counts.iter().copied())
-                .collect();
-            if cached != expected || entry.counts.contains(&0) {
+            if rows < p.min(expected.len()) {
                 return Err(format!(
-                    "{keyword}: refcount columns disagree with the record walk \
-                     ({rows} cached vs {} recomputed users)",
+                    "{keyword}: head holds {rows} of {} window users (p = {p})",
+                    expected.len()
+                ));
+            }
+            let mut held = spilled.remove(&keyword.0).unwrap_or_default();
+            if held.len() != entry.over as usize {
+                return Err(format!(
+                    "{keyword}: entry counts {} overflow rows, the table holds {}",
+                    entry.over,
+                    held.len()
+                ));
+            }
+            if let (Some(lowest), Some(last)) = (held.keys().next(), entry.hashes.last()) {
+                if lowest <= last {
+                    return Err(format!(
+                        "{keyword}: an overflow row is not above the head's last row"
+                    ));
+                }
+            }
+            held.extend(
+                entry
+                    .hashes
+                    .iter()
+                    .copied()
+                    .zip(entry.stamps.iter().copied()),
+            );
+            if held != expected {
+                return Err(format!(
+                    "{keyword}: head and overflow rows disagree with the record walk \
+                     ({} held vs {} recomputed users, or a stale stamp)",
+                    held.len(),
                     expected.len()
                 ));
             }
@@ -1402,18 +1713,19 @@ impl WindowState {
                     entry.last_seen
                 ));
             }
-            let head = &entry.hashes[..rows.min(entry.sketch.capacity())];
-            let scratch = MinHashSketch::from_ids(
-                self.sketch_size,
-                &self.hasher,
-                expected.keys().map(|u| u.raw()),
-            );
-            if entry.sketch.minima() != head || entry.sketch != scratch {
+            let scratch = MinHashSketch::from_ids(self.sketch_size, &self.hasher, users);
+            if entry.sketch.minima() != &entry.hashes[..rows.min(p)] || entry.sketch != scratch {
                 return Err(format!(
-                    "{keyword}: cached sketch is not the head of the hash column, or \
+                    "{keyword}: cached sketch is not the first rows of the head, or \
                      differs from a from-scratch rebuild"
                 ));
             }
+        }
+        if let Some(keyword) = spilled.keys().next() {
+            return Err(format!(
+                "overflow table holds rows of {}, which has no live entry",
+                KeywordId(*keyword)
+            ));
         }
         Ok(())
     }
@@ -1963,6 +2275,64 @@ mod tests {
         assert!(w.window_sketch_ref(k(99)).is_none());
         let rebuild = WindowState::with_mode(3, 4, UserHasher::new(7), WindowIndexMode::Rebuild);
         assert!(rebuild.window_sketch_ref(k(10)).is_none());
+    }
+
+    /// The overflow table against a map, under the churn a slide gives it:
+    /// as many removals as inserts, keys that collide into long probe runs
+    /// (few distinct hashes, many keywords), growth in the middle.
+    #[test]
+    fn overflow_table_matches_a_map_under_churn() {
+        let mut state = 0x7AB1Eu64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let mut table = OverflowTable::default();
+        let mut map: BTreeMap<(u32, u64), u32> = BTreeMap::new();
+        assert_eq!(
+            table.take(3, 9, None),
+            None,
+            "an empty table has no slots to probe"
+        );
+        for step in 0..20_000u32 {
+            // The live set swells to a few hundred rows and shrinks again.
+            let universe = if step % 4_000 < 2_000 { 600 } else { 40 };
+            let (keyword, hash) = (next(universe) as u32 % 7, next(universe) << 40);
+            match next(3) {
+                0 => {
+                    let absent = table.touch(keyword, hash, step);
+                    assert_eq!(absent, map.insert((keyword, hash), step).is_none());
+                }
+                1 => {
+                    // Expiry: only a row still carrying the given stamp goes.
+                    let stamp = map
+                        .get(&(keyword, hash))
+                        .map_or(step, |&s| s + next(2) as u32);
+                    let taken = table.take(keyword, hash, Some(stamp));
+                    if map.get(&(keyword, hash)) == Some(&stamp) {
+                        assert_eq!(taken, map.remove(&(keyword, hash)));
+                    } else {
+                        assert_eq!(taken, None);
+                    }
+                }
+                _ => assert_eq!(
+                    table.take(keyword, hash, None),
+                    map.remove(&(keyword, hash))
+                ),
+            }
+            assert_eq!(table.len, map.len());
+            assert!(table.len * 2 <= table.slots.len());
+            if step % 500 == 0 {
+                let rows: BTreeMap<(u32, u64), u32> = table
+                    .rows()
+                    .map(|row| ((row.keyword, row.hash), row.stamp))
+                    .collect();
+                assert_eq!(rows, map);
+                assert!(table.rows().all(|row| table.probe(row.keyword, row.hash).1));
+            }
+        }
     }
 
     /// Builds the same random-ish record stream into one window per mode

@@ -15,7 +15,6 @@
 //! reason.
 
 use dengraph_graph::NodeId;
-use dengraph_minhash::SketchLanes;
 use dengraph_stream::UserId;
 use dengraph_text::KeywordId;
 
@@ -30,9 +29,6 @@ pub(crate) struct ScratchArena {
     /// Packed key column + ping-pong buffer for the radix pair sort
     /// (stage 1).
     pub pair_sort: PairSortScratch,
-    /// Batch-kernel lanes: the window index stages each keyword's hashed
-    /// user run here (stage 1).
-    pub lanes: SketchLanes,
     /// Backing storage recycled from the most recently evicted
     /// [`QuantumRecord`](crate::keyword_state::QuantumRecord).
     pub record_storage: Option<RecordStorage>,

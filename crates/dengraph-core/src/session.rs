@@ -1178,6 +1178,12 @@ mod tests {
                 ConfigError::ZeroHighStateThreshold,
             ),
             (builder().min_sketch_size(0), ConfigError::ZeroSketchWidth),
+            // Used to pass and abort in `Vec::with_capacity` when the first
+            // keyword materialized.
+            (
+                builder().min_sketch_size(1 << 40),
+                ConfigError::SketchWidthTooLarge(1 << 40),
+            ),
             (
                 builder().edge_correlation_threshold(-0.1),
                 ConfigError::EdgeCorrelationOutOfRange(-0.1),

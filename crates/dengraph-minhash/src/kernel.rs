@@ -19,10 +19,13 @@
 //! * [`merge_walk`] — the shared overlap/estimator merge walk;
 //! * [`radix_sort_u64`] — an LSD radix sort for packed pair columns,
 //!   replacing the comparison `sort_unstable` in `QuantumRecord`
-//!   canonicalisation;
-//! * [`hash_sorted_rows`] — one keyword's users of one quantum as
-//!   `(hash, id)` rows in hash order, what the window index merges into
-//!   its hash-ordered columns.
+//!   canonicalisation.
+//!
+//! The incremental window index uses none of them on a slide: it
+//! routes each `(keyword, user)` row by its hash — one search of a short
+//! sorted head or one probe of an overflow table — so there is no run to
+//! hash, sort and merge as a batch.  The kernels serve the `Rebuild` mode,
+//! `build_sketches` and the record builder's pair sort.
 //!
 //! **Bit-identity is the contract.**  Every kernel produces exactly the
 //! same result as its scalar reference: the `p` smallest distinct hashes
@@ -46,8 +49,6 @@ pub struct SketchLanes {
     survivors: Vec<u64>,
     /// Merge output staging ([`fold_lanes_into`]).
     merged: Vec<u64>,
-    /// `(hash, raw id)` rows of the most recent [`hash_sorted_rows`] call.
-    rows: Vec<(u64, u64)>,
 }
 
 impl SketchLanes {
@@ -100,28 +101,6 @@ pub fn hash_batch<T: Copy>(
     for (dst, &src) in out_tail.iter_mut().zip(tail) {
         *dst = hasher.hash(id_of(src));
     }
-}
-
-/// Hashes every id in `ids` and returns the `(hash, raw id)` rows ascending
-/// by hash — the run the window index merges into (or subtracts from) a
-/// keyword's hash-ordered user column.  Distinct ids never tie
-/// ([`UserHasher::hash`] is a bijection), so for a duplicate-free `ids`
-/// the order is total.  The rows live in `lanes` until its next use and
-/// are the caller's to rearrange.
-pub fn hash_sorted_rows<'a, T: Copy>(
-    hasher: &UserHasher,
-    ids: &[T],
-    id_of: impl Fn(T) -> u64,
-    lanes: &'a mut SketchLanes,
-) -> &'a mut [(u64, u64)] {
-    let rows = &mut lanes.rows;
-    rows.clear();
-    rows.extend(ids.iter().map(|&id| {
-        let raw = id_of(id);
-        (hasher.hash(raw), raw)
-    }));
-    rows.sort_unstable();
-    rows
 }
 
 /// Two-pointer union of two sorted, internally de-duplicated minima lists,
@@ -178,7 +157,6 @@ pub fn fold_lanes_into(minima: &mut Vec<u64>, p: usize, lanes: &mut SketchLanes)
         hashes,
         survivors,
         merged,
-        ..
     } = lanes;
     let threshold = if minima.len() == p {
         minima[p - 1]
@@ -308,21 +286,6 @@ mod tests {
             hash_batch(&hasher, &ids, |id| id, &mut out);
             let scalar: Vec<u64> = ids.iter().map(|&id| hasher.hash(id)).collect();
             assert_eq!(out, scalar, "len {len}");
-        }
-    }
-
-    #[test]
-    fn hash_sorted_rows_pairs_each_id_with_its_hash_in_hash_order() {
-        let hasher = UserHasher::new(0xC0FFEE);
-        let mut lanes = SketchLanes::new();
-        for len in [0usize, 1, 5, 40] {
-            let ids: Vec<u64> = (0..len as u64).map(|i| (i * 37 + 5) | (i << 40)).collect();
-            let rows = hash_sorted_rows(&hasher, &ids, |id| id, &mut lanes).to_vec();
-            let mut expected: Vec<(u64, u64)> =
-                ids.iter().map(|&id| (hasher.hash(id), id)).collect();
-            expected.sort_unstable();
-            assert_eq!(rows, expected, "len {len}");
-            assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "len {len}");
         }
     }
 

@@ -195,6 +195,7 @@ fn assert_same_detector(a: &DetectorSession, b: &DetectorSession) {
     assert!(state_bytes(a) == state_bytes(b));
     assert!(a.detector().window() == b.detector().window());
     a.validate_invariants().expect("invariants hold");
+    b.validate_invariants().expect("invariants hold");
 }
 
 fn unpack_block(payload: &[u8]) -> Vec<u8> {

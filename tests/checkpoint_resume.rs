@@ -111,6 +111,10 @@ fn window_state_round_trips_under_random_workloads() {
             let text = dengraph_json::to_string(&window.to_json());
             let back = WindowState::from_json(&dengraph_json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, window, "case {case} mode {mode:?}: window diverged");
+            // Equality is over what the index serves; its rows — replayed
+            // from the records — must also be what the records say.
+            back.validate_invariants()
+                .unwrap_or_else(|e| panic!("case {case} mode {mode:?}: {e}"));
             // Probe the reads the detector actually issues.
             for kw in (0..10u32).map(KeywordId) {
                 assert_eq!(back.window_sketch(kw), window.window_sketch(kw));
@@ -206,6 +210,16 @@ enum Cut {
     Journal(CheckpointMode),
 }
 
+/// A snapshot carries the window's records and live keyword ids, not its
+/// index: the index a restore replays from them must equal the live one
+/// and be what a walk over the records says it is.
+fn assert_window_restored(live: &DetectorSession, restored: &DetectorSession) {
+    assert!(live.detector().window() == restored.detector().window());
+    restored
+        .validate_invariants()
+        .expect("a restored session's invariants hold");
+}
+
 /// Runs `messages[..split]`, carries the state across `cut`, restores a
 /// fresh session and finishes the stream on it.  Returns the
 /// concatenated summary stream and the restored session.
@@ -226,15 +240,15 @@ fn run_with_interruption(
     let (mut second, resume_at) = match cut {
         Cut::JsonString => {
             let text = first.checkpoint().to_json_string();
-            drop(first);
             let checkpoint = Checkpoint::from_json_str(&text).expect("checkpoint parses");
             let second = DetectorSession::restore(&checkpoint).expect("checkpoint restores");
+            assert_window_restored(&first, &second);
             (second, split)
         }
         Cut::BinaryBytes => {
             let bytes = first.checkpoint_bytes(WireFormat::Binary);
-            drop(first);
             let second = DetectorSession::restore_bytes(&bytes).expect("binary restores");
+            assert_window_restored(&first, &second);
             (second, split)
         }
         Cut::Journal(_) => {
@@ -244,8 +258,10 @@ fn run_with_interruption(
                 .memory_bytes()
                 .expect("in-memory journal")
                 .to_vec();
-            drop(first);
             let second = DetectorSession::restore_from_journal(&bytes).expect("journal restores");
+            second
+                .validate_invariants()
+                .expect("a recovered session's invariants hold");
             // Resume from the restored session's exact stream position:
             // processed messages plus any partial buffer the restored
             // snapshot still carries (the latter must not be re-fed).

@@ -1,13 +1,15 @@
 //! The incremental window index's contract: for any trace, window length
-//! and parallelism profile, `WindowIndexMode::Incremental` (one refcount
-//! column per keyword ordered by the users' hashes, whose head is the
-//! window sketch) emits **bit-identical** output to
-//! `WindowIndexMode::Rebuild` (walk all `w` quanta per read).  Identity is
-//! checked at three levels: the full `QuantumSummary` stream (events,
-//! ranks, AKG delta statistics) through the detector; the raw window reads
-//! (sketches, user sets, counts, recency) through `WindowState` itself
-//! under seeded ChaCha8 workloads; and, for the churn a hash-ordered
-//! column has to get right, both modes against a sketch built from scratch
+//! and parallelism profile, `WindowIndexMode::Incremental` (per keyword a
+//! hash-ordered head of at most `4p` stamped rows whose first `p` are the
+//! window sketch, the rows above it in one shared overflow table) emits
+//! **bit-identical** output to `WindowIndexMode::Rebuild` (walk all `w`
+//! quanta per read).  Identity is checked at three levels: the full
+//! `QuantumSummary` stream (events, ranks, AKG delta statistics) through
+//! the detector; the raw window reads (sketches, user sets, counts,
+//! recency) through `WindowState` itself under seeded ChaCha8 workloads;
+//! and, for the churn a head-plus-overflow index has to get right — spill
+//! past `4p`, refill below `p`, restamps on either side of the head's last
+//! row, pooled entries — both modes against a sketch built from scratch
 //! over the users a plain copy of the last `w` quanta holds.
 
 use std::collections::{BTreeSet, VecDeque};
@@ -93,6 +95,29 @@ fn exact_edge_correlation_ablation_matches_across_modes() {
     );
     assert_eq!(canonical(&rebuild), canonical(&incremental));
 }
+
+/// The exact-EC ablation reads user sets, which come from a walk over the
+/// records even for indexed keywords: its events are pinned to what the
+/// commit before that change (b71e3c4, indexed user columns) reported.
+#[test]
+fn exact_edge_correlation_events_are_those_of_the_indexed_user_columns() {
+    let trace = StreamGenerator::new(es_profile(45, ProfileScale::Small)).generate();
+    let config = DetectorConfig {
+        exact_edge_correlation: true,
+        ..DetectorConfig::nominal().with_window_quanta(12)
+    };
+    let summaries = run(&trace, &config);
+    assert!(summaries.iter().any(|s| !s.events.is_empty()));
+    // FNV-1a over everything the summaries report.
+    let digest = canonical(&summaries)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(digest, EXACT_EC_DIGEST, "digest {digest:#018x}");
+}
+
+const EXACT_EC_DIGEST: u64 = 0x0924_c069_e4a4_771b;
 
 #[test]
 fn long_term_event_records_match_across_modes() {
@@ -244,6 +269,10 @@ struct Differential {
     incremental: WindowState,
     recent: VecDeque<(u64, Vec<Message>)>,
     pushed: u64,
+    /// The `QuantumRecord::index` given to the n-th push, when it is not
+    /// n.  The detector counts up — and `validate_invariants` holds the
+    /// window to that — but the window itself must not care.
+    index_of: Option<fn(u64) -> u64>,
 }
 
 impl Differential {
@@ -258,6 +287,7 @@ impl Differential {
             incremental: window(WindowIndexMode::Incremental),
             recent: VecDeque::new(),
             pushed: 0,
+            index_of: None,
         }
     }
 
@@ -276,7 +306,10 @@ impl Differential {
     }
 
     fn push(&mut self, messages: &[Message], keywords: u32, label: &str) {
-        let quantum = self.pushed;
+        let quantum = self
+            .index_of
+            .map_or(self.pushed, |index_of| index_of(self.pushed));
+        let counts_up = self.index_of.is_none();
         self.pushed += 1;
         let record = QuantumRecord::from_messages(quantum, messages);
         self.rebuild.push(record.clone());
@@ -286,9 +319,11 @@ impl Differential {
             self.recent.pop_front();
         }
 
-        self.incremental
-            .validate_invariants()
-            .unwrap_or_else(|e| panic!("{label}, quantum {quantum}: {e}"));
+        if counts_up {
+            self.incremental
+                .validate_invariants()
+                .unwrap_or_else(|e| panic!("{label}, quantum {quantum}: {e}"));
+        }
         // One keyword past the universe: never in the window.
         for keyword in (0..=keywords).map(KeywordId) {
             let at = format!("{label}, quantum {quantum}, {keyword}");
@@ -318,6 +353,11 @@ impl Differential {
                 back == self.incremental,
                 "{label}, quantum {quantum}: {format:?}"
             );
+            if counts_up {
+                back.validate_invariants().unwrap_or_else(|e| {
+                    panic!("{label}, quantum {quantum}: restored from {format:?}: {e}")
+                });
+            }
         }
     }
 }
@@ -491,5 +531,304 @@ fn a_pooled_entry_starts_clean() {
             .incremental
             .window_sketch_ref(KeywordId(0))
             .is_none());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The head / overflow boundaries
+// ---------------------------------------------------------------------------
+
+/// `n` users in hash order — `crowd(n)[..k]` are the `k` lowest hashes, the
+/// rows a head keeps — a third of them with ids above 2³².
+fn crowd(n: usize) -> Vec<u64> {
+    by_hash((0..n as u64).map(|i| {
+        if i % 3 == 0 {
+            (1 << 32) + 1000 + i
+        } else {
+            1000 + i
+        }
+    }))
+}
+
+fn burst(users: &[u64], quantum: u64, keyword: u32) -> Vec<Message> {
+    users
+        .iter()
+        .map(|&u| post(u, quantum, &[keyword]))
+        .collect()
+}
+
+/// Plays `script` — per quantum, the `[from, to)` ranges of `crowd` that post keyword 0 —
+/// and returns the window user count after each quantum.
+fn play(
+    windows: &mut Differential,
+    crowd: &[u64],
+    script: &[&[(usize, usize)]],
+    label: &str,
+) -> Vec<usize> {
+    script
+        .iter()
+        .map(|ranges| {
+            let q = windows.pushed;
+            let messages: Vec<Message> = ranges
+                .iter()
+                .flat_map(|&(from, to)| burst(&crowd[from..to], q, 0))
+                .collect();
+            windows.push(&messages, 1, label);
+            windows.incremental.window_user_count(KeywordId(0))
+        })
+        .collect()
+}
+
+/// A keyword gathers more than `4p` window users — the rows past the head
+/// spill into the overflow table, in one record and across records — is
+/// re-mentioned on both sides of the head's last row, drains to nothing,
+/// and its pooled entry serves another keyword, then itself again.
+#[test]
+fn a_keyword_spills_past_four_p_users_and_drains_to_nothing() {
+    for p in [1usize, 2, 16] {
+        for threshold in [1usize, 4] {
+            for w in [1usize, 2, 5] {
+                let label = format!("spill p={p} threshold={threshold} w={w}");
+                let c = crowd(10 * p);
+                let mut windows = Differential::new(p, threshold, w);
+                let k = KeywordId(0);
+                // 6p users in one record: 2p rows spill at once.  Then the
+                // users around the head's last row (`c[4p - 1]`) again.
+                let counts = play(
+                    &mut windows,
+                    &c,
+                    &[&[(0, 6 * p)], &[(3 * p, 9 * p)], &[(0, 1)]],
+                    &label,
+                );
+                assert_eq!(counts[0], 6 * p, "{label}");
+                assert_eq!(counts[1], if w == 1 { 6 * p } else { 9 * p }, "{label}");
+                // Silence for a window: the keyword leaves with its rows.
+                for _ in 0..w {
+                    let q = windows.pushed;
+                    windows.push(&[post(7, q, &[1])], 2, &label);
+                }
+                assert!(
+                    windows.incremental.window_sketch_ref(k).is_none(),
+                    "{label}"
+                );
+                assert_eq!(windows.incremental.window_user_count(k), 0, "{label}");
+                // Keyword 2 takes the pooled entry (the invariants hold it
+                // to no stale row, `over == 0` and no table row under the
+                // old id), overflows it in turn, and keyword 0 comes back.
+                let q = windows.pushed;
+                windows.push(&burst(&c[p..6 * p], q, 2), 2, &label);
+                assert_eq!(
+                    windows.incremental.window_user_count(KeywordId(2)),
+                    5 * p,
+                    "{label}"
+                );
+                let q = windows.pushed;
+                windows.push(&burst(&c[..5 * p], q, 0), 2, &label);
+                assert_eq!(windows.incremental.window_user_count(k), 5 * p, "{label}");
+            }
+        }
+    }
+}
+
+/// Evictions take the low end of a spilled head until fewer than `p` rows
+/// are left, and the head is refilled from the records.
+#[test]
+fn a_spilled_head_drained_below_p_is_refilled_from_the_records() {
+    for p in [1usize, 2, 16, 64] {
+        for threshold in [1usize, 4] {
+            let c = crowd(10 * p + 2);
+            let top = 4 * p;
+
+            // Drained to exactly p − 1 with 5p rows above: the refill takes
+            // the 3p + 1 smallest and leaves the rest in the table.  `c[4p]`
+            // is re-mentioned while it is in the table (quantum 2, before
+            // the eviction that triggers the refill), after the refill
+            // moved it into the head (3), and outlives its older stamps.
+            let label = format!("refill p={p} threshold={threshold} w=2");
+            let mut windows = Differential::new(p, threshold, 2);
+            let counts = play(
+                &mut windows,
+                &c,
+                &[
+                    &[(0, 3 * p + 1)],
+                    &[(3 * p + 1, 9 * p)],
+                    &[(top, top + 1), (9 * p, 9 * p + 1)],
+                    &[(top, top + 1), (0, 2)],
+                    &[],
+                    &[],
+                ],
+                &label,
+            );
+            assert_eq!(counts, [3 * p + 1, 9 * p, 6 * p, 4, 3, 0], "{label}");
+
+            // The candidates repeat across quanta (the p + 1 rows above the
+            // head post twice) and are fewer than the head has room for:
+            // all of them move and nothing stays spilled.
+            let label = format!("refill p={p} threshold={threshold} w=3");
+            let mut windows = Differential::new(p, threshold, 3);
+            let counts = play(
+                &mut windows,
+                &c,
+                &[
+                    &[(0, top)],
+                    &[(top, 5 * p + 1)],
+                    &[(top, 5 * p + 1), (0, 1)],
+                    &[(6 * p, 6 * p + 1)],
+                    &[],
+                    &[],
+                    &[],
+                ],
+                &label,
+            );
+            assert_eq!(
+                counts,
+                [top, 5 * p + 1, 5 * p + 1, p + 3, p + 3, 1, 0],
+                "{label}"
+            );
+        }
+    }
+}
+
+/// The head's last row is evicted, and then a user hashing between the new
+/// last row and the old one arrives: it belongs above the head (the rows
+/// in the table are larger still), not at its end.
+#[test]
+fn a_hash_between_the_new_and_the_old_last_row_goes_above_the_head() {
+    for p in [1usize, 2, 16] {
+        let label = format!("last row p={p}");
+        let c = crowd(6 * p + 3);
+        let top = 4 * p;
+        let mut windows = Differential::new(p, 1, 2);
+        let counts = play(
+            &mut windows,
+            &c,
+            &[
+                // The head-to-be's last row, `c[4p]`, only here.
+                &[(top, top + 1)],
+                // The rest of the head, but for `c[4p - 1]`; the table.
+                &[(0, top - 1), (top + 1, 6 * p + 3)],
+                // `c[4p]` leaves: the head ends at `c[4p - 2]`.
+                &[(0, 1)],
+                // `c[4p - 1]` arrives, between the two.
+                &[(top - 1, top)],
+                &[],
+            ],
+            &label,
+        );
+        assert_eq!(counts, [1, 6 * p + 2, 6 * p + 1, 2, 1], "{label}");
+        let sketch = windows
+            .incremental
+            .window_sketch_ref(KeywordId(0))
+            .expect("live");
+        assert_eq!(
+            sketch.minima(),
+            [churn_hasher().hash(c[top - 1])],
+            "{label}"
+        );
+    }
+}
+
+/// The rows are stamped with the window's own push counter: records whose
+/// `index` stands still or counts down slide exactly like counted ones.
+#[test]
+fn stamps_follow_the_pushes_not_the_record_indices() {
+    let indices: [fn(u64) -> u64; 2] = [|_| 7, |push| 1_000 - push];
+    for index_of in indices {
+        for (p, w) in [(2usize, 2usize), (2, 5), (16, 3)] {
+            let label = format!("indices {} p={p} w={w}", index_of(1));
+            let mut windows = Differential::new(p, 1, w);
+            windows.index_of = Some(index_of);
+            let c = crowd(10 * p + 2);
+            let top = 4 * p;
+            play(
+                &mut windows,
+                &c,
+                &[
+                    &[(0, 3 * p + 1)],
+                    &[(3 * p + 1, 9 * p)],
+                    &[(top, top + 1), (9 * p, 9 * p + 1)],
+                    &[(top, top + 1), (0, 2)],
+                    &[],
+                    &[(2, 6 * p)],
+                    &[(0, top)],
+                    &[],
+                ],
+                &label,
+            );
+            let mut rng = ChaCha8Rng::seed_from_u64(CHURN_SEED);
+            for messages in churn_stream(w, &mut rng) {
+                windows.push(&messages, 6, &label);
+            }
+        }
+    }
+}
+
+/// A seeded stream whose keywords live on both sides of `4p`, over keywords
+/// 0..=3 (the populations are sized by `p`, the phases by `w`):
+///
+/// * keyword 0 — a population of 12p + 8 posting in waves of up to 5p
+///   users a quantum, with a silence longer than the window between waves:
+///   spills (within one record when `w` = 1), drains to nothing, is pooled
+///   and comes back;
+/// * keyword 1 — its 4p lowest hashes post together once per w + 3 quanta,
+///   a few of the others in every quantum: the low end of a spilled head
+///   leaves all at once and the head is refilled, from candidates that
+///   repeat across quanta;
+/// * keyword 2 — three users: never leaves its head;
+/// * one user posts every keyword in every second quantum, ids above 2³²
+///   throughout, an empty quantum every seventh.
+fn surge_stream(p: usize, w: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<Message>> {
+    const BIG: u64 = 1 << 32;
+    let wave = by_hash((0..12 * p as u64 + 8).map(|u| BIG * (u % 2) + 10_000 + u));
+    let steady = by_hash((0..8 * p as u64).map(|u| BIG * 5 + 20_000 + u));
+    let (low, high) = steady.split_at(4 * p);
+    let period = 2 * w as u64 + 9;
+    (0..3 * w as u64 + 20)
+        .map(|q| {
+            if q % 7 == 6 {
+                return Vec::new();
+            }
+            let mut messages = Vec::new();
+            // Keyword 0: up for 3 quanta, down for 3, silent for the rest of
+            // the period (more than a window).
+            let posting = match q % period {
+                phase @ 0..=2 => (phase as usize + 1) * 5 * p / 3,
+                phase @ 3..=5 => (6 - phase as usize) * 5 * p / 3,
+                _ => 0,
+            };
+            for _ in 0..posting {
+                messages.push(post(wave[rng.gen_range(0..wave.len())], q, &[0]));
+            }
+            if q % (w as u64 + 3) == 0 {
+                messages.extend(burst(low, q, 1));
+            }
+            for _ in 0..1 + p / 2 {
+                messages.push(post(high[rng.gen_range(0..high.len())], q, &[1]));
+            }
+            messages.push(post(BIG + 30_000 + q % 3, q, &[2]));
+            if q % 2 == 0 {
+                messages.push(post(BIG + 7, q, &[0, 1, 2, 3]));
+            }
+            messages
+        })
+        .collect()
+}
+
+#[test]
+fn surging_keywords_match_rebuild_and_from_scratch_sketches() {
+    for sketch_size in [1usize, 2, 16, 64] {
+        for threshold in [1usize, 4] {
+            for w in [1usize, 2, 30] {
+                let label = format!("surge p={sketch_size} threshold={threshold} w={w}");
+                let mut rng = ChaCha8Rng::seed_from_u64(CHURN_SEED ^ (w as u64) << 8);
+                let mut windows = Differential::new(sketch_size, threshold, w);
+                let mut peak = 0;
+                for messages in surge_stream(sketch_size, w, &mut rng) {
+                    windows.push(&messages, 4, &label);
+                    peak = peak.max(windows.incremental.window_user_count(KeywordId(0)));
+                }
+                assert!(peak > 4 * sketch_size, "{label}: keyword 0 never spilled");
+            }
+        }
     }
 }
