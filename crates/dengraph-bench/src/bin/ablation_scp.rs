@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out.
+//! Ablations of the detector's design choices.
 //!
 //! Four detector variants run over the same Time-Window trace:
 //!
@@ -87,9 +87,8 @@ fn main() {
     }
     out.push_str(&table.render());
     out.push_str(
-        "\n(the incremental-vs-offline clustering ablation is part of table3_clustering_schemes\n",
+        "\n(the incremental-vs-offline clustering ablation is part of table3_clustering_schemes)\n",
     );
-    out.push_str(" and of the criterion benches: `cargo bench -p dengraph-bench`)\n");
 
     emit_report("ablation_scp", &out);
 }

@@ -1,9 +1,10 @@
-//! Shared helpers for the dengraph benchmark harness.
+//! Shared helpers for the paper-table binaries.
 //!
 //! Each table and figure of the paper's evaluation (Section 7) is
-//! regenerated by one binary in `src/bin/`; the criterion micro-benchmarks
-//! live in `benches/`.  This library holds the pieces they share: standard
-//! trace construction, table formatting and report output.
+//! regenerated by one binary in `src/bin/`.  This library holds the pieces
+//! they share: standard trace construction, table formatting and report
+//! output.  Performance is measured by the repo benchmark (`benchmark/`),
+//! not here.
 //!
 //! | paper artefact | binary |
 //! |---|---|
@@ -12,13 +13,13 @@
 //! | Table 3 / §7.3 (clustering schemes)      | `table3_clustering_schemes` |
 //! | Table 4 (throughput)                     | `table4_throughput` |
 //! | §7.4 (AKG vs CKG reduction)              | `table5_akg_reduction` |
-//! | design-choice ablations                  | `ablation_scp` + `cargo bench` |
+//! | design-choice ablations                  | `ablation_scp` |
 
 use std::io::Write;
 use std::path::Path;
 
 use dengraph_stream::generator::profiles::{
-    dense_profile, es_profile, ground_truth_profile, tw_profile, ProfileScale,
+    es_profile, ground_truth_profile, tw_profile, ProfileScale,
 };
 use dengraph_stream::{StreamGenerator, Trace};
 
@@ -34,9 +35,6 @@ pub enum TraceKind {
     EventSpecific,
     /// The Section 7.1 ground-truth study trace.
     GroundTruth,
-    /// The dense-AKG stress trace (pulsing keyword families; not a paper
-    /// trace — exercises stage-3 partitioning on a large resident AKG).
-    Dense,
 }
 
 impl TraceKind {
@@ -46,7 +44,6 @@ impl TraceKind {
             TraceKind::TimeWindow => "Time Window Based Trace",
             TraceKind::EventSpecific => "Event Specific Trace",
             TraceKind::GroundTruth => "Ground Truth Trace",
-            TraceKind::Dense => "Dense AKG Stress Trace",
         }
     }
 }
@@ -57,7 +54,6 @@ pub fn build_trace(kind: TraceKind, scale: ProfileScale) -> Trace {
         TraceKind::TimeWindow => tw_profile(BENCH_SEED, scale),
         TraceKind::EventSpecific => es_profile(BENCH_SEED + 1, scale),
         TraceKind::GroundTruth => ground_truth_profile(BENCH_SEED + 2, scale),
-        TraceKind::Dense => dense_profile(BENCH_SEED + 3, scale),
     };
     StreamGenerator::new(profile).generate()
 }
@@ -182,6 +178,5 @@ mod tests {
         assert!(TraceKind::TimeWindow.label().contains("Time"));
         assert!(TraceKind::EventSpecific.label().contains("Event"));
         assert!(TraceKind::GroundTruth.label().contains("Ground"));
-        assert!(TraceKind::Dense.label().contains("Dense"));
     }
 }

@@ -46,6 +46,7 @@
 
 use dengraph_graph::fxhash::FxHashSet;
 use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
+use dengraph_json::{Decode, Encode};
 use dengraph_minhash::MinHashSketch;
 use dengraph_parallel::par_map;
 use dengraph_stream::UserId;
@@ -237,19 +238,6 @@ pub struct AkgQuantumStats {
 }
 
 impl AkgQuantumStats {
-    /// Serialises the statistics to a [`dengraph_json::Value`].
-    pub fn to_json(&self) -> dengraph_json::Value {
-        use dengraph_json::Value;
-        Value::obj([
-            ("bursty_keywords", Value::from(self.bursty_keywords)),
-            ("pairs_evaluated", Value::from(self.pairs_evaluated)),
-            ("edges_added", Value::from(self.edges_added)),
-            ("edges_removed", Value::from(self.edges_removed)),
-            ("nodes_added", Value::from(self.nodes_added)),
-            ("nodes_removed", Value::from(self.nodes_removed)),
-        ])
-    }
-
     /// Streams the object [`Self::to_json`] builds, byte for byte.
     pub fn write_json(&self, w: &mut dengraph_json::JsonWriter<'_>) {
         w.begin_obj();
@@ -267,9 +255,36 @@ impl AkgQuantumStats {
         w.u64(self.pairs_evaluated as u64);
         w.end_obj();
     }
+}
 
+impl Encode for AkgQuantumStats {
+    /// Serialises the statistics to a [`dengraph_json::Value`].
+    fn to_json(&self) -> dengraph_json::Value {
+        use dengraph_json::Value;
+        Value::obj([
+            ("bursty_keywords", Value::from(self.bursty_keywords)),
+            ("pairs_evaluated", Value::from(self.pairs_evaluated)),
+            ("edges_added", Value::from(self.edges_added)),
+            ("edges_removed", Value::from(self.edges_removed)),
+            ("nodes_added", Value::from(self.nodes_added)),
+            ("nodes_removed", Value::from(self.nodes_removed)),
+        ])
+    }
+
+    /// Appends the compact binary encoding (six varints).
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        w.usize(self.bursty_keywords);
+        w.usize(self.pairs_evaluated);
+        w.usize(self.edges_added);
+        w.usize(self.edges_removed);
+        w.usize(self.nodes_added);
+        w.usize(self.nodes_removed);
+    }
+}
+
+impl Decode for AkgQuantumStats {
     /// Reconstructs statistics serialised by [`Self::to_json`].
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         Ok(Self {
             bursty_keywords: value.get("bursty_keywords")?.as_usize()?,
             pairs_evaluated: value.get("pairs_evaluated")?.as_usize()?,
@@ -280,18 +295,8 @@ impl AkgQuantumStats {
         })
     }
 
-    /// Appends the compact binary encoding (six varints).
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        w.usize(self.bursty_keywords);
-        w.usize(self.pairs_evaluated);
-        w.usize(self.edges_added);
-        w.usize(self.edges_removed);
-        w.usize(self.nodes_added);
-        w.usize(self.nodes_removed);
-    }
-
     /// Reconstructs statistics encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         Ok(Self {
             bursty_keywords: r.usize()?,
             pairs_evaluated: r.usize()?,
@@ -300,24 +305,6 @@ impl AkgQuantumStats {
             nodes_added: r.usize()?,
             nodes_removed: r.usize()?,
         })
-    }
-}
-
-impl dengraph_json::Encode for AkgQuantumStats {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for AkgQuantumStats {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 
@@ -524,17 +511,6 @@ pub struct AkgMaintainer {
     components: ComponentIndex,
     states: KeywordStateMachine,
     last_stats: AkgQuantumStats,
-    /// Cumulative wall-clock of the read-only score phase (candidate
-    /// collection + correlation-cache build + pair scoring), diagnostics
-    /// only — never serialised.
-    score_ns: u64,
-    /// Cumulative wall-clock of the mutation phases (stale removal,
-    /// admission, edge apply, lazy demotion), diagnostics only.  Excludes
-    /// component-index maintenance, which is attributed to `component_ns`.
-    apply_ns: u64,
-    /// Cumulative wall-clock of component-index maintenance, diagnostics
-    /// only.
-    component_ns: u64,
 }
 
 impl AkgMaintainer {
@@ -546,9 +522,6 @@ impl AkgMaintainer {
             components: ComponentIndex::new(),
             states: KeywordStateMachine::new(),
             last_stats: AkgQuantumStats::default(),
-            score_ns: 0,
-            apply_ns: 0,
-            component_ns: 0,
         }
     }
 
@@ -566,14 +539,6 @@ impl AkgMaintainer {
     /// Statistics of the most recently processed quantum.
     pub fn last_stats(&self) -> AkgQuantumStats {
         self.last_stats
-    }
-
-    /// Cumulative `(score_ns, apply_ns, component_ns)` wall-clock split of
-    /// the per-quantum maintenance: the read-only scoring phase, the
-    /// serial graph-mutation phases, and the component-index maintenance
-    /// carved out of the latter.
-    pub fn stage_ns(&self) -> (u64, u64, u64) {
-        (self.score_ns, self.apply_ns, self.component_ns)
     }
 
     /// Current state of a keyword.
@@ -608,9 +573,6 @@ impl AkgMaintainer {
             components: ComponentIndex::from_json(value.get("components")?)?,
             states: KeywordStateMachine::from_json(value.get("states")?)?,
             last_stats: AkgQuantumStats::from_json(value.get("last_stats")?)?,
-            score_ns: 0,
-            apply_ns: 0,
-            component_ns: 0,
         })
     }
 
@@ -635,9 +597,6 @@ impl AkgMaintainer {
             components: ComponentIndex::from_bin(r)?,
             states: KeywordStateMachine::from_bin(r)?,
             last_stats: AkgQuantumStats::from_bin(r)?,
-            score_ns: 0,
-            apply_ns: 0,
-            component_ns: 0,
         })
     }
 
@@ -724,11 +683,6 @@ impl AkgMaintainer {
         let sigma = self.config.high_state_threshold;
         let tau = self.config.edge_correlation_threshold;
         let parallelism = self.config.parallelism;
-        // Index maintenance runs inside the apply-timed segments below;
-        // its growth is carved back out at the end so `apply_ns` and
-        // `component_ns` stay disjoint attributions.
-        let component_ns_at_entry = self.component_ns;
-        let apply_start = std::time::Instant::now();
 
         // --- 1. stale removal -------------------------------------------------
         // Sorted so the delta order is canonical regardless of the
@@ -762,9 +716,7 @@ impl AkgMaintainer {
                 set1.push(keyword);
                 if !already_in_akg {
                     self.graph.add_node(node_of(keyword));
-                    let t = std::time::Instant::now();
                     self.components.add_node(node_of(keyword));
-                    self.component_ns += t.elapsed().as_nanos() as u64;
                     deltas.push(GraphDelta::NodeAdded {
                         node: node_of(keyword),
                     });
@@ -776,9 +728,6 @@ impl AkgMaintainer {
             }
         }
         stats.bursty_keywords = set1.len();
-
-        self.apply_ns += apply_start.elapsed().as_nanos() as u64;
-        let score_start = std::time::Instant::now();
 
         // --- 3. candidate collection (read-only) ------------------------------
         // The two candidate sets of Section 3.2.1, collected before any
@@ -848,8 +797,6 @@ impl AkgMaintainer {
         // per quantum); the scores vector is split back afterwards.
         let all_scores = par_map(parallelism, all_pairs, |&(a, b)| cache.correlation(a, b));
         let (bursty_scores, edge_scores) = all_scores.split_at(bursty_count);
-        self.score_ns += score_start.elapsed().as_nanos() as u64;
-        let apply_start = std::time::Instant::now();
 
         // --- 3b. apply phase (serial, canonical order) ------------------------
         for (&(a, b), &ec) in all_pairs[..bursty_count].iter().zip(bursty_scores) {
@@ -864,9 +811,7 @@ impl AkgMaintainer {
                     });
                 } else {
                     self.graph.add_edge(na, nb, ec);
-                    let t = std::time::Instant::now();
                     self.components.add_edge(na, nb);
-                    self.component_ns += t.elapsed().as_nanos() as u64;
                     deltas.push(GraphDelta::EdgeAdded {
                         a: na,
                         b: nb,
@@ -887,9 +832,7 @@ impl AkgMaintainer {
                 });
             } else {
                 self.graph.remove_edge(na, nb);
-                let t = std::time::Instant::now();
                 self.components.remove_edge(&self.graph, na, nb);
-                self.component_ns += t.elapsed().as_nanos() as u64;
                 deltas.push(GraphDelta::EdgeRemoved { a: na, b: nb });
                 stats.edges_removed += 1;
             }
@@ -912,10 +855,6 @@ impl AkgMaintainer {
             }
         }
 
-        self.apply_ns += apply_start.elapsed().as_nanos() as u64;
-        self.apply_ns = self
-            .apply_ns
-            .saturating_sub(self.component_ns - component_ns_at_entry);
         self.last_stats = stats;
     }
 
@@ -928,9 +867,7 @@ impl AkgMaintainer {
         stats: &mut AkgQuantumStats,
     ) {
         let removed_edges = self.graph.remove_node(node);
-        let t = std::time::Instant::now();
         self.components.remove_node(&self.graph, node);
-        self.component_ns += t.elapsed().as_nanos() as u64;
         for (edge, _) in removed_edges {
             deltas.push(GraphDelta::EdgeRemoved {
                 a: edge.0,

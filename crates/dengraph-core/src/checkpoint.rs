@@ -139,24 +139,30 @@ impl DeltaRecord {
         self.akg_deltas.len()
     }
 
-    /// Serialises the record to a [`Value`] (the JSON journal form).
-    pub fn to_json(&self) -> Value {
-        Value::obj([
-            ("record", self.record.to_json()),
-            (
-                "akg_deltas",
-                Value::arr(self.akg_deltas.iter().map(|d| d.to_json())),
-            ),
-            ("akg_stats", self.akg_stats.to_json()),
-            (
-                "events",
-                Value::arr(self.events.iter().map(|e| e.to_json())),
-            ),
-        ])
+    /// The borrowed view whose encoders define this record's wire forms.
+    fn view(&self) -> DeltaRecordView<'_> {
+        DeltaRecordView {
+            record: &self.record,
+            akg_deltas: &self.akg_deltas,
+            akg_stats: self.akg_stats,
+            events: &self.events,
+        }
+    }
+}
+
+impl Encode for DeltaRecord {
+    fn to_json(&self) -> Value {
+        self.view().to_json()
     }
 
+    fn to_bin(&self, w: &mut BinWriter) {
+        self.view().to_bin(w)
+    }
+}
+
+impl Decode for DeltaRecord {
     /// Reconstructs a record serialised by [`Self::to_json`].
-    pub fn from_json(value: &Value) -> dengraph_json::Result<Self> {
+    fn from_json(value: &Value) -> dengraph_json::Result<Self> {
         Ok(Self {
             record: QuantumRecord::from_json(value.get("record")?)?,
             akg_deltas: value
@@ -175,22 +181,8 @@ impl DeltaRecord {
         })
     }
 
-    /// Appends the compact binary encoding.
-    pub fn to_bin(&self, w: &mut BinWriter) {
-        self.record.to_bin(w);
-        w.usize(self.akg_deltas.len());
-        for d in &self.akg_deltas {
-            d.to_bin(w);
-        }
-        self.akg_stats.to_bin(w);
-        w.usize(self.events.len());
-        for e in &self.events {
-            e.to_bin(w);
-        }
-    }
-
     /// Reconstructs a record encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut BinReader<'_>) -> dengraph_json::Result<Self> {
         let record = QuantumRecord::from_bin(r)?;
         let deltas = r.seq_len(2)?;
         let mut akg_deltas = Vec::with_capacity(deltas);
@@ -212,28 +204,10 @@ impl DeltaRecord {
     }
 }
 
-impl Encode for DeltaRecord {
-    fn encode_json(&self) -> Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl Decode for DeltaRecord {
-    fn decode_json(value: &Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
-    }
-}
-
 /// Borrowed view of a [`DeltaRecord`] used on the per-quantum append hot
-/// path: produces byte-identical encodings without first cloning the
-/// window record, the AKG delta log and the event list out of the
-/// detector (`delta_record_view_encodes_identically` pins the identity).
+/// path: the one encoder of a delta record (the owned record encodes
+/// through it), so a journal append never clones the window record, the
+/// AKG delta log and the event list out of the detector.
 pub(crate) struct DeltaRecordView<'a> {
     pub(crate) record: &'a QuantumRecord,
     pub(crate) akg_deltas: &'a [GraphDelta],
@@ -242,7 +216,8 @@ pub(crate) struct DeltaRecordView<'a> {
 }
 
 impl Encode for DeltaRecordView<'_> {
-    fn encode_json(&self) -> Value {
+    /// Serialises the record to a [`Value`] (the JSON journal form).
+    fn to_json(&self) -> Value {
         Value::obj([
             ("record", self.record.to_json()),
             (
@@ -256,7 +231,9 @@ impl Encode for DeltaRecordView<'_> {
             ),
         ])
     }
-    fn encode_bin(&self, w: &mut BinWriter) {
+
+    /// Appends the compact binary encoding.
+    fn to_bin(&self, w: &mut BinWriter) {
         self.record.to_bin(w);
         w.usize(self.akg_deltas.len());
         for d in self.akg_deltas {

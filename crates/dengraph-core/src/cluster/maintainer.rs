@@ -36,10 +36,11 @@
 //! * [`ClusterMaintainer::apply_deltas_with`] recomputes the partition
 //!   from scratch by unioning every AKG edge plus the delta endpoints and
 //!   the live cluster edges — kept as the `ComponentIndexMode::Rebuild`
-//!   ablation baseline the bench compares against.
+//!   ablation baseline `tests/parallel_determinism.rs` compares against.
 
 use dengraph_graph::fxhash::FxHashMap;
 use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
+use dengraph_json::{Decode, Encode};
 use dengraph_parallel::{par_map_indexed, Parallelism};
 
 use crate::akg::GraphDelta;
@@ -72,17 +73,6 @@ pub struct MaintenanceStats {
 }
 
 impl MaintenanceStats {
-    /// Serialises the statistics to a [`dengraph_json::Value`].
-    pub fn to_json(&self) -> dengraph_json::Value {
-        use dengraph_json::Value;
-        Value::obj([
-            ("edge_additions", Value::from(self.edge_additions)),
-            ("edge_deletions", Value::from(self.edge_deletions)),
-            ("node_removals", Value::from(self.node_removals)),
-            ("clusters_touched", Value::from(self.clusters_touched)),
-        ])
-    }
-
     /// Streams the object [`Self::to_json`] builds, byte for byte.
     pub fn write_json(&self, w: &mut dengraph_json::JsonWriter<'_>) {
         w.begin_obj();
@@ -96,9 +86,32 @@ impl MaintenanceStats {
         w.u64(self.node_removals as u64);
         w.end_obj();
     }
+}
 
+impl Encode for MaintenanceStats {
+    /// Serialises the statistics to a [`dengraph_json::Value`].
+    fn to_json(&self) -> dengraph_json::Value {
+        use dengraph_json::Value;
+        Value::obj([
+            ("edge_additions", Value::from(self.edge_additions)),
+            ("edge_deletions", Value::from(self.edge_deletions)),
+            ("node_removals", Value::from(self.node_removals)),
+            ("clusters_touched", Value::from(self.clusters_touched)),
+        ])
+    }
+
+    /// Appends the compact binary encoding (four varints).
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        w.usize(self.edge_additions);
+        w.usize(self.edge_deletions);
+        w.usize(self.node_removals);
+        w.usize(self.clusters_touched);
+    }
+}
+
+impl Decode for MaintenanceStats {
     /// Reconstructs statistics serialised by [`Self::to_json`].
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         Ok(Self {
             edge_additions: value.get("edge_additions")?.as_usize()?,
             edge_deletions: value.get("edge_deletions")?.as_usize()?,
@@ -107,40 +120,14 @@ impl MaintenanceStats {
         })
     }
 
-    /// Appends the compact binary encoding (four varints).
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        w.usize(self.edge_additions);
-        w.usize(self.edge_deletions);
-        w.usize(self.node_removals);
-        w.usize(self.clusters_touched);
-    }
-
     /// Reconstructs statistics encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         Ok(Self {
             edge_additions: r.usize()?,
             edge_deletions: r.usize()?,
             node_removals: r.usize()?,
             clusters_touched: r.usize()?,
         })
-    }
-}
-
-impl dengraph_json::Encode for MaintenanceStats {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for MaintenanceStats {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 
@@ -180,36 +167,6 @@ impl ClusterMaintainer {
     /// Looks up a cluster.
     pub fn get(&self, id: ClusterId) -> Option<&Cluster> {
         self.registry.get(id)
-    }
-
-    /// Serialises the maintainer (registry plus last stats).
-    pub fn to_json(&self) -> dengraph_json::Value {
-        dengraph_json::Value::obj([
-            ("registry", self.registry.to_json()),
-            ("last_stats", self.last_stats.to_json()),
-        ])
-    }
-
-    /// Reconstructs a maintainer serialised by [`Self::to_json`].
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Ok(Self {
-            registry: ClusterRegistry::from_json(value.get("registry")?)?,
-            last_stats: MaintenanceStats::from_json(value.get("last_stats")?)?,
-        })
-    }
-
-    /// Appends the compact binary encoding (registry plus last stats).
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.registry.to_bin(w);
-        self.last_stats.to_bin(w);
-    }
-
-    /// Reconstructs a maintainer encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Ok(Self {
-            registry: ClusterRegistry::from_bin(r)?,
-            last_stats: MaintenanceStats::from_bin(r)?,
-        })
     }
 
     /// Applies one quantum's worth of AKG deltas.  `graph` must be the AKG
@@ -322,8 +279,8 @@ impl ClusterMaintainer {
         // connect, so a deletion repair lands in the same shard as the
         // cluster it repairs.  This walks the whole AKG once per parallel
         // quantum — the cost [`Self::apply_deltas_indexed`] exists to
-        // avoid; it is kept as the ablation baseline the bench's dense
-        // profile measures the index against.  (Isolated nodes need no
+        // avoid; it is kept as the ablation baseline the determinism
+        // suite holds the index to.  (Isolated nodes need no
         // eager `ensure` here: the union-find interns any node the shard
         // grouping or cluster-move loop asks about on demand.)
         let mut components = NodeComponents::default();
@@ -466,21 +423,37 @@ impl ClusterMaintainer {
     }
 }
 
-impl dengraph_json::Encode for ClusterMaintainer {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
+impl Encode for ClusterMaintainer {
+    /// Serialises the maintainer (registry plus last stats).
+    fn to_json(&self) -> dengraph_json::Value {
+        dengraph_json::Value::obj([
+            ("registry", self.registry.to_json()),
+            ("last_stats", self.last_stats.to_json()),
+        ])
     }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
+
+    /// Appends the compact binary encoding (registry plus last stats).
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        self.registry.to_bin(w);
+        self.last_stats.to_bin(w);
     }
 }
 
-impl dengraph_json::Decode for ClusterMaintainer {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
+impl Decode for ClusterMaintainer {
+    /// Reconstructs a maintainer serialised by [`Self::to_json`].
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+        Ok(Self {
+            registry: ClusterRegistry::from_json(value.get("registry")?)?,
+            last_stats: MaintenanceStats::from_json(value.get("last_stats")?)?,
+        })
     }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
+
+    /// Reconstructs a maintainer encoded by [`Self::to_bin`].
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+        Ok(Self {
+            registry: ClusterRegistry::from_bin(r)?,
+            last_stats: MaintenanceStats::from_bin(r)?,
+        })
     }
 }
 

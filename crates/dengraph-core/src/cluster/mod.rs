@@ -30,6 +30,7 @@ pub mod registry;
 use dengraph_graph::dynamic_graph::EdgeKey;
 use dengraph_graph::fxhash::FxHashSet;
 use dengraph_graph::NodeId;
+use dengraph_json::{Decode, Encode};
 
 pub use addition::{edge_addition, node_addition};
 pub use deletion::{edge_deletion, node_deletion};
@@ -174,10 +175,12 @@ impl Cluster {
             .iter()
             .all(|e| self.has_alternate_path(e.0, e.1, 3))
     }
+}
 
+impl Encode for Cluster {
     /// Serialises the cluster (id, sorted nodes, sorted edges, lifecycle
     /// quanta) to a [`dengraph_json::Value`].
-    pub fn to_json(&self) -> dengraph_json::Value {
+    fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         let mut edges: Vec<EdgeKey> = self.edges.iter().copied().collect();
         edges.sort_unstable();
@@ -200,8 +203,29 @@ impl Cluster {
         ])
     }
 
+    /// Appends the compact binary encoding: id, the delta-encoded sorted
+    /// node column, the sorted edge list (first endpoint delta-encoded)
+    /// and the lifecycle quanta.
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        w.u64(self.id.0);
+        w.delta_u32s(self.sorted_nodes().into_iter().map(|n| n.0));
+        let mut edges: Vec<EdgeKey> = self.edges.iter().copied().collect();
+        edges.sort_unstable();
+        w.usize(edges.len());
+        let mut prev_a = 0u32;
+        for (i, e) in edges.iter().enumerate() {
+            w.u32(if i == 0 { e.0 .0 } else { e.0 .0 - prev_a });
+            prev_a = e.0 .0;
+            w.u32(e.1 .0);
+        }
+        w.u64(self.born_quantum);
+        w.u64(self.updated_quantum);
+    }
+}
+
+impl Decode for Cluster {
     /// Reconstructs a cluster serialised by [`Self::to_json`].
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         let nodes: FxHashSet<NodeId> = value
             .get("nodes")?
             .as_arr()?
@@ -231,27 +255,8 @@ impl Cluster {
         })
     }
 
-    /// Appends the compact binary encoding: id, the delta-encoded sorted
-    /// node column, the sorted edge list (first endpoint delta-encoded)
-    /// and the lifecycle quanta.
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        w.u64(self.id.0);
-        w.delta_u32s(self.sorted_nodes().into_iter().map(|n| n.0));
-        let mut edges: Vec<EdgeKey> = self.edges.iter().copied().collect();
-        edges.sort_unstable();
-        w.usize(edges.len());
-        let mut prev_a = 0u32;
-        for (i, e) in edges.iter().enumerate() {
-            w.u32(if i == 0 { e.0 .0 } else { e.0 .0 - prev_a });
-            prev_a = e.0 .0;
-            w.u32(e.1 .0);
-        }
-        w.u64(self.born_quantum);
-        w.u64(self.updated_quantum);
-    }
-
     /// Reconstructs a cluster encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         let id = ClusterId(r.u64()?);
         let nodes: FxHashSet<NodeId> = r.delta_u32s()?.into_iter().map(NodeId).collect();
         let edge_count = r.seq_len(2)?;
@@ -278,24 +283,6 @@ impl Cluster {
             born_quantum: r.u64()?,
             updated_quantum: r.u64()?,
         })
-    }
-}
-
-impl dengraph_json::Encode for Cluster {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for Cluster {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 

@@ -11,6 +11,7 @@
 use dengraph_graph::dynamic_graph::EdgeKey;
 use dengraph_graph::fxhash::{FxHashMap, FxHashSet};
 use dengraph_graph::NodeId;
+use dengraph_json::{Decode, Encode};
 
 use super::{Cluster, ClusterId};
 
@@ -283,59 +284,6 @@ impl ClusterRegistry {
         }
     }
 
-    /// Serialises the registry: the next fresh id plus every live cluster,
-    /// sorted by id.  The edge and node indexes are derived data and are
-    /// rebuilt by [`Self::from_json`].
-    pub fn to_json(&self) -> dengraph_json::Value {
-        use dengraph_json::Value;
-        let mut ids: Vec<ClusterId> = self.clusters.keys().copied().collect();
-        ids.sort_unstable();
-        Value::obj([
-            ("next_id", Value::from(self.next_id)),
-            (
-                "clusters",
-                Value::arr(ids.into_iter().map(|id| self.clusters[&id].to_json())),
-            ),
-        ])
-    }
-
-    /// Reconstructs a registry serialised by [`Self::to_json`] (the
-    /// decoded parts go through the validation shared with the binary
-    /// decoder).
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let clusters = value
-            .get("clusters")?
-            .as_arr()?
-            .iter()
-            .map(Cluster::from_json)
-            .collect::<dengraph_json::Result<Vec<_>>>()?;
-        Self::from_parts(value.get("next_id")?.as_u64()?, clusters)
-    }
-
-    /// Appends the compact binary encoding: the next fresh id plus every
-    /// live cluster, sorted by id.
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        w.u64(self.next_id);
-        let mut ids: Vec<ClusterId> = self.clusters.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            self.clusters[&id].to_bin(w);
-        }
-    }
-
-    /// Reconstructs a registry encoded by [`Self::to_bin`] (the decoded
-    /// parts go through the validation shared with the JSON decoder).
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        let next_id = r.u64()?;
-        let count = r.seq_len(4)?;
-        let mut clusters = Vec::with_capacity(count);
-        for _ in 0..count {
-            clusters.push(Cluster::from_bin(r)?);
-        }
-        Self::from_parts(next_id, clusters)
-    }
-
     /// Assembles a registry from decoded parts, rebuilding both indexes
     /// from the cluster contents — the single validation path shared by
     /// the JSON and binary decoders.  Rejects documents whose id space is
@@ -439,21 +387,60 @@ impl ClusterRegistry {
     }
 }
 
-impl dengraph_json::Encode for ClusterRegistry {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
+impl Encode for ClusterRegistry {
+    /// Serialises the registry: the next fresh id plus every live cluster,
+    /// sorted by id.  The edge and node indexes are derived data and are
+    /// rebuilt by [`Self::from_json`].
+    fn to_json(&self) -> dengraph_json::Value {
+        use dengraph_json::Value;
+        let mut ids: Vec<ClusterId> = self.clusters.keys().copied().collect();
+        ids.sort_unstable();
+        Value::obj([
+            ("next_id", Value::from(self.next_id)),
+            (
+                "clusters",
+                Value::arr(ids.into_iter().map(|id| self.clusters[&id].to_json())),
+            ),
+        ])
     }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
+
+    /// Appends the compact binary encoding: the next fresh id plus every
+    /// live cluster, sorted by id.
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        w.u64(self.next_id);
+        let mut ids: Vec<ClusterId> = self.clusters.keys().copied().collect();
+        ids.sort_unstable();
+        w.usize(ids.len());
+        for id in ids {
+            self.clusters[&id].to_bin(w);
+        }
     }
 }
 
-impl dengraph_json::Decode for ClusterRegistry {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
+impl Decode for ClusterRegistry {
+    /// Reconstructs a registry serialised by [`Self::to_json`] (the
+    /// decoded parts go through the validation shared with the binary
+    /// decoder).
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+        let clusters = value
+            .get("clusters")?
+            .as_arr()?
+            .iter()
+            .map(Cluster::from_json)
+            .collect::<dengraph_json::Result<Vec<_>>>()?;
+        Self::from_parts(value.get("next_id")?.as_u64()?, clusters)
     }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
+
+    /// Reconstructs a registry encoded by [`Self::to_bin`] (the decoded
+    /// parts go through the validation shared with the JSON decoder).
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+        let next_id = r.u64()?;
+        let count = r.seq_len(4)?;
+        let mut clusters = Vec::with_capacity(count);
+        for _ in 0..count {
+            clusters.push(Cluster::from_bin(r)?);
+        }
+        Self::from_parts(next_id, clusters)
     }
 }
 

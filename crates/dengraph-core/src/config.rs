@@ -3,6 +3,7 @@
 //! Table 2 of the paper lists the tunable parameters and their nominal
 //! values; those nominal values are the defaults here.
 
+use dengraph_json::{Decode, Encode};
 use dengraph_minhash::sketch::MAX_DECODED_SKETCH_SIZE;
 pub use dengraph_parallel::Parallelism;
 
@@ -18,7 +19,7 @@ pub use crate::keyword_state::WindowIndexMode;
 /// [`ComponentIndex`](dengraph_graph::ComponentIndex) maintained in lock
 /// step with the AKG (O(deltas) per quantum), `Rebuild` recomputes the
 /// components from every AKG edge per quantum (O(AKG edges), the
-/// ablation baseline the bench compares against).
+/// ablation baseline `tests/parallel_determinism.rs` compares against).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ComponentIndexMode {
     /// Recompute the component partition from scratch each parallel
@@ -109,19 +110,19 @@ pub struct DetectorConfig {
     pub window_quanta: usize,
     /// Use the exact Jaccard coefficient instead of the min-hash estimate
     /// when computing edge correlations.  Defaults to `false` (the paper's
-    /// min-hash scheme); the ablation benchmarks flip it.
+    /// min-hash scheme); `ablation_scp` flips it.
     pub exact_edge_correlation: bool,
     /// Lower bound on the min-hash sketch size.  The paper's formula
     /// `p = min(σ/2, 1/τ)` yields p = 2 at the nominal thresholds, which is
     /// enough for the *edge admission gate* ("do the sketches share a
     /// minimum?") but far too coarse to compare the estimated correlation
     /// against τ.  Keeping at least this many minima makes the estimate
-    /// usable while leaving the admission gate untouched (documented as a
-    /// deviation in DESIGN.md).
+    /// usable while leaving the admission gate untouched (a deliberate
+    /// deviation from the paper).
     pub min_sketch_size: usize,
     /// Keep keywords in the AKG while they participate in a cluster even if
     /// they stop being bursty (the hysteresis / lazy-update rule of
-    /// Section 3.1).  Defaults to `true`; the ablation benchmarks flip it.
+    /// Section 3.1).  Defaults to `true`; `ablation_scp` flips it.
     pub hysteresis: bool,
     /// Multiplier applied to the minimum possible cluster rank when
     /// filtering reported events (Section 7.2.2's rank-threshold precision
@@ -295,9 +296,11 @@ impl DetectorConfig {
         }
         Ok(())
     }
+}
 
+impl Encode for DetectorConfig {
     /// Serialises the configuration to a [`dengraph_json::Value`].
-    pub fn to_json(&self) -> dengraph_json::Value {
+    fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         Value::obj([
             ("quantum_size", Value::from(self.quantum_size)),
@@ -345,10 +348,41 @@ impl DetectorConfig {
         ])
     }
 
+    /// Appends the compact binary encoding.  The result is *not*
+    /// validated on decode — callers accepting external input follow up
+    /// with [`Self::validate`], exactly like the JSON path.
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        w.usize(self.quantum_size);
+        w.u32(self.high_state_threshold);
+        w.f64(self.edge_correlation_threshold);
+        w.usize(self.window_quanta);
+        w.bool(self.exact_edge_correlation);
+        w.usize(self.min_sketch_size);
+        w.bool(self.hysteresis);
+        w.f64(self.rank_threshold_factor);
+        w.bool(self.require_noun);
+        // 0 encodes Serial; n ≥ 1 encodes Threads(n) (Threads(0) never
+        // validates, so the overlap is unambiguous).
+        w.usize(match self.parallelism {
+            Parallelism::Serial => 0,
+            Parallelism::Threads(n) => n,
+        });
+        w.byte(match self.window_index_mode {
+            WindowIndexMode::Rebuild => 0,
+            WindowIndexMode::Incremental => 1,
+        });
+        w.byte(match self.component_index_mode {
+            ComponentIndexMode::Rebuild => 0,
+            ComponentIndexMode::Incremental => 1,
+        });
+    }
+}
+
+impl Decode for DetectorConfig {
     /// Reconstructs a configuration serialised by [`Self::to_json`].  The
     /// result is *not* validated — callers that accept external input should
     /// follow up with [`Self::validate`].
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         let parallelism = match value.get("parallelism")? {
             v if v.as_str().is_ok() => match v.as_str()? {
                 "serial" => Parallelism::Serial,
@@ -397,37 +431,8 @@ impl DetectorConfig {
         })
     }
 
-    /// Appends the compact binary encoding.  The result is *not*
-    /// validated on decode — callers accepting external input follow up
-    /// with [`Self::validate`], exactly like the JSON path.
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        w.usize(self.quantum_size);
-        w.u32(self.high_state_threshold);
-        w.f64(self.edge_correlation_threshold);
-        w.usize(self.window_quanta);
-        w.bool(self.exact_edge_correlation);
-        w.usize(self.min_sketch_size);
-        w.bool(self.hysteresis);
-        w.f64(self.rank_threshold_factor);
-        w.bool(self.require_noun);
-        // 0 encodes Serial; n ≥ 1 encodes Threads(n) (Threads(0) never
-        // validates, so the overlap is unambiguous).
-        w.usize(match self.parallelism {
-            Parallelism::Serial => 0,
-            Parallelism::Threads(n) => n,
-        });
-        w.byte(match self.window_index_mode {
-            WindowIndexMode::Rebuild => 0,
-            WindowIndexMode::Incremental => 1,
-        });
-        w.byte(match self.component_index_mode {
-            ComponentIndexMode::Rebuild => 0,
-            ComponentIndexMode::Incremental => 1,
-        });
-    }
-
     /// Reconstructs a configuration encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         Ok(Self {
             quantum_size: r.usize()?,
             high_state_threshold: r.u32()?,
@@ -463,24 +468,6 @@ impl DetectorConfig {
                 }
             },
         })
-    }
-}
-
-impl dengraph_json::Encode for DetectorConfig {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for DetectorConfig {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 

@@ -14,6 +14,7 @@
 //! 5. reports the surviving clusters as this quantum's emerging events,
 //!    feeding the long-term [`EventTracker`].
 
+use dengraph_json::{Decode, Encode};
 use dengraph_minhash::UserHasher;
 use dengraph_stream::{Message, Quantum};
 use dengraph_text::{KeywordId, KeywordInterner, NounHeuristic};
@@ -144,63 +145,6 @@ impl QuantumSummary {
     }
 }
 
-/// Cumulative wall-clock spent in each stage of the per-quantum pipeline
-/// since the detector was created (or restored — timings are diagnostics,
-/// not state, so they are never serialised).
-///
-/// The seven buckets mirror the pipeline described on [`EventDetector`]:
-/// window aggregation, the AKG's read-only score phase, the AKG's serial
-/// apply phase, the incremental component-index maintenance folded into
-/// that apply phase (attributed separately, and subtracted from
-/// `akg_apply_ns` so the buckets stay disjoint), cluster maintenance, the
-/// ranking-support pass, and the rank-filter-report loop.  `bench_smoke`
-/// publishes these as `stage_ms` so perf PRs can attribute their wins.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimes {
-    /// Stage 1: quantum aggregation + window slide, in nanoseconds.
-    pub window_ns: u64,
-    /// Stage 2a: AKG candidate collection + correlation scoring (read-only).
-    pub akg_score_ns: u64,
-    /// Stage 2b: AKG mutation (stale removal, admission, edge apply, demotion).
-    pub akg_apply_ns: u64,
-    /// Stage 2c: incremental component-index maintenance (union/splits)
-    /// performed in lock step with the AKG mutations of stage 2b.
-    pub component_ns: u64,
-    /// Stage 3: cluster maintenance from AKG deltas.
-    pub cluster_ns: u64,
-    /// Stage 4: the sharded ranking-support (window user count) pass.
-    pub ranking_ns: u64,
-    /// Stage 5: rank, filter, sort and report.
-    pub report_ns: u64,
-}
-
-impl StageTimes {
-    /// Total time across all stages, in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.window_ns
-            + self.akg_score_ns
-            + self.akg_apply_ns
-            + self.component_ns
-            + self.cluster_ns
-            + self.ranking_ns
-            + self.report_ns
-    }
-
-    /// The stages as `(name, milliseconds)` pairs, pipeline order.
-    pub fn as_millis(&self) -> [(&'static str, f64); 7] {
-        let ms = |ns: u64| ns as f64 / 1e6;
-        [
-            ("window", ms(self.window_ns)),
-            ("akg_score", ms(self.akg_score_ns)),
-            ("akg_apply", ms(self.akg_apply_ns)),
-            ("component", ms(self.component_ns)),
-            ("cluster", ms(self.cluster_ns)),
-            ("ranking", ms(self.ranking_ns)),
-            ("report", ms(self.report_ns)),
-        ]
-    }
-}
-
 /// The streaming event detector.
 #[derive(Debug)]
 pub struct EventDetector {
@@ -213,7 +157,6 @@ pub struct EventDetector {
     buffer: Vec<Message>,
     next_quantum: u64,
     total_messages: u64,
-    stage_times: StageTimes,
     /// Reusable per-quantum buffers (never part of checkpoints; a fresh
     /// arena produces bit-identical output to a warmed one).
     scratch: ScratchArena,
@@ -262,21 +205,6 @@ impl NounFilter {
 const WINDOW_HASHER_SEED: u64 = 0x5EED_CAFE;
 
 impl EventDetector {
-    /// Creates a detector with the given configuration.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid (see
-    /// [`DetectorConfig::validate`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `dengraph_core::DetectorBuilder`, whose `build()` returns a typed \
-                `ConfigError` instead of panicking on bad configuration"
-    )]
-    pub fn new(config: DetectorConfig) -> Self {
-        config.validate().expect("invalid detector configuration");
-        Self::from_config(config)
-    }
-
     /// Creates a detector from an already-validated configuration.  Callers
     /// outside this crate go through
     /// [`DetectorBuilder`](crate::session::DetectorBuilder), which enforces
@@ -300,21 +228,10 @@ impl EventDetector {
             buffer: Vec::with_capacity(config.quantum_size),
             next_quantum: 0,
             total_messages: 0,
-            stage_times: StageTimes::default(),
             scratch: ScratchArena::default(),
             window,
             config,
         }
-    }
-
-    /// Creates a detector with the nominal configuration of Table 2.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `dengraph_core::DetectorBuilder::new().build()` (the builder defaults \
-                to the nominal configuration of Table 2)"
-    )]
-    pub fn with_nominal_config() -> Self {
-        Self::from_config(DetectorConfig::nominal())
     }
 
     /// Enables the noun-based precision filter by supplying the keyword
@@ -386,19 +303,6 @@ impl EventDetector {
         self.buffer.len()
     }
 
-    /// Cumulative per-stage wall-clock since construction (or restore).
-    /// Diagnostics only — never serialised, and identical configurations
-    /// produce identical *outputs* regardless of what this reports.
-    pub fn stage_times(&self) -> StageTimes {
-        let (score_ns, apply_ns, component_ns) = self.akg.stage_ns();
-        StageTimes {
-            akg_score_ns: score_ns,
-            akg_apply_ns: apply_ns,
-            component_ns,
-            ..self.stage_times
-        }
-    }
-
     /// Streams a single message into the detector.  When the internal
     /// buffer reaches the configured quantum size Δ, the quantum is
     /// processed and its summary returned.
@@ -452,7 +356,6 @@ impl EventDetector {
         //    chunks per the configured parallelism).  The record's backing
         //    storage is recycled from the quantum that slides out, and the
         //    AKG reads it in place from the window — no clone.
-        let stage_start = std::time::Instant::now();
         let storage = self.scratch.record_storage.take().unwrap_or_default();
         let record = QuantumRecord::from_messages_into(
             quantum,
@@ -467,7 +370,6 @@ impl EventDetector {
         if let Some(old) = evicted {
             self.scratch.record_storage = Some(old.into_storage());
         }
-        self.stage_times.window_ns += stage_start.elapsed().as_nanos() as u64;
 
         // 2. AKG maintenance.  The hysteresis callback consults the cluster
         //    registry as it stood at the end of the previous quantum.
@@ -483,8 +385,7 @@ impl EventDetector {
         // 3. Cluster maintenance, sharded by AKG connected component.  The
         //    partition comes from the persistent component index the AKG
         //    maintainer keeps in lock step (O(deltas)); Rebuild mode is the
-        //    from-scratch ablation the bench measures the index against.
-        let stage_start = std::time::Instant::now();
+        //    from-scratch ablation the equivalence suites compare it to.
         match self.config.component_index_mode {
             crate::config::ComponentIndexMode::Incremental => self.clusters.apply_deltas_indexed(
                 self.akg.graph(),
@@ -500,16 +401,12 @@ impl EventDetector {
                 self.config.parallelism,
             ),
         }
-        self.stage_times.cluster_ns += stage_start.elapsed().as_nanos() as u64;
 
         // 4 + 5. Rank, filter and report.
-        let (events, ranking_ns, report_ns) = self.report_events(quantum);
-        self.stage_times.ranking_ns += ranking_ns;
-        let stage_start = std::time::Instant::now();
+        let events = self.report_events(quantum);
         for e in &events {
             self.tracker.observe(e);
         }
-        self.stage_times.report_ns += report_ns + stage_start.elapsed().as_nanos() as u64;
 
         #[cfg(feature = "invariants")]
         if let Err(e) = self.validate_invariants() {
@@ -668,7 +565,6 @@ impl EventDetector {
                 .collect::<dengraph_json::Result<_>>()?,
             next_quantum: value.get("next_quantum")?.as_u64()?,
             total_messages: value.get("total_messages")?.as_u64()?,
-            stage_times: StageTimes::default(),
             scratch: ScratchArena::default(),
             config,
         })
@@ -793,7 +689,6 @@ impl EventDetector {
             buffer,
             next_quantum: r.u64()?,
             total_messages: r.u64()?,
-            stage_times: StageTimes::default(),
             scratch: ScratchArena::default(),
             config,
         })
@@ -813,7 +708,6 @@ impl EventDetector {
         format: dengraph_json::WireFormat,
         w: &mut dengraph_json::BinWriter,
     ) {
-        use dengraph_json::Encode as _;
         let record = self.window.current().expect("a quantum was just processed");
         debug_assert_eq!(record.index, summary.quantum, "summary is stale");
         crate::checkpoint::DeltaRecordView {
@@ -871,11 +765,8 @@ impl EventDetector {
     /// one sharded pass before the serial rank-and-filter loop.  That
     /// loop makes one pass per cluster ([`rank_and_support`]: rank,
     /// support and the sorted member column together) and allocates
-    /// exactly the keyword list of each event it reports.  Returns the
-    /// events plus the nanoseconds spent in the support pass and the
-    /// rank/filter loop.
-    fn report_events(&mut self, quantum: u64) -> (Vec<DetectedEvent>, u64, u64) {
-        let ranking_start = std::time::Instant::now();
+    /// exactly the keyword list of each event it reports.
+    fn report_events(&mut self, quantum: u64) -> Vec<DetectedEvent> {
         let Self {
             config,
             window,
@@ -908,8 +799,6 @@ impl EventDetector {
                 .map(|i| counts[i])
                 .unwrap_or(0)
         };
-        let ranking_ns = ranking_start.elapsed().as_nanos() as u64;
-        let report_start = std::time::Instant::now();
         let mut noun_filter = noun_filter.as_mut().filter(|_| config.require_noun);
         let rank_threshold = config.rank_report_threshold();
         let mut events: Vec<DetectedEvent> = Vec::with_capacity(clusters.cluster_count());
@@ -942,7 +831,7 @@ impl EventDetector {
                 .total_cmp(&a.rank)
                 .then(a.cluster_id.cmp(&b.cluster_id))
         });
-        (events, ranking_ns, report_start.elapsed().as_nanos() as u64)
+        events
     }
 }
 
@@ -1069,43 +958,6 @@ mod tests {
                 }
             }
             out
-        }
-    }
-
-    #[test]
-    fn delta_record_view_encodes_identically() {
-        use dengraph_json::{Encode as _, WireFormat};
-        let config = cfg();
-        let mut det = detector(config.clone());
-        let mut summaries = det.push_message_all(event_quantum(&config, 6, 100, &[1, 2, 3], 0));
-        summaries.extend(det.push_message_all(event_quantum(
-            &config,
-            6,
-            200,
-            &[1, 2, 3, 4],
-            1_000,
-        )));
-        let summary = summaries.last().expect("two quanta processed");
-        assert!(!summary.events.is_empty(), "fixture must exercise events");
-        // The owned record the hot path used to build and encode.
-        let owned = crate::checkpoint::DeltaRecord {
-            record: det
-                .window
-                .current()
-                .expect("a quantum was just processed")
-                .clone(),
-            akg_deltas: det.scratch.deltas.clone(),
-            akg_stats: det.akg.last_stats(),
-            events: summary.events.clone(),
-        };
-        for format in [WireFormat::Json, WireFormat::Binary] {
-            let mut w = dengraph_json::BinWriter::new();
-            det.encode_delta_record(summary, format, &mut w);
-            assert_eq!(
-                w.into_bytes(),
-                owned.encode(format),
-                "borrowed view must encode byte-identically ({format})"
-            );
         }
     }
 
@@ -1275,18 +1127,5 @@ mod tests {
         );
         // The cluster itself still exists; only reporting is filtered.
         assert_eq!(det.clusters().cluster_count(), 1);
-    }
-
-    /// Pins the deprecated constructor's panic-on-error contract for as
-    /// long as it exists; everything else goes through `DetectorBuilder`
-    /// (or `from_config` for in-crate tests).
-    #[test]
-    #[should_panic(expected = "invalid detector configuration")]
-    #[allow(deprecated)]
-    fn invalid_config_is_rejected() {
-        let _ = EventDetector::new(DetectorConfig {
-            quantum_size: 0,
-            ..Default::default()
-        });
     }
 }

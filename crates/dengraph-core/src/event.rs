@@ -10,7 +10,7 @@
 //! considered spurious".
 
 use dengraph_graph::fxhash::FxHashMap;
-use dengraph_json::{JsonWriter, Value};
+use dengraph_json::{Decode, Encode, JsonWriter, Value};
 use dengraph_text::KeywordId;
 
 use crate::cluster::ClusterId;
@@ -62,17 +62,6 @@ pub struct DetectedEvent {
 }
 
 impl DetectedEvent {
-    /// Serialises the snapshot to a [`dengraph_json::Value`].
-    pub fn to_json(&self) -> Value {
-        Value::obj([
-            ("cluster_id", Value::from(self.cluster_id.0)),
-            ("quantum", Value::from(self.quantum)),
-            ("keywords", keywords_to_json(&self.keywords)),
-            ("rank", Value::from(self.rank)),
-            ("support", Value::from(self.support)),
-        ])
-    }
-
     /// Streams the object [`Self::to_json`] builds, byte for byte.
     pub fn write_json(&self, w: &mut JsonWriter<'_>) {
         w.begin_obj();
@@ -88,9 +77,33 @@ impl DetectedEvent {
         w.u64(self.support as u64);
         w.end_obj();
     }
+}
 
+impl Encode for DetectedEvent {
+    /// Serialises the snapshot to a [`dengraph_json::Value`].
+    fn to_json(&self) -> Value {
+        Value::obj([
+            ("cluster_id", Value::from(self.cluster_id.0)),
+            ("quantum", Value::from(self.quantum)),
+            ("keywords", keywords_to_json(&self.keywords)),
+            ("rank", Value::from(self.rank)),
+            ("support", Value::from(self.support)),
+        ])
+    }
+
+    /// Appends the compact binary encoding.
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        w.u64(self.cluster_id.0);
+        w.u64(self.quantum);
+        keywords_to_bin(&self.keywords, w);
+        w.f64(self.rank);
+        w.usize(self.support);
+    }
+}
+
+impl Decode for DetectedEvent {
     /// Reconstructs a snapshot serialised by [`Self::to_json`].
-    pub fn from_json(value: &Value) -> dengraph_json::Result<Self> {
+    fn from_json(value: &Value) -> dengraph_json::Result<Self> {
         Ok(Self {
             cluster_id: ClusterId(value.get("cluster_id")?.as_u64()?),
             quantum: value.get("quantum")?.as_u64()?,
@@ -100,17 +113,8 @@ impl DetectedEvent {
         })
     }
 
-    /// Appends the compact binary encoding.
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        w.u64(self.cluster_id.0);
-        w.u64(self.quantum);
-        keywords_to_bin(&self.keywords, w);
-        w.f64(self.rank);
-        w.usize(self.support);
-    }
-
     /// Reconstructs a snapshot encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         Ok(Self {
             cluster_id: ClusterId(r.u64()?),
             quantum: r.u64()?,
@@ -118,24 +122,6 @@ impl DetectedEvent {
             rank: r.f64()?,
             support: r.usize()?,
         })
-    }
-}
-
-impl dengraph_json::Encode for DetectedEvent {
-    fn encode_json(&self) -> Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for DetectedEvent {
-    fn decode_json(value: &Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 
@@ -193,54 +179,6 @@ impl EventRecord {
             return true;
         }
         self.rank_history.windows(2).all(|w| w[1].1 <= w[0].1)
-    }
-
-    /// Serialises the full record, `initial_size` included.
-    pub fn to_json(&self) -> Value {
-        Value::obj([
-            ("cluster_id", Value::from(self.cluster_id.0)),
-            ("first_seen", Value::from(self.first_seen)),
-            ("last_seen", Value::from(self.last_seen)),
-            ("keywords", keywords_to_json(&self.keywords)),
-            ("all_keywords", keywords_to_json(&self.all_keywords)),
-            (
-                "rank_history",
-                Value::arr(
-                    self.rank_history
-                        .iter()
-                        .map(|&(q, r)| Value::arr([Value::from(q), Value::from(r)])),
-                ),
-            ),
-            ("peak_rank", Value::from(self.peak_rank)),
-            ("peak_support", Value::from(self.peak_support)),
-            ("initial_size", Value::from(self.initial_size)),
-        ])
-    }
-
-    /// Reconstructs a record serialised by [`Self::to_json`].
-    pub fn from_json(value: &Value) -> dengraph_json::Result<Self> {
-        let mut rank_history = Vec::new();
-        for pair in value.get("rank_history")?.as_arr()? {
-            let parts = pair.as_arr()?;
-            if parts.len() != 2 {
-                return Err(dengraph_json::JsonError {
-                    message: format!("rank history pair has {} elements", parts.len()),
-                    offset: 0,
-                });
-            }
-            rank_history.push((parts[0].as_u64()?, parts[1].as_f64()?));
-        }
-        Ok(Self {
-            cluster_id: ClusterId(value.get("cluster_id")?.as_u64()?),
-            first_seen: value.get("first_seen")?.as_u64()?,
-            last_seen: value.get("last_seen")?.as_u64()?,
-            keywords: keywords_from_json(value.get("keywords")?)?,
-            all_keywords: keywords_from_json(value.get("all_keywords")?)?,
-            rank_history,
-            peak_rank: value.get("peak_rank")?.as_f64()?,
-            peak_support: value.get("peak_support")?.as_usize()?,
-            initial_size: value.get("initial_size")?.as_usize()?,
-        })
     }
 
     /// Streams the *report* form of the record — what a
@@ -303,10 +241,34 @@ impl EventRecord {
         };
         Ok(reports)
     }
+}
+
+impl Encode for EventRecord {
+    /// Serialises the full record, `initial_size` included.
+    fn to_json(&self) -> Value {
+        Value::obj([
+            ("cluster_id", Value::from(self.cluster_id.0)),
+            ("first_seen", Value::from(self.first_seen)),
+            ("last_seen", Value::from(self.last_seen)),
+            ("keywords", keywords_to_json(&self.keywords)),
+            ("all_keywords", keywords_to_json(&self.all_keywords)),
+            (
+                "rank_history",
+                Value::arr(
+                    self.rank_history
+                        .iter()
+                        .map(|&(q, r)| Value::arr([Value::from(q), Value::from(r)])),
+                ),
+            ),
+            ("peak_rank", Value::from(self.peak_rank)),
+            ("peak_support", Value::from(self.peak_support)),
+            ("initial_size", Value::from(self.initial_size)),
+        ])
+    }
 
     /// Appends the compact binary encoding.  Rank-history quanta are
     /// ascending (one report per quantum), so they delta-encode.
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         w.u64(self.cluster_id.0);
         w.u64(self.first_seen);
         w.u64(self.last_seen);
@@ -323,9 +285,37 @@ impl EventRecord {
         w.usize(self.peak_support);
         w.usize(self.initial_size);
     }
+}
+
+impl Decode for EventRecord {
+    /// Reconstructs a record serialised by [`Self::to_json`].
+    fn from_json(value: &Value) -> dengraph_json::Result<Self> {
+        let mut rank_history = Vec::new();
+        for pair in value.get("rank_history")?.as_arr()? {
+            let parts = pair.as_arr()?;
+            if parts.len() != 2 {
+                return Err(dengraph_json::JsonError {
+                    message: format!("rank history pair has {} elements", parts.len()),
+                    offset: 0,
+                });
+            }
+            rank_history.push((parts[0].as_u64()?, parts[1].as_f64()?));
+        }
+        Ok(Self {
+            cluster_id: ClusterId(value.get("cluster_id")?.as_u64()?),
+            first_seen: value.get("first_seen")?.as_u64()?,
+            last_seen: value.get("last_seen")?.as_u64()?,
+            keywords: keywords_from_json(value.get("keywords")?)?,
+            all_keywords: keywords_from_json(value.get("all_keywords")?)?,
+            rank_history,
+            peak_rank: value.get("peak_rank")?.as_f64()?,
+            peak_support: value.get("peak_support")?.as_usize()?,
+            initial_size: value.get("initial_size")?.as_usize()?,
+        })
+    }
 
     /// Reconstructs a record encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         let cluster_id = ClusterId(r.u64()?);
         let first_seen = r.u64()?;
         let last_seen = r.u64()?;
@@ -358,24 +348,6 @@ impl EventRecord {
             peak_support: r.usize()?,
             initial_size: r.usize()?,
         })
-    }
-}
-
-impl dengraph_json::Encode for EventRecord {
-    fn encode_json(&self) -> Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for EventRecord {
-    fn decode_json(value: &Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 
@@ -485,10 +457,12 @@ impl EventTracker {
     pub fn get(&self, cluster_id: ClusterId) -> Option<&EventRecord> {
         self.records.get(&cluster_id)
     }
+}
 
+impl Encode for EventTracker {
     /// Serialises every record, ordered by cluster id for a canonical
     /// encoding.
-    pub fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value {
         let mut ids: Vec<ClusterId> = self.records.keys().copied().collect();
         ids.sort_unstable();
         Value::obj([(
@@ -497,8 +471,21 @@ impl EventTracker {
         )])
     }
 
+    /// Appends the compact binary encoding: every record, ordered by
+    /// cluster id.
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        let mut records: Vec<(&ClusterId, &EventRecord)> = self.records.iter().collect();
+        records.sort_unstable_by_key(|&(id, _)| *id);
+        w.usize(records.len());
+        for (_, record) in records {
+            record.to_bin(w);
+        }
+    }
+}
+
+impl Decode for EventTracker {
     /// Reconstructs a tracker serialised by [`Self::to_json`].
-    pub fn from_json(value: &Value) -> dengraph_json::Result<Self> {
+    fn from_json(value: &Value) -> dengraph_json::Result<Self> {
         let mut records = FxHashMap::default();
         for encoded in value.get("records")?.as_arr()? {
             let record = EventRecord::from_json(encoded)?;
@@ -507,19 +494,8 @@ impl EventTracker {
         Ok(Self { records })
     }
 
-    /// Appends the compact binary encoding: every record, ordered by
-    /// cluster id.
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        let mut records: Vec<(&ClusterId, &EventRecord)> = self.records.iter().collect();
-        records.sort_unstable_by_key(|&(id, _)| *id);
-        w.usize(records.len());
-        for (_, record) in records {
-            record.to_bin(w);
-        }
-    }
-
     /// Reconstructs a tracker encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         let count = r.seq_len(8)?;
         let mut records = FxHashMap::default();
         for _ in 0..count {
@@ -527,24 +503,6 @@ impl EventTracker {
             records.insert(record.cluster_id, record);
         }
         Ok(Self { records })
-    }
-}
-
-impl dengraph_json::Encode for EventTracker {
-    fn encode_json(&self) -> Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for EventTracker {
-    fn decode_json(value: &Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 

@@ -96,6 +96,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use dengraph_graph::fxhash::FxHashSet;
+use dengraph_json::{Decode, Encode};
 use dengraph_minhash::sketch::MAX_DECODED_SKETCH_SIZE;
 use dengraph_minhash::{kernel, MinHashSketch, SketchLanes, UserHasher};
 use dengraph_parallel::{par_chunks, par_map, Parallelism};
@@ -260,11 +261,13 @@ impl QuantumRecord {
             .iter()
             .map(move |&(k, s, e)| (k, &self.users[s as usize..e as usize]))
     }
+}
 
+impl Encode for QuantumRecord {
     /// Serialises the record to a [`dengraph_json::Value`]: the quantum
     /// index, message count, and one `[keyword, [users…]]` pair per keyword
     /// (keywords and users sorted, so the encoding is canonical).
-    pub fn to_json(&self) -> dengraph_json::Value {
+    fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         Value::obj([
             ("index", Value::from(self.index)),
@@ -281,9 +284,29 @@ impl QuantumRecord {
         ])
     }
 
+    /// Appends the compact binary encoding — the record's flat layout
+    /// written almost verbatim: the delta-encoded keyword column of the
+    /// span table, then each span's sorted user run as a delta column.
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        w.u64(self.index);
+        w.usize(self.message_count);
+        w.delta_u32s(self.spans.iter().map(|&(k, _, _)| k.0));
+        for &(_, s, e) in &self.spans {
+            // UserId is a transparent u64 wrapper; encode the raw column.
+            w.usize((e - s) as usize);
+            let mut prev = 0u64;
+            for (i, u) in self.users[s as usize..e as usize].iter().enumerate() {
+                w.u64(if i == 0 { u.0 } else { u.0 - prev });
+                prev = u.0;
+            }
+        }
+    }
+}
+
+impl Decode for QuantumRecord {
     /// Reconstructs a record serialised by [`Self::to_json`].  The input
     /// need not be canonically ordered; the decoder re-sorts.
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         let mut pairs: Vec<(KeywordId, UserId)> = Vec::new();
         for pair in value.get("keywords")?.as_arr()? {
             let parts = pair.as_arr()?;
@@ -309,29 +332,11 @@ impl QuantumRecord {
         })
     }
 
-    /// Appends the compact binary encoding — the record's flat layout
-    /// written almost verbatim: the delta-encoded keyword column of the
-    /// span table, then each span's sorted user run as a delta column.
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        w.u64(self.index);
-        w.usize(self.message_count);
-        w.delta_u32s(self.spans.iter().map(|&(k, _, _)| k.0));
-        for &(_, s, e) in &self.spans {
-            // UserId is a transparent u64 wrapper; encode the raw column.
-            w.usize((e - s) as usize);
-            let mut prev = 0u64;
-            for (i, u) in self.users[s as usize..e as usize].iter().enumerate() {
-                w.u64(if i == 0 { u.0 } else { u.0 - prev });
-                prev = u.0;
-            }
-        }
-    }
-
     /// Reconstructs a record encoded by [`Self::to_bin`].  Unlike the JSON
     /// decoder, the binary decoder accepts only the canonical form —
     /// strictly ascending keywords and strictly ascending users per span —
     /// and rejects anything else as corrupt.
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         let corrupt = |r: &dengraph_json::BinReader<'_>, message: &str| dengraph_json::JsonError {
             message: message.into(),
             offset: r.pos(),
@@ -372,24 +377,6 @@ impl QuantumRecord {
             users,
             spans,
         })
-    }
-}
-
-impl dengraph_json::Encode for QuantumRecord {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for QuantumRecord {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 
@@ -1730,75 +1717,6 @@ impl WindowState {
         Ok(())
     }
 
-    /// Serialises the window — capacity, sketch parameters, hasher seed,
-    /// the retained quantum records (oldest first) and, under
-    /// [`WindowIndexMode::Incremental`], the index's threshold and live
-    /// keyword ids.  The index's columns are a function of the records and
-    /// are not written.
-    pub fn to_json(&self) -> dengraph_json::Value {
-        use dengraph_json::Value;
-        Value::obj([
-            ("capacity", Value::from(self.capacity)),
-            ("sketch_size", Value::from(self.sketch_size)),
-            ("seed", Value::from(self.hasher.seed())),
-            (
-                "mode",
-                Value::str(match self.mode() {
-                    WindowIndexMode::Rebuild => "rebuild",
-                    WindowIndexMode::Incremental => "incremental",
-                }),
-            ),
-            (
-                "records",
-                Value::arr(self.window.iter().map(|r| r.to_json())),
-            ),
-            (
-                "index",
-                match &self.index {
-                    Some(index) => index.to_json(),
-                    None => Value::Null,
-                },
-            ),
-        ])
-    }
-
-    /// Reconstructs a window serialised by [`Self::to_json`], by this
-    /// version or by one that still wrote the index's entries.  The
-    /// restored window is `==` the original: the records round-trip and
-    /// the index is rebuilt from them.
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let header = match (value.get("mode")?.as_str()?, value.get_opt("index")?) {
-            ("rebuild", _) => None,
-            ("incremental", Some(index)) => Some(WindowIndex::header_from_json(index)?),
-            ("incremental", None) => {
-                return Err(dengraph_json::JsonError {
-                    message: "incremental window is missing its index".into(),
-                    offset: 0,
-                })
-            }
-            (other, _) => {
-                return Err(dengraph_json::JsonError {
-                    message: format!("unknown window mode '{other}'"),
-                    offset: 0,
-                })
-            }
-        };
-        let window: VecDeque<QuantumRecord> = value
-            .get("records")?
-            .as_arr()?
-            .iter()
-            .map(QuantumRecord::from_json)
-            .collect::<dengraph_json::Result<_>>()?;
-        Self::from_decoded(
-            value.get("capacity")?.as_usize()?,
-            value.get("sketch_size")?.as_usize()?,
-            value.get("seed")?.as_u64()?,
-            window,
-            header,
-            0,
-        )
-    }
-
     /// The shared tail of both decoders: checks the geometry a decoder
     /// must not act on unchecked, then rebuilds the index (if the document
     /// has one) from the decoded records.
@@ -1849,6 +1767,40 @@ impl WindowState {
             index,
         })
     }
+}
+
+impl Encode for WindowState {
+    /// Serialises the window — capacity, sketch parameters, hasher seed,
+    /// the retained quantum records (oldest first) and, under
+    /// [`WindowIndexMode::Incremental`], the index's threshold and live
+    /// keyword ids.  The index's columns are a function of the records and
+    /// are not written.
+    fn to_json(&self) -> dengraph_json::Value {
+        use dengraph_json::Value;
+        Value::obj([
+            ("capacity", Value::from(self.capacity)),
+            ("sketch_size", Value::from(self.sketch_size)),
+            ("seed", Value::from(self.hasher.seed())),
+            (
+                "mode",
+                Value::str(match self.mode() {
+                    WindowIndexMode::Rebuild => "rebuild",
+                    WindowIndexMode::Incremental => "incremental",
+                }),
+            ),
+            (
+                "records",
+                Value::arr(self.window.iter().map(|r| r.to_json())),
+            ),
+            (
+                "index",
+                match &self.index {
+                    Some(index) => index.to_json(),
+                    None => Value::Null,
+                },
+            ),
+        ])
+    }
 
     /// Appends the compact binary encoding — geometry, hasher seed, a mode
     /// byte, the retained records (oldest first) and, in incremental mode,
@@ -1858,7 +1810,7 @@ impl WindowState {
     /// rebuild mode, nothing; `2` — incremental, the live list.  Byte `1`
     /// (incremental, every entry's columns and sub-sketches) is what
     /// earlier versions wrote; [`Self::from_bin`] still reads it.
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         w.usize(self.capacity);
         w.usize(self.sketch_size);
         w.u64(self.hasher.seed());
@@ -1874,10 +1826,49 @@ impl WindowState {
             index.to_bin(w);
         }
     }
+}
+
+impl Decode for WindowState {
+    /// Reconstructs a window serialised by [`Self::to_json`], by this
+    /// version or by one that still wrote the index's entries.  The
+    /// restored window is `==` the original: the records round-trip and
+    /// the index is rebuilt from them.
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+        let header = match (value.get("mode")?.as_str()?, value.get_opt("index")?) {
+            ("rebuild", _) => None,
+            ("incremental", Some(index)) => Some(WindowIndex::header_from_json(index)?),
+            ("incremental", None) => {
+                return Err(dengraph_json::JsonError {
+                    message: "incremental window is missing its index".into(),
+                    offset: 0,
+                })
+            }
+            (other, _) => {
+                return Err(dengraph_json::JsonError {
+                    message: format!("unknown window mode '{other}'"),
+                    offset: 0,
+                })
+            }
+        };
+        let window: VecDeque<QuantumRecord> = value
+            .get("records")?
+            .as_arr()?
+            .iter()
+            .map(QuantumRecord::from_json)
+            .collect::<dengraph_json::Result<_>>()?;
+        Self::from_decoded(
+            value.get("capacity")?.as_usize()?,
+            value.get("sketch_size")?.as_usize()?,
+            value.get("seed")?.as_u64()?,
+            window,
+            header,
+            0,
+        )
+    }
 
     /// Reconstructs a window encoded by [`Self::to_bin`] (mode byte 0 or
     /// 2) or by an earlier version (mode byte 1).
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         let capacity = r.usize()?;
         let sketch_size = r.usize()?;
         let seed = r.u64()?;
@@ -1899,24 +1890,6 @@ impl WindowState {
             _ => Some((r.usize()?, r.delta_u32s()?)),
         };
         Self::from_decoded(capacity, sketch_size, seed, window, header, r.pos())
-    }
-}
-
-impl dengraph_json::Encode for WindowState {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for WindowState {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 
@@ -2026,9 +1999,11 @@ impl KeywordStateMachine {
     pub fn high_count(&self) -> usize {
         self.high_count
     }
+}
 
+impl Encode for KeywordStateMachine {
     /// Serialises the machine as the sorted list of High keywords.
-    pub fn to_json(&self) -> dengraph_json::Value {
+    fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         let high = self.high_bits.iter().enumerate().flat_map(|(w, &bits)| {
             (0..64)
@@ -2038,21 +2013,9 @@ impl KeywordStateMachine {
         Value::obj([("high", Value::arr(high))])
     }
 
-    /// Reconstructs a machine serialised by [`Self::to_json`].
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let mut machine = Self::new();
-        for k in value.get("high")?.as_arr()? {
-            let keyword = KeywordId(k.as_u32()?);
-            check_keyword_index(keyword.index(), 0)?;
-            // `observe` with a saturated count is exactly "force High".
-            machine.observe(keyword, 1, 1);
-        }
-        Ok(machine)
-    }
-
     /// Appends the compact binary encoding: the sorted High keywords as
     /// one delta column.
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         // Walks the set bits only: the bitset spans the whole vocabulary
         // and a snapshot runs inside a quantum's latency.
         let mut high: Vec<u32> = Vec::with_capacity(self.high_count);
@@ -2065,33 +2028,29 @@ impl KeywordStateMachine {
         }
         w.delta_u32s(high.iter().copied());
     }
+}
+
+impl Decode for KeywordStateMachine {
+    /// Reconstructs a machine serialised by [`Self::to_json`].
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+        let mut machine = Self::new();
+        for k in value.get("high")?.as_arr()? {
+            let keyword = KeywordId(k.as_u32()?);
+            check_keyword_index(keyword.index(), 0)?;
+            // `observe` with a saturated count is exactly "force High".
+            machine.observe(keyword, 1, 1);
+        }
+        Ok(machine)
+    }
 
     /// Reconstructs a machine encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         let mut machine = Self::new();
         for k in r.delta_u32s()? {
             check_keyword_index(k as usize, r.pos())?;
             machine.observe(KeywordId(k), 1, 1);
         }
         Ok(machine)
-    }
-}
-
-impl dengraph_json::Encode for KeywordStateMachine {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for KeywordStateMachine {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 

@@ -79,7 +79,7 @@ pub use checkpoint::{CheckpointJournal, CheckpointMode, DeltaRecord};
 pub use cluster::{Cluster, ClusterId, ClusterMaintainer, ClusterRegistry};
 pub use config::{ComponentIndexMode, ConfigError, DetectorConfig, Parallelism};
 pub use dengraph_json::WireFormat;
-pub use detector::{EventDetector, QuantumSummary, StageTimes};
+pub use detector::{EventDetector, QuantumSummary};
 pub use event::{DetectedEvent, EventRecord, EventTracker};
 pub use keyword_state::WindowIndexMode;
 pub use ranking::cluster_rank;

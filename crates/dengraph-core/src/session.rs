@@ -55,7 +55,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use dengraph_json::{JsonError, JsonWriter, WireFormat};
+use dengraph_json::{Decode, JsonError, JsonWriter, WireFormat};
 use dengraph_stream::{Message, Quantum};
 use dengraph_text::KeywordInterner;
 
@@ -75,7 +75,7 @@ use crate::wal::{self, DurableJournalConfig, RecoveryReport};
 /// Defaults to the paper's nominal configuration (Table 2); every knob of
 /// [`DetectorConfig`] has a builder method.  [`Self::build`] validates the
 /// assembled configuration and returns a typed [`ConfigError`] instead of
-/// panicking — the replacement for the deprecated `EventDetector::new`.
+/// panicking.
 #[derive(Debug, Clone, Default)]
 pub struct DetectorBuilder {
     config: DetectorConfig,
@@ -1129,6 +1129,7 @@ impl DetectorSession {
 mod tests {
     use super::*;
     use crate::config::ConfigError;
+    use dengraph_json::Encode;
     use dengraph_stream::UserId;
     use dengraph_text::KeywordId;
 

@@ -48,14 +48,16 @@
 //!
 //! # Canonical serialization
 //!
-//! The wire encodings ([`ComponentIndex::to_json`] /
-//! [`ComponentIndex::to_bin`]) are **canonical**: sorted member lists,
+//! The wire encodings ([`ComponentIndex`]'s [`dengraph_json::Encode`]
+//! impl) are **canonical**: sorted member lists,
 //! components ordered by their smallest member, plus the edge count.  Slot
 //! numbering and union-find shape never leak into the bytes, so two
 //! indexes describing the same partition — e.g. one maintained
 //! incrementally and one rebuilt after a checkpoint restore — encode
 //! byte-identically, which is what keeps checkpoint/journal round trips
 //! bit-identical.
+
+use dengraph_json::{Decode, Encode};
 
 use crate::dynamic_graph::{DynamicGraph, EdgeKey};
 use crate::fxhash::FxHashMap;
@@ -591,12 +593,23 @@ impl ComponentIndex {
         }
         Ok(())
     }
+}
 
+/// Equality is over the partition (membership + edge counts), independent
+/// of slot numbering and union-find shape — the same relation the
+/// canonical encodings expose.
+impl PartialEq for ComponentIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.canonical_components() == other.canonical_components()
+    }
+}
+
+impl Encode for ComponentIndex {
     /// Serialises the canonical component list to a
     /// [`dengraph_json::Value`]: `{"components": [{"edges": e, "nodes":
     /// [...]}, ...]}` with members and components sorted.  Canonical — two
     /// indexes describing the same partition serialise identically.
-    pub fn to_json(&self) -> dengraph_json::Value {
+    fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         Value::obj([(
             "components",
@@ -616,8 +629,22 @@ impl ComponentIndex {
         )])
     }
 
+    /// Appends the compact binary encoding: the component count, then per
+    /// component the edge count and the delta-encoded sorted member
+    /// column.  Canonical, like [`Self::to_json`].
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        let components = self.canonical_components();
+        w.usize(components.len());
+        for (edges, members) in components {
+            w.u32(edges);
+            w.delta_u32s(members.iter().map(|n| n.0));
+        }
+    }
+}
+
+impl Decode for ComponentIndex {
     /// Reconstructs an index serialised by [`Self::to_json`].
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         let mut index = Self::new();
         for component in value.get("components")?.as_arr()? {
             let edges = component.get("edges")?.as_u32()?;
@@ -632,20 +659,8 @@ impl ComponentIndex {
         Ok(index)
     }
 
-    /// Appends the compact binary encoding: the component count, then per
-    /// component the edge count and the delta-encoded sorted member
-    /// column.  Canonical, like [`Self::to_json`].
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        let components = self.canonical_components();
-        w.usize(components.len());
-        for (edges, members) in components {
-            w.u32(edges);
-            w.delta_u32s(members.iter().map(|n| n.0));
-        }
-    }
-
     /// Reconstructs an index encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         let mut index = Self::new();
         let components = r.seq_len(2)?;
         let mut members = Vec::new();
@@ -661,33 +676,6 @@ impl ComponentIndex {
                 })?;
         }
         Ok(index)
-    }
-}
-
-/// Equality is over the partition (membership + edge counts), independent
-/// of slot numbering and union-find shape — the same relation the
-/// canonical encodings expose.
-impl PartialEq for ComponentIndex {
-    fn eq(&self, other: &Self) -> bool {
-        self.canonical_components() == other.canonical_components()
-    }
-}
-
-impl dengraph_json::Encode for ComponentIndex {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for ComponentIndex {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 

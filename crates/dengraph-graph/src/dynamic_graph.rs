@@ -14,6 +14,8 @@
 //! `memmove`.  [`DynamicGraph::common_neighbors`] becomes a linear merge
 //! of two sorted arrays.
 
+use dengraph_json::{Decode, Encode};
+
 use crate::fxhash::FxHashMap;
 use crate::node::NodeId;
 
@@ -332,11 +334,35 @@ impl DynamicGraph {
         Ok(())
     }
 
+    /// Builds the induced subgraph over `nodes` (keeping weights).
+    pub fn induced_subgraph<'a, I: IntoIterator<Item = &'a NodeId>>(
+        &self,
+        nodes: I,
+    ) -> DynamicGraph {
+        let keep: crate::fxhash::FxHashSet<NodeId> = nodes.into_iter().copied().collect();
+        let mut sub = DynamicGraph::new();
+        for &n in &keep {
+            if self.contains_node(n) {
+                sub.add_node(n);
+            }
+        }
+        for &n in &keep {
+            for (m, w) in self.neighbors_weighted(n) {
+                if n < m && keep.contains(&m) {
+                    sub.add_edge(n, m, w);
+                }
+            }
+        }
+        sub
+    }
+}
+
+impl Encode for DynamicGraph {
     /// Serialises the graph to a [`dengraph_json::Value`]: the sorted node
     /// list plus the sorted `[a, b, weight]` edge list.  The output is
     /// canonical — two graphs with equal contents serialise identically,
     /// regardless of how their adjacency maps were populated.
-    pub fn to_json(&self) -> dengraph_json::Value {
+    fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         let mut nodes: Vec<NodeId> = self.nodes().collect();
         nodes.sort_unstable();
@@ -356,8 +382,30 @@ impl DynamicGraph {
         ])
     }
 
+    /// Appends the compact binary encoding: the delta-encoded sorted node
+    /// column, then the edge list sorted by key with the first endpoint
+    /// delta-encoded (edges sorted by `EdgeKey` repeat their first
+    /// endpoint in runs, so it compresses to near one byte per edge).
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        let mut nodes: Vec<NodeId> = self.nodes().collect();
+        nodes.sort_unstable();
+        w.delta_u32s(nodes.iter().map(|n| n.0));
+        let mut edges: Vec<(EdgeKey, f64)> = self.edges().collect();
+        edges.sort_by_key(|(k, _)| *k);
+        w.usize(edges.len());
+        let mut prev_a = 0u32;
+        for (i, (key, weight)) in edges.iter().enumerate() {
+            w.u32(if i == 0 { key.0 .0 } else { key.0 .0 - prev_a });
+            prev_a = key.0 .0;
+            w.u32(key.1 .0);
+            w.f64(*weight);
+        }
+    }
+}
+
+impl Decode for DynamicGraph {
     /// Reconstructs a graph serialised by [`Self::to_json`].
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         let mut graph = DynamicGraph::new();
         for node in value.get("nodes")?.as_arr()? {
             graph.add_node(NodeId(node.as_u32()?));
@@ -377,28 +425,8 @@ impl DynamicGraph {
         Ok(graph)
     }
 
-    /// Appends the compact binary encoding: the delta-encoded sorted node
-    /// column, then the edge list sorted by key with the first endpoint
-    /// delta-encoded (edges sorted by `EdgeKey` repeat their first
-    /// endpoint in runs, so it compresses to near one byte per edge).
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        let mut nodes: Vec<NodeId> = self.nodes().collect();
-        nodes.sort_unstable();
-        w.delta_u32s(nodes.iter().map(|n| n.0));
-        let mut edges: Vec<(EdgeKey, f64)> = self.edges().collect();
-        edges.sort_by_key(|(k, _)| *k);
-        w.usize(edges.len());
-        let mut prev_a = 0u32;
-        for (i, (key, weight)) in edges.iter().enumerate() {
-            w.u32(if i == 0 { key.0 .0 } else { key.0 .0 - prev_a });
-            prev_a = key.0 .0;
-            w.u32(key.1 .0);
-            w.f64(*weight);
-        }
-    }
-
     /// Reconstructs a graph encoded by [`Self::to_bin`].
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         let mut graph = DynamicGraph::new();
         for n in r.delta_u32s()? {
             graph.add_node(NodeId(n));
@@ -427,46 +455,6 @@ impl DynamicGraph {
             graph.add_edge(NodeId(a), NodeId(b), weight);
         }
         Ok(graph)
-    }
-
-    /// Builds the induced subgraph over `nodes` (keeping weights).
-    pub fn induced_subgraph<'a, I: IntoIterator<Item = &'a NodeId>>(
-        &self,
-        nodes: I,
-    ) -> DynamicGraph {
-        let keep: crate::fxhash::FxHashSet<NodeId> = nodes.into_iter().copied().collect();
-        let mut sub = DynamicGraph::new();
-        for &n in &keep {
-            if self.contains_node(n) {
-                sub.add_node(n);
-            }
-        }
-        for &n in &keep {
-            for (m, w) in self.neighbors_weighted(n) {
-                if n < m && keep.contains(&m) {
-                    sub.add_edge(n, m, w);
-                }
-            }
-        }
-        sub
-    }
-}
-
-impl dengraph_json::Encode for DynamicGraph {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
-    }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
-    }
-}
-
-impl dengraph_json::Decode for DynamicGraph {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
-    }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
     }
 }
 

@@ -11,7 +11,7 @@
 //!   smaller than the JSON text.
 //!
 //! Both encodings of a struct decode to the same value
-//! (`decode(encode_bin(x)) == decode(encode_json(x)) == x`), a property
+//! (`from_bin(to_bin(x)) == from_json(to_json(x)) == x`), a property
 //! gated per struct by seeded loops in `tests/codec_equivalence.rs`.
 //!
 //! The struct-level encodings are headerless; the *document*-level
@@ -63,18 +63,18 @@ impl std::fmt::Display for WireFormat {
 /// Serialises a state struct into either wire format.
 pub trait Encode {
     /// Encodes to the JSON value model (the debugging / fallback format).
-    fn encode_json(&self) -> Value;
+    fn to_json(&self) -> Value;
 
     /// Appends the compact binary encoding to `w`.
-    fn encode_bin(&self, w: &mut BinWriter);
+    fn to_bin(&self, w: &mut BinWriter);
 
     /// Appends the standalone document in the requested format to `w`
     /// (JSON becomes its UTF-8 text) — [`Self::encode`] into a buffer
     /// the caller keeps, e.g. behind a reserved frame header.
     fn encode_into(&self, format: WireFormat, w: &mut BinWriter) {
         match format {
-            WireFormat::Json => w.raw(crate::to_string(&self.encode_json()).as_bytes()),
-            WireFormat::Binary => self.encode_bin(w),
+            WireFormat::Json => w.raw(crate::to_string(&self.to_json()).as_bytes()),
+            WireFormat::Binary => self.to_bin(w),
         }
     }
 
@@ -89,11 +89,11 @@ pub trait Encode {
 /// Deserialises a state struct from either wire format.
 pub trait Decode: Sized {
     /// Decodes from the JSON value model.
-    fn decode_json(value: &Value) -> Result<Self>;
+    fn from_json(value: &Value) -> Result<Self>;
 
     /// Decodes from the binary reader, consuming exactly the bytes
-    /// [`Encode::encode_bin`] wrote.
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self>;
+    /// [`Encode::to_bin`] wrote.
+    fn from_bin(r: &mut BinReader<'_>) -> Result<Self>;
 
     /// Decodes standalone bytes written by [`Encode::encode`] with the
     /// same format.  The whole input must be consumed.
@@ -104,11 +104,11 @@ pub trait Decode: Sized {
                     message: "json document is not valid utf-8".into(),
                     offset: 0,
                 })?;
-                Self::decode_json(&crate::parse(text)?)
+                Self::from_json(&crate::parse(text)?)
             }
             WireFormat::Binary => {
                 let mut r = BinReader::new(bytes);
-                let out = Self::decode_bin(&mut r)?;
+                let out = Self::from_bin(&mut r)?;
                 r.expect_end()?;
                 Ok(out)
             }
@@ -128,23 +128,23 @@ mod tests {
     }
 
     impl Encode for Point {
-        fn encode_json(&self) -> Value {
+        fn to_json(&self) -> Value {
             Value::obj([("x", Value::from(self.x)), ("y", Value::from(self.y))])
         }
-        fn encode_bin(&self, w: &mut BinWriter) {
+        fn to_bin(&self, w: &mut BinWriter) {
             w.u64(self.x);
             w.f64(self.y);
         }
     }
 
     impl Decode for Point {
-        fn decode_json(value: &Value) -> Result<Self> {
+        fn from_json(value: &Value) -> Result<Self> {
             Ok(Self {
                 x: value.get("x")?.as_u64()?,
                 y: value.get("y")?.as_f64()?,
             })
         }
-        fn decode_bin(r: &mut BinReader<'_>) -> Result<Self> {
+        fn from_bin(r: &mut BinReader<'_>) -> Result<Self> {
             Ok(Self {
                 x: r.u64()?,
                 y: r.f64()?,

@@ -1,9 +1,8 @@
 //! Exact Jaccard-coefficient helpers.
 //!
 //! Exact Jaccard is the ground truth for the min-hash estimator and is also
-//! used directly by the ablation benchmark (`minhash_vs_exact`) and by the
-//! evaluation harness when matching discovered clusters against ground-truth
-//! events.
+//! used directly by the evaluation harness when matching discovered clusters
+//! against ground-truth events.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasher, Hash};

@@ -14,8 +14,8 @@
 //!   distinct users are negligible (the paper's birthday-paradox argument).
 //! * [`sketch`] — [`MinHashSketch`], the bounded "p minima" sketch with
 //!   merge / overlap / estimation operations.
-//! * [`jaccard`] — exact Jaccard helpers used by tests, the evaluation
-//!   harness and the ablation benchmarks.
+//! * [`jaccard`] — exact Jaccard helpers used by tests and the evaluation
+//!   harness.
 //! * [`batch`] — batch sketch construction over keyword shards, fanned out
 //!   via `dengraph-parallel` with deterministic (input-order) results.
 //! * [`kernel`] — the batch struct-of-arrays kernels behind all of the

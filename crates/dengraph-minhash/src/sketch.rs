@@ -6,6 +6,8 @@
 //! the fraction of shared minima among the union's `p` smallest values is an
 //! unbiased estimator of the Jaccard coefficient.
 
+use dengraph_json::{Decode, Encode};
+
 use crate::hasher::UserHasher;
 use crate::kernel::{self, SketchLanes};
 
@@ -179,46 +181,6 @@ impl MinHashSketch {
         self.minima.clear();
         self.minima.extend_from_slice(sorted);
     }
-
-    /// Serialises the sketch to a [`dengraph_json::Value`] (`p` plus the
-    /// ascending minima list).
-    pub fn to_json(&self) -> dengraph_json::Value {
-        use dengraph_json::Value;
-        Value::obj([
-            ("p", Value::from(self.p)),
-            (
-                "minima",
-                Value::arr(self.minima.iter().map(|&m| Value::from(m))),
-            ),
-        ])
-    }
-
-    /// Reconstructs a sketch serialised by [`Self::to_json`].
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let mut sketch = Self::new(value.get("p")?.as_usize()?);
-        for m in value.get("minima")?.as_arr()? {
-            sketch.insert_hash(m.as_u64()?);
-        }
-        Ok(sketch)
-    }
-
-    /// Appends the compact binary encoding: `p`, then the ascending minima
-    /// as a delta-encoded column.
-    pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        w.usize(self.p);
-        w.delta_u64s(&self.minima);
-    }
-
-    /// Reconstructs a sketch encoded by [`Self::to_bin`].  The sketch
-    /// size is bounded ([`MAX_DECODED_SKETCH_SIZE`]) so a corrupted
-    /// document cannot drive a huge capacity reservation.
-    pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        let mut sketch = Self::new(decode_sketch_size(r)?);
-        for m in r.delta_u64s()? {
-            sketch.insert_hash(m);
-        }
-        Ok(sketch)
-    }
 }
 
 /// Upper bound on the sketch size `p` accepted by the binary decoders.
@@ -240,21 +202,47 @@ fn decode_sketch_size(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Re
     Ok(p)
 }
 
-impl dengraph_json::Encode for MinHashSketch {
-    fn encode_json(&self) -> dengraph_json::Value {
-        self.to_json()
+impl Encode for MinHashSketch {
+    /// Serialises the sketch to a [`dengraph_json::Value`] (`p` plus the
+    /// ascending minima list).
+    fn to_json(&self) -> dengraph_json::Value {
+        use dengraph_json::Value;
+        Value::obj([
+            ("p", Value::from(self.p)),
+            (
+                "minima",
+                Value::arr(self.minima.iter().map(|&m| Value::from(m))),
+            ),
+        ])
     }
-    fn encode_bin(&self, w: &mut dengraph_json::BinWriter) {
-        self.to_bin(w)
+
+    /// Appends the compact binary encoding: `p`, then the ascending minima
+    /// as a delta-encoded column.
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        w.usize(self.p);
+        w.delta_u64s(&self.minima);
     }
 }
 
-impl dengraph_json::Decode for MinHashSketch {
-    fn decode_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json(value)
+impl Decode for MinHashSketch {
+    /// Reconstructs a sketch serialised by [`Self::to_json`].
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+        let mut sketch = Self::new(value.get("p")?.as_usize()?);
+        for m in value.get("minima")?.as_arr()? {
+            sketch.insert_hash(m.as_u64()?);
+        }
+        Ok(sketch)
     }
-    fn decode_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin(r)
+
+    /// Reconstructs a sketch encoded by [`Self::to_bin`].  The sketch
+    /// size is bounded ([`MAX_DECODED_SKETCH_SIZE`]) so a corrupted
+    /// document cannot drive a huge capacity reservation.
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+        let mut sketch = Self::new(decode_sketch_size(r)?);
+        for m in r.delta_u64s()? {
+            sketch.insert_hash(m);
+        }
+        Ok(sketch)
     }
 }
 
@@ -262,6 +250,7 @@ impl dengraph_json::Decode for MinHashSketch {
 mod tests {
     use super::*;
     use crate::jaccard::exact_jaccard;
+    use dengraph_json::{Decode, Encode};
     use std::collections::HashSet;
 
     fn hasher() -> UserHasher {

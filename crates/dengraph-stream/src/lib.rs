@@ -4,8 +4,7 @@
 //! (a geo-filtered ground-truth trace plus the "Time Window" and "Event
 //! Specific" traces of Section 7.2) and on Google News headlines as ground
 //! truth.  Those artefacts cannot be redistributed, so this crate provides
-//! the closest synthetic equivalent (see DESIGN.md for the substitution
-//! argument):
+//! the closest synthetic equivalent:
 //!
 //! * [`message`] — the `(user, time, keyword set)` message model consumed by
 //!   the detector; everything downstream is agnostic about where messages

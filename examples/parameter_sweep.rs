@@ -2,8 +2,8 @@
 //! correlation threshold τ, on a small Time-Window trace.
 //!
 //! This is a fast, console-sized version of Figures 7–10 (the full sweep
-//! lives in the benchmark harness: `cargo run -p dengraph-bench --release
-//! --bin fig7_10_precision_recall`).
+//! is a paper-table binary: `cargo run -p dengraph-bench --release --bin
+//! fig7_10_precision_recall`).
 //!
 //! Run with: `cargo run -p dengraph-examples --release --example parameter_sweep`
 

@@ -32,6 +32,7 @@ use dengraph_core::{
     QuantumSummary, VecSink, WindowIndexMode, WireFormat,
 };
 use dengraph_graph::{DynamicGraph, NodeId};
+use dengraph_json::{Decode, Encode};
 use dengraph_minhash::UserHasher;
 use dengraph_stream::generator::profiles::{es_profile, tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace, UserId};

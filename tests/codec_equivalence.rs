@@ -7,7 +7,7 @@
 //! randomly built instances:
 //!
 //! ```text
-//! decode(encode_json(x)) == x == decode(encode_bin(x))
+//! from_json(to_json(x)) == x == from_bin(to_bin(x))
 //! ```
 //!
 //! plus the size motivation (binary never larger than JSON) and — for the
@@ -20,13 +20,14 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::cluster::ClusterId;
-use dengraph_core::cluster::{edge_addition, edge_deletion, ClusterRegistry};
+use dengraph_core::cluster::{edge_addition, edge_deletion, ClusterMaintainer, ClusterRegistry};
 use dengraph_core::keyword_state::{KeywordStateMachine, QuantumRecord, WindowState};
+use dengraph_core::wal::{JournalFrameEvent, JournalReader};
 use dengraph_core::{
-    CheckpointMode, DetectedEvent, DetectorBuilder, DetectorConfig, DetectorSession, EventTracker,
-    Parallelism, WindowIndexMode, WireFormat,
+    CheckpointMode, DeltaRecord, DetectedEvent, DetectorBuilder, DetectorConfig, DetectorSession,
+    EventTracker, GraphDelta, Parallelism, WindowIndexMode, WireFormat,
 };
-use dengraph_graph::{DynamicGraph, NodeId};
+use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
 use dengraph_minhash::{MinHashSketch, UserHasher};
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
@@ -92,6 +93,9 @@ fn dynamic_graph_codecs_agree() {
     for case in 0..32u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x0DEC_2000 + case);
         let mut graph = DynamicGraph::new();
+        // The component index grown edge by edge beside the graph, as the
+        // AKG maintainer keeps it.
+        let mut index = ComponentIndex::new();
         for _ in 0..rng.gen_range(0..120u32) {
             let a = NodeId(rng.gen_range(0..25u32));
             let b = NodeId(rng.gen_range(0..25u32));
@@ -100,20 +104,27 @@ fn dynamic_graph_codecs_agree() {
             }
             match rng.gen_range(0..5u32) {
                 0 => {
-                    graph.remove_edge(a, b);
+                    if graph.remove_edge(a, b).is_some() {
+                        index.remove_edge(&graph, a, b);
+                    }
                 }
                 1 => {
                     graph.remove_node(a);
+                    index.remove_node(&graph, a);
                 }
                 2 => {
                     graph.add_node(a);
+                    index.add_node(a);
                 }
                 _ => {
-                    graph.add_edge(a, b, rng.gen_range(0.0..1.0f64));
+                    if graph.add_edge(a, b, rng.gen_range(0.0..1.0f64)) {
+                        index.add_edge(a, b);
+                    }
                 }
             }
         }
         assert_codecs_agree(&graph, &format!("graph case {case}"));
+        assert_codecs_agree(&index, &format!("component index case {case}"));
     }
 }
 
@@ -170,7 +181,9 @@ fn cluster_registry_codecs_agree() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x0DEC_6000 + case);
         let mut graph = DynamicGraph::new();
         let mut registry = ClusterRegistry::new();
-        for _ in 0..rng.gen_range(5..60u32) {
+        // A maintainer fed the same mutations as single-delta quanta.
+        let mut maintainer = ClusterMaintainer::new();
+        for step in 0..rng.gen_range(5..60u32) {
             let a = NodeId(rng.gen_range(0..12u32));
             let b = NodeId(rng.gen_range(0..12u32));
             if a == b {
@@ -179,12 +192,24 @@ fn cluster_registry_codecs_agree() {
             if rng.gen_range(0..4u32) == 0 {
                 if graph.remove_edge(a, b).is_some() {
                     edge_deletion(&mut registry, a, b, 1);
+                    maintainer.apply_deltas(
+                        &graph,
+                        &[GraphDelta::EdgeRemoved { a, b }],
+                        step.into(),
+                    );
                 }
             } else if graph.add_edge(a, b, 1.0) {
                 edge_addition(&graph, &mut registry, a, b, 0);
+                let added = GraphDelta::EdgeAdded { a, b, weight: 1.0 };
+                maintainer.apply_deltas(&graph, &[added], step.into());
             }
         }
         assert_codecs_agree(&registry, &format!("registry case {case}"));
+        assert_codecs_agree(&maintainer, &format!("maintainer case {case}"));
+        assert_codecs_agree(
+            &maintainer.last_stats(),
+            &format!("maintenance stats case {case}"),
+        );
         for cluster in registry.clusters() {
             assert_codecs_agree(cluster, &format!("cluster case {case}"));
         }
@@ -345,7 +370,7 @@ fn binary_decoders_bound_corrupt_sizes_and_ids() {
     assert!(KeywordStateMachine::decode(w.as_slice(), WireFormat::Binary).is_err());
     // Same guard on the JSON fallback decoder.
     let huge = dengraph_json::parse(&format!("{{\"high\":[{}]}}", u32::MAX)).unwrap();
-    assert!(KeywordStateMachine::decode_json(&huge).is_err());
+    assert!(KeywordStateMachine::from_json(&huge).is_err());
 }
 
 /// Journal restore must *recover* from damage the CRC framing can
@@ -358,7 +383,9 @@ fn journal_restore_recovers_torn_tails_and_rejects_non_journals() {
         .build()
         .expect("valid config");
     session.enable_journal(CheckpointMode::Delta { every: 4 });
-    session.run(&trace.messages);
+    for summary in session.run(&trace.messages) {
+        assert_codecs_agree(&summary.akg_stats, "akg stats");
+    }
     let quanta = session.quanta_processed();
     let bytes = session
         .journal()
@@ -368,6 +395,23 @@ fn journal_restore_recovers_torn_tails_and_rejects_non_journals() {
         .to_vec();
     let full = DetectorSession::restore_from_journal(&bytes).expect("clean journal restores");
     assert_eq!(full.quanta_processed(), quanta);
+    // Every delta frame the journal holds decodes to a record both codecs
+    // agree on.
+    let mut reader = JournalReader::new(&bytes).expect("segment header");
+    let mut deltas = 0;
+    loop {
+        match reader.next_frame() {
+            JournalFrameEvent::Delta(payload) => {
+                let record = DeltaRecord::decode(payload, reader.format()).expect("delta frame");
+                assert_codecs_agree(&record, &format!("delta record {}", record.quantum()));
+                deltas += 1;
+            }
+            JournalFrameEvent::Snapshot(_) => {}
+            JournalFrameEvent::End => break,
+            torn => panic!("clean journal reported {torn:?}"),
+        }
+    }
+    assert!(deltas > 0, "the journal must hold delta frames");
 
     // The segment header is load-bearing: bytes without it are not a
     // journal, torn or otherwise.
@@ -399,39 +443,4 @@ fn journal_restore_recovers_torn_tails_and_rejects_non_journals() {
     let tag_offset = 6; // magic(4) + version(1) + format(1)
     bad[tag_offset] = 9;
     assert!(DetectorSession::restore_from_journal(&bad).is_err());
-}
-
-#[test]
-#[ignore]
-fn debug_component_sizes() {
-    use dengraph_core::ClusterMaintainer;
-    let session = loaded_session();
-    let value = session.checkpoint().as_value().clone();
-    let jsize = |key: &str| dengraph_json::to_string(value.get(key).unwrap()).len();
-    let window = WindowState::from_json(value.get("window").unwrap()).unwrap();
-    let clusters = ClusterMaintainer::from_json(value.get("clusters").unwrap()).unwrap();
-    let tracker = EventTracker::from_json(value.get("tracker").unwrap()).unwrap();
-    println!(
-        "window: json {} bin {}",
-        jsize("window"),
-        window.encode(WireFormat::Binary).len()
-    );
-    println!(
-        "clusters: json {} bin {}",
-        jsize("clusters"),
-        clusters.encode(WireFormat::Binary).len()
-    );
-    println!(
-        "tracker: json {} bin {}",
-        jsize("tracker"),
-        tracker.encode(WireFormat::Binary).len()
-    );
-    println!("akg json {}", jsize("akg"));
-    println!("interner json {}", jsize("interner"));
-    println!("buffer json {}", jsize("buffer"));
-    println!(
-        "total: json {} bin {}",
-        session.checkpoint_bytes(WireFormat::Json).len(),
-        session.checkpoint_bytes(WireFormat::Binary).len()
-    );
 }
