@@ -133,31 +133,98 @@ impl ClusterRegistry {
         Some(cluster)
     }
 
-    /// Absorbs a set of nodes and edges into the cluster structure: every
-    /// existing cluster sharing an edge with `edges` is merged with the new
-    /// material into a single cluster (Lemma 6).  Returns the id of the
+    /// Absorbs new nodes and edges into the cluster structure: every
+    /// existing cluster sharing an edge with `new_edges` is merged with the
+    /// new material into a single cluster (Lemma 6).  Returns the id of the
     /// resulting cluster.
+    ///
+    /// The merge happens in place in the oldest touched cluster: only the
+    /// edges and nodes new to it are indexed, and only the clusters merged
+    /// away are re-pointed.  `spend_id` is for a caller folding several
+    /// short cycles into one call (EdgeAddition): when its first cycle
+    /// touched no cluster, the per-cycle chain this call stands for gave
+    /// that cycle a fresh id before a later cycle merged it into an older
+    /// cluster, so the id is used up here as well and every later id lands
+    /// where the chain put it.
     pub fn absorb(
+        &mut self,
+        new_nodes: &[NodeId],
+        new_edges: &[EdgeKey],
+        spend_id: bool,
+        quantum: u64,
+    ) -> ClusterId {
+        // Which existing clusters share an edge with the new material?
+        let mut touched: Vec<ClusterId> = new_edges
+            .iter()
+            .filter_map(|e| self.edge_index.get(e).copied())
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        // Merge everything into the oldest touched cluster (stable ids keep
+        // event tracking simple).
+        let Some((&target, merged_away)) = touched.split_first() else {
+            let nodes = new_nodes.iter().copied().collect();
+            let edges = new_edges.iter().copied().collect();
+            return self.insert_new(nodes, edges, quantum);
+        };
+        if spend_id {
+            self.fresh_id();
+        }
+        let mut cluster = self
+            .clusters
+            .remove(&target)
+            .expect("touched cluster exists");
+        for &cid in merged_away {
+            let merged = self.clusters.remove(&cid).expect("touched cluster exists");
+            // lint: allow(L001, index re-pointing; the resulting maps are order-independent)
+            for e in &merged.edges {
+                self.edge_index.insert(*e, target);
+            }
+            // lint: allow(L001, index re-pointing; the resulting maps are order-independent)
+            for n in &merged.nodes {
+                let ids = self.node_index.get_mut(n).expect("member node is indexed");
+                ids.remove(&cid);
+                ids.insert(target);
+            }
+            cluster.born_quantum = cluster.born_quantum.min(merged.born_quantum);
+            cluster.edges.extend(merged.edges);
+            cluster.nodes.extend(merged.nodes);
+        }
+        for &e in new_edges {
+            if cluster.edges.insert(e) {
+                self.edge_index.insert(e, target);
+            }
+        }
+        for &n in new_nodes {
+            if cluster.nodes.insert(n) {
+                self.node_index.entry(n).or_default().insert(target);
+            }
+        }
+        cluster.born_quantum = cluster.born_quantum.min(quantum);
+        cluster.updated_quantum = quantum;
+        self.clusters.insert(target, cluster);
+        target
+    }
+
+    /// The merge as it was before [`Self::absorb`] merged in place, kept
+    /// as the reference the one-merge EdgeAddition must match: remove
+    /// every touched cluster, then re-index the union under the oldest id.
+    #[cfg(test)]
+    pub(crate) fn absorb_rebuilding(
         &mut self,
         nodes: FxHashSet<NodeId>,
         edges: FxHashSet<EdgeKey>,
         quantum: u64,
     ) -> ClusterId {
-        // Which existing clusters share an edge with the new material?
-        let mut touched: FxHashSet<ClusterId> = FxHashSet::default();
-        // lint: allow(L001, collecting into a set that is sorted before use below)
-        for e in &edges {
-            if let Some(&cid) = self.edge_index.get(e) {
-                touched.insert(cid);
-            }
-        }
-        if touched.is_empty() {
+        let mut ids: Vec<ClusterId> = edges
+            .iter()
+            .filter_map(|e| self.edge_index.get(e).copied())
+            .collect();
+        if ids.is_empty() {
             return self.insert_new(nodes, edges, quantum);
         }
-        // Merge everything into the oldest touched cluster (stable ids keep
-        // event tracking simple).
-        let mut ids: Vec<ClusterId> = touched.into_iter().collect();
         ids.sort();
+        ids.dedup();
         let target = ids[0];
         let mut all_nodes = nodes;
         let mut all_edges = edges;
@@ -168,7 +235,6 @@ impl ClusterRegistry {
             all_nodes.extend(c.nodes);
             all_edges.extend(c.edges);
         }
-        // Re-insert under the target id.
         for e in &all_edges {
             self.edge_index.insert(*e, target);
         }
@@ -475,13 +541,19 @@ mod tests {
         assert!(r.check_invariants().is_ok());
     }
 
+    /// A triangle as the node and edge columns [`ClusterRegistry::absorb`]
+    /// takes.
+    fn triangle_columns(a: u32, b: u32, c: u32) -> ([NodeId; 3], [EdgeKey; 3]) {
+        ([n(a), n(b), n(c)], [e(a, b), e(b, c), e(a, c)])
+    }
+
     #[test]
     fn absorb_without_overlap_creates_new_cluster() {
         let mut r = ClusterRegistry::new();
-        let (n1, e1) = triangle(1, 2, 3);
-        let (n2, e2) = triangle(10, 11, 12);
-        let a = r.absorb(n1, e1, 0);
-        let b = r.absorb(n2, e2, 1);
+        let (n1, e1) = triangle_columns(1, 2, 3);
+        let (n2, e2) = triangle_columns(10, 11, 12);
+        let a = r.absorb(&n1, &e1, false, 0);
+        let b = r.absorb(&n2, &e2, false, 1);
         assert_ne!(a, b);
         assert_eq!(r.len(), 2);
         assert!(r.check_invariants().is_ok());
@@ -490,11 +562,11 @@ mod tests {
     #[test]
     fn absorb_with_shared_edge_merges() {
         let mut r = ClusterRegistry::new();
-        let (n1, e1) = triangle(1, 2, 3);
-        let a = r.absorb(n1, e1, 0);
+        let (n1, e1) = triangle_columns(1, 2, 3);
+        let a = r.absorb(&n1, &e1, false, 0);
         // Second triangle shares edge (2,3) with the first (Lemma 6).
-        let (n2, e2) = triangle(2, 3, 4);
-        let b = r.absorb(n2, e2, 1);
+        let (n2, e2) = triangle_columns(2, 3, 4);
+        let b = r.absorb(&n2, &e2, false, 1);
         assert_eq!(a, b, "merge keeps the older cluster's id");
         assert_eq!(r.len(), 1);
         let c = r.get(a).unwrap();
@@ -508,17 +580,40 @@ mod tests {
     #[test]
     fn absorb_merging_two_existing_clusters() {
         let mut r = ClusterRegistry::new();
-        let (n1, e1) = triangle(1, 2, 3);
-        let (n2, e2) = triangle(5, 6, 7);
-        let a = r.absorb(n1, e1, 0);
-        let _b = r.absorb(n2, e2, 0);
-        // New 4-cycle sharing an edge with each: 2-3-5-6-2.
-        let nodes: FxHashSet<NodeId> = [n(2), n(3), n(5), n(6)].into_iter().collect();
-        let edges: FxHashSet<EdgeKey> = [e(2, 3), e(3, 5), e(5, 6), e(6, 2)].into_iter().collect();
-        let merged = r.absorb(nodes, edges, 2);
+        let (n1, e1) = triangle_columns(1, 2, 3);
+        let (n2, e2) = triangle_columns(5, 6, 7);
+        let a = r.absorb(&n1, &e1, false, 0);
+        let _b = r.absorb(&n2, &e2, false, 0);
+        // A third cluster shares node 6 with the second but no edge.
+        let (n3, e3) = triangle_columns(6, 8, 9);
+        let c = r.absorb(&n3, &e3, false, 1);
+        // New 4-cycle sharing an edge with the first two: 2-3-5-6-2.
+        let nodes = [n(2), n(3), n(5), n(6)];
+        let edges = [e(2, 3), e(3, 5), e(5, 6), e(6, 2)];
+        let merged = r.absorb(&nodes, &edges, false, 2);
         assert_eq!(merged, a);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.len(), 2);
         assert_eq!(r.get(merged).unwrap().size(), 6);
+        assert_eq!(r.get(merged).unwrap().born_quantum, 0);
+        assert_eq!(r.clusters_of_node(n(6)), vec![a, c]);
+        assert_eq!(r.cluster_of_edge(e(6, 7)), Some(a));
+        assert!(r.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn absorb_spends_an_id_only_when_it_merges() {
+        let mut r = ClusterRegistry::new();
+        let (n1, e1) = triangle_columns(1, 2, 3);
+        let a = r.absorb(&n1, &e1, false, 0);
+        // Merging into `a` uses up the id a per-cycle chain would have
+        // given the caller's first cycle.
+        let (n2, e2) = triangle_columns(2, 3, 4);
+        assert_eq!(r.absorb(&n2, &e2, true, 1), a);
+        assert_eq!(r.next_id(), 2);
+        // Creating a cluster takes exactly one id either way.
+        let (n3, e3) = triangle_columns(10, 11, 12);
+        assert_eq!(r.absorb(&n3, &e3, true, 1), ClusterId(2));
+        assert_eq!(r.next_id(), 3);
         assert!(r.check_invariants().is_ok());
     }
 

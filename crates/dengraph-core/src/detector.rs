@@ -309,8 +309,7 @@ impl EventDetector {
     pub fn push_message(&mut self, message: Message) -> Option<QuantumSummary> {
         self.buffer.push(message);
         if self.buffer.len() >= self.config.quantum_size {
-            let messages = std::mem::take(&mut self.buffer);
-            Some(self.process_messages(&messages))
+            Some(self.process_buffer())
         } else {
             None
         }
@@ -322,8 +321,17 @@ impl EventDetector {
         if self.buffer.is_empty() {
             return None;
         }
-        let messages = std::mem::take(&mut self.buffer);
-        Some(self.process_messages(&messages))
+        Some(self.process_buffer())
+    }
+
+    /// Processes the buffered quantum, then hands the buffer back cleared
+    /// so it keeps the Δ-message capacity `from_config` gave it.
+    fn process_buffer(&mut self) -> QuantumSummary {
+        let mut messages = std::mem::take(&mut self.buffer);
+        let summary = self.process_messages(&messages);
+        messages.clear();
+        self.buffer = messages;
+        summary
     }
 
     /// Processes one pre-batched quantum.
