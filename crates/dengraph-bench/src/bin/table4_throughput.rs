@@ -6,16 +6,11 @@
 //! trace, and throughput falls as the quantum grows.  Absolute numbers on
 //! current hardware are much higher; the shape is what this binary checks.
 //!
-//! On top of the paper's serial numbers, a second table reports the
-//! sharded pipeline (4 threads) against the serial path at Δ = 160 — the
-//! parallel path produces bit-identical events, so the speedup column is a
-//! pure wall-clock comparison.
-//!
 //! Run with: `cargo run -p dengraph-bench --release --bin table4_throughput`
 
 use dengraph_bench::{build_trace, emit_report, scale_from_env, TablePrinter, TraceKind};
 use dengraph_core::evaluation::measure_throughput;
-use dengraph_core::{DetectorConfig, Parallelism};
+use dengraph_core::DetectorConfig;
 
 const DELTAS: &[usize] = &[120, 160, 200];
 
@@ -25,14 +20,6 @@ fn main() {
     out.push_str("== Table 4: message processing rate (messages/second) ==\n");
     out.push_str("(paper, 2012 hardware: TW 5185/4420/4160 and ES 1410/1400/1160 msgs/s at delta 120/160/200)\n\n");
 
-    // Traces are deterministic in the bench seed, so build each once and
-    // share it between the two tables.
-    let traces: Vec<(TraceKind, dengraph_stream::Trace)> =
-        [TraceKind::TimeWindow, TraceKind::EventSpecific]
-            .into_iter()
-            .map(|kind| (kind, build_trace(kind, scale)))
-            .collect();
-
     let mut table = TablePrinter::new([
         "trace type",
         "delta=120",
@@ -40,11 +27,12 @@ fn main() {
         "delta=200",
         "messages",
     ]);
-    for (kind, trace) in &traces {
+    for kind in [TraceKind::TimeWindow, TraceKind::EventSpecific] {
+        let trace = build_trace(kind, scale);
         let mut cells = vec![kind.label().to_string()];
         for &delta in DELTAS {
             let config = DetectorConfig::nominal().with_quantum_size(delta);
-            let report = measure_throughput(trace, &config);
+            let report = measure_throughput(&trace, &config);
             cells.push(format!("{:.0}", report.messages_per_sec));
         }
         cells.push(trace.messages.len().to_string());
@@ -55,34 +43,6 @@ fn main() {
         "\nexpected shape: the event-specific trace is several times slower per message,\n",
     );
     out.push_str("and throughput decreases slightly as the quantum size grows.\n");
-
-    out.push_str("\n== serial vs sharded pipeline (delta=160) ==\n");
-    out.push_str(&format!(
-        "(this machine reports {} hardware threads)\n\n",
-        Parallelism::auto().threads()
-    ));
-    let mut par_table =
-        TablePrinter::new(["trace type", "serial msg/s", "4-thread msg/s", "speedup"]);
-    for (kind, trace) in &traces {
-        let base = DetectorConfig::nominal();
-        let serial = measure_throughput(trace, &base.clone().with_parallelism(Parallelism::Serial));
-        let parallel = measure_throughput(
-            trace,
-            &base.clone().with_parallelism(Parallelism::Threads(4)),
-        );
-        par_table.row([
-            kind.label().to_string(),
-            format!("{:.0}", serial.messages_per_sec),
-            format!("{:.0}", parallel.messages_per_sec),
-            format!(
-                "{:.2}x",
-                parallel.messages_per_sec / serial.messages_per_sec
-            ),
-        ]);
-    }
-    out.push_str(&par_table.render());
-    out.push_str("\nthe parallel path emits byte-identical events to the serial path;\n");
-    out.push_str("speedup depends on available cores (expect ~1x on single-core machines).\n");
 
     emit_report("table4_throughput", &out);
 }

@@ -39,16 +39,14 @@
 //! Edge-correlation work is split into a read-only **score** phase — build
 //! one window sketch (or exact user set) per candidate keyword, then score
 //! every candidate pair against the window — and a serial **apply** phase
-//! that mutates the graph in canonical (sorted) order.  The score phase
-//! fans out over shards per [`DetectorConfig::parallelism`]; because
-//! results are collected in input order and applied canonically, the
-//! parallel path is bit-identical to the serial one.
+//! that mutates the graph in canonical (sorted) order.  Every score is a
+//! pure function of the window, so the result does not depend on the order
+//! pairs are scored in — only on the order they are applied.
 
 use dengraph_graph::fxhash::FxHashSet;
 use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
 use dengraph_minhash::MinHashSketch;
-use dengraph_parallel::par_map;
 use dengraph_stream::UserId;
 use dengraph_text::KeywordId;
 
@@ -315,11 +313,9 @@ impl Decode for AkgQuantumStats {
 /// Under [`WindowIndexMode::Incremental`](crate::keyword_state::WindowIndexMode)
 /// (the default) each entry **borrows** the window's cached per-keyword
 /// sketch — zero copies; under `Rebuild` each entry is built by walking
-/// all `w` window quanta (fanned out over keyword shards).  The keyword →
-/// slot mapping is a binary search over the sorted `involved` column
-/// instead of a hash map.  Both construction and lookup are pure reads,
-/// so the score phase can run on any number of threads with identical
-/// results.
+/// all `w` window quanta.  The keyword → slot mapping is a binary search
+/// over the sorted `involved` column instead of a hash map.  Both
+/// construction and lookup are pure reads of the window.
 enum CacheData<'w> {
     /// Borrowed cached window sketches (incremental index, the default).
     /// `None` marks a keyword absent from the window, scored as an empty
@@ -345,7 +341,12 @@ impl<'a> CorrelationCache<'a> {
     /// Builds the cache over `involved` (sorted + deduped by the caller).
     fn build(config: &DetectorConfig, window: &'a WindowState, involved: &'a [KeywordId]) -> Self {
         let data = if config.exact_edge_correlation {
-            CacheData::Exact(window.window_user_sets(involved, config.parallelism))
+            CacheData::Exact(
+                involved
+                    .iter()
+                    .map(|&k| window.window_user_set(k))
+                    .collect(),
+            )
         } else if window.mode() == crate::keyword_state::WindowIndexMode::Incremental {
             CacheData::Borrowed(
                 involved
@@ -354,7 +355,7 @@ impl<'a> CorrelationCache<'a> {
                     .collect(),
             )
         } else {
-            CacheData::Owned(window.window_sketches(involved, config.parallelism))
+            CacheData::Owned(window.window_sketches(involved))
         };
         Self {
             involved,
@@ -683,7 +684,6 @@ impl AkgMaintainer {
         let mut stats = AkgQuantumStats::default();
         let sigma = self.config.high_state_threshold;
         let tau = self.config.edge_correlation_threshold;
-        let parallelism = self.config.parallelism;
 
         // --- 1. stale removal -------------------------------------------------
         // Sorted so the delta order is canonical regardless of the
@@ -793,10 +793,13 @@ impl AkgMaintainer {
         );
         stats.pairs_evaluated = all_pairs.len();
 
-        // --- 3a. score phase (parallel, read-only) ----------------------------
-        // Both candidate sets are scored in a single fan-out (one fork-join
-        // per quantum); the scores vector is split back afterwards.
-        let all_scores = par_map(parallelism, all_pairs, |&(a, b)| cache.correlation(a, b));
+        // --- 3a. score phase (read-only) --------------------------------------
+        // Both candidate sets are scored in one pass; the scores vector is
+        // split back afterwards.
+        let all_scores: Vec<f64> = all_pairs
+            .iter()
+            .map(|&(a, b)| cache.correlation(a, b))
+            .collect();
         let (bursty_scores, edge_scores) = all_scores.split_at(bursty_count);
 
         // --- 3b. apply phase (serial, canonical order) ------------------------

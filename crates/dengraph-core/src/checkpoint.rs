@@ -21,7 +21,7 @@
 //! algorithms from the same delta log, in the same order (reproducing
 //! cluster ids exactly), and the tracker re-observes the logged events.  The result is bit-identical
 //! to the uninterrupted run (`tests/checkpoint_resume.rs` gates this
-//! across `Parallelism` × `WindowIndexMode` × [`CheckpointMode`]).
+//! across `WindowIndexMode` × [`CheckpointMode`]).
 //!
 //! ## Wire layout
 //!

@@ -7,8 +7,7 @@
 //! quantum.  Every algorithm is local to the delta's neighbourhood and the
 //! clusters that touch it, and Lemma 5 makes the final clustering
 //! independent of the order the deltas are applied in, so this serial loop
-//! is the paper's maintenance as stated.  It is not fanned out: split by
-//! connected component, its zero-overhead ceiling at four threads is 1.31×
+//! is the paper's maintenance as stated, and the whole engine is serial
 //! (README *Parallelism*).
 
 use dengraph_graph::{ComponentIndex, DynamicGraph};
@@ -178,7 +177,7 @@ impl ClusterMaintainer {
     /// [`Self::apply_deltas`], under the signature the repo benchmark, which
     /// a change claiming a gain may not edit, calls.  `index` and
     /// `parallelism` are ignored: stage 3 reads no component index and
-    /// does not fan out.
+    /// the engine is serial.
     pub fn apply_deltas_indexed(
         &mut self,
         graph: &DynamicGraph,

@@ -36,9 +36,6 @@ pub enum ConfigError {
     EdgeCorrelationOutOfRange(f64),
     /// `rank_threshold_factor` is negative or NaN.
     RankThresholdFactorOutOfRange(f64),
-    /// `Parallelism::Threads(0)` — the worker pool would hang forever
-    /// waiting for a thread that does not exist.
-    ZeroThreads,
     /// The builder's durable journal could not be opened (the message
     /// carries the journal directory and the underlying I/O error).
     Journal(String),
@@ -63,7 +60,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::RankThresholdFactorOutOfRange(v) => {
                 write!(f, "rank_threshold_factor must be non-negative, got {v}")
             }
-            ConfigError::ZeroThreads => write!(f, "parallelism thread count must be at least 1"),
             ConfigError::Journal(detail) => write!(f, "cannot open durable journal: {detail}"),
         }
     }
@@ -110,18 +106,11 @@ pub struct DetectorConfig {
     /// Require at least one noun keyword in a reported event (Section
     /// 7.2.2's other precision filter).
     pub require_noun: bool,
-    /// How many threads the per-quantum pipeline stages (window
-    /// aggregation, sketching, candidate-edge scoring, ranking support)
-    /// may fan out over.  The parallel path produces bit-identical output
-    /// to [`Parallelism::Serial`]; this knob only trades wall-clock time
-    /// for cores.
-    pub parallelism: Parallelism,
     /// How the sliding window serves per-keyword aggregates (window
     /// sketches, window user sets/counts, recency).  `Incremental`
     /// maintains a per-keyword index updated in O(Δ) per slide;
     /// `Rebuild` walks all `w` quanta per read (the ablation baseline).
-    /// Both modes are bit-identical in output and compose with
-    /// [`Self::parallelism`].
+    /// Both modes are bit-identical in output.
     pub window_index_mode: WindowIndexMode,
 }
 
@@ -137,7 +126,6 @@ impl Default for DetectorConfig {
             hysteresis: true,
             rank_threshold_factor: 1.0,
             require_noun: true,
-            parallelism: Parallelism::Serial,
             window_index_mode: WindowIndexMode::Incremental,
         }
     }
@@ -183,12 +171,6 @@ impl DetectorConfig {
         self
     }
 
-    /// Sets the pipeline parallelism (builder style).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// Sets the window index mode (builder style).
     pub fn with_window_index_mode(mut self, mode: WindowIndexMode) -> Self {
         self.window_index_mode = mode;
@@ -226,8 +208,7 @@ impl DetectorConfig {
     /// Every degenerate value that used to slip through and panic or hang
     /// deep in the pipeline is rejected here: zero quantum/window/σ sizes,
     /// a zero sketch width or one beyond what the window can allocate per
-    /// keyword, out-of-range or NaN thresholds, and a zero-thread worker
-    /// pool.
+    /// keyword, and out-of-range or NaN thresholds.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.quantum_size == 0 {
             return Err(ConfigError::ZeroQuantumSize);
@@ -257,12 +238,15 @@ impl DetectorConfig {
                 self.rank_threshold_factor,
             ));
         }
-        if let Parallelism::Threads(0) = self.parallelism {
-            return Err(ConfigError::ZeroThreads);
-        }
         Ok(())
     }
 }
+
+/// The varint before the window mode byte once carried the worker thread
+/// count (0 for serial).  The pipeline is serial, so it is written as a
+/// constant 0 and any value read back is dropped; documents written before
+/// the knob went still decode.
+const RETIRED_THREAD_COUNT: usize = 0;
 
 /// The last byte of a binary configuration once chose how stage 3
 /// partitioned its work (0 from scratch, 1 from the component index).
@@ -298,13 +282,6 @@ impl Encode for DetectorConfig {
             ),
             ("require_noun", Value::from(self.require_noun)),
             (
-                "parallelism",
-                match self.parallelism {
-                    Parallelism::Serial => Value::str("serial"),
-                    Parallelism::Threads(n) => Value::from(n),
-                },
-            ),
-            (
                 "window_index_mode",
                 match self.window_index_mode {
                     WindowIndexMode::Rebuild => Value::str("rebuild"),
@@ -327,12 +304,7 @@ impl Encode for DetectorConfig {
         w.bool(self.hysteresis);
         w.f64(self.rank_threshold_factor);
         w.bool(self.require_noun);
-        // 0 encodes Serial; n ≥ 1 encodes Threads(n) (Threads(0) never
-        // validates, so the overlap is unambiguous).
-        w.usize(match self.parallelism {
-            Parallelism::Serial => 0,
-            Parallelism::Threads(n) => n,
-        });
+        w.usize(RETIRED_THREAD_COUNT);
         w.byte(match self.window_index_mode {
             WindowIndexMode::Rebuild => 0,
             WindowIndexMode::Incremental => 1,
@@ -344,20 +316,9 @@ impl Encode for DetectorConfig {
 impl Decode for DetectorConfig {
     /// Reconstructs a configuration serialised by [`Self::to_json`].  The
     /// result is *not* validated — callers that accept external input should
-    /// follow up with [`Self::validate`].
+    /// follow up with [`Self::validate`].  Retired keys (`parallelism`,
+    /// `component_index_mode`) are ignored.
     fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let parallelism = match value.get("parallelism")? {
-            v if v.as_str().is_ok() => match v.as_str()? {
-                "serial" => Parallelism::Serial,
-                other => {
-                    return Err(dengraph_json::JsonError {
-                        message: format!("unknown parallelism '{other}'"),
-                        offset: 0,
-                    })
-                }
-            },
-            v => Parallelism::Threads(v.as_usize()?),
-        };
         let window_index_mode = match value.get("window_index_mode")?.as_str()? {
             "rebuild" => WindowIndexMode::Rebuild,
             "incremental" => WindowIndexMode::Incremental,
@@ -378,7 +339,6 @@ impl Decode for DetectorConfig {
             hysteresis: value.get("hysteresis")?.as_bool()?,
             rank_threshold_factor: value.get("rank_threshold_factor")?.as_f64()?,
             require_noun: value.get("require_noun")?.as_bool()?,
-            parallelism,
             window_index_mode,
         })
     }
@@ -395,18 +355,17 @@ impl Decode for DetectorConfig {
             hysteresis: r.bool()?,
             rank_threshold_factor: r.f64()?,
             require_noun: r.bool()?,
-            parallelism: match r.usize()? {
-                0 => Parallelism::Serial,
-                n => Parallelism::Threads(n),
-            },
-            window_index_mode: match r.byte()? {
-                0 => WindowIndexMode::Rebuild,
-                1 => WindowIndexMode::Incremental,
-                other => {
-                    return Err(dengraph_json::JsonError {
-                        message: format!("unknown window_index_mode byte {other}"),
-                        offset: r.pos(),
-                    })
+            window_index_mode: {
+                r.usize()?; // RETIRED_THREAD_COUNT, dropped
+                match r.byte()? {
+                    0 => WindowIndexMode::Rebuild,
+                    1 => WindowIndexMode::Incremental,
+                    other => {
+                        return Err(dengraph_json::JsonError {
+                            message: format!("unknown window_index_mode byte {other}"),
+                            offset: r.pos(),
+                        })
+                    }
                 }
             },
         };
@@ -569,20 +528,6 @@ mod tests {
             .validate(),
             Err(ConfigError::RankThresholdFactorOutOfRange(-1.0))
         );
-        assert_eq!(
-            DetectorConfig {
-                parallelism: Parallelism::Threads(0),
-                ..Default::default()
-            }
-            .validate(),
-            Err(ConfigError::ZeroThreads)
-        );
-        assert!(DetectorConfig {
-            parallelism: Parallelism::Threads(4),
-            ..Default::default()
-        }
-        .validate()
-        .is_ok());
     }
 
     /// Regression: NaN thresholds used to slip through the range checks
@@ -625,7 +570,6 @@ mod tests {
                 hysteresis: false,
                 require_noun: false,
                 rank_threshold_factor: 1.25,
-                parallelism: Parallelism::Threads(4),
                 window_index_mode: WindowIndexMode::Rebuild,
                 ..DetectorConfig::nominal()
             },
@@ -636,12 +580,14 @@ mod tests {
         }
     }
 
-    /// The byte and key that carried the retired `component_index_mode`
-    /// still decode, to the configuration a current document describes;
-    /// no other byte is accepted in its place.
+    /// The bytes and keys that carried the retired `component_index_mode`
+    /// and thread count still decode, to the configuration a current
+    /// document describes; no other mode byte is accepted in its place.
+    /// No truncation or single-byte mutation of a binary configuration
+    /// panics the decoder.
     #[test]
     fn retired_component_index_mode_still_decodes() {
-        let config = DetectorConfig::nominal().with_parallelism(Parallelism::Threads(4));
+        let config = DetectorConfig::nominal();
         let mut w = dengraph_json::BinWriter::new();
         config.to_bin(&mut w);
         let mut bytes = w.into_bytes();
@@ -653,19 +599,48 @@ mod tests {
         assert_eq!(decode(&bytes).unwrap(), config);
         *bytes.last_mut().unwrap() = 2;
         assert!(decode(&bytes).is_err());
+        *bytes.last_mut().unwrap() = 1;
+
+        // The thread-count varint sits before the two mode bytes and is
+        // written as 0; any count a parent document carried is dropped.
+        let (head, modes) = bytes.split_at(bytes.len() - 2);
+        let (prefix, threads) = head.split_at(head.len() - 1);
+        assert_eq!(threads, [0]);
+        for count in [0usize, 4, 1 << 40] {
+            let mut w = dengraph_json::BinWriter::new();
+            w.usize(count);
+            let old = [prefix, &w.into_bytes(), modes].concat();
+            assert_eq!(decode(&old).unwrap(), config, "thread count {count}");
+        }
+
+        for len in 0..bytes.len() {
+            assert!(decode(&bytes[..len]).is_err(), "truncated at {len}");
+        }
+        for at in 0..bytes.len() {
+            for value in 0..=u8::MAX {
+                let mut mutated = bytes.clone();
+                mutated[at] = value;
+                let _ = decode(&mutated);
+            }
+        }
 
         let text = dengraph_json::to_string(&config.to_json());
         assert!(!text.contains("component_index_mode"));
+        assert!(!text.contains("parallelism"));
         for mode in ["rebuild", "incremental"] {
             let old = text.replacen('{', &format!("{{\"component_index_mode\":\"{mode}\","), 1);
             let back = DetectorConfig::from_json(&dengraph_json::parse(&old).unwrap()).unwrap();
             assert_eq!(back, config, "{mode}");
         }
-
-        // Threads(0) still decodes and still fails validation.
-        let zero = text.replace("\"parallelism\":4", "\"parallelism\":0");
-        assert_ne!(zero, text);
-        let back = DetectorConfig::from_json(&dengraph_json::parse(&zero).unwrap()).unwrap();
-        assert_eq!(back.validate(), Err(ConfigError::ZeroThreads));
+        for key in [
+            "",
+            r#""parallelism":"serial","#,
+            r#""parallelism":4,"#,
+            r#""parallelism":100000,"#,
+        ] {
+            let old = text.replacen('{', &format!("{{{key}"), 1);
+            let back = DetectorConfig::from_json(&dengraph_json::parse(&old).unwrap()).unwrap();
+            assert_eq!(back, config, "{key}");
+        }
     }
 }

@@ -360,15 +360,13 @@ impl EventDetector {
         self.next_quantum += 1;
         self.total_messages += messages.len() as u64;
 
-        // 1. Aggregate and slide the window (fanned out over message
-        //    chunks per the configured parallelism).  The record's backing
-        //    storage is recycled from the quantum that slides out, and the
-        //    AKG reads it in place from the window — no clone.
+        // 1. Aggregate and slide the window.  The record's backing storage
+        //    is recycled from the quantum that slides out, and the AKG
+        //    reads it in place from the window — no clone.
         let storage = self.scratch.record_storage.take().unwrap_or_default();
         let record = QuantumRecord::from_messages_into(
             quantum,
             messages,
-            self.config.parallelism,
             &mut self.scratch.pairs,
             &mut self.scratch.pair_sort,
             storage,
@@ -754,9 +752,8 @@ impl EventDetector {
     /// Ranks every live cluster and applies the reporting filters.
     ///
     /// The per-node support weights (distinct window users per keyword)
-    /// are independent reads of the window, so they are precomputed in
-    /// one sharded pass before the serial rank-and-filter loop.  That
-    /// loop makes one pass per cluster ([`rank_and_support`]: rank,
+    /// are read from the window once per member keyword, before the
+    /// rank-and-filter loop.  That loop makes one pass per cluster ([`rank_and_support`]: rank,
     /// support and the sorted member column together) and allocates
     /// exactly the keyword list of each event it reports.
     fn report_events(&mut self, quantum: u64) -> Vec<DetectedEvent> {
@@ -783,7 +780,10 @@ impl EventDetector {
         );
         cluster_keywords.sort_unstable();
         cluster_keywords.dedup();
-        let counts = window.window_user_counts(cluster_keywords, config.parallelism);
+        let counts: Vec<usize> = cluster_keywords
+            .iter()
+            .map(|&k| window.window_user_count(k))
+            .collect();
         // `cluster_keywords` is sorted, so the support lookup is a binary
         // search over a dense column instead of a hash probe.
         let node_support = |node: dengraph_graph::NodeId| {

@@ -99,7 +99,7 @@ use dengraph_graph::fxhash::FxHashSet;
 use dengraph_json::{Decode, Encode};
 use dengraph_minhash::sketch::MAX_DECODED_SKETCH_SIZE;
 use dengraph_minhash::{kernel, MinHashSketch, SketchLanes, UserHasher};
-use dengraph_parallel::{par_chunks, par_map, Parallelism};
+use dengraph_parallel::Parallelism;
 use dengraph_stream::{Message, UserId};
 use dengraph_text::KeywordId;
 
@@ -158,23 +158,19 @@ pub struct QuantumRecord {
 impl QuantumRecord {
     /// Builds a record from the messages of one quantum.
     pub fn from_messages(index: u64, messages: &[Message]) -> Self {
-        Self::from_messages_with(index, messages, Parallelism::Serial)
-    }
-
-    /// Builds a record, fanning the pair collection out over contiguous
-    /// message chunks per `parallelism`.  The result is **identical** to
-    /// the serial path's: the pair list is sorted and de-duplicated into a
-    /// canonical form regardless of chunking.
-    pub fn from_messages_with(index: u64, messages: &[Message], parallelism: Parallelism) -> Self {
-        let mut pairs = Vec::new();
         Self::from_messages_into(
             index,
             messages,
-            parallelism,
-            &mut pairs,
+            &mut Vec::new(),
             &mut PairSortScratch::default(),
             (Vec::new(), Vec::new()),
         )
+    }
+
+    /// [`Self::from_messages`]; the last argument is ignored and stays
+    /// only because the repo benchmark still passes it.
+    pub fn from_messages_with(index: u64, messages: &[Message], _parallelism: Parallelism) -> Self {
+        Self::from_messages(index, messages)
     }
 
     /// Scratch-reusing builder: `pairs` is a staging buffer (cleared before
@@ -184,33 +180,14 @@ impl QuantumRecord {
     pub(crate) fn from_messages_into(
         index: u64,
         messages: &[Message],
-        parallelism: Parallelism,
         pairs: &mut Vec<(KeywordId, UserId)>,
         sort: &mut PairSortScratch,
         storage: RecordStorage,
     ) -> Self {
         pairs.clear();
-        if parallelism.is_parallel() {
-            // One pair list per chunk (par_chunks falls back to a single
-            // serial chunk for small quanta), concatenated in chunk order;
-            // the sort below canonicalises away the chunk structure.
-            let chunks = par_chunks(parallelism, messages, 16, |msgs| {
-                let mut chunk_pairs: Vec<(KeywordId, UserId)> = Vec::with_capacity(msgs.len() * 2);
-                for m in msgs {
-                    for &k in &m.keywords {
-                        chunk_pairs.push((k, m.user));
-                    }
-                }
-                chunk_pairs
-            });
-            for chunk in chunks {
-                pairs.extend(chunk);
-            }
-        } else {
-            for m in messages {
-                for &k in &m.keywords {
-                    pairs.push((k, m.user));
-                }
+        for m in messages {
+            for &k in &m.keywords {
+                pairs.push((k, m.user));
             }
         }
         sort_dedup_pairs(pairs, sort);
@@ -1384,56 +1361,38 @@ impl WindowState {
         self.index_entry(keyword).map(|e| &e.sketch)
     }
 
-    /// Builds the window sketch of every keyword in `keywords`, fanning out
-    /// over keyword shards per `parallelism`.  Results come back in input
-    /// order and are identical to calling [`Self::window_sketch`] per key.
-    pub fn window_sketches(
-        &self,
-        keywords: &[KeywordId],
-        parallelism: Parallelism,
-    ) -> Vec<MinHashSketch> {
-        if self.index.is_some() {
-            // Cached-sketch clones; still sharded so huge candidate sets
-            // fan out, but each shard item is O(p) instead of O(w · Δ).
-            return par_map(parallelism, keywords, |&keyword| {
-                self.window_sketch(keyword)
-            });
-        }
-        dengraph_minhash::build_sketches(
-            parallelism,
-            self.sketch_size,
-            &self.hasher,
-            keywords,
-            |&keyword, hasher, sketch, lanes| {
+    /// Builds the window sketch of every keyword in `keywords`, in input
+    /// order, by walking the records one id run at a time through the batch
+    /// kernels; identical to calling [`Self::window_sketch`] per key.  The
+    /// `Rebuild` mode's correlation cache, which has no index to borrow
+    /// from, is the caller.
+    pub fn window_sketches(&self, keywords: &[KeywordId]) -> Vec<MinHashSketch> {
+        let mut lanes = SketchLanes::new();
+        keywords
+            .iter()
+            .map(|&keyword| {
+                let mut sketch = MinHashSketch::new(self.sketch_size);
                 for record in &self.window {
-                    sketch.insert_batch(hasher, record.users_of(keyword), |u| u.raw(), lanes);
+                    let users = record.users_of(keyword);
+                    sketch.insert_batch(&self.hasher, users, |u| u.raw(), &mut lanes);
                 }
-            },
-        )
+                sketch
+            })
+            .collect()
     }
 
-    /// Builds the exact window user set of every keyword in `keywords`,
-    /// fanning out over keyword shards per `parallelism`.
-    pub fn window_user_sets(
-        &self,
-        keywords: &[KeywordId],
-        parallelism: Parallelism,
-    ) -> Vec<FxHashSet<UserId>> {
-        par_map(parallelism, keywords, |&keyword| {
-            self.window_user_set(keyword)
-        })
-    }
-
-    /// Computes [`Self::window_user_count`] for every keyword in
-    /// `keywords`, fanning out over keyword shards per `parallelism`.
+    /// [`Self::window_user_count`] of every keyword in `keywords`, in input
+    /// order.  The detector no longer calls this; it and its ignored last
+    /// argument stay only because the repo benchmark still does.
     pub fn window_user_counts(
         &self,
         keywords: &[KeywordId],
-        parallelism: Parallelism,
+        _parallelism: Parallelism,
     ) -> Vec<usize> {
-        par_map(parallelism, keywords, |&keyword| {
-            self.window_user_count(keyword)
-        })
+        keywords
+            .iter()
+            .map(|&keyword| self.window_user_count(keyword))
+            .collect()
     }
 
     /// Exact Jaccard edge correlation of two keywords over the window.
@@ -2103,19 +2062,6 @@ mod tests {
     }
 
     #[test]
-    fn quantum_record_parallel_build_matches_serial() {
-        let messages: Vec<Message> = (0..200)
-            .map(|i| msg(i % 17, i, &[(i % 13) as u32, (i % 7) as u32]))
-            .collect();
-        let serial = QuantumRecord::from_messages(3, &messages);
-        for threads in [2, 4, 8] {
-            let parallel =
-                QuantumRecord::from_messages_with(3, &messages, Parallelism::Threads(threads));
-            assert_eq!(serial, parallel, "diverged at {threads} threads");
-        }
-    }
-
-    #[test]
     fn quantum_record_json_round_trip() {
         let record = QuantumRecord::from_messages(
             7,
@@ -2134,7 +2080,6 @@ mod tests {
         let recycled = QuantumRecord::from_messages_into(
             1,
             &messages,
-            Parallelism::Serial,
             &mut pairs,
             &mut PairSortScratch::default(),
             storage,

@@ -43,7 +43,7 @@ pub(crate) struct ScratchArena {
     /// Candidate pairs along existing AKG edges, sorted.
     pub edge_pairs: Vec<(KeywordId, KeywordId)>,
     /// Both candidate sets as `involved`-slot pairs — the set-1 join's
-    /// output, then `edge_pairs` — for the single scoring fan-out.
+    /// output, then `edge_pairs` — for the single scoring pass.
     pub all_pairs: Vec<(u32, u32)>,
     /// Set 1 plus the endpoints of `edge_pairs`, sorted + deduped — the
     /// key column of the correlation cache.

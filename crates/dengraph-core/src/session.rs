@@ -18,8 +18,7 @@
 //!   AKG, cluster registry, event tracker, partial message buffer,
 //!   counters) and [`DetectorSession::restore`] resumes it such that
 //!   restore-then-continue is **bit-identical** to the uninterrupted run —
-//!   across every `Parallelism` × `WindowIndexMode` profile
-//!   (`tests/checkpoint_resume.rs` gates this).
+//!   in either `WindowIndexMode` (`tests/checkpoint_resume.rs` gates this).
 //!
 //! ```
 //! use dengraph_core::{DetectorBuilder, DetectorSession, VecSink};
@@ -166,9 +165,9 @@ impl DetectorBuilder {
         self
     }
 
-    /// Sets the pipeline parallelism.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.config.parallelism = parallelism;
+    /// Ignores its argument: the pipeline is serial.  Stays only because
+    /// the repo benchmark still calls it.
+    pub fn parallelism(self, _parallelism: Parallelism) -> Self {
         self
     }
 
@@ -221,8 +220,8 @@ impl DetectorBuilder {
     /// Validates the configuration and builds the session.
     ///
     /// Never panics: every degenerate configuration — zero quantum, window
-    /// or σ, zero sketch width, out-of-range or NaN thresholds,
-    /// `Threads(0)` — comes back as the matching [`ConfigError`] variant.
+    /// or σ, zero sketch width, out-of-range or NaN thresholds — comes
+    /// back as the matching [`ConfigError`] variant.
     pub fn build(self) -> Result<DetectorSession, ConfigError> {
         self.config.validate()?;
         let mut detector = EventDetector::from_config(self.config);
@@ -1196,10 +1195,6 @@ mod tests {
             (
                 builder().rank_threshold_factor(-2.0),
                 ConfigError::RankThresholdFactorOutOfRange(-2.0),
-            ),
-            (
-                builder().parallelism(Parallelism::Threads(0)),
-                ConfigError::ZeroThreads,
             ),
         ];
         for (b, expected) in cases {

@@ -1,7 +1,7 @@
 //! A lightweight item/expression tree over the token stream.
 //!
 //! This is **not** a Rust grammar: it is the minimal structure the
-//! semantic rules (L006–L009) need — function boundaries with names and
+//! semantic rules (L007, L008) need — function boundaries with names and
 //! parameters, `impl` context, struct fields and their type text, `use`
 //! declarations, and inside bodies the things dataflow cares about:
 //! `let` bindings, call and method chains, closures, and control-flow
@@ -197,7 +197,7 @@ pub struct Item {
 /// One flattened `use` target: the path with the leaf name last.
 #[derive(Debug, Clone)]
 pub struct UseTarget {
-    /// Full path segments, e.g. `["crate", "pool", "Pool"]`.
+    /// Full path segments, e.g. `["crate", "wal", "Journal"]`.
     pub path: Vec<String>,
     /// Local name the leaf is bound to (`as` alias or last segment);
     /// `*` for glob imports.
@@ -1935,7 +1935,7 @@ mod tests {
 
     #[test]
     fn parses_use_groups_and_aliases() {
-        let file = parse_file("use std::sync::{Arc, Mutex as Mu};\nuse crate::pool::pool_for;\n");
+        let file = parse_file("use std::sync::{Arc, Mutex as Mu};\nuse crate::wal::replay;\n");
         let ItemKind::Use(targets) = &file.items[0].kind else {
             panic!("expected use");
         };
@@ -1946,7 +1946,7 @@ mod tests {
         let ItemKind::Use(targets) = &file.items[1].kind else {
             panic!("expected use");
         };
-        assert_eq!(targets[0].path, vec!["crate", "pool", "pool_for"]);
+        assert_eq!(targets[0].path, vec!["crate", "wal", "replay"]);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Built on [`crate::resolve::Workspace`]: every function (free, impl
 //! method, trait default method, statement-level nested fn) becomes a
 //! node with a fully-qualified id — `dengraph_core::session::restore`,
-//! `dengraph_parallel::pool::<Pool>::run` — and each body is walked for
-//! call sites and panic sites.
+//! `dengraph_core::session::<DetectorSession>::push_message` — and each
+//! body is walked for call sites and panic sites.
 //!
 //! **Model limits** (documented, deliberate):
 //!
@@ -15,10 +15,7 @@
 //!   dangerous direction.
 //! * Closures are analysed as part of their enclosing function: a call
 //!   inside a closure is an edge from the function that *defines* the
-//!   closure.  Call sites inside closures passed to the parallel entry
-//!   points (`par_map`, `par_chunks`, `pooled_chunks`, `Pool::run`) are
-//!   additionally flagged [`CallSite::parallel`], which is how L009 finds
-//!   code that runs on pool workers.
+//!   closure.
 //! * Panic sites are the L002 panic class — `.unwrap()`, `panic!`-family
 //!   macros, and `.expect()` with a message too short to state an
 //!   invariant.  A long `expect` message is an asserted invariant, not a
@@ -30,10 +27,6 @@ use crate::resolve::{base_type_name, Module, Workspace};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
 
-/// Method/function names that hand their closure arguments to the
-/// thread pool.
-pub const PARALLEL_ENTRIES: [&str; 4] = ["par_chunks", "par_map", "pooled_chunks", "run"];
-
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
@@ -43,9 +36,6 @@ pub struct CallSite {
     pub method: bool,
     /// 1-based line.
     pub line: usize,
-    /// True when the site sits inside a closure passed to a parallel
-    /// entry point.
-    pub parallel: bool,
 }
 
 /// One panic-class site inside a function body.
@@ -71,7 +61,7 @@ pub struct FnInfo<'w> {
     pub line: usize,
     /// True under `#[cfg(test)]` / `#[test]`.
     pub in_test: bool,
-    /// Base type name for impl methods (`<Pool>` → `Pool`).
+    /// Base type name for impl methods (`<Journal>` → `Journal`).
     pub self_ty: Option<String>,
     /// Parameter `(name, type-text)` pairs, `("self", "Self")` first
     /// for methods.
@@ -84,8 +74,6 @@ pub struct FnInfo<'w> {
     pub panics: Vec<PanicSite>,
     /// Resolved callee fn ids (sorted, deduped).
     pub edges: Vec<String>,
-    /// Callee ids reached specifically through parallel-flagged sites.
-    pub parallel_edges: Vec<String>,
 }
 
 /// The workspace call graph.
@@ -139,7 +127,6 @@ impl<'w> CallGraph<'w> {
                     calls: Vec::new(),
                     panics: Vec::new(),
                     edges: Vec::new(),
-                    parallel_edges: Vec::new(),
                 };
                 if let Some(body) = &def.body {
                     let mut walker = Walker {
@@ -147,7 +134,7 @@ impl<'w> CallGraph<'w> {
                         module,
                         info: &mut info,
                     };
-                    walker.walk_block(body, false);
+                    walker.walk_block(body);
                 }
                 // Only real methods (a `self` receiver) are candidates
                 // for dot-call resolution; associated fns like
@@ -186,26 +173,21 @@ impl<'w> CallGraph<'w> {
 
     /// Resolves every call site to callee fn ids.
     fn link(&mut self) {
-        let ids: Vec<String> = self.fns.keys().cloned().collect();
-        let mut resolved: BTreeMap<String, (BTreeSet<String>, BTreeSet<String>)> = BTreeMap::new();
-        for id in &ids {
-            let info = &self.fns[id];
-            let mut edges = BTreeSet::new();
-            let mut parallel_edges = BTreeSet::new();
-            for site in &info.calls {
-                for callee in self.resolve_site(site) {
-                    if site.parallel {
-                        parallel_edges.insert(callee.clone());
-                    }
-                    edges.insert(callee);
-                }
-            }
-            resolved.insert(id.clone(), (edges, parallel_edges));
-        }
-        for (id, (edges, parallel_edges)) in resolved {
+        let resolved: Vec<(String, BTreeSet<String>)> = self
+            .fns
+            .iter()
+            .map(|(id, info)| {
+                let edges = info
+                    .calls
+                    .iter()
+                    .flat_map(|site| self.resolve_site(site))
+                    .collect();
+                (id.clone(), edges)
+            })
+            .collect();
+        for (id, edges) in resolved {
             if let Some(info) = self.fns.get_mut(&id) {
                 info.edges = edges.into_iter().collect();
-                info.parallel_edges = parallel_edges.into_iter().collect();
             }
         }
     }
@@ -294,17 +276,6 @@ impl<'w> CallGraph<'w> {
         path.reverse();
         path
     }
-
-    /// Every fn id whose body contains parallel-flagged call sites, plus
-    /// everything reachable from their parallel callees — the "runs on
-    /// pool workers" set for L009.
-    pub fn parallel_region(&self) -> BTreeSet<String> {
-        let mut seeds: Vec<String> = Vec::new();
-        for info in self.fns.values() {
-            seeds.extend(info.parallel_edges.iter().cloned());
-        }
-        self.reachable(&seeds).into_keys().collect()
-    }
 }
 
 /// Body walker accumulating call and panic sites into one [`FnInfo`].
@@ -321,18 +292,18 @@ const MIN_EXPECT_MESSAGE: usize = 10;
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 impl<'w> Walker<'_, 'w> {
-    fn walk_block(&mut self, block: &'w Block, parallel: bool) {
+    fn walk_block(&mut self, block: &'w Block) {
         for stmt in &block.stmts {
             match stmt {
                 Stmt::Let(l) => {
                     if let Some(init) = &l.init {
-                        self.walk_expr(init, parallel);
+                        self.walk_expr(init);
                     }
                     if let Some(else_block) = &l.else_block {
-                        self.walk_block(else_block, parallel);
+                        self.walk_block(else_block);
                     }
                 }
-                Stmt::Expr(e) => self.walk_expr(e, parallel),
+                Stmt::Expr(e) => self.walk_expr(e),
                 Stmt::Item(_) => {
                     // Statement-level items (nested fns) are rare and
                     // deliberately not graphed.
@@ -341,35 +312,35 @@ impl<'w> Walker<'_, 'w> {
         }
     }
 
-    fn walk_expr(&mut self, expr: &'w Expr, parallel: bool) {
+    fn walk_expr(&mut self, expr: &'w Expr) {
         match expr {
-            Expr::Chain(chain) => self.walk_chain(chain, parallel),
-            Expr::Closure(c) => self.walk_expr(&c.body, parallel),
-            Expr::Block(b) => self.walk_block(b, parallel),
+            Expr::Chain(chain) => self.walk_chain(chain),
+            Expr::Closure(c) => self.walk_expr(&c.body),
+            Expr::Block(b) => self.walk_block(b),
             Expr::If {
                 cond,
                 then_block,
                 else_expr,
             } => {
-                self.walk_expr(cond, parallel);
-                self.walk_block(then_block, parallel);
+                self.walk_expr(cond);
+                self.walk_block(then_block);
                 if let Some(e) = else_expr {
-                    self.walk_expr(e, parallel);
+                    self.walk_expr(e);
                 }
             }
             Expr::For { iter, body, .. } => {
-                self.walk_expr(iter, parallel);
-                self.walk_block(body, parallel);
+                self.walk_expr(iter);
+                self.walk_block(body);
             }
             Expr::While { cond, body } => {
-                self.walk_expr(cond, parallel);
-                self.walk_block(body, parallel);
+                self.walk_expr(cond);
+                self.walk_block(body);
             }
-            Expr::Loop { body } => self.walk_block(body, parallel),
+            Expr::Loop { body } => self.walk_block(body),
             Expr::Match { scrutinee, arms } => {
-                self.walk_expr(scrutinee, parallel);
+                self.walk_expr(scrutinee);
                 for arm in arms {
-                    self.walk_expr(arm, parallel);
+                    self.walk_expr(arm);
                 }
             }
             Expr::Macro(mac) => {
@@ -381,21 +352,21 @@ impl<'w> Walker<'_, 'w> {
                     });
                 }
                 for arg in &mac.args {
-                    self.walk_expr(arg, parallel);
+                    self.walk_expr(arg);
                 }
             }
             Expr::Seq(parts) => {
                 for part in parts {
-                    self.walk_expr(part, parallel);
+                    self.walk_expr(part);
                 }
             }
             Expr::Unit => {}
         }
     }
 
-    fn walk_chain(&mut self, chain: &'w Chain, parallel: bool) {
+    fn walk_chain(&mut self, chain: &'w Chain) {
         if let ChainRoot::Expr(e) = &chain.root {
-            self.walk_expr(e, parallel);
+            self.walk_expr(e);
         }
         for (i, seg) in chain.segs.iter().enumerate() {
             match seg {
@@ -405,19 +376,14 @@ impl<'w> Walker<'_, 'w> {
                     // expression-call (fn pointer / closure), unlinked.
                     if i == 0 {
                         if let ChainRoot::Path(path) = &chain.root {
-                            let canon = self.ws.canonicalize(self.module, path);
-                            let entry = is_parallel_entry_path(&canon);
                             self.info.calls.push(CallSite {
-                                target: canon,
+                                target: self.ws.canonicalize(self.module, path),
                                 method: false,
                                 line: *line,
-                                parallel,
                             });
-                            self.walk_args(args, parallel, entry);
-                            continue;
                         }
                     }
-                    self.walk_args(args, parallel, false);
+                    self.walk_args(args);
                 }
                 ChainSeg::Method {
                     name,
@@ -425,34 +391,22 @@ impl<'w> Walker<'_, 'w> {
                     line,
                     turbofish: _,
                 } => {
-                    self.record_method(chain, name, args, *line, parallel);
-                    let entry = PARALLEL_ENTRIES.contains(&name.as_str());
-                    self.walk_args(args, parallel, entry);
+                    self.record_method(chain, name, args, *line);
+                    self.walk_args(args);
                 }
-                ChainSeg::Index(args) => self.walk_args(args, parallel, false),
-                ChainSeg::StructLit(fields) => self.walk_args(fields, parallel, false),
+                ChainSeg::Index(args) | ChainSeg::StructLit(args) => self.walk_args(args),
                 ChainSeg::Field(_) => {}
             }
         }
     }
 
-    /// Walks call arguments; closure arguments of a parallel entry are
-    /// walked with the parallel flag raised.
-    fn walk_args(&mut self, args: &'w [Expr], parallel: bool, parallel_entry: bool) {
+    fn walk_args(&mut self, args: &'w [Expr]) {
         for arg in args {
-            let flag = parallel || (parallel_entry && matches!(arg, Expr::Closure(_)));
-            self.walk_expr(arg, flag);
+            self.walk_expr(arg);
         }
     }
 
-    fn record_method(
-        &mut self,
-        chain: &Chain,
-        name: &str,
-        args: &'w [Expr],
-        line: usize,
-        parallel: bool,
-    ) {
+    fn record_method(&mut self, chain: &Chain, name: &str, args: &'w [Expr], line: usize) {
         // Panic-class sites.
         if !self.info.in_test {
             if name == "unwrap" && args.is_empty() && !is_partial_cmp_receiver(chain, line) {
@@ -480,7 +434,6 @@ impl<'w> Walker<'_, 'w> {
             target: vec![name.to_string()],
             method: true,
             line,
-            parallel,
         });
     }
 }
@@ -492,18 +445,6 @@ fn is_partial_cmp_receiver(chain: &Chain, unwrap_line: usize) -> bool {
         matches!(seg, ChainSeg::Method { name, line, .. }
             if name == "partial_cmp" && *line <= unwrap_line)
     })
-}
-
-/// Does a canonical call path name a parallel entry point (`Pool::run`
-/// or a re-exported parallel helper)?
-fn is_parallel_entry_path(path: &[String]) -> bool {
-    let Some(last) = path.last() else {
-        return false;
-    };
-    if last == "run" {
-        return path.iter().any(|s| s == "Pool" || s == "pool");
-    }
-    PARALLEL_ENTRIES.contains(&last.as_str()) && *last != "run"
 }
 
 #[cfg(test)]
@@ -525,28 +466,15 @@ mod tests {
         assert!(
             graph
                 .fns
-                .contains_key("dengraph_parallel::pool::<Pool>::run"),
-            "Pool::run missing; ids: {:?}",
+                .contains_key("dengraph_core::session::<DetectorSession>::push_message"),
+            "DetectorSession::push_message missing; ids: {:?}",
             graph
                 .fns
                 .keys()
-                .filter(|k| k.starts_with("dengraph_parallel"))
+                .filter(|k| k.starts_with("dengraph_core::session"))
                 .collect::<Vec<_>>()
         );
         assert!(graph.fns.keys().any(|k| k.ends_with("::process_quantum")));
-    }
-
-    #[test]
-    fn panic_sites_include_pool_panic_macro() {
-        let ws = Workspace::load(workspace_root());
-        let graph = CallGraph::build(&ws);
-        // pool.rs re-raises job panics with panic!() (an allowed L002
-        // site) — the call graph must still see it as a panic site.
-        let has_pool_panic = graph
-            .fns
-            .values()
-            .any(|f| f.module.starts_with("dengraph_parallel") && !f.panics.is_empty());
-        assert!(has_pool_panic, "no panic site found in dengraph_parallel");
     }
 
     #[test]
@@ -561,36 +489,15 @@ mod tests {
             .collect();
         assert!(!roots.is_empty());
         let reached = graph.reachable(&roots);
-        // process_quantum drives the parallel phases, so something in
-        // dengraph_parallel must be reachable.
-        assert!(
-            reached.keys().any(|k| k.starts_with("dengraph_parallel")),
-            "parallel crate unreachable from process_quantum"
-        );
-        // And a path can be reconstructed for any reached node.
+        // process_quantum maintains the AKG, so something in
+        // dengraph_graph must be reachable.
         let target = reached
             .keys()
-            .find(|k| k.starts_with("dengraph_parallel"))
-            .expect("checked above");
+            .find(|k| k.starts_with("dengraph_graph"))
+            .expect("graph crate unreachable from process_quantum");
+        // And a path can be reconstructed for any reached node.
         let path = CallGraph::path_to(&reached, target);
         assert_eq!(path.last().map(String::as_str), Some(target.as_str()));
         assert!(path.len() >= 2);
-    }
-
-    #[test]
-    fn parallel_region_covers_pool_closures() {
-        let ws = Workspace::load(workspace_root());
-        let graph = CallGraph::build(&ws);
-        let region = graph.parallel_region();
-        // The par_map slot-writing closures call Mutex::lock; the region
-        // must be non-empty whenever the workspace uses par_* helpers.
-        let uses_par = graph.fns.values().any(|f| {
-            f.calls
-                .iter()
-                .any(|c| c.method && PARALLEL_ENTRIES.contains(&c.target[0].as_str()))
-        });
-        if uses_par {
-            assert!(!region.is_empty(), "parallel region empty");
-        }
     }
 }

@@ -1,8 +1,9 @@
 //! `dengraph-lint`: project-invariant static analysis for the dengraph
 //! workspace.
 //!
-//! The system's headline guarantee — parallel, checkpoint-restored and
-//! journal-recovered runs are **bit-identical** to serial — has been
+//! The system's headline guarantee — checkpoint-restored and
+//! journal-recovered runs are **bit-identical** to uninterrupted ones, and
+//! every run of the same input is bit-identical to the last — has been
 //! violated by real bugs (hash-map iteration order leaking into cluster
 //! ids and event ordering, fixed in PRs 2–3).  This crate turns those
 //! bug classes into machine-checked, deny-by-default lints instead of
@@ -19,14 +20,19 @@
 //! | L003 | `partial_cmp(..).unwrap()` (or `unwrap_or`) as an f64 ordering | NaN-unsafe and panicky; `f64::total_cmp` is the project's canonical float order |
 //! | L004 | `unsafe` without a `// SAFETY:` comment | every unsafe block must state why it is sound |
 //! | L005 | undocumented `pub` items in `dengraph-core` / `dengraph-json` | the session/codec surface is the public API |
-//! | L006 | lock-order inversions, and guards held across pool submits | the worker pool plus `Arc<Mutex<…>>` sinks make ABBA deadlocks a real hazard |
 //! | L007 | panic-class sites reachable (interprocedurally) from pipeline entry points | L002 is syntactic; the hot path must not reach a panic through any call chain either |
 //! | L008 | wire-decoded lengths reaching `with_capacity`/`vec!`/`.reserve` unchecked | a corrupt or hostile checkpoint must not drive allocation size |
-//! | L009 | `f64` folds/sums over unordered sources in parallel-phase code | float addition is non-associative; reduction order must be deterministic |
 //!
-//! L001–L005 are line-oriented lexical rules; L006–L009 are semantic
+//! L001–L005 are line-oriented lexical rules; L007 and L008 are semantic
 //! rules built on a recursive-descent parse ([`ast`]), a workspace
 //! module-graph resolver ([`resolve`]) and a call graph ([`callgraph`]).
+//!
+//! L006 (lock-order inversions, guards held across pool submits) and L009
+//! (`f64` folds over unordered sources in parallel-phase code) are retired
+//! with their subject: the engine is serial, the worker pool that took
+//! every lock they ordered is gone, and the one lock left in library code,
+//! the `Arc<Mutex<S>>` sink adapter, is taken once per sink, one sink at a
+//! time.  Their ids are not reused.
 //!
 //! A site can be justified with an allow comment on the same line or the
 //! line above; one `lint:` marker may stack several allows when a line
@@ -34,7 +40,7 @@
 //!
 //! ```text
 //! // lint: allow(L001, canonicalised by the sort two lines down)
-//! // lint: allow(L002, re-raised on the caller thread) allow(L007, propagates the job panic)
+//! // lint: allow(L002, fails loudly on corrupt state) allow(L007, only with the opt-in invariants feature)
 //! ```
 //!
 //! The reason is **mandatory**; an allow without one is itself reported.
@@ -68,29 +74,22 @@ pub enum Rule {
     L004,
     /// Undocumented `pub` item in a docs-required crate.
     L005,
-    /// Inconsistent lock acquisition order, or a guard held across a
-    /// pool submit.
-    L006,
     /// Panic-class site reachable from a pipeline entry point.
     L007,
     /// Wire-decoded length reaching an allocation without a bounds
     /// check.
     L008,
-    /// Nondeterministic f64 reduction in parallel-phase code.
-    L009,
 }
 
 /// Every rule, in id order.
-pub const ALL_RULES: [Rule; 9] = [
+pub const ALL_RULES: [Rule; 7] = [
     Rule::L001,
     Rule::L002,
     Rule::L003,
     Rule::L004,
     Rule::L005,
-    Rule::L006,
     Rule::L007,
     Rule::L008,
-    Rule::L009,
 ];
 
 impl Rule {
@@ -102,10 +101,8 @@ impl Rule {
             Rule::L003 => "L003",
             Rule::L004 => "L004",
             Rule::L005 => "L005",
-            Rule::L006 => "L006",
             Rule::L007 => "L007",
             Rule::L008 => "L008",
-            Rule::L009 => "L009",
         }
     }
 
@@ -117,10 +114,8 @@ impl Rule {
             Rule::L003 => "float ordering via partial_cmp().unwrap(); use total_cmp",
             Rule::L004 => "unsafe without a `// SAFETY:` comment",
             Rule::L005 => "undocumented public item",
-            Rule::L006 => "lock-order inversion or guard held across a pool submit",
             Rule::L007 => "panic-class site reachable from a pipeline entry point",
             Rule::L008 => "untrusted wire length reaches an allocation unchecked",
-            Rule::L009 => "f64 reduction over an unordered source in parallel code",
         }
     }
 
@@ -343,12 +338,12 @@ fn is_ident_char(c: char) -> bool {
 }
 
 /// One `name: Type` / `name = Type::new()` declaration found in a file.
-pub(crate) struct Decl {
-    pub(crate) name: String,
+struct Decl {
+    name: String,
     /// 0-based line of the declaration.
-    pub(crate) line: usize,
+    line: usize,
     /// True for hash-map/set types, false for order-preserving ones.
-    pub(crate) is_hash: bool,
+    is_hash: bool,
 }
 
 /// Scans a file for identifiers declared with a container type
@@ -359,7 +354,7 @@ pub(crate) struct Decl {
 /// name (falling back to the nearest following one), which lets a
 /// `users: Vec<…>` field coexist with a `users: FxHashSet<…>` local
 /// elsewhere in the file.
-pub(crate) fn container_decls(lines: &[lexer::Line]) -> Vec<Decl> {
+fn container_decls(lines: &[lexer::Line]) -> Vec<Decl> {
     let mut decls = Vec::new();
     for (line_idx, line) in lines.iter().enumerate() {
         let code = &line.code;
@@ -426,7 +421,7 @@ pub(crate) fn container_decls(lines: &[lexer::Line]) -> Vec<Decl> {
 
 /// Is `name` hash-typed at (0-based) `line`, under nearest-declaration
 /// resolution?
-pub(crate) fn is_hash_at(decls: &[Decl], name: &str, line: usize) -> bool {
+fn is_hash_at(decls: &[Decl], name: &str, line: usize) -> bool {
     let mut best_before: Option<&Decl> = None;
     let mut best_after: Option<&Decl> = None;
     for d in decls.iter().filter(|d| d.name == name) {
@@ -1038,8 +1033,8 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Resul
 
 /// Lints every in-scope source file under the workspace `root`
 /// (`crates/*/src/**/*.rs`; the vendored crates are out of scope):
-/// the lexical rules L001–L005 per file, then the semantic rules
-/// L006–L009 over the resolved module graph, merged per file with the
+/// the lexical rules L001–L005 per file, then the semantic rules L007
+/// and L008 over the resolved module graph, merged per file with the
 /// same allow-comment filtering.
 pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     let mut files = Vec::new();

@@ -3,11 +3,12 @@
 //! Loads every library crate's `src/` tree, follows `mod x;`
 //! declarations to their files, parses each file with [`crate::ast`],
 //! and builds per-module `use` maps so that a path written in one file
-//! (`Pool::run`, `pool::pool_for`, `crate::wal::Journal`) can be
-//! canonicalised to a workspace-global path
-//! (`dengraph_parallel::pool::Pool::run`).  Re-exports (`pub use`) are
-//! followed when canonicalising, so `dengraph_parallel::Pool` and
-//! `dengraph_parallel::pool::Pool` name the same item.
+//! (`DetectorConfig::validate`, `wal::Journal`, `crate::wal::Journal`) can
+//! be canonicalised to a workspace-global path
+//! (`dengraph_core::config::DetectorConfig::validate`).  Re-exports
+//! (`pub use`) are followed when canonicalising, so
+//! `dengraph_core::DetectorConfig` and `dengraph_core::config::DetectorConfig`
+//! name the same item.
 //!
 //! Everything here is deterministic: modules are stored in sorted
 //! `BTreeMap`s and files are visited in path order, so downstream rule
@@ -354,7 +355,7 @@ fn collect_uses(
                 }
                 // Bare paths whose root is neither an extern crate nor a
                 // workspace crate are crate-root-relative (`pub use
-                // pool::Pool;` at the crate root).
+                // config::DetectorConfig;` at the crate root).
                 Some(first)
                     if !matches!(first, "std" | "core" | "alloc")
                         && !WORKSPACE_CRATES.contains(&first) =>
@@ -396,7 +397,7 @@ mod tests {
     fn base_type_name_strips_wrappers() {
         assert_eq!(base_type_name("Arc<Mutex<S>>"), "Arc");
         assert_eq!(base_type_name("&mut Session"), "Session");
-        assert_eq!(base_type_name("pool::Pool"), "Pool");
+        assert_eq!(base_type_name("config::DetectorConfig"), "DetectorConfig");
         assert_eq!(base_type_name("Mutex<HashMap<usize, u8>>"), "Mutex");
     }
 
@@ -411,7 +412,6 @@ mod tests {
         assert!(ws.modules.contains_key("dengraph_core"));
         assert!(ws.modules.contains_key("dengraph_core::session"));
         assert!(ws.modules.contains_key("dengraph_core::cluster::registry"));
-        assert!(ws.modules.contains_key("dengraph_parallel::pool"));
 
         // `use` resolution: session.rs imports from the wal module.
         let session = &ws.modules["dengraph_core::session"];
@@ -422,16 +422,18 @@ mod tests {
             assert_eq!(canon.first().map(String::as_str), Some("dengraph_core"));
         }
 
-        // Re-export following: dengraph_parallel::Pool → pool::Pool.
-        let parallel_root = &ws.modules["dengraph_parallel"];
-        if parallel_root.uses.contains_key("Pool") {
-            let canon = ws.canonicalize(parallel_root, &["Pool".to_string(), "run".to_string()]);
-            assert_eq!(
-                canon.join("::"),
-                "dengraph_parallel::pool::Pool::run",
-                "re-export not followed"
-            );
-        }
+        // Re-export following: dengraph_core::DetectorConfig →
+        // config::DetectorConfig.
+        let core_root = &ws.modules["dengraph_core"];
+        let canon = ws.canonicalize(
+            core_root,
+            &["DetectorConfig".to_string(), "validate".to_string()],
+        );
+        assert_eq!(
+            canon.join("::"),
+            "dengraph_core::config::DetectorConfig::validate",
+            "re-export not followed"
+        );
     }
 
     #[test]

@@ -1,22 +1,6 @@
-//! The semantic rules L006–L009, built on the parsed workspace
+//! The semantic rules L007 and L008, built on the parsed workspace
 //! ([`crate::resolve`]) and the call graph ([`crate::callgraph`]).
 //!
-//! * **L006 — lock-order consistency.**  Every `Mutex`/`RwLock`
-//!   acquisition site is recorded with a *lock identity* (`Pool::queue.jobs`,
-//!   `Latch::mutex`, `dengraph_parallel::pool::POOLS`).  Walking each
-//!   body in statement order with guard liveness (a `let`-bound guard
-//!   lives to the end of its block or an explicit `drop`; an unbound
-//!   guard lives for its statement), the rule builds the global
-//!   held-while-acquiring graph — including locks acquired transitively
-//!   by callees — and rejects (a) any cycle of length ≥ 2 and (b) any
-//!   guard held across a pool submit (`Pool::run` / `par_map` /
-//!   `par_chunks` / `pooled_chunks` / `submit` / `scope`).  Closure
-//!   bodies are *not* treated as executing at their construction site,
-//!   so building jobs under the queue guard is fine; each closure body is
-//!   analysed with an empty guard stack.
-//!   Same-lock self-edges are not reported: lock identities are
-//!   type-level, and proving two `Latch::mutex` receivers are the same
-//!   instance needs alias analysis this tool does not do.
 //! * **L007 — panic reachability.**  No call-graph path may lead from a
 //!   pipeline entry point (`process_quantum`, `push_message`, the sink
 //!   dispatch methods, `restore*`, WAL `replay`) to a panic-class site.
@@ -33,19 +17,11 @@
 //!   bounds check (a `seq_len(…)` call, or an `if` comparing it against
 //!   `remaining()` / `.len()`) is rejected.  Taint is per-function; no
 //!   interprocedural flow.
-//! * **L009 — float-reduction determinism.**  In code that runs on pool
-//!   workers (bodies of closures passed to the parallel entry points,
-//!   plus everything the call graph reaches from them), an `f64` fold or
-//!   `sum`/`product` whose iteration chain is rooted at a hash container
-//!   or uses `.keys()` / `.values()` of a non-BTree map is rejected —
-//!   float addition is not associative, so reduction order must be
-//!   provably deterministic.  Chains over `Vec`/slices/`BTreeMap` and
-//!   unknown-but-unflagged sources stay quiet.
 
 use crate::ast::{Block, Chain, ChainRoot, ChainSeg, Expr, Stmt};
-use crate::callgraph::{CallGraph, FnInfo, PARALLEL_ENTRIES};
-use crate::resolve::{base_type_name, Module, Workspace};
-use crate::{container_decls, is_hash_at, lexer, Decl, Rule, Violation};
+use crate::callgraph::CallGraph;
+use crate::resolve::Workspace;
+use crate::{Rule, Violation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -66,17 +42,6 @@ pub const ENTRY_POINTS: [&str; 13] = [
     "restore_from_journal",
 ];
 
-/// Method names whose call while holding a guard is an L006 violation
-/// on its own (they hand work to pool threads).
-const POOL_SUBMITS: [&str; 6] = [
-    "par_chunks",
-    "par_map",
-    "pooled_chunks",
-    "run",
-    "scope",
-    "submit",
-];
-
 /// Reader methods whose result is attacker-controlled (L008 taint
 /// sources).
 const TAINT_SOURCES: [&str; 3] = ["u32", "u64", "usize"];
@@ -93,17 +58,15 @@ pub enum Mode {
     SingleFile,
 }
 
-/// L006–L009 violations, grouped per workspace-relative file.
+/// L007 and L008 violations, grouped per workspace-relative file.
 pub fn analyze(ws: &Workspace, mode: Mode) -> BTreeMap<PathBuf, Vec<Violation>> {
     let graph = CallGraph::build(ws);
     let mut out: BTreeMap<PathBuf, Vec<Violation>> = BTreeMap::new();
     let mut push = |file: &Path, v: Violation| {
         out.entry(file.to_path_buf()).or_default().push(v);
     };
-    check_l006(ws, &graph, &mut push);
     check_l007(&graph, &mut push);
     check_l008(&graph, mode, &mut push);
-    check_l009(ws, &graph, &mut push);
     for list in out.values_mut() {
         list.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
         list.dedup();
@@ -119,665 +82,6 @@ pub fn analyze_single(source: &str) -> Vec<Violation> {
         .into_values()
         .flatten()
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// L006: lock-order consistency
-// ---------------------------------------------------------------------------
-
-/// One acquisition observed while another guard was held.
-struct LockEdge {
-    held: String,
-    acquired: String,
-    file: PathBuf,
-    line: usize,
-    /// Callee fn id when the acquisition is transitive.
-    via: Option<String>,
-}
-
-fn check_l006(ws: &Workspace, graph: &CallGraph<'_>, push: &mut dyn FnMut(&Path, Violation)) {
-    // Pass 1: per-fn direct lock sets (every acquisition anywhere in the
-    // body, closures included — a closure's locks are taken on *some*
-    // thread once it runs).
-    let mut direct: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for (id, info) in &graph.fns {
-        let Some(module) = ws.modules.get(&info.module) else {
-            continue;
-        };
-        let mut locks = BTreeSet::new();
-        if let Some(body) = info.body {
-            collect_locks(ws, module, info, body, &mut locks);
-        }
-        direct.insert(id.clone(), locks);
-    }
-    // Pass 2: transitive closure over call edges (fixpoint; callee ==
-    // caller edges are recursion, skipped implicitly by the union).
-    let mut trans = direct.clone();
-    for _ in 0..24 {
-        let mut changed = false;
-        let snapshot = trans.clone();
-        for (id, info) in &graph.fns {
-            let set = trans.get_mut(id).expect("populated above");
-            let before = set.len();
-            for callee in &info.edges {
-                if let Some(callee_locks) = snapshot.get(callee) {
-                    set.extend(callee_locks.iter().cloned());
-                }
-            }
-            changed |= set.len() != before;
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Pass 3: guard-liveness walk of every body, collecting edges and
-    // direct pool-submit violations.
-    let mut edges: Vec<LockEdge> = Vec::new();
-    for info in graph.fns.values() {
-        if info.in_test {
-            continue;
-        }
-        let Some(module) = ws.modules.get(&info.module) else {
-            continue;
-        };
-        let Some(body) = info.body else { continue };
-        let mut walker = GuardWalker {
-            ws,
-            module,
-            info,
-            trans: &trans,
-            held: Vec::new(),
-            edges: &mut edges,
-            violations: Vec::new(),
-        };
-        walker.walk_block(body);
-        for v in walker.violations {
-            push(&info.file, v);
-        }
-    }
-    // Pass 4: cycle detection over the lock-order graph.  Iteratively
-    // strip nodes with no successors or no predecessors; every edge left
-    // lies on some cycle.
-    let mut nodes: BTreeSet<&str> = BTreeSet::new();
-    for e in &edges {
-        if e.held != e.acquired {
-            nodes.insert(&e.held);
-            nodes.insert(&e.acquired);
-        }
-    }
-    loop {
-        let mut removed = false;
-        let live: Vec<&str> = nodes.iter().copied().collect();
-        for node in live {
-            let has_out = edges.iter().any(|e| {
-                e.held == node && e.held != e.acquired && nodes.contains(e.acquired.as_str())
-            });
-            let has_in = edges.iter().any(|e| {
-                e.acquired == node && e.held != e.acquired && nodes.contains(e.held.as_str())
-            });
-            if !has_out || !has_in {
-                nodes.remove(node);
-                removed = true;
-            }
-        }
-        if !removed {
-            break;
-        }
-    }
-    for e in &edges {
-        if e.held != e.acquired
-            && nodes.contains(e.held.as_str())
-            && nodes.contains(e.acquired.as_str())
-        {
-            let via = e
-                .via
-                .as_ref()
-                .map(|f| format!(" (via call to `{f}`)"))
-                .unwrap_or_default();
-            push(
-                &e.file,
-                Violation {
-                    rule: Rule::L006,
-                    line: e.line,
-                    message: format!(
-                        "lock-order cycle: `{}` acquired while `{}` is held{via}; another path \
-                         acquires them in the opposite order",
-                        e.acquired, e.held
-                    ),
-                },
-            );
-        }
-    }
-}
-
-/// A live lock guard during the L006 walk.
-struct Held {
-    lock: String,
-    /// Bound variable name (`None` for statement temporaries).
-    var: Option<String>,
-}
-
-struct GuardWalker<'a, 'w> {
-    ws: &'w Workspace,
-    module: &'w Module,
-    info: &'a FnInfo<'w>,
-    trans: &'a BTreeMap<String, BTreeSet<String>>,
-    held: Vec<Held>,
-    edges: &'a mut Vec<LockEdge>,
-    violations: Vec<Violation>,
-}
-
-impl GuardWalker<'_, '_> {
-    fn walk_block(&mut self, block: &Block) {
-        let entry_depth = self.held.len();
-        for stmt in &block.stmts {
-            match stmt {
-                Stmt::Let(l) => {
-                    let temp_base = self.held.len();
-                    if let Some(init) = &l.init {
-                        self.walk_expr(init);
-                        // If the initializer *is* a guard expression, the
-                        // binding keeps it alive past the statement.
-                        if let Some(lock) = guard_binding(self.ws, self.module, self.info, init) {
-                            self.held.truncate(temp_base);
-                            self.held.push(Held {
-                                lock,
-                                var: l.names.first().cloned(),
-                            });
-                        } else {
-                            self.held.truncate(temp_base);
-                        }
-                    }
-                    if let Some(else_block) = &l.else_block {
-                        self.walk_block(else_block);
-                    }
-                }
-                Stmt::Expr(e) => {
-                    let temp_base = self.held.len();
-                    // `drop(guard)` releases a bound guard.
-                    if let Some(name) = dropped_var(e) {
-                        self.held
-                            .retain(|h| h.var.as_deref() != Some(name.as_str()));
-                    } else {
-                        self.walk_expr(e);
-                    }
-                    self.held.truncate(temp_base.min(self.held.len()));
-                }
-                Stmt::Item(_) => {}
-            }
-        }
-        self.held.truncate(entry_depth);
-    }
-
-    fn walk_expr(&mut self, expr: &Expr) {
-        match expr {
-            Expr::Chain(chain) => self.walk_chain(chain),
-            Expr::Closure(c) => {
-                // The closure is not running here: analyse its body with
-                // an empty guard stack.
-                let saved = std::mem::take(&mut self.held);
-                self.walk_expr(&c.body);
-                self.held = saved;
-            }
-            Expr::Block(b) => self.walk_block(b),
-            Expr::If {
-                cond,
-                then_block,
-                else_expr,
-            } => {
-                self.walk_expr(cond);
-                self.walk_block(then_block);
-                if let Some(e) = else_expr {
-                    self.walk_expr(e);
-                }
-            }
-            Expr::For { iter, body, .. } => {
-                self.walk_expr(iter);
-                self.walk_block(body);
-            }
-            Expr::While { cond, body } => {
-                self.walk_expr(cond);
-                self.walk_block(body);
-            }
-            Expr::Loop { body } => self.walk_block(body),
-            Expr::Match { scrutinee, arms } => {
-                self.walk_expr(scrutinee);
-                for arm in arms {
-                    self.walk_expr(arm);
-                }
-            }
-            Expr::Macro(mac) => {
-                for arg in &mac.args {
-                    self.walk_expr(arg);
-                }
-            }
-            Expr::Seq(parts) => {
-                for part in parts {
-                    self.walk_expr(part);
-                }
-            }
-            Expr::Unit => {}
-        }
-    }
-
-    fn walk_chain(&mut self, chain: &Chain) {
-        if let ChainRoot::Expr(e) = &chain.root {
-            self.walk_expr(e);
-        }
-        for (i, seg) in chain.segs.iter().enumerate() {
-            match seg {
-                ChainSeg::Call { args, line } => {
-                    if i == 0 {
-                        if let ChainRoot::Path(path) = &chain.root {
-                            self.observe_call(
-                                path.last().map(String::as_str).unwrap_or(""),
-                                Some(path),
-                                *line,
-                            );
-                        }
-                    }
-                    for arg in args {
-                        self.walk_expr(arg);
-                    }
-                }
-                ChainSeg::Method {
-                    name, args, line, ..
-                } => {
-                    if let Some(lock) = acquisition(self.ws, self.module, self.info, chain, i) {
-                        self.record_acquisition(&lock, *line, None);
-                        self.held.push(Held { lock, var: None });
-                    } else {
-                        self.observe_call(name, None, *line);
-                    }
-                    for arg in args {
-                        self.walk_expr(arg);
-                    }
-                }
-                ChainSeg::Index(args) => {
-                    for arg in args {
-                        self.walk_expr(arg);
-                    }
-                }
-                ChainSeg::StructLit(fields) => {
-                    for f in fields {
-                        self.walk_expr(f);
-                    }
-                }
-                ChainSeg::Field(_) => {}
-            }
-        }
-    }
-
-    /// Handles a (path or method) call made while guards may be held:
-    /// transitive lock edges and the pool-submit check.
-    fn observe_call(&mut self, name: &str, path: Option<&[String]>, line: usize) {
-        if self.held.is_empty() {
-            return;
-        }
-        // Pool submit under a guard is a violation regardless of locks.
-        // `run` is only a submit when the path names the pool — as a
-        // bare method name it is too generic to flag.
-        let is_submit = POOL_SUBMITS.contains(&name)
-            && match path {
-                Some(p) => {
-                    name != "run" || {
-                        let canon = self.ws.canonicalize(self.module, p);
-                        canon.iter().any(|s| s == "Pool" || s == "pool")
-                    }
-                }
-                None => name != "run",
-            };
-        if is_submit {
-            let locks: Vec<&str> = self.held.iter().map(|h| h.lock.as_str()).collect();
-            self.violations.push(Violation {
-                rule: Rule::L006,
-                line,
-                message: format!(
-                    "guard on `{}` held across pool submit `{name}(…)`; pool jobs that \
-                     need the same lock would deadlock",
-                    locks.join("`, `")
-                ),
-            });
-        }
-        // Transitive acquisitions by the callee.
-        let callees: Vec<String> = match path {
-            Some(p) => {
-                let canon = self.ws.canonicalize(self.module, p).join("::");
-                if self.trans.contains_key(&canon) {
-                    vec![canon]
-                } else {
-                    Vec::new()
-                }
-            }
-            None => self
-                .trans
-                .keys()
-                .filter(|id| id.rsplit("::").next() == Some(name) && id.contains("::<"))
-                .cloned()
-                .collect(),
-        };
-        for callee in callees {
-            if callee == self.info.id {
-                continue;
-            }
-            let Some(locks) = self.trans.get(&callee) else {
-                continue;
-            };
-            for lock in locks.iter().cloned().collect::<Vec<_>>() {
-                self.record_acquisition(&lock, line, Some(callee.clone()));
-            }
-        }
-    }
-
-    fn record_acquisition(&mut self, lock: &str, line: usize, via: Option<String>) {
-        for held in &self.held {
-            if held.lock == *lock {
-                continue;
-            }
-            self.edges.push(LockEdge {
-                held: held.lock.clone(),
-                acquired: lock.to_string(),
-                file: self.info.file.clone(),
-                line,
-                via: via.clone(),
-            });
-        }
-    }
-}
-
-/// Collects every lock identity acquired anywhere in `block`, closure
-/// bodies included (a job's locks are taken on *some* thread once it
-/// runs, so they count toward the owning fn's lock set).
-fn collect_locks(
-    ws: &Workspace,
-    module: &Module,
-    info: &FnInfo<'_>,
-    block: &Block,
-    out: &mut BTreeSet<String>,
-) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let(l) => {
-                if let Some(init) = &l.init {
-                    collect_locks_expr(ws, module, info, init, out);
-                }
-                if let Some(else_block) = &l.else_block {
-                    collect_locks(ws, module, info, else_block, out);
-                }
-            }
-            Stmt::Expr(e) => collect_locks_expr(ws, module, info, e, out),
-            Stmt::Item(_) => {}
-        }
-    }
-}
-
-fn collect_locks_expr(
-    ws: &Workspace,
-    module: &Module,
-    info: &FnInfo<'_>,
-    expr: &Expr,
-    out: &mut BTreeSet<String>,
-) {
-    match expr {
-        Expr::Chain(chain) => {
-            if let ChainRoot::Expr(e) = &chain.root {
-                collect_locks_expr(ws, module, info, e, out);
-            }
-            for (i, seg) in chain.segs.iter().enumerate() {
-                if let Some(lock) = acquisition(ws, module, info, chain, i) {
-                    out.insert(lock);
-                }
-                match seg {
-                    ChainSeg::Call { args, .. }
-                    | ChainSeg::Method { args, .. }
-                    | ChainSeg::Index(args)
-                    | ChainSeg::StructLit(args) => {
-                        for arg in args {
-                            collect_locks_expr(ws, module, info, arg, out);
-                        }
-                    }
-                    ChainSeg::Field(_) => {}
-                }
-            }
-        }
-        Expr::Closure(c) => collect_locks_expr(ws, module, info, &c.body, out),
-        Expr::Block(b) => collect_locks(ws, module, info, b, out),
-        Expr::If {
-            cond,
-            then_block,
-            else_expr,
-        } => {
-            collect_locks_expr(ws, module, info, cond, out);
-            collect_locks(ws, module, info, then_block, out);
-            if let Some(e) = else_expr {
-                collect_locks_expr(ws, module, info, e, out);
-            }
-        }
-        Expr::For { iter, body, .. } => {
-            collect_locks_expr(ws, module, info, iter, out);
-            collect_locks(ws, module, info, body, out);
-        }
-        Expr::While { cond, body } => {
-            collect_locks_expr(ws, module, info, cond, out);
-            collect_locks(ws, module, info, body, out);
-        }
-        Expr::Loop { body } => collect_locks(ws, module, info, body, out),
-        Expr::Match { scrutinee, arms } => {
-            collect_locks_expr(ws, module, info, scrutinee, out);
-            for arm in arms {
-                collect_locks_expr(ws, module, info, arm, out);
-            }
-        }
-        Expr::Macro(mac) => {
-            for arg in &mac.args {
-                collect_locks_expr(ws, module, info, arg, out);
-            }
-        }
-        Expr::Seq(parts) => {
-            for p in parts {
-                collect_locks_expr(ws, module, info, p, out);
-            }
-        }
-        Expr::Unit => {}
-    }
-}
-
-/// Is `expr` a statement like `drop(name)`?  Returns the dropped name.
-fn dropped_var(expr: &Expr) -> Option<String> {
-    let Expr::Chain(chain) = expr else {
-        return None;
-    };
-    let ChainRoot::Path(path) = &chain.root else {
-        return None;
-    };
-    if path.len() != 1 || path[0] != "drop" || chain.segs.len() != 1 {
-        return None;
-    }
-    let ChainSeg::Call { args, .. } = &chain.segs[0] else {
-        return None;
-    };
-    let [Expr::Chain(arg)] = args.as_slice() else {
-        return None;
-    };
-    let ChainRoot::Path(p) = &arg.root else {
-        return None;
-    };
-    if p.len() == 1 && arg.segs.is_empty() {
-        Some(p[0].clone())
-    } else {
-        None
-    }
-}
-
-/// If `init` evaluates to a lock guard (an acquisition followed only by
-/// `expect`/`unwrap`/`map_err`), returns the lock id.
-fn guard_binding(
-    ws: &Workspace,
-    module: &Module,
-    info: &FnInfo<'_>,
-    init: &Expr,
-) -> Option<String> {
-    let Expr::Chain(chain) = init else {
-        return None;
-    };
-    let mut lock = None;
-    let mut lock_at = usize::MAX;
-    for i in 0..chain.segs.len() {
-        if let Some(id) = acquisition(ws, module, info, chain, i) {
-            lock = Some(id);
-            lock_at = i;
-        }
-    }
-    let lock = lock?;
-    // Everything after the acquisition must preserve the guard.
-    for seg in &chain.segs[lock_at + 1..] {
-        match seg {
-            ChainSeg::Method { name, .. }
-                if matches!(name.as_str(), "expect" | "unwrap" | "map_err") => {}
-            _ => return None,
-        }
-    }
-    Some(lock)
-}
-
-/// Is `chain.segs[k]` a lock acquisition?  Returns the lock identity.
-fn acquisition(
-    ws: &Workspace,
-    module: &Module,
-    info: &FnInfo<'_>,
-    chain: &Chain,
-    k: usize,
-) -> Option<String> {
-    let ChainSeg::Method { name, args, .. } = &chain.segs[k] else {
-        return None;
-    };
-    if !args.is_empty() {
-        return None;
-    }
-    let rw = match name.as_str() {
-        "lock" => false,
-        "read" | "write" => true,
-        _ => return None,
-    };
-    let (id, decl_ty) = receiver_identity(ws, module, info, chain, k);
-    if rw {
-        // `.read()`/`.write()` count only when the receiver is provably
-        // an RwLock (they are common io/map method names otherwise).
-        if !decl_ty.as_deref().is_some_and(|t| t.contains("RwLock")) {
-            return None;
-        }
-    } else if decl_ty
-        .as_deref()
-        .is_some_and(|t| !t.contains("Mutex") && !t.contains("RwLock") && !t.contains("Lazy"))
-    {
-        // A declared non-lock type with a `.lock()` method: not ours.
-        return None;
-    }
-    Some(id)
-}
-
-/// Identity and (when resolvable) declared type text of the receiver of
-/// `chain.segs[k]`.
-fn receiver_identity(
-    ws: &Workspace,
-    module: &Module,
-    info: &FnInfo<'_>,
-    chain: &Chain,
-    k: usize,
-) -> (String, Option<String>) {
-    let fields: Vec<&str> = chain.segs[..k]
-        .iter()
-        .filter_map(|s| match s {
-            ChainSeg::Field(f) => Some(f.as_str()),
-            _ => None,
-        })
-        .collect();
-    let module_key = module.path.join("::");
-    let root_name = match &chain.root {
-        ChainRoot::Path(p) if p.len() == 1 => Some(p[0].as_str()),
-        _ => None,
-    };
-    // `self.field…`: identity is `<SelfTy>::fields`, type from the
-    // struct's field declaration.
-    if root_name == Some("self") {
-        if let Some(ty) = &info.self_ty {
-            if fields.is_empty() {
-                return (format!("{module_key}::<{ty}>"), Some(ty.clone()));
-            }
-            let decl_ty = field_type(ws, &module_key, ty, fields[0]);
-            return (format!("{ty}::{}", fields.join(".")), decl_ty);
-        }
-    }
-    if let Some(name) = root_name {
-        // A static item (screaming case, possibly imported).
-        if name
-            .chars()
-            .all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit())
-            && name.chars().any(|c| c.is_ascii_uppercase())
-        {
-            let canon = ws.canonicalize(module, &[name.to_string()]);
-            let id = canon.join("::");
-            let ty = static_type(ws, &canon);
-            let id = if fields.is_empty() {
-                id
-            } else {
-                format!("{id}.{}", fields.join("."))
-            };
-            return (id, ty);
-        }
-        // A parameter: identity from its declared type.
-        if let Some((_, ty)) = info.params.iter().find(|(n, _)| n == name) {
-            let base = base_type_name(ty).to_string();
-            if !fields.is_empty() {
-                let decl_ty = field_type(ws, &module_key, &base, fields[0]);
-                return (format!("{base}::{}", fields.join(".")), decl_ty);
-            }
-            return (format!("{}::{name}", info.id), Some(ty.clone()));
-        }
-    }
-    // Fallback: function-scoped identity — never aliases across
-    // functions, so it can under-report but not false-positive.
-    let root_text = root_name.unwrap_or("<expr>");
-    let id = if fields.is_empty() {
-        format!("{}::{root_text}", info.id)
-    } else {
-        format!("{}::{root_text}.{}", info.id, fields.join("."))
-    };
-    (id, None)
-}
-
-/// Declared type text of `Ty::field` somewhere in the workspace
-/// (searched in `module_key`'s module first, then everywhere).
-fn field_type(ws: &Workspace, module_key: &str, ty: &str, field: &str) -> Option<String> {
-    let find = |module: &Module| -> Option<String> {
-        module.items.iter().find_map(|item| match &item.kind {
-            crate::ast::ItemKind::Struct { name, fields } if name == ty => fields
-                .iter()
-                .find(|(f, _)| f == field)
-                .map(|(_, t)| t.clone()),
-            _ => None,
-        })
-    };
-    if let Some(module) = ws.modules.get(module_key) {
-        if let Some(t) = find(module) {
-            return Some(t);
-        }
-    }
-    ws.modules.values().find_map(find)
-}
-
-/// Declared type text of a static at canonical path.
-fn static_type(ws: &Workspace, canon: &[String]) -> Option<String> {
-    if canon.is_empty() {
-        return None;
-    }
-    let name = canon.last().expect("emptiness checked above");
-    let module_key = canon[..canon.len() - 1].join("::");
-    let module = ws.modules.get(&module_key)?;
-    module.items.iter().find_map(|item| match &item.kind {
-        crate::ast::ItemKind::Static { name: n, ty, .. } if n == name => Some(ty.clone()),
-        _ => None,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1189,203 +493,6 @@ fn bound_methods(expr: &Expr, found: &mut bool) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// L009: float-reduction determinism
-// ---------------------------------------------------------------------------
-
-fn check_l009(ws: &Workspace, graph: &CallGraph<'_>, push: &mut dyn FnMut(&Path, Violation)) {
-    let region = graph.parallel_region();
-    // Per-file container declarations (shared by inline modules).
-    let mut decls_by_file: BTreeMap<PathBuf, Vec<Decl>> = BTreeMap::new();
-    for module in ws.modules.values() {
-        decls_by_file
-            .entry(module.file.clone())
-            .or_insert_with(|| container_decls(&lexer::split(&module.source)));
-    }
-    for info in graph.fns.values() {
-        if info.in_test {
-            continue;
-        }
-        let Some(body) = info.body else { continue };
-        let decls = decls_by_file.get(&info.file).map_or(&[][..], Vec::as_slice);
-        let in_region = region.contains(&info.id);
-        let mut w = FloatWalker {
-            decls,
-            in_region,
-            violations: Vec::new(),
-        };
-        w.walk_block(body, in_region);
-        for v in w.violations {
-            push(&info.file, v);
-        }
-    }
-}
-
-struct FloatWalker<'a> {
-    decls: &'a [Decl],
-    in_region: bool,
-    violations: Vec<Violation>,
-}
-
-impl FloatWalker<'_> {
-    fn walk_block(&mut self, block: &Block, parallel: bool) {
-        for stmt in &block.stmts {
-            match stmt {
-                Stmt::Let(l) => {
-                    if let Some(init) = &l.init {
-                        self.walk_expr(init, parallel);
-                    }
-                    if let Some(else_block) = &l.else_block {
-                        self.walk_block(else_block, parallel);
-                    }
-                }
-                Stmt::Expr(e) => self.walk_expr(e, parallel),
-                Stmt::Item(_) => {}
-            }
-        }
-    }
-
-    fn walk_expr(&mut self, expr: &Expr, parallel: bool) {
-        match expr {
-            Expr::Chain(chain) => self.walk_chain(chain, parallel),
-            Expr::Closure(c) => self.walk_expr(&c.body, parallel),
-            Expr::Block(b) => self.walk_block(b, parallel),
-            Expr::If {
-                cond,
-                then_block,
-                else_expr,
-            } => {
-                self.walk_expr(cond, parallel);
-                self.walk_block(then_block, parallel);
-                if let Some(e) = else_expr {
-                    self.walk_expr(e, parallel);
-                }
-            }
-            Expr::For { iter, body, .. } => {
-                self.walk_expr(iter, parallel);
-                self.walk_block(body, parallel);
-            }
-            Expr::While { cond, body } => {
-                self.walk_expr(cond, parallel);
-                self.walk_block(body, parallel);
-            }
-            Expr::Loop { body } => self.walk_block(body, parallel),
-            Expr::Match { scrutinee, arms } => {
-                self.walk_expr(scrutinee, parallel);
-                for arm in arms {
-                    self.walk_expr(arm, parallel);
-                }
-            }
-            Expr::Macro(mac) => {
-                for arg in &mac.args {
-                    self.walk_expr(arg, parallel);
-                }
-            }
-            Expr::Seq(parts) => {
-                for p in parts {
-                    self.walk_expr(p, parallel);
-                }
-            }
-            Expr::Unit => {}
-        }
-    }
-
-    fn walk_chain(&mut self, chain: &Chain, parallel: bool) {
-        if let ChainRoot::Expr(e) = &chain.root {
-            self.walk_expr(e, parallel);
-        }
-        for (i, seg) in chain.segs.iter().enumerate() {
-            let (name, args, line, turbofish) = match seg {
-                ChainSeg::Method {
-                    name,
-                    args,
-                    line,
-                    turbofish,
-                } => (name.as_str(), args.as_slice(), *line, turbofish.as_deref()),
-                ChainSeg::Call { args, .. } | ChainSeg::Index(args) | ChainSeg::StructLit(args) => {
-                    let entry = matches!(seg, ChainSeg::Call { .. })
-                        && i == 0
-                        && matches!(&chain.root, ChainRoot::Path(p)
-                            if p.last().is_some_and(|l| PARALLEL_ENTRIES.contains(&l.as_str())));
-                    for arg in args {
-                        self.walk_expr(arg, parallel || entry);
-                    }
-                    continue;
-                }
-                ChainSeg::Field(_) => continue,
-            };
-            let entry = PARALLEL_ENTRIES.contains(&name);
-            let float_fold = name == "fold" && args.first().is_some_and(is_float_literal);
-            let float_sum = matches!(name, "sum" | "product")
-                && turbofish.is_some_and(|t| t.contains("f64") || t.contains("f32"));
-            if (float_fold || float_sum) && (parallel || self.in_region) {
-                if let Some(source) = unordered_source(self.decls, chain, i, line) {
-                    self.violations.push(Violation {
-                        rule: Rule::L009,
-                        line,
-                        message: format!(
-                            "f64 reduction (`.{name}(…)`) over {source} in parallel-phase \
-                             code; reduction order is nondeterministic — iterate a sorted \
-                             or sequential source"
-                        ),
-                    });
-                }
-            }
-            for arg in args {
-                self.walk_expr(arg, parallel || entry);
-            }
-        }
-    }
-}
-
-/// Is the argument a float literal (`0.0`, `1f64`, `0.0f32`)?
-fn is_float_literal(expr: &Expr) -> bool {
-    let Expr::Chain(chain) = expr else {
-        return false;
-    };
-    let ChainRoot::Lit(text) = &chain.root else {
-        return false;
-    };
-    if !chain.segs.is_empty() {
-        return false;
-    }
-    text.contains('.') || text.contains("f64") || text.contains("f32")
-}
-
-/// If the chain up to segment `k` iterates an unordered source, a
-/// description of it.
-fn unordered_source(decls: &[Decl], chain: &Chain, k: usize, line: usize) -> Option<String> {
-    let root_name = match &chain.root {
-        ChainRoot::Path(p) => p.last().map(String::as_str),
-        _ => None,
-    };
-    // Nearest-declaration typing of the chain root (0-based decl lines).
-    let root_field = chain.segs[..k].iter().find_map(|s| match s {
-        ChainSeg::Field(f) => Some(f.as_str()),
-        _ => None,
-    });
-    let subject = root_field.or(root_name);
-    let root_is_hash = subject.is_some_and(|n| is_hash_at(decls, n, line.saturating_sub(1)));
-    let root_is_known_seq = subject.is_some_and(|n| {
-        decls.iter().any(|d| d.name == n && !d.is_hash)
-            && !is_hash_at(decls, n, line.saturating_sub(1))
-    });
-    let has_keys_values = chain.segs[..k].iter().any(|s| {
-        matches!(s, ChainSeg::Method { name, .. }
-            if matches!(name.as_str(), "keys" | "values" | "values_mut" | "drain"))
-    });
-    if root_is_hash {
-        return Some(format!(
-            "hash container `{}`",
-            subject.unwrap_or("<unknown>")
-        ));
-    }
-    if has_keys_values && !root_is_known_seq {
-        return Some("a map's `.keys()`/`.values()` of unknown order".to_string());
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1407,21 +514,15 @@ mod tests {
                     .collect::<Vec<_>>()
             })
             .collect();
-        // `analyze` reports pre-allow findings: the only two are the
-        // deliberate panic re-raises, whose `allow(L007, …)` comments
+        // `analyze` reports pre-allow findings: the only one is the
+        // deliberate panic re-raise, whose `allow(L007, …)` comment
         // `lint_workspace` then applies.
         assert_eq!(
             found,
-            vec![
-                (
-                    "crates/dengraph-core/src/detector.rs".to_string(),
-                    Rule::L007
-                ),
-                (
-                    "crates/dengraph-parallel/src/pool.rs".to_string(),
-                    Rule::L007
-                ),
-            ]
+            vec![(
+                "crates/dengraph-core/src/detector.rs".to_string(),
+                Rule::L007
+            )]
         );
     }
 }

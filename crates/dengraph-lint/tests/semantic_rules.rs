@@ -1,10 +1,8 @@
-//! Integration tests for the semantic rules L006–L009: each rule is
+//! Integration tests for the semantic rules L007 and L008: each rule is
 //! proven by a failing fixture and an allowed fixture under
-//! `tests/fixtures/`, and the real workspace is held to the same bar
-//! (the `dengraph-parallel` pool must be lock-order-clean).
+//! `tests/fixtures/`, and the real workspace is held to the same bar.
 
-use dengraph_lint::resolve::Workspace;
-use dengraph_lint::semantic::{analyze, analyze_single, Mode};
+use dengraph_lint::semantic::analyze_single;
 use dengraph_lint::Rule;
 use std::path::{Path, PathBuf};
 
@@ -26,36 +24,6 @@ fn hits(name: &str) -> Vec<(Rule, usize)> {
         .into_iter()
         .map(|v| (v.rule, v.line))
         .collect()
-}
-
-#[test]
-fn l006_failing_fixture_reports_cycle_and_submit() {
-    let hits = hits("l006_lock_order.rs");
-    let l006: Vec<usize> = hits
-        .iter()
-        .filter(|(r, _)| *r == Rule::L006)
-        .map(|&(_, line)| line)
-        .collect();
-    // One cycle edge in `forward` (line 20), one in `backward` (line
-    // 26), and the submit under a live guard (line 33).
-    assert_eq!(l006, vec![20, 26, 33], "hits: {hits:?}");
-    let messages: Vec<String> = analyze_single(&fixture("l006_lock_order.rs"))
-        .into_iter()
-        .map(|v| v.message)
-        .collect();
-    assert!(
-        messages.iter().any(|m| m.contains("lock-order cycle")),
-        "expected a cycle message in {messages:?}"
-    );
-    assert!(
-        messages.iter().any(|m| m.contains("pool submit")),
-        "expected a submit message in {messages:?}"
-    );
-}
-
-#[test]
-fn l006_allowed_fixture_is_clean() {
-    assert_eq!(hits("l006_allowed.rs"), vec![]);
 }
 
 #[test]
@@ -96,43 +64,6 @@ fn l008_allowed_fixture_is_clean() {
 }
 
 #[test]
-fn l009_failing_fixture_reports_fold_and_reached_sum() {
-    let l009: Vec<usize> = hits("l009_float_fold.rs")
-        .into_iter()
-        .filter(|(r, _)| *r == Rule::L009)
-        .map(|(_, line)| line)
-        .collect();
-    // The fold inside the parallel closure (line 12) and the
-    // turbofished sum in the helper the parallel region reaches
-    // (line 17).
-    assert_eq!(l009, vec![12, 17]);
-}
-
-#[test]
-fn l009_allowed_fixture_is_clean() {
-    assert_eq!(hits("l009_allowed.rs"), vec![]);
-}
-
-#[test]
-fn real_parallel_pool_is_lock_order_clean() {
-    let ws = Workspace::load(&workspace_root());
-    let findings = analyze(&ws, Mode::Workspace);
-    let l006: Vec<String> = findings
-        .iter()
-        .flat_map(|(file, vs)| {
-            vs.iter()
-                .filter(|v| v.rule == Rule::L006)
-                .map(move |v| format!("{}:{} {}", file.display(), v.line, v.message))
-        })
-        .collect();
-    assert_eq!(
-        l006,
-        Vec::<String>::new(),
-        "the pool/session locks must keep one consistent order"
-    );
-}
-
-#[test]
 fn real_workspace_has_no_unjustified_violations() {
     let report = dengraph_lint::lint_workspace(&workspace_root()).expect("workspace walk failed");
     let surviving: Vec<String> = report
@@ -159,16 +90,10 @@ fn fingerprints_are_line_stable_and_baseline_roundtrips() {
 
 #[test]
 fn enclosing_symbol_resolves_impl_methods() {
-    let source = fixture("l006_lock_order.rs");
+    let source = fixture("l008_untrusted_len.rs");
     let file = dengraph_lint::ast::parse_file(&source);
-    // Line 20 is inside `Shared::forward`.
-    assert_eq!(
-        dengraph_lint::enclosing_symbol(&file, 20),
-        "Shared::forward"
-    );
-    assert_eq!(
-        dengraph_lint::enclosing_symbol(&file, 32),
-        "submit_under_guard"
-    );
-    assert_eq!(dengraph_lint::enclosing_symbol(&file, 4), "<file>");
+    // Line 9 is inside `Reader::usize`.
+    assert_eq!(dengraph_lint::enclosing_symbol(&file, 9), "Reader::usize");
+    assert_eq!(dengraph_lint::enclosing_symbol(&file, 20), "decode");
+    assert_eq!(dengraph_lint::enclosing_symbol(&file, 2), "<file>");
 }

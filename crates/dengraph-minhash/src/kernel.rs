@@ -24,8 +24,8 @@
 //! The incremental window index uses none of them on a slide: it
 //! routes each `(keyword, user)` row by its hash — one search of a short
 //! sorted head or one probe of an overflow table — so there is no run to
-//! hash, sort and merge as a batch.  The kernels serve the `Rebuild` mode,
-//! `build_sketches` and the record builder's pair sort.
+//! hash, sort and merge as a batch.  The kernels serve the `Rebuild` mode's
+//! window sketches and the record builder's pair sort.
 //!
 //! **Bit-identity is the contract.**  Every kernel produces exactly the
 //! same result as its scalar reference: the `p` smallest distinct hashes
@@ -36,7 +36,7 @@
 use crate::hasher::UserHasher;
 
 /// Reusable scratch lanes for the batch kernels.  Owned by long-lived
-/// callers (the detector's scratch arena, one per worker shard) so
+/// callers (the detector's scratch arena, the window's sketch builder) so
 /// steady-state sketch maintenance performs no heap allocation.
 ///
 /// Contents are never meaningful across calls; every kernel clears the

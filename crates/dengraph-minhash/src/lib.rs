@@ -16,8 +16,6 @@
 //!   merge / overlap / estimation operations.
 //! * [`jaccard`] — exact Jaccard helpers used by tests and the evaluation
 //!   harness.
-//! * [`batch`] — batch sketch construction over keyword shards, fanned out
-//!   via `dengraph-parallel` with deterministic (input-order) results.
 //! * [`kernel`] — the batch struct-of-arrays kernels behind all of the
 //!   above: 8-lane splitmix64 hashing, branch-free minima folding, O(p)
 //!   sorted-minima merging, an LSD radix sort for packed pair columns and
@@ -30,13 +28,11 @@
 //! detector's window index (`dengraph_core::keyword_state`) keeps exactly
 //! that column and nothing per quantum.
 
-pub mod batch;
 pub mod hasher;
 pub mod jaccard;
 pub mod kernel;
 pub mod sketch;
 
-pub use batch::build_sketches;
 pub use hasher::{HashFamily, UserHasher};
 pub use jaccard::{exact_jaccard, exact_jaccard_sorted, overlap_coefficient_sorted};
 pub use kernel::SketchLanes;

@@ -1,233 +1,21 @@
-//! Deterministic sharded fork-join execution for the dengraph pipeline.
+//! The retired parallelism knob.
 //!
-//! The per-quantum work of the event detector — window aggregation,
-//! per-keyword min-hash sketching, candidate-edge scoring, ranking support
-//! counts — decomposes into independent shards (per keyword, per candidate
-//! pair, per message chunk).  This crate provides the small executor that
-//! fans those shards out across OS threads and collects the results **in
-//! input order**, so a parallel run produces bit-identical output to a
-//! serial one.
-//!
-//! The build environment has no crates.io access, so instead of `rayon`
-//! this is built on a persistent [`pool`] of parked worker threads: each
-//! [`par_map`] call splits the input slice into one contiguous chunk per
-//! thread, dispatches the chunks through the pool's shared queue, and
-//! concatenates the per-chunk outputs in input order.  A fork-join round
-//! trip costs single-digit microseconds — cheap enough to run several
-//! phases inside every sub-millisecond quantum (spawning OS threads per
-//! phase, by contrast, costs more than the quantum itself).
+//! The detector once fanned its read-only per-quantum phases (window
+//! aggregation, sketching, candidate-edge scoring, ranking support) out
+//! over a worker pool kept here.  Every fan-out measured slower than the
+//! serial pipeline on every benchmark workload, so the pool is gone and the
+//! engine is serial (README *Parallelism*).  What is left is the bare enum,
+//! kept only because the repo benchmark still names it; nothing in the
+//! engine reads a value of it.
 
-pub mod pool;
-
-use std::num::NonZeroUsize;
-use std::sync::Mutex;
-
-pub use pool::{pool_for, Pool};
-
-/// How much parallelism a pipeline stage may use.
-///
-/// `Serial` is the reference implementation; `Threads(n)` fans each stage
-/// out over `n` OS threads.  Both paths produce identical results — the
-/// knob only trades wall-clock time for cores.
+/// How much parallelism a pipeline stage may use — no longer read by
+/// anything: every stage runs serially.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Run every stage inline on the calling thread.
+    /// Run every stage inline on the calling thread (the only behaviour).
     #[default]
     Serial,
-    /// Fan work out over this many threads (values below 2 behave like
-    /// [`Parallelism::Serial`]).
+    /// Formerly: fan work out over this many threads.  Accepted and
+    /// ignored.
     Threads(usize),
-}
-
-impl Parallelism {
-    /// One thread per available core, as reported by the OS.
-    pub fn auto() -> Self {
-        Parallelism::Threads(
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
-    /// The number of worker threads this setting amounts to (≥ 1).
-    pub fn threads(self) -> usize {
-        match self {
-            Parallelism::Serial => 1,
-            Parallelism::Threads(n) => n.max(1),
-        }
-    }
-
-    /// Returns `true` when work will actually be fanned out.
-    pub fn is_parallel(self) -> bool {
-        self.threads() > 1
-    }
-}
-
-impl std::fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Parallelism::Serial => write!(f, "serial"),
-            Parallelism::Threads(n) => write!(f, "threads({n})"),
-        }
-    }
-}
-
-/// Below this many items per thread the spawn overhead outweighs the win
-/// and [`par_map`] falls back to the serial path.
-const MIN_ITEMS_PER_THREAD: usize = 8;
-
-/// Fans contiguous chunks of `items` out through the persistent pool and
-/// returns the per-chunk results in chunk order.
-fn pooled_chunks<T, C, F>(threads: usize, items: &[T], map_chunk: F) -> Vec<C>
-where
-    T: Sync,
-    C: Send,
-    F: Fn(&[T]) -> C + Sync,
-{
-    // The caller participates in the batch, so `threads` ways of
-    // parallelism need threads - 1 pool workers.
-    let pool = pool_for(threads - 1);
-    let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(threads)).collect();
-    let slots: Vec<Mutex<Option<C>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
-    let map_chunk = &map_chunk;
-    pool.run(chunks.iter().zip(&slots).map(|(&chunk, slot)| {
-        move || {
-            let out = map_chunk(chunk);
-            *slot.lock().expect("par_map slot poisoned") = Some(out);
-        }
-    }));
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("par_map slot poisoned")
-                .expect("par_map chunk did not run")
-        })
-        .collect()
-}
-
-/// Splits `items` into one contiguous chunk per thread, maps each chunk as
-/// a whole, and returns the per-chunk results in chunk order.
-///
-/// This is the fold-shaped counterpart to [`par_map`]: use it when the
-/// natural unit of work is a *slice* (e.g. aggregating many messages into
-/// one map per chunk, merged serially afterwards).  Falls back to a single
-/// serial chunk when the input is smaller than `min_items_per_thread` per
-/// thread.
-pub fn par_chunks<T, C, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    min_items_per_thread: usize,
-    map_chunk: F,
-) -> Vec<C>
-where
-    T: Sync,
-    C: Send,
-    F: Fn(&[T]) -> C + Sync,
-{
-    let threads = parallelism
-        .threads()
-        .min(items.len() / min_items_per_thread.max(1));
-    if threads <= 1 {
-        return vec![map_chunk(items)];
-    }
-    pooled_chunks(threads, items, map_chunk)
-}
-
-/// Maps `f` over `items`, fanning out across threads per `parallelism`.
-///
-/// Results are returned in input order regardless of thread scheduling, so
-/// the output is identical to `items.iter().map(f).collect()`.
-pub fn par_map<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = parallelism
-        .threads()
-        .min(items.len() / MIN_ITEMS_PER_THREAD.max(1));
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    pooled_chunks(threads, items, |chunk| {
-        chunk.iter().map(&f).collect::<Vec<R>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parallelism_threads_floor_at_one() {
-        assert_eq!(Parallelism::Serial.threads(), 1);
-        assert_eq!(Parallelism::Threads(0).threads(), 1);
-        assert_eq!(Parallelism::Threads(4).threads(), 4);
-        assert!(!Parallelism::Threads(1).is_parallel());
-        assert!(Parallelism::Threads(2).is_parallel());
-        assert!(Parallelism::auto().threads() >= 1);
-    }
-
-    #[test]
-    fn par_map_matches_serial_map() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for par in [
-            Parallelism::Serial,
-            Parallelism::Threads(2),
-            Parallelism::Threads(7),
-        ] {
-            assert_eq!(
-                par_map(par, &items, |x| x * 3 + 1),
-                serial,
-                "mismatch at {par}"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_and_tiny_inputs_take_the_serial_path() {
-        let empty: Vec<u32> = vec![];
-        assert!(par_map(Parallelism::Threads(8), &empty, |x| *x).is_empty());
-        let tiny = [1u32, 2, 3];
-        assert_eq!(
-            par_map(Parallelism::Threads(8), &tiny, |x| x + 1),
-            vec![2, 3, 4]
-        );
-    }
-
-    #[test]
-    fn par_chunks_covers_every_item_in_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        for par in [
-            Parallelism::Serial,
-            Parallelism::Threads(3),
-            Parallelism::Threads(8),
-        ] {
-            let sums = par_chunks(par, &items, 16, |chunk| chunk.iter().sum::<u64>());
-            assert_eq!(sums.iter().sum::<u64>(), (0..1000).sum::<u64>(), "at {par}");
-            assert!(!sums.is_empty());
-        }
-        // Small inputs collapse to a single serial chunk.
-        let tiny = [1u64, 2, 3];
-        assert_eq!(
-            par_chunks(Parallelism::Threads(8), &tiny, 16, |c| c.to_vec()),
-            vec![vec![1, 2, 3]]
-        );
-        // Chunks arrive in input order.
-        let order = par_chunks(Parallelism::Threads(4), &items, 16, |c| c[0]);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(order, sorted);
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(Parallelism::Serial.to_string(), "serial");
-        assert_eq!(Parallelism::Threads(4).to_string(), "threads(4)");
-    }
 }

@@ -305,9 +305,9 @@ pub fn es_profile(seed: u64, scale: ProfileScale) -> StreamProfile {
 /// *pulsing* keyword families that keep re-bursting inside the detector's
 /// window, so the AKG accumulates far more live edges than any one
 /// quantum's delta log touches.  This is the workload where stage 3's
-/// partitioning cost separates from its maintenance cost: a from-scratch
-/// partition walks every AKG edge each parallel quantum, an incremental
-/// component index only the deltas.
+/// partitioning cost separated from its maintenance cost when stage 3 was
+/// sharded: a from-scratch partition walked every AKG edge each quantum,
+/// an incremental component index only the deltas.
 ///
 /// Structure (all draws from one seeded ChaCha8 stream):
 ///

@@ -6,8 +6,7 @@
 //! Demonstrates that the detector is a plain single-writer state machine
 //! that composes naturally with `std::sync::mpsc` channels and `RwLock`
 //! shared state; the algorithms themselves need no global locking
-//! (Section 4.1's locality argument).  The detector's own stages fan out
-//! internally via the [`Parallelism`] knob.
+//! (Section 4.1's locality argument).
 //!
 //! Run with: `cargo run -p dengraph-examples --release --example live_pipeline`
 
@@ -16,7 +15,6 @@ use std::sync::{Arc, RwLock};
 use std::thread;
 
 use dengraph_core::{DetectorBuilder, DetectorConfig};
-use dengraph_parallel::Parallelism;
 use dengraph_stream::generator::profiles::{es_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator};
 
@@ -51,9 +49,7 @@ fn main() {
     // Consumer: runs the detector and publishes the top events.
     let consumer_dashboard = Arc::clone(&dashboard);
     let consumer = thread::spawn(move || {
-        let config = DetectorConfig::nominal()
-            .with_window_quanta(20)
-            .with_parallelism(Parallelism::auto());
+        let config = DetectorConfig::nominal().with_window_quanta(20);
         let mut detector = DetectorBuilder::from_config(config)
             .interner(interner.clone())
             .build()

@@ -8,7 +8,7 @@
 //! Run with: `cargo run -p dengraph-examples --release --example parameter_sweep`
 
 use dengraph_core::evaluation::run_detector_on_trace;
-use dengraph_core::{DetectorConfig, Parallelism};
+use dengraph_core::DetectorConfig;
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::StreamGenerator;
 
@@ -19,10 +19,6 @@ fn main() {
         "trace: {} messages, {} users, {} keywords, {} detectable events",
         stats.messages, stats.distinct_users, stats.distinct_keywords, stats.detectable_events
     );
-    // Scores are identical either way (the sharded pipeline is
-    // deterministic); the extra cores just make the sweep finish sooner.
-    let parallelism = Parallelism::auto();
-    println!("pipeline parallelism: {parallelism}");
 
     println!(
         "\n{:>6} {:>6} | {:>9} {:>7} | {:>7} {:>7}",
@@ -34,8 +30,7 @@ fn main() {
             let config = DetectorConfig::nominal()
                 .with_quantum_size(delta)
                 .with_edge_correlation_threshold(tau)
-                .with_window_quanta(20)
-                .with_parallelism(parallelism);
+                .with_window_quanta(20);
             let report = run_detector_on_trace(&trace, &config);
             println!(
                 "{:>6} {:>6.2} | {:>9} {:>7} | {:>7.3} {:>7.3}",

@@ -11,15 +11,15 @@
 //! built from the shapes that stress a join — every bursty keyword over
 //! the same users (all minima shared), pairwise-disjoint users (nothing
 //! shared), one user emitting every keyword, random mixtures, and empty
-//! quanta — across `WindowIndexMode` × `Parallelism`, with sketches small
-//! enough that overlapping user sets routinely share no minimum.
+//! quanta — in both `WindowIndexMode`s, with sketches small enough that
+//! overlapping user sets routinely share no minimum.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::akg::{keyword_of, node_of};
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
-use dengraph_core::{AkgMaintainer, DetectorConfig, GraphDelta, Parallelism, WindowIndexMode};
+use dengraph_core::{AkgMaintainer, DetectorConfig, GraphDelta, WindowIndexMode};
 use dengraph_graph::{DynamicGraph, NodeId};
 use dengraph_minhash::UserHasher;
 use dengraph_stream::{Message, UserId};
@@ -230,7 +230,7 @@ fn window_for(config: &DetectorConfig, mode: WindowIndexMode) -> WindowState {
     .with_materialize_threshold(config.high_state_threshold as usize)
 }
 
-/// Drives the reference and all four mode × parallelism maintainers over
+/// Drives the reference and both window modes' maintainers over
 /// one seeded stream.  Returns `(pairs the maintainers evaluated, pairs
 /// the reference evaluated)`.
 fn check_stream(seed: u64, base: &DetectorConfig, quanta: u64) -> (usize, usize) {
@@ -242,17 +242,11 @@ fn check_stream(seed: u64, base: &DetectorConfig, quanta: u64) -> (usize, usize)
     let mut reference_window = window_for(base, WindowIndexMode::Rebuild);
     let mut variants: Vec<(String, AkgMaintainer, WindowState)> = Vec::new();
     for mode in [WindowIndexMode::Incremental, WindowIndexMode::Rebuild] {
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
-            let config = base
-                .clone()
-                .with_window_index_mode(mode)
-                .with_parallelism(parallelism);
-            variants.push((
-                format!("{mode:?}/{parallelism}"),
-                AkgMaintainer::new(config),
-                window_for(base, mode),
-            ));
-        }
+        variants.push((
+            format!("{mode:?}"),
+            AkgMaintainer::new(base.clone().with_window_index_mode(mode)),
+            window_for(base, mode),
+        ));
     }
 
     let (mut evaluated, mut reference_evaluated) = (0, 0);

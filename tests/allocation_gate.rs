@@ -15,7 +15,7 @@
 //! The binary contains exactly one test so no concurrent test thread can
 //! pollute the counter.
 
-use dengraph_core::{DetectorBuilder, DetectorConfig, Parallelism, WindowIndexMode};
+use dengraph_core::{DetectorBuilder, DetectorConfig, WindowIndexMode};
 use dengraph_stream::Quantum;
 
 #[path = "support/alloc_gate.rs"]
@@ -28,7 +28,6 @@ fn steady_state_quanta_allocate_a_small_constant() {
         quantum_size: 48,
         high_state_threshold: 3,
         window_quanta: 8,
-        parallelism: Parallelism::Serial,
         window_index_mode: WindowIndexMode::Incremental,
         ..DetectorConfig::nominal()
     };
@@ -61,7 +60,7 @@ fn steady_state_quanta_allocate_a_small_constant() {
     eprintln!("worst steady-state quantum: {worst} allocations");
     // Budget: the per-quantum constant — the returned summary's vectors,
     // the reported events (3 × keyword list), the correlation cache's
-    // per-quantum columns, the scoring fan-out's result vector and the
+    // per-quantum columns, the scoring pass's result vector and the
     // tracker's (amortised) history growth.  Measured 11 in release and
     // 38 in debug on the current implementation (the gap is the cluster
     // registry's `debug_assert!`ed invariant check, ~9 per live cluster;

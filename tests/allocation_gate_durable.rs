@@ -26,7 +26,7 @@
 
 use dengraph_core::{
     CheckpointMode, DetectorBuilder, DetectorConfig, DurableJournalConfig, FsyncPolicy,
-    Parallelism, WindowIndexMode,
+    WindowIndexMode,
 };
 use dengraph_stream::Quantum;
 
@@ -50,7 +50,6 @@ fn a_warm_journal_appends_without_allocating() {
         quantum_size: 48,
         high_state_threshold: 3,
         window_quanta: 8,
-        parallelism: Parallelism::Serial,
         window_index_mode: WindowIndexMode::Incremental,
         ..DetectorConfig::nominal()
     };

@@ -275,7 +275,9 @@ fn snapshot_methods(dir: &Path) -> Vec<u8> {
 
 /// The two 93e6cc0 checkpoints carry the window index entry by entry
 /// (binary mode byte 1, JSON `"entries"`); the current ones carry the
-/// live list.  All four restore to the same detector and continue alike.
+/// live list.  All four restore to the same detector and continue alike,
+/// and so does the old JSON with its retired `"parallelism"` key set to
+/// 100 000 threads: the key is ignored, whatever it holds.
 #[test]
 fn parent_checkpoints_with_an_entries_index_restore_in_both_wire_formats() {
     let old_bin = fs::read(fixtures().join("checkpoint_parent_index.bin")).expect("fixture reads");
@@ -291,12 +293,16 @@ fn parent_checkpoints_with_an_entries_index_restore_in_both_wire_formats() {
     let new_text = std::str::from_utf8(&new_json).expect("JSON checkpoint is text");
     assert!(new_text.contains("\"live\":[0,1,2,3,8,9,10,11]") && !new_text.contains("\"entries\""));
     assert!(new_bin.len() < old_bin.len() && new_json.len() < old_json.len());
+    let threads = old_text.replacen("\"parallelism\":\"serial\"", "\"parallelism\":100000", 1);
+    assert_ne!(threads, old_text);
+    assert!(!new_text.contains("parallelism"));
 
     let mut reference = DetectorSession::restore_bytes(&new_bin).expect("restores");
     let expected = canonical(&continuation(&mut reference, &messages));
     for (label, document) in [
         ("old binary", &old_bin),
         ("old JSON", &old_json),
+        ("old JSON at 100000 threads", &threads.into_bytes()),
         ("new binary", &new_bin),
         ("new JSON", &new_json),
     ] {

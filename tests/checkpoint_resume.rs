@@ -13,7 +13,7 @@
 //! fresh session, run M more quanta — and the concatenated
 //! `QuantumSummary` stream plus the final long-term event records must be
 //! **bit-identical** to an uninterrupted N+M run.  Checked across window
-//! sizes × `Parallelism` × `WindowIndexMode` × `CheckpointMode`, with the
+//! sizes × `WindowIndexMode` × `CheckpointMode`, with the
 //! full-snapshot split placed mid-quantum so the partial message buffer
 //! round-trips too (journal restores resume at the last completed
 //! quantum boundary and re-feed the partial tail).
@@ -28,8 +28,8 @@ use rand_chacha::ChaCha8Rng;
 use dengraph_core::cluster::{edge_addition, edge_deletion, ClusterRegistry};
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
 use dengraph_core::{
-    Checkpoint, CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, Parallelism,
-    QuantumSummary, VecSink, WindowIndexMode, WireFormat,
+    Checkpoint, CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, QuantumSummary,
+    VecSink, WindowIndexMode, WireFormat,
 };
 use dengraph_graph::{DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
@@ -288,39 +288,36 @@ fn mid_stream_restore_is_bit_identical_across_profiles() {
     assert!(split < trace.messages.len());
 
     for window_quanta in [6usize, 12] {
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
-            for mode in [WindowIndexMode::Rebuild, WindowIndexMode::Incremental] {
-                let config = DetectorConfig::nominal()
-                    .with_window_quanta(window_quanta)
-                    .with_parallelism(parallelism)
-                    .with_window_index_mode(mode);
+        for mode in [WindowIndexMode::Rebuild, WindowIndexMode::Incremental] {
+            let config = DetectorConfig::nominal()
+                .with_window_quanta(window_quanta)
+                .with_window_index_mode(mode);
 
-                let mut uninterrupted = build(&trace, &config);
-                let full = uninterrupted.run(&trace.messages);
+            let mut uninterrupted = build(&trace, &config);
+            let full = uninterrupted.run(&trace.messages);
 
-                for cut in [
-                    Cut::JsonString,
-                    Cut::BinaryBytes,
-                    Cut::Journal(CheckpointMode::Delta { every: 3 }),
-                    Cut::Journal(CheckpointMode::Full),
-                ] {
-                    let label = format!("w={window_quanta} {parallelism} {mode:?} {cut:?}");
-                    let (stitched, resumed) = run_with_interruption(&trace, &config, split, cut);
+            for cut in [
+                Cut::JsonString,
+                Cut::BinaryBytes,
+                Cut::Journal(CheckpointMode::Delta { every: 3 }),
+                Cut::Journal(CheckpointMode::Full),
+            ] {
+                let label = format!("w={window_quanta} {mode:?} {cut:?}");
+                let (stitched, resumed) = run_with_interruption(&trace, &config, split, cut);
 
-                    assert_eq!(
-                        canonical(&full),
-                        canonical(&stitched),
-                        "{label}: summary stream diverged after restore"
-                    );
-                    assert_eq!(
-                        format!("{:#?}", uninterrupted.event_records()),
-                        format!("{:#?}", resumed.event_records()),
-                        "{label}: long-term event records diverged after restore"
-                    );
-                    assert_eq!(uninterrupted.total_messages(), resumed.total_messages());
-                    assert_eq!(uninterrupted.quanta_processed(), resumed.quanta_processed());
-                    assert_component_index_restored(&uninterrupted, &resumed, &label);
-                }
+                assert_eq!(
+                    canonical(&full),
+                    canonical(&stitched),
+                    "{label}: summary stream diverged after restore"
+                );
+                assert_eq!(
+                    format!("{:#?}", uninterrupted.event_records()),
+                    format!("{:#?}", resumed.event_records()),
+                    "{label}: long-term event records diverged after restore"
+                );
+                assert_eq!(uninterrupted.total_messages(), resumed.total_messages());
+                assert_eq!(uninterrupted.quanta_processed(), resumed.quanta_processed());
+                assert_component_index_restored(&uninterrupted, &resumed, &label);
             }
         }
     }

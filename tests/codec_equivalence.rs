@@ -25,7 +25,7 @@ use dengraph_core::keyword_state::{KeywordStateMachine, QuantumRecord, WindowSta
 use dengraph_core::wal::{JournalFrameEvent, JournalReader};
 use dengraph_core::{
     CheckpointMode, DeltaRecord, DetectedEvent, DetectorBuilder, DetectorConfig, DetectorSession,
-    EventTracker, GraphDelta, Parallelism, WindowIndexMode, WireFormat,
+    EventTracker, GraphDelta, WindowIndexMode, WireFormat,
 };
 use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
@@ -256,7 +256,6 @@ fn detector_config_codecs_agree() {
             hysteresis: false,
             require_noun: false,
             rank_threshold_factor: 1.25,
-            parallelism: Parallelism::Threads(4),
             window_index_mode: WindowIndexMode::Rebuild,
             ..DetectorConfig::nominal()
         },

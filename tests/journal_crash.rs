@@ -8,7 +8,7 @@
 //! never silently dropping a frame that survived the cut.  Resuming the
 //! recovered session over the remaining stream must then be
 //! **bit-identical** to the uninterrupted run (summary stream and final
-//! binary checkpoint), across `Parallelism` × `WindowIndexMode`.
+//! binary checkpoint), in both `WindowIndexMode`s.
 //!
 //! When a cut case fails, the truncated journal directory is copied to
 //! `target/journal-crash-repro/<case>/` before the panic propagates, so
@@ -28,8 +28,7 @@ use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::{
     CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig,
-    FsyncPolicy, JournalFrameEvent, JournalReader, Parallelism, QuantumSummary, WindowIndexMode,
-    WireFormat,
+    FsyncPolicy, JournalFrameEvent, JournalReader, QuantumSummary, WindowIndexMode, WireFormat,
 };
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace};
@@ -210,10 +209,9 @@ fn repro_root() -> PathBuf {
 
 const QUANTA: usize = 12;
 
-fn crash_matrix_config(parallelism: Parallelism, mode: WindowIndexMode) -> DetectorConfig {
+fn crash_matrix_config(mode: WindowIndexMode) -> DetectorConfig {
     DetectorConfig::nominal()
         .with_window_quanta(6)
-        .with_parallelism(parallelism)
         .with_window_index_mode(mode)
 }
 
@@ -303,18 +301,13 @@ fn kill_at_any_byte_recovers_to_last_durable_quantum() {
         segment_bytes: 16 * 1024,
     };
 
-    for (case, (parallelism, mode)) in [
-        (Parallelism::Serial, WindowIndexMode::Incremental),
-        (Parallelism::Serial, WindowIndexMode::Rebuild),
-        (Parallelism::Threads(4), WindowIndexMode::Incremental),
-        (Parallelism::Threads(4), WindowIndexMode::Rebuild),
-    ]
-    .into_iter()
-    .enumerate()
+    for (case, mode) in [WindowIndexMode::Incremental, WindowIndexMode::Rebuild]
+        .into_iter()
+        .enumerate()
     {
-        let config = crash_matrix_config(parallelism, mode);
+        let config = crash_matrix_config(mode);
         let messages = &trace.messages[..QUANTA * config.quantum_size];
-        let label = format!("{parallelism}-{mode:?}").to_lowercase();
+        let label = format!("{mode:?}").to_lowercase();
         let dir = scratch_dir(&format!("kill-{label}"));
         let reference = run_journaled(&trace, messages, &config, &dir, durable);
         assert_eq!(reference.quanta, QUANTA as u64);

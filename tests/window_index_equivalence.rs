@@ -1,5 +1,5 @@
-//! The incremental window index's contract: for any trace, window length
-//! and parallelism profile, `WindowIndexMode::Incremental` (per keyword a
+//! The incremental window index's contract: for any trace and window
+//! length, `WindowIndexMode::Incremental` (per keyword a
 //! hash-ordered head of at most `4p` stamped rows whose first `p` are the
 //! window sketch, the rows above it in one shared overflow table) emits
 //! **bit-identical** output to `WindowIndexMode::Rebuild` (walk all `w`
@@ -18,9 +18,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
-use dengraph_core::{
-    DetectorBuilder, DetectorConfig, Parallelism, QuantumSummary, WindowIndexMode, WireFormat,
-};
+use dengraph_core::{DetectorBuilder, DetectorConfig, QuantumSummary, WindowIndexMode, WireFormat};
 use dengraph_json::{Decode, Encode};
 use dengraph_minhash::{MinHashSketch, UserHasher};
 use dengraph_stream::generator::profiles::{es_profile, tw_profile, ProfileScale};
@@ -43,7 +41,7 @@ fn canonical(summaries: &[QuantumSummary]) -> String {
 }
 
 #[test]
-fn incremental_matches_rebuild_across_window_sizes_and_parallelism() {
+fn incremental_matches_rebuild_across_window_sizes() {
     let traces = [
         StreamGenerator::new(tw_profile(41, ProfileScale::Small)).generate(),
         StreamGenerator::new(es_profile(42, ProfileScale::Small)).generate(),
@@ -57,21 +55,16 @@ fn incremental_matches_rebuild_across_window_sizes_and_parallelism() {
                     .clone()
                     .with_window_index_mode(WindowIndexMode::Rebuild),
             );
-            for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
-                let incremental = run(
-                    trace,
-                    &base
-                        .clone()
-                        .with_window_index_mode(WindowIndexMode::Incremental)
-                        .with_parallelism(parallelism),
-                );
-                assert_eq!(
-                    canonical(&rebuild),
-                    canonical(&incremental),
-                    "{}: incremental({parallelism}) diverged from rebuild at w={window_quanta}",
-                    trace.profile_name
-                );
-            }
+            let incremental = run(
+                trace,
+                &base.with_window_index_mode(WindowIndexMode::Incremental),
+            );
+            assert_eq!(
+                canonical(&rebuild),
+                canonical(&incremental),
+                "{}: incremental diverged from rebuild at w={window_quanta}",
+                trace.profile_name
+            );
         }
     }
 }
