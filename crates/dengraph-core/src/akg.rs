@@ -310,19 +310,15 @@ impl Decode for AkgQuantumStats {
 /// edge scoring: one min-hash sketch per keyword, or the exact window user
 /// set when the config asks for exact Jaccard.
 ///
-/// Under [`WindowIndexMode::Incremental`](crate::keyword_state::WindowIndexMode)
-/// (the default) each entry **borrows** the window's cached per-keyword
-/// sketch — zero copies; under `Rebuild` each entry is built by walking
-/// all `w` window quanta.  The keyword → slot mapping is a binary search
+/// Each sketch entry **borrows** the window index's cached per-keyword
+/// sketch — zero copies.  The keyword → slot mapping is a binary search
 /// over the sorted `involved` column instead of a hash map.  Both
 /// construction and lookup are pure reads of the window.
 enum CacheData<'w> {
-    /// Borrowed cached window sketches (incremental index, the default).
-    /// `None` marks a keyword absent from the window, scored as an empty
-    /// sketch.
+    /// Borrowed cached window sketches.  `None` marks a keyword absent
+    /// from the window, scored as an empty sketch (a keyword the AKG
+    /// scores was bursty, so it has an entry while it is in the window).
     Borrowed(Vec<Option<&'w MinHashSketch>>),
-    /// Owned sketches rebuilt from the window records (`Rebuild` mode).
-    Owned(Vec<MinHashSketch>),
     /// Exact window user sets (the `exact_edge_correlation` ablation).
     Exact(Vec<FxHashSet<UserId>>),
 }
@@ -347,15 +343,13 @@ impl<'a> CorrelationCache<'a> {
                     .map(|&k| window.window_user_set(k))
                     .collect(),
             )
-        } else if window.mode() == crate::keyword_state::WindowIndexMode::Incremental {
+        } else {
             CacheData::Borrowed(
                 involved
                     .iter()
                     .map(|&k| window.window_sketch_ref(k))
                     .collect(),
             )
-        } else {
-            CacheData::Owned(window.window_sketches(involved))
         };
         Self {
             involved,
@@ -377,7 +371,6 @@ impl<'a> CorrelationCache<'a> {
     fn sketch(&self, slot: usize) -> &MinHashSketch {
         match &self.data {
             CacheData::Borrowed(sketches) => sketches[slot].unwrap_or(&self.empty),
-            CacheData::Owned(sketches) => &sketches[slot],
             CacheData::Exact(_) => &self.empty,
         }
     }

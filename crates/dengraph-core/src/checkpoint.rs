@@ -19,9 +19,9 @@
 //! and keyword automaton re-apply the logged deltas (no correlation is
 //! re-scored), cluster maintenance re-runs the deterministic Section-5
 //! algorithms from the same delta log, in the same order (reproducing
-//! cluster ids exactly), and the tracker re-observes the logged events.  The result is bit-identical
-//! to the uninterrupted run (`tests/checkpoint_resume.rs` gates this
-//! across `WindowIndexMode` × [`CheckpointMode`]).
+//! cluster ids exactly), and the tracker re-observes the logged events.
+//! The result is bit-identical to the uninterrupted run
+//! (`tests/checkpoint_resume.rs` gates this in every [`CheckpointMode`]).
 //!
 //! ## Wire layout
 //!

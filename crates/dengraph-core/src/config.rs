@@ -7,8 +7,6 @@ use dengraph_json::{Decode, Encode};
 use dengraph_minhash::sketch::MAX_DECODED_SKETCH_SIZE;
 pub use dengraph_parallel::Parallelism;
 
-pub use crate::keyword_state::WindowIndexMode;
-
 /// A typed description of what is wrong with a [`DetectorConfig`].
 ///
 /// Returned by [`DetectorConfig::validate`] and
@@ -106,12 +104,6 @@ pub struct DetectorConfig {
     /// Require at least one noun keyword in a reported event (Section
     /// 7.2.2's other precision filter).
     pub require_noun: bool,
-    /// How the sliding window serves per-keyword aggregates (window
-    /// sketches, window user sets/counts, recency).  `Incremental`
-    /// maintains a per-keyword index updated in O(Δ) per slide;
-    /// `Rebuild` walks all `w` quanta per read (the ablation baseline).
-    /// Both modes are bit-identical in output.
-    pub window_index_mode: WindowIndexMode,
 }
 
 impl Default for DetectorConfig {
@@ -126,7 +118,6 @@ impl Default for DetectorConfig {
             hysteresis: true,
             rank_threshold_factor: 1.0,
             require_noun: true,
-            window_index_mode: WindowIndexMode::Incremental,
         }
     }
 }
@@ -168,12 +159,6 @@ impl DetectorConfig {
     /// Sets the window length in quanta (builder style).
     pub fn with_window_quanta(mut self, w: usize) -> Self {
         self.window_quanta = w;
-        self
-    }
-
-    /// Sets the window index mode (builder style).
-    pub fn with_window_index_mode(mut self, mode: WindowIndexMode) -> Self {
-        self.window_index_mode = mode;
         self
     }
 
@@ -255,6 +240,13 @@ const RETIRED_THREAD_COUNT: usize = 0;
 /// knob went still decode.
 const RETIRED_COMPONENT_INDEX_MODE_BYTE: u8 = 1;
 
+/// The byte after the retired thread count once chose how the window
+/// served its reads (0 walked the records, 1 kept the incremental index).
+/// The index is the only way left, so the byte is written as a constant 1
+/// and read back as 0 or 1 and dropped; documents written before the knob
+/// went still decode.
+const RETIRED_WINDOW_INDEX_MODE_BYTE: u8 = 1;
+
 impl Encode for DetectorConfig {
     /// Serialises the configuration to a [`dengraph_json::Value`].
     fn to_json(&self) -> dengraph_json::Value {
@@ -281,13 +273,6 @@ impl Encode for DetectorConfig {
                 Value::from(self.rank_threshold_factor),
             ),
             ("require_noun", Value::from(self.require_noun)),
-            (
-                "window_index_mode",
-                match self.window_index_mode {
-                    WindowIndexMode::Rebuild => Value::str("rebuild"),
-                    WindowIndexMode::Incremental => Value::str("incremental"),
-                },
-            ),
         ])
     }
 
@@ -305,10 +290,7 @@ impl Encode for DetectorConfig {
         w.f64(self.rank_threshold_factor);
         w.bool(self.require_noun);
         w.usize(RETIRED_THREAD_COUNT);
-        w.byte(match self.window_index_mode {
-            WindowIndexMode::Rebuild => 0,
-            WindowIndexMode::Incremental => 1,
-        });
+        w.byte(RETIRED_WINDOW_INDEX_MODE_BYTE);
         w.byte(RETIRED_COMPONENT_INDEX_MODE_BYTE);
     }
 }
@@ -317,18 +299,8 @@ impl Decode for DetectorConfig {
     /// Reconstructs a configuration serialised by [`Self::to_json`].  The
     /// result is *not* validated — callers that accept external input should
     /// follow up with [`Self::validate`].  Retired keys (`parallelism`,
-    /// `component_index_mode`) are ignored.
+    /// `window_index_mode`, `component_index_mode`) are ignored.
     fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let window_index_mode = match value.get("window_index_mode")?.as_str()? {
-            "rebuild" => WindowIndexMode::Rebuild,
-            "incremental" => WindowIndexMode::Incremental,
-            other => {
-                return Err(dengraph_json::JsonError {
-                    message: format!("unknown window_index_mode '{other}'"),
-                    offset: 0,
-                })
-            }
-        };
         Ok(Self {
             quantum_size: value.get("quantum_size")?.as_usize()?,
             high_state_threshold: value.get("high_state_threshold")?.as_u32()?,
@@ -339,7 +311,6 @@ impl Decode for DetectorConfig {
             hysteresis: value.get("hysteresis")?.as_bool()?,
             rank_threshold_factor: value.get("rank_threshold_factor")?.as_f64()?,
             require_noun: value.get("require_noun")?.as_bool()?,
-            window_index_mode,
         })
     }
 
@@ -355,27 +326,20 @@ impl Decode for DetectorConfig {
             hysteresis: r.bool()?,
             rank_threshold_factor: r.f64()?,
             require_noun: r.bool()?,
-            window_index_mode: {
-                r.usize()?; // RETIRED_THREAD_COUNT, dropped
-                match r.byte()? {
-                    0 => WindowIndexMode::Rebuild,
-                    1 => WindowIndexMode::Incremental,
-                    other => {
-                        return Err(dengraph_json::JsonError {
-                            message: format!("unknown window_index_mode byte {other}"),
-                            offset: r.pos(),
-                        })
-                    }
-                }
-            },
         };
-        match r.byte()? {
-            0 | RETIRED_COMPONENT_INDEX_MODE_BYTE => Ok(config),
-            other => Err(dengraph_json::JsonError {
-                message: format!("unknown component_index_mode byte {other}"),
-                offset: r.pos(),
-            }),
+        r.usize()?; // RETIRED_THREAD_COUNT, dropped
+        for knob in ["window_index_mode", "component_index_mode"] {
+            match r.byte()? {
+                0 | 1 => {}
+                other => {
+                    return Err(dengraph_json::JsonError {
+                        message: format!("unknown {knob} byte {other}"),
+                        offset: r.pos(),
+                    })
+                }
+            }
         }
+        Ok(config)
     }
 }
 
@@ -406,21 +370,11 @@ mod tests {
             .with_quantum_size(80)
             .with_edge_correlation_threshold(0.25)
             .with_high_state_threshold(6)
-            .with_window_quanta(20)
-            .with_window_index_mode(WindowIndexMode::Rebuild);
+            .with_window_quanta(20);
         assert_eq!(c.quantum_size, 80);
         assert_eq!(c.high_state_threshold, 6);
         assert_eq!(c.window_quanta, 20);
         assert!((c.edge_correlation_threshold - 0.25).abs() < f64::EPSILON);
-        assert_eq!(c.window_index_mode, WindowIndexMode::Rebuild);
-    }
-
-    #[test]
-    fn incremental_window_index_is_the_default() {
-        assert_eq!(
-            DetectorConfig::nominal().window_index_mode,
-            WindowIndexMode::Incremental
-        );
     }
 
     #[test]
@@ -570,7 +524,6 @@ mod tests {
                 hysteresis: false,
                 require_noun: false,
                 rank_threshold_factor: 1.25,
-                window_index_mode: WindowIndexMode::Rebuild,
                 ..DetectorConfig::nominal()
             },
         ] {
@@ -580,9 +533,10 @@ mod tests {
         }
     }
 
-    /// The bytes and keys that carried the retired `component_index_mode`
-    /// and thread count still decode, to the configuration a current
-    /// document describes; no other mode byte is accepted in its place.
+    /// The bytes and keys that carried the retired `window_index_mode`,
+    /// `component_index_mode` and thread count still decode, to the
+    /// configuration a current document describes; no other mode byte is
+    /// accepted in their place.
     /// No truncation or single-byte mutation of a binary configuration
     /// panics the decoder.
     #[test]
@@ -600,6 +554,17 @@ mod tests {
         *bytes.last_mut().unwrap() = 2;
         assert!(decode(&bytes).is_err());
         *bytes.last_mut().unwrap() = 1;
+        let window_mode = bytes.len() - 2;
+        assert_eq!(bytes[window_mode], 1);
+        for (value, decodes) in [(0, true), (1, true), (2, false), (u8::MAX, false)] {
+            let mut old = bytes.clone();
+            old[window_mode] = value;
+            assert_eq!(
+                decode(&old).ok(),
+                decodes.then(|| config.clone()),
+                "{value}"
+            );
+        }
 
         // The thread-count varint sits before the two mode bytes and is
         // written as 0; any count a parent document carried is dropped.
@@ -626,11 +591,14 @@ mod tests {
 
         let text = dengraph_json::to_string(&config.to_json());
         assert!(!text.contains("component_index_mode"));
+        assert!(!text.contains("window_index_mode"));
         assert!(!text.contains("parallelism"));
-        for mode in ["rebuild", "incremental"] {
-            let old = text.replacen('{', &format!("{{\"component_index_mode\":\"{mode}\","), 1);
-            let back = DetectorConfig::from_json(&dengraph_json::parse(&old).unwrap()).unwrap();
-            assert_eq!(back, config, "{mode}");
+        for knob in ["component_index_mode", "window_index_mode"] {
+            for mode in ["rebuild", "incremental"] {
+                let old = text.replacen('{', &format!("{{\"{knob}\":\"{mode}\","), 1);
+                let back = DetectorConfig::from_json(&dengraph_json::parse(&old).unwrap()).unwrap();
+                assert_eq!(back, config, "{knob} {mode}");
+            }
         }
         for key in [
             "",

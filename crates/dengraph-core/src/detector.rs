@@ -24,7 +24,7 @@ use crate::cluster::maintainer::MaintenanceStats;
 use crate::cluster::ClusterMaintainer;
 use crate::config::DetectorConfig;
 use crate::event::{DetectedEvent, EventRecord, EventTracker};
-use crate::keyword_state::{QuantumRecord, WindowIndexMode, WindowState};
+use crate::keyword_state::{QuantumRecord, WindowState};
 use crate::ranking::rank_and_support;
 use crate::scratch::ScratchArena;
 
@@ -210,11 +210,10 @@ impl EventDetector {
     /// [`DetectorBuilder`](crate::session::DetectorBuilder), which enforces
     /// validation.
     pub(crate) fn from_config(config: DetectorConfig) -> Self {
-        let window = WindowState::with_mode(
+        let window = WindowState::new(
             config.window_quanta,
             config.sketch_size(),
             UserHasher::new(WINDOW_HASHER_SEED),
-            config.window_index_mode,
         )
         // Only keywords that were bursty at least once are ever read
         // through the index, so the long tail below σ skips all
@@ -540,7 +539,10 @@ impl EventDetector {
             }
             None => None,
         };
-        let window = WindowState::from_json(value.get("window")?)?;
+        let window = WindowState::from_json_with(
+            value.get("window")?,
+            config.high_state_threshold as usize,
+        )?;
         Self::check_window_geometry(&config, &window)?;
         Ok(Self {
             window,
@@ -567,32 +569,27 @@ impl EventDetector {
     /// includes the index's materialization threshold: the detector always
     /// wires it to σ, it decides which keywords get an entry, and a
     /// document — of this version or an earlier one — that says otherwise
-    /// was not written by this detector.  Shared by the JSON and binary
-    /// decoders.
+    /// was not written by this detector.  (A document of the retired
+    /// rebuild mode names no threshold; its window decodes at σ.)  Shared
+    /// by the JSON and binary decoders.
     fn check_window_geometry(
         config: &DetectorConfig,
         window: &WindowState,
     ) -> dengraph_json::Result<()> {
-        // A rebuild-mode window has no index, hence no threshold to check.
-        let threshold_matches = window.mode() == WindowIndexMode::Rebuild
-            || window.materialize_threshold() == config.high_state_threshold as usize;
         if window.capacity() != config.window_quanta
             || window.sketch_size() != config.sketch_size()
-            || window.mode() != config.window_index_mode
-            || !threshold_matches
+            || window.materialize_threshold() != config.high_state_threshold as usize
         {
             return Err(dengraph_json::JsonError {
                 message: format!(
-                    "window geometry (capacity {}, sketch size {}, mode {:?}, index threshold {}) \
+                    "window geometry (capacity {}, sketch size {}, index threshold {}) \
                      contradicts the embedded configuration (window_quanta {}, sketch size {}, \
-                     mode {:?}, high_state_threshold {})",
+                     high_state_threshold {})",
                     window.capacity(),
                     window.sketch_size(),
-                    window.mode(),
                     window.materialize_threshold(),
                     config.window_quanta,
                     config.sketch_size(),
-                    config.window_index_mode,
                     config.high_state_threshold,
                 ),
                 offset: 0,
@@ -651,7 +648,7 @@ impl EventDetector {
         config: DetectorConfig,
         r: &mut dengraph_json::BinReader<'_>,
     ) -> dengraph_json::Result<Self> {
-        let window = WindowState::from_bin(r)?;
+        let window = WindowState::from_bin_with(r, config.high_state_threshold as usize)?;
         Self::check_window_geometry(&config, &window)?;
         let akg = AkgMaintainer::from_bin(config.clone(), r)?;
         let clusters = ClusterMaintainer::from_bin(r)?;

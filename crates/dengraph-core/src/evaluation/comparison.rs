@@ -123,11 +123,10 @@ impl OfflineEventTracker {
 
 /// Runs the full scheme comparison over one trace.
 pub fn compare_schemes(trace: &Trace, config: &DetectorConfig) -> SchemeComparison {
-    let mut window = WindowState::with_mode(
+    let mut window = WindowState::new(
         config.window_quanta,
         config.sketch_size(),
         UserHasher::new(0x5EED_CAFE),
-        config.window_index_mode,
     );
     let mut akg = AkgMaintainer::new(config.clone());
     let mut scp_clusters = ClusterMaintainer::new();

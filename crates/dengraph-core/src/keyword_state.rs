@@ -14,21 +14,19 @@
 //! * the most recent quantum in which it occurred (for stale removal).
 //!
 //! Each quantum contributes one immutable [`QuantumRecord`]; sliding the
-//! window simply drops the oldest record.  How the per-keyword aggregates
-//! are produced from those records is governed by [`WindowIndexMode`]:
+//! window simply drops the oldest record.  A `WindowIndex` keeps, per
+//! keyword, what the detector reads — the `p` smallest user hashes of the
+//! window (the sketch), the exact distinct-user count and a recency mark —
+//! updated in O(Δ) as the window slides, so those reads are O(1).  A
+//! keyword without an index entry (below the materialization threshold)
+//! is served by a walk over the `w` records, and so are exact user *sets*
+//! (the exact-EC ablation), which are not indexed at all.
 //!
-//! * [`WindowIndexMode::Rebuild`] — every read walks all `w` records (the
-//!   naive cache-build cost the paper's incremental AKG design avoids;
-//!   kept as the ablation baseline),
-//! * [`WindowIndexMode::Incremental`] — a `WindowIndex` keeps, per
-//!   keyword, what the detector reads — the `p` smallest user hashes of
-//!   the window (the sketch), the exact distinct-user count and a recency
-//!   mark — updated in O(Δ) as the window slides, so those reads are O(1).
-//!   Exact user *sets* (the exact-EC ablation) are not indexed: they walk
-//!   the records in either mode.
-//!
-//! Both modes are **bit-identical**: same sketches, same counts, same
-//! user sets (`tests/window_index_equivalence.rs` gates this).
+//! The walk is also the index's reference: a window built with
+//! [`WindowState::with_materialize_threshold`]`(usize::MAX)` indexes
+//! nothing and answers every read from the records, bit-identically
+//! (`tests/window_index_equivalence.rs` gates this), and
+//! [`WindowState::validate_invariants`] re-derives every entry the same way.
 //!
 //! ## Order only what the sketch reads
 //!
@@ -424,12 +422,11 @@ fn fold_pairs(pairs: &[(KeywordId, UserId)], storage: RecordStorage) -> RecordSt
     (users, spans)
 }
 
-/// How the sliding window serves per-keyword aggregate reads.
+/// How the sliding window serves per-keyword aggregate reads.  One way is
+/// left; the enum and [`WindowState::with_mode`] are held only because the
+/// repo benchmark still names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WindowIndexMode {
-    /// Rebuild every aggregate from scratch by walking all `w` quanta per
-    /// read (the ablation baseline).
-    Rebuild,
     /// Maintain a per-keyword incremental index updated in O(Δ) per slide
     /// (per keyword a short hash-ordered head whose first `p` rows are the
     /// window sketch, plus a count of the rows above it).
@@ -828,7 +825,8 @@ struct WindowIndex {
     /// through the index (AKG members, candidate pairs, cluster support).
     /// The long tail of sub-threshold keywords skips all per-quantum
     /// bookkeeping; reads of non-materialized keywords fall back to the
-    /// (bit-identical) record walk.  1 materializes everything.
+    /// (bit-identical) record walk.  1 materializes everything,
+    /// `usize::MAX` nothing.
     materialize_threshold: usize,
     /// Slot `k` holds the entry of `KeywordId(k)`, if live.
     entries: Vec<Option<KeywordWindowEntry>>,
@@ -1085,6 +1083,23 @@ impl WindowIndex {
         Ok(index)
     }
 
+    /// The header a window section of the retired rebuild mode (mode byte
+    /// 0, JSON `"rebuild"`) stands for, having no index section: **every**
+    /// keyword of the window's records live, at `threshold` — a list any
+    /// threshold accepts.  Listing only the keywords some record brings
+    /// `threshold` users would not do: an AKG node whose bursty record slid
+    /// out is still read through its entry, and without one it would score
+    /// as the empty sketch.
+    fn all_live(window: &VecDeque<QuantumRecord>, threshold: usize) -> (usize, Vec<u32>) {
+        let mut live: Vec<u32> = window
+            .iter()
+            .flat_map(|r| r.keywords().map(|k| k.0))
+            .collect();
+        live.sort_unstable();
+        live.dedup();
+        (threshold, live)
+    }
+
     /// Serialises what the records cannot tell: the threshold and the
     /// ascending live keyword ids.
     fn to_json(&self) -> dengraph_json::Value {
@@ -1192,78 +1207,64 @@ pub struct WindowState {
     capacity: usize,
     hasher: UserHasher,
     sketch_size: usize,
-    index: Option<WindowIndex>,
+    index: WindowIndex,
 }
 
 impl WindowState {
     /// Creates an empty window of `capacity` quanta using sketches of `p`
-    /// minima hashed with `hasher`, in the default (incremental) mode.
+    /// minima hashed with `hasher`.
     pub fn new(capacity: usize, sketch_size: usize, hasher: UserHasher) -> Self {
-        Self::with_mode(capacity, sketch_size, hasher, WindowIndexMode::default())
-    }
-
-    /// Creates an empty window with an explicit [`WindowIndexMode`].
-    pub fn with_mode(
-        capacity: usize,
-        sketch_size: usize,
-        hasher: UserHasher,
-        mode: WindowIndexMode,
-    ) -> Self {
         Self {
             window: VecDeque::with_capacity(capacity + 1),
             capacity: capacity.max(1),
             hasher,
             sketch_size,
-            index: match mode {
-                WindowIndexMode::Rebuild => None,
-                WindowIndexMode::Incremental => Some(WindowIndex::new(1)),
-            },
+            index: WindowIndex::new(1),
         }
     }
 
-    /// The active index mode.
-    pub fn mode(&self) -> WindowIndexMode {
-        if self.index.is_some() {
-            WindowIndexMode::Incremental
-        } else {
-            WindowIndexMode::Rebuild
-        }
+    /// [`Self::new`]; the last argument has one value and stays only
+    /// because the repo benchmark still passes it.
+    pub fn with_mode(
+        capacity: usize,
+        sketch_size: usize,
+        hasher: UserHasher,
+        _mode: WindowIndexMode,
+    ) -> Self {
+        Self::new(capacity, sketch_size, hasher)
     }
 
     /// Sets the index materialization threshold: a keyword gets an
     /// incrementally maintained index entry once a single quantum brings
     /// it at least this many distinct users (the detector passes the
     /// burstiness threshold σ).  Keywords below the threshold are served
-    /// by the bit-identical record walk instead.  No-op under
-    /// [`WindowIndexMode::Rebuild`]; the default of 1 materializes
-    /// everything.
+    /// by the bit-identical record walk instead.  The default of 1
+    /// materializes everything; `usize::MAX` materializes nothing, which
+    /// makes the window its own from-scratch reference.
     pub fn with_materialize_threshold(mut self, threshold: usize) -> Self {
-        if let Some(index) = &mut self.index {
-            index.materialize_threshold = threshold.max(1);
-        }
+        self.index.materialize_threshold = threshold.max(1);
         self
     }
 
-    /// The index materialization threshold (1 under `Rebuild`).
+    /// The index materialization threshold.
     pub fn materialize_threshold(&self) -> usize {
-        self.index.as_ref().map_or(1, |i| i.materialize_threshold)
+        self.index.materialize_threshold
     }
 
     /// Pushes the record of a new quantum.  Returns the record that slid
     /// out of the window, if the window was already full (callers can
     /// recycle its storage via `QuantumRecord::into_storage`).
     pub fn push(&mut self, record: QuantumRecord) -> Option<QuantumRecord> {
-        if let Some(index) = &mut self.index {
-            index.insert_record(&record, &self.hasher, self.sketch_size, &self.window);
-        }
+        self.index
+            .insert_record(&record, &self.hasher, self.sketch_size, &self.window);
         self.window.push_back(record);
         let evicted = if self.window.len() > self.capacity {
             self.window.pop_front()
         } else {
             None
         };
-        if let (Some(index), Some(old)) = (&mut self.index, &evicted) {
-            index.remove_record(old, &self.hasher, &self.window);
+        if let Some(old) = &evicted {
+            self.index.remove_record(old, &self.hasher, &self.window);
         }
         evicted
     }
@@ -1313,13 +1314,12 @@ impl WindowState {
     /// The live index entry for `keyword`, if materialized.
     #[inline]
     fn index_entry(&self, keyword: KeywordId) -> Option<&KeywordWindowEntry> {
-        self.index.as_ref().and_then(|index| index.entry(keyword))
+        self.index.entry(keyword)
     }
 
     /// Distinct users that mentioned `keyword` anywhere in the window.
-    /// Always a walk over the records, in either mode: the index keeps
-    /// hashes and a count, not user ids (only the exact-EC ablation reads
-    /// user sets).
+    /// Always a walk over the records: the index keeps hashes and a count,
+    /// not user ids (only the exact-EC ablation reads user sets).
     pub fn window_user_set(&self, keyword: KeywordId) -> FxHashSet<UserId> {
         let mut users = FxHashSet::default();
         for record in &self.window {
@@ -1352,33 +1352,12 @@ impl WindowState {
     }
 
     /// Borrows the cached window sketch of `keyword` without cloning.
-    /// Only the incremental index caches sketches, so this returns `None`
-    /// under [`WindowIndexMode::Rebuild`] and for keywords without a
-    /// materialized entry (not in the window, or below the
-    /// materialization threshold); callers fall back to
+    /// Only index entries cache sketches, so this returns `None` for
+    /// keywords without a materialized entry (not in the window, or below
+    /// the materialization threshold); callers fall back to
     /// [`Self::window_sketch`], which walks the records.
     pub fn window_sketch_ref(&self, keyword: KeywordId) -> Option<&MinHashSketch> {
         self.index_entry(keyword).map(|e| &e.sketch)
-    }
-
-    /// Builds the window sketch of every keyword in `keywords`, in input
-    /// order, by walking the records one id run at a time through the batch
-    /// kernels; identical to calling [`Self::window_sketch`] per key.  The
-    /// `Rebuild` mode's correlation cache, which has no index to borrow
-    /// from, is the caller.
-    pub fn window_sketches(&self, keywords: &[KeywordId]) -> Vec<MinHashSketch> {
-        let mut lanes = SketchLanes::new();
-        keywords
-            .iter()
-            .map(|&keyword| {
-                let mut sketch = MinHashSketch::new(self.sketch_size);
-                for record in &self.window {
-                    let users = record.users_of(keyword);
-                    sketch.insert_batch(&self.hasher, users, |u| u.raw(), &mut lanes);
-                }
-                sketch
-            })
-            .collect()
     }
 
     /// [`Self::window_user_count`] of every keyword in `keywords`, in input
@@ -1462,20 +1441,19 @@ impl WindowState {
     ///   covers the flat user column contiguously and exactly, and each
     ///   span's user run is non-empty and strictly ascending (the
     ///   invariant `fold_pairs` owns);
-    /// * under [`WindowIndexMode::Incremental`]: the live-entry count
-    ///   matches and every keyword some record brought at least
-    ///   `materialize_threshold` users is materialized; the overflow table
-    ///   is empty or a power of two long, at most half full, counts its
-    ///   rows and finds each of them by probing; and for each entry,
-    ///   against the record walk (user → newest in-window push): `hashes`
-    ///   is strictly ascending, as long as `stamps`, at most `4p` and at
-    ///   least `min(p, users)` rows; the table holds exactly `over` rows of
-    ///   the keyword, all above the head's last; head ∪ table rows are the
-    ///   walk's distinct users, each stamped with the newest push that
-    ///   holds it; the recency mark equals the walk's; the cached sketch
-    ///   is the first `min(p, len)` head rows and equals a from-scratch
-    ///   [`MinHashSketch::from_ids`] over the walk.  No table row belongs
-    ///   to a keyword without a live entry.
+    /// * the index's live-entry count matches and every keyword some record
+    ///   brought at least `materialize_threshold` users is materialized;
+    ///   the overflow table is empty or a power of two long, at most half
+    ///   full, counts its rows and finds each of them by probing; and for
+    ///   each entry, against the record walk (user → newest in-window
+    ///   push): `hashes` is strictly ascending, as long as `stamps`, at
+    ///   most `4p` and at least `min(p, users)` rows; the table holds
+    ///   exactly `over` rows of the keyword, all above the head's last;
+    ///   head ∪ table rows are the walk's distinct users, each stamped with
+    ///   the newest push that holds it; the recency mark equals the walk's;
+    ///   the cached sketch is the first `min(p, len)` head rows and equals
+    ///   a from-scratch [`MinHashSketch::from_ids`] over the walk.  No
+    ///   table row belongs to a keyword without a live entry.
     pub fn validate_invariants(&self) -> Result<(), String> {
         if self.window.len() > self.capacity {
             return Err(format!(
@@ -1526,9 +1504,7 @@ impl WindowState {
                 ));
             }
         }
-        let Some(index) = &self.index else {
-            return Ok(());
-        };
+        let index = &self.index;
         let live = index.entries.iter().filter(|slot| slot.is_some()).count();
         if live != index.live {
             return Err(format!(
@@ -1677,14 +1653,14 @@ impl WindowState {
     }
 
     /// The shared tail of both decoders: checks the geometry a decoder
-    /// must not act on unchecked, then rebuilds the index (if the document
-    /// has one) from the decoded records.
+    /// must not act on unchecked, then rebuilds the index from the decoded
+    /// records.
     fn from_decoded(
         capacity: usize,
         sketch_size: usize,
         seed: u64,
         window: VecDeque<QuantumRecord>,
-        index_header: Option<(usize, Vec<u32>)>,
+        (threshold, live): (usize, Vec<u32>),
         offset: usize,
     ) -> dengraph_json::Result<Self> {
         // No silent clamping: a zero capacity can only come from a corrupt
@@ -1708,16 +1684,7 @@ impl WindowState {
             });
         }
         let hasher = UserHasher::new(seed);
-        let index = match index_header {
-            Some((threshold, live)) => Some(WindowIndex::rebuild(
-                threshold,
-                &live,
-                &window,
-                &hasher,
-                sketch_size,
-            )?),
-            None => None,
-        };
+        let index = WindowIndex::rebuild(threshold, &live, &window, &hasher, sketch_size)?;
         Ok(Self {
             window,
             capacity,
@@ -1726,76 +1693,23 @@ impl WindowState {
             index,
         })
     }
-}
 
-impl Encode for WindowState {
-    /// Serialises the window — capacity, sketch parameters, hasher seed,
-    /// the retained quantum records (oldest first) and, under
-    /// [`WindowIndexMode::Incremental`], the index's threshold and live
-    /// keyword ids.  The index's columns are a function of the records and
-    /// are not written.
-    fn to_json(&self) -> dengraph_json::Value {
-        use dengraph_json::Value;
-        Value::obj([
-            ("capacity", Value::from(self.capacity)),
-            ("sketch_size", Value::from(self.sketch_size)),
-            ("seed", Value::from(self.hasher.seed())),
-            (
-                "mode",
-                Value::str(match self.mode() {
-                    WindowIndexMode::Rebuild => "rebuild",
-                    WindowIndexMode::Incremental => "incremental",
-                }),
-            ),
-            (
-                "records",
-                Value::arr(self.window.iter().map(|r| r.to_json())),
-            ),
-            (
-                "index",
-                match &self.index {
-                    Some(index) => index.to_json(),
-                    None => Value::Null,
-                },
-            ),
-        ])
-    }
-
-    /// Appends the compact binary encoding — geometry, hasher seed, a mode
-    /// byte, the retained records (oldest first) and, in incremental mode,
-    /// the index's threshold and live keyword ids.
-    ///
-    /// The mode byte names the layout of what follows the records: `0` —
-    /// rebuild mode, nothing; `2` — incremental, the live list.  Byte `1`
-    /// (incremental, every entry's columns and sub-sketches) is what
-    /// earlier versions wrote; [`Self::from_bin`] still reads it.
-    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        w.usize(self.capacity);
-        w.usize(self.sketch_size);
-        w.u64(self.hasher.seed());
-        w.byte(match self.mode() {
-            WindowIndexMode::Rebuild => 0,
-            WindowIndexMode::Incremental => 2,
-        });
-        w.usize(self.window.len());
-        for record in &self.window {
-            record.to_bin(w);
-        }
-        if let Some(index) = &self.index {
-            index.to_bin(w);
-        }
-    }
-}
-
-impl Decode for WindowState {
-    /// Reconstructs a window serialised by [`Self::to_json`], by this
-    /// version or by one that still wrote the index's entries.  The
-    /// restored window is `==` the original: the records round-trip and
-    /// the index is rebuilt from them.
-    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+    /// [`Decode::from_json`], restoring a document of the retired rebuild
+    /// mode at `retired_threshold` (see [`WindowIndex::all_live`]): the
+    /// detector passes σ, a standalone decode 1.
+    pub(crate) fn from_json_with(
+        value: &dengraph_json::Value,
+        retired_threshold: usize,
+    ) -> dengraph_json::Result<Self> {
+        let window: VecDeque<QuantumRecord> = value
+            .get("records")?
+            .as_arr()?
+            .iter()
+            .map(QuantumRecord::from_json)
+            .collect::<dengraph_json::Result<_>>()?;
         let header = match (value.get("mode")?.as_str()?, value.get_opt("index")?) {
-            ("rebuild", _) => None,
-            ("incremental", Some(index)) => Some(WindowIndex::header_from_json(index)?),
+            ("rebuild", _) => WindowIndex::all_live(&window, retired_threshold),
+            ("incremental", Some(index)) => WindowIndex::header_from_json(index)?,
             ("incremental", None) => {
                 return Err(dengraph_json::JsonError {
                     message: "incremental window is missing its index".into(),
@@ -1809,12 +1723,6 @@ impl Decode for WindowState {
                 })
             }
         };
-        let window: VecDeque<QuantumRecord> = value
-            .get("records")?
-            .as_arr()?
-            .iter()
-            .map(QuantumRecord::from_json)
-            .collect::<dengraph_json::Result<_>>()?;
         Self::from_decoded(
             value.get("capacity")?.as_usize()?,
             value.get("sketch_size")?.as_usize()?,
@@ -1825,9 +1733,12 @@ impl Decode for WindowState {
         )
     }
 
-    /// Reconstructs a window encoded by [`Self::to_bin`] (mode byte 0 or
-    /// 2) or by an earlier version (mode byte 1).
-    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+    /// [`Decode::from_bin`], restoring a document of the retired rebuild
+    /// mode at `retired_threshold`, like [`Self::from_json_with`].
+    pub(crate) fn from_bin_with(
+        r: &mut dengraph_json::BinReader<'_>,
+        retired_threshold: usize,
+    ) -> dengraph_json::Result<Self> {
         let capacity = r.usize()?;
         let sketch_size = r.usize()?;
         let seed = r.u64()?;
@@ -1844,11 +1755,68 @@ impl Decode for WindowState {
             window.push_back(QuantumRecord::from_bin(r)?);
         }
         let header = match mode {
-            0 => None,
-            1 => Some(WindowIndex::legacy_header_from_bin(r)?),
-            _ => Some((r.usize()?, r.delta_u32s()?)),
+            0 => WindowIndex::all_live(&window, retired_threshold),
+            1 => WindowIndex::legacy_header_from_bin(r)?,
+            _ => (r.usize()?, r.delta_u32s()?),
         };
         Self::from_decoded(capacity, sketch_size, seed, window, header, r.pos())
+    }
+}
+
+impl Encode for WindowState {
+    /// Serialises the window — capacity, sketch parameters, hasher seed,
+    /// the retained quantum records (oldest first) and the index's
+    /// threshold and live keyword ids.  The index's columns are a function
+    /// of the records and are not written.
+    fn to_json(&self) -> dengraph_json::Value {
+        use dengraph_json::Value;
+        Value::obj([
+            ("capacity", Value::from(self.capacity)),
+            ("sketch_size", Value::from(self.sketch_size)),
+            ("seed", Value::from(self.hasher.seed())),
+            ("mode", Value::str("incremental")),
+            (
+                "records",
+                Value::arr(self.window.iter().map(|r| r.to_json())),
+            ),
+            ("index", self.index.to_json()),
+        ])
+    }
+
+    /// Appends the compact binary encoding — geometry, hasher seed, a mode
+    /// byte, the retained records (oldest first) and the index's threshold
+    /// and live keyword ids.
+    ///
+    /// The mode byte names the layout of what follows the records; this
+    /// version writes `2`, the live list.  [`Self::from_bin`] still reads
+    /// what earlier versions wrote: `0` (the retired rebuild mode, nothing)
+    /// and `1` (every entry's columns and sub-sketches).
+    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        w.usize(self.capacity);
+        w.usize(self.sketch_size);
+        w.u64(self.hasher.seed());
+        w.byte(2);
+        w.usize(self.window.len());
+        for record in &self.window {
+            record.to_bin(w);
+        }
+        self.index.to_bin(w);
+    }
+}
+
+impl Decode for WindowState {
+    /// Reconstructs a window serialised by [`Self::to_json`], by this
+    /// version or an earlier one (a rebuild-mode window at threshold 1).
+    /// The restored window is `==` the original: the records round-trip
+    /// and the index is rebuilt from them.
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+        Self::from_json_with(value, 1)
+    }
+
+    /// Reconstructs a window encoded by [`Self::to_bin`] (mode byte 2) or
+    /// by an earlier version (mode byte 0 or 1), like [`Self::from_json`].
+    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+        Self::from_bin_with(r, 1)
     }
 }
 
@@ -2177,8 +2145,8 @@ mod tests {
         ));
         assert_eq!(*w.window_sketch_ref(k(10)).unwrap(), w.window_sketch(k(10)));
         assert!(w.window_sketch_ref(k(99)).is_none());
-        let rebuild = WindowState::with_mode(3, 4, UserHasher::new(7), WindowIndexMode::Rebuild);
-        assert!(rebuild.window_sketch_ref(k(10)).is_none());
+        let walk = window(3).with_materialize_threshold(usize::MAX);
+        assert!(walk.window_sketch_ref(k(10)).is_none());
     }
 
     /// The overflow table against a map, under the churn a slide gives it:
@@ -2239,39 +2207,44 @@ mod tests {
         }
     }
 
-    /// Builds the same random-ish record stream into one window per mode
-    /// and checks every per-keyword read agrees bit-for-bit.
+    /// Builds the same random-ish record stream into an indexed window and
+    /// one that indexes nothing (every read walks the records) and checks
+    /// every per-keyword read agrees bit-for-bit.
     fn assert_modes_agree(capacity: usize, quanta: &[Vec<Message>]) {
         let hasher = || UserHasher::new(0xFACE);
-        let mut rebuild = WindowState::with_mode(capacity, 4, hasher(), WindowIndexMode::Rebuild);
-        let mut incremental =
-            WindowState::with_mode(capacity, 4, hasher(), WindowIndexMode::Incremental);
+        let mut walk =
+            WindowState::new(capacity, 4, hasher()).with_materialize_threshold(usize::MAX);
+        let mut incremental = WindowState::new(capacity, 4, hasher());
         for (q, msgs) in quanta.iter().enumerate() {
             let record = QuantumRecord::from_messages(q as u64, msgs);
-            let ev_a = rebuild.push(record.clone());
+            let ev_a = walk.push(record.clone());
             let ev_b = incremental.push(record);
             assert_eq!(ev_a.map(|r| r.index), ev_b.map(|r| r.index));
-            let mut keywords: Vec<KeywordId> = rebuild.keywords_in_window().into_iter().collect();
+            let mut keywords: Vec<KeywordId> = walk.keywords_in_window().into_iter().collect();
             keywords.push(k(999_999)); // a keyword never in the window
             keywords.sort_unstable();
             assert_eq!(keywords.len() - 1, incremental.keywords_in_window().len());
             for &kw in &keywords {
                 assert_eq!(
-                    rebuild.window_user_set(kw),
+                    walk.window_user_set(kw),
                     incremental.window_user_set(kw),
                     "user set diverged for {kw:?} at quantum {q}"
                 );
                 assert_eq!(
-                    rebuild.window_user_count(kw),
+                    walk.window_user_count(kw),
                     incremental.window_user_count(kw)
                 );
                 assert_eq!(
-                    rebuild.window_sketch(kw),
+                    walk.window_sketch(kw),
                     incremental.window_sketch(kw),
                     "sketch diverged for {kw:?} at quantum {q}"
                 );
-                assert_eq!(rebuild.last_seen(kw), incremental.last_seen(kw));
-                assert_eq!(rebuild.is_stale(kw), incremental.is_stale(kw));
+                assert_eq!(walk.last_seen(kw), incremental.last_seen(kw));
+                assert_eq!(walk.is_stale(kw), incremental.is_stale(kw));
+                assert!(
+                    walk.window_sketch_ref(kw).is_none(),
+                    "the walk indexes nothing"
+                );
             }
         }
     }
@@ -2305,25 +2278,6 @@ mod tests {
         for capacity in [1, 2, 5] {
             assert_modes_agree(capacity, &quanta);
         }
-    }
-
-    #[test]
-    fn both_modes_report_their_mode() {
-        let w = WindowState::new(2, 4, UserHasher::new(1));
-        assert_eq!(w.mode(), WindowIndexMode::Incremental);
-        let w = WindowState::with_mode(2, 4, UserHasher::new(1), WindowIndexMode::Rebuild);
-        assert_eq!(w.mode(), WindowIndexMode::Rebuild);
-    }
-
-    #[test]
-    fn rebuild_mode_behaves_like_incremental_on_the_basics() {
-        let mut w = WindowState::with_mode(2, 4, UserHasher::new(7), WindowIndexMode::Rebuild);
-        w.push(QuantumRecord::from_messages(0, &[msg(1, 0, &[10])]));
-        w.push(QuantumRecord::from_messages(1, &[msg(2, 1, &[10])]));
-        assert_eq!(w.window_user_count(k(10)), 2);
-        w.push(QuantumRecord::from_messages(2, &[msg(3, 2, &[11])]));
-        assert_eq!(w.window_user_count(k(10)), 1);
-        assert_eq!(w.last_seen(k(10)), Some(1));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   serialises the *complete* detector state (window records and index,
 //!   AKG, cluster registry, event tracker, partial message buffer,
 //!   counters) and [`DetectorSession::restore`] resumes it such that
-//!   restore-then-continue is **bit-identical** to the uninterrupted run —
-//!   in either `WindowIndexMode` (`tests/checkpoint_resume.rs` gates this).
+//!   restore-then-continue is **bit-identical** to the uninterrupted run
+//!   (`tests/checkpoint_resume.rs` gates this).
 //!
 //! ```
 //! use dengraph_core::{DetectorBuilder, DetectorSession, VecSink};
@@ -60,7 +60,7 @@ use dengraph_text::KeywordInterner;
 
 use crate::checkpoint::{self, CheckpointJournal, CheckpointMode};
 use crate::cluster::ClusterId;
-use crate::config::{ConfigError, DetectorConfig, Parallelism, WindowIndexMode};
+use crate::config::{ConfigError, DetectorConfig, Parallelism};
 use crate::detector::{EventDetector, QuantumSummary};
 use crate::event::{EventRecord, EventTracker};
 use crate::wal::{self, DurableJournalConfig, RecoveryReport};
@@ -168,12 +168,6 @@ impl DetectorBuilder {
     /// Ignores its argument: the pipeline is serial.  Stays only because
     /// the repo benchmark still calls it.
     pub fn parallelism(self, _parallelism: Parallelism) -> Self {
-        self
-    }
-
-    /// Sets the sliding-window index mode.
-    pub fn window_index_mode(mut self, mode: WindowIndexMode) -> Self {
-        self.config.window_index_mode = mode;
         self
     }
 

@@ -8,8 +8,8 @@
 //! comparison sort per quantum); the kernels here restructure them as
 //! batch loops over flat `u64` lanes so the compiler can auto-vectorize:
 //!
-//! * [`hash_batch`] — splitmix64 over 8-id lanes into a scratch buffer
-//!   ([`SketchLanes`]), no per-id call or branch;
+//! * [`hash_batch`] — splitmix64 over 8-id lanes into a scratch buffer,
+//!   no per-id call or branch;
 //! * [`fold_lanes_into`] — hash-all-then-fold minima maintenance: a
 //!   branch-free threshold filter (only hashes strictly below the current
 //!   `p`-th minimum can enter the sketch) followed by **one** sorted merge
@@ -21,11 +21,13 @@
 //!   replacing the comparison `sort_unstable` in `QuantumRecord`
 //!   canonicalisation.
 //!
-//! The incremental window index uses none of them on a slide: it
-//! routes each `(keyword, user)` row by its hash — one search of a short
-//! sorted head or one probe of an overflow table — so there is no run to
-//! hash, sort and merge as a batch.  The kernels serve the `Rebuild` mode's
-//! window sketches and the record builder's pair sort.
+//! The engine calls only [`radix_sort_u64`] (the record builder's pair
+//! sort) and, through [`crate::MinHashSketch`]'s estimator, [`merge_walk`].
+//! The window index routes each `(keyword, user)` row by its hash — one
+//! search of a short sorted head or one probe of an overflow table — so
+//! there is no run to hash, sort and merge as a batch.  [`hash_batch`],
+//! [`fold_lanes_into`] and [`SketchLanes`] have no engine caller; they stay
+//! because the repo benchmark's kernel probes time them.
 //!
 //! **Bit-identity is the contract.**  Every kernel produces exactly the
 //! same result as its scalar reference: the `p` smallest distinct hashes
@@ -35,16 +37,15 @@
 
 use crate::hasher::UserHasher;
 
-/// Reusable scratch lanes for the batch kernels.  Owned by long-lived
-/// callers (the detector's scratch arena, the window's sketch builder) so
-/// steady-state sketch maintenance performs no heap allocation.
+/// Reusable scratch lanes for [`fold_lanes_into`], owned by the caller so
+/// that repeated folds perform no heap allocation.
 ///
 /// Contents are never meaningful across calls; every kernel clears the
 /// lane it fills.
 #[derive(Debug, Default)]
 pub struct SketchLanes {
-    /// Hashed id lanes filled by [`hash_batch`].
-    pub(crate) hashes: Vec<u64>,
+    /// The hashes to fold, loaded by [`Self::load_hashes`].
+    hashes: Vec<u64>,
     /// Threshold-filter survivors ([`fold_lanes_into`]).
     survivors: Vec<u64>,
     /// Merge output staging ([`fold_lanes_into`]).
@@ -56,11 +57,6 @@ impl SketchLanes {
     /// reused).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The hashes produced by the most recent [`hash_batch`] call.
-    pub fn hashes(&self) -> &[u64] {
-        &self.hashes
     }
 
     /// Loads precomputed hashes into the lane buffer, as if produced by

@@ -9,7 +9,7 @@
 use dengraph_json::{Decode, Encode};
 
 use crate::hasher::UserHasher;
-use crate::kernel::{self, SketchLanes};
+use crate::kernel;
 
 /// Bounded sketch holding the `p` smallest hash values seen so far.
 ///
@@ -75,27 +75,6 @@ impl MinHashSketch {
         for id in ids {
             self.insert(hasher, id);
         }
-    }
-
-    /// Observes a batch of raw ids through the struct-of-arrays kernels:
-    /// all ids are hashed eight per iteration into `lanes`, filtered
-    /// branch-free against the current `p`-th minimum, and the few
-    /// survivors merged into the minima column once — bit-identical to
-    /// calling [`Self::insert`] per id, without the per-id
-    /// `binary_search` + memmove.
-    ///
-    /// `id_of` projects the caller's id type to its raw `u64` (use the
-    /// identity for plain `u64` ids); `lanes` is caller-owned scratch so
-    /// steady-state batches allocate nothing.
-    pub fn insert_batch<T: Copy>(
-        &mut self,
-        hasher: &UserHasher,
-        ids: &[T],
-        id_of: impl Fn(T) -> u64,
-        lanes: &mut SketchLanes,
-    ) {
-        kernel::hash_batch(hasher, ids, id_of, &mut lanes.hashes);
-        kernel::fold_lanes_into(&mut self.minima, self.p, lanes);
     }
 
     /// Builds a sketch directly from an id iterator.

@@ -11,15 +11,17 @@
 //! built from the shapes that stress a join — every bursty keyword over
 //! the same users (all minima shared), pairwise-disjoint users (nothing
 //! shared), one user emitting every keyword, random mixtures, and empty
-//! quanta — in both `WindowIndexMode`s, with sketches small enough that
-//! overlapping user sets routinely share no minimum.
+//! quanta — with sketches small enough that overlapping user sets
+//! routinely share no minimum.  The reference reads a window that indexes
+//! nothing (every sketch is walked from the records); the maintainer reads
+//! the detector's window, indexed from σ.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::akg::{keyword_of, node_of};
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
-use dengraph_core::{AkgMaintainer, DetectorConfig, GraphDelta, WindowIndexMode};
+use dengraph_core::{AkgMaintainer, DetectorConfig, GraphDelta};
 use dengraph_graph::{DynamicGraph, NodeId};
 use dengraph_minhash::UserHasher;
 use dengraph_stream::{Message, UserId};
@@ -220,34 +222,31 @@ fn adversarial_quantum(rng: &mut ChaCha8Rng, time: u64) -> Vec<Message> {
     messages
 }
 
-fn window_for(config: &DetectorConfig, mode: WindowIndexMode) -> WindowState {
-    WindowState::with_mode(
+/// The window of `config`, materializing keywords from `threshold`
+/// distinct users in one quantum (`usize::MAX`: none).
+fn window_for(config: &DetectorConfig, threshold: usize) -> WindowState {
+    WindowState::new(
         config.window_quanta,
         config.sketch_size(),
         UserHasher::new(HASHER_SEED),
-        mode,
     )
-    .with_materialize_threshold(config.high_state_threshold as usize)
+    .with_materialize_threshold(threshold)
 }
 
-/// Drives the reference and both window modes' maintainers over
-/// one seeded stream.  Returns `(pairs the maintainers evaluated, pairs
-/// the reference evaluated)`.
+/// Drives the reference and the maintainer over one seeded stream.
+/// Returns `(pairs the maintainer evaluated, pairs the reference
+/// evaluated)`.
 fn check_stream(seed: u64, base: &DetectorConfig, quanta: u64) -> (usize, usize) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut reference = AllPairsReference {
         config: base.clone(),
         graph: DynamicGraph::new(),
     };
-    let mut reference_window = window_for(base, WindowIndexMode::Rebuild);
-    let mut variants: Vec<(String, AkgMaintainer, WindowState)> = Vec::new();
-    for mode in [WindowIndexMode::Incremental, WindowIndexMode::Rebuild] {
-        variants.push((
-            format!("{mode:?}"),
-            AkgMaintainer::new(base.clone().with_window_index_mode(mode)),
-            window_for(base, mode),
-        ));
-    }
+    // The maintainer must read an indexed window: it scores a keyword
+    // without an index entry as the empty sketch.
+    let mut reference_window = window_for(base, usize::MAX);
+    let mut akg = AkgMaintainer::new(base.clone());
+    let mut window = window_for(base, base.high_state_threshold as usize);
 
     let (mut evaluated, mut reference_evaluated) = (0, 0);
     for q in 0..quanta {
@@ -256,38 +255,30 @@ fn check_stream(seed: u64, base: &DetectorConfig, quanta: u64) -> (usize, usize)
         let (expected, reference_pairs) = reference.process_quantum(&record, &reference_window);
         reference_evaluated += reference_pairs;
 
-        let mut pairs_across_variants = None;
-        for (name, akg, window) in &mut variants {
-            window.push(record.clone());
-            let deltas = akg.process_quantum(&record, window, is_cluster_member);
+        window.push(record.clone());
+        let deltas = akg.process_quantum(&record, &window, is_cluster_member);
+        assert_eq!(
+            deltas, expected,
+            "seed {seed} quantum {q}: delta log diverged from the all-pairs reference"
+        );
+        assert_eq!(
+            akg.graph(),
+            &reference.graph,
+            "seed {seed} quantum {q}: graph diverged from the all-pairs reference"
+        );
+        let pairs = akg.last_stats().pairs_evaluated;
+        assert!(
+            pairs <= reference_pairs,
+            "seed {seed} quantum {q}: evaluated {pairs} pairs, the cross product is only \
+             {reference_pairs}"
+        );
+        if base.exact_edge_correlation {
             assert_eq!(
-                deltas, expected,
-                "seed {seed} quantum {q} {name}: delta log diverged from the all-pairs reference"
+                pairs, reference_pairs,
+                "the exact ablation keeps the cross product"
             );
-            assert_eq!(
-                akg.graph(),
-                &reference.graph,
-                "seed {seed} quantum {q} {name}: graph diverged from the all-pairs reference"
-            );
-            let pairs = akg.last_stats().pairs_evaluated;
-            assert!(
-                pairs <= reference_pairs,
-                "seed {seed} quantum {q} {name}: evaluated {pairs} pairs, the cross product \
-                 is only {reference_pairs}"
-            );
-            assert_eq!(
-                *pairs_across_variants.get_or_insert(pairs),
-                pairs,
-                "seed {seed} quantum {q} {name}: pairs_evaluated differs between modes"
-            );
-            if base.exact_edge_correlation {
-                assert_eq!(
-                    pairs, reference_pairs,
-                    "the exact ablation keeps the cross product"
-                );
-            }
         }
-        evaluated += pairs_across_variants.unwrap_or(0);
+        evaluated += pairs;
     }
     (evaluated, reference_evaluated)
 }

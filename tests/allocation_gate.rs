@@ -15,7 +15,7 @@
 //! The binary contains exactly one test so no concurrent test thread can
 //! pollute the counter.
 
-use dengraph_core::{DetectorBuilder, DetectorConfig, WindowIndexMode};
+use dengraph_core::{DetectorBuilder, DetectorConfig};
 use dengraph_stream::Quantum;
 
 #[path = "support/alloc_gate.rs"]
@@ -28,7 +28,6 @@ fn steady_state_quanta_allocate_a_small_constant() {
         quantum_size: 48,
         high_state_threshold: 3,
         window_quanta: 8,
-        window_index_mode: WindowIndexMode::Incremental,
         ..DetectorConfig::nominal()
     };
     let mut session = DetectorBuilder::from_config(config)

@@ -15,7 +15,7 @@
 //! The binary contains exactly one test so no concurrent test thread can
 //! pollute the counter.
 
-use dengraph_core::{DetectorBuilder, DetectorConfig, WindowIndexMode};
+use dengraph_core::{DetectorBuilder, DetectorConfig};
 use dengraph_stream::Quantum;
 
 #[path = "support/alloc_gate.rs"]
@@ -31,7 +31,6 @@ fn event_dense_quanta_allocate_a_constant_plus_two_per_event() {
         quantum_size: QUANTUM_SIZE,
         high_state_threshold: 3,
         window_quanta: 8,
-        window_index_mode: WindowIndexMode::Incremental,
         ..DetectorConfig::nominal()
     };
     let mut session = DetectorBuilder::from_config(config)

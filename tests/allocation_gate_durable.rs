@@ -26,7 +26,6 @@
 
 use dengraph_core::{
     CheckpointMode, DetectorBuilder, DetectorConfig, DurableJournalConfig, FsyncPolicy,
-    WindowIndexMode,
 };
 use dengraph_stream::Quantum;
 
@@ -50,7 +49,6 @@ fn a_warm_journal_appends_without_allocating() {
         quantum_size: 48,
         high_state_threshold: 3,
         window_quanta: 8,
-        window_index_mode: WindowIndexMode::Incremental,
         ..DetectorConfig::nominal()
     };
     let dir = std::env::temp_dir().join(format!(

@@ -1,4 +1,4 @@
-//! On-disk compatibility across two format changes.
+//! On-disk compatibility across three format changes.
 //!
 //! `tests/fixtures/` holds documents **written by earlier commits** from
 //! the small seeded session rebuilt below:
@@ -12,19 +12,29 @@
 //!   used to carry every index entry's user columns and per-quantum
 //!   sub-sketches (window mode byte 1, JSON `"entries"`); it now carries
 //!   the live keyword ids only (mode byte 2, JSON `"live"`) and a restore
-//!   rebuilds the index from the window's records.
+//!   rebuilds the index from the window's records;
+//! * `checkpoint_parent_rebuild.bin`, `checkpoint_parent_rebuild.json`,
+//!   `journal_parent_rebuild/` (commit `1fa7546`) — the same session run in
+//!   the since-retired rebuild window mode, which kept no index: the
+//!   configuration names the mode (binary byte 0, JSON
+//!   `"window_index_mode":"rebuild"`) and the window section has no index
+//!   (window mode byte 0, JSON `"mode":"rebuild"`, `"index":null`).  A
+//!   restore lists every keyword of the window's records live.
 //!
-//! Gated here: every fixture restores under the current code to a
-//! detector equal to the one a current-format document of the same
-//! session restores to (same state bytes, same rebuilt window index),
-//! and continuing from either reports exactly the same events; and a
-//! live list no window can have produced is an error, never a panic.
+//! Gated here: every fixture restores under the current code — the first
+//! two generations to a detector equal to the one a current-format
+//! document of the same session restores to (same state bytes, same
+//! rebuilt window index), the third to one whose index holds more
+//! entries but serves the same reads — and continuing from any of them
+//! reports exactly the same events; and a live list or a window mode byte
+//! no window can have produced is an error, never a panic.
 //!
 //! The fixtures are data: nothing regenerates them.  Their generator was
 //! this file's `fixture_*` functions plus
 //! `DetectorBuilder::durable_journal(dir, FIXTURE_JOURNAL)` and
 //! `checkpoint_bytes(WireFormat::Binary | WireFormat::Json)`, run at the
-//! commits named above.
+//! commits named above (at `1fa7546` with the configuration's window mode
+//! set to rebuild).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -35,8 +45,7 @@ use rand_chacha::ChaCha8Rng;
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
 use dengraph_core::{
     CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig,
-    EventDetector, FsyncPolicy, JournalFrameEvent, JournalReader, QuantumSummary, WindowIndexMode,
-    WireFormat,
+    EventDetector, FsyncPolicy, JournalFrameEvent, JournalReader, QuantumSummary, WireFormat,
 };
 use dengraph_json::lz;
 use dengraph_json::{BinReader, BinWriter, Decode, Encode};
@@ -369,6 +378,67 @@ fn a_parent_journal_recovers_and_continues_like_a_current_one() {
     let _ = fs::remove_dir_all(&new_dir);
 }
 
+/// The three `1fa7546` rebuild-mode fixtures restore (the configuration's
+/// byte or key naming the retired mode is dropped), pass the invariants,
+/// and continue exactly as the uninterrupted current session.  The two
+/// checkpoints list every keyword of the window's records live, at σ; the
+/// journal's snapshot does too, and the deltas replayed on top of it then
+/// index from σ like any live push.
+#[test]
+fn parent_rebuild_mode_documents_restore_with_every_window_keyword_live() {
+    let bin = fs::read(fixtures().join("checkpoint_parent_rebuild.bin")).expect("fixture reads");
+    let json = fs::read(fixtures().join("checkpoint_parent_rebuild.json")).expect("fixture reads");
+    let text = std::str::from_utf8(&json).expect("JSON fixture is text");
+    assert!(text.contains("\"window_index_mode\":\"rebuild\""));
+    assert!(text.contains("\"mode\":\"rebuild\"") && text.contains("\"index\":null"));
+
+    let (mut live, messages) = fixture_session(None);
+    let sigma = live.config().high_state_threshold as usize;
+    let expected = canonical(&continuation(&mut live, &messages));
+    let all_live = |session: &DetectorSession, label: &str| {
+        session.validate_invariants().expect("invariants hold");
+        let window = session.detector().window();
+        assert_eq!(window.materialize_threshold(), sigma, "{label}");
+        assert!(
+            window
+                .keywords_in_window()
+                .into_iter()
+                .all(|k| window.window_sketch_ref(k).is_some()),
+            "{label}: a window keyword restored without an entry"
+        );
+    };
+    for (label, document) in [("binary", &bin), ("JSON", &json)] {
+        let mut restored = DetectorSession::restore_bytes(document)
+            .unwrap_or_else(|e| panic!("{label} restores: {e}"));
+        assert_eq!(restored.quanta_processed(), FIXTURE_QUANTA as u64);
+        assert_eq!(restored.buffered_messages(), FIXTURE_BUFFERED, "{label}");
+        all_live(&restored, label);
+        assert_eq!(
+            canonical(&continuation(&mut restored, &messages)),
+            expected,
+            "{label}: continuation diverged"
+        );
+        restored.validate_invariants().expect("invariants hold");
+    }
+
+    let (mut recovered, report) =
+        DetectorSession::restore_from_dir_with_report(fixtures().join("journal_parent_rebuild"))
+            .expect("rebuild-mode journal recovers");
+    assert!(report.torn.is_none());
+    assert_eq!(report.recovered_quantum, FIXTURE_QUANTA as u64);
+    assert_eq!(
+        snapshot_methods(&fixtures().join("journal_parent_rebuild")),
+        [METHOD_BLOCK, METHOD_BLOCK]
+    );
+    recovered.validate_invariants().expect("invariants hold");
+    assert_eq!(
+        canonical(&continuation(&mut recovered, &messages)),
+        expected,
+        "journal: continuation diverged"
+    );
+    recovered.validate_invariants().expect("invariants hold");
+}
+
 // ---------------------------------------------------------------------------
 // The index header is checked, and a hostile live list is an error
 // ---------------------------------------------------------------------------
@@ -431,6 +501,7 @@ fn an_index_threshold_other_than_sigma_is_rejected_in_both_wire_formats() {
 
 const HOSTILE_CAPACITY: usize = 3;
 const HOSTILE_THRESHOLD: usize = 3;
+const HOSTILE_SEED: u64 = 7;
 
 /// A small window at capacity whose live list is `[1, 2]` of the keywords
 /// 1..=4 in it: keyword 1 bursts in every quantum, keyword 2 burst once in
@@ -438,13 +509,8 @@ const HOSTILE_THRESHOLD: usize = 3;
 /// record that materialized it), keyword 3 never reaches the threshold and
 /// keyword 4 occurs in the evicted quantum only.
 fn hostile_fixture_window() -> WindowState {
-    let mut window = WindowState::with_mode(
-        HOSTILE_CAPACITY,
-        4,
-        UserHasher::new(7),
-        WindowIndexMode::Incremental,
-    )
-    .with_materialize_threshold(HOSTILE_THRESHOLD);
+    let mut window = WindowState::new(HOSTILE_CAPACITY, 4, UserHasher::new(HOSTILE_SEED))
+        .with_materialize_threshold(HOSTILE_THRESHOLD);
     for q in 0..=HOSTILE_CAPACITY as u64 {
         let mut messages: Vec<Message> = (0..3)
             .map(|u| Message::new(UserId(10 * q + u), q, vec![KeywordId(1)]))
@@ -605,4 +671,82 @@ fn a_truncated_or_mutated_index_section_never_panics() {
         (1..8).contains(&accepted_at_threshold),
         "{accepted_at_threshold} mutations accepted at the honest threshold"
     );
+}
+
+/// `restored` is the window a retired rebuild-mode document of `honest`'s
+/// records decodes to: every keyword of the records live, at threshold 1,
+/// serving exactly what `honest` serves.
+fn assert_all_live(restored: &WindowState, honest: &WindowState) {
+    restored
+        .validate_invariants()
+        .expect("what its records say");
+    assert_eq!(restored.materialize_threshold(), 1);
+    let in_window = honest.keywords_in_window();
+    for k in (0..=5).map(KeywordId) {
+        assert_eq!(
+            restored.window_sketch_ref(k).is_some(),
+            in_window.contains(&k),
+            "{k}"
+        );
+        assert_eq!(restored.window_sketch(k), honest.window_sketch(k), "{k}");
+        assert_eq!(restored.window_user_count(k), honest.window_user_count(k));
+        assert_eq!(restored.last_seen(k), honest.last_seen(k), "{k}");
+    }
+}
+
+/// The window's mode byte takes all 256 values, in front of the honest
+/// records with and without the index section behind them: `2` with the
+/// section is the honest document; `0` without it — the retired rebuild
+/// layout — lists every keyword of the records live; `1` reads the
+/// section as the entries layout; any other value, or a layout the bytes
+/// do not follow, is an error.  Nothing panics.  JSON `"mode":"rebuild"`
+/// with `"index":null` decodes like mode byte 0.
+#[test]
+fn every_window_mode_byte_decodes_to_its_layout_or_errs() {
+    let window = hostile_fixture_window();
+    let bytes = window.encode(WireFormat::Binary);
+    let section = index_section(HOSTILE_THRESHOLD, &[1, 1]);
+    let bare = &bytes[..bytes.len() - section.len()];
+    let mut prefix = BinWriter::new();
+    prefix.usize(HOSTILE_CAPACITY);
+    prefix.usize(window.sketch_size());
+    prefix.u64(HOSTILE_SEED);
+    let at = prefix.len();
+    assert_eq!(
+        bytes[at], 2,
+        "the mode byte follows capacity, sketch size and seed"
+    );
+
+    for value in 0..=u8::MAX {
+        for (label, body) in [("with the section", &bytes[..]), ("without it", bare)] {
+            let mut mutated = body.to_vec();
+            mutated[at] = value;
+            let decoded = WindowState::decode(&mutated, WireFormat::Binary);
+            match (value, body.len() == bytes.len()) {
+                (0, false) => assert_all_live(&decoded.expect("mode 0 decodes"), &window),
+                (2, true) => assert!(decoded.expect("the honest document decodes") == window),
+                (1, true) => {
+                    if let Ok(decoded) = decoded {
+                        decoded.validate_invariants().expect("a possible window");
+                    }
+                }
+                _ => assert!(decoded.is_err(), "mode byte {value} {label} was accepted"),
+            }
+        }
+    }
+
+    let text = dengraph_json::to_string(&window.to_json());
+    let index = dengraph_json::to_string(window.to_json().get("index").expect("an index"));
+    let null_index = text.replace(&format!("\"index\":{index}"), "\"index\":null");
+    assert_ne!(null_index, text);
+    let decode = |text: &str| WindowState::from_json(&dengraph_json::parse(text).expect("JSON"));
+    assert!(
+        decode(&null_index).is_err(),
+        "an incremental window needs its index"
+    );
+    let rebuild = null_index.replace("\"mode\":\"incremental\"", "\"mode\":\"rebuild\"");
+    assert_ne!(rebuild, null_index);
+    assert_all_live(&decode(&rebuild).expect("JSON rebuild decodes"), &window);
+    let unknown = null_index.replace("\"mode\":\"incremental\"", "\"mode\":\"walk\"");
+    assert!(decode(&unknown).is_err());
 }

@@ -13,7 +13,7 @@
 //! fresh session, run M more quanta — and the concatenated
 //! `QuantumSummary` stream plus the final long-term event records must be
 //! **bit-identical** to an uninterrupted N+M run.  Checked across window
-//! sizes × `WindowIndexMode` × `CheckpointMode`, with the
+//! sizes × `CheckpointMode`, with the
 //! full-snapshot split placed mid-quantum so the partial message buffer
 //! round-trips too (journal restores resume at the last completed
 //! quantum boundary and re-feed the partial tail).
@@ -29,7 +29,7 @@ use dengraph_core::cluster::{edge_addition, edge_deletion, ClusterRegistry};
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
 use dengraph_core::{
     Checkpoint, CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, QuantumSummary,
-    VecSink, WindowIndexMode, WireFormat,
+    VecSink, WireFormat,
 };
 use dengraph_graph::{DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
@@ -101,27 +101,24 @@ fn window_state_round_trips_under_random_workloads() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x71D0_1000 + case);
         let capacity = rng.gen_range(1..8usize);
         let sketch_size = rng.gen_range(2..20usize);
-        for mode in [WindowIndexMode::Rebuild, WindowIndexMode::Incremental] {
-            let mut window =
-                WindowState::with_mode(capacity, sketch_size, UserHasher::new(0xBEEF), mode);
-            let quanta = rng.gen_range(1..16u64);
-            for q in 0..quanta {
-                let messages = random_messages(&mut rng, q);
-                window.push(QuantumRecord::from_messages(q, &messages));
-            }
-            let text = dengraph_json::to_string(&window.to_json());
-            let back = WindowState::from_json(&dengraph_json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, window, "case {case} mode {mode:?}: window diverged");
-            // Equality is over what the index serves; its rows — replayed
-            // from the records — must also be what the records say.
-            back.validate_invariants()
-                .unwrap_or_else(|e| panic!("case {case} mode {mode:?}: {e}"));
-            // Probe the reads the detector actually issues.
-            for kw in (0..10u32).map(KeywordId) {
-                assert_eq!(back.window_sketch(kw), window.window_sketch(kw));
-                assert_eq!(back.window_user_set(kw), window.window_user_set(kw));
-                assert_eq!(back.last_seen(kw), window.last_seen(kw));
-            }
+        let mut window = WindowState::new(capacity, sketch_size, UserHasher::new(0xBEEF));
+        let quanta = rng.gen_range(1..16u64);
+        for q in 0..quanta {
+            let messages = random_messages(&mut rng, q);
+            window.push(QuantumRecord::from_messages(q, &messages));
+        }
+        let text = dengraph_json::to_string(&window.to_json());
+        let back = WindowState::from_json(&dengraph_json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, window, "case {case}: window diverged");
+        // Equality is over what the index serves; its rows — replayed
+        // from the records — must also be what the records say.
+        back.validate_invariants()
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        // Probe the reads the detector actually issues.
+        for kw in (0..10u32).map(KeywordId) {
+            assert_eq!(back.window_sketch(kw), window.window_sketch(kw));
+            assert_eq!(back.window_user_set(kw), window.window_user_set(kw));
+            assert_eq!(back.last_seen(kw), window.last_seen(kw));
         }
     }
 }
@@ -288,37 +285,33 @@ fn mid_stream_restore_is_bit_identical_across_profiles() {
     assert!(split < trace.messages.len());
 
     for window_quanta in [6usize, 12] {
-        for mode in [WindowIndexMode::Rebuild, WindowIndexMode::Incremental] {
-            let config = DetectorConfig::nominal()
-                .with_window_quanta(window_quanta)
-                .with_window_index_mode(mode);
+        let config = DetectorConfig::nominal().with_window_quanta(window_quanta);
 
-            let mut uninterrupted = build(&trace, &config);
-            let full = uninterrupted.run(&trace.messages);
+        let mut uninterrupted = build(&trace, &config);
+        let full = uninterrupted.run(&trace.messages);
 
-            for cut in [
-                Cut::JsonString,
-                Cut::BinaryBytes,
-                Cut::Journal(CheckpointMode::Delta { every: 3 }),
-                Cut::Journal(CheckpointMode::Full),
-            ] {
-                let label = format!("w={window_quanta} {mode:?} {cut:?}");
-                let (stitched, resumed) = run_with_interruption(&trace, &config, split, cut);
+        for cut in [
+            Cut::JsonString,
+            Cut::BinaryBytes,
+            Cut::Journal(CheckpointMode::Delta { every: 3 }),
+            Cut::Journal(CheckpointMode::Full),
+        ] {
+            let label = format!("w={window_quanta} {cut:?}");
+            let (stitched, resumed) = run_with_interruption(&trace, &config, split, cut);
 
-                assert_eq!(
-                    canonical(&full),
-                    canonical(&stitched),
-                    "{label}: summary stream diverged after restore"
-                );
-                assert_eq!(
-                    format!("{:#?}", uninterrupted.event_records()),
-                    format!("{:#?}", resumed.event_records()),
-                    "{label}: long-term event records diverged after restore"
-                );
-                assert_eq!(uninterrupted.total_messages(), resumed.total_messages());
-                assert_eq!(uninterrupted.quanta_processed(), resumed.quanta_processed());
-                assert_component_index_restored(&uninterrupted, &resumed, &label);
-            }
+            assert_eq!(
+                canonical(&full),
+                canonical(&stitched),
+                "{label}: summary stream diverged after restore"
+            );
+            assert_eq!(
+                format!("{:#?}", uninterrupted.event_records()),
+                format!("{:#?}", resumed.event_records()),
+                "{label}: long-term event records diverged after restore"
+            );
+            assert_eq!(uninterrupted.total_messages(), resumed.total_messages());
+            assert_eq!(uninterrupted.quanta_processed(), resumed.quanta_processed());
+            assert_component_index_restored(&uninterrupted, &resumed, &label);
         }
     }
 }

@@ -25,7 +25,7 @@ use dengraph_core::keyword_state::{KeywordStateMachine, QuantumRecord, WindowSta
 use dengraph_core::wal::{JournalFrameEvent, JournalReader};
 use dengraph_core::{
     CheckpointMode, DeltaRecord, DetectedEvent, DetectorBuilder, DetectorConfig, DetectorSession,
-    EventTracker, GraphDelta, WindowIndexMode, WireFormat,
+    EventTracker, GraphDelta, WireFormat,
 };
 use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
@@ -144,17 +144,14 @@ fn window_state_codecs_agree() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x0DEC_4000 + case);
         let capacity = rng.gen_range(1..8usize);
         let sketch_size = rng.gen_range(2..20usize);
-        for mode in [WindowIndexMode::Rebuild, WindowIndexMode::Incremental] {
-            let mut window =
-                WindowState::with_mode(capacity, sketch_size, UserHasher::new(0xBEEF), mode);
-            for q in 0..rng.gen_range(1..16u64) {
-                window.push(QuantumRecord::from_messages(
-                    q,
-                    &random_messages(&mut rng, q),
-                ));
-            }
-            assert_codecs_agree(&window, &format!("window case {case} mode {mode:?}"));
+        let mut window = WindowState::new(capacity, sketch_size, UserHasher::new(0xBEEF));
+        for q in 0..rng.gen_range(1..16u64) {
+            window.push(QuantumRecord::from_messages(
+                q,
+                &random_messages(&mut rng, q),
+            ));
         }
+        assert_codecs_agree(&window, &format!("window case {case}"));
     }
 }
 
@@ -256,7 +253,6 @@ fn detector_config_codecs_agree() {
             hysteresis: false,
             require_noun: false,
             rank_threshold_factor: 1.25,
-            window_index_mode: WindowIndexMode::Rebuild,
             ..DetectorConfig::nominal()
         },
     ] {

@@ -8,7 +8,7 @@
 //! never silently dropping a frame that survived the cut.  Resuming the
 //! recovered session over the remaining stream must then be
 //! **bit-identical** to the uninterrupted run (summary stream and final
-//! binary checkpoint), in both `WindowIndexMode`s.
+//! binary checkpoint).
 //!
 //! When a cut case fails, the truncated journal directory is copied to
 //! `target/journal-crash-repro/<case>/` before the panic propagates, so
@@ -28,7 +28,7 @@ use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::{
     CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig,
-    FsyncPolicy, JournalFrameEvent, JournalReader, QuantumSummary, WindowIndexMode, WireFormat,
+    FsyncPolicy, JournalFrameEvent, JournalReader, QuantumSummary, WireFormat,
 };
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace};
@@ -209,12 +209,6 @@ fn repro_root() -> PathBuf {
 
 const QUANTA: usize = 12;
 
-fn crash_matrix_config(mode: WindowIndexMode) -> DetectorConfig {
-    DetectorConfig::nominal()
-        .with_window_quanta(6)
-        .with_window_index_mode(mode)
-}
-
 /// Restores from the truncated journal at `case_dir` and checks the full
 /// recovery contract for a cut at global offset `cut`.
 fn check_cut(
@@ -301,62 +295,56 @@ fn kill_at_any_byte_recovers_to_last_durable_quantum() {
         segment_bytes: 16 * 1024,
     };
 
-    for (case, mode) in [WindowIndexMode::Incremental, WindowIndexMode::Rebuild]
-        .into_iter()
-        .enumerate()
-    {
-        let config = crash_matrix_config(mode);
-        let messages = &trace.messages[..QUANTA * config.quantum_size];
-        let label = format!("{mode:?}").to_lowercase();
-        let dir = scratch_dir(&format!("kill-{label}"));
-        let reference = run_journaled(&trace, messages, &config, &dir, durable);
-        assert_eq!(reference.quanta, QUANTA as u64);
+    let config = edge_config();
+    let messages = &trace.messages[..QUANTA * config.quantum_size];
+    let dir = scratch_dir("kill");
+    let reference = run_journaled(&trace, messages, &config, &dir, durable);
+    assert_eq!(reference.quanta, QUANTA as u64);
 
-        let (spans, total) = layout(&dir);
-        assert_eq!(
-            spans.len(),
-            QUANTA + 1,
-            "{label}: initial snapshot + one frame per quantum"
-        );
-        assert!(
-            segment_files(&dir).len() > 1,
-            "{label}: workload must span multiple segments to exercise rotation"
-        );
-        assert_eq!(spans.last().expect("frames exist").end, total);
+    let (spans, total) = layout(&dir);
+    assert_eq!(
+        spans.len(),
+        QUANTA + 1,
+        "initial snapshot + one frame per quantum"
+    );
+    assert!(
+        segment_files(&dir).len() > 1,
+        "workload must span multiple segments to exercise rotation"
+    );
+    assert_eq!(spans.last().expect("frames exist").end, total);
 
-        // Every frame boundary, the pre-snapshot prefix, and a seeded
-        // mid-frame sample (including mid-header offsets of frame 1).
-        let mut rng = ChaCha8Rng::seed_from_u64(0xC8A5_0000 + case as u64);
-        let mut cuts: Vec<u64> = vec![0, 3, spans[0].start];
-        cuts.extend(spans.iter().map(|span| span.end));
-        for span in spans.iter() {
-            if span.end - span.start > 2 {
-                cuts.push(rng.gen_range(span.start + 1..span.end));
-            }
+    // Every frame boundary, the pre-snapshot prefix, and a seeded
+    // mid-frame sample (including mid-header offsets of frame 1).
+    let mut rng = ChaCha8Rng::seed_from_u64(0xC8A5_0000);
+    let mut cuts: Vec<u64> = vec![0, 3, spans[0].start];
+    cuts.extend(spans.iter().map(|span| span.end));
+    for span in spans.iter() {
+        if span.end - span.start > 2 {
+            cuts.push(rng.gen_range(span.start + 1..span.end));
         }
-
-        for cut in cuts {
-            let case_dir = scratch_dir(&format!("kill-{label}-cut{cut}"));
-            copy_dir(&dir, &case_dir);
-            truncate_at(&case_dir, cut);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                check_cut(
-                    &case_dir, cut, &spans, &trace, messages, &config, &reference,
-                );
-            }));
-            if let Err(panic) = outcome {
-                // Stash the exact truncated journal for the CI artifact
-                // upload, then let the failure propagate.
-                let repro = repro_root().join(format!("{label}-cut{cut}"));
-                let _ = fs::remove_dir_all(&repro);
-                copy_dir(&case_dir, &repro);
-                eprintln!("reproducer saved to {}", repro.display());
-                resume_unwind(panic);
-            }
-            let _ = fs::remove_dir_all(&case_dir);
-        }
-        let _ = fs::remove_dir_all(&dir);
     }
+
+    for cut in cuts {
+        let case_dir = scratch_dir(&format!("kill-cut{cut}"));
+        copy_dir(&dir, &case_dir);
+        truncate_at(&case_dir, cut);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            check_cut(
+                &case_dir, cut, &spans, &trace, messages, &config, &reference,
+            );
+        }));
+        if let Err(panic) = outcome {
+            // Stash the exact truncated journal for the CI artifact
+            // upload, then let the failure propagate.
+            let repro = repro_root().join(format!("cut{cut}"));
+            let _ = fs::remove_dir_all(&repro);
+            copy_dir(&case_dir, &repro);
+            eprintln!("reproducer saved to {}", repro.display());
+            resume_unwind(panic);
+        }
+        let _ = fs::remove_dir_all(&case_dir);
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
 //! The incremental window index's contract: for any trace and window
-//! length, `WindowIndexMode::Incremental` (per keyword a
-//! hash-ordered head of at most `4p` stamped rows whose first `p` are the
-//! window sketch, the rows above it in one shared overflow table) emits
-//! **bit-identical** output to `WindowIndexMode::Rebuild` (walk all `w`
-//! quanta per read).  Identity is checked at three levels: the full
-//! `QuantumSummary` stream (events, ranks, AKG delta statistics) through
-//! the detector; the raw window reads (sketches, user sets, counts,
-//! recency) through `WindowState` itself under seeded ChaCha8 workloads;
-//! and, for the churn a head-plus-overflow index has to get right — spill
-//! past `4p`, refill below `p`, restamps on either side of the head's last
-//! row, pooled entries — both modes against a sketch built from scratch
-//! over the users a plain copy of the last `w` quanta holds.
+//! length, the index (per keyword a hash-ordered head of at most `4p`
+//! stamped rows whose first `p` are the window sketch, the rows above it
+//! in one shared overflow table) serves exactly what a walk over the
+//! window's records computes.  Checked at three levels:
+//!
+//! * through the detector — every quantum of seeded traces passes
+//!   `validate_invariants()` (which re-derives every index entry from the
+//!   records), and the output is pinned to digests recorded at commit
+//!   `1fa7546`, where the same runs were proven identical to the retired
+//!   `Rebuild` mode that walked the records on every read;
+//! * the raw window reads (sketches, user sets, counts, recency) against a
+//!   window built with `with_materialize_threshold(usize::MAX)`, which
+//!   indexes nothing and answers every read from the records, under
+//!   seeded ChaCha8 workloads;
+//! * for the churn a head-plus-overflow index has to get right — spill
+//!   past `4p`, refill below `p`, restamps on either side of the head's
+//!   last row, pooled entries — against a sketch built from scratch over
+//!   the users a plain copy of the last `w` quanta holds.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -18,27 +24,57 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
-use dengraph_core::{DetectorBuilder, DetectorConfig, QuantumSummary, WindowIndexMode, WireFormat};
+use dengraph_core::{DetectorBuilder, DetectorConfig, DetectorSession, WireFormat};
 use dengraph_json::{Decode, Encode};
 use dengraph_minhash::{MinHashSketch, UserHasher};
 use dengraph_stream::generator::profiles::{es_profile, tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace, UserId};
 use dengraph_text::KeywordId;
 
-fn run(trace: &Trace, config: &DetectorConfig) -> Vec<QuantumSummary> {
-    let mut detector = DetectorBuilder::from_config(config.clone())
+/// Runs `trace` through a detector, checking every structural invariant
+/// — the index against the records included — after every quantum.
+/// Returns the session and the FNV-1a-64 digest of its summaries' `Debug`
+/// form (every field; floats print shortest-round-trip, so two ranks print
+/// alike iff they are bit-identical).
+fn run_checked(trace: &Trace, config: &DetectorConfig) -> (u64, DetectorSession) {
+    let mut session = DetectorBuilder::from_config(config.clone())
         .interner(trace.interner.clone())
         .build()
         .expect("valid config");
-    detector.run(&trace.messages)
+    let mut summaries = Vec::new();
+    for message in &trace.messages {
+        if let Some(summary) = session.push_message(message.clone()) {
+            session
+                .validate_invariants()
+                .unwrap_or_else(|e| panic!("quantum {}: {e}", summary.quantum));
+            summaries.push(summary);
+        }
+    }
+    summaries.extend(session.flush());
+    session.validate_invariants().expect("invariants hold");
+    (digest(&format!("{summaries:#?}")), session)
 }
 
-/// Byte-level comparison of everything a summary reports (Debug output
-/// covers every field; float formatting is shortest-round-trip, so two
-/// ranks print identically iff they are bit-identical).
-fn canonical(summaries: &[QuantumSummary]) -> String {
-    format!("{summaries:#?}")
+fn digest(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
+
+/// Digests per profile at window lengths 4, 12 and 20, recorded where each
+/// run was identical under the incremental index and the rebuild mode.
+const ACROSS_WINDOW_SIZES: [[u64; 3]; 2] = [
+    [
+        0x71ff_d089_8d09_104c,
+        0x301b_0af3_901c_9c3f,
+        0x2601_7ccd_b705_3177,
+    ],
+    [
+        0x91f4_91a7_41c4_006a,
+        0x36ad_fa65_67ee_115f,
+        0x3c98_33d8_3810_e863,
+    ],
+];
 
 #[test]
 fn incremental_matches_rebuild_across_window_sizes() {
@@ -46,25 +82,10 @@ fn incremental_matches_rebuild_across_window_sizes() {
         StreamGenerator::new(tw_profile(41, ProfileScale::Small)).generate(),
         StreamGenerator::new(es_profile(42, ProfileScale::Small)).generate(),
     ];
-    for trace in &traces {
-        for window_quanta in [4usize, 12, 20] {
-            let base = DetectorConfig::nominal().with_window_quanta(window_quanta);
-            let rebuild = run(
-                trace,
-                &base
-                    .clone()
-                    .with_window_index_mode(WindowIndexMode::Rebuild),
-            );
-            let incremental = run(
-                trace,
-                &base.with_window_index_mode(WindowIndexMode::Incremental),
-            );
-            assert_eq!(
-                canonical(&rebuild),
-                canonical(&incremental),
-                "{}: incremental diverged from rebuild at w={window_quanta}",
-                trace.profile_name
-            );
+    for (trace, pins) in traces.iter().zip(ACROSS_WINDOW_SIZES) {
+        for (w, pin) in [4, 12, 20].into_iter().zip(pins) {
+            let (digest, _) = run_checked(trace, &DetectorConfig::nominal().with_window_quanta(w));
+            assert_eq!(digest, pin, "{}: output moved at w={w}", trace.profile_name);
         }
     }
 }
@@ -72,21 +93,11 @@ fn incremental_matches_rebuild_across_window_sizes() {
 #[test]
 fn exact_edge_correlation_ablation_matches_across_modes() {
     let trace = StreamGenerator::new(tw_profile(43, ProfileScale::Small)).generate();
-    let base = DetectorConfig {
+    let config = DetectorConfig {
         exact_edge_correlation: true,
         ..DetectorConfig::nominal().with_window_quanta(12)
     };
-    let rebuild = run(
-        &trace,
-        &base
-            .clone()
-            .with_window_index_mode(WindowIndexMode::Rebuild),
-    );
-    let incremental = run(
-        &trace,
-        &base.with_window_index_mode(WindowIndexMode::Incremental),
-    );
-    assert_eq!(canonical(&rebuild), canonical(&incremental));
+    assert_eq!(run_checked(&trace, &config).0, 0x14d3_efea_9493_e4f0);
 }
 
 /// The exact-EC ablation reads user sets, which come from a walk over the
@@ -99,14 +110,8 @@ fn exact_edge_correlation_events_are_those_of_the_indexed_user_columns() {
         exact_edge_correlation: true,
         ..DetectorConfig::nominal().with_window_quanta(12)
     };
-    let summaries = run(&trace, &config);
-    assert!(summaries.iter().any(|s| !s.events.is_empty()));
-    // FNV-1a over everything the summaries report.
-    let digest = canonical(&summaries)
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+    let (digest, session) = run_checked(&trace, &config);
+    assert!(!session.event_records().is_empty());
     assert_eq!(digest, EXACT_EC_DIGEST, "digest {digest:#018x}");
 }
 
@@ -115,46 +120,44 @@ const EXACT_EC_DIGEST: u64 = 0x0924_c069_e4a4_771b;
 #[test]
 fn long_term_event_records_match_across_modes() {
     let trace = StreamGenerator::new(es_profile(44, ProfileScale::Small)).generate();
-    let records = |mode: WindowIndexMode| {
-        let config = DetectorConfig::nominal()
-            .with_window_quanta(12)
-            .with_window_index_mode(mode);
-        let mut det = DetectorBuilder::from_config(config)
-            .interner(trace.interner.clone())
-            .build()
-            .expect("valid config");
-        det.run(&trace.messages);
-        format!("{:#?}", det.event_records())
-    };
-    assert_eq!(
-        records(WindowIndexMode::Rebuild),
-        records(WindowIndexMode::Incremental),
-        "long-term event records diverged between window index modes"
-    );
+    let (_, session) = run_checked(&trace, &DetectorConfig::nominal().with_window_quanta(12));
+    let records = format!("{:#?}", session.event_records());
+    assert_eq!(digest(&records), 0x98f6_1855_9fc4_7890);
 }
 
-/// Raw window reads under random workloads: one window per mode fed the
-/// same seeded ChaCha8 record stream, every per-keyword read compared
-/// after every slide.  This pins the *sketch* identity directly (the
-/// detector-level tests only observe sketches through admitted edges).
+/// At σ = 1 a single user makes a keyword bursty, so every keyword of
+/// every quantum is materialized — the all-live layout a restore of the
+/// retired rebuild mode produces.  Pinned where the rebuild mode reported
+/// the same.
+#[test]
+fn sigma_one_materializes_every_keyword_and_is_pinned() {
+    let trace = StreamGenerator::new(tw_profile(46, ProfileScale::Small)).generate();
+    let config = DetectorConfig::nominal()
+        .with_high_state_threshold(1)
+        .with_window_quanta(12);
+    let (digest, session) = run_checked(&trace, &config);
+    let window = session.detector().window();
+    let current = window.current().expect("a quantum was pushed");
+    assert!(current
+        .keywords()
+        .all(|k| window.window_sketch_ref(k).is_some()));
+    assert_eq!(digest, 0xa70d_da5a_0f00_d9a2);
+}
+
+/// Raw window reads under random workloads: an indexed window and one
+/// that indexes nothing fed the same seeded ChaCha8 record stream, every
+/// per-keyword read compared after every slide.  This pins the *sketch*
+/// identity directly (the detector-level tests only observe sketches
+/// through admitted edges).
 #[test]
 fn window_reads_are_bit_identical_under_random_workloads() {
     for case in 0..24u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x71D0_0000 + case);
         let capacity = rng.gen_range(1..8usize);
         let sketch_size = rng.gen_range(2..20usize);
-        let mut rebuild = WindowState::with_mode(
-            capacity,
-            sketch_size,
-            UserHasher::new(0xBEEF),
-            WindowIndexMode::Rebuild,
-        );
-        let mut incremental = WindowState::with_mode(
-            capacity,
-            sketch_size,
-            UserHasher::new(0xBEEF),
-            WindowIndexMode::Incremental,
-        );
+        let mut walk = WindowState::new(capacity, sketch_size, UserHasher::new(0xBEEF))
+            .with_materialize_threshold(usize::MAX);
+        let mut incremental = WindowState::new(capacity, sketch_size, UserHasher::new(0xBEEF));
         let quanta = rng.gen_range(5..20u64);
         for q in 0..quanta {
             // Occasionally an entirely empty quantum: pure slide.
@@ -173,12 +176,12 @@ fn window_reads_are_bit_identical_under_random_workloads() {
                 })
                 .collect();
             let record = QuantumRecord::from_messages(q, &messages);
-            rebuild.push(record.clone());
+            walk.push(record.clone());
             incremental.push(record);
 
             assert_eq!(
                 {
-                    let mut k: Vec<KeywordId> = rebuild.keywords_in_window().into_iter().collect();
+                    let mut k: Vec<KeywordId> = walk.keywords_in_window().into_iter().collect();
                     k.sort_unstable();
                     k
                 },
@@ -193,32 +196,32 @@ fn window_reads_are_bit_identical_under_random_workloads() {
             // Probe every keyword in the universe, including absent ones.
             for kw in (0..10u32).map(KeywordId) {
                 assert_eq!(
-                    rebuild.window_sketch(kw),
+                    walk.window_sketch(kw),
                     incremental.window_sketch(kw),
                     "case {case}: sketch diverged for {kw:?} at quantum {q}"
                 );
                 assert_eq!(
-                    rebuild.window_user_set(kw),
+                    walk.window_user_set(kw),
                     incremental.window_user_set(kw),
                     "case {case}: user set diverged for {kw:?} at quantum {q}"
                 );
                 assert_eq!(
-                    rebuild.window_user_count(kw),
+                    walk.window_user_count(kw),
                     incremental.window_user_count(kw)
                 );
-                assert_eq!(rebuild.last_seen(kw), incremental.last_seen(kw));
-                assert_eq!(rebuild.is_stale(kw), incremental.is_stale(kw));
+                assert_eq!(walk.last_seen(kw), incremental.last_seen(kw));
+                assert_eq!(walk.is_stale(kw), incremental.is_stale(kw));
             }
             // And the pairwise correlations the AKG consumes.
             for a in (0..10u32).map(KeywordId) {
                 for b in (a.0 + 1..10u32).map(KeywordId) {
                     assert!(
-                        rebuild.estimated_edge_correlation(a, b)
+                        walk.estimated_edge_correlation(a, b)
                             == incremental.estimated_edge_correlation(a, b),
                         "case {case}: estimated EC diverged for ({a:?},{b:?})"
                     );
                     assert!(
-                        rebuild.exact_edge_correlation(a, b)
+                        walk.exact_edge_correlation(a, b)
                             == incremental.exact_edge_correlation(a, b),
                         "case {case}: exact EC diverged for ({a:?},{b:?})"
                     );
@@ -229,7 +232,7 @@ fn window_reads_are_bit_identical_under_random_workloads() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential churn: Rebuild vs Incremental vs from scratch
+// Differential churn: the index vs from scratch
 // ---------------------------------------------------------------------------
 
 const CHURN_SEED: u64 = 0xC0DE;
@@ -254,11 +257,10 @@ fn by_hash(users: impl IntoIterator<Item = u64>) -> Vec<u64> {
     users
 }
 
-/// One window per mode plus a plain copy of the last `w` quanta, fed the
+/// An indexed window plus a plain copy of the last `w` quanta, fed the
 /// same stream and compared after every quantum.
 struct Differential {
     sketch_size: usize,
-    rebuild: WindowState,
     incremental: WindowState,
     recent: VecDeque<(u64, Vec<Message>)>,
     pushed: u64,
@@ -270,14 +272,10 @@ struct Differential {
 
 impl Differential {
     fn new(sketch_size: usize, threshold: usize, w: usize) -> Self {
-        let window = |mode| {
-            WindowState::with_mode(w, sketch_size, churn_hasher(), mode)
-                .with_materialize_threshold(threshold)
-        };
         Self {
             sketch_size,
-            rebuild: window(WindowIndexMode::Rebuild),
-            incremental: window(WindowIndexMode::Incremental),
+            incremental: WindowState::new(w, sketch_size, churn_hasher())
+                .with_materialize_threshold(threshold),
             recent: VecDeque::new(),
             pushed: 0,
             index_of: None,
@@ -305,7 +303,6 @@ impl Differential {
         let counts_up = self.index_of.is_none();
         self.pushed += 1;
         let record = QuantumRecord::from_messages(quantum, messages);
-        self.rebuild.push(record.clone());
         self.incremental.push(record);
         self.recent.push_back((quantum, messages.to_vec()));
         if self.recent.len() > self.incremental.capacity() {
@@ -326,17 +323,15 @@ impl Differential {
                 &churn_hasher(),
                 users.iter().map(|u| u.raw()),
             );
-            assert_eq!(self.rebuild.window_sketch(keyword), scratch, "{at}");
-            assert_eq!(self.incremental.window_sketch(keyword), scratch, "{at}");
-            if let Some(cached) = self.incremental.window_sketch_ref(keyword) {
+            let window = &self.incremental;
+            assert_eq!(window.window_sketch(keyword), scratch, "{at}");
+            if let Some(cached) = window.window_sketch_ref(keyword) {
                 assert_eq!(*cached, scratch, "{at}: cached sketch");
             }
-            for window in [&self.rebuild, &self.incremental] {
-                let set: BTreeSet<UserId> = window.window_user_set(keyword).into_iter().collect();
-                assert_eq!(set, users, "{at}");
-                assert_eq!(window.window_user_count(keyword), users.len(), "{at}");
-                assert_eq!(window.last_seen(keyword), last_seen, "{at}");
-            }
+            let set: BTreeSet<UserId> = window.window_user_set(keyword).into_iter().collect();
+            assert_eq!(set, users, "{at}");
+            assert_eq!(window.window_user_count(keyword), users.len(), "{at}");
+            assert_eq!(window.last_seen(keyword), last_seen, "{at}");
         }
         // What a snapshot does not carry comes back from the records.
         for format in [WireFormat::Binary, WireFormat::Json] {
