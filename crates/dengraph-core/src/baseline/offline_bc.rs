@@ -75,30 +75,6 @@ pub fn offline_bc_clusters(graph: &DynamicGraph, scheme: OfflineClusterScheme) -
     clusters
 }
 
-/// Thin stateful wrapper so the baseline can be swapped in wherever a
-/// per-quantum "cluster snapshot" provider is expected.
-#[derive(Debug, Clone, Copy)]
-pub struct OfflineBcDetector {
-    scheme: OfflineClusterScheme,
-}
-
-impl OfflineBcDetector {
-    /// Creates a baseline detector for the given scheme.
-    pub fn new(scheme: OfflineClusterScheme) -> Self {
-        Self { scheme }
-    }
-
-    /// The configured scheme.
-    pub fn scheme(&self) -> OfflineClusterScheme {
-        self.scheme
-    }
-
-    /// Recomputes the clusters of the given AKG snapshot.
-    pub fn clusters(&self, graph: &DynamicGraph) -> Vec<Cluster> {
-        offline_bc_clusters(graph, self.scheme)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,14 +128,6 @@ mod tests {
         let g = graph(&[(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)]);
         let bc = offline_bc_clusters(&g, OfflineClusterScheme::BiconnectedOnly);
         assert_eq!(bc.len(), 2);
-    }
-
-    #[test]
-    fn detector_wrapper_delegates() {
-        let g = graph(&[(1, 2), (2, 3), (1, 3)]);
-        let det = OfflineBcDetector::new(OfflineClusterScheme::BiconnectedPlusEdges);
-        assert_eq!(det.scheme(), OfflineClusterScheme::BiconnectedPlusEdges);
-        assert_eq!(det.clusters(&g).len(), 1);
     }
 
     #[test]

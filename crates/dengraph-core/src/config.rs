@@ -83,7 +83,8 @@ pub struct DetectorConfig {
     pub window_quanta: usize,
     /// Use the exact Jaccard coefficient instead of the min-hash estimate
     /// when computing edge correlations.  Defaults to `false` (the paper's
-    /// min-hash scheme); `ablation_scp` flips it.
+    /// min-hash scheme); the end-to-end test
+    /// `ablations_pin_exact_correlation_and_the_sketch_size_floor` flips it.
     pub exact_edge_correlation: bool,
     /// Lower bound on the min-hash sketch size.  The paper's formula
     /// `p = min(σ/2, 1/τ)` yields p = 2 at the nominal thresholds, which is
@@ -95,7 +96,8 @@ pub struct DetectorConfig {
     pub min_sketch_size: usize,
     /// Keep keywords in the AKG while they participate in a cluster even if
     /// they stop being bursty (the hysteresis / lazy-update rule of
-    /// Section 3.1).  Defaults to `true`; `ablation_scp` flips it.
+    /// Section 3.1).  Defaults to `true`; the end-to-end test
+    /// `ablations_pin_exact_correlation_and_the_sketch_size_floor` flips it.
     pub hysteresis: bool,
     /// Multiplier applied to the minimum possible cluster rank when
     /// filtering reported events (Section 7.2.2's rank-threshold precision

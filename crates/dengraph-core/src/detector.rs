@@ -202,7 +202,7 @@ impl NounFilter {
 /// The fixed seed of the window's user hasher.  Part of the detector's
 /// deterministic identity: checkpoints record it, and a restored session
 /// hashes users exactly as the original did.
-const WINDOW_HASHER_SEED: u64 = 0x5EED_CAFE;
+pub(crate) const WINDOW_HASHER_SEED: u64 = 0x5EED_CAFE;
 
 impl EventDetector {
     /// Creates a detector from an already-validated configuration.  Callers

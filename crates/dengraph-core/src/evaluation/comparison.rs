@@ -11,7 +11,6 @@
 
 use std::time::Instant;
 
-use dengraph_graph::fxhash::FxHashMap;
 use dengraph_graph::NodeId;
 use dengraph_minhash::UserHasher;
 use dengraph_stream::Trace;
@@ -21,6 +20,7 @@ use crate::akg::{keyword_of, AkgMaintainer};
 use crate::baseline::offline_bc::{offline_bc_clusters, OfflineClusterScheme};
 use crate::cluster::{Cluster, ClusterId, ClusterMaintainer};
 use crate::config::DetectorConfig;
+use crate::detector::WINDOW_HASHER_SEED;
 use crate::evaluation::matching::match_records;
 use crate::evaluation::precision_recall::precision_recall;
 use crate::evaluation::quality::SnapshotQualityAccumulator;
@@ -126,7 +126,7 @@ pub fn compare_schemes(trace: &Trace, config: &DetectorConfig) -> SchemeComparis
     let mut window = WindowState::new(
         config.window_quanta,
         config.sketch_size(),
-        UserHasher::new(0x5EED_CAFE),
+        UserHasher::new(WINDOW_HASHER_SEED),
     );
     let mut akg = AkgMaintainer::new(config.clone());
     let mut scp_clusters = ClusterMaintainer::new();
@@ -314,15 +314,6 @@ pub fn compare_schemes(trace: &Trace, config: &DetectorConfig) -> SchemeComparis
     }
 }
 
-/// Convenience: a map from scheme name to report, for table printing.
-pub fn as_rows(cmp: &SchemeComparison) -> FxHashMap<String, SchemeReport> {
-    let mut m = FxHashMap::default();
-    for r in [&cmp.scp, &cmp.biconnected, &cmp.biconnected_plus_edges] {
-        m.insert(r.name.clone(), r.clone());
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,6 +338,5 @@ mod tests {
         assert!(cmp.biconnected_plus_edges.precision <= cmp.scp.precision + 1e-9);
         // Exact overlap is a percentage.
         assert!((0.0..=100.0).contains(&cmp.exact_overlap_pct));
-        assert_eq!(as_rows(&cmp).len(), 3);
     }
 }

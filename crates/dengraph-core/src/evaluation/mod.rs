@@ -5,12 +5,12 @@
 //! * [`mod@precision_recall`] — precision / recall / F1 (Figures 7–10).
 //! * [`quality`] — average cluster size and rank (Section 7.2.4).
 //! * [`comparison`] — SCP vs offline biconnected clustering (Table 3, §7.3).
-//! * [`throughput`] — messages/second (Table 4).
 //!
-//! The top-level entry point is [`run_detector_on_trace`], which runs the
-//! streaming detector over a generated trace and scores it against the
-//! trace's ground truth, and [`ground_truth_report`], which reproduces the
-//! structure of the Section 7.1 / Table 1 study.
+//! The top-level entry points are [`run_detector_on_trace`], which runs the
+//! streaming detector over a generated trace, times it (Table 4) and scores
+//! it against the trace's ground truth, and [`ground_truth_report`], which
+//! reproduces the counts of the Section 7.1 / Table 1 study.  The tests in
+//! `tests/end_to_end.rs` assert the paper's Section 7 shapes through them.
 
 // Module docs live as `//!` inner docs in each module's own file (outer
 // `///` docs here would re-scope their intra-doc links into this file).
@@ -18,7 +18,6 @@ pub mod comparison;
 pub mod matching;
 pub mod precision_recall;
 pub mod quality;
-pub mod throughput;
 
 use dengraph_stream::ground_truth::GroundTruthEventKind;
 use dengraph_stream::Trace;
@@ -31,7 +30,6 @@ use crate::session::DetectorBuilder;
 
 pub use comparison::{compare_schemes, SchemeComparison, SchemeReport};
 pub use matching::MatchReport;
-pub use throughput::{measure_throughput, ThroughputReport};
 
 /// The scored result of running the detector over one trace with one
 /// configuration.
@@ -96,17 +94,6 @@ pub fn run_detector_on_trace(trace: &Trace, config: &DetectorConfig) -> Detector
     }
 }
 
-/// One row of the Table 1 style ground-truth report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeadlineOutcome {
-    /// The injected event's "headline".
-    pub headline: String,
-    /// Whether the detector discovered it.
-    pub discovered: bool,
-    /// The discovered keywords (resolved to strings) when discovered.
-    pub discovered_keywords: Vec<String>,
-}
-
 /// The Section 7.1 ground-truth study result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroundTruthReport {
@@ -123,8 +110,6 @@ pub struct GroundTruthReport {
     pub additional_local_events_discovered: usize,
     /// Reported events that matched nothing real.
     pub unmatched_reported_events: usize,
-    /// Per-headline outcomes (for the Table 1 style listing).
-    pub outcomes: Vec<HeadlineOutcome>,
     /// The underlying precision/recall scores.
     pub scores: PrecisionRecall,
 }
@@ -141,43 +126,21 @@ pub fn ground_truth_report(trace: &Trace, config: &DetectorConfig) -> GroundTrut
     let match_report = match_records(&records, &trace.ground_truth);
     let scores = precision_recall(&match_report, &trace.ground_truth);
 
-    // Per-headline outcomes.
-    let mut outcomes = Vec::new();
-    let mut headline_discovered = 0usize;
-    // Note: headline events that are injected as "too weak" are stored with
-    // kind TooWeak, so the Headline kind below is exactly the detectable set.
-    for truth in trace.ground_truth.of_kind(GroundTruthEventKind::Headline) {
-        let matching_record = records.iter().find(|r| {
-            best_match(&r.all_keywords, &trace.ground_truth).is_some_and(|(t, _)| t.id == truth.id)
-        });
-        let discovered = matching_record.is_some();
-        if discovered {
-            headline_discovered += 1;
-        }
-        outcomes.push(HeadlineOutcome {
-            headline: truth.name.clone(),
-            discovered,
-            discovered_keywords: matching_record
-                .map(|r| {
-                    r.all_keywords
-                        .iter()
-                        .filter_map(|k| trace.interner.resolve(*k).map(str::to_string))
-                        .collect()
+    // Ground-truth events of `kind` that some reported event best matches.
+    // Headline events injected "too weak" are stored with kind TooWeak, so
+    // the Headline kind is exactly the detectable set.
+    let discovered = |kind: GroundTruthEventKind| {
+        trace
+            .ground_truth
+            .of_kind(kind)
+            .filter(|truth| {
+                records.iter().any(|r| {
+                    best_match(&r.all_keywords, &trace.ground_truth)
+                        .is_some_and(|(t, _)| t.id == truth.id)
                 })
-                .unwrap_or_default(),
-        });
-    }
-
-    let additional_local_events_discovered = trace
-        .ground_truth
-        .of_kind(GroundTruthEventKind::LocalOnly)
-        .filter(|truth| {
-            records.iter().any(|r| {
-                best_match(&r.all_keywords, &trace.ground_truth)
-                    .is_some_and(|(t, _)| t.id == truth.id)
             })
-        })
-        .count();
+            .count()
+    };
 
     let unmatched_reported_events = match_report
         .matches
@@ -196,10 +159,9 @@ pub fn ground_truth_report(trace: &Trace, config: &DetectorConfig) -> GroundTrut
             .of_kind(GroundTruthEventKind::TooWeak)
             .count(),
         headline_events_detectable: trace.ground_truth.headline_count(),
-        headline_events_discovered: headline_discovered,
-        additional_local_events_discovered,
+        headline_events_discovered: discovered(GroundTruthEventKind::Headline),
+        additional_local_events_discovered: discovered(GroundTruthEventKind::LocalOnly),
         unmatched_reported_events,
-        outcomes,
         scores,
     }
 }

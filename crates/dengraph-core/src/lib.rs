@@ -22,8 +22,8 @@
 //! | [`session`] | service surface | [`DetectorBuilder`], push-based [`EventSink`]s, [`Checkpoint`]/restore |
 //! | [`checkpoint`] | durability | [`CheckpointMode`], per-quantum [`DeltaRecord`]s, the [`CheckpointJournal`] |
 //! | [`wal`] | durability | segmented on-disk write-ahead log: [`FsyncPolicy`], rotation, compaction, torn-write recovery |
-//! | [`baseline`] | §7.3 | offline biconnected-component clustering and global SCP recomputation |
-//! | [`evaluation`] | §7 | ground-truth matching, precision/recall, quality, comparisons, throughput |
+//! | [`baseline`] | §7.3 | offline biconnected-component clustering |
+//! | [`evaluation`] | §7 | ground-truth matching, precision/recall, quality, scheme comparison |
 //!
 //! ## Quick start
 //!

@@ -20,20 +20,18 @@
 //!   components; used by the offline baseline of Section 7.3 and by the
 //!   correctness oracle for the incremental maintenance.
 //! * [`quasi_clique`] — γ-quasi-clique / majority-quasi-clique (MQC)
-//!   verification, density and diameter (Section 4.2's `O(N²)` check).
+//!   verification, density and diameter (Section 4.2's `O(N²)` check);
+//!   `tests/end_to_end.rs` measures how many live SCP clusters are MQCs.
 //! * [`scp`] — the short-cycle property itself: per-edge short-cycle checks
 //!   and the one SCP decomposition of a sorted edge list, which both the
 //!   deletion repair and the *global* test oracle for the incremental
 //!   algorithms (property P3 of Section 4.3) call.
 //! * [`fxhash`] — a small, fast integer hasher for the hot adjacency maps.
-//! * [`metrics`] — degree/density summary statistics used by the Section
-//!   7.4 AKG-reduction measurements.
 
 pub mod biconnected;
 pub mod components;
 pub mod dynamic_graph;
 pub mod fxhash;
-pub mod metrics;
 pub mod node;
 pub mod quasi_clique;
 pub mod scp;

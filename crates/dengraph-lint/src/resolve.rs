@@ -48,8 +48,7 @@ pub struct Workspace {
 
 /// Crate ids (dir name with `-` → `_`) of the workspace's own crates,
 /// used to recognise cross-crate paths.
-pub const WORKSPACE_CRATES: [&str; 11] = [
-    "dengraph_bench",
+pub const WORKSPACE_CRATES: [&str; 10] = [
     "dengraph_core",
     "dengraph_examples",
     "dengraph_graph",

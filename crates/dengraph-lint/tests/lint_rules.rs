@@ -122,10 +122,6 @@ fn classification_covers_the_workspace_layout() {
         })
     );
     assert_eq!(
-        classify(Path::new("crates/dengraph-bench/src/lib.rs")),
-        Some(FileClass::Support)
-    );
-    assert_eq!(
         classify(Path::new("crates/dengraph-stream/src/bin/gen.rs")),
         Some(FileClass::Support)
     );
