@@ -51,7 +51,9 @@ use dengraph_stream::UserId;
 use dengraph_text::KeywordId;
 
 use crate::config::DetectorConfig;
-use crate::keyword_state::{KeywordState, KeywordStateMachine, QuantumRecord, WindowState};
+use crate::keyword_state::{
+    check_keyword_index, KeywordState, KeywordStateMachine, QuantumRecord, WindowState,
+};
 use crate::scratch::ScratchArena;
 
 /// Converts a keyword id into the graph-node id used by the AKG.
@@ -116,11 +118,14 @@ impl GraphDelta {
 
     /// Reconstructs a delta serialised by [`Self::to_json`].
     pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let node = |v: &dengraph_json::Value| -> dengraph_json::Result<NodeId> {
-            Ok(NodeId(v.get("node")?.as_u32()?))
+        let id = |v: &dengraph_json::Value, key: &str| -> dengraph_json::Result<NodeId> {
+            let id = v.get(key)?.as_u32()?;
+            check_keyword_index(id as usize, 0)?;
+            Ok(NodeId(id))
         };
+        let node = |v: &dengraph_json::Value| id(v, "node");
         let ends = |v: &dengraph_json::Value| -> dengraph_json::Result<(NodeId, NodeId)> {
-            Ok((NodeId(v.get("a")?.as_u32()?), NodeId(v.get("b")?.as_u32()?)))
+            Ok((id(v, "a")?, id(v, "b")?))
         };
         Ok(match value.get("op")?.as_str()? {
             "node+" => GraphDelta::NodeAdded { node: node(value)? },
@@ -185,29 +190,32 @@ impl GraphDelta {
         }
     }
 
-    /// Reconstructs a delta encoded by [`Self::to_bin`].
+    /// Reconstructs a delta encoded by [`Self::to_bin`].  Node ids are
+    /// keyword ids, bounded like every decoded one: a replayed node sizes
+    /// the keyword automaton's bitset.
     pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
+        let node = |r: &mut dengraph_json::BinReader<'_>| -> dengraph_json::Result<NodeId> {
+            let id = r.u32()?;
+            check_keyword_index(id as usize, r.pos())?;
+            Ok(NodeId(id))
+        };
         Ok(match r.byte()? {
-            0 => GraphDelta::NodeAdded {
-                node: NodeId(r.u32()?),
-            },
+            0 => GraphDelta::NodeAdded { node: node(r)? },
             1 => GraphDelta::EdgeAdded {
-                a: NodeId(r.u32()?),
-                b: NodeId(r.u32()?),
+                a: node(r)?,
+                b: node(r)?,
                 weight: r.f64()?,
             },
             2 => GraphDelta::EdgeWeightUpdated {
-                a: NodeId(r.u32()?),
-                b: NodeId(r.u32()?),
+                a: node(r)?,
+                b: node(r)?,
                 weight: r.f64()?,
             },
             3 => GraphDelta::EdgeRemoved {
-                a: NodeId(r.u32()?),
-                b: NodeId(r.u32()?),
+                a: node(r)?,
+                b: node(r)?,
             },
-            4 => GraphDelta::NodeRemoved {
-                node: NodeId(r.u32()?),
-            },
+            4 => GraphDelta::NodeRemoved { node: node(r)? },
             other => {
                 return Err(dengraph_json::JsonError {
                     message: format!("unknown graph delta tag {other}"),

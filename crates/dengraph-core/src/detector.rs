@@ -24,7 +24,7 @@ use crate::cluster::maintainer::MaintenanceStats;
 use crate::cluster::ClusterMaintainer;
 use crate::config::DetectorConfig;
 use crate::event::{DetectedEvent, EventRecord, EventTracker};
-use crate::keyword_state::{QuantumRecord, WindowState};
+use crate::keyword_state::{QuantumRecord, WindowGeometry, WindowState};
 use crate::ranking::rank_and_support;
 use crate::scratch::ScratchArena;
 
@@ -357,7 +357,8 @@ impl EventDetector {
     fn process_messages(&mut self, messages: &[Message]) -> QuantumSummary {
         let quantum = self.next_quantum;
         self.next_quantum += 1;
-        self.total_messages += messages.len() as u64;
+        // Saturating: a restored count is only as sane as its checkpoint.
+        self.total_messages = self.total_messages.saturating_add(messages.len() as u64);
 
         // 1. Aggregate and slide the window.  The record's backing storage
         //    is recycled from the quantum that slides out, and the AKG
@@ -400,7 +401,7 @@ impl EventDetector {
 
         #[cfg(feature = "invariants")]
         if let Err(e) = self.validate_invariants() {
-            // lint: allow(L002, the invariants feature exists to fail loudly the moment state corrupts; it is never enabled in production builds) allow(L007, reachable only with the opt-in invariants feature; crashing beats streaming corrupt clusters)
+            // lint: allow(L002, the invariants feature exists to fail loudly the moment state corrupts; it is never enabled in production builds)
             panic!("invariant violated after quantum {quantum}: {e}");
         }
 
@@ -541,9 +542,9 @@ impl EventDetector {
         };
         let window = WindowState::from_json_with(
             value.get("window")?,
-            config.high_state_threshold as usize,
+            Some(Self::window_geometry(&config)),
         )?;
-        Self::check_window_geometry(&config, &window)?;
+        let next_quantum = Self::check_next_quantum(&window, value.get("next_quantum")?.as_u64()?)?;
         Ok(Self {
             window,
             akg: AkgMaintainer::from_json(config.clone(), value.get("akg")?)?,
@@ -556,7 +557,7 @@ impl EventDetector {
                 .iter()
                 .map(dengraph_stream::json::message_from_value)
                 .collect::<dengraph_json::Result<_>>()?,
-            next_quantum: value.get("next_quantum")?.as_u64()?,
+            next_quantum,
             total_messages: value.get("total_messages")?.as_u64()?,
             scratch: ScratchArena::default(),
             config,
@@ -571,31 +572,31 @@ impl EventDetector {
     /// document — of this version or an earlier one — that says otherwise
     /// was not written by this detector.  (A document of the retired
     /// rebuild mode names no threshold; its window decodes at σ.)  Shared
-    /// by the JSON and binary decoders.
-    fn check_window_geometry(
-        config: &DetectorConfig,
-        window: &WindowState,
-    ) -> dengraph_json::Result<()> {
-        if window.capacity() != config.window_quanta
-            || window.sketch_size() != config.sketch_size()
-            || window.materialize_threshold() != config.high_state_threshold as usize
-        {
+    /// by the JSON and binary decoders, which check it before the window
+    /// index is rebuilt.
+    fn window_geometry(config: &DetectorConfig) -> WindowGeometry {
+        WindowGeometry {
+            capacity: config.window_quanta,
+            sketch_size: config.sketch_size(),
+            threshold: config.high_state_threshold as usize,
+        }
+    }
+
+    /// The quantum counter is derived state as well: the window's newest
+    /// record is the quantum processed last (and an empty window means
+    /// none was).  Shared by the JSON and binary decoders.
+    fn check_next_quantum(window: &WindowState, next_quantum: u64) -> dengraph_json::Result<u64> {
+        let newest = window.current_index();
+        if newest.map_or(Some(0), |q| q.checked_add(1)) != Some(next_quantum) {
             return Err(dengraph_json::JsonError {
                 message: format!(
-                    "window geometry (capacity {}, sketch size {}, index threshold {}) \
-                     contradicts the embedded configuration (window_quanta {}, sketch size {}, \
-                     high_state_threshold {})",
-                    window.capacity(),
-                    window.sketch_size(),
-                    window.materialize_threshold(),
-                    config.window_quanta,
-                    config.sketch_size(),
-                    config.high_state_threshold,
+                    "next quantum {next_quantum} does not follow the window's newest record \
+                     ({newest:?})"
                 ),
                 offset: 0,
             });
         }
-        Ok(())
+        Ok(next_quantum)
     }
 
     /// Appends the complete detector state in the compact binary format —
@@ -648,8 +649,7 @@ impl EventDetector {
         config: DetectorConfig,
         r: &mut dengraph_json::BinReader<'_>,
     ) -> dengraph_json::Result<Self> {
-        let window = WindowState::from_bin_with(r, config.high_state_threshold as usize)?;
-        Self::check_window_geometry(&config, &window)?;
+        let window = WindowState::from_bin_with(r, Some(Self::window_geometry(&config)))?;
         let akg = AkgMaintainer::from_bin(config.clone(), r)?;
         let clusters = ClusterMaintainer::from_bin(r)?;
         let tracker = EventTracker::from_bin(r)?;
@@ -668,6 +668,7 @@ impl EventDetector {
         for _ in 0..buffered {
             buffer.push(dengraph_stream::json::message_from_bin(r)?);
         }
+        let next_quantum = Self::check_next_quantum(&window, r.u64()?)?;
         Ok(Self {
             window,
             akg,
@@ -675,7 +676,7 @@ impl EventDetector {
             tracker,
             noun_filter,
             buffer,
-            next_quantum: r.u64()?,
+            next_quantum,
             total_messages: r.u64()?,
             scratch: ScratchArena::default(),
             config,
@@ -731,18 +732,40 @@ impl EventDetector {
         // The record aggregates the full quantum, superseding any
         // partially buffered prefix of it restored from the snapshot.
         self.buffer.clear();
+        self.akg.replay_deltas(&record.akg_deltas, record.akg_stats);
+        // A keyword with σ users was bursty, and a bursty keyword ends its
+        // quantum in the AKG.  Checked before the push: the window indexes
+        // exactly these keywords, in slots sized by the largest id.
+        let sigma = self.config.high_state_threshold as usize;
+        let graph = self.akg.graph();
+        if let Some((keyword, users)) = record
+            .record
+            .iter()
+            .find(|(k, users)| users.len() >= sigma && !graph.contains_node(node_of(*k)))
+        {
+            return Err(dengraph_json::JsonError {
+                message: format!(
+                    "delta record for quantum {}: {keyword} has {} users but its delta log \
+                     leaves it out of the AKG",
+                    record.record.index,
+                    users.len()
+                ),
+                offset: 0,
+            });
+        }
         let evicted = self.window.push(record.record.clone());
         if let Some(old) = evicted {
             self.scratch.record_storage = Some(old.into_storage());
         }
-        self.akg.replay_deltas(&record.akg_deltas, record.akg_stats);
         self.clusters
             .apply_deltas(self.akg.graph(), &record.akg_deltas, record.record.index);
         for event in &record.events {
             self.tracker.observe(event);
         }
         self.next_quantum = record.record.index + 1;
-        self.total_messages += record.record.message_count as u64;
+        self.total_messages = self
+            .total_messages
+            .saturating_add(record.record.message_count as u64);
         Ok(())
     }
 

@@ -110,10 +110,12 @@ pub(crate) type KeywordSpan = (KeywordId, u32, u32);
 pub(crate) type RecordStorage = (Vec<UserId>, Vec<KeywordSpan>);
 
 /// Upper bound on keyword ids accepted by the checkpoint *decoders* of
-/// the id-indexed structures (window index slots, state-machine bits).
-/// Both allocate proportionally to the largest id, so a corrupted id near
-/// `u32::MAX` would otherwise force a multi-gigabyte resize before any
-/// other validation could reject the document.  The bound caps the
+/// the id-indexed structures (window index slots, state-machine bits),
+/// and of the journal records whose replay feeds them (quantum records,
+/// graph deltas).  Both structures allocate proportionally to the largest
+/// id, so a corrupted id near `u32::MAX` would otherwise force a
+/// multi-gigabyte resize before any other validation could reject the
+/// document.  The bound caps the
 /// decode-time allocation at roughly half a gigabyte of index slots —
 /// the same order the *live* dense-id layout would occupy for such a
 /// vocabulary, so no state a deployment can actually run is rejected.
@@ -121,7 +123,7 @@ pub(crate) type RecordStorage = (Vec<UserId>, Vec<KeywordSpan>);
 /// interned vocabularies ever approach four million keywords.
 const MAX_DECODED_KEYWORD_INDEX: usize = 1 << 22;
 
-fn check_keyword_index(idx: usize, offset: usize) -> dengraph_json::Result<()> {
+pub(crate) fn check_keyword_index(idx: usize, offset: usize) -> dengraph_json::Result<()> {
     if idx > MAX_DECODED_KEYWORD_INDEX {
         return Err(dengraph_json::JsonError {
             message: format!(
@@ -292,6 +294,7 @@ impl Decode for QuantumRecord {
                 });
             }
             let keyword = KeywordId(parts[0].as_u32()?);
+            check_keyword_index(keyword.index(), 0)?;
             for u in parts[1].as_arr()? {
                 pairs.push((keyword, UserId(u.as_u64()?)));
             }
@@ -321,6 +324,11 @@ impl Decode for QuantumRecord {
         let keywords = r.delta_u32s()?;
         if keywords.windows(2).any(|p| p[0] >= p[1]) {
             return Err(corrupt(r, "record keywords must be strictly ascending"));
+        }
+        // A replayed record is pushed through the live path, which sizes
+        // the id-indexed index slots by its largest keyword.
+        if let Some(&last) = keywords.last() {
+            check_keyword_index(last as usize, r.pos())?;
         }
         let mut users: Vec<UserId> = Vec::new();
         let mut spans: Vec<KeywordSpan> = Vec::with_capacity(keywords.len());
@@ -1036,12 +1044,17 @@ impl WindowIndex {
         if let Some(&last) = live.last() {
             check_keyword_index(last as usize, 0)?;
         }
-        // Every live keyword occurs in a record; checked in full below, but
-        // an entry is allocated per listed id first.
-        if live.len() > window.iter().map(QuantumRecord::keyword_count).sum() {
-            return Err(corrupt(
-                "more live index keywords than the window's records hold".into(),
-            ));
+        // Every live keyword occurs in a record.  Checked before any entry
+        // exists: the largest listed id sizes the slot vector.
+        if let Some(&keyword) = live.iter().find(|&&k| {
+            window
+                .iter()
+                .all(|record| record.users_of(KeywordId(k)).is_empty())
+        }) {
+            return Err(corrupt(format!(
+                "live index keyword {} occurs in no window record",
+                KeywordId(keyword)
+            )));
         }
         let mut index = Self::new(materialize_threshold);
         for &keyword in live {
@@ -1074,11 +1087,6 @@ impl WindowIndex {
                     _ => {}
                 }
             }
-        }
-        if let Some((keyword, _)) = index.live_entries().find(|(_, e)| e.hashes.is_empty()) {
-            return Err(corrupt(format!(
-                "live index keyword {keyword} occurs in no window record"
-            )));
         }
         Ok(index)
     }
@@ -1198,6 +1206,21 @@ impl WindowIndex {
         }
         Ok((threshold, live))
     }
+}
+
+/// What a detector's validated configuration fixes about its window.  A
+/// detector-level decode holds the window section to it before the index
+/// is rebuilt: a document that disagrees was not written by this
+/// detector, and its sketch size would otherwise size an allocation per
+/// live keyword.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowGeometry {
+    /// `window_quanta`.
+    pub(crate) capacity: usize,
+    /// The configuration's sketch size `p`.
+    pub(crate) sketch_size: usize,
+    /// σ, the index's materialization threshold.
+    pub(crate) threshold: usize,
 }
 
 /// The sliding window over the last `w` quanta.
@@ -1661,13 +1684,26 @@ impl WindowState {
         seed: u64,
         window: VecDeque<QuantumRecord>,
         (threshold, live): (usize, Vec<u32>),
+        expected: Option<WindowGeometry>,
         offset: usize,
     ) -> dengraph_json::Result<Self> {
         // No silent clamping: a zero capacity can only come from a corrupt
         // document (construction enforces ≥ 1).  The sketch size sizes an
-        // allocation per live entry, so it is bounded before the rebuild;
-        // the detector-level decoder additionally cross-checks both, and
-        // the index threshold, against the validated configuration.
+        // allocation per live entry, so it is bounded before the rebuild —
+        // and so is everything a detector's configuration fixes.
+        if let Some(g) = expected {
+            if (capacity, sketch_size, threshold) != (g.capacity, g.sketch_size, g.threshold) {
+                return Err(dengraph_json::JsonError {
+                    message: format!(
+                        "window geometry (capacity {capacity}, sketch size {sketch_size}, \
+                         index threshold {threshold}) contradicts the embedded configuration \
+                         (window_quanta {}, sketch size {}, high_state_threshold {})",
+                        g.capacity, g.sketch_size, g.threshold
+                    ),
+                    offset,
+                });
+            }
+        }
         if capacity == 0 {
             return Err(dengraph_json::JsonError {
                 message: "window capacity must be at least 1".into(),
@@ -1694,13 +1730,15 @@ impl WindowState {
         })
     }
 
-    /// [`Decode::from_json`], restoring a document of the retired rebuild
-    /// mode at `retired_threshold` (see [`WindowIndex::all_live`]): the
-    /// detector passes σ, a standalone decode 1.
+    /// [`Decode::from_json`], holding the document to the `expected`
+    /// geometry if one is given (the detector passes its configuration's)
+    /// and restoring a document of the retired rebuild mode at the
+    /// expected threshold, or at 1 (see [`WindowIndex::all_live`]).
     pub(crate) fn from_json_with(
         value: &dengraph_json::Value,
-        retired_threshold: usize,
+        expected: Option<WindowGeometry>,
     ) -> dengraph_json::Result<Self> {
+        let retired_threshold = expected.map_or(1, |g| g.threshold);
         let window: VecDeque<QuantumRecord> = value
             .get("records")?
             .as_arr()?
@@ -1729,16 +1767,18 @@ impl WindowState {
             value.get("seed")?.as_u64()?,
             window,
             header,
+            expected,
             0,
         )
     }
 
-    /// [`Decode::from_bin`], restoring a document of the retired rebuild
-    /// mode at `retired_threshold`, like [`Self::from_json_with`].
+    /// [`Decode::from_bin`], under an `expected` geometry like
+    /// [`Self::from_json_with`].
     pub(crate) fn from_bin_with(
         r: &mut dengraph_json::BinReader<'_>,
-        retired_threshold: usize,
+        expected: Option<WindowGeometry>,
     ) -> dengraph_json::Result<Self> {
+        let retired_threshold = expected.map_or(1, |g| g.threshold);
         let capacity = r.usize()?;
         let sketch_size = r.usize()?;
         let seed = r.u64()?;
@@ -1759,7 +1799,15 @@ impl WindowState {
             1 => WindowIndex::legacy_header_from_bin(r)?,
             _ => (r.usize()?, r.delta_u32s()?),
         };
-        Self::from_decoded(capacity, sketch_size, seed, window, header, r.pos())
+        Self::from_decoded(
+            capacity,
+            sketch_size,
+            seed,
+            window,
+            header,
+            expected,
+            r.pos(),
+        )
     }
 }
 
@@ -1810,13 +1858,13 @@ impl Decode for WindowState {
     /// The restored window is `==` the original: the records round-trip
     /// and the index is rebuilt from them.
     fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Self::from_json_with(value, 1)
+        Self::from_json_with(value, None)
     }
 
     /// Reconstructs a window encoded by [`Self::to_bin`] (mode byte 2) or
     /// by an earlier version (mode byte 0 or 1), like [`Self::from_json`].
     fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Self::from_bin_with(r, 1)
+        Self::from_bin_with(r, None)
     }
 }
 

@@ -224,230 +224,12 @@ pub fn split(source: &str) -> Vec<Line> {
     lines
 }
 
-// ---------------------------------------------------------------------------
-// Token stream
-// ---------------------------------------------------------------------------
-
-/// What kind of lexeme a [`Token`] is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
-    /// An identifier or keyword (`fn`, `quantum`, `self`, …).
-    Ident,
-    /// A lifetime or loop label (`'a`, `'outer`) — the quote is kept.
-    Lifetime,
-    /// A numeric literal (`42`, `0xFF`, `1.5e-3`, `0.0f64`).
-    Number,
-    /// A string or byte-string literal; contents are the lexer's
-    /// length-preserving `s` filler, delimiters and prefixes kept.
-    Str,
-    /// A char or byte-char literal (`'x'`, `b'\''`), contents blanked.
-    Char,
-    /// Punctuation.  Multi-character operators that matter to the parser
-    /// (`::`, `->`, `=>`, `..=`, `..`, `&&`, `||`, comparison and
-    /// compound-assignment operators) are joined into one token; `<` and
-    /// `>` always stay single so generic brackets can be matched.
-    Punct,
-}
-
-/// One token of the comment-stripped, literal-blanked source.
-#[derive(Debug, Clone)]
-pub struct Token {
-    /// The token's kind.
-    pub kind: TokenKind,
-    /// The token's text (literal contents are blanked filler).
-    pub text: String,
-    /// 1-based source line the token starts on.
-    pub line: usize,
-}
-
-/// Multi-character punctuation joined into single tokens, longest first.
-const JOINED_PUNCT: [&str; 20] = [
-    "<<=", ">>=", "..=", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=",
-    "/=", "%=", "^=", "|=", "..",
-];
-
-fn is_ident_start(c: char) -> bool {
-    c.is_alphabetic() || c == '_'
-}
-
-fn is_ident_continue(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
-
-/// Tokenizes one already comment-stripped, literal-blanked code line
-/// (see [`split`]) into `out`.
-fn tokenize_line(code: &str, line_no: usize, out: &mut Vec<Token>) {
-    let chars: Vec<char> = code.chars().collect();
-    let mut i = 0usize;
-    let push = |out: &mut Vec<Token>, kind: TokenKind, text: String| {
-        out.push(Token {
-            kind,
-            text,
-            line: line_no,
-        });
-    };
-    while i < chars.len() {
-        let c = chars[i];
-        if c.is_whitespace() {
-            i += 1;
-            continue;
-        }
-        // Identifier, or a string/char prefix (`r"…"`, `b"…"`, `b'…'`).
-        if is_ident_start(c) {
-            let start = i;
-            while i < chars.len() && is_ident_continue(chars[i]) {
-                i += 1;
-            }
-            let ident: String = chars[start..i].iter().collect();
-            let next = chars.get(i).copied();
-            let is_str_prefix =
-                matches!(ident.as_str(), "r" | "b" | "br") && matches!(next, Some('"') | Some('#'));
-            let is_char_prefix = ident == "b" && next == Some('\'');
-            if is_str_prefix {
-                // Consume optional `#`s and the string body.
-                let mut text = ident;
-                while chars.get(i) == Some(&'#') {
-                    text.push('#');
-                    i += 1;
-                }
-                if chars.get(i) == Some(&'"') {
-                    let (body, rest) = scan_string(&chars, i);
-                    text.push_str(&body);
-                    i = rest;
-                    push(out, TokenKind::Str, text);
-                    continue;
-                }
-                // `r#raw_ident` style: fall through as a plain ident.
-                push(out, TokenKind::Ident, text);
-                continue;
-            }
-            if is_char_prefix {
-                if let Some((body, rest)) = scan_char(&chars, i) {
-                    push(out, TokenKind::Char, format!("{ident}{body}"));
-                    i = rest;
-                    continue;
-                }
-            }
-            push(out, TokenKind::Ident, ident);
-            continue;
-        }
-        // Number: decimal/hex/binary/octal, fraction, exponent, suffix.
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < chars.len() && (is_ident_continue(chars[i])) {
-                i += 1;
-            }
-            // Fraction: a `.` followed by a digit (not `..`, not a method).
-            if chars.get(i) == Some(&'.') && chars.get(i + 1).is_some_and(char::is_ascii_digit) {
-                i += 1;
-                while i < chars.len() && is_ident_continue(chars[i]) {
-                    i += 1;
-                }
-            }
-            // Signed exponent (`1e-3`); unsigned ones were consumed above.
-            if chars
-                .get(i.wrapping_sub(1))
-                .is_some_and(|&e| e == 'e' || e == 'E')
-                && matches!(chars.get(i), Some('+') | Some('-'))
-                && chars.get(i + 1).is_some_and(char::is_ascii_digit)
-            {
-                i += 1;
-                while i < chars.len() && is_ident_continue(chars[i]) {
-                    i += 1;
-                }
-            }
-            push(out, TokenKind::Number, chars[start..i].iter().collect());
-            continue;
-        }
-        if c == '"' {
-            let (body, rest) = scan_string(&chars, i);
-            i = rest;
-            push(out, TokenKind::Str, body);
-            continue;
-        }
-        if c == '\'' {
-            // Char literal vs lifetime, decided exactly as rustc does at
-            // this point: a quote, ident chars, and a closing quote is a
-            // char literal; otherwise it is a lifetime or label.  The
-            // blanked filler from `split` keeps char contents ident-like,
-            // so this lookahead is reliable.
-            if let Some((body, rest)) = scan_char(&chars, i) {
-                push(out, TokenKind::Char, body);
-                i = rest;
-                continue;
-            }
-            let start = i;
-            i += 1;
-            while i < chars.len() && is_ident_continue(chars[i]) {
-                i += 1;
-            }
-            push(out, TokenKind::Lifetime, chars[start..i].iter().collect());
-            continue;
-        }
-        // Punctuation, joining the multi-char operators the parser needs.
-        let rest: String = chars[i..chars.len().min(i + 3)].iter().collect();
-        if let Some(op) = JOINED_PUNCT.iter().find(|op| rest.starts_with(**op)) {
-            push(out, TokenKind::Punct, (*op).to_string());
-            i += op.len();
-            continue;
-        }
-        push(out, TokenKind::Punct, c.to_string());
-        i += 1;
-    }
-}
-
-/// Scans a (blanked) string literal starting at the opening quote;
-/// returns the text including delimiters and the index after it.
-fn scan_string(chars: &[char], start: usize) -> (String, usize) {
-    let mut i = start + 1;
-    while i < chars.len() && chars[i] != '"' {
-        i += 1;
-    }
-    let end = (i + 1).min(chars.len());
-    (chars[start..end].iter().collect(), end)
-}
-
-/// Scans a (blanked) char literal at the opening quote: `'`, one or more
-/// ident-like filler chars, `'`.  Returns `None` when the quote starts a
-/// lifetime instead.
-fn scan_char(chars: &[char], start: usize) -> Option<(String, usize)> {
-    debug_assert_eq!(chars.get(start), Some(&'\''));
-    let mut i = start + 1;
-    while i < chars.len() && is_ident_continue(chars[i]) {
-        i += 1;
-    }
-    if i > start + 1 && chars.get(i) == Some(&'\'') {
-        Some((chars[start..=i].iter().collect(), i + 1))
-    } else {
-        None
-    }
-}
-
-/// Tokenizes full source text: [`split`] strips comments and blanks
-/// literal contents, then each code line is scanned into [`Token`]s.
-/// Multi-line strings collapse into one `Str` token per spanned line;
-/// that is fine for the parser, which never looks inside literals.
-pub fn tokenize(source: &str) -> Vec<Token> {
-    let mut out = Vec::new();
-    for (idx, line) in split(source).iter().enumerate() {
-        tokenize_line(&line.code, idx + 1, &mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn code_of(src: &str) -> Vec<String> {
         split(src).into_iter().map(|l| l.code).collect()
-    }
-
-    fn kinds(src: &str) -> Vec<(TokenKind, String)> {
-        tokenize(src)
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
     }
 
     #[test]
@@ -533,60 +315,6 @@ mod tests {
             code,
             "let r = 's'..='s'; let u = 'sssssssss'; let q = 'ss';"
         );
-    }
-
-    #[test]
-    fn tokens_classify_lifetimes_chars_and_numbers() {
-        let toks = kinds("fn f<'a>(c: char) -> u8 { if c == 'x' { 1.5e-3 } else { 0xFFu8 } }");
-        assert!(toks.contains(&(TokenKind::Lifetime, "'a".into())));
-        assert!(toks.contains(&(TokenKind::Char, "'s'".into())));
-        assert!(toks.contains(&(TokenKind::Number, "1.5e-3".into())));
-        assert!(toks.contains(&(TokenKind::Number, "0xFFu8".into())));
-        assert!(!toks
-            .iter()
-            .any(|(k, t)| *k == TokenKind::Lifetime && t == "'x"));
-    }
-
-    #[test]
-    fn tokens_join_parser_relevant_operators_only() {
-        let toks = kinds(
-            "a::b
-.c()?; x += 1; y => z; v -> w; p..=q; r..s; m && n || o; g<<h; Vec<Vec<u8>>",
-        );
-        let punct: Vec<&str> = toks
-            .iter()
-            .filter(|(k, _)| *k == TokenKind::Punct)
-            .map(|(_, t)| t.as_str())
-            .collect();
-        for op in ["::", "+=", "=>", "->", "..=", "..", "&&", "||"] {
-            assert!(punct.contains(&op), "missing {op}: {punct:?}");
-        }
-        // `<` and `>` stay single so generics can be matched.
-        assert!(!punct.contains(&"<<"));
-        assert!(!punct.contains(&">>"));
-    }
-
-    #[test]
-    fn tokens_merge_byte_and_raw_string_prefixes() {
-        let toks = kinds("let a = b'\\''; let s = r#\"x\"#; let t = br\"y\"; let r = 1;");
-        assert!(toks.contains(&(TokenKind::Char, "b'ss'".into())));
-        assert!(toks
-            .iter()
-            .any(|(k, t)| *k == TokenKind::Str && t.starts_with("r#\"")));
-        assert!(toks
-            .iter()
-            .any(|(k, t)| *k == TokenKind::Str && t.starts_with("br\"")));
-        // A plain `r` identifier is not a raw-string prefix.
-        assert!(toks.contains(&(TokenKind::Ident, "r".into())));
-    }
-
-    #[test]
-    fn token_lines_are_one_based_and_accurate() {
-        let toks = tokenize("fn a() {}\n\nfn b() {}\n");
-        let a = toks.iter().find(|t| t.text == "a").expect("token a");
-        let b = toks.iter().find(|t| t.text == "b").expect("token b");
-        assert_eq!(a.line, 1);
-        assert_eq!(b.line, 3);
     }
 
     #[test]

@@ -16,23 +16,19 @@
 //! | rule | what it forbids | why |
 //! |------|-----------------|-----|
 //! | L001 | iterating a `HashMap`/`HashSet` (`.iter()`, `.keys()`, `.values()`, `.drain()`, `.into_iter()`, `for … in &map`) in library code | hash iteration order is nondeterministic and has twice leaked into observable output |
-//! | L002 | `.unwrap()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, and `.expect()` with a vacuous message in non-test library code | library panics crash the service; every residual panic site must state its invariant |
+//! | L002 | `.unwrap()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, and `.expect()` with a vacuous message (on its line or the next code line) in non-test library code | library panics crash the service; every residual panic site must state its invariant |
 //! | L003 | `partial_cmp(..).unwrap()` (or `unwrap_or`) as an f64 ordering | NaN-unsafe and panicky; `f64::total_cmp` is the project's canonical float order |
 //! | L004 | `unsafe` without a `// SAFETY:` comment | every unsafe block must state why it is sound |
 //! | L005 | undocumented `pub` items in `dengraph-core` / `dengraph-json` | the session/codec surface is the public API |
-//! | L007 | panic-class sites reachable (interprocedurally) from pipeline entry points | L002 is syntactic; the hot path must not reach a panic through any call chain either |
-//! | L008 | wire-decoded lengths reaching `with_capacity`/`vec!`/`.reserve` unchecked | a corrupt or hostile checkpoint must not drive allocation size |
 //!
-//! L001–L005 are line-oriented lexical rules; L007 and L008 are semantic
-//! rules built on a recursive-descent parse ([`ast`]), a workspace
-//! module-graph resolver ([`resolve`]) and a call graph ([`callgraph`]).
-//!
-//! L006 (lock-order inversions, guards held across pool submits) and L009
-//! (`f64` folds over unordered sources in parallel-phase code) are retired
-//! with their subject: the engine is serial, the worker pool that took
-//! every lock they ordered is gone, and the one lock left in library code,
-//! the `Arc<Mutex<S>>` sink adapter, is taken once per sink, one sink at a
-//! time.  Their ids are not reused.
+//! Every rule reads comment-stripped lines — a site's own and a few
+//! around it — plus brace depth for test regions; nothing is parsed.  Four ids are retired and not reused: L006
+//! (lock-order inversions) and L009 (`f64` folds in parallel-phase code)
+//! went with the worker pool they checked; L007 (panic sites reachable
+//! from pipeline entry points) could only fire where an `allow(L002, …)`
+//! already stood, and L008 (wire-decoded lengths sizing allocations) is
+//! a runtime test now — `tests/decoder_mutation.rs` mutates every restore
+//! entry point's input and bounds what restore may allocate.
 //!
 //! A site can be justified with an allow comment on the same line or the
 //! line above; one `lint:` marker may stack several allows when a line
@@ -40,20 +36,15 @@
 //!
 //! ```text
 //! // lint: allow(L001, canonicalised by the sort two lines down)
-//! // lint: allow(L002, fails loudly on corrupt state) allow(L007, only with the opt-in invariants feature)
+//! // lint: allow(L001, validation walk; order-free) allow(L002, fails loudly on corrupt state)
 //! ```
 //!
 //! The reason is **mandatory**; an allow without one is itself reported.
 //! L001 sites whose surrounding statement feeds an immediate sort (or an
 //! order-insensitive `all`/`any`/`count`) are exempt automatically.
 
-pub mod ast;
-pub mod callgraph;
 pub mod lexer;
-pub mod resolve;
-pub mod semantic;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -74,23 +65,10 @@ pub enum Rule {
     L004,
     /// Undocumented `pub` item in a docs-required crate.
     L005,
-    /// Panic-class site reachable from a pipeline entry point.
-    L007,
-    /// Wire-decoded length reaching an allocation without a bounds
-    /// check.
-    L008,
 }
 
 /// Every rule, in id order.
-pub const ALL_RULES: [Rule; 7] = [
-    Rule::L001,
-    Rule::L002,
-    Rule::L003,
-    Rule::L004,
-    Rule::L005,
-    Rule::L007,
-    Rule::L008,
-];
+pub const ALL_RULES: [Rule; 5] = [Rule::L001, Rule::L002, Rule::L003, Rule::L004, Rule::L005];
 
 impl Rule {
     /// The rule's stable id (`"L001"`…).
@@ -101,8 +79,6 @@ impl Rule {
             Rule::L003 => "L003",
             Rule::L004 => "L004",
             Rule::L005 => "L005",
-            Rule::L007 => "L007",
-            Rule::L008 => "L008",
         }
     }
 
@@ -114,8 +90,6 @@ impl Rule {
             Rule::L003 => "float ordering via partial_cmp().unwrap(); use total_cmp",
             Rule::L004 => "unsafe without a `// SAFETY:` comment",
             Rule::L005 => "undocumented public item",
-            Rule::L007 => "panic-class site reachable from a pipeline entry point",
-            Rule::L008 => "untrusted wire length reaches an allocation unchecked",
         }
     }
 
@@ -568,10 +542,18 @@ fn check_l002(ctx: &FileContext, out: &mut Vec<Violation>) {
         while let Some(pos) = code[from..].find(".expect(") {
             let at = from + pos;
             from = at + ".expect(".len();
-            let tail = &code[at + ".expect(".len()..];
+            let mut tail = code[at + ".expect(".len()..].trim_start();
+            // rustfmt moves a long argument onto the next code line.
+            if tail.is_empty() {
+                tail = ctx.lines[i + 1..]
+                    .iter()
+                    .map(|l| l.code.trim_start())
+                    .find(|c| !c.is_empty())
+                    .unwrap_or("");
+            }
             // A non-literal argument (formatted or computed message) is
             // treated as descriptive and skipped.
-            if let Some(rest) = tail.trim_start().strip_prefix('"') {
+            if let Some(rest) = tail.strip_prefix('"') {
                 let len = rest.find('"').unwrap_or(rest.len());
                 if len < MIN_EXPECT_MESSAGE {
                     out.push(Violation {
@@ -797,78 +779,8 @@ pub struct FileReport {
     pub path: PathBuf,
     /// Surviving violations.
     pub violations: Vec<Violation>,
-    /// Enclosing item symbol per violation (same order), for
-    /// fingerprinting.
-    pub symbols: Vec<String>,
     /// Justified sites per rule in this file.
     pub allows: Vec<(Rule, usize)>,
-}
-
-/// The innermost item symbol enclosing 1-based `line` (`Ty::method`,
-/// `function`, `Struct`), or `"<file>"` for file-level sites.  Symbols
-/// anchor violation fingerprints so baselines survive line drift.
-pub fn enclosing_symbol(file: &ast::File, line: usize) -> String {
-    fn visit(items: &[ast::Item], prefix: &str, line: usize, best: &mut Option<(usize, String)>) {
-        for item in items {
-            let qualify = |name: &str| {
-                if prefix.is_empty() {
-                    name.to_string()
-                } else {
-                    format!("{prefix}::{name}")
-                }
-            };
-            // Innermost wins: a later/deeper candidate starts no earlier.
-            let mut record = |start: usize, name: String| {
-                let better = match best {
-                    None => true,
-                    Some((l, _)) => *l <= start,
-                };
-                if better {
-                    *best = Some((start, name));
-                }
-            };
-            match &item.kind {
-                ast::ItemKind::Fn(def) => {
-                    let end = def.body.as_ref().map_or(def.line, |b| b.close_line);
-                    if def.line <= line && line <= end {
-                        record(def.line, qualify(&def.name));
-                    }
-                }
-                ast::ItemKind::Impl { self_ty, items, .. } => {
-                    visit(items, resolve::base_type_name(self_ty), line, best);
-                }
-                ast::ItemKind::Trait { name, items } => {
-                    visit(items, name, line, best);
-                }
-                ast::ItemKind::Mod {
-                    items: Some(inner), ..
-                } => {
-                    visit(inner, prefix, line, best);
-                }
-                ast::ItemKind::Struct { name, .. } if item.line == line => {
-                    record(item.line, qualify(name));
-                }
-                ast::ItemKind::Static { name, .. } if item.line == line => {
-                    record(item.line, qualify(name));
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut best = None;
-    visit(&file.items, "", line, &mut best);
-    best.map_or_else(|| "<file>".to_string(), |(_, name)| name)
-}
-
-/// The stable fingerprint of one violation: rule, `/`-normalized path,
-/// and enclosing symbol — deliberately no line number, so moving code
-/// within a function does not churn baselines.
-pub fn fingerprint(rule: Rule, path: &Path, symbol: &str) -> String {
-    let normalized: Vec<String> = path
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy().into_owned())
-        .collect();
-    format!("{rule}:{}:{symbol}", normalized.join("/"))
 }
 
 /// The whole workspace's lint outcome.
@@ -902,45 +814,6 @@ impl WorkspaceReport {
         out
     }
 
-    /// Every violation's fingerprint, sorted (a multiset: duplicates
-    /// are kept so counts are comparable).
-    pub fn fingerprints(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .files
-            .iter()
-            .flat_map(|f| {
-                f.violations
-                    .iter()
-                    .zip(&f.symbols)
-                    .map(|(v, s)| fingerprint(v.rule, &f.path, s))
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// Fingerprints of violations *not* present in `baseline`
-    /// (count-aware: a third duplicate of a twice-baselined finding is
-    /// new), paired with their file and line for display.
-    pub fn new_since<'a>(&'a self, baseline: &[String]) -> Vec<(String, &'a Path, usize)> {
-        let mut budget: BTreeMap<&str, usize> = BTreeMap::new();
-        for fp in baseline {
-            *budget.entry(fp.as_str()).or_insert(0) += 1;
-        }
-        let mut out = Vec::new();
-        for file in &self.files {
-            for (v, symbol) in file.violations.iter().zip(&file.symbols) {
-                let fp = fingerprint(v.rule, &file.path, symbol);
-                match budget.get_mut(fp.as_str()) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => out.push((fp, file.path.as_path(), v.line)),
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// Renders the machine-readable JSON report (`lint_report.json`).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
@@ -960,18 +833,16 @@ impl WorkspaceReport {
         s.push_str("\n  },\n  \"sites\": [");
         let mut first = true;
         for file in &self.files {
-            for (v, symbol) in file.violations.iter().zip(&file.symbols) {
+            for v in &file.violations {
                 if !first {
                     s.push(',');
                 }
                 first = false;
                 s.push_str(&format!(
-                    "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-                     \"fingerprint\": \"{}\", \"message\": \"{}\"}}",
+                    "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
                     v.rule,
                     file.path.display(),
                     v.line,
-                    fingerprint(v.rule, &file.path, symbol),
                     v.message.replace('\\', "\\\\").replace('"', "\\\"")
                 ));
             }
@@ -1032,16 +903,11 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Resul
 }
 
 /// Lints every in-scope source file under the workspace `root`
-/// (`crates/*/src/**/*.rs`; the vendored crates are out of scope):
-/// the lexical rules L001–L005 per file, then the semantic rules L007
-/// and L008 over the resolved module graph, merged per file with the
-/// same allow-comment filtering.
+/// (`crates/*/src/**/*.rs`; the vendored crates are out of scope).
 pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     let mut files = Vec::new();
     collect_rs(root, Path::new("crates"), &mut files)?;
     files.sort();
-    let ws = resolve::Workspace::load(root);
-    let mut semantic_map = semantic::analyze(&ws, semantic::Mode::Workspace);
     let mut report = WorkspaceReport::default();
     for rel in files {
         let Some(class) = classify(&rel) else {
@@ -1049,83 +915,18 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
         };
         let source = std::fs::read_to_string(root.join(&rel))?;
         report.files_scanned += 1;
-        let mut violations = lint_source(&source, class);
-        if class.strict() {
-            if let Some(sem) = semantic_map.remove(&rel) {
-                let allows = collect_allows(&lexer::split(&source));
-                violations.extend(
-                    sem.into_iter()
-                        .filter(|v| !allowed(&allows, v.rule, v.line)),
-                );
-                violations.sort_by_key(|v| (v.line, v.rule));
-            }
-        }
+        let violations = lint_source(&source, class);
         let allows: Vec<(Rule, usize)> = count_allows(&source)
             .into_iter()
             .filter(|&(_, n)| n > 0)
             .collect();
         if !violations.is_empty() || !allows.is_empty() {
-            let file_ast = ast::parse_file(&source);
-            let symbols = violations
-                .iter()
-                .map(|v| enclosing_symbol(&file_ast, v.line))
-                .collect();
             report.files.push(FileReport {
                 path: rel,
                 violations,
-                symbols,
                 allows,
             });
         }
     }
     Ok(report)
-}
-
-// ---------------------------------------------------------------------------
-// Baselines
-// ---------------------------------------------------------------------------
-
-/// Serializes fingerprints as the committed baseline
-/// (`lint_baseline.json`): a sorted JSON string array.
-pub fn baseline_json(fingerprints: &[String]) -> String {
-    let mut s = String::from("[");
-    for (i, fp) in fingerprints.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n  \"");
-        s.push_str(&fp.replace('\\', "\\\\").replace('"', "\\\""));
-        s.push('"');
-    }
-    if !fingerprints.is_empty() {
-        s.push('\n');
-    }
-    s.push_str("]\n");
-    s
-}
-
-/// Parses a baseline file: every JSON string literal in the text, in
-/// order.  Tolerant by design — the baseline is machine-written.
-pub fn parse_baseline(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c != '"' {
-            continue;
-        }
-        let mut lit = String::new();
-        loop {
-            match chars.next() {
-                Some('\\') => {
-                    if let Some(esc) = chars.next() {
-                        lit.push(esc);
-                    }
-                }
-                Some('"') | None => break,
-                Some(other) => lit.push(other),
-            }
-        }
-        out.push(lit);
-    }
-    out
 }

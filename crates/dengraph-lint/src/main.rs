@@ -1,23 +1,14 @@
 //! Workspace lint driver: `cargo run -p dengraph-lint [-- FLAGS]`.
 //!
-//! Walks `crates/*/src/**/*.rs`, applies the project lints
-//! (see [`dengraph_lint`]) and exits non-zero if any unjustified
-//! violation survives.
+//! Walks `crates/*/src/**/*.rs`, applies the lexical project lints
+//! L001–L005 (see [`dengraph_lint`]) and exits non-zero if any
+//! unjustified violation survives.
 //!
 //! Flags:
 //!
 //! * `--json PATH` — also write the machine-readable `lint_report.json`
 //!   consumed by CI.  A failed write prints the path and exits non-zero
 //!   even when the lint itself is clean.
-//! * `--baseline PATH` — load a committed fingerprint baseline.
-//! * `--diff` — with `--baseline`: fail only on findings whose
-//!   fingerprint (rule + path + symbol, no line numbers) is not in the
-//!   baseline.  Lets CI gate on *new* findings mid-burn-down.
-//! * `--write-baseline PATH` — write the current fingerprints as a new
-//!   baseline and exit by the normal rules.
-//! * `--check-drift PATH` — fail if the current fingerprints differ
-//!   from the baseline *in either direction* (fixed findings must be
-//!   removed from the baseline too, so it never goes stale).
 //! * `--root DIR` — workspace root override.
 
 use std::path::PathBuf;
@@ -36,10 +27,7 @@ fn find_workspace_root() -> Option<PathBuf> {
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: dengraph-lint [--json PATH] [--root DIR] [--baseline PATH] [--diff] \
-         [--write-baseline PATH] [--check-drift PATH]"
-    );
+    eprintln!("usage: dengraph-lint [--json PATH] [--root DIR]");
     ExitCode::from(2)
 }
 
@@ -47,27 +35,15 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut json_path: Option<PathBuf> = None;
     let mut root_override: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut diff = false;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut check_drift: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json_path = args.next().map(PathBuf::from),
             "--root" => root_override = args.next().map(PathBuf::from),
-            "--baseline" => baseline_path = args.next().map(PathBuf::from),
-            "--diff" => diff = true,
-            "--write-baseline" => write_baseline = args.next().map(PathBuf::from),
-            "--check-drift" => check_drift = args.next().map(PathBuf::from),
             other => {
                 eprintln!("unknown argument: {other}");
                 return usage();
             }
         }
-    }
-    if diff && baseline_path.is_none() {
-        eprintln!("--diff requires --baseline PATH");
-        return usage();
     }
 
     let Some(root) = root_override.or_else(find_workspace_root) else {
@@ -107,94 +83,16 @@ fn main() -> ExitCode {
         );
     }
 
-    // Side outputs come after the human report so a write failure never
-    // swallows findings, but any failed write is itself a hard failure:
-    // CI must not mistake a missing report for a clean one.
-    let mut io_failed = false;
+    // The report is written after the human output so a write failure
+    // never swallows findings, but a failed write is itself a hard
+    // failure: CI must not mistake a missing report for a clean one.
     if let Some(path) = &json_path {
         if let Err(err) = std::fs::write(path, report.to_json()) {
             eprintln!(
                 "dengraph-lint: failed to write report to {}: {err}",
                 path.display()
             );
-            io_failed = true;
-        }
-    }
-    if let Some(path) = &write_baseline {
-        if let Err(err) = std::fs::write(path, dengraph_lint::baseline_json(&report.fingerprints()))
-        {
-            eprintln!(
-                "dengraph-lint: failed to write baseline to {}: {err}",
-                path.display()
-            );
-            io_failed = true;
-        }
-    }
-    if io_failed {
-        return ExitCode::from(2);
-    }
-
-    if let Some(path) = &check_drift {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!(
-                    "dengraph-lint: cannot read baseline {}: {err}",
-                    path.display()
-                );
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = dengraph_lint::parse_baseline(&text);
-        let current = report.fingerprints();
-        if baseline == current {
-            println!(
-                "dengraph-lint: no drift against {} ({} fingerprints)",
-                path.display(),
-                baseline.len()
-            );
-        } else {
-            for fp in current.iter().filter(|fp| !baseline.contains(fp)) {
-                eprintln!("dengraph-lint: drift (new finding):    {fp}");
-            }
-            for fp in baseline.iter().filter(|fp| !current.contains(fp)) {
-                eprintln!("dengraph-lint: drift (stale baseline): {fp}");
-            }
-            eprintln!(
-                "dengraph-lint: report drifts from {}; regenerate it with --write-baseline",
-                path.display()
-            );
-            return ExitCode::from(1);
-        }
-    }
-
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!(
-                    "dengraph-lint: cannot read baseline {}: {err}",
-                    path.display()
-                );
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = dengraph_lint::parse_baseline(&text);
-        let new = report.new_since(&baseline);
-        if diff {
-            for (fp, file, line) in &new {
-                println!("NEW {fp} ({}:{line})", file.display());
-            }
-            println!(
-                "dengraph-lint: {} new finding(s) vs baseline {}",
-                new.len(),
-                path.display()
-            );
-            return if new.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            };
+            return ExitCode::from(2);
         }
     }
 

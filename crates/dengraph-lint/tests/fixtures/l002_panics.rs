@@ -29,6 +29,18 @@ pub fn good_unwrap_or(x: Option<u32>) -> u32 {
     x.unwrap_or(0).max(x.unwrap_or_default())
 }
 
+pub fn bad_split_expect(x: Option<u32>) -> u32 {
+    x.expect(
+        "oops",
+    )
+}
+
+pub fn good_split_expect(x: Option<u32>) -> u32 {
+    x.expect(
+        "caller guarantees the slot was populated in the same quantum",
+    )
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

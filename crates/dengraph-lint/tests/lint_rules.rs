@@ -44,9 +44,10 @@ fn l001_does_not_apply_to_support_code() {
 fn l002_catches_panic_class_calls() {
     let src = include_str!("fixtures/l002_panics.rs");
     let lines = lines_for(src, LIB, Rule::L002);
-    // unwrap, panic!, unreachable!, short expect — and nothing from the
-    // invariant expect, unwrap_or, or the #[cfg(test)] module.
-    assert_eq!(lines, vec![4, 9, 16, 21]);
+    // unwrap, panic!, unreachable!, short expect, short expect whose
+    // message sits on the next line — and nothing from the invariant
+    // expects, unwrap_or, or the #[cfg(test)] module.
+    assert_eq!(lines, vec![4, 9, 16, 21, 33]);
 }
 
 #[test]
@@ -89,13 +90,21 @@ fn allow_without_reason_is_itself_a_violation() {
     );
 }
 
+/// Retired ids (L006–L009) are unknown rules too: they are not reused.
 #[test]
 fn allow_with_unknown_rule_is_reported() {
-    let src = "fn f() {}\n// lint: allow(L999, not a rule)\n";
-    let violations = lint_source(src, LIB);
-    assert!(violations
-        .iter()
-        .any(|v| v.message.contains("unknown rule")));
+    for src in [
+        "fn f() {}\n// lint: allow(L999, not a rule)\n",
+        "fn f() {}\n// lint: allow(L007, retired with the call graph)\n",
+    ] {
+        let violations = lint_source(src, LIB);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.message.contains("unknown rule")),
+            "{src:?}: {violations:?}"
+        );
+    }
 }
 
 #[test]
@@ -140,4 +149,20 @@ fn workspace_report_json_shape() {
     // CI; here we only pin the per-rule counting used to build it.
     let l003 = violations.iter().filter(|v| v.rule == Rule::L003).count();
     assert_eq!(l003, 2);
+}
+
+#[test]
+fn real_workspace_has_no_unjustified_violations() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let report = dengraph_lint::lint_workspace(&root).expect("workspace walk failed");
+    let surviving: Vec<String> = report
+        .files
+        .iter()
+        .flat_map(|f| {
+            f.violations
+                .iter()
+                .map(|v| format!("{} {}:{}", v.rule, f.path.display(), v.line))
+        })
+        .collect();
+    assert_eq!(surviving, Vec::<String>::new());
 }

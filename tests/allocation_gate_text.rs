@@ -24,8 +24,6 @@ use dengraph_core::{
 };
 use dengraph_text::{KeywordId, KeywordPipeline};
 
-// `steady_quantum` is the other two gates'.
-#[allow(dead_code)]
 #[path = "support/alloc_gate.rs"]
 mod alloc_gate;
 use alloc_gate::count_allocations;

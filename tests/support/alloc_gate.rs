@@ -1,30 +1,43 @@
-//! Shared by the allocation gates (`allocation_gate.rs`,
-//! `allocation_gate_dense.rs`): the counting global allocator and the
-//! steady-state stream shape.  Each gate is its own binary with exactly
-//! one test, so no concurrent test thread can pollute the counter.
+//! Shared by the allocation gates (`allocation_gate*.rs`) and the decoder
+//! mutation sweep (`decoder_mutation.rs`): the counting global allocator
+//! and the steady-state stream shape.  Each is its own binary with exactly
+//! one test, so no concurrent test thread can pollute the counters.  Each
+//! binary uses part of this file.
+#![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 use dengraph_stream::{Message, Quantum, UserId};
 use dengraph_text::KeywordId;
 
-/// Counts `alloc`/`realloc` calls while armed; delegates to the system
-/// allocator.
+/// Counts `alloc`/`realloc` calls while armed, and always tracks the
+/// bytes live on the heap and their high-water mark; delegates to the
+/// system allocator.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ARMED: AtomicBool = AtomicBool::new(false);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+
+/// Moves the live-byte count by `delta`, raising the high-water mark.
+fn track(delta: i64) {
+    let live = LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
+        track(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
@@ -32,6 +45,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
+        track(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,6 +61,18 @@ pub fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let result = f();
     ARMED.store(false, Ordering::Relaxed);
     (result, ALLOCATIONS.load(Ordering::Relaxed))
+}
+
+/// Runs `f`; returns its result and the high-water mark of the bytes it
+/// held live on the heap beyond what was live when it started.  An
+/// allocation counts at its requested size, whether or not its pages are
+/// ever touched.
+pub fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let base = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(base, Ordering::Relaxed);
+    let result = f();
+    let peak = PEAK_BYTES.load(Ordering::Relaxed) - base;
+    (result, peak.max(0) as u64)
 }
 
 /// A steady-state quantum: `groups` disjoint correlated bursts (three
