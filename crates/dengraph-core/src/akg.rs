@@ -502,16 +502,19 @@ impl MinimaJoin {
     }
 }
 
+/// The binary AKG section once carried a connected-component index
+/// between the graph and the keyword automaton: a component count, then
+/// per component its edge count and delta-encoded members.  Nothing read
+/// the index, so the count is written as a constant 0 and a populated list
+/// read back is dropped; documents written before the index went still
+/// decode.
+const RETIRED_COMPONENT_COUNT: usize = 0;
+
 /// Maintains the AKG across quanta.
 #[derive(Debug)]
 pub struct AkgMaintainer {
     config: DetectorConfig,
     graph: DynamicGraph,
-    /// Persistent connected-component index over `graph`, maintained in
-    /// lock step with every mutation below.  No stage of the engine reads
-    /// it (see the `dengraph_graph::components` module docs for why it
-    /// stays).
-    components: ComponentIndex,
     states: KeywordStateMachine,
     last_stats: AkgQuantumStats,
 }
@@ -522,7 +525,6 @@ impl AkgMaintainer {
         Self {
             config,
             graph: DynamicGraph::new(),
-            components: ComponentIndex::new(),
             states: KeywordStateMachine::new(),
             last_stats: AkgQuantumStats::default(),
         }
@@ -533,10 +535,10 @@ impl AkgMaintainer {
         &self.graph
     }
 
-    /// The persistent connected-component index over the AKG, always in
-    /// lock step with [`Self::graph`].
+    /// The stateless stand-in for the retired component index, held only
+    /// because the repo benchmark names it (`dengraph_graph::components`).
     pub fn components(&self) -> &ComponentIndex {
-        &self.components
+        &ComponentIndex
     }
 
     /// Statistics of the most recently processed quantum.
@@ -549,23 +551,20 @@ impl AkgMaintainer {
         self.states.state(keyword)
     }
 
-    /// Serialises the maintainer's state (graph, component index, keyword
-    /// automaton, last stats).  The configuration is *not* included — it
-    /// is shared detector state and travels once at the checkpoint's top
-    /// level.  The component index travels in its canonical encoding, so
-    /// an incrementally maintained index and its restored twin serialise
-    /// byte-identically.
+    /// Serialises the maintainer's state (graph, keyword automaton, last
+    /// stats).  The configuration is *not* included — it is shared
+    /// detector state and travels once at the checkpoint's top level.
     pub fn to_json(&self) -> dengraph_json::Value {
         dengraph_json::Value::obj([
             ("graph", self.graph.to_json()),
-            ("components", self.components.to_json()),
             ("states", self.states.to_json()),
             ("last_stats", self.last_stats.to_json()),
         ])
     }
 
     /// Reconstructs a maintainer serialised by [`Self::to_json`] under the
-    /// given configuration.
+    /// given configuration.  The `"components"` key earlier versions wrote
+    /// (the retired component index) is ignored.
     pub fn from_json(
         config: DetectorConfig,
         value: &dengraph_json::Value,
@@ -573,31 +572,38 @@ impl AkgMaintainer {
         Ok(Self {
             config,
             graph: DynamicGraph::from_json(value.get("graph")?)?,
-            components: ComponentIndex::from_json(value.get("components")?)?,
             states: KeywordStateMachine::from_json(value.get("states")?)?,
             last_stats: AkgQuantumStats::from_json(value.get("last_stats")?)?,
         })
     }
 
-    /// Appends the compact binary encoding (graph, keyword automaton,
-    /// last stats) — the binary twin of [`Self::to_json`].
+    /// Appends the compact binary encoding (graph, the retired component
+    /// section, keyword automaton, last stats) — the binary twin of
+    /// [`Self::to_json`].
     pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         self.graph.to_bin(w);
-        self.components.to_bin(w);
+        w.usize(RETIRED_COMPONENT_COUNT);
         self.states.to_bin(w);
         self.last_stats.to_bin(w);
     }
 
     /// Reconstructs a maintainer encoded by [`Self::to_bin`] under the
-    /// given configuration.
+    /// given configuration.  A populated component section, as earlier
+    /// versions wrote it, is read under the bounds it always had and
+    /// dropped.
     pub fn from_bin(
         config: DetectorConfig,
         r: &mut dengraph_json::BinReader<'_>,
     ) -> dengraph_json::Result<Self> {
+        let graph = DynamicGraph::from_bin(r)?;
+        // Per component: its edge count, then its delta-encoded members.
+        for _ in 0..r.seq_len(2)? {
+            r.u32()?;
+            r.delta_u32s()?;
+        }
         Ok(Self {
             config,
-            graph: DynamicGraph::from_bin(r)?,
-            components: ComponentIndex::from_bin(r)?,
+            graph,
             states: KeywordStateMachine::from_bin(r)?,
             last_stats: AkgQuantumStats::from_bin(r)?,
         })
@@ -615,25 +621,21 @@ impl AkgMaintainer {
             match *delta {
                 GraphDelta::NodeAdded { node } => {
                     self.graph.add_node(node);
-                    self.components.add_node(node);
                     // Saturated observe is exactly "force High".
                     self.states.observe(keyword_of(node), 1, 1);
                 }
                 GraphDelta::NodeRemoved { node } => {
                     self.graph.remove_node(node);
-                    self.components.remove_node(&self.graph, node);
                     self.states.demote(keyword_of(node));
                 }
                 GraphDelta::EdgeAdded { a, b, weight } => {
                     self.graph.add_edge(a, b, weight);
-                    self.components.add_edge(a, b);
                 }
                 GraphDelta::EdgeWeightUpdated { a, b, weight } => {
                     self.graph.add_edge(a, b, weight);
                 }
                 GraphDelta::EdgeRemoved { a, b } => {
                     self.graph.remove_edge(a, b);
-                    self.components.remove_edge(&self.graph, a, b);
                 }
             }
         }
@@ -718,7 +720,6 @@ impl AkgMaintainer {
                 set1.push(keyword);
                 if !already_in_akg {
                     self.graph.add_node(node_of(keyword));
-                    self.components.add_node(node_of(keyword));
                     deltas.push(GraphDelta::NodeAdded {
                         node: node_of(keyword),
                     });
@@ -816,7 +817,6 @@ impl AkgMaintainer {
                     });
                 } else {
                     self.graph.add_edge(na, nb, ec);
-                    self.components.add_edge(na, nb);
                     deltas.push(GraphDelta::EdgeAdded {
                         a: na,
                         b: nb,
@@ -837,7 +837,6 @@ impl AkgMaintainer {
                 });
             } else {
                 self.graph.remove_edge(na, nb);
-                self.components.remove_edge(&self.graph, na, nb);
                 deltas.push(GraphDelta::EdgeRemoved { a: na, b: nb });
                 stats.edges_removed += 1;
             }
@@ -864,7 +863,7 @@ impl AkgMaintainer {
     }
 
     /// Removes a node (and its incident edges) from the AKG, recording the
-    /// corresponding deltas and re-fragmenting the component index.
+    /// corresponding deltas.
     fn remove_node(
         &mut self,
         node: NodeId,
@@ -872,7 +871,6 @@ impl AkgMaintainer {
         stats: &mut AkgQuantumStats,
     ) {
         let removed_edges = self.graph.remove_node(node);
-        self.components.remove_node(&self.graph, node);
         for (edge, _) in removed_edges {
             deltas.push(GraphDelta::EdgeRemoved {
                 a: edge.0,
@@ -1070,6 +1068,76 @@ mod tests {
                 "edge must exist with exact_edge_correlation={exact}"
             );
         }
+    }
+
+    /// A document of an earlier version carries a populated component list
+    /// between the graph and the keyword automaton (binary) or under
+    /// `"components"` (JSON); both decode to the maintainer a current
+    /// document describes, and a list that runs past the input is an error.
+    #[test]
+    fn the_retired_component_section_still_decodes() {
+        let cfg = config();
+        let mut akg = AkgMaintainer::new(cfg.clone());
+        let mut window = window_for(&cfg);
+        step(&mut akg, &mut window, 0, &correlated_burst());
+        let bin = |akg: &AkgMaintainer| {
+            let mut w = dengraph_json::BinWriter::new();
+            akg.to_bin(&mut w);
+            w.into_bytes()
+        };
+        let current = bin(&akg);
+
+        let old_layout = |section: &dengraph_json::BinWriter| {
+            let mut w = dengraph_json::BinWriter::new();
+            akg.graph.to_bin(&mut w);
+            w.raw(section.as_slice());
+            akg.states.to_bin(&mut w);
+            akg.last_stats.to_bin(&mut w);
+            w.into_bytes()
+        };
+        let decode = |bytes: &[u8]| {
+            AkgMaintainer::from_bin(cfg.clone(), &mut dengraph_json::BinReader::new(bytes))
+        };
+        // One component {1, 2} with its one edge, as the index wrote it.
+        let mut section = dengraph_json::BinWriter::new();
+        section.usize(1);
+        section.u32(1);
+        section.delta_u32s([1u32, 2].into_iter());
+        let old = old_layout(&section);
+        assert!(old.len() > current.len());
+        let back = decode(&old).expect("the old layout decodes");
+        assert_eq!(bin(&back), current);
+        assert_eq!(
+            dengraph_json::to_string(&back.to_json()),
+            dengraph_json::to_string(&akg.to_json())
+        );
+        for cut in 0..old.len() {
+            assert!(decode(&old[..cut]).is_err(), "truncation at {cut}");
+        }
+        // A count, or a member column, longer than the input can hold.
+        for (count, members) in [(1 << 40, 0), (1, 1 << 40)] {
+            let mut section = dengraph_json::BinWriter::new();
+            section.usize(count);
+            section.u32(1);
+            section.usize(members);
+            assert!(decode(&old_layout(&section)).is_err());
+        }
+
+        let text = dengraph_json::to_string(&akg.to_json());
+        assert!(!text.contains("\"components\""));
+        let decode = |text: &str| {
+            let value = dengraph_json::parse(text).expect("JSON");
+            let back = AkgMaintainer::from_json(cfg.clone(), &value).expect("decodes");
+            dengraph_json::to_string(&back.to_json())
+        };
+        let old = text.replacen(
+            "\"graph\":",
+            "\"components\":{\"components\":[{\"edges\":1,\"nodes\":[1,2]}]},\"graph\":",
+            1,
+        );
+        assert_ne!(old, text);
+        assert_eq!(decode(&old), text);
+        assert_eq!(decode(&text), text);
     }
 
     #[test]

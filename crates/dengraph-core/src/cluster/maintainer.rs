@@ -175,9 +175,9 @@ impl ClusterMaintainer {
     }
 
     /// [`Self::apply_deltas`], under the signature the repo benchmark, which
-    /// a change claiming a gain may not edit, calls.  `index` and
-    /// `parallelism` are ignored: stage 3 reads no component index and
-    /// the engine is serial.
+    /// a change claiming a gain may not edit, calls.  `index` (a stateless
+    /// held name) and `parallelism` are ignored: the engine keeps no
+    /// component index and is serial.
     pub fn apply_deltas_indexed(
         &mut self,
         graph: &DynamicGraph,

@@ -258,12 +258,6 @@ impl EventDetector {
         &self.window
     }
 
-    /// The persistent connected-component index the AKG maintainer keeps
-    /// in lock step with [`Self::akg`] (read access).
-    pub fn component_index(&self) -> &dengraph_graph::ComponentIndex {
-        self.akg.components()
-    }
-
     /// The cluster maintainer (read access).
     pub fn clusters(&self) -> &ClusterMaintainer {
         &self.clusters
@@ -423,9 +417,6 @@ impl EventDetector {
     /// ([`dengraph_graph::DynamicGraph::validate_invariants`]), the sliding
     /// window and its incremental index against a raw record walk
     /// ([`WindowState::validate_invariants`](crate::keyword_state::WindowState::validate_invariants)),
-    /// the persistent component index against a from-scratch recompute of
-    /// the AKG's connected components
-    /// ([`ComponentIndex::validate_against`](dengraph_graph::ComponentIndex::validate_against)),
     /// and the cluster registry's index/SCP/id-allocation contract
     /// ([`ClusterRegistry::check_invariants`](crate::cluster::ClusterRegistry::check_invariants)).
     ///
@@ -441,10 +432,6 @@ impl EventDetector {
         self.window
             .validate_invariants()
             .map_err(|e| format!("window: {e}"))?;
-        self.akg
-            .components()
-            .validate_against(self.akg.graph())
-            .map_err(|e| format!("component index: {e}"))?;
         self.clusters
             .registry()
             .check_invariants()

@@ -11,11 +11,8 @@
 //! * [`traversal`] — bounded-length alternate-path searches (the "is there
 //!   another path of length ≤ 3?" short-cycle checks) and restricted
 //!   reachability used when splitting clusters at articulation points.
-//! * [`components`] — a persistent, incrementally maintained
-//!   connected-component index (union-find with per-component counts and
-//!   member cycles; deletions via rebuild-on-split scoped to the affected
-//!   component), kept in lock step with the AKG and carried by every
-//!   checkpoint; no engine stage reads it any more.
+//! * [`components`] — a stateless stand-in for the retired
+//!   connected-component index, held only for the repo benchmark.
 //! * [`biconnected`] — Hopcroft–Tarjan articulation points and biconnected
 //!   components; used by the offline baseline of Section 7.3 and by the
 //!   correctness oracle for the incremental maintenance.

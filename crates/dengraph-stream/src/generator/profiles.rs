@@ -304,10 +304,9 @@ pub fn es_profile(seed: u64, scale: ProfileScale) -> StreamProfile {
 /// A dense-AKG stress profile (not one of the paper's traces): many small
 /// *pulsing* keyword families that keep re-bursting inside the detector's
 /// window, so the AKG accumulates far more live edges than any one
-/// quantum's delta log touches.  This is the workload where stage 3's
-/// partitioning cost separated from its maintenance cost when stage 3 was
-/// sharded: a from-scratch partition walked every AKG edge each quantum,
-/// an incremental component index only the deltas.
+/// quantum's delta log touches: per-quantum work that scales with the
+/// resident AKG rather than with the deltas, such as ranking every live
+/// cluster, shows here.
 ///
 /// Structure (all draws from one seeded ChaCha8 stream):
 ///
@@ -321,8 +320,7 @@ pub fn es_profile(seed: u64, scale: ProfileScale) -> StreamProfile {
 ///   the currently pulsing families produce deltas.
 /// * Every fifth family is *mortal*: it stops pulsing halfway through the
 ///   trace, goes stale once the window slides past, and is torn out of
-///   the AKG — exercising the component index's deletion/split path under
-///   load.
+///   the AKG — exercising node removal and cluster deletion under load.
 /// * Background chatter is the same Zipf vocabulary as the paper traces.
 pub fn dense_profile(seed: u64, scale: ProfileScale) -> StreamProfile {
     let rounds = scale.rounds();
@@ -367,8 +365,7 @@ pub fn dense_profile(seed: u64, scale: ProfileScale) -> StreamProfile {
         // right at the threshold and flicker in and out of the graph).
         // Filler messages carry a single keyword so they can never
         // contribute a co-occurrence pair of their own.  This keeps the
-        // per-quantum delta log small relative to the resident AKG, which
-        // is exactly the regime the incremental component index targets.
+        // per-quantum delta log small relative to the resident AKG.
         background_vocab_size: 400,
         zipf_exponent: 0.0,
         background_users: 50_000,

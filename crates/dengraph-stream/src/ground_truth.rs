@@ -139,15 +139,4 @@ mod tests {
         assert!(!event(0, GroundTruthEventKind::TooWeak).is_detectable_real_event());
         assert!(!event(0, GroundTruthEventKind::Spurious).is_detectable_real_event());
     }
-
-    #[test]
-    fn json_round_trip() {
-        let gt = GroundTruth {
-            events: vec![event(0, GroundTruthEventKind::Headline)],
-        };
-        let json = dengraph_json::to_string(&crate::json::ground_truth_to_value(&gt));
-        let back =
-            crate::json::ground_truth_from_value(&dengraph_json::parse(&json).unwrap()).unwrap();
-        assert_eq!(gt, back);
-    }
 }

@@ -1,17 +1,15 @@
-//! Hand-written JSON codecs for the stream types.
+//! Hand-written codecs for [`Message`], the one stream type that crosses a
+//! process boundary: a detector checkpoint carries its partial-quantum
+//! buffer of messages.
 //!
-//! The build environment has no crates.io access, so instead of serde the
-//! trace types convert to and from the [`dengraph_json`] value model
-//! explicitly.  Only the types that actually cross a process boundary are
-//! covered: [`Message`], [`GroundTruth`] and [`Trace`] (including its
-//! interner, stored as the word list in id order).
+//! The build environment has no crates.io access, so instead of serde a
+//! message converts to and from the [`dengraph_json`] value model (and its
+//! binary writer) explicitly.
 
-use dengraph_json::{JsonError, Result, Value};
-use dengraph_text::{KeywordId, KeywordInterner};
+use dengraph_json::{Result, Value};
+use dengraph_text::KeywordId;
 
-use crate::ground_truth::{GroundTruth, GroundTruthEvent, GroundTruthEventKind};
 use crate::message::{Message, UserId};
-use crate::trace::Trace;
 
 fn keywords_to_value(keywords: &[KeywordId]) -> Value {
     Value::arr(keywords.iter().map(|k| Value::from(k.0)))
@@ -69,151 +67,4 @@ pub fn message_from_bin(r: &mut dengraph_json::BinReader<'_>) -> Result<Message>
         time,
         keywords,
     })
-}
-
-fn kind_to_str(kind: GroundTruthEventKind) -> &'static str {
-    match kind {
-        GroundTruthEventKind::Headline => "headline",
-        GroundTruthEventKind::LocalOnly => "local_only",
-        GroundTruthEventKind::TooWeak => "too_weak",
-        GroundTruthEventKind::Spurious => "spurious",
-    }
-}
-
-fn kind_from_str(s: &str) -> Result<GroundTruthEventKind> {
-    match s {
-        "headline" => Ok(GroundTruthEventKind::Headline),
-        "local_only" => Ok(GroundTruthEventKind::LocalOnly),
-        "too_weak" => Ok(GroundTruthEventKind::TooWeak),
-        "spurious" => Ok(GroundTruthEventKind::Spurious),
-        other => Err(JsonError {
-            message: format!("unknown ground-truth event kind '{other}'"),
-            offset: 0,
-        }),
-    }
-}
-
-/// Encodes one injected event.
-pub fn ground_truth_event_to_value(event: &GroundTruthEvent) -> Value {
-    Value::obj([
-        ("id", Value::from(event.id)),
-        ("name", Value::str(&event.name)),
-        ("keywords", keywords_to_value(&event.keywords)),
-        (
-            "headline_keywords",
-            keywords_to_value(&event.headline_keywords),
-        ),
-        ("start_round", Value::from(event.start_round)),
-        ("duration_rounds", Value::from(event.duration_rounds)),
-        (
-            "peak_messages_per_round",
-            Value::from(event.peak_messages_per_round),
-        ),
-        ("kind", Value::str(kind_to_str(event.kind))),
-    ])
-}
-
-/// Decodes one injected event.
-pub fn ground_truth_event_from_value(value: &Value) -> Result<GroundTruthEvent> {
-    Ok(GroundTruthEvent {
-        id: value.get("id")?.as_u32()?,
-        name: value.get("name")?.as_str()?.to_string(),
-        keywords: keywords_from_value(value.get("keywords")?)?,
-        headline_keywords: keywords_from_value(value.get("headline_keywords")?)?,
-        start_round: value.get("start_round")?.as_u64()?,
-        duration_rounds: value.get("duration_rounds")?.as_u64()?,
-        peak_messages_per_round: value.get("peak_messages_per_round")?.as_u32()?,
-        kind: kind_from_str(value.get("kind")?.as_str()?)?,
-    })
-}
-
-/// Encodes a full ground-truth registry.
-pub fn ground_truth_to_value(gt: &GroundTruth) -> Value {
-    Value::obj([(
-        "events",
-        Value::arr(gt.events.iter().map(ground_truth_event_to_value)),
-    )])
-}
-
-/// Decodes a full ground-truth registry.
-pub fn ground_truth_from_value(value: &Value) -> Result<GroundTruth> {
-    Ok(GroundTruth {
-        events: value
-            .get("events")?
-            .as_arr()?
-            .iter()
-            .map(ground_truth_event_from_value)
-            .collect::<Result<_>>()?,
-    })
-}
-
-fn interner_to_value(interner: &KeywordInterner) -> Value {
-    Value::arr(interner.iter().map(|(_, word)| Value::str(word)))
-}
-
-fn interner_from_value(value: &Value) -> Result<KeywordInterner> {
-    let mut interner = KeywordInterner::new();
-    for word in value.as_arr()? {
-        interner.intern(word.as_str()?);
-    }
-    Ok(interner)
-}
-
-/// Encodes a whole trace.
-pub fn trace_to_value(trace: &Trace) -> Value {
-    Value::obj([
-        ("profile_name", Value::str(&trace.profile_name)),
-        ("round_size", Value::from(trace.round_size)),
-        (
-            "messages",
-            Value::arr(trace.messages.iter().map(message_to_value)),
-        ),
-        ("ground_truth", ground_truth_to_value(&trace.ground_truth)),
-        ("interner", interner_to_value(&trace.interner)),
-    ])
-}
-
-/// Decodes a whole trace.
-pub fn trace_from_value(value: &Value) -> Result<Trace> {
-    Ok(Trace {
-        profile_name: value.get("profile_name")?.as_str()?.to_string(),
-        round_size: value.get("round_size")?.as_usize()?,
-        messages: value
-            .get("messages")?
-            .as_arr()?
-            .iter()
-            .map(message_from_value)
-            .collect::<Result<_>>()?,
-        ground_truth: ground_truth_from_value(value.get("ground_truth")?)?,
-        interner: interner_from_value(value.get("interner")?)?,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_strings_round_trip() {
-        for kind in [
-            GroundTruthEventKind::Headline,
-            GroundTruthEventKind::LocalOnly,
-            GroundTruthEventKind::TooWeak,
-            GroundTruthEventKind::Spurious,
-        ] {
-            assert_eq!(kind_from_str(kind_to_str(kind)).unwrap(), kind);
-        }
-        assert!(kind_from_str("bogus").is_err());
-    }
-
-    #[test]
-    fn interner_round_trip_preserves_ids() {
-        let mut interner = KeywordInterner::new();
-        let quake = interner.intern("earthquake");
-        let turkey = interner.intern("turkey");
-        let back = interner_from_value(&interner_to_value(&interner)).unwrap();
-        assert_eq!(back.get("earthquake"), Some(quake));
-        assert_eq!(back.get("turkey"), Some(turkey));
-        assert_eq!(back.len(), 2);
-    }
 }

@@ -18,7 +18,9 @@
 //! * [`ground_truth`] — the registry of injected events that the evaluation
 //!   harness matches discovered clusters against.
 //! * [`trace`] — an in-memory trace (messages + ground truth + interner)
-//!   with summary statistics and JSON (de)serialisation.
+//!   with summary statistics.
+//! * [`json`] — a message's JSON and binary codecs, which detector
+//!   checkpoints use for their partial-quantum buffer.
 
 pub mod generator;
 pub mod ground_truth;

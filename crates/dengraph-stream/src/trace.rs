@@ -6,7 +6,7 @@ use crate::ground_truth::GroundTruth;
 use crate::message::Message;
 use crate::quantum::{batch_messages, Quantum};
 
-/// A fully generated (or loaded) trace: the message stream plus everything
+/// A fully generated trace: the message stream plus everything
 /// the evaluation needs to score a detector run against it.
 #[derive(Debug, Clone)]
 pub struct Trace {
@@ -59,16 +59,6 @@ impl Trace {
             detectable_events: self.ground_truth.detectable_count(),
         }
     }
-
-    /// Serialises the trace to JSON.
-    pub fn to_json(&self) -> String {
-        dengraph_json::to_string(&crate::json::trace_to_value(self))
-    }
-
-    /// Loads a trace from JSON.
-    pub fn from_json(json: &str) -> dengraph_json::Result<Self> {
-        crate::json::trace_from_value(&dengraph_json::parse(json)?)
-    }
 }
 
 /// Summary statistics of a trace.
@@ -116,17 +106,6 @@ mod tests {
         let quanta = t.quanta(160);
         let total: usize = quanta.iter().map(|q| q.len()).sum();
         assert_eq!(total, t.len());
-    }
-
-    #[test]
-    fn json_round_trip_preserves_messages() {
-        let mut t = small_trace();
-        t.messages.truncate(50); // keep the fixture small
-        let json = t.to_json();
-        let back = Trace::from_json(&json).unwrap();
-        assert_eq!(back.messages, t.messages);
-        assert_eq!(back.profile_name, t.profile_name);
-        assert_eq!(back.ground_truth, t.ground_truth);
     }
 
     #[test]

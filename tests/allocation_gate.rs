@@ -65,14 +65,9 @@ fn steady_state_quanta_allocate_a_small_constant() {
     // registry's `debug_assert!`ed invariant check, ~9 per live cluster;
     // the batch sketch kernels keep their lane buffers in the
     // `ScratchArena` and merge through a stack buffer — zero steady-state
-    // allocations in either profile).  The persistent AKG component index
-    // is maintained in lock step inside this loop and contributes nothing
-    // steady-state: slot interning, union-by-size and the epoch-stamped
-    // visit/scratch buffers of its deletion repair all reuse retained
-    // storage once warm (its introduction left both profiles' counts
-    // unchanged).  The budget leaves headroom for allocator jitter while
-    // any O(Δ) regression (Δ = 48 here, so ≥ ~100 extra allocations)
-    // fails.
+    // allocations in either profile).  The budget leaves headroom for
+    // allocator jitter while any O(Δ) regression (Δ = 48 here, so ≥ ~100
+    // extra allocations) fails.
     let budget = if cfg!(debug_assertions) { 64 } else { 48 };
     assert!(
         worst <= budget,

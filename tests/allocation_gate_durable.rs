@@ -36,10 +36,10 @@ use alloc_gate::{count_allocations, steady_quantum};
 /// Allocations a warmed rebase may make beyond the plain quantum: the
 /// sorted columns the state encoders build — tracker records, High
 /// keywords, the graph's nodes and edges, and per live cluster (three
-/// here) its nodes, its edges and its component's members.  Measured:
-/// 18.  The journal's own buffers (body, frame, codec table) contribute
-/// nothing; any one of them growing from empty again costs ≥ 10 more.
-const REBASE_BUDGET: u64 = 24;
+/// here) its nodes and its edges.  Measured: 13.  The journal's own
+/// buffers (body, frame, codec table) contribute nothing; any one of them
+/// growing from empty again costs ≥ 10 more.
+const REBASE_BUDGET: u64 = 19;
 
 const REBASE_EVERY: u32 = 8;
 

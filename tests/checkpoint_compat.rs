@@ -21,6 +21,11 @@
 //!   (window mode byte 0, JSON `"mode":"rebuild"`, `"index":null`).  A
 //!   restore lists every keyword of the window's records live.
 //!
+//! The checkpoint fixtures of all three generations also carry the retired
+//! AKG component index, populated (a non-zero binary component count, JSON
+//! `"components":{"components":[{…}]}`); a current document writes a zero
+//! count and no JSON key, and a restore drops what an old one holds.
+//!
 //! Gated here: every fixture restores under the current code — the first
 //! two generations to a detector equal to the one a current-format
 //! document of the same session restores to (same state bytes, same
@@ -47,6 +52,7 @@ use dengraph_core::{
     CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig,
     EventDetector, FsyncPolicy, JournalFrameEvent, JournalReader, QuantumSummary, WireFormat,
 };
+use dengraph_graph::DynamicGraph;
 use dengraph_json::lz;
 use dengraph_json::{BinReader, BinWriter, Decode, Encode};
 use dengraph_minhash::UserHasher;
@@ -141,6 +147,10 @@ fn fixture_messages(quanta: usize) -> Vec<Message> {
     out
 }
 
+/// How a JSON document of an earlier version opens a populated component
+/// index section inside its AKG.
+const POPULATED_COMPONENTS: &str = "\"components\":{\"components\":[{";
+
 fn fixtures() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures")
 }
@@ -207,6 +217,16 @@ fn assert_same_detector(a: &DetectorSession, b: &DetectorSession) {
     b.validate_invariants().expect("invariants hold");
 }
 
+/// The component count of the AKG section of a binary detector body, which
+/// follows the configuration, the window and the graph.
+fn component_count(body: &[u8]) -> usize {
+    let mut r = BinReader::new(body);
+    DetectorConfig::from_bin(&mut r).expect("configuration");
+    WindowState::from_bin(&mut r).expect("window");
+    DynamicGraph::from_bin(&mut r).expect("graph");
+    r.usize().expect("component count")
+}
+
 fn unpack_block(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     lz::decompress_block_into(payload, &mut out).expect("block payload unpacks");
@@ -237,6 +257,7 @@ fn a_parent_checkpoint_restores_and_wraps_the_same_state_bytes() {
     assert!(unpack_block(&new_doc[METHOD_AT + 1..]) == state);
     let old_state = lz::decompress(&old_doc[METHOD_AT + 1..]).expect("lzss payload unpacks");
     assert!(old_state.len() > state.len());
+    assert!(component_count(&old_state) > 0 && component_count(&state) == 0);
 
     // Both restore, to the same session, and continue as the live one.
     let mut from_old = DetectorSession::restore_bytes(&old_doc).expect("method-1 restores");
@@ -295,12 +316,15 @@ fn parent_checkpoints_with_an_entries_index_restore_in_both_wire_formats() {
     assert_eq!(old_bin[METHOD_AT], METHOD_BLOCK);
     let old_text = std::str::from_utf8(&old_json).expect("JSON fixture is text");
     assert!(old_text.contains("\"entries\":[[0,{") && !old_text.contains("\"live\""));
+    assert!(old_text.contains(POPULATED_COMPONENTS));
+    assert!(component_count(&unpack_block(&old_bin[METHOD_AT + 1..])) > 0);
 
     let (live, messages) = fixture_session(None);
     let new_bin = live.checkpoint_bytes(WireFormat::Binary);
     let new_json = live.checkpoint_bytes(WireFormat::Json);
     let new_text = std::str::from_utf8(&new_json).expect("JSON checkpoint is text");
     assert!(new_text.contains("\"live\":[0,1,2,3,8,9,10,11]") && !new_text.contains("\"entries\""));
+    assert!(!new_text.contains("\"components\""));
     assert!(new_bin.len() < old_bin.len() && new_json.len() < old_json.len());
     let threads = old_text.replacen("\"parallelism\":\"serial\"", "\"parallelism\":100000", 1);
     assert_ne!(threads, old_text);
@@ -391,6 +415,9 @@ fn parent_rebuild_mode_documents_restore_with_every_window_keyword_live() {
     let text = std::str::from_utf8(&json).expect("JSON fixture is text");
     assert!(text.contains("\"window_index_mode\":\"rebuild\""));
     assert!(text.contains("\"mode\":\"rebuild\"") && text.contains("\"index\":null"));
+    assert!(text.contains(POPULATED_COMPONENTS));
+    assert_eq!(bin[METHOD_AT], METHOD_BLOCK);
+    assert!(component_count(&unpack_block(&bin[METHOD_AT + 1..])) > 0);
 
     let (mut live, messages) = fixture_session(None);
     let sigma = live.config().high_state_threshold as usize;
