@@ -31,8 +31,11 @@
 //! (`MinimaJoin`): work is bounded by the posting lists and the pairs
 //! emitted, not by C(|set 1|, 2), and the AKG, the delta log and every
 //! reported event are bit-identical to the all-pairs enumeration.  The
-//! `exact_edge_correlation` ablation has no sketches to join on and keeps
-//! the cross product.
+//! join is an equi-join on the minimum, so it partitions its postings
+//! instead of comparison-sorting them: minima are keyed uniform hashes,
+//! and a counting scatter on their top bits leaves about one posting per
+//! bucket (`group_postings`).  The `exact_edge_correlation` ablation has
+//! no sketches to join on and keeps the cross product.
 //!
 //! ## Two-phase edge recomputation
 //!
@@ -405,9 +408,14 @@ impl<'a> CorrelationCache<'a> {
 #[derive(Debug, Default)]
 pub(crate) struct MinimaJoin {
     /// One `(minimum, slot)` per sketch minimum of every set-1 keyword,
-    /// sorted: a run of equal minima lists the keywords sharing it,
+    /// ascending: a run of equal minima lists the keywords sharing it,
     /// ascending.
     postings: Vec<(u64, u32)>,
+    /// The scatter target of [`group_postings`], swapped with `postings`.
+    spare: Vec<(u64, u32)>,
+    /// Per top-bits bucket, where its postings end (see
+    /// [`group_postings`]).
+    bucket_end: Vec<u32>,
     /// Positions into `postings`, grouped by slot (a counting sort).
     by_slot: Vec<u32>,
     /// Per slot, where its `by_slot` group ends (it starts where the
@@ -422,11 +430,12 @@ pub(crate) struct MinimaJoin {
 impl MinimaJoin {
     /// Appends to `out` every slot pair `(a, b)`, `a < b`, of `set1`
     /// keywords whose cached sketches share at least one minimum — each
-    /// pair once, ascending.  Costs one sort of the ≤ p·|set 1| postings
-    /// plus one stamp check per (pair, shared minimum); the degenerate
-    /// quantum in which every bursty keyword shares every minimum pays
-    /// p·C(n, 2) one-word checks, still less than the C(n, 2) sketch
-    /// walks the cross product costs.
+    /// pair once, ascending.  Costs one linear grouping of the
+    /// ≤ p·|set 1| postings ([`group_postings`]) plus one stamp check per
+    /// (pair, shared minimum); the degenerate quantum in which every
+    /// bursty keyword shares every minimum pays p·C(n, 2) one-word
+    /// checks, still less than the C(n, 2) sketch walks the cross product
+    /// costs.
     fn bursty_pairs(
         &mut self,
         cache: &CorrelationCache<'_>,
@@ -435,6 +444,8 @@ impl MinimaJoin {
     ) {
         let Self {
             postings,
+            spare,
+            bucket_end,
             by_slot,
             group_end,
             stamp,
@@ -451,7 +462,7 @@ impl MinimaJoin {
             let minima = cache.sketch(slot).minima();
             postings.extend(minima.iter().map(|&m| (m, slot as u32)));
         }
-        postings.sort_unstable();
+        group_postings(postings, spare, bucket_end);
 
         // Group posting positions by slot: count, prefix-sum to group
         // starts, then scatter — which advances every start to its end.
@@ -499,6 +510,55 @@ impl MinimaJoin {
             out[first..].sort_unstable();
             start = end as usize;
         }
+    }
+}
+
+/// Puts `postings` into the order `sort_unstable` gives them, in linear
+/// time on keyed-hash minima: a stable counting scatter into `spare` on
+/// the top `b` bits of the minimum — `b` the bit length of the posting
+/// count, clamped to 1..=16, so buckets average at most one posting —
+/// then a sort of each bucket holding more than one.  Top bits are
+/// monotone in the minimum, so bucket order is key order, and a bucket
+/// sorted by the whole posting is that stretch of the total order.  A
+/// family of keywords over the same users shares a bucket per minimum;
+/// if every minimum lands in one bucket this costs the one sort plus a
+/// linear pass.  `spare` and `bucket_end` are scratch, reused across
+/// calls.
+fn group_postings(
+    postings: &mut Vec<(u64, u32)>,
+    spare: &mut Vec<(u64, u32)>,
+    bucket_end: &mut Vec<u32>,
+) {
+    let bits = (usize::BITS - postings.len().leading_zeros()).clamp(1, 16);
+    let shift = u64::BITS - bits;
+    // Count, prefix-sum to bucket starts, then scatter — which advances
+    // every start to its end.
+    bucket_end.clear();
+    bucket_end.resize(1 << bits, 0);
+    for &(m, _) in postings.iter() {
+        bucket_end[(m >> shift) as usize] += 1;
+    }
+    let mut running = 0;
+    for b in bucket_end.iter_mut() {
+        let count = *b;
+        *b = running;
+        running += count;
+    }
+    spare.clear();
+    spare.resize(postings.len(), (0, 0));
+    for &posting in postings.iter() {
+        let cursor = &mut bucket_end[(posting.0 >> shift) as usize];
+        spare[*cursor as usize] = posting;
+        *cursor += 1;
+    }
+    std::mem::swap(postings, spare);
+    let mut start = 0;
+    for &end in bucket_end.iter() {
+        let end = end as usize;
+        if end - start > 1 {
+            postings[start..end].sort_unstable();
+        }
+        start = end;
     }
 }
 
@@ -932,6 +992,49 @@ mod tests {
             msg(4, &[50]),
             msg(5, &[51]),
         ]
+    }
+
+    /// `group_postings` must leave postings exactly as `sort_unstable`
+    /// does, with its scratch reused across calls.
+    #[test]
+    fn grouping_postings_equals_sorting_them() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        let (mut spare, mut bucket_end) = (Vec::new(), Vec::new());
+        let mut check = |postings: Vec<(u64, u32)>, label: &str| {
+            let mut expected = postings.clone();
+            expected.sort_unstable();
+            let mut grouped = postings;
+            group_postings(&mut grouped, &mut spare, &mut bucket_end);
+            assert_eq!(grouped, expected, "{label}");
+        };
+        check(Vec::new(), "empty");
+        check(vec![(u64::MAX, 3)], "single");
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x6B0C);
+        for _ in 0..40 {
+            let n = rng.gen_range(1..=5_000usize);
+            let postings = (0..n).map(|_| (rng.gen(), rng.gen_range(0..400))).collect();
+            check(postings, &format!("{n} random postings"));
+        }
+        // A family of keywords over the same users: every minimum is
+        // shared by every member, in any input order.
+        for members in [2u32, 17, 300] {
+            let minima: Vec<u64> = (0..16).map(|_| rng.gen()).collect();
+            let mut postings: Vec<(u64, u32)> = (0..members)
+                .flat_map(|slot| minima.iter().map(move |&m| (m, slot)))
+                .collect();
+            postings.reverse();
+            check(postings, &format!("a family of {members}"));
+        }
+        // Every minimum in one bucket, whatever the bucket width.
+        for n in [2usize, 100, 5_000] {
+            let prefix = rng.gen::<u64>() & !(u64::MAX >> 16);
+            let postings = (0..n)
+                .map(|_| (prefix | rng.gen::<u64>() >> 16, rng.gen_range(0..50)))
+                .collect();
+            check(postings, &format!("{n} postings sharing their top 16 bits"));
+        }
     }
 
     #[test]

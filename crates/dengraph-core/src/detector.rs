@@ -417,8 +417,10 @@ impl EventDetector {
     /// ([`dengraph_graph::DynamicGraph::validate_invariants`]), the sliding
     /// window and its incremental index against a raw record walk
     /// ([`WindowState::validate_invariants`](crate::keyword_state::WindowState::validate_invariants)),
-    /// and the cluster registry's index/SCP/id-allocation contract
-    /// ([`ClusterRegistry::check_invariants`](crate::cluster::ClusterRegistry::check_invariants)).
+    /// the cluster registry's index/SCP/id-allocation contract
+    /// ([`ClusterRegistry::check_invariants`](crate::cluster::ClusterRegistry::check_invariants)),
+    /// and the tie between the AKG and the window that ranking reads
+    /// support through: every AKG node has a live window index entry.
     ///
     /// O(total state) — a validation aid.  Under the `invariants` cargo
     /// feature this runs automatically at every quantum boundary and
@@ -432,6 +434,7 @@ impl EventDetector {
         self.window
             .validate_invariants()
             .map_err(|e| format!("window: {e}"))?;
+        check_akg_window_tie(self.akg.graph(), &self.window)?;
         self.clusters
             .registry()
             .check_invariants()
@@ -532,9 +535,12 @@ impl EventDetector {
             Some(Self::window_geometry(&config)),
         )?;
         let next_quantum = Self::check_next_quantum(&window, value.get("next_quantum")?.as_u64()?)?;
+        let akg = AkgMaintainer::from_json(config.clone(), value.get("akg")?)?;
+        check_akg_window_tie(akg.graph(), &window)
+            .map_err(|message| dengraph_json::JsonError { message, offset: 0 })?;
         Ok(Self {
             window,
-            akg: AkgMaintainer::from_json(config.clone(), value.get("akg")?)?,
+            akg,
             clusters: ClusterMaintainer::from_json(value.get("clusters")?)?,
             tracker: EventTracker::from_json(value.get("tracker")?)?,
             noun_filter,
@@ -638,6 +644,10 @@ impl EventDetector {
     ) -> dengraph_json::Result<Self> {
         let window = WindowState::from_bin_with(r, Some(Self::window_geometry(&config)))?;
         let akg = AkgMaintainer::from_bin(config.clone(), r)?;
+        check_akg_window_tie(akg.graph(), &window).map_err(|message| dengraph_json::JsonError {
+            message,
+            offset: r.pos(),
+        })?;
         let clusters = ClusterMaintainer::from_bin(r)?;
         let tracker = EventTracker::from_bin(r)?;
         let noun_filter = if r.bool()? {
@@ -744,6 +754,12 @@ impl EventDetector {
         if let Some(old) = evicted {
             self.scratch.record_storage = Some(old.into_storage());
         }
+        check_akg_window_tie(self.akg.graph(), &self.window).map_err(|e| {
+            dengraph_json::JsonError {
+                message: format!("delta record for quantum {}: {e}", record.record.index),
+                offset: 0,
+            }
+        })?;
         self.clusters
             .apply_deltas(self.akg.graph(), &record.akg_deltas, record.record.index);
         for event in &record.events {
@@ -758,11 +774,13 @@ impl EventDetector {
 
     /// Ranks every live cluster and applies the reporting filters.
     ///
-    /// The per-node support weights (distinct window users per keyword)
-    /// are read from the window once per member keyword, before the
-    /// rank-and-filter loop.  That loop makes one pass per cluster ([`rank_and_support`]: rank,
-    /// support and the sorted member column together) and allocates
-    /// exactly the keyword list of each event it reports.
+    /// A node's support weight (distinct window users of its keyword) is
+    /// read straight from the window index: every AKG node has a live
+    /// index entry (see [`Self::validate_invariants`]), so each read is one
+    /// slot load.  The loop makes one pass per cluster
+    /// ([`rank_and_support`]: rank, support and the sorted member column
+    /// together) and allocates exactly the keyword list of each event it
+    /// reports.
     fn report_events(&mut self, quantum: u64) -> Vec<DetectedEvent> {
         let Self {
             config,
@@ -773,32 +791,10 @@ impl EventDetector {
             scratch,
             ..
         } = self;
-        let ScratchArena {
-            cluster_keywords,
-            rank_nodes,
-            ..
-        } = scratch;
+        let rank_nodes = &mut scratch.rank_nodes;
         let graph = akg.graph();
-        cluster_keywords.clear();
-        cluster_keywords.extend(
-            clusters
-                .clusters()
-                .flat_map(|c| c.nodes.iter().map(|&n| keyword_of(n))),
-        );
-        cluster_keywords.sort_unstable();
-        cluster_keywords.dedup();
-        let counts: Vec<usize> = cluster_keywords
-            .iter()
-            .map(|&k| window.window_user_count(k))
-            .collect();
-        // `cluster_keywords` is sorted, so the support lookup is a binary
-        // search over a dense column instead of a hash probe.
-        let node_support = |node: dengraph_graph::NodeId| {
-            cluster_keywords
-                .binary_search(&keyword_of(node))
-                .map(|i| counts[i])
-                .unwrap_or(0)
-        };
+        let node_support =
+            |node: dengraph_graph::NodeId| window.window_user_count(keyword_of(node));
         let mut noun_filter = noun_filter.as_mut().filter(|_| config.require_noun);
         let rank_threshold = config.rank_report_threshold();
         let mut events: Vec<DetectedEvent> = Vec::with_capacity(clusters.cluster_count());
@@ -832,6 +828,28 @@ impl EventDetector {
                 .then(a.cluster_id.cmp(&b.cluster_id))
         });
         events
+    }
+}
+
+/// The tie between the AKG and the window index that ranking reads
+/// support through.  A keyword enters the AKG in a quantum that brings it
+/// σ users — the index's materialization threshold, so its entry goes
+/// live in the same push — and stale removal drops it in the quantum its
+/// last record slides out, which is when the entry dies.  So every AKG
+/// node has a live index entry.  Checked by
+/// [`EventDetector::validate_invariants`] and by every restore path.
+fn check_akg_window_tie(
+    graph: &dengraph_graph::DynamicGraph,
+    window: &WindowState,
+) -> Result<(), String> {
+    // Only index entries cache a sketch.
+    match graph
+        .nodes()
+        .map(keyword_of)
+        .find(|&keyword| window.window_sketch_ref(keyword).is_none())
+    {
+        Some(keyword) => Err(format!("AKG node {keyword} has no live window index entry")),
+        None => Ok(()),
     }
 }
 
@@ -928,6 +946,51 @@ mod tests {
         let err = EventDetector::from_bin(&mut dengraph_json::BinReader::new(tampered.as_slice()))
             .unwrap_err();
         assert!(err.message.contains("1099511627776"), "{}", err.message);
+    }
+
+    #[test]
+    fn a_state_whose_akg_node_has_no_window_entry_is_rejected() {
+        use crate::akg::{AkgQuantumStats, GraphDelta};
+        use dengraph_graph::NodeId;
+        let mut det = detector(cfg());
+        det.process_messages(&event_quantum(&cfg(), 6, 0, &[1, 2, 3], 0));
+        assert_eq!(det.validate_invariants(), Ok(()));
+        let mut honest = dengraph_json::BinWriter::new();
+        det.to_bin(&mut honest);
+
+        // A journal record whose delta log adds a keyword of no window
+        // record to the AKG (below σ, so the bursty check passes).
+        let mut replayed =
+            EventDetector::from_bin(&mut dengraph_json::BinReader::new(honest.as_slice())).unwrap();
+        let stray = GraphDelta::NodeAdded { node: NodeId(99) };
+        let record = crate::checkpoint::DeltaRecord {
+            record: QuantumRecord::from_messages(1, &event_quantum(&cfg(), 2, 50, &[7], 20)),
+            akg_deltas: vec![stray],
+            akg_stats: AkgQuantumStats::default(),
+            events: Vec::new(),
+        };
+        let err = replayed.apply_delta_record(&record).unwrap_err();
+        assert!(err.message.contains("k99"), "{}", err.message);
+
+        // The same node written into a checkpoint, both encodings.
+        det.akg.replay_deltas(&[stray], AkgQuantumStats::default());
+        let broken = det.validate_invariants().unwrap_err();
+        assert!(broken.contains("no live window index entry"), "{broken}");
+        let err = EventDetector::from_json(&det.to_json()).unwrap_err();
+        assert!(
+            err.message.contains("no live window index entry"),
+            "{}",
+            err.message
+        );
+        let mut tampered = dengraph_json::BinWriter::new();
+        det.to_bin(&mut tampered);
+        let err = EventDetector::from_bin(&mut dengraph_json::BinReader::new(tampered.as_slice()))
+            .unwrap_err();
+        assert!(
+            err.message.contains("no live window index entry"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

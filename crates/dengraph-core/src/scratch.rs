@@ -2,9 +2,9 @@
 //!
 //! Every quantum of the hot path used to allocate its working vectors
 //! fresh — candidate keyword lists, candidate pairs, the delta log, the
-//! `(keyword, user)` staging buffer for window aggregation, the
-//! ranking-support node list.  The [`ScratchArena`] is owned by the
-//! detector and threaded through the pipeline stages instead, so
+//! `(keyword, user)` staging buffer for window aggregation, the member
+//! column of the cluster being ranked.  The [`ScratchArena`] is owned by
+//! the detector and threaded through the pipeline stages instead, so
 //! steady-state quanta reuse the previous quantum's capacity and perform
 //! (near) zero heap allocation (`tests/allocation_gate.rs` pins this).
 //!
@@ -50,9 +50,6 @@ pub(crate) struct ScratchArena {
     pub involved: Vec<KeywordId>,
     /// The set-1 shared-minimum join index (stage 2).
     pub join: MinimaJoin,
-    /// Every live cluster's member keywords, sorted + deduped — the key
-    /// column of the ranking-support pass and lookup (stage 4).
-    pub cluster_keywords: Vec<KeywordId>,
     /// The sorted member nodes of the cluster being ranked (stage 5).
     pub rank_nodes: Vec<NodeId>,
 }

@@ -233,10 +233,15 @@ fn window_for(config: &DetectorConfig, threshold: usize) -> WindowState {
     .with_materialize_threshold(threshold)
 }
 
-/// Drives the reference and the maintainer over one seeded stream.
-/// Returns `(pairs the maintainer evaluated, pairs the reference
-/// evaluated)`.
-fn check_stream(seed: u64, base: &DetectorConfig, quanta: u64) -> (usize, usize) {
+/// Drives the reference and the maintainer over one seeded stream, each
+/// message's author renamed by `user_of`.  Returns `(pairs the maintainer
+/// evaluated, pairs the reference evaluated)`.
+fn check_stream(
+    seed: u64,
+    base: &DetectorConfig,
+    quanta: u64,
+    user_of: impl Fn(UserId) -> UserId,
+) -> (usize, usize) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut reference = AllPairsReference {
         config: base.clone(),
@@ -250,7 +255,11 @@ fn check_stream(seed: u64, base: &DetectorConfig, quanta: u64) -> (usize, usize)
 
     let (mut evaluated, mut reference_evaluated) = (0, 0);
     for q in 0..quanta {
-        let record = QuantumRecord::from_messages(q, &adversarial_quantum(&mut rng, q));
+        let mut messages = adversarial_quantum(&mut rng, q);
+        for message in &mut messages {
+            message.user = user_of(message.user);
+        }
+        let record = QuantumRecord::from_messages(q, &messages);
         reference_window.push(record.clone());
         let (expected, reference_pairs) = reference.process_quantum(&record, &reference_window);
         reference_evaluated += reference_pairs;
@@ -297,7 +306,7 @@ fn join_matches_the_all_pairs_reference_on_adversarial_streams() {
             hysteresis: seed % 5 != 0,
             ..DetectorConfig::nominal()
         };
-        let (pairs, reference_pairs) = check_stream(0xA1C0 + seed, &config, 60);
+        let (pairs, reference_pairs) = check_stream(0xA1C0 + seed, &config, 60, |u| u);
         evaluated += pairs;
         reference_evaluated += reference_pairs;
     }
@@ -316,7 +325,86 @@ fn exact_correlation_ablation_still_scores_the_cross_product() {
         exact_edge_correlation: true,
         ..DetectorConfig::nominal()
     };
-    let (pairs, reference_pairs) = check_stream(0xE8AC7, &config, 40);
+    let (pairs, reference_pairs) = check_stream(0xE8AC7, &config, 40, |u| u);
     assert_eq!(pairs, reference_pairs);
     assert!(pairs > 0);
+}
+
+/// The join groups its postings by the top bits of each minimum.  Here
+/// every user is chosen, by brute force against [`HASHER_SEED`], to hash
+/// into one top-16-bit bucket, so every minimum of every sketch shares
+/// one bucket whatever the posting count: the grouping's worst case.
+#[test]
+fn join_matches_the_reference_when_every_minimum_shares_its_top_bits() {
+    const POOL: usize = 64;
+    let hasher = UserHasher::new(HASHER_SEED);
+    let bucket = |id: u64| hasher.hash(id) >> 48;
+    let pool: Vec<UserId> = (0..)
+        .filter(|&id| bucket(id) == bucket(0))
+        .take(POOL)
+        .map(UserId)
+        .collect();
+    let mut evaluated = 0;
+    for seed in 0..6u64 {
+        let config = DetectorConfig {
+            high_state_threshold: 3,
+            window_quanta: [3, 5][seed as usize % 2],
+            min_sketch_size: [1, 4, 16][seed as usize % 3],
+            edge_correlation_threshold: 0.25,
+            ..DetectorConfig::nominal()
+        };
+        let (pairs, _) = check_stream(0xB0C7 + seed, &config, 40, |u| {
+            pool[(u.raw() % POOL as u64) as usize]
+        });
+        evaluated += pairs;
+    }
+    assert!(
+        evaluated > 0,
+        "the streams must give the join pairs to emit"
+    );
+}
+
+/// Runs one quantum of `keywords` bursty keywords through a fresh
+/// maintainer; `users_of(i)` are keyword `i`'s users.  Returns the pairs
+/// it evaluated.
+fn one_quantum_of_bursty_keywords(keywords: u32, users_of: impl Fn(u32) -> Vec<u64>) -> usize {
+    let config = DetectorConfig {
+        high_state_threshold: 3,
+        ..DetectorConfig::nominal()
+    };
+    let messages: Vec<Message> = (0..keywords)
+        .flat_map(|i| {
+            users_of(i)
+                .into_iter()
+                .map(move |user| Message::new(UserId(user), 0, vec![KeywordId(i)]))
+        })
+        .collect();
+    let record = QuantumRecord::from_messages(0, &messages);
+    let mut window = window_for(&config, config.high_state_threshold as usize);
+    window.push(record.clone());
+    let mut akg = AkgMaintainer::new(config);
+    akg.process_quantum(&record, &window, |_| false);
+    let stats = akg.last_stats();
+    assert_eq!(stats.bursty_keywords, keywords as usize);
+    stats.pairs_evaluated
+}
+
+/// The degenerate quantum of the join: thousands of bursty keywords over
+/// the same σ users share every minimum, and every pair is emitted once;
+/// over pairwise-disjoint users no pair is.
+#[test]
+fn thousands_of_bursty_keywords_in_one_quantum_pin_the_join() {
+    const KEYWORDS: u32 = 2_000;
+    let all_pairs = (KEYWORDS as usize) * (KEYWORDS as usize - 1) / 2;
+    assert_eq!(
+        one_quantum_of_bursty_keywords(KEYWORDS, |_| vec![1, 2, 3]),
+        all_pairs
+    );
+    assert_eq!(
+        one_quantum_of_bursty_keywords(KEYWORDS, |i| {
+            let base = 3 * u64::from(i);
+            vec![base, base + 1, base + 2]
+        }),
+        0
+    );
 }
