@@ -88,80 +88,6 @@ pub enum GraphDelta {
 }
 
 impl GraphDelta {
-    /// Serialises the delta to a [`dengraph_json::Value`] (used by the
-    /// JSON form of checkpoint-journal delta records).
-    pub fn to_json(&self) -> dengraph_json::Value {
-        use dengraph_json::Value;
-        match *self {
-            GraphDelta::NodeAdded { node } => {
-                Value::obj([("op", Value::str("node+")), ("node", Value::from(node.0))])
-            }
-            GraphDelta::EdgeAdded { a, b, weight } => Value::obj([
-                ("op", Value::str("edge+")),
-                ("a", Value::from(a.0)),
-                ("b", Value::from(b.0)),
-                ("weight", Value::from(weight)),
-            ]),
-            GraphDelta::EdgeWeightUpdated { a, b, weight } => Value::obj([
-                ("op", Value::str("edge=")),
-                ("a", Value::from(a.0)),
-                ("b", Value::from(b.0)),
-                ("weight", Value::from(weight)),
-            ]),
-            GraphDelta::EdgeRemoved { a, b } => Value::obj([
-                ("op", Value::str("edge-")),
-                ("a", Value::from(a.0)),
-                ("b", Value::from(b.0)),
-            ]),
-            GraphDelta::NodeRemoved { node } => {
-                Value::obj([("op", Value::str("node-")), ("node", Value::from(node.0))])
-            }
-        }
-    }
-
-    /// Reconstructs a delta serialised by [`Self::to_json`].
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let id = |v: &dengraph_json::Value, key: &str| -> dengraph_json::Result<NodeId> {
-            let id = v.get(key)?.as_u32()?;
-            check_keyword_index(id as usize, 0)?;
-            Ok(NodeId(id))
-        };
-        let node = |v: &dengraph_json::Value| id(v, "node");
-        let ends = |v: &dengraph_json::Value| -> dengraph_json::Result<(NodeId, NodeId)> {
-            Ok((id(v, "a")?, id(v, "b")?))
-        };
-        Ok(match value.get("op")?.as_str()? {
-            "node+" => GraphDelta::NodeAdded { node: node(value)? },
-            "edge+" => {
-                let (a, b) = ends(value)?;
-                GraphDelta::EdgeAdded {
-                    a,
-                    b,
-                    weight: value.get("weight")?.as_f64()?,
-                }
-            }
-            "edge=" => {
-                let (a, b) = ends(value)?;
-                GraphDelta::EdgeWeightUpdated {
-                    a,
-                    b,
-                    weight: value.get("weight")?.as_f64()?,
-                }
-            }
-            "edge-" => {
-                let (a, b) = ends(value)?;
-                GraphDelta::EdgeRemoved { a, b }
-            }
-            "node-" => GraphDelta::NodeRemoved { node: node(value)? },
-            other => {
-                return Err(dengraph_json::JsonError {
-                    message: format!("unknown graph delta op '{other}'"),
-                    offset: 0,
-                })
-            }
-        })
-    }
-
     /// Appends the compact binary encoding (one tag byte plus operands).
     pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         match *self {

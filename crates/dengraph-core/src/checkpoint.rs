@@ -10,8 +10,8 @@
 //!   pushed [`QuantumRecord`], the AKG [`GraphDelta`] log, the quantum's
 //!   AKG statistics and the reported events (the tracker updates);
 //! * a [`CheckpointJournal`] is an append-only frame log: full snapshots
-//!   as rebase points, delta records between them, governed by
-//!   [`CheckpointMode`];
+//!   as rebase points, a snapshot after every `rebase_every` delta
+//!   records;
 //! * restore finds the latest snapshot and **replays** the journal-tail
 //!   deltas on top of it.
 //!
@@ -21,18 +21,20 @@
 //! algorithms from the same delta log, in the same order (reproducing
 //! cluster ids exactly), and the tracker re-observes the logged events.
 //! The result is bit-identical to the uninterrupted run
-//! (`tests/checkpoint_resume.rs` gates this in every [`CheckpointMode`]).
+//! (`tests/checkpoint_resume.rs` gates this across rebase cadences).
 //!
 //! ## Wire layout
 //!
-//! Binary checkpoint documents and journals both start with a magic the
-//! JSON grammar cannot produce (`0xD6`), so every restore entry point
-//! sniffs the format from the first bytes:
+//! Standalone checkpoints come in two wire formats: JSON text (the
+//! debugging and cross-version fallback) and a binary document.  Binary
+//! documents and journals both start with a magic the JSON grammar cannot
+//! produce (`0xD6`), so [`DetectorSession::restore_bytes`] sniffs the
+//! format from the first byte.  A journal is always binary:
 //!
 //! ```text
 //! checkpoint  = D6 'D' 'G' 'C'  version  method  payload
 //! method      = 00 raw | 01 lzss (read only) | 02 block
-//! journal     = D6 'D' 'G' 'J'  version  format-byte  frame*
+//! journal     = D6 'D' 'G' 'J'  version  01  frame*
 //! frame       = tag(01 snapshot | 02 delta)  len u32-LE  crc32 u32-LE  payload
 //! ```
 //!
@@ -44,9 +46,8 @@
 //! existed and is only ever read.  The state bytes under the wrapping
 //! are the same for all three.
 //!
-//! Snapshot payloads are complete checkpoint documents (themselves
-//! sniffable); delta payloads are [`DeltaRecord`]s in the journal's
-//! configured [`WireFormat`].  Since PR 6 the journal frame layout is
+//! Snapshot payloads are complete binary checkpoint documents; delta
+//! payloads are binary [`DeltaRecord`]s.  The journal frame layout is
 //! the checksummed fixed-width framing of [`dengraph_json::frame`] —
 //! the same byte stream whether the journal lives in memory or in the
 //! segment files of [`crate::wal`] — and restoring a journal *recovers*:
@@ -57,20 +58,23 @@
 //! ## The append path
 //!
 //! A journaled session pays for its journal inside every quantum's
-//! latency, and every `every`-th quantum pays for a whole snapshot, so
+//! latency, and every `rebase_every`-th quantum pays for a whole
+//! snapshot, so
 //! the journal owns its buffers and moves each byte once: the state is
 //! encoded into a reused body buffer, packed straight into a reused
 //! frame buffer behind nine reserved header bytes, checksummed, and
 //! handed to the backend as **one** write.  A delta record is encoded
 //! directly behind the reserved bytes.  After the first rebase no frame
 //! allocates (`tests/allocation_gate_durable.rs`).
+//!
+//! [`DetectorSession::restore_bytes`]: crate::session::DetectorSession::restore_bytes
 
 use std::io;
 use std::path::Path;
 
 use dengraph_json::frame::{begin_frame, finish_frame, FRAME_HEADER_LEN};
 use dengraph_json::lz::{self, BlockEncoder};
-use dengraph_json::{BinReader, BinWriter, Decode, Encode, JsonError, Value, WireFormat};
+use dengraph_json::{BinReader, BinWriter, Decode, Encode, JsonError, WireFormat};
 
 use crate::akg::{AkgQuantumStats, GraphDelta};
 use crate::config::DetectorConfig;
@@ -78,7 +82,7 @@ use crate::detector::{EventDetector, QuantumSummary};
 use crate::event::DetectedEvent;
 use crate::keyword_state::QuantumRecord;
 use crate::session::RestoreError;
-use crate::wal::{self, DurableJournalConfig, FsyncPolicy, JournalWriter, SegmentedJournal};
+use crate::wal::{self, DurableJournalConfig, FsyncPolicy, SegmentedJournal};
 
 /// Magic prefix of a binary checkpoint document.
 pub(crate) const CHECKPOINT_MAGIC: [u8; 4] =
@@ -90,23 +94,6 @@ const CONTAINER_VERSION: u64 = 1;
 
 pub(crate) const TAG_SNAPSHOT: u8 = 1;
 pub(crate) const TAG_DELTA: u8 = 2;
-
-/// How a session checkpoints into its journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointMode {
-    /// Every journal entry is a full whole-state snapshot (the ablation
-    /// baseline, and the pre-PR-5 behaviour made continuous).
-    Full,
-    /// Append one O(quantum Δ) [`DeltaRecord`] per processed quantum,
-    /// with a full snapshot rebase point after every `every` deltas.
-    /// Restore cost is bounded by `every` replays; journal growth is
-    /// bounded by one snapshot per `every` quanta.  `every` is clamped
-    /// to at least 1.
-    Delta {
-        /// Delta records between consecutive snapshot rebase points.
-        every: u32,
-    },
-}
 
 /// One quantum's state transition, as appended to a checkpoint journal.
 ///
@@ -128,60 +115,10 @@ impl DeltaRecord {
         self.record.index
     }
 
-    /// Messages aggregated into the quantum.
-    pub fn message_count(&self) -> usize {
-        self.record.message_count
-    }
-
-    /// Number of AKG deltas logged for the quantum.
-    pub fn delta_count(&self) -> usize {
-        self.akg_deltas.len()
-    }
-
-    /// The borrowed view whose encoders define this record's wire forms.
-    fn view(&self) -> DeltaRecordView<'_> {
-        DeltaRecordView {
-            record: &self.record,
-            akg_deltas: &self.akg_deltas,
-            akg_stats: self.akg_stats,
-            events: &self.events,
-        }
-    }
-}
-
-impl Encode for DeltaRecord {
-    fn to_json(&self) -> Value {
-        self.view().to_json()
-    }
-
-    fn to_bin(&self, w: &mut BinWriter) {
-        self.view().to_bin(w)
-    }
-}
-
-impl Decode for DeltaRecord {
-    /// Reconstructs a record serialised by [`Self::to_json`].
-    fn from_json(value: &Value) -> dengraph_json::Result<Self> {
-        Ok(Self {
-            record: QuantumRecord::from_json(value.get("record")?)?,
-            akg_deltas: value
-                .get("akg_deltas")?
-                .as_arr()?
-                .iter()
-                .map(GraphDelta::from_json)
-                .collect::<dengraph_json::Result<_>>()?,
-            akg_stats: AkgQuantumStats::from_json(value.get("akg_stats")?)?,
-            events: value
-                .get("events")?
-                .as_arr()?
-                .iter()
-                .map(DetectedEvent::from_json)
-                .collect::<dengraph_json::Result<_>>()?,
-        })
-    }
-
-    /// Reconstructs a record encoded by [`Self::to_bin`].
-    fn from_bin(r: &mut BinReader<'_>) -> dengraph_json::Result<Self> {
+    /// Decodes one journal delta-frame payload.  The whole input must
+    /// be consumed.
+    pub fn decode(bytes: &[u8]) -> dengraph_json::Result<Self> {
+        let r = &mut BinReader::new(bytes);
         let record = QuantumRecord::from_bin(r)?;
         let deltas = r.seq_len(2)?;
         let mut akg_deltas = Vec::with_capacity(deltas);
@@ -194,6 +131,7 @@ impl Decode for DeltaRecord {
         for _ in 0..events {
             out.push(DetectedEvent::from_bin(r)?);
         }
+        r.expect_end()?;
         Ok(Self {
             record,
             akg_deltas,
@@ -204,9 +142,9 @@ impl Decode for DeltaRecord {
 }
 
 /// Borrowed view of a [`DeltaRecord`] used on the per-quantum append hot
-/// path: the one encoder of a delta record (the owned record encodes
-/// through it), so a journal append never clones the window record, the
-/// AKG delta log and the event list out of the detector.
+/// path: the one encoder of a delta record, so a journal append never
+/// clones the window record, the AKG delta log and the event list out of
+/// the detector.
 pub(crate) struct DeltaRecordView<'a> {
     pub(crate) record: &'a QuantumRecord,
     pub(crate) akg_deltas: &'a [GraphDelta],
@@ -214,25 +152,9 @@ pub(crate) struct DeltaRecordView<'a> {
     pub(crate) events: &'a [DetectedEvent],
 }
 
-impl Encode for DeltaRecordView<'_> {
-    /// Serialises the record to a [`Value`] (the JSON journal form).
-    fn to_json(&self) -> Value {
-        Value::obj([
-            ("record", self.record.to_json()),
-            (
-                "akg_deltas",
-                Value::arr(self.akg_deltas.iter().map(|d| d.to_json())),
-            ),
-            ("akg_stats", self.akg_stats.to_json()),
-            (
-                "events",
-                Value::arr(self.events.iter().map(|e| e.to_json())),
-            ),
-        ])
-    }
-
-    /// Appends the compact binary encoding.
-    fn to_bin(&self, w: &mut BinWriter) {
+impl DeltaRecordView<'_> {
+    /// Appends the binary encoding [`DeltaRecord::decode`] reads.
+    pub(crate) fn to_bin(&self, w: &mut BinWriter) {
         self.record.to_bin(w);
         w.usize(self.akg_deltas.len());
         for d in self.akg_deltas {
@@ -366,9 +288,9 @@ pub(crate) fn decode_checkpoint_document(bytes: &[u8]) -> Result<EventDetector, 
 /// Where a [`CheckpointJournal`]'s frames go.
 #[derive(Debug)]
 enum JournalBackend {
-    /// The PR-5 in-memory byte log (tests, ablations, callers that ship
-    /// the bytes to their own storage).
-    Memory(JournalWriter<Vec<u8>>),
+    /// The in-memory byte log, segment header first (tests, and callers
+    /// that ship the bytes to their own storage).
+    Memory(Vec<u8>),
     /// The durable on-disk backend: rotating, compacting segment files.
     Durable(SegmentedJournal),
 }
@@ -390,8 +312,8 @@ enum JournalBackend {
 /// cadence (e.g. once per quantum batch) via
 /// [`DetectorSession::journal_io_error`](crate::session::DetectorSession::journal_io_error).
 pub struct CheckpointJournal {
-    mode: CheckpointMode,
-    format: WireFormat,
+    /// Delta frames between consecutive snapshot rebase points (≥ 1).
+    rebase_every: u32,
     backend: JournalBackend,
     /// First append/sync failure, latched; all later appends are skipped.
     io_error: Option<io::Error>,
@@ -413,9 +335,11 @@ pub struct CheckpointJournal {
 impl std::fmt::Debug for CheckpointJournal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CheckpointJournal")
-            .field("mode", &self.mode)
-            .field("format", &self.format)
-            .field("durable", &self.is_durable())
+            .field("rebase_every", &self.rebase_every)
+            .field(
+                "durable",
+                &matches!(self.backend, JournalBackend::Durable(_)),
+            )
             .field("io_error", &self.io_error)
             .field("snapshot_frames", &self.snapshot_frames)
             .field("delta_frames", &self.delta_frames)
@@ -424,24 +348,20 @@ impl std::fmt::Debug for CheckpointJournal {
 }
 
 impl CheckpointJournal {
-    /// Creates an empty in-memory journal with an explicit wire format
-    /// (JSON keeps the journal greppable for debugging at a size cost).
-    /// Only [`DetectorSession::enable_journal`] constructs journals — it
+    /// Creates an empty in-memory journal.  Only
+    /// [`DetectorSession::enable_journal`] constructs journals — it
     /// immediately writes the initial rebase snapshot, without which a
     /// journal cannot be restored.
     ///
     /// [`DetectorSession::enable_journal`]: crate::session::DetectorSession::enable_journal
-    pub(crate) fn with_format(mode: CheckpointMode, format: WireFormat) -> Self {
-        let writer = JournalWriter::new(Vec::new(), format, FsyncPolicy::Never)
-            .expect("writing to a Vec cannot fail");
-        Self::over(mode, format, JournalBackend::Memory(writer))
+    pub(crate) fn memory(rebase_every: u32) -> Self {
+        Self::over(rebase_every, JournalBackend::Memory(wal::segment_header()))
     }
 
-    /// An empty journal over `backend`.
-    fn over(mode: CheckpointMode, format: WireFormat, backend: JournalBackend) -> Self {
+    /// An empty journal over `backend`; `rebase_every` is clamped to ≥ 1.
+    fn over(rebase_every: u32, backend: JournalBackend) -> Self {
         Self {
-            mode,
-            format,
+            rebase_every: rebase_every.max(1),
             backend,
             io_error: None,
             deltas_since_snapshot: 0,
@@ -465,57 +385,20 @@ impl CheckpointJournal {
         config: DurableJournalConfig,
         detector: &EventDetector,
     ) -> io::Result<Self> {
-        let segments =
-            SegmentedJournal::create(dir, config.format, config.fsync, config.segment_bytes)?;
-        let mut journal = Self::over(
-            config.mode,
-            config.format,
-            JournalBackend::Durable(segments),
-        );
+        let segments = SegmentedJournal::create(dir, config.fsync, config.segment_bytes)?;
+        let mut journal = Self::over(config.rebase_every, JournalBackend::Durable(segments));
         journal.append_snapshot_inner(detector)?;
         journal.sync()?;
         Ok(journal)
     }
 
-    /// The journal's checkpoint mode.
-    pub fn mode(&self) -> CheckpointMode {
-        self.mode
-    }
-
-    /// The journal's wire format.
-    pub fn format(&self) -> WireFormat {
-        self.format
-    }
-
     /// The in-memory byte log — header plus every frame appended so far
-    /// (`None` for a durable journal, whose bytes live in the segment
-    /// files under [`Self::directory`]).
+    /// (`None` for a durable journal, whose bytes live in its segment
+    /// files).
     pub fn memory_bytes(&self) -> Option<&[u8]> {
         match &self.backend {
-            JournalBackend::Memory(writer) => Some(writer.sink()),
+            JournalBackend::Memory(log) => Some(log),
             JournalBackend::Durable(_) => None,
-        }
-    }
-
-    /// Whether this journal writes to segment files rather than memory.
-    pub fn is_durable(&self) -> bool {
-        matches!(self.backend, JournalBackend::Durable(_))
-    }
-
-    /// The durable journal's directory (`None` for in-memory journals).
-    pub fn directory(&self) -> Option<&Path> {
-        match &self.backend {
-            JournalBackend::Memory(_) => None,
-            JournalBackend::Durable(segments) => Some(segments.dir()),
-        }
-    }
-
-    /// The journal's fsync policy (in-memory journals report
-    /// [`FsyncPolicy::Never`]; there is nothing to sync).
-    pub fn fsync_policy(&self) -> FsyncPolicy {
-        match &self.backend {
-            JournalBackend::Memory(_) => FsyncPolicy::Never,
-            JournalBackend::Durable(segments) => segments.fsync(),
         }
     }
 
@@ -548,15 +431,6 @@ impl CheckpointJournal {
         result
     }
 
-    /// Total journal size in bytes (on disk for durable journals, of the
-    /// byte log for in-memory ones).
-    pub fn len_bytes(&self) -> usize {
-        match &self.backend {
-            JournalBackend::Memory(writer) => writer.sink().len(),
-            JournalBackend::Durable(segments) => segments.total_bytes() as usize,
-        }
-    }
-
     /// Snapshot frames written so far.
     pub fn snapshot_frames(&self) -> usize {
         self.snapshot_frames
@@ -583,7 +457,7 @@ impl CheckpointJournal {
     }
 
     /// Deep-checks the journal by re-reading every byte it has written:
-    /// segment headers parse and agree on the wire format, segment
+    /// segment headers parse, segment
     /// sequence numbers are contiguous up to the live segment, every
     /// frame passes its CRC (no torn writes in a journal that never
     /// crashed), delta payloads decode and carry strictly increasing
@@ -597,9 +471,8 @@ impl CheckpointJournal {
         }
         let mut last_quantum: Option<u64> = None;
         let (snapshots, deltas) = match &self.backend {
-            JournalBackend::Memory(writer) => {
-                let counts =
-                    validate_segment_frames(writer.sink(), self.format, &mut last_quantum, "log")?;
+            JournalBackend::Memory(log) => {
+                let counts = validate_segment_frames(log, &mut last_quantum, "log")?;
                 // The in-memory log is never compacted, so the frame
                 // counters must match the bytes exactly.
                 if counts != (self.snapshot_frames, self.delta_frames) {
@@ -631,8 +504,7 @@ impl CheckpointJournal {
                     let bytes = std::fs::read(path)
                         .map_err(|e| format!("cannot read segment {seq}: {e}"))?;
                     let label = format!("segment {seq}");
-                    let counts =
-                        validate_segment_frames(&bytes, self.format, &mut last_quantum, &label)?;
+                    let counts = validate_segment_frames(&bytes, &mut last_quantum, &label)?;
                     totals.0 += counts.0;
                     totals.1 += counts.1;
                 }
@@ -661,9 +533,9 @@ impl CheckpointJournal {
     fn push_frame(&mut self, tag: u8) -> io::Result<usize> {
         finish_frame(tag, &mut self.frame);
         match &mut self.backend {
-            JournalBackend::Memory(writer) => writer.append_assembled(&self.frame),
-            JournalBackend::Durable(segments) => segments.append_assembled(&self.frame),
-        }?;
+            JournalBackend::Memory(log) => log.extend_from_slice(&self.frame),
+            JournalBackend::Durable(segments) => segments.append_assembled(&self.frame)?,
+        }
         Ok(self.frame.len() - FRAME_HEADER_LEN)
     }
 
@@ -671,16 +543,9 @@ impl CheckpointJournal {
     /// update only when the frame actually reached the log.
     fn append_snapshot_inner(&mut self, detector: &EventDetector) -> io::Result<()> {
         begin_frame(&mut self.frame);
-        match self.format {
-            WireFormat::Json => self
-                .frame
-                .extend_from_slice(dengraph_json::to_string(&detector.to_json()).as_bytes()),
-            WireFormat::Binary => {
-                self.body.clear();
-                detector.to_bin(&mut self.body);
-                write_checkpoint_container(self.body.as_slice(), &mut self.codec, &mut self.frame);
-            }
-        }
+        self.body.clear();
+        detector.to_bin(&mut self.body);
+        write_checkpoint_container(self.body.as_slice(), &mut self.codec, &mut self.frame);
         self.last_snapshot_bytes = self.push_frame(TAG_SNAPSHOT)?;
         self.snapshot_frames += 1;
         self.deltas_since_snapshot = 0;
@@ -699,8 +564,8 @@ impl CheckpointJournal {
         }
     }
 
-    /// Appends one processed quantum: a delta record, or a snapshot when
-    /// the mode's rebase cadence (or [`CheckpointMode::Full`]) says so.
+    /// Appends one processed quantum: a delta record, or a snapshot once
+    /// `rebase_every` deltas follow the latest one.
     ///
     /// Runs inside the infallible per-quantum pipeline, so an I/O failure
     /// is latched ([`Self::io_error`]) rather than returned; the journal
@@ -719,11 +584,7 @@ impl CheckpointJournal {
         detector: &EventDetector,
         summary: &QuantumSummary,
     ) -> io::Result<()> {
-        let rebase = match self.mode {
-            CheckpointMode::Full => true,
-            CheckpointMode::Delta { every } => self.deltas_since_snapshot >= every.max(1),
-        };
-        if rebase {
+        if self.deltas_since_snapshot >= self.rebase_every {
             self.append_snapshot_inner(detector)?;
             // A rebase makes every earlier segment dead weight — but only
             // once the snapshot is durable.  Under `Never` the hot path
@@ -737,7 +598,7 @@ impl CheckpointJournal {
         } else {
             begin_frame(&mut self.frame);
             let mut w = BinWriter::from_vec(std::mem::take(&mut self.frame));
-            detector.encode_delta_record(summary, self.format, &mut w);
+            detector.encode_delta_record(summary, &mut w);
             self.frame = w.into_bytes();
             self.delta_payload_bytes += self.push_frame(TAG_DELTA)? as u64;
             self.delta_frames += 1;
@@ -757,32 +618,24 @@ fn sync_and_compact(segments: &mut SegmentedJournal) -> io::Result<()> {
 }
 
 /// Walks one journal segment's bytes frame by frame for
-/// [`CheckpointJournal::validate_invariants`]: the header must parse and
-/// match the journal's wire format, every frame must pass its CRC, and
+/// [`CheckpointJournal::validate_invariants`]: the header must parse,
+/// every frame must pass its CRC, and
 /// delta payloads must decode with strictly increasing quantum numbers
 /// (threaded across segments via `last_quantum`).  Returns the
 /// `(snapshot, delta)` frame counts.
 fn validate_segment_frames(
     bytes: &[u8],
-    format: WireFormat,
     last_quantum: &mut Option<u64>,
     label: &str,
 ) -> Result<(usize, usize), String> {
     let mut reader =
         wal::JournalReader::new(bytes).map_err(|e| format!("{label}: bad segment header: {e}"))?;
-    if reader.format() != format {
-        return Err(format!(
-            "{label}: segment declares {:?} but the journal writes {:?}",
-            reader.format(),
-            format
-        ));
-    }
     let (mut snapshots, mut deltas) = (0usize, 0usize);
     loop {
         match reader.next_frame() {
             wal::JournalFrameEvent::Snapshot(_) => snapshots += 1,
             wal::JournalFrameEvent::Delta(payload) => {
-                let record = DeltaRecord::decode(payload, format)
+                let record = DeltaRecord::decode(payload)
                     .map_err(|e| format!("{label}: undecodable delta frame: {e}"))?;
                 if last_quantum.is_some_and(|q| record.quantum() <= q) {
                     return Err(format!(
@@ -799,12 +652,4 @@ fn validate_segment_frames(
             }
         }
     }
-}
-
-/// Restores a detector from a journal byte log: decode the latest
-/// snapshot frame, then replay every delta frame after it.  A torn tail
-/// recovers to the last durable quantum instead of failing (see
-/// [`crate::wal`]).
-pub(crate) fn restore_journal_detector(bytes: &[u8]) -> Result<EventDetector, RestoreError> {
-    wal::restore_detector_from_bytes(bytes).map(|(detector, _report)| detector)
 }

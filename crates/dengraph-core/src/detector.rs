@@ -450,8 +450,9 @@ impl EventDetector {
     ///
     /// [`Self::from_json`] reconstructs a detector whose subsequent output
     /// is bit-identical to this one continuing uninterrupted; the
-    /// session-level wrapper is
-    /// [`DetectorSession::checkpoint`](crate::session::DetectorSession::checkpoint).
+    /// session-level form is
+    /// [`DetectorSession::checkpoint_bytes`](crate::session::DetectorSession::checkpoint_bytes)
+    /// with [`WireFormat::Json`](dengraph_json::WireFormat::Json).
     pub fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         Value::obj([
@@ -597,9 +598,9 @@ impl EventDetector {
     /// config · window · AKG · clusters · tracker · optional interner ·
     /// partial message buffer · quantum counters.  The document header
     /// (magic + version) is written by the checkpoint container
-    /// ([`Checkpoint`](crate::session::Checkpoint) /
-    /// [`CheckpointJournal`](crate::checkpoint::CheckpointJournal)), not
-    /// here.
+    /// ([`DetectorSession::checkpoint_bytes`](crate::session::DetectorSession::checkpoint_bytes)
+    /// / [`CheckpointJournal`](crate::checkpoint::CheckpointJournal)),
+    /// not here.
     pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         self.config.to_bin(w);
         self.window.to_bin(w);
@@ -691,7 +692,6 @@ impl EventDetector {
     pub(crate) fn encode_delta_record(
         &self,
         summary: &QuantumSummary,
-        format: dengraph_json::WireFormat,
         w: &mut dengraph_json::BinWriter,
     ) {
         let record = self.window.current().expect("a quantum was just processed");
@@ -702,7 +702,7 @@ impl EventDetector {
             akg_stats: self.akg.last_stats(),
             events: &summary.events,
         }
-        .encode_into(format, w)
+        .to_bin(w)
     }
 
     /// Redoes one quantum from a journal delta record — the replay half

@@ -19,8 +19,8 @@
 //! | [`ranking`] | §6 | local cluster ranking |
 //! | [`event`] | §7.2.2 | event records, evolution and post-hoc spuriousness |
 //! | [`detector`] | all | the end-to-end streaming [`EventDetector`] |
-//! | [`session`] | service surface | [`DetectorBuilder`], push-based [`EventSink`]s, [`Checkpoint`]/restore |
-//! | [`checkpoint`] | durability | [`CheckpointMode`], per-quantum [`DeltaRecord`]s, the [`CheckpointJournal`] |
+//! | [`session`] | service surface | [`DetectorBuilder`], push-based [`EventSink`]s, checkpoint bytes and restore |
+//! | [`checkpoint`] | durability | checkpoint documents, per-quantum [`DeltaRecord`]s, the [`CheckpointJournal`] |
 //! | [`wal`] | durability | segmented on-disk write-ahead log: [`FsyncPolicy`], rotation, compaction, torn-write recovery |
 //! | [`baseline`] | §7.3 | offline biconnected-component clustering |
 //! | [`evaluation`] | §7 | ground-truth matching, precision/recall, quality, scheme comparison |
@@ -75,7 +75,7 @@ pub mod session;
 pub mod wal;
 
 pub use akg::{AkgMaintainer, GraphDelta};
-pub use checkpoint::{CheckpointJournal, CheckpointMode, DeltaRecord};
+pub use checkpoint::{CheckpointJournal, DeltaRecord};
 pub use cluster::{Cluster, ClusterId, ClusterMaintainer, ClusterRegistry};
 pub use config::{ConfigError, DetectorConfig, Parallelism};
 pub use dengraph_json::WireFormat;
@@ -84,10 +84,10 @@ pub use event::{DetectedEvent, EventRecord, EventTracker};
 pub use keyword_state::WindowIndexMode;
 pub use ranking::cluster_rank;
 pub use session::{
-    Checkpoint, DetectorBuilder, DetectorSession, EventLineError, EventLineReader, EventSink,
-    FnSink, JsonLinesSink, QuantumNotifications, RestoreError, VecSink,
+    DetectorBuilder, DetectorSession, EventLineError, EventLineReader, EventSink, FnSink,
+    JsonLinesSink, QuantumNotifications, RestoreError, VecSink,
 };
 pub use wal::{
-    DurableJournalConfig, FsyncPolicy, JournalFrameEvent, JournalReader, JournalSink,
-    JournalWriter, RecoveryReport, TornWrite, TornWriteReason,
+    DurableJournalConfig, FsyncPolicy, JournalFrameEvent, JournalReader, RecoveryReport, TornWrite,
+    TornWriteReason,
 };

@@ -13,15 +13,19 @@
 //!   reported event and every window slide, so subscribers no longer poll
 //!   `process_quantum` return values.  [`VecSink`], [`JsonLinesSink`] and
 //!   [`FnSink`] cover the common cases.
-//! * [`Checkpoint`] — durable state.  [`DetectorSession::checkpoint`]
-//!   serialises the *complete* detector state (window records and index,
-//!   AKG, cluster registry, event tracker, partial message buffer,
-//!   counters) and [`DetectorSession::restore`] resumes it such that
+//! * Durable state, two ways.  [`DetectorSession::checkpoint_bytes`]
+//!   serialises the *complete* detector state (window records, AKG,
+//!   cluster registry, event tracker, partial message buffer, counters)
+//!   as one standalone document and [`DetectorSession::restore_bytes`]
+//!   resumes it; [`DetectorSession::enable_journal`] /
+//!   [`DetectorSession::enable_durable_journal`] keep a binary journal of
+//!   per-quantum delta frames with a snapshot every `rebase_every`
+//!   deltas, in memory or in a directory.  Either way
 //!   restore-then-continue is **bit-identical** to the uninterrupted run
 //!   (`tests/checkpoint_resume.rs` gates this).
 //!
 //! ```
-//! use dengraph_core::{DetectorBuilder, DetectorSession, VecSink};
+//! use dengraph_core::{DetectorBuilder, DetectorSession, VecSink, WireFormat};
 //! use dengraph_stream::{Message, UserId};
 //! use dengraph_text::KeywordId;
 //! use std::sync::{Arc, Mutex};
@@ -45,8 +49,8 @@
 //! assert_eq!(sink.lock().unwrap().summaries().len(), 1);
 //!
 //! // Durable state: checkpoint, restore, continue.
-//! let checkpoint = session.checkpoint();
-//! let resumed = DetectorSession::restore(&checkpoint).unwrap();
+//! let bytes = session.checkpoint_bytes(WireFormat::Binary);
+//! let resumed = DetectorSession::restore_bytes(&bytes).unwrap();
 //! assert_eq!(resumed.quanta_processed(), session.quanta_processed());
 //! ```
 
@@ -54,11 +58,11 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use dengraph_json::{Decode, JsonError, JsonWriter, WireFormat};
+use dengraph_json::{JsonError, JsonWriter, WireFormat};
 use dengraph_stream::{Message, Quantum};
 use dengraph_text::KeywordInterner;
 
-use crate::checkpoint::{self, CheckpointJournal, CheckpointMode};
+use crate::checkpoint::{self, CheckpointJournal};
 use crate::cluster::ClusterId;
 use crate::config::{ConfigError, DetectorConfig, Parallelism};
 use crate::detector::{EventDetector, QuantumSummary};
@@ -86,8 +90,7 @@ pub struct DetectorBuilder {
 #[derive(Debug, Clone)]
 enum JournalSpec {
     Memory {
-        mode: CheckpointMode,
-        format: WireFormat,
+        rebase_every: u32,
     },
     Durable {
         dir: PathBuf,
@@ -178,14 +181,11 @@ impl DetectorBuilder {
         self
     }
 
-    /// Enables an in-memory checkpoint journal (binary wire format) on
-    /// the built session — the builder form of
+    /// Enables an in-memory checkpoint journal with a snapshot every
+    /// `rebase_every` deltas on the built session — the builder form of
     /// [`DetectorSession::enable_journal`].
-    pub fn journal(mut self, mode: CheckpointMode) -> Self {
-        self.journal = Some(JournalSpec::Memory {
-            mode,
-            format: WireFormat::Binary,
-        });
+    pub fn journal(mut self, rebase_every: u32) -> Self {
+        self.journal = Some(JournalSpec::Memory { rebase_every });
         self
     }
 
@@ -229,8 +229,8 @@ impl DetectorBuilder {
         };
         match self.journal {
             None => {}
-            Some(JournalSpec::Memory { mode, format }) => {
-                session.enable_journal_with_format(mode, format);
+            Some(JournalSpec::Memory { rebase_every }) => {
+                session.enable_journal(rebase_every);
             }
             Some(JournalSpec::Durable { dir, config }) => {
                 session
@@ -654,48 +654,11 @@ impl EventLineReader {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint
+// Restore errors
 // ---------------------------------------------------------------------------
 
-/// A serialised snapshot of a [`DetectorSession`]'s complete state.
-///
-/// Produced by [`DetectorSession::checkpoint`], consumed by
-/// [`DetectorSession::restore`].  The underlying representation is a
-/// [`dengraph_json::Value`]; [`Self::to_json_string`] /
-/// [`Self::from_json_str`] convert to and from the durable wire form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
-    value: dengraph_json::Value,
-}
-
-impl Checkpoint {
-    /// Serialises the checkpoint to compact JSON.
-    pub fn to_json_string(&self) -> String {
-        dengraph_json::to_string(&self.value)
-    }
-
-    /// Parses a checkpoint from its JSON form.  Only the JSON grammar is
-    /// checked here; structural and configuration validation happen in
-    /// [`DetectorSession::restore`].
-    pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
-        Ok(Self {
-            value: dengraph_json::parse(text)?,
-        })
-    }
-
-    /// The checkpoint's value-model representation.
-    pub fn as_value(&self) -> &dengraph_json::Value {
-        &self.value
-    }
-
-    /// Wraps an already-parsed value (e.g. a checkpoint embedded in a
-    /// larger document).
-    pub fn from_value(value: dengraph_json::Value) -> Self {
-        Self { value }
-    }
-}
-
-/// Why a [`DetectorSession::restore`] failed.
+/// Why restoring a [`DetectorSession`] from checkpoint bytes or a journal
+/// failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RestoreError {
     /// The checkpoint is structurally broken (missing keys, wrong types,
@@ -923,34 +886,26 @@ impl DetectorSession {
         }
     }
 
-    /// Snapshots the complete detector state — window records and
-    /// incremental index, AKG graph and keyword automaton, cluster
-    /// registry, event tracker, the partially filled message buffer and
-    /// all counters.  Attached sinks are *not* part of the snapshot;
-    /// re-attach them after [`Self::restore`].
-    ///
-    /// This is the JSON (debugging / cross-version fallback) form; the
-    /// compact binary form is [`Self::checkpoint_bytes`] with
-    /// [`WireFormat::Binary`].
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            value: self.detector.to_json(),
-        }
-    }
-
-    /// Snapshots the complete detector state as standalone durable bytes
-    /// in the requested wire format.  [`WireFormat::Binary`] (the
-    /// default format) is typically several times smaller than the JSON
-    /// text; [`WireFormat::Json`] yields exactly
-    /// [`Checkpoint::to_json_string`]'s bytes.  [`Self::restore_bytes`]
-    /// accepts either, sniffing the format from the first byte.
+    /// Snapshots the complete detector state — window records, AKG graph
+    /// and keyword automaton, cluster registry, event tracker, the
+    /// partially filled message buffer and all counters — as standalone
+    /// durable bytes in the requested wire format.  [`WireFormat::Binary`]
+    /// (the default format) is typically several times smaller than the
+    /// [`WireFormat::Json`] text, which stays for debugging and as the
+    /// cross-version fallback.  [`Self::restore_bytes`] accepts either,
+    /// sniffing the format from the first byte.  Attached sinks are *not*
+    /// part of the snapshot; re-attach them after a restore.
     pub fn checkpoint_bytes(&self, format: WireFormat) -> Vec<u8> {
         checkpoint::encode_checkpoint_document(&self.detector, format)
     }
 
     /// Reconstructs a session from checkpoint bytes written by
     /// [`Self::checkpoint_bytes`] (either wire format — the format is
-    /// sniffed, JSON being the cross-version fallback).
+    /// sniffed, JSON being the cross-version fallback).  The restored
+    /// session continues exactly where the original left off: feeding
+    /// both the same remaining stream produces bit-identical summaries
+    /// and event records (`tests/checkpoint_resume.rs`).  A degenerate
+    /// embedded configuration is the typed [`RestoreError::Config`].
     pub fn restore_bytes(bytes: &[u8]) -> Result<Self, RestoreError> {
         Ok(Self {
             detector: checkpoint::decode_checkpoint_document(bytes)?,
@@ -959,45 +914,18 @@ impl DetectorSession {
         })
     }
 
-    /// Reconstructs a session from a checkpoint.  The restored session
-    /// continues exactly where the original left off: feeding both the
-    /// same remaining stream produces bit-identical summaries and event
-    /// records (`tests/checkpoint_resume.rs`).
-    pub fn restore(checkpoint: &Checkpoint) -> Result<Self, RestoreError> {
-        // Decode and validate the configuration once, surfacing a
-        // degenerate one as the typed error; the detector decoder then
-        // reuses the validated value.
-        let config = DetectorConfig::from_json(checkpoint.value.get("config")?)?;
-        config.validate()?;
-        let detector = EventDetector::from_json_validated(config, &checkpoint.value)?;
-        Ok(Self {
-            detector,
-            sinks: Vec::new(),
-            journal: None,
-        })
-    }
-
     /// Enables incremental checkpointing: from now on every processed
-    /// quantum appends one frame to an internal [`CheckpointJournal`]
-    /// (binary wire format) — a full snapshot under
-    /// [`CheckpointMode::Full`], an O(quantum Δ) [`DeltaRecord`] under
-    /// [`CheckpointMode::Delta`] with periodic snapshot rebases.  The
-    /// journal opens with a snapshot of the *current* state, so enabling
-    /// mid-stream is safe.  Re-enabling replaces the previous journal.
+    /// quantum appends one frame to an internal in-memory
+    /// [`CheckpointJournal`] — an O(quantum Δ) [`DeltaRecord`], or a full
+    /// snapshot once `rebase_every` deltas follow the latest one (so
+    /// restore replays at most `rebase_every` deltas; 0 is clamped to 1).
+    /// The journal opens with a snapshot of the *current* state, so
+    /// enabling mid-stream is safe.  Re-enabling replaces the previous
+    /// journal.
     ///
     /// [`DeltaRecord`]: crate::checkpoint::DeltaRecord
-    pub fn enable_journal(&mut self, mode: CheckpointMode) -> &mut Self {
-        self.enable_journal_with_format(mode, WireFormat::Binary)
-    }
-
-    /// [`Self::enable_journal`] with an explicit wire format (JSON keeps
-    /// the journal greppable for debugging, at a size cost).
-    pub fn enable_journal_with_format(
-        &mut self,
-        mode: CheckpointMode,
-        format: WireFormat,
-    ) -> &mut Self {
-        let mut journal = CheckpointJournal::with_format(mode, format);
+    pub fn enable_journal(&mut self, rebase_every: u32) -> &mut Self {
+        let mut journal = CheckpointJournal::memory(rebase_every);
         journal.append_snapshot(&self.detector);
         self.journal = Some(journal);
         self
@@ -1058,11 +986,6 @@ impl DetectorSession {
         }
     }
 
-    /// Detaches and returns the active journal, disabling journaling.
-    pub fn take_journal(&mut self) -> Option<CheckpointJournal> {
-        self.journal.take()
-    }
-
     /// Reconstructs a session from a checkpoint-journal byte log:
     /// restores the *latest* snapshot frame, then replays every delta
     /// frame after it.  The restored session is bit-identical to the
@@ -1075,7 +998,7 @@ impl DetectorSession {
     /// checkpointing.
     pub fn restore_from_journal(bytes: &[u8]) -> Result<Self, RestoreError> {
         Ok(Self {
-            detector: checkpoint::restore_journal_detector(bytes)?,
+            detector: wal::restore_detector_from_bytes(bytes)?.0,
             sinks: Vec::new(),
             journal: None,
         })
@@ -1550,10 +1473,8 @@ mod tests {
         for m in event_quantum(20, 6, &[1, 2, 3], 1_000).into_iter().take(5) {
             assert!(session.push_message(m).is_none());
         }
-        let checkpoint = session.checkpoint();
-        let text = checkpoint.to_json_string();
-        let mut restored =
-            DetectorSession::restore(&Checkpoint::from_json_str(&text).unwrap()).unwrap();
+        let bytes = session.checkpoint_bytes(WireFormat::Json);
+        let mut restored = DetectorSession::restore_bytes(&bytes).unwrap();
         assert_eq!(restored.quanta_processed(), 1);
         assert_eq!(restored.total_messages(), 20);
         // The buffered 5 messages survive: flushing yields a 5-message quantum.
@@ -1561,15 +1482,18 @@ mod tests {
         assert_eq!(summary.messages, 5);
     }
 
+    fn json_checkpoint(session: &DetectorSession) -> String {
+        String::from_utf8(session.checkpoint_bytes(WireFormat::Json)).unwrap()
+    }
+
     #[test]
     fn restore_rejects_tampered_configs_with_a_typed_error() {
         let session = builder().build().unwrap();
-        let text = session.checkpoint().to_json_string();
+        let text = json_checkpoint(&session);
         let tampered = text.replace("\"quantum_size\":20", "\"quantum_size\":0");
         assert_ne!(text, tampered, "the fixture must actually tamper");
-        let checkpoint = Checkpoint::from_json_str(&tampered).unwrap();
         assert_eq!(
-            DetectorSession::restore(&checkpoint).err(),
+            DetectorSession::restore_bytes(tampered.as_bytes()).err(),
             Some(RestoreError::Config(ConfigError::ZeroQuantumSize))
         );
     }
@@ -1583,7 +1507,7 @@ mod tests {
     fn restore_rejects_window_geometry_contradicting_the_config() {
         let mut session = builder().build().unwrap();
         session.run(&event_quantum(20, 6, &[1, 2, 3], 0));
-        let text = session.checkpoint().to_json_string();
+        let text = json_checkpoint(&session);
         for (needle, replacement) in [
             ("\"capacity\":4", "\"capacity\":2"),
             ("\"capacity\":4", "\"capacity\":0"),
@@ -1594,10 +1518,9 @@ mod tests {
         ] {
             let tampered = text.replace(needle, replacement);
             assert_ne!(text, tampered, "the fixture must actually tamper");
-            let checkpoint = Checkpoint::from_json_str(&tampered).unwrap();
             assert!(
                 matches!(
-                    DetectorSession::restore(&checkpoint),
+                    DetectorSession::restore_bytes(tampered.as_bytes()),
                     Err(RestoreError::Json(_))
                 ),
                 "tamper {needle} -> {replacement} must be rejected"
@@ -1607,12 +1530,12 @@ mod tests {
 
     #[test]
     fn restore_rejects_structural_garbage() {
-        assert!(Checkpoint::from_json_str("{not json").is_err());
-        let checkpoint = Checkpoint::from_json_str("{\"hello\": 1}").unwrap();
-        assert!(matches!(
-            DetectorSession::restore(&checkpoint),
-            Err(RestoreError::Json(_))
-        ));
+        for garbage in ["{not json", "{\"hello\": 1}"] {
+            assert!(matches!(
+                DetectorSession::restore_bytes(garbage.as_bytes()),
+                Err(RestoreError::Json(_))
+            ));
+        }
     }
 
     #[test]

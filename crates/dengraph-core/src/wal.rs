@@ -6,21 +6,20 @@
 //! quantum since the last explicit checkpoint.  This module supplies the
 //! missing on-disk half:
 //!
-//! * [`JournalWriter`] streams frames to any [`JournalSink`] (a thin
-//!   extension of [`io::Write`] adding the `fsync` operation) with the
-//!   CRC-32 length framing of [`dengraph_json::frame`], under a
-//!   configurable [`FsyncPolicy`].  A frame reaches the sink as **one**
-//!   `write_all` of header + payload — assembled by the caller in its own
-//!   buffer (the journal's hot path) or, for [`JournalWriter::append_frame`],
-//!   in a buffer the writer reuses — so no frame is ever half-issued
-//!   between two calls and a quantum costs one syscall;
 //! * `SegmentedJournal` (crate-internal, driven by `CheckpointJournal`)
+//!   writes frames with the CRC-32 length framing of
+//!   [`dengraph_json::frame`], under a configurable [`FsyncPolicy`].  A
+//!   frame reaches the file as **one** `write_all` of header + payload,
+//!   assembled by the journal in its own buffer, so no frame is ever
+//!   half-issued between two calls and a quantum costs one syscall.  It
 //!   rotates the log across `seg-NNNNNNNN.dgj` files at a byte
 //!   threshold and compacts segments wholly behind the latest durable
 //!   snapshot — at every rebase under the policies that sync, and at the
 //!   caller's explicit sync under [`FsyncPolicy::Never`], after first
 //!   syncing the closed segments that policy's rotations left in the
-//!   page cache;
+//!   page cache.  A segment file's creation and a compaction's unlinks
+//!   are made durable by syncing the directory itself (see
+//!   `SegmentedJournal`);
 //! * [`JournalReader`] scans one segment's bytes frame by frame, and the
 //!   crate-internal recovery routine folds every segment of a journal
 //!   directory into the *last fully-durable quantum*: a torn tail (bad
@@ -32,13 +31,15 @@
 //!
 //! ```text
 //! dir/seg-00000001.dgj      dir/seg-00000002.dgj      ...
-//! segment = D6 'D' 'G' 'J'  version  format-byte  frame*
+//! segment = D6 'D' 'G' 'J'  version  01  frame*
 //! frame   = tag(1)  payload-len u32-LE(4)  crc32 u32-LE(4)  payload
 //! ```
 //!
-//! Every segment is self-describing (own header); frames carry tag
-//! `01` (snapshot: a complete checkpoint document) or `02` (delta: a
-//! [`DeltaRecord`]).  Recovery keeps the
+//! Every segment is self-describing (own header).  The header's last
+//! byte, `01`, says the payloads are binary; it is the only value written
+//! or read (`00` marked the retired JSON journals).  Frames carry tag
+//! `01` (snapshot: a complete binary checkpoint document) or `02` (delta:
+//! a [`DeltaRecord`]).  Recovery keeps the
 //! latest snapshot and the delta frames after it, so compaction — which
 //! only ever deletes segments *strictly before* the segment holding the
 //! latest durable snapshot — never changes what a restore produces.
@@ -47,12 +48,10 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use dengraph_json::frame::{begin_frame, finish_frame, FrameEvent, FrameScanner, TornReason};
-use dengraph_json::{BinReader, BinWriter, Decode, JsonError, WireFormat};
+use dengraph_json::frame::{FrameEvent, FrameScanner, TornReason};
+use dengraph_json::{BinReader, BinWriter, JsonError};
 
-use crate::checkpoint::{
-    decode_checkpoint_document, CheckpointMode, DeltaRecord, TAG_DELTA, TAG_SNAPSHOT,
-};
+use crate::checkpoint::{decode_checkpoint_document, DeltaRecord, TAG_DELTA, TAG_SNAPSHOT};
 use crate::detector::EventDetector;
 use crate::session::RestoreError;
 
@@ -67,6 +66,9 @@ pub(crate) const JOURNAL_MAGIC: [u8; 4] =
 /// varint framing of PR 5, which never reached disk and is not read
 /// back).
 pub(crate) const JOURNAL_VERSION: u64 = 2;
+
+/// The segment header's last byte: binary snapshot and delta payloads.
+const BINARY_PAYLOADS: u8 = 1;
 
 const SEGMENT_PREFIX: &str = "seg-";
 const SEGMENT_SUFFIX: &str = ".dgj";
@@ -120,46 +122,21 @@ impl FsyncPolicy {
 }
 
 // ---------------------------------------------------------------------------
-// Sinks and the frame writer
+// Segment header
 // ---------------------------------------------------------------------------
 
-/// A journal destination: [`io::Write`] plus the ability to force
-/// buffered bytes to stable storage.
-///
-/// The default [`Self::sync`] is a no-op, so any `io::Write` becomes a
-/// sink with an empty `impl JournalSink for MyWriter {}`; [`File`]
-/// overrides it with `sync_data`.
-pub trait JournalSink: Write {
-    /// Forces previously written bytes to stable storage.
-    fn sync(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl JournalSink for Vec<u8> {}
-
-impl JournalSink for File {
-    fn sync(&mut self) -> io::Result<()> {
-        self.sync_data()
-    }
-}
-
-/// Encodes the 6-byte segment header: magic, container version, wire
-/// format.
-fn segment_header(format: WireFormat) -> Vec<u8> {
+/// Encodes the 6-byte segment header: magic, container version, `01`.
+/// Every segment file and the in-memory byte log start with it.
+pub(crate) fn segment_header() -> Vec<u8> {
     let mut w = BinWriter::new();
     w.raw(&JOURNAL_MAGIC);
     w.u64(JOURNAL_VERSION);
-    w.byte(match format {
-        WireFormat::Json => 0,
-        WireFormat::Binary => 1,
-    });
+    w.byte(BINARY_PAYLOADS);
     w.into_bytes()
 }
 
-/// Parses a segment header, returning the wire format and the header
-/// length in bytes.
-fn parse_segment_header(bytes: &[u8]) -> Result<(WireFormat, usize), JsonError> {
+/// Parses a segment header, returning its length in bytes.
+fn parse_segment_header(bytes: &[u8]) -> Result<usize, JsonError> {
     let mut r = BinReader::new(bytes);
     let magic = r.take(4)?;
     if magic != JOURNAL_MAGIC {
@@ -175,111 +152,16 @@ fn parse_segment_header(bytes: &[u8]) -> Result<(WireFormat, usize), JsonError> 
             offset: r.pos(),
         });
     }
-    let format = match r.byte()? {
-        0 => WireFormat::Json,
-        1 => WireFormat::Binary,
-        other => {
-            return Err(JsonError {
-                message: format!("unknown journal format byte {other}"),
-                offset: r.pos(),
-            })
-        }
-    };
-    Ok((format, r.pos()))
-}
-
-/// Streams checksummed journal frames to a [`JournalSink`].
-///
-/// Construction writes the segment header; [`Self::append_frame`] then
-/// writes one CRC-32 length-framed frame per call and fsyncs per the
-/// configured [`FsyncPolicy`].  This is the write half of one journal
-/// segment — [`CheckpointJournal`](crate::checkpoint::CheckpointJournal)
-/// drives one `JournalWriter<Vec<u8>>` for the in-memory journal and a
-/// rotating sequence of `JournalWriter<File>`s for the durable one.
-#[derive(Debug)]
-pub struct JournalWriter<S: JournalSink> {
-    sink: S,
-    fsync: FsyncPolicy,
-    bytes_written: u64,
-    frames_written: u64,
-    frames_since_sync: u32,
-    /// Where [`Self::append_frame`] assembles header + payload, reused
-    /// across calls (empty for a writer fed assembled frames).
-    frame: Vec<u8>,
-}
-
-impl<S: JournalSink> JournalWriter<S> {
-    /// Wraps `sink`, writing the segment header immediately.
-    pub fn new(mut sink: S, format: WireFormat, fsync: FsyncPolicy) -> io::Result<Self> {
-        let header = segment_header(format);
-        sink.write_all(&header)?;
-        Ok(Self {
-            sink,
-            fsync,
-            bytes_written: header.len() as u64,
-            frames_written: 0,
-            frames_since_sync: 0,
-            frame: Vec::new(),
-        })
+    let format = r.byte()?;
+    if format != BINARY_PAYLOADS {
+        return Err(JsonError {
+            message: format!(
+                "unsupported journal format byte {format:02x} (only 01, binary payloads, is read)"
+            ),
+            offset: r.pos() - 1,
+        });
     }
-
-    /// Appends one frame (header + payload) and fsyncs if the policy says
-    /// the frame count since the last sync is due.  The frame is
-    /// assembled in a buffer the writer keeps and issued as one write.
-    pub fn append_frame(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
-        let mut frame = std::mem::take(&mut self.frame);
-        begin_frame(&mut frame);
-        frame.extend_from_slice(payload);
-        finish_frame(tag, &mut frame);
-        let result = self.append_assembled(&frame);
-        self.frame = frame;
-        result
-    }
-
-    /// [`Self::append_frame`] for a frame the caller already assembled
-    /// (header and payload contiguous, see
-    /// [`dengraph_json::frame::finish_frame`]): **one** `write_all`, so a
-    /// frame is never half-issued between two calls into the sink.
-    pub(crate) fn append_assembled(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.sink.write_all(frame)?;
-        self.bytes_written += frame.len() as u64;
-        self.frames_written += 1;
-        self.frames_since_sync += 1;
-        if self.fsync.due(self.frames_since_sync) {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Flushes and forces written frames to stable storage, regardless of
-    /// policy.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.sink.flush()?;
-        self.sink.sync()?;
-        self.frames_since_sync = 0;
-        Ok(())
-    }
-
-    /// Bytes written so far, segment header included.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Frames appended so far.
-    pub fn frames_written(&self) -> u64 {
-        self.frames_written
-    }
-
-    /// Read access to the underlying sink (e.g. the `Vec<u8>` byte log).
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Flushes and returns the underlying sink.
-    pub fn into_sink(mut self) -> io::Result<S> {
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
+    Ok(r.pos())
 }
 
 // ---------------------------------------------------------------------------
@@ -289,10 +171,10 @@ impl<S: JournalSink> JournalWriter<S> {
 /// Configuration of a durable (file-backed) journal.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurableJournalConfig {
-    /// Snapshot/delta cadence (see [`CheckpointMode`]).
-    pub mode: CheckpointMode,
-    /// Wire format of snapshot and delta payloads.
-    pub format: WireFormat,
+    /// Delta frames between consecutive snapshot rebase points: restore
+    /// replays at most this many, and the journal grows by one snapshot
+    /// per this many quanta.  Clamped to at least 1.
+    pub rebase_every: u32,
     /// When appended frames are forced to stable storage.
     pub fsync: FsyncPolicy,
     /// Byte threshold at which the journal rotates to a fresh segment
@@ -302,12 +184,10 @@ pub struct DurableJournalConfig {
 }
 
 impl Default for DurableJournalConfig {
-    /// Delta mode with a 64-quantum rebase cadence, binary payloads,
-    /// fsync on every frame, 8 MiB segments.
+    /// A snapshot every 64 deltas, fsync on every frame, 8 MiB segments.
     fn default() -> Self {
         Self {
-            mode: CheckpointMode::Delta { every: 64 },
-            format: WireFormat::Binary,
+            rebase_every: 64,
             fsync: FsyncPolicy::default(),
             segment_bytes: 8 << 20,
         }
@@ -346,6 +226,16 @@ pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
+/// Makes `dir`'s entries durable: POSIX persists a file's creation or
+/// unlink only once the directory itself is fsynced.  A no-op where a
+/// directory cannot be opened for syncing.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    if cfg!(unix) {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
 /// The file-backed, rotating, compacting journal backend.
 ///
 /// Owned by a durable
@@ -353,15 +243,24 @@ pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 /// decides *what* to append and *when* to compact; this type owns the
 /// *where*: the current segment writer, rotation at the byte threshold,
 /// and deletion of segments behind the latest snapshot.
+///
+/// A new segment's directory entry is synced wherever its data is: at
+/// [`Self::create`], at a rotation under a policy that syncs, and
+/// otherwise at the next [`Self::sync`].  [`Self::compact`] syncs the
+/// directory after its unlinks.
 #[derive(Debug)]
 pub(crate) struct SegmentedJournal {
     dir: PathBuf,
-    format: WireFormat,
     fsync: FsyncPolicy,
     segment_bytes: u64,
-    writer: JournalWriter<File>,
+    /// The live segment.
+    file: File,
+    /// Bytes written to the live segment, its header included.
+    bytes_in_segment: u64,
     current_seq: u64,
     frames_in_segment: u64,
+    /// Frames appended since the live segment was last synced.
+    frames_since_sync: u32,
     /// Segment holding the most recently appended snapshot frame.
     last_snapshot_seq: u64,
     /// Every closed segment numbered below this is on stable storage.
@@ -369,57 +268,65 @@ pub(crate) struct SegmentedJournal {
     /// [`FsyncPolicy::Never`], so closed segments from here up to the
     /// live one may still sit in the page cache.
     synced_before: u64,
+    /// Every segment created so far has a durable directory entry
+    /// (false after a [`FsyncPolicy::Never`] rotation until [`Self::sync`]).
+    dir_synced: bool,
 }
 
 impl SegmentedJournal {
     /// Creates the journal directory (if needed) and opens a fresh
     /// segment numbered after any segments already present — existing
     /// segments are never appended to or truncated.
-    pub(crate) fn create(
-        dir: &Path,
-        format: WireFormat,
-        fsync: FsyncPolicy,
-        segment_bytes: u64,
-    ) -> io::Result<Self> {
+    pub(crate) fn create(dir: &Path, fsync: FsyncPolicy, segment_bytes: u64) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
         let next_seq = list_segments(dir)?.last().map_or(1, |(seq, _)| seq + 1);
-        let writer = Self::open_segment(dir, next_seq, format, fsync)?;
+        let (file, bytes_in_segment) = Self::open_segment(dir, next_seq)?;
+        sync_dir(dir)?;
         Ok(Self {
             dir: dir.to_path_buf(),
-            format,
             fsync,
             segment_bytes: segment_bytes.max(1),
-            writer,
+            file,
+            bytes_in_segment,
             current_seq: next_seq,
             frames_in_segment: 0,
+            frames_since_sync: 0,
             last_snapshot_seq: next_seq,
             synced_before: next_seq,
+            dir_synced: true,
         })
     }
 
-    fn open_segment(
-        dir: &Path,
-        seq: u64,
-        format: WireFormat,
-        fsync: FsyncPolicy,
-    ) -> io::Result<JournalWriter<File>> {
-        let file = OpenOptions::new()
+    /// Creates segment `seq` and writes its header; returns the file and
+    /// its length so far.
+    fn open_segment(dir: &Path, seq: u64) -> io::Result<(File, u64)> {
+        let mut file = OpenOptions::new()
             .write(true)
             .create_new(true)
             .open(segment_path(dir, seq))?;
-        JournalWriter::new(file, format, fsync)
+        let header = segment_header();
+        file.write_all(&header)?;
+        Ok((file, header.len() as u64))
     }
 
-    /// Appends one assembled frame (see
-    /// [`JournalWriter::append_assembled`]), rotating to a fresh segment
-    /// first when the current one has reached the byte threshold (a
-    /// segment always receives at least one frame, so rotation lands
-    /// exactly on frame boundaries).
+    /// Appends one frame the caller assembled (header and payload
+    /// contiguous, see [`dengraph_json::frame::finish_frame`]) as **one**
+    /// `write_all`, so a frame is never half-issued between two calls
+    /// into the file, and fsyncs if the policy says the frame count since
+    /// the last sync is due.  Rotates to a fresh segment first when the
+    /// current one has reached the byte threshold (a segment always
+    /// receives at least one frame, so rotation lands exactly on frame
+    /// boundaries).
     pub(crate) fn append_assembled(&mut self, frame: &[u8]) -> io::Result<()> {
-        if self.writer.bytes_written() >= self.segment_bytes && self.frames_in_segment > 0 {
+        if self.bytes_in_segment >= self.segment_bytes && self.frames_in_segment > 0 {
             self.rotate()?;
         }
-        self.writer.append_assembled(frame)?;
+        self.file.write_all(frame)?;
+        self.bytes_in_segment += frame.len() as u64;
+        self.frames_since_sync += 1;
+        if self.fsync.due(self.frames_since_sync) {
+            self.sync_file()?;
+        }
         self.frames_in_segment += 1;
         if frame.first() == Some(&TAG_SNAPSHOT) {
             self.last_snapshot_seq = self.current_seq;
@@ -427,24 +334,45 @@ impl SegmentedJournal {
         Ok(())
     }
 
-    /// Closes the current segment (syncing it unless the policy is
-    /// [`FsyncPolicy::Never`]) and opens the next one.
+    /// Forces the live segment's frames to stable storage.
+    fn sync_file(&mut self) -> io::Result<()> {
+        self.file.sync_data()?;
+        self.frames_since_sync = 0;
+        Ok(())
+    }
+
+    /// Closes the current segment and opens the next one.  Unless the
+    /// policy is [`FsyncPolicy::Never`], the closed segment and the new
+    /// directory entry are synced first.
     fn rotate(&mut self) -> io::Result<()> {
         let next = self.current_seq + 1;
-        if self.fsync != FsyncPolicy::Never {
-            self.writer.sync()?;
+        let syncing = self.fsync != FsyncPolicy::Never;
+        if syncing {
+            self.sync_file()?;
             self.synced_before = next;
         }
-        self.writer = Self::open_segment(&self.dir, next, self.format, self.fsync)?;
+        (self.file, self.bytes_in_segment) = Self::open_segment(&self.dir, next)?;
         self.current_seq = next;
         self.frames_in_segment = 0;
+        self.frames_since_sync = 0;
+        self.dir_synced = false;
+        if syncing {
+            self.sync_dir()?;
+        }
+        Ok(())
+    }
+
+    fn sync_dir(&mut self) -> io::Result<()> {
+        sync_dir(&self.dir)?;
+        self.dir_synced = true;
         Ok(())
     }
 
     /// Forces everything appended so far to stable storage: the closed
     /// segments a [`FsyncPolicy::Never`] rotation left un-synced — those
     /// from the latest snapshot's on; anything older is dead weight a
-    /// restore never reads — and then the live one.
+    /// restore never reads — then the live one, then the directory if a
+    /// segment was created since it was last synced.
     pub(crate) fn sync(&mut self) -> io::Result<()> {
         for seq in self.synced_before.max(self.last_snapshot_seq)..self.current_seq {
             OpenOptions::new()
@@ -452,8 +380,11 @@ impl SegmentedJournal {
                 .open(segment_path(&self.dir, seq))?
                 .sync_data()?;
         }
-        self.writer.sync()?;
+        self.sync_file()?;
         self.synced_before = self.current_seq;
+        if !self.dir_synced {
+            self.sync_dir()?;
+        }
         Ok(())
     }
 
@@ -461,7 +392,8 @@ impl SegmentedJournal {
     /// snapshot.  The caller must have made that snapshot durable first
     /// with [`Self::sync`] (compaction after an unsynced snapshot could
     /// leave the journal with no complete snapshot on disk after a
-    /// crash).  Returns the number of segments removed.
+    /// crash).  The directory is synced after any unlink.  Returns the
+    /// number of segments removed.
     pub(crate) fn compact(&mut self) -> io::Result<usize> {
         let mut removed = 0;
         for (seq, path) in list_segments(&self.dir)? {
@@ -469,6 +401,9 @@ impl SegmentedJournal {
                 fs::remove_file(&path)?;
                 removed += 1;
             }
+        }
+        if removed > 0 {
+            self.sync_dir()?;
         }
         Ok(removed)
     }
@@ -487,21 +422,6 @@ impl SegmentedJournal {
     pub(crate) fn fsync(&self) -> FsyncPolicy {
         self.fsync
     }
-
-    /// Total on-disk journal size: the live writer's byte count plus the
-    /// sizes of all closed segments (best-effort; unreadable directory
-    /// entries count as 0).
-    pub(crate) fn total_bytes(&self) -> u64 {
-        let mut sum = self.writer.bytes_written();
-        if let Ok(segments) = list_segments(&self.dir) {
-            for (seq, path) in segments {
-                if seq != self.current_seq {
-                    sum += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                }
-            }
-        }
-        sum
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -517,12 +437,10 @@ pub enum TornWriteReason {
     /// A checksum-valid frame carries a tag this version does not know —
     /// bytes from a newer writer; everything before it is still good.
     UnknownTag(u8),
-    /// A non-first segment's own header is missing or malformed (e.g. a
-    /// crash between creating the file and writing its header).
+    /// A non-first segment's own header is missing, malformed or of an
+    /// unsupported format (e.g. a crash between creating the file and
+    /// writing its header).
     BadSegmentHeader,
-    /// A non-first segment declares a different wire format than the
-    /// journal started with.
-    FormatMismatch,
     /// A gap in the segment sequence numbers — a segment between
     /// snapshots was deleted out from under the journal, so later deltas
     /// cannot be replayed safely.
@@ -540,9 +458,6 @@ impl std::fmt::Display for TornWriteReason {
             TornWriteReason::Frame(reason) => write!(f, "{reason}"),
             TornWriteReason::UnknownTag(tag) => write!(f, "unknown journal frame tag {tag}"),
             TornWriteReason::BadSegmentHeader => write!(f, "malformed segment header"),
-            TornWriteReason::FormatMismatch => {
-                write!(f, "segment wire format differs from the journal's")
-            }
             TornWriteReason::SegmentGap { expected, found } => {
                 write!(
                     f,
@@ -622,27 +537,21 @@ pub enum JournalFrameEvent<'a> {
 /// journals through this type.
 #[derive(Debug)]
 pub struct JournalReader<'a> {
-    format: WireFormat,
     header_len: usize,
     scanner: FrameScanner<'a>,
 }
 
 impl<'a> JournalReader<'a> {
     /// Parses the segment header of `segment` and positions the reader at
-    /// its first frame.  A missing or malformed header is a hard error —
-    /// such bytes are not a journal segment at all.
+    /// its first frame.  A missing or malformed header, or a format byte
+    /// other than `01`, is a hard error — such bytes are not a journal
+    /// segment this version reads.
     pub fn new(segment: &'a [u8]) -> Result<Self, JsonError> {
-        let (format, header_len) = parse_segment_header(segment)?;
+        let header_len = parse_segment_header(segment)?;
         Ok(Self {
-            format,
             header_len,
             scanner: FrameScanner::new(&segment[header_len..]),
         })
-    }
-
-    /// The segment's wire format (from its header).
-    pub fn format(&self) -> WireFormat {
-        self.format
     }
 
     /// Current byte offset into the segment (header included); after a
@@ -688,7 +597,6 @@ struct SegmentRef<'a> {
 /// The surviving frames of a scanned journal: the latest snapshot, the
 /// delta tail after it, and where (if anywhere) the scan tore off.
 struct ScannedJournal<'a> {
-    format: WireFormat,
     snapshot: Option<&'a [u8]>,
     tail: Vec<&'a [u8]>,
     segments_scanned: usize,
@@ -699,8 +607,8 @@ struct ScannedJournal<'a> {
 /// Scans `segments` (in sequence order) up to the first torn write.
 /// Only the *first* segment's header is load-bearing — if it is
 /// malformed the bytes are not a journal and the scan fails hard; any
-/// later segment that fails to validate (bad header, format mismatch,
-/// sequence gap) is treated as the torn tail instead.
+/// later segment that fails to validate (bad header, sequence gap) is
+/// treated as the torn tail instead.
 fn scan_segments<'a>(segments: &[SegmentRef<'a>]) -> Result<ScannedJournal<'a>, RestoreError> {
     if segments.is_empty() {
         return Err(RestoreError::Io(
@@ -708,7 +616,6 @@ fn scan_segments<'a>(segments: &[SegmentRef<'a>]) -> Result<ScannedJournal<'a>, 
         ));
     }
     let mut scan = ScannedJournal {
-        format: WireFormat::Binary,
         snapshot: None,
         tail: Vec::new(),
         segments_scanned: 0,
@@ -743,12 +650,6 @@ fn scan_segments<'a>(segments: &[SegmentRef<'a>]) -> Result<ScannedJournal<'a>, 
                 break;
             }
         };
-        if index == 0 {
-            scan.format = reader.format();
-        } else if reader.format() != scan.format {
-            scan.torn = Some(torn_here(TornWriteReason::FormatMismatch, 0));
-            break;
-        }
         scan.segments_scanned += 1;
         let segment_torn = loop {
             match reader.next_frame() {
@@ -783,7 +684,7 @@ fn replay(scan: &ScannedJournal<'_>) -> Result<(EventDetector, RecoveryReport), 
     })?;
     let mut detector = decode_checkpoint_document(snapshot)?;
     for payload in &scan.tail {
-        let record = DeltaRecord::decode(payload, scan.format)?;
+        let record = DeltaRecord::decode(payload)?;
         detector.apply_delta_record(&record)?;
     }
     let report = RecoveryReport {
@@ -837,6 +738,16 @@ pub(crate) fn restore_detector_from_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dengraph_json::frame::encode_frame;
+
+    /// A segment holding `frames`, laid out as the journal writes them.
+    fn segment(frames: &[(u8, &[u8])]) -> Vec<u8> {
+        let mut bytes = segment_header();
+        for &(tag, payload) in frames {
+            bytes.extend_from_slice(&encode_frame(tag, payload));
+        }
+        bytes
+    }
 
     #[test]
     fn fsync_policy_cadence() {
@@ -850,18 +761,12 @@ mod tests {
 
     #[test]
     fn journal_writer_round_trips_through_journal_reader() {
-        let mut writer =
-            JournalWriter::new(Vec::new(), WireFormat::Binary, FsyncPolicy::Never).unwrap();
-        writer
-            .append_frame(TAG_SNAPSHOT, b"snapshot bytes")
-            .unwrap();
-        writer.append_frame(TAG_DELTA, b"delta 0").unwrap();
-        writer.append_frame(TAG_DELTA, b"").unwrap();
-        assert_eq!(writer.frames_written(), 3);
-        let bytes = writer.into_sink().unwrap();
-
+        let bytes = segment(&[
+            (TAG_SNAPSHOT, b"snapshot bytes"),
+            (TAG_DELTA, b"delta 0"),
+            (TAG_DELTA, b""),
+        ]);
         let mut reader = JournalReader::new(&bytes).unwrap();
-        assert_eq!(reader.format(), WireFormat::Binary);
         assert_eq!(
             reader.next_frame(),
             JournalFrameEvent::Snapshot(b"snapshot bytes")
@@ -874,12 +779,8 @@ mod tests {
 
     #[test]
     fn reader_reports_unknown_tags_as_torn_not_panic() {
-        let mut writer =
-            JournalWriter::new(Vec::new(), WireFormat::Binary, FsyncPolicy::Never).unwrap();
-        writer.append_frame(TAG_DELTA, b"ok").unwrap();
-        let boundary = writer.bytes_written() as usize;
-        writer.append_frame(99, b"from the future").unwrap();
-        let bytes = writer.into_sink().unwrap();
+        let boundary = segment(&[(TAG_DELTA, b"ok")]).len();
+        let bytes = segment(&[(TAG_DELTA, b"ok"), (99, b"from the future")]);
         let mut reader = JournalReader::new(&bytes).unwrap();
         assert_eq!(reader.next_frame(), JournalFrameEvent::Delta(b"ok"));
         assert_eq!(
@@ -904,48 +805,55 @@ mod tests {
 
     #[test]
     fn first_segment_header_errors_are_hard_later_ones_are_torn() {
-        // A valid single-frame segment, then garbage as a second segment.
-        let mut writer =
-            JournalWriter::new(Vec::new(), WireFormat::Binary, FsyncPolicy::Never).unwrap();
-        writer.append_frame(TAG_DELTA, b"d").unwrap();
-        let good = writer.into_sink().unwrap();
-
+        // A valid single-frame segment; garbage and a segment in the
+        // retired JSON format (header byte 00) as the others.
+        let good = segment(&[(TAG_DELTA, b"d")]);
         let garbage = b"not a journal".to_vec();
-        assert!(matches!(
-            scan_segments(&[SegmentRef {
+        let mut json_format = good.clone();
+        let format_at = segment_header().len() - 1;
+        assert_eq!(json_format[format_at], BINARY_PAYLOADS);
+        json_format[format_at] = 0;
+
+        let err = JournalReader::new(&json_format).unwrap_err();
+        assert!(err.message.contains("format byte 00"), "{}", err.message);
+        for first in [&garbage, &json_format] {
+            let only = [SegmentRef {
                 path: None,
                 seq: Some(1),
-                bytes: &garbage
-            }]),
-            Err(RestoreError::Json(_))
+                bytes: first,
+            }];
+            assert!(matches!(scan_segments(&only), Err(RestoreError::Json(_))));
+        }
+        assert!(matches!(
+            restore_detector_from_bytes(&json_format),
+            Err(RestoreError::Json(e)) if e.message.contains("format byte 00")
         ));
 
-        let segments = [
-            SegmentRef {
-                path: None,
-                seq: Some(1),
-                bytes: &good,
-            },
-            SegmentRef {
-                path: None,
-                seq: Some(2),
-                bytes: &garbage,
-            },
-        ];
-        let scan = scan_segments(&segments).unwrap();
-        assert_eq!(scan.frames_recovered, 1);
-        assert_eq!(
-            scan.torn.as_ref().map(|t| &t.reason),
-            Some(&TornWriteReason::BadSegmentHeader)
-        );
+        for later in [&garbage, &json_format] {
+            let segments = [
+                SegmentRef {
+                    path: None,
+                    seq: Some(1),
+                    bytes: &good,
+                },
+                SegmentRef {
+                    path: None,
+                    seq: Some(2),
+                    bytes: later,
+                },
+            ];
+            let scan = scan_segments(&segments).unwrap();
+            assert_eq!(scan.frames_recovered, 1);
+            assert_eq!(
+                scan.torn.as_ref().map(|t| &t.reason),
+                Some(&TornWriteReason::BadSegmentHeader)
+            );
+        }
     }
 
     #[test]
     fn segment_sequence_gaps_stop_the_scan() {
-        let mut writer =
-            JournalWriter::new(Vec::new(), WireFormat::Binary, FsyncPolicy::Never).unwrap();
-        writer.append_frame(TAG_DELTA, b"d").unwrap();
-        let seg = writer.into_sink().unwrap();
+        let seg = segment(&[(TAG_DELTA, b"d")]);
         let segments = [
             SegmentRef {
                 path: None,
@@ -967,5 +875,49 @@ mod tests {
                 found: 5
             })
         );
+    }
+
+    /// When a new segment's directory entry counts as durable: at
+    /// `create`, at a rotation under a policy that syncs, and under
+    /// `Never` only from the next `sync`; `compact` syncs after unlinking.
+    #[test]
+    fn the_directory_is_synced_wherever_segment_data_is() {
+        let dir =
+            std::env::temp_dir().join(format!("dengraph-wal-dir-sync-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let snapshot = encode_frame(TAG_SNAPSHOT, &[7; 32]);
+        // A one-byte threshold rotates before every frame but a segment's
+        // first.
+        let mut every = SegmentedJournal::create(&dir, FsyncPolicy::EveryFrame, 1).unwrap();
+        assert!(every.dir_synced, "create syncs the directory");
+        every.append_assembled(&snapshot).unwrap();
+        every.append_assembled(&snapshot).unwrap();
+        assert_eq!(every.current_seq, 2);
+        assert!(every.dir_synced, "an EveryFrame rotation syncs it");
+        drop(every);
+        fs::remove_dir_all(&dir).unwrap();
+
+        let mut never = SegmentedJournal::create(&dir, FsyncPolicy::Never, 1).unwrap();
+        assert!(
+            never.dir_synced,
+            "create syncs the directory under Never too"
+        );
+        never.append_assembled(&snapshot).unwrap();
+        never.append_assembled(&snapshot).unwrap();
+        assert_eq!(never.current_seq, 2);
+        assert!(!never.dir_synced, "a Never rotation leaves it for sync()");
+        never.sync().unwrap();
+        assert!(never.dir_synced, "sync() catches up");
+
+        never.append_assembled(&snapshot).unwrap();
+        assert!(!never.dir_synced);
+        assert_eq!(
+            never.compact().unwrap(),
+            2,
+            "segments 1 and 2 are behind the snapshot"
+        );
+        assert!(never.dir_synced, "compact() syncs after unlinking");
+        drop(never);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -68,21 +68,17 @@ pub trait Encode {
     /// Appends the compact binary encoding to `w`.
     fn to_bin(&self, w: &mut BinWriter);
 
-    /// Appends the standalone document in the requested format to `w`
-    /// (JSON becomes its UTF-8 text) — [`Self::encode`] into a buffer
-    /// the caller keeps, e.g. behind a reserved frame header.
-    fn encode_into(&self, format: WireFormat, w: &mut BinWriter) {
-        match format {
-            WireFormat::Json => w.raw(crate::to_string(&self.to_json()).as_bytes()),
-            WireFormat::Binary => self.to_bin(w),
-        }
-    }
-
-    /// Encodes to standalone bytes in the requested format.
+    /// Encodes to standalone bytes in the requested format (JSON becomes
+    /// its UTF-8 text).
     fn encode(&self, format: WireFormat) -> Vec<u8> {
-        let mut w = BinWriter::new();
-        self.encode_into(format, &mut w);
-        w.into_bytes()
+        match format {
+            WireFormat::Json => crate::to_string(&self.to_json()).into_bytes(),
+            WireFormat::Binary => {
+                let mut w = BinWriter::new();
+                self.to_bin(&mut w);
+                w.into_bytes()
+            }
+        }
     }
 }
 

@@ -24,9 +24,7 @@
 //! The binary contains exactly one test so no concurrent test thread can
 //! pollute the counter.
 
-use dengraph_core::{
-    CheckpointMode, DetectorBuilder, DetectorConfig, DurableJournalConfig, FsyncPolicy,
-};
+use dengraph_core::{DetectorBuilder, DetectorConfig, DurableJournalConfig, FsyncPolicy};
 use dengraph_stream::Quantum;
 
 #[path = "support/alloc_gate.rs"]
@@ -63,9 +61,7 @@ fn a_warm_journal_appends_without_allocating() {
         .durable_journal(
             &dir,
             DurableJournalConfig {
-                mode: CheckpointMode::Delta {
-                    every: REBASE_EVERY,
-                },
+                rebase_every: REBASE_EVERY,
                 fsync: FsyncPolicy::Never,
                 ..DurableJournalConfig::default()
             },

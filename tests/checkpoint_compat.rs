@@ -49,8 +49,8 @@ use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
 use dengraph_core::{
-    CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig,
-    EventDetector, FsyncPolicy, JournalFrameEvent, JournalReader, QuantumSummary, WireFormat,
+    DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig, EventDetector,
+    FsyncPolicy, JournalFrameEvent, JournalReader, QuantumSummary, WireFormat,
 };
 use dengraph_graph::DynamicGraph;
 use dengraph_json::lz;
@@ -72,8 +72,7 @@ const FIXTURE_BUFFERED: usize = 3;
 const CONTINUATION_QUANTA: usize = 6;
 
 const FIXTURE_JOURNAL: DurableJournalConfig = DurableJournalConfig {
-    mode: CheckpointMode::Delta { every: 4 },
-    format: WireFormat::Binary,
+    rebase_every: 4,
     fsync: FsyncPolicy::Never,
     segment_bytes: 1536,
 };

@@ -9,12 +9,12 @@
 //!
 //! **Mid-stream equivalence** — the acceptance criterion of the session
 //! API: run N quanta, checkpoint through a *durable wire form* (JSON
-//! string, binary bytes, or a delta-checkpoint journal), restore into a
+//! bytes, binary bytes, or a delta-checkpoint journal), restore into a
 //! fresh session, run M more quanta — and the concatenated
 //! `QuantumSummary` stream, the final long-term event records and the
 //! final binary checkpoint must be **bit-identical** to an uninterrupted
 //! N+M run.  Checked across window
-//! sizes × `CheckpointMode`, with the
+//! sizes × journal rebase cadences (`rebase_every` 0, 1, 3), with the
 //! full-snapshot split placed mid-quantum so the partial message buffer
 //! round-trips too (journal restores resume at the last completed
 //! quantum boundary and re-feed the partial tail).
@@ -29,8 +29,7 @@ use rand_chacha::ChaCha8Rng;
 use dengraph_core::cluster::{edge_addition, edge_deletion, ClusterRegistry};
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
 use dengraph_core::{
-    Checkpoint, CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, QuantumSummary,
-    VecSink, WireFormat,
+    DetectorBuilder, DetectorConfig, DetectorSession, QuantumSummary, VecSink, WireFormat,
 };
 use dengraph_graph::{DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
@@ -188,14 +187,16 @@ fn build(trace: &Trace, config: &DetectorConfig) -> DetectorSession {
 /// Which durable wire form carries the state across the interruption.
 #[derive(Debug, Clone, Copy)]
 enum Cut {
-    /// The JSON `Checkpoint` string (the debugging / fallback format).
-    JsonString,
+    /// `checkpoint_bytes(WireFormat::Json)` → `restore_bytes` (the
+    /// debugging / fallback format).
+    JsonBytes,
     /// `checkpoint_bytes(WireFormat::Binary)` → `restore_bytes`.
     BinaryBytes,
     /// A checkpoint journal written per quantum from the start of the
-    /// run; restore replays the journal-tail deltas on top of the latest
-    /// snapshot and resumes at the last completed quantum boundary.
-    Journal(CheckpointMode),
+    /// run, with a snapshot every `rebase_every` deltas; restore replays
+    /// the journal-tail deltas on top of the latest snapshot and resumes
+    /// at the last completed quantum boundary.
+    Journal(u32),
 }
 
 /// A snapshot carries the window's records and live keyword ids, not its
@@ -218,24 +219,21 @@ fn run_with_interruption(
     cut: Cut,
 ) -> (Vec<QuantumSummary>, DetectorSession) {
     let mut first = build(trace, config);
-    if let Cut::Journal(mode) = cut {
-        first.enable_journal(mode);
+    if let Cut::Journal(rebase_every) = cut {
+        first.enable_journal(rebase_every);
     }
     let mut summaries = Vec::new();
     for message in &trace.messages[..split] {
         summaries.extend(first.push_message(message.clone()));
     }
     let (mut second, resume_at) = match cut {
-        Cut::JsonString => {
-            let text = first.checkpoint().to_json_string();
-            let checkpoint = Checkpoint::from_json_str(&text).expect("checkpoint parses");
-            let second = DetectorSession::restore(&checkpoint).expect("checkpoint restores");
-            assert_window_restored(&first, &second);
-            (second, split)
-        }
-        Cut::BinaryBytes => {
-            let bytes = first.checkpoint_bytes(WireFormat::Binary);
-            let second = DetectorSession::restore_bytes(&bytes).expect("binary restores");
+        Cut::JsonBytes | Cut::BinaryBytes => {
+            let format = match cut {
+                Cut::JsonBytes => WireFormat::Json,
+                _ => WireFormat::Binary,
+            };
+            let bytes = first.checkpoint_bytes(format);
+            let second = DetectorSession::restore_bytes(&bytes).expect("checkpoint restores");
             assert_window_restored(&first, &second);
             (second, split)
         }
@@ -280,11 +278,14 @@ fn mid_stream_restore_is_bit_identical_across_profiles() {
         let mut uninterrupted = build(&trace, &config);
         let full = uninterrupted.run(&trace.messages);
 
+        // `Journal(1)` snapshots after every delta; `Journal(0)` pins the
+        // documented clamp to 1.
         for cut in [
-            Cut::JsonString,
+            Cut::JsonBytes,
             Cut::BinaryBytes,
-            Cut::Journal(CheckpointMode::Delta { every: 3 }),
-            Cut::Journal(CheckpointMode::Full),
+            Cut::Journal(3),
+            Cut::Journal(1),
+            Cut::Journal(0),
         ] {
             let label = format!("w={window_quanta} {cut:?}");
             let (stitched, resumed) = run_with_interruption(&trace, &config, split, cut);
@@ -316,11 +317,7 @@ fn mid_stream_restore_is_bit_identical_on_event_dense_streams() {
         let split = trace.messages.len() * fraction / 4 + 3;
         let mut uninterrupted = build(&trace, &config);
         let full = uninterrupted.run(&trace.messages);
-        for cut in [
-            Cut::JsonString,
-            Cut::BinaryBytes,
-            Cut::Journal(CheckpointMode::Delta { every: 5 }),
-        ] {
+        for cut in [Cut::JsonBytes, Cut::BinaryBytes, Cut::Journal(5)] {
             let (stitched, resumed) = run_with_interruption(&trace, &config, split, cut);
             assert_eq!(
                 canonical(&full),
@@ -364,7 +361,7 @@ fn journal_enabled_mid_quantum_restores_without_double_processing() {
         summaries.extend(first.push_message(message.clone()));
     }
     // Journaling starts here — mid-quantum, buffer half full.
-    first.enable_journal(CheckpointMode::Delta { every: 4 });
+    first.enable_journal(4);
     let bytes = first.journal().unwrap().memory_bytes().unwrap().to_vec();
     drop(first);
 
@@ -396,16 +393,11 @@ fn binary_and_delta_checkpoints_meet_size_targets() {
         .expect("valid config");
     // A rebase interval beyond the run length keeps every steady-state
     // entry a delta record.
-    session.enable_journal(CheckpointMode::Delta { every: 10_000 });
+    session.enable_journal(10_000);
     session.run(&trace.messages);
 
     let json = session.checkpoint_bytes(WireFormat::Json);
     let binary = session.checkpoint_bytes(WireFormat::Binary);
-    assert_eq!(
-        json.len(),
-        session.checkpoint().to_json_string().len(),
-        "json bytes form must match the Checkpoint string form"
-    );
     assert!(
         binary.len() * 2 <= json.len(),
         "binary checkpoint {} exceeds half the json checkpoint {}",
@@ -446,8 +438,8 @@ fn restored_sessions_feed_sinks_identically() {
     for message in &trace.messages[..split] {
         first.push_message(message.clone());
     }
-    let checkpoint = first.checkpoint();
-    let mut second = DetectorSession::restore(&checkpoint).unwrap();
+    let bytes = first.checkpoint_bytes(WireFormat::Json);
+    let mut second = DetectorSession::restore_bytes(&bytes).unwrap();
     let resumed_sink = Arc::new(Mutex::new(VecSink::new()));
     second.attach_sink(Box::new(Arc::clone(&resumed_sink)));
     for message in &trace.messages[split..] {

@@ -54,11 +54,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::{
-    CheckpointMode, DeltaRecord, DetectorBuilder, DetectorConfig, DetectorSession, EventLineReader,
+    DeltaRecord, DetectorBuilder, DetectorConfig, DetectorSession, EventLineReader,
     JournalFrameEvent, JournalReader, JsonLinesSink, WireFormat,
 };
 use dengraph_json::frame::encode_frame;
-use dengraph_json::{BinWriter, Decode};
+use dengraph_json::BinWriter;
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator};
 
@@ -326,9 +326,7 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
     let quantum_size = config.quantum_size;
     let lines = Arc::new(Mutex::new(JsonLinesSink::new(Vec::new())));
     let mut session = DetectorBuilder::from_config(config)
-        .journal(CheckpointMode::Delta {
-            every: DELTAS_PER_SNAPSHOT,
-        })
+        .journal(DELTAS_PER_SNAPSHOT)
         .build()
         .expect("valid config");
     session.attach_sink(Box::new(Arc::clone(&lines)));
@@ -393,9 +391,7 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
     }
 
     // (c) A delta record, decoded alone and as the journal's last frame.
-    let decoded = sweep.family("delta record", || {
-        DeltaRecord::decode(delta, WireFormat::Binary)
-    });
+    let decoded = sweep.family("delta record", || DeltaRecord::decode(delta));
     let honest_journal = reframed(delta);
     let replayed = sweep.family("re-framed delta", || {
         DetectorSession::restore_from_journal(&honest_journal)
@@ -404,7 +400,7 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
         // A payload the decoder rejects fails the restore at the same
         // decode, so only the ones it accepts are replayed.
         let accepted = sweep.check(decoded, &label, payload.len(), || {
-            DeltaRecord::decode(&payload, WireFormat::Binary)
+            DeltaRecord::decode(&payload)
         });
         if accepted.is_some() {
             let doc = reframed(&payload);

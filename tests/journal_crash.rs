@@ -27,8 +27,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::{
-    CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig,
-    FsyncPolicy, JournalFrameEvent, JournalReader, QuantumSummary, WireFormat,
+    DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig, FsyncPolicy,
+    JournalFrameEvent, JournalReader, QuantumSummary, WireFormat,
 };
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace};
@@ -289,8 +289,7 @@ fn check_cut(
 fn kill_at_any_byte_recovers_to_last_durable_quantum() {
     let trace = StreamGenerator::new(tw_profile(71, ProfileScale::Small)).generate();
     let durable = DurableJournalConfig {
-        mode: CheckpointMode::Delta { every: 4 },
-        format: WireFormat::Binary,
+        rebase_every: 4,
         fsync: FsyncPolicy::Never,
         segment_bytes: 16 * 1024,
     };
@@ -362,10 +361,9 @@ fn degenerate_threshold_yields_one_frame_per_segment() {
     let messages = &trace.messages[..8 * config.quantum_size];
     let dir = scratch_dir("one-frame-segments");
     let durable = DurableJournalConfig {
-        mode: CheckpointMode::Delta { every: 100 },
+        rebase_every: 100,
         fsync: FsyncPolicy::Never,
         segment_bytes: 1,
-        ..DurableJournalConfig::default()
     };
     let reference = run_journaled(&trace, messages, &config, &dir, durable);
 
@@ -393,7 +391,7 @@ fn rotation_exactly_at_frame_boundary() {
     // snapshot) ends.
     let probe_dir = scratch_dir("rotation-probe");
     let durable = DurableJournalConfig {
-        mode: CheckpointMode::Delta { every: 100 },
+        rebase_every: 100,
         fsync: FsyncPolicy::Never,
         ..DurableJournalConfig::default()
     };
@@ -497,10 +495,9 @@ fn startup_compaction_drops_segments_behind_the_fresh_snapshot() {
         &config,
         &dir,
         DurableJournalConfig {
-            mode: CheckpointMode::Delta { every: 100 },
+            rebase_every: 100,
             fsync: FsyncPolicy::Never,
             segment_bytes: 1,
-            ..DurableJournalConfig::default()
         },
     );
     assert_eq!(segment_files(&dir).len(), 7);
@@ -553,10 +550,9 @@ fn rebase_compaction_leaves_a_restorable_snapshot_with_zero_trailing_deltas() {
         &config,
         &dir,
         DurableJournalConfig {
-            mode: CheckpointMode::Delta { every: 2 },
+            rebase_every: 2,
             fsync: FsyncPolicy::EveryFrame,
             segment_bytes: 1,
-            ..DurableJournalConfig::default()
         },
     );
 
@@ -598,10 +594,9 @@ fn explicit_sync_compacts_a_never_journal_behind_its_latest_snapshot() {
         .durable_journal(
             &dir,
             DurableJournalConfig {
-                mode: CheckpointMode::Delta { every: 4 },
+                rebase_every: 4,
                 fsync: FsyncPolicy::Never,
                 segment_bytes: 4 * 1024,
-                ..DurableJournalConfig::default()
             },
         )
         .build()
@@ -706,11 +701,11 @@ fn durable_restore_matches_in_memory_journal_restore() {
     let trace = StreamGenerator::new(tw_profile(78, ProfileScale::Small)).generate();
     let config = edge_config();
     let messages = &trace.messages[..6 * config.quantum_size];
-    let mode = CheckpointMode::Delta { every: 3 };
+    let rebase_every = 3;
 
     let mut memory = DetectorBuilder::from_config(config.clone())
         .interner(trace.interner.clone())
-        .journal(mode)
+        .journal(rebase_every)
         .build()
         .expect("valid config");
     for message in messages {
@@ -731,10 +726,9 @@ fn durable_restore_matches_in_memory_journal_restore() {
         &config,
         &dir,
         DurableJournalConfig {
-            mode,
+            rebase_every,
             fsync: FsyncPolicy::Never,
             segment_bytes: 4 * 1024,
-            ..DurableJournalConfig::default()
         },
     );
     let from_disk = DetectorSession::restore_from_dir(&dir).expect("durable restores");
