@@ -1,10 +1,13 @@
 //! Cluster discovery and maintenance — Sections 4 and 5 of the paper.
 //!
-//! A *cluster* is an approximate majority quasi-clique (aMQC): a subgraph of
-//! the AKG in which every edge lies on a cycle of length at most 4 (the
-//! short-cycle property).  Clusters are discovered and maintained *locally*:
-//! whenever a node or edge is added to or removed from the AKG, only the
-//! neighbourhood of that change and the clusters touching it are processed.
+//! A *cluster* is an approximate majority quasi-clique (aMQC): one group of
+//! AKG edges joined through shared cycles of length at most 4.  Every edge
+//! lies on such a cycle (the short-cycle property, Section 4.1), and
+//! clusters sharing an edge merge (Lemma 6), so a cluster is exactly one
+//! group of [`dengraph_graph::scp_edge_groups`].  Clusters are discovered
+//! and maintained *locally*: whenever a node or edge is added to or
+//! removed from the AKG, only the neighbourhood of that change and the
+//! clusters touching it are processed.
 //!
 //! Module layout:
 //!
@@ -133,47 +136,21 @@ impl Cluster {
         v
     }
 
-    /// Does the cluster's own edge set provide a path of length at most
-    /// `max_len` between `a` and `b` that does not use the direct edge
-    /// `(a, b)`?  This is the cluster-local short-cycle check used by the
-    /// deletion algorithms.
-    pub fn has_alternate_path(&self, a: NodeId, b: NodeId, max_len: usize) -> bool {
-        let direct = EdgeKey::new(a, b);
-        let mut frontier = vec![a];
-        let mut visited: FxHashSet<NodeId> = FxHashSet::default();
-        visited.insert(a);
-        for _depth in 1..=max_len {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                // lint: allow(L001, bounded-depth reachability; the boolean result is order-independent)
-                for e in &self.edges {
-                    // Never traverse the direct edge itself.
-                    if *e == direct {
-                        continue;
-                    }
-                    let Some(v) = e.other(u) else { continue };
-                    if v == b {
-                        return true;
-                    }
-                    if visited.insert(v) {
-                        next.push(v);
-                    }
-                }
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        false
-    }
-
-    /// Does every edge of the cluster lie on a short cycle (length ≤ 4)
-    /// within the cluster?  This is the defining invariant (property P1).
+    /// Is the cluster one SCP cluster?  Its edges, sorted, must form
+    /// exactly one group of [`dengraph_graph::scp_edge_groups`] holding
+    /// every edge: each edge lies on a cycle of length ≤ 4 within the
+    /// cluster, and the cycles are joined through shared edges.  This is
+    /// the defining invariant (property P1).  Two triangles sharing only a
+    /// node fail it (they are two clusters), and so do an edgeless cluster
+    /// and a self-loop.
     pub fn satisfies_scp(&self) -> bool {
-        self.edges
-            .iter()
-            .all(|e| self.has_alternate_path(e.0, e.1, 3))
+        let mut edges: Vec<EdgeKey> = self.edges.iter().copied().collect();
+        edges.sort_unstable();
+        if edges.iter().any(|e| e.0 == e.1) {
+            return false;
+        }
+        let groups = dengraph_graph::scp_edge_groups(&edges);
+        groups.len() == 1 && groups[0].len() == edges.len()
     }
 }
 
@@ -241,10 +218,7 @@ impl Decode for Cluster {
                     offset: 0,
                 });
             }
-            edges.insert(EdgeKey::new(
-                NodeId(parts[0].as_u32()?),
-                NodeId(parts[1].as_u32()?),
-            ));
+            edges.insert(checked_edge(parts[0].as_u32()?, parts[1].as_u32()?, 0)?);
         }
         Ok(Self {
             id: ClusterId(value.get("id")?.as_u64()?),
@@ -274,7 +248,7 @@ impl Decode for Cluster {
             };
             prev_a = a;
             let b = r.u32()?;
-            edges.insert(EdgeKey::new(NodeId(a), NodeId(b)));
+            edges.insert(checked_edge(a, b, r.pos())?);
         }
         Ok(Self {
             id,
@@ -284,6 +258,18 @@ impl Decode for Cluster {
             updated_quantum: r.u64()?,
         })
     }
+}
+
+/// The edge between two decoded endpoints; a self-loop lies on no cycle,
+/// so no cluster holds one.
+fn checked_edge(a: u32, b: u32, offset: usize) -> dengraph_json::Result<EdgeKey> {
+    if a == b {
+        return Err(dengraph_json::JsonError {
+            message: format!("cluster edge ({a}, {b}) is a self-loop"),
+            offset,
+        });
+    }
+    Ok(EdgeKey::new(NodeId(a), NodeId(b)))
 }
 
 #[cfg(test)]
@@ -310,8 +296,6 @@ mod tests {
         assert_eq!(c.size(), 3);
         assert_eq!(c.edge_count(), 3);
         assert!(c.satisfies_scp());
-        assert!(c.has_alternate_path(n(1), n(2), 3));
-        assert!(!c.has_alternate_path(n(1), n(2), 1));
     }
 
     #[test]
@@ -330,6 +314,28 @@ mod tests {
     fn pendant_edge_breaks_scp() {
         let c = cluster_from(&[(1, 2), (2, 3), (1, 3), (3, 4)]);
         assert!(!c.satisfies_scp());
+    }
+
+    /// Two triangles sharing only node 3: every edge lies on a short cycle,
+    /// but no cycle joins the triangles, so they are two clusters.
+    #[test]
+    fn bowtie_cluster_violates_scp() {
+        let c = cluster_from(&[(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)]);
+        assert!(!c.satisfies_scp());
+        assert!(!cluster_from(&[]).satisfies_scp(), "an edgeless cluster");
+    }
+
+    #[test]
+    fn decoders_reject_self_loop_edges() {
+        let mut c = cluster_from(&[(1, 2), (2, 3), (1, 3)]);
+        c.edges.insert(EdgeKey::new(n(2), n(2)));
+        let json = Cluster::from_json(&c.to_json()).expect_err("JSON self-loop");
+        assert!(json.message.contains("(2, 2) is a self-loop"), "{json:?}");
+        let mut w = dengraph_json::BinWriter::new();
+        c.to_bin(&mut w);
+        let mut r = dengraph_json::BinReader::new(w.as_slice());
+        let bin = Cluster::from_bin(&mut r).expect_err("binary self-loop");
+        assert!(bin.message.contains("(2, 2) is a self-loop"), "{bin:?}");
     }
 
     #[test]

@@ -312,11 +312,12 @@ impl ClusterRegistry {
 
     /// Assembles a registry from decoded parts, rebuilding both indexes
     /// from the cluster contents — the single validation path shared by
-    /// the JSON and binary decoders.  Rejects documents whose id space is
-    /// inconsistent — a duplicate cluster id, an edge owned by two
-    /// clusters, or a `next_id` not strictly above every live id — since
-    /// any of those would let a fresh id collide with (and silently
-    /// corrupt) an existing cluster after restore.
+    /// the JSON and binary decoders (checkpoints and journal snapshots
+    /// alike).  Rejects a duplicate cluster id or an edge owned by two
+    /// clusters while indexing, then runs [`Self::check_invariants`], the
+    /// check debug builds assert after every quantum: every restored
+    /// cluster is one SCP cluster, and a fresh id can never collide with a
+    /// live one.
     fn from_parts(next_id: u64, clusters: Vec<Cluster>) -> dengraph_json::Result<Self> {
         let mut registry = Self::new();
         for cluster in clusters {
@@ -346,24 +347,19 @@ impl ClusterRegistry {
             }
         }
         registry.next_id = next_id;
-        if let Some(max_id) = registry.clusters.keys().max() {
-            if registry.next_id <= max_id.0 {
-                return Err(dengraph_json::JsonError {
-                    message: format!(
-                        "next_id {} is not above the highest live cluster id {max_id}",
-                        registry.next_id
-                    ),
-                    offset: 0,
-                });
-            }
-        }
+        registry
+            .check_invariants()
+            .map_err(|message| dengraph_json::JsonError { message, offset: 0 })?;
         Ok(registry)
     }
 
-    /// Checks the internal invariants (each edge owned by exactly the
-    /// cluster the index says; node index consistent; clusters satisfy SCP
-    /// and have ≥ 3 nodes; `next_id` strictly above every live id so fresh
-    /// ids can never collide).  Used by tests and debug assertions.
+    /// Checks the internal invariants: each edge owned by exactly the
+    /// cluster the index says; node index consistent; every cluster has
+    /// ≥ 3 nodes and is one SCP cluster ([`Cluster::satisfies_scp`], one
+    /// [`dengraph_graph::scp_edge_groups`] group holding all its edges);
+    /// `next_id` strictly above every live id so fresh ids can never
+    /// collide.  Both decoders end with it, so every restore runs it;
+    /// debug builds also assert it after every quantum.
     pub fn check_invariants(&self) -> Result<(), String> {
         // lint: allow(L001, validation max-fold; max is order-independent)
         if let Some(max_id) = self.clusters.keys().max() {

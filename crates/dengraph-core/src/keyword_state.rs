@@ -1676,8 +1676,8 @@ impl WindowState {
     }
 
     /// The shared tail of both decoders: checks the geometry a decoder
-    /// must not act on unchecked, then rebuilds the index from the decoded
-    /// records.
+    /// must not act on unchecked and that the records' quantum indices
+    /// strictly increase, then rebuilds the index from the decoded records.
     fn from_decoded(
         capacity: usize,
         sketch_size: usize,
@@ -1715,6 +1715,19 @@ impl WindowState {
                 message: format!(
                     "window sketch size {sketch_size} exceeds the decoder bound \
                      {MAX_DECODED_SKETCH_SIZE}"
+                ),
+                offset,
+            });
+        }
+        if let Some(pair) = window
+            .iter()
+            .zip(window.iter().skip(1))
+            .find(|(a, b)| b.index <= a.index)
+        {
+            return Err(dengraph_json::JsonError {
+                message: format!(
+                    "window quantum indices not strictly increasing: {} after {}",
+                    pair.1.index, pair.0.index
                 ),
                 offset,
             });

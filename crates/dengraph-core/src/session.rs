@@ -1528,6 +1528,81 @@ mod tests {
         }
     }
 
+    /// Restore runs the cluster registry's own check: a checkpoint holding
+    /// a cluster the engine could not have built fails with a typed error,
+    /// in both wire formats.  Each hand-built registry replaces the honest
+    /// one (a single cluster) where it sits in the encoded detector.
+    #[test]
+    fn restore_rejects_clusters_the_engine_could_not_build() {
+        use crate::cluster::ClusterRegistry;
+        use dengraph_graph::fxhash::FxHashSet;
+        use dengraph_graph::{EdgeKey, NodeId};
+
+        let mut session = builder().build().unwrap();
+        session.run(&event_quantum(20, 6, &[1, 2, 3], 0));
+        let honest = session.detector().clusters().registry();
+        assert_eq!(honest.len(), 1, "the fixture holds one cluster");
+        let json = json_checkpoint(&session);
+        let honest_json = dengraph_json::to_string(&honest.to_json());
+        assert_eq!(json.matches(&honest_json).count(), 1);
+        let mut body = dengraph_json::BinWriter::new();
+        session.detector().to_bin(&mut body);
+        let body = body.as_slice();
+        let mut honest_bin = dengraph_json::BinWriter::new();
+        honest.to_bin(&mut honest_bin);
+        let honest_bin = honest_bin.as_slice();
+        let at: Vec<usize> = (0..body.len())
+            .filter(|&i| body[i..].starts_with(honest_bin))
+            .collect();
+        assert_eq!(at.len(), 1, "the honest registry sits once in the body");
+        // A raw binary container: magic, version, method 0.
+        let mut raw = session.checkpoint_bytes(WireFormat::Binary)[..5].to_vec();
+        raw.push(0);
+
+        for (shape, edges, reason) in [
+            (
+                "bowtie",
+                &[(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)][..],
+                "violates the short-cycle property",
+            ),
+            (
+                "five-cycle",
+                &[(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)][..],
+                "violates the short-cycle property",
+            ),
+            (
+                "self-loop",
+                &[(1, 2), (2, 3), (1, 3), (2, 2)][..],
+                "is a self-loop",
+            ),
+        ] {
+            let edges: FxHashSet<EdgeKey> = edges
+                .iter()
+                .map(|&(a, b)| EdgeKey(NodeId(a), NodeId(b)))
+                .collect();
+            let nodes = edges.iter().flat_map(|e| [e.0, e.1]).collect();
+            let mut bad = ClusterRegistry::new();
+            bad.insert_new(nodes, edges, 0);
+
+            let doc = json.replace(&honest_json, &dengraph_json::to_string(&bad.to_json()));
+            let mut bin = dengraph_json::BinWriter::new();
+            bad.to_bin(&mut bin);
+            let mut doc_bin = raw.clone();
+            doc_bin.extend_from_slice(&body[..at[0]]);
+            doc_bin.extend_from_slice(bin.as_slice());
+            doc_bin.extend_from_slice(&body[at[0] + honest_bin.len()..]);
+            for (format, bytes) in [("JSON", doc.as_bytes()), ("binary", &doc_bin[..])] {
+                match DetectorSession::restore_bytes(bytes) {
+                    Err(RestoreError::Json(e)) => assert!(
+                        e.message.contains(reason),
+                        "{shape} ({format}): rejected for {e}"
+                    ),
+                    other => panic!("{shape} ({format}): expected a typed error, got {other:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn restore_rejects_structural_garbage() {
         for garbage in ["{not json", "{\"hello\": 1}"] {

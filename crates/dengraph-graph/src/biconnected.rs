@@ -36,9 +36,18 @@ impl<'g> LowLink<'g> {
         }
     }
 
-    /// Iterative DFS from `root`, restricted to `allowed` nodes.
-    fn run_from<F: Fn(NodeId) -> bool>(&mut self, root: NodeId, allowed: &F) {
-        if self.index.contains_key(&root) || !allowed(root) {
+    /// Runs the DFS from every node not yet visited.
+    fn run(mut self) -> Self {
+        let graph = self.graph;
+        for root in graph.nodes() {
+            self.run_from(root);
+        }
+        self
+    }
+
+    /// Iterative DFS from `root`.
+    fn run_from(&mut self, root: NodeId) {
+        if self.index.contains_key(&root) {
             return;
         }
         // Frame: (node, parent, iterator over neighbours as Vec + position, child count for root)
@@ -56,7 +65,7 @@ impl<'g> LowLink<'g> {
         stack.push(Frame {
             node: root,
             parent: None,
-            neighbors: self.graph.neighbors(root).filter(|&x| allowed(x)).collect(),
+            neighbors: self.graph.neighbors(root).collect(),
             next: 0,
             root_children: 0,
         });
@@ -87,7 +96,7 @@ impl<'g> LowLink<'g> {
                     if frame.parent.is_none() {
                         frame.root_children += 1;
                     }
-                    let neighbors = self.graph.neighbors(w).filter(|&x| allowed(x)).collect();
+                    let neighbors = self.graph.neighbors(w).collect();
                     stack.push(Frame {
                         node: w,
                         parent: Some(v),
@@ -134,58 +143,15 @@ impl<'g> LowLink<'g> {
     }
 }
 
-/// Articulation points (cut vertices) of the subgraph induced by `allowed`
-/// nodes.  Pass `|_| true` for the whole graph.
-pub fn articulation_points_within<F: Fn(NodeId) -> bool>(
-    graph: &DynamicGraph,
-    allowed: F,
-) -> FxHashSet<NodeId> {
-    let mut ll = LowLink::new(graph);
-    let roots: Vec<NodeId> = graph.nodes().filter(|&n| allowed(n)).collect();
-    for root in roots {
-        ll.run_from(root, &allowed);
-    }
-    ll.articulation
-}
-
-/// Articulation points of the whole graph.
+/// Articulation points (cut vertices) of the whole graph.
 pub fn articulation_points(graph: &DynamicGraph) -> FxHashSet<NodeId> {
-    articulation_points_within(graph, |_| true)
+    LowLink::new(graph).run().articulation
 }
 
-/// Biconnected components of the subgraph induced by `allowed` nodes, as
-/// edge sets.  Every edge belongs to exactly one component; isolated nodes
-/// yield no component.
-pub fn biconnected_components_within<F: Fn(NodeId) -> bool>(
-    graph: &DynamicGraph,
-    allowed: F,
-) -> Vec<Vec<EdgeKey>> {
-    let mut ll = LowLink::new(graph);
-    let roots: Vec<NodeId> = graph.nodes().filter(|&n| allowed(n)).collect();
-    for root in roots {
-        ll.run_from(root, &allowed);
-    }
-    ll.components
-}
-
-/// Biconnected components (edge sets) of the whole graph.
+/// Biconnected components of the whole graph, as edge sets.  Every edge
+/// belongs to exactly one component; isolated nodes yield no component.
 pub fn biconnected_components(graph: &DynamicGraph) -> Vec<Vec<EdgeKey>> {
-    biconnected_components_within(graph, |_| true)
-}
-
-/// Node sets of the biconnected components of the whole graph.
-pub fn biconnected_node_sets(graph: &DynamicGraph) -> Vec<FxHashSet<NodeId>> {
-    biconnected_components(graph)
-        .into_iter()
-        .map(|edges| {
-            let mut nodes = FxHashSet::default();
-            for e in edges {
-                nodes.insert(e.0);
-                nodes.insert(e.1);
-            }
-            nodes
-        })
-        .collect()
+    LowLink::new(graph).run().components
 }
 
 #[cfg(test)]
@@ -299,22 +265,13 @@ mod tests {
     }
 
     #[test]
-    fn restriction_to_allowed_nodes() {
-        let mut g = DynamicGraph::new();
-        edges(&mut g, &[(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)]);
-        // Restrict to the first triangle only: no articulation points there.
-        let allowed = |x: NodeId| x.0 <= 3;
-        assert!(articulation_points_within(&g, allowed).is_empty());
-        let comps = biconnected_components_within(&g, allowed);
-        assert_eq!(comps.len(), 1);
-        assert_eq!(comps[0].len(), 3);
-    }
-
-    #[test]
     fn node_sets_cover_all_edges() {
         let mut g = DynamicGraph::new();
         edges(&mut g, &[(1, 2), (2, 3), (1, 3), (3, 4)]);
-        let sets = biconnected_node_sets(&g);
+        let sets: Vec<FxHashSet<NodeId>> = biconnected_components(&g)
+            .into_iter()
+            .map(|edges| edges.iter().flat_map(|e| [e.0, e.1]).collect())
+            .collect();
         assert_eq!(sets.len(), 2);
         let total_nodes: usize = sets.iter().map(|s| s.len()).sum();
         assert_eq!(total_nodes, 3 + 2); // triangle + bridge

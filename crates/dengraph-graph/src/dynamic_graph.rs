@@ -220,22 +220,6 @@ impl DynamicGraph {
         out
     }
 
-    /// Returns `true` if `a` and `b` have at least one common neighbour.
-    pub fn have_common_neighbor(&self, a: NodeId, b: NodeId) -> bool {
-        let (Some(na), Some(nb)) = (self.adj.get(&a), self.adj.get(&b)) else {
-            return false;
-        };
-        let (mut i, mut j) = (0, 0);
-        while i < na.len() && j < nb.len() {
-            match na[i].0.cmp(&nb[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.adj.len()
@@ -332,28 +316,6 @@ impl DynamicGraph {
             ));
         }
         Ok(())
-    }
-
-    /// Builds the induced subgraph over `nodes` (keeping weights).
-    pub fn induced_subgraph<'a, I: IntoIterator<Item = &'a NodeId>>(
-        &self,
-        nodes: I,
-    ) -> DynamicGraph {
-        let keep: crate::fxhash::FxHashSet<NodeId> = nodes.into_iter().copied().collect();
-        let mut sub = DynamicGraph::new();
-        for &n in &keep {
-            if self.contains_node(n) {
-                sub.add_node(n);
-            }
-        }
-        for &n in &keep {
-            for (m, w) in self.neighbors_weighted(n) {
-                if n < m && keep.contains(&m) {
-                    sub.add_edge(n, m, w);
-                }
-            }
-        }
-        sub
     }
 }
 
@@ -538,19 +500,17 @@ mod tests {
         let mut common = g.common_neighbors(n(1), n(2));
         common.sort();
         assert_eq!(common, vec![n(3), n(4)]);
-        assert!(g.have_common_neighbor(n(1), n(2)));
         // nodes 3 and 4 share neighbours 1 and 2 even though they are not adjacent
-        assert!(g.have_common_neighbor(n(3), n(4)));
-        assert!(
-            !g.have_common_neighbor(n(5), n(2)) || g.common_neighbors(n(5), n(2)) == vec![n(1)]
-        );
+        let mut common = g.common_neighbors(n(3), n(4));
+        common.sort();
+        assert_eq!(common, vec![n(1), n(2)]);
+        assert!(g.common_neighbors(n(5), n(2)).is_empty());
     }
 
     #[test]
     fn common_neighbors_of_missing_nodes_empty() {
         let g = DynamicGraph::new();
         assert!(g.common_neighbors(n(1), n(2)).is_empty());
-        assert!(!g.have_common_neighbor(n(1), n(2)));
     }
 
     #[test]
@@ -578,20 +538,6 @@ mod tests {
         assert!(g.set_edge_weight(n(2), n(1), 0.7));
         assert_eq!(g.edge_weight(n(1), n(2)), Some(0.7));
         assert!(!g.set_edge_weight(n(1), n(3), 0.7));
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let mut g = DynamicGraph::new();
-        g.add_edge(n(1), n(2), 1.0);
-        g.add_edge(n(2), n(3), 1.0);
-        g.add_edge(n(3), n(4), 1.0);
-        let sub = g.induced_subgraph(&[n(1), n(2), n(3)]);
-        assert_eq!(sub.node_count(), 3);
-        assert_eq!(sub.edge_count(), 2);
-        assert!(sub.contains_edge(n(1), n(2)));
-        assert!(sub.contains_edge(n(2), n(3)));
-        assert!(!sub.contains_node(n(4)));
     }
 
     #[test]

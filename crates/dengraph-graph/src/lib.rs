@@ -8,9 +8,6 @@
 //!
 //! * [`dynamic_graph`] — an adjacency-map graph with O(1) amortised node and
 //!   edge insertion/removal, weighted edges and common-neighbour queries.
-//! * [`traversal`] — bounded-length alternate-path searches (the "is there
-//!   another path of length ≤ 3?" short-cycle checks) and restricted
-//!   reachability used when splitting clusters at articulation points.
 //! * [`components`] — a stateless stand-in for the retired
 //!   connected-component index, held only for the repo benchmark.
 //! * [`biconnected`] — Hopcroft–Tarjan articulation points and biconnected
@@ -19,10 +16,11 @@
 //! * [`quasi_clique`] — γ-quasi-clique / majority-quasi-clique (MQC)
 //!   verification, density and diameter (Section 4.2's `O(N²)` check);
 //!   `tests/end_to_end.rs` measures how many live SCP clusters are MQCs.
-//! * [`scp`] — the short-cycle property itself: per-edge short-cycle checks
-//!   and the one SCP decomposition of a sorted edge list, which both the
-//!   deletion repair and the *global* test oracle for the incremental
-//!   algorithms (property P3 of Section 4.3) call.
+//! * [`scp`] — the short-cycle property itself: the one SCP decomposition
+//!   and test.  [`scp_edge_groups`] decomposes a sorted edge list; the
+//!   deletion repair, a cluster's own SCP test and the *global* test
+//!   oracle for the incremental algorithms (property P3 of Section 4.3)
+//!   all call it.
 //! * [`fxhash`] — a small, fast integer hasher for the hot adjacency maps.
 
 pub mod biconnected;
@@ -32,11 +30,10 @@ pub mod fxhash;
 pub mod node;
 pub mod quasi_clique;
 pub mod scp;
-pub mod traversal;
 
 pub use biconnected::{articulation_points, biconnected_components};
 pub use components::ComponentIndex;
 pub use dynamic_graph::{DynamicGraph, EdgeKey};
 pub use node::NodeId;
 pub use quasi_clique::{density, diameter, is_gamma_quasi_clique, is_mqc};
-pub use scp::{edge_has_short_cycle, scp_clusters_global, scp_edge_groups, subgraph_satisfies_scp};
+pub use scp::{scp_clusters_global, scp_edge_groups};

@@ -36,11 +36,6 @@ pub fn is_mqc(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> bool {
     is_gamma_quasi_clique(graph, nodes, 0.5)
 }
 
-/// Is the subgraph induced by `nodes` a complete clique (γ = 1)?
-pub fn is_clique(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> bool {
-    is_gamma_quasi_clique(graph, nodes, 1.0)
-}
-
 /// Edge density of the induced subgraph: `|E| / (N·(N−1)/2)`.
 /// Returns 0.0 for fewer than two nodes.
 pub fn density(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> f64 {
@@ -53,7 +48,7 @@ pub fn density(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> f64 {
 }
 
 /// Number of edges with both endpoints in `nodes`.
-pub fn count_internal_edges(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> usize {
+fn count_internal_edges(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> usize {
     let mut count = 0;
     // lint: allow(L001, usize count is commutative; the result is order-independent)
     for &u in nodes {
@@ -122,7 +117,7 @@ mod tests {
     fn triangle_is_clique_mqc_and_dense() {
         let g = graph(&[(1, 2), (2, 3), (1, 3)]);
         let nodes = set(&[1, 2, 3]);
-        assert!(is_clique(&g, &nodes));
+        assert!(is_gamma_quasi_clique(&g, &nodes, 1.0));
         assert!(is_mqc(&g, &nodes));
         assert_eq!(density(&g, &nodes), 1.0);
         assert_eq!(diameter(&g, &nodes), Some(1));
@@ -134,7 +129,7 @@ mod tests {
         let nodes = set(&[1, 2, 3, 4]);
         // (N-1)/2 = 1.5 -> required 2; each node has exactly 2 neighbours.
         assert!(is_mqc(&g, &nodes));
-        assert!(!is_clique(&g, &nodes));
+        assert!(!is_gamma_quasi_clique(&g, &nodes, 1.0));
         assert!((density(&g, &nodes) - 4.0 / 6.0).abs() < 1e-12);
         assert_eq!(diameter(&g, &nodes), Some(2));
     }

@@ -5,10 +5,9 @@
 //! all belong to the subgraph.  The incremental algorithms of Section 5
 //! maintain SCP clusters locally; this module provides
 //!
-//! * per-edge and per-subgraph SCP checks,
 //! * [`scp_edge_groups`] — the decomposition of a sorted edge list into
-//!   SCP clusters (a cluster's own edges in the deletion repair, a whole
-//!   graph's below), and
+//!   SCP clusters (a cluster's own edges in the deletion repair and in
+//!   the cluster's own SCP test, a whole graph's below), and
 //! * [`scp_clusters_global`] — the same decomposition packaged as clusters.
 //!
 //! The decomposition mirrors the paper's construction exactly: every cycle
@@ -27,43 +26,7 @@
 //! `dengraph-core` is property-tested against it.
 
 use crate::dynamic_graph::{DynamicGraph, EdgeKey};
-use crate::fxhash::FxHashSet;
 use crate::node::NodeId;
-use crate::traversal::has_alternate_path_within;
-
-/// Does the edge `(a, b)` lie on a cycle of length at most 4 in the whole
-/// graph?
-pub fn edge_has_short_cycle(graph: &DynamicGraph, a: NodeId, b: NodeId) -> bool {
-    has_alternate_path_within(graph, a, b, 3, |_| true)
-}
-
-/// Does the edge `(a, b)` lie on a cycle of length at most 4 whose nodes are
-/// all contained in `nodes`?
-pub fn edge_has_short_cycle_within(
-    graph: &DynamicGraph,
-    a: NodeId,
-    b: NodeId,
-    nodes: &FxHashSet<NodeId>,
-) -> bool {
-    has_alternate_path_within(graph, a, b, 3, |n| nodes.contains(&n))
-}
-
-/// Does the subgraph induced by `nodes` satisfy the short-cycle property,
-/// i.e. does every induced edge lie on a short cycle within `nodes`?
-///
-/// Singleton and empty sets satisfy SCP vacuously; a set inducing no edges
-/// also does.
-pub fn subgraph_satisfies_scp(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> bool {
-    // lint: allow(L001, universally-quantified boolean check; the result is order-independent)
-    for &u in nodes {
-        for v in graph.neighbors(u) {
-            if u < v && nodes.contains(&v) && !edge_has_short_cycle_within(graph, u, v, nodes) {
-                return false;
-            }
-        }
-    }
-    true
-}
 
 /// Decomposes edges into SCP clusters: groups of edges connected through
 /// shared cycles of length ≤ 4.  `edges` must be sorted and free of
@@ -92,8 +55,8 @@ pub fn scp_edge_groups(edges: &[EdgeKey]) -> Vec<Vec<EdgeKey>> {
         &adj[from..from + adj[from..].partition_point(|row| row.0 == u)]
     };
 
-    // Every triangle and 4-cycle is found from each of its edges; the
-    // redundant unions are harmless.
+    // Every triangle and 4-cycle is joined once, from its edge that comes
+    // first in the slice: the other edges' indices are all above `i`.
     let mut parent: Vec<usize> = (0..edges.len()).collect();
     let mut on_cycle = vec![false; edges.len()];
     let mut join = |cycle: &[usize]| {
@@ -106,10 +69,14 @@ pub fn scp_edge_groups(edges: &[EdgeKey]) -> Vec<Vec<EdgeKey>> {
     };
     for (i, &EdgeKey(a, b)) in edges.iter().enumerate() {
         let (na, nb) = (neighbours(a), neighbours(b));
-        merge_common(na, nb, |_, ac, bc| join(&[i, ac, bc]));
-        for &(_, c, ac) in na.iter().filter(|row| row.1 != b) {
+        merge_common(na, nb, |_, ac, bc| {
+            if ac > i && bc > i {
+                join(&[i, ac, bc]);
+            }
+        });
+        for &(_, c, ac) in na.iter().filter(|row| row.2 > i) {
             merge_common(nb, neighbours(c), |d, bd, cd| {
-                if d != a {
+                if d != a && bd > i && cd > i {
                     join(&[i, ac, cd, bd]);
                 }
             });
@@ -199,7 +166,7 @@ pub fn scp_clusters_global(graph: &DynamicGraph) -> Vec<ScpCluster> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fxhash::FxHashMap;
+    use crate::fxhash::{FxHashMap, FxHashSet};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -221,6 +188,29 @@ mod tests {
         let mut edges: Vec<EdgeKey> = g.edges().map(|(k, _)| k).collect();
         edges.sort_unstable();
         edges
+    }
+
+    /// Section 4.1's test, written from the definition and independent of
+    /// [`scp_edge_groups`]: every edge the graph induces on `nodes` lies on
+    /// a cycle of length ≤ 4 within `nodes` — its endpoints `a` and `b`
+    /// have a common neighbour in the set, or a neighbour `c` of `a` and a
+    /// neighbour `d` of `b` in the set are adjacent.
+    fn induces_scp(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> bool {
+        let inside = |u: NodeId| -> Vec<NodeId> {
+            graph.neighbors(u).filter(|v| nodes.contains(v)).collect()
+        };
+        // lint: allow(L001, universally-quantified boolean check; the result is order-independent)
+        nodes.iter().all(|&a| {
+            let na = inside(a);
+            na.iter().filter(|&&b| a < b).all(|&b| {
+                let nb = inside(b);
+                na.iter().any(|c| nb.contains(c))
+                    || na
+                        .iter()
+                        .filter(|&&c| c != b)
+                        .any(|&c| nb.iter().any(|&d| d != a && graph.contains_edge(c, d)))
+            })
+        })
     }
 
     /// The union–find the reference decomposition was written against.
@@ -320,35 +310,40 @@ mod tests {
     #[test]
     fn triangle_and_square_edges_have_short_cycles() {
         let g = graph(&[(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (7, 4)]);
-        assert!(edge_has_short_cycle(&g, n(1), n(2)));
-        assert!(edge_has_short_cycle(&g, n(4), n(5)));
+        let edges = sorted_edges(&g);
+        let groups = scp_edge_groups(&edges);
+        assert_eq!(groups.len(), 2, "the triangle and the square");
+        assert_eq!(groups.concat(), edges, "every edge lies on a short cycle");
     }
 
     #[test]
     fn bridge_edge_has_no_short_cycle() {
         let g = graph(&[(1, 2), (2, 3), (1, 3), (3, 4)]);
-        assert!(!edge_has_short_cycle(&g, n(3), n(4)));
+        let groups = scp_edge_groups(&sorted_edges(&g));
+        assert_eq!(groups.len(), 1);
+        assert!(!groups[0].contains(&EdgeKey::new(n(3), n(4))));
     }
 
     #[test]
     fn five_cycle_has_no_short_cycles() {
         let g = graph(&[(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]);
-        for (a, b) in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)] {
-            assert!(!edge_has_short_cycle(&g, n(a), n(b)));
-        }
+        assert!(!induces_scp(&g, &set(&[1, 2, 3, 4, 5])));
         assert!(scp_clusters_global(&g).is_empty());
         assert!(scp_edge_groups(&sorted_edges(&g)).is_empty());
     }
 
+    /// The reference test [`induces_scp`] on the shapes it must tell apart.
     #[test]
     fn subgraph_scp_check() {
         let g = graph(&[(1, 2), (2, 3), (1, 3), (3, 4)]);
-        assert!(subgraph_satisfies_scp(&g, &set(&[1, 2, 3])));
-        assert!(!subgraph_satisfies_scp(&g, &set(&[1, 2, 3, 4])));
-        assert!(subgraph_satisfies_scp(&g, &set(&[1])));
-        assert!(subgraph_satisfies_scp(&g, &FxHashSet::default()));
+        assert!(induces_scp(&g, &set(&[1, 2, 3])));
+        assert!(!induces_scp(&g, &set(&[1, 2, 3, 4])));
+        assert!(induces_scp(&g, &set(&[1])));
+        assert!(induces_scp(&g, &FxHashSet::default()));
         // A node set inducing no edges is vacuously fine.
-        assert!(subgraph_satisfies_scp(&g, &set(&[1, 4])));
+        assert!(induces_scp(&g, &set(&[1, 4])));
+        let square = graph(&[(1, 2), (2, 3), (3, 4), (4, 1)]);
+        assert!(induces_scp(&square, &set(&[1, 2, 3, 4])));
     }
 
     #[test]
@@ -440,7 +435,7 @@ mod tests {
         for c in scp_clusters_global(&g) {
             let nodes: FxHashSet<NodeId> = c.nodes.iter().copied().collect();
             assert!(
-                subgraph_satisfies_scp(&g, &nodes),
+                induces_scp(&g, &nodes),
                 "cluster {:?} violates SCP",
                 c.nodes
             );
