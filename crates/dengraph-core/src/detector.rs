@@ -199,6 +199,23 @@ impl NounFilter {
     }
 }
 
+/// Interns the next word of a checkpoint's vocabulary, which must be new:
+/// a repeated word would shift every later keyword id onto another word.
+fn intern_next(
+    interner: &mut KeywordInterner,
+    word: &str,
+    offset: usize,
+) -> dengraph_json::Result<()> {
+    let next = interner.len();
+    if interner.intern(word).index() != next {
+        return Err(dengraph_json::JsonError {
+            message: format!("checkpoint vocabulary repeats the word {word:?}"),
+            offset,
+        });
+    }
+    Ok(())
+}
+
 /// The fixed seed of the window's user hasher.  Part of the detector's
 /// deterministic identity: checkpoints record it, and a restored session
 /// hashes users exactly as the original did.
@@ -525,7 +542,7 @@ impl EventDetector {
             Some(words) => {
                 let mut interner = KeywordInterner::new();
                 for word in words.as_arr()? {
-                    interner.intern(word.as_str()?);
+                    intern_next(&mut interner, word.as_str()?, 0)?;
                 }
                 Some(NounFilter::new(interner))
             }
@@ -655,7 +672,8 @@ impl EventDetector {
             let words = r.seq_len(1)?;
             let mut interner = KeywordInterner::new();
             for _ in 0..words {
-                interner.intern(&r.str()?);
+                let at = r.pos();
+                intern_next(&mut interner, &r.str()?, at)?;
             }
             Some(NounFilter::new(interner))
         } else {

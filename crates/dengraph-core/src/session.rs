@@ -1603,6 +1603,46 @@ mod tests {
         }
     }
 
+    /// A vocabulary that repeats a word would shift every later keyword id
+    /// onto another word: both decoders refuse it with a typed error.
+    #[test]
+    fn restore_rejects_a_vocabulary_that_repeats_a_word() {
+        let mut vocabulary = KeywordInterner::new();
+        for word in ["quake1", "quake2", "tsunami"] {
+            vocabulary.intern(word);
+        }
+        let session = builder().interner(vocabulary).build().unwrap();
+        let json = json_checkpoint(&session);
+        let doc = json.replace("\"quake2\"", "\"quake1\"");
+        assert_ne!(doc, json, "the fixture must actually repeat a word");
+        // A raw binary container (magic, version, method 0) around the
+        // body, with the same-length word overwritten in place.
+        let mut honest = session.checkpoint_bytes(WireFormat::Binary)[..5].to_vec();
+        honest.push(0);
+        let mut body = dengraph_json::BinWriter::new();
+        session.detector().to_bin(&mut body);
+        honest.extend_from_slice(body.as_slice());
+        let at: Vec<usize> = (0..honest.len())
+            .filter(|&i| honest[i..].starts_with(b"quake2"))
+            .collect();
+        assert_eq!(at.len(), 1, "the word sits once in the body");
+        let mut doc_bin = honest.clone();
+        doc_bin[at[0]..at[0] + 6].copy_from_slice(b"quake1");
+        for (format, good, bad) in [
+            ("JSON", json.as_bytes(), doc.as_bytes()),
+            ("binary", &honest[..], &doc_bin[..]),
+        ] {
+            assert!(DetectorSession::restore_bytes(good).is_ok(), "{format}");
+            match DetectorSession::restore_bytes(bad) {
+                Err(RestoreError::Json(e)) => assert!(
+                    e.message.contains("repeats the word \"quake1\""),
+                    "{format}: rejected for {e}"
+                ),
+                other => panic!("{format}: expected a typed error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn restore_rejects_structural_garbage() {
         for garbage in ["{not json", "{\"hello\": 1}"] {

@@ -5,17 +5,23 @@
 //! set of normalised, stop-word-free keywords before it touches the
 //! correlated-keyword graph.  This crate provides that reduction:
 //!
-//! * [`tokenizer`] — splits raw message text into candidate tokens borrowed
-//!   from it, handling URLs, mentions, hashtags and punctuation.
+//! * [`tokenizer`] — one forward scan over raw message text that classifies
+//!   URLs, mentions, hashtags, numbers and words, writes each token its
+//!   caller keeps lower-cased into one reused buffer, and skips a URL or
+//!   sigil chunk the caller drops without tokenising it.
 //! * [`stopwords`] — an embedded English stop-word list (the paper removes
 //!   stop words before building the graph).
 //! * [`stemmer`] — a light suffix-stripping normaliser so that trivially
 //!   inflected forms ("earthquakes" / "earthquake") map to one node.
 //! * [`pos`] — a noun heuristic used by the evaluation's precision filter
 //!   ("a real event must contain at least one noun keyword", Section 7.2.2).
-//! * [`interner`] — a [`KeywordId`] ↔ string interner; all graph structures
-//!   work on compact integer ids.
-//! * [`pipeline`] — the end-to-end `text → Vec<KeywordId>` convenience layer.
+//! * [`interner`] — one append-only symbol table, [`Interner`]: spellings
+//!   in one arena, found through open-addressed `(hash tag, id)` slots
+//!   under a keyed hash.  [`KeywordInterner`] and [`UserInterner`] are its
+//!   typed faces; all graph structures work on their dense integer ids.
+//! * [`pipeline`] — the end-to-end `text → Vec<KeywordId>` layer: each
+//!   token is scanned, folded, stemmed and stop-checked in one buffer, then
+//!   interned.
 //!
 //! # Example
 //!
@@ -41,7 +47,9 @@ pub mod stemmer;
 pub mod stopwords;
 pub mod tokenizer;
 
-pub use interner::{KeywordId, KeywordInterner, SymbolTable, UserInterner, UserSym};
+pub use interner::{
+    Interner, KeywordId, KeywordInterner, Symbol, SymbolTable, UserInterner, UserSym,
+};
 pub use pipeline::{KeywordPipeline, PipelineConfig};
 pub use pos::{NounHeuristic, WordClass};
-pub use tokenizer::{tokenize, Token, TokenKind, Tokens};
+pub use tokenizer::{scan, Token, TokenKind};

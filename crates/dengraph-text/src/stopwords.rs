@@ -264,12 +264,6 @@ pub fn is_stopword(word: &str) -> bool {
     INDEX.get_or_init(StopIndex::build).contains(word)
 }
 
-/// Removes stop words (and single-character tokens, which carry no signal)
-/// from a token list in place.
-pub fn remove_stopwords(words: &mut Vec<String>) {
-    words.retain(|w| w.chars().count() > 1 && !is_stopword(w));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,16 +286,6 @@ mod tests {
     fn microblog_fillers_are_stopwords() {
         assert!(is_stopword("rt"));
         assert!(is_stopword("via"));
-    }
-
-    #[test]
-    fn remove_stopwords_filters_in_place() {
-        let mut words: Vec<String> = ["the", "earthquake", "struck", "a", "turkey", "x"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        remove_stopwords(&mut words);
-        assert_eq!(words, vec!["earthquake", "struck", "turkey"]);
     }
 
     /// The bucketed index against a plain hash set of the same list.

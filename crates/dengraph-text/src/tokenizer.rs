@@ -6,11 +6,12 @@
 //! cluster in Figure 1).  The tokenizer therefore classifies tokens instead
 //! of blindly splitting on whitespace.
 //!
-//! Tokens borrow from the message: [`tokenize`] is an iterator over
-//! sub-slices of its input and allocates nothing.  Case folding is a
-//! separate step ([`Token::fold_into`]) into a buffer the caller reuses.
+//! [`scan`] is one forward pass over a message.  It writes each token it
+//! keeps, already lower-cased, into a buffer the caller reuses and hands
+//! it on, and skips a URL or sigil chunk whose kind the caller drops
+//! without tokenising it.
 
-/// The syntactic class of a token as produced by [`tokenize`].
+/// The syntactic class of a token as produced by [`scan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenKind {
     /// A plain word made of alphabetic characters.
@@ -40,19 +41,6 @@ impl<'a> Token<'a> {
     pub fn new(text: &'a str, kind: TokenKind) -> Self {
         Self { text, kind }
     }
-
-    /// Replaces `buf` with the token's lower-cased spelling.  ASCII tokens
-    /// fold in place inside `buf`; anything else takes
-    /// [`str::to_lowercase`] (final sigma, `İ` → `i̇`), which allocates.
-    pub fn fold_into(&self, buf: &mut String) {
-        buf.clear();
-        if self.text.is_ascii() {
-            buf.push_str(self.text);
-            buf.make_ascii_lowercase();
-        } else {
-            buf.push_str(&self.text.to_lowercase());
-        }
-    }
 }
 
 /// What the scanner does with a byte: one table lookup per ASCII byte,
@@ -61,8 +49,10 @@ impl<'a> Token<'a> {
 enum Class {
     /// ASCII punctuation and controls: splits tokens inside a chunk.
     Separator,
-    /// ASCII letter, `'`, `-` or `_`.
+    /// ASCII lower-case letter, `'`, `-` or `_`: copied as it is.
     Word,
+    /// ASCII upper-case letter: copied lower-cased.
+    Upper,
     /// ASCII digit (a word character that keeps a token numeric).
     Digit,
     /// ASCII whitespace: ends the chunk.
@@ -78,7 +68,9 @@ static CLASS: [Class; 256] = {
         let byte = b as u8;
         table[b] = if byte.is_ascii_digit() {
             Class::Digit
-        } else if byte.is_ascii_alphabetic() || matches!(byte, b'\'' | b'-' | b'_') {
+        } else if byte.is_ascii_uppercase() {
+            Class::Upper
+        } else if byte.is_ascii_lowercase() || matches!(byte, b'\'' | b'-' | b'_') {
             Class::Word
         } else if matches!(byte, b' ' | 0x09..=0x0d) {
             Class::Space
@@ -156,120 +148,134 @@ fn chunk_len(text: &str) -> usize {
     at
 }
 
-/// Iterator over the tokens of one message; see [`tokenize`].
+/// Scans one message in one forward pass and calls `each` with every
+/// token whose kind `keep` accepts, in message order (repeats included),
+/// and with `folded` holding its lower-cased spelling: ASCII letters fold
+/// as they are copied, and a token holding a multi-byte scalar is
+/// re-folded once by [`str::to_lowercase`] (final sigma, `İ` → `i̇`).  A
+/// URL folds ASCII letters only.
 ///
-/// One forward pass.  *Chunks* — the pieces [`str::split_whitespace`]
-/// would yield — matter only at their first byte, where a sigil or a URL
-/// is recognised, so no chunk is scanned ahead unless it could be a URL.
-#[derive(Debug, Clone)]
-pub struct Tokens<'a> {
-    /// The unscanned tail of the message.
-    rest: &'a str,
-    /// `rest` begins at a chunk boundary (whitespace, or the message start).
-    chunk_start: bool,
-    /// The kind the current chunk's sigil forces on all its tokens.
-    sigil: Option<TokenKind>,
-    /// The message contains a `/`; without one only `www.` marks a URL.
-    has_slash: bool,
-}
-
-impl<'a> Iterator for Tokens<'a> {
-    type Item = Token<'a>;
-
-    fn next(&mut self) -> Option<Token<'a>> {
-        let text = self.rest;
-        let bytes = text.as_bytes();
-        let mut at = 0;
-        // Find the token's first byte, entering chunks on the way.
-        let start = loop {
-            if self.chunk_start {
-                let chunk = text.get(at..)?;
-                let chunk = chunk.get(whitespace_len(chunk)..)?;
-                if chunk.starts_with("www.") || self.has_slash {
-                    let (chunk, tail) = chunk.split_at(chunk_len(chunk));
-                    if is_url(chunk) {
-                        self.rest = tail;
-                        return Some(Token::new(chunk, TokenKind::Url));
-                    }
-                }
-                at = text.len() - chunk.len();
-                self.chunk_start = false;
-                // The sigil byte itself is skipped below as a separator.
-                self.sigil = match bytes.get(at) {
-                    Some(b'#') => Some(TokenKind::Hashtag),
-                    Some(b'@') => Some(TokenKind::Mention),
-                    _ => None,
-                };
-            }
-            let Some(&b) = bytes.get(at) else {
-                self.rest = "";
-                return None;
-            };
-            match class(b) {
-                Class::Word | Class::Digit => break at,
-                Class::Separator => at += 1,
-                Class::Space => self.chunk_start = true,
-                Class::Wide => {
-                    let c = scalar_at(text, at);
-                    if c.is_alphanumeric() {
-                        break at;
-                    } else if c.is_whitespace() {
-                        self.chunk_start = true;
-                    } else {
-                        at += c.len_utf8();
-                    }
-                }
-            }
+/// *Chunks* — the pieces [`str::split_whitespace`] would yield — matter
+/// only at their first byte, where a sigil or a URL is recognised: a URL,
+/// `#hashtag` or `@mention` chunk that `keep` rejects is skipped without
+/// being tokenised, and no other chunk is scanned ahead unless it could be
+/// a URL.  Stemming and the de-duplication into a keyword *set* happen in
+/// [`crate::pipeline::KeywordPipeline`].
+pub fn scan<'a>(
+    text: &'a str,
+    folded: &mut String,
+    keep: impl Fn(TokenKind) -> bool,
+    mut each: impl FnMut(Token<'a>, &mut String),
+) {
+    let bytes = text.as_bytes();
+    // Without a '/' only a `www.` prefix marks a URL.
+    let has_slash = bytes.contains(&b'/');
+    let mut at = 0;
+    // One chunk per iteration; `at` is always on a scalar boundary.
+    loop {
+        at += whitespace_len(&text[at..]);
+        let chunk = &text[at..];
+        let Some(&first) = chunk.as_bytes().first() else {
+            return;
         };
-        // Extend over word characters, so that "earthquake!!!" and
-        // "turkey," yield clean words, keeping one decimal point inside a
-        // number ("5.9").  `digits`: only ASCII digits so far, so a point
-        // may join; `numeric`: only ASCII digits and that point so far.
-        let (mut digits, mut numeric) = (true, true);
-        while let Some(&b) = bytes.get(at) {
-            match class(b) {
-                Class::Digit => at += 1,
-                Class::Word => {
-                    (digits, numeric) = (false, false);
-                    at += 1;
+        if chunk.starts_with("www.") || has_slash {
+            let url = &chunk[..chunk_len(chunk)];
+            if is_url(url) {
+                if keep(TokenKind::Url) {
+                    folded.clear();
+                    folded.push_str(url);
+                    folded.make_ascii_lowercase();
+                    each(Token::new(url, TokenKind::Url), folded);
                 }
-                Class::Wide => {
-                    let c = scalar_at(text, at);
-                    if !c.is_alphanumeric() {
-                        break;
-                    }
-                    (digits, numeric) = (false, false);
-                    at += c.len_utf8();
-                }
-                _ if b == b'.' && digits && bytes.get(at + 1).is_some_and(u8::is_ascii_digit) => {
-                    digits = false;
-                    at += 1;
-                }
-                _ => break,
+                at += url.len();
+                continue;
             }
         }
-        let (scanned, tail) = text.split_at(at);
-        self.rest = tail;
-        let kind = self.sigil.unwrap_or(if numeric {
-            TokenKind::Number
-        } else {
-            TokenKind::Word
-        });
-        Some(Token::new(scanned.get(start..)?, kind))
-    }
-}
-
-/// Tokenises one message into classified tokens borrowed from `text`.
-///
-/// The output preserves message order and may contain duplicates; case
-/// folding, stemming and the de-duplication into a keyword *set* happen in
-/// [`crate::pipeline::KeywordPipeline`].
-pub fn tokenize(text: &str) -> Tokens<'_> {
-    Tokens {
-        rest: text,
-        chunk_start: true,
-        sigil: None,
-        has_slash: text.as_bytes().contains(&b'/'),
+        // A sigil forces its kind on every token of the chunk; the sigil
+        // byte itself is skipped below as a separator.
+        let sigil = match first {
+            b'#' => Some(TokenKind::Hashtag),
+            b'@' => Some(TokenKind::Mention),
+            _ => None,
+        };
+        if sigil.is_some_and(|kind| !keep(kind)) {
+            at += chunk_len(chunk);
+            continue;
+        }
+        // The chunk's tokens, up to the whitespace that ends it.
+        while let Some(&b) = bytes.get(at) {
+            match class(b) {
+                Class::Word | Class::Upper | Class::Digit => {}
+                Class::Separator => {
+                    at += 1;
+                    continue;
+                }
+                Class::Space => break,
+                Class::Wide => {
+                    let c = scalar_at(text, at);
+                    if c.is_whitespace() {
+                        break;
+                    }
+                    if !c.is_alphanumeric() {
+                        at += c.len_utf8();
+                        continue;
+                    }
+                }
+            }
+            // Extend over word characters, so that "earthquake!!!" and
+            // "turkey," yield clean words, keeping one decimal point inside
+            // a number ("5.9").  `digits`: only ASCII digits so far, so a
+            // point may join; `numeric`: only ASCII digits and that point
+            // so far; `wide`: a multi-byte scalar was met and left out of
+            // `folded`, which is rebuilt from the token if it is kept.
+            let start = at;
+            let (mut digits, mut numeric, mut wide) = (true, true, false);
+            folded.clear();
+            while let Some(&b) = bytes.get(at) {
+                match class(b) {
+                    Class::Digit => folded.push(char::from(b)),
+                    Class::Word => {
+                        (digits, numeric) = (false, false);
+                        folded.push(char::from(b));
+                    }
+                    Class::Upper => {
+                        (digits, numeric) = (false, false);
+                        folded.push(char::from(b.to_ascii_lowercase()));
+                    }
+                    Class::Wide => {
+                        let c = scalar_at(text, at);
+                        if !c.is_alphanumeric() {
+                            break;
+                        }
+                        (digits, numeric, wide) = (false, false, true);
+                        at += c.len_utf8();
+                        continue;
+                    }
+                    _ if b == b'.'
+                        && digits
+                        && bytes.get(at + 1).is_some_and(u8::is_ascii_digit) =>
+                    {
+                        digits = false;
+                        folded.push('.');
+                    }
+                    _ => break,
+                }
+                at += 1;
+            }
+            let kind = sigil.unwrap_or(if numeric {
+                TokenKind::Number
+            } else {
+                TokenKind::Word
+            });
+            if keep(kind) {
+                let raw = &text[start..at];
+                if wide {
+                    folded.clear();
+                    folded.push_str(&raw.to_lowercase());
+                }
+                each(Token::new(raw, kind), folded);
+            }
+        }
     }
 }
 
@@ -353,15 +359,28 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
 
-    /// Tokens with their folded spelling, as the pipeline sees them.
+    fn all(_: TokenKind) -> bool {
+        true
+    }
+
+    /// Every kept token with its folded spelling, as the pipeline sees them.
+    fn folded_by(text: &str, keep: impl Fn(TokenKind) -> bool) -> Vec<(String, TokenKind)> {
+        let mut out = Vec::new();
+        scan(text, &mut String::new(), keep, |t, folded| {
+            out.push((folded.clone(), t.kind))
+        });
+        out
+    }
+
     fn folded(text: &str) -> Vec<(String, TokenKind)> {
-        let mut buf = String::new();
-        tokenize(text)
-            .map(|t| {
-                t.fold_into(&mut buf);
-                (buf.clone(), t.kind)
-            })
-            .collect()
+        folded_by(text, all)
+    }
+
+    /// Every token as the message spells it.
+    fn tokens(text: &str) -> Vec<Token<'_>> {
+        let mut out = Vec::new();
+        scan(text, &mut String::new(), all, |t, _| out.push(t));
+        out
     }
 
     fn texts(tokens: &[(String, TokenKind)]) -> Vec<&str> {
@@ -380,7 +399,10 @@ mod tests {
 
     #[test]
     fn lowercases_everything() {
-        let raw: Vec<&str> = tokenize("BREAKING NEWS Turkey").map(|t| t.text).collect();
+        let raw: Vec<&str> = tokens("BREAKING NEWS Turkey")
+            .iter()
+            .map(|t| t.text)
+            .collect();
         assert_eq!(raw, vec!["BREAKING", "NEWS", "Turkey"], "tokens borrow");
         assert!(folded("BREAKING NEWS Turkey ΟΔΟΣ İstanbul")
             .iter()
@@ -389,7 +411,7 @@ mod tests {
 
     #[test]
     fn classifies_hashtags_and_mentions() {
-        let toks: Vec<Token<'_>> = tokenize("#jobs alert @cnn").collect();
+        let toks = tokens("#jobs alert @cnn");
         assert_eq!(toks[0], Token::new("jobs", TokenKind::Hashtag));
         assert_eq!(toks[1], Token::new("alert", TokenKind::Word));
         assert_eq!(toks[2], Token::new("cnn", TokenKind::Mention));
@@ -397,7 +419,7 @@ mod tests {
 
     #[test]
     fn keeps_decimal_numbers_whole() {
-        assert!(tokenize("magnitude 5.9 quake").any(|t| t == Token::new("5.9", TokenKind::Number)));
+        assert!(tokens("magnitude 5.9 quake").contains(&Token::new("5.9", TokenKind::Number)));
         let toks = folded("v1.2.3 1.2.3 .5 5.9abc");
         assert_eq!(texts(&toks), vec!["v1", "2.3", "1.2", "3", "5", "5.9abc"]);
         assert_eq!(toks[2].1, TokenKind::Number);
@@ -412,9 +434,9 @@ mod tests {
 
     #[test]
     fn detects_urls() {
-        let toks: Vec<Token<'_>> = tokenize("read https://t.co/abc123 now").collect();
+        let toks = tokens("read https://t.co/abc123 now");
         assert_eq!(toks[1].kind, TokenKind::Url);
-        let kind = |chunk| tokenize(chunk).next().map(|t| t.kind);
+        let kind = |chunk| tokens(chunk).first().map(|t| t.kind);
         for url in ["www.x", "x.com/y", "bit.ly/x", "http://a"] {
             assert_eq!(kind(url), Some(TokenKind::Url), "{url}");
         }
@@ -425,9 +447,9 @@ mod tests {
 
     #[test]
     fn empty_and_whitespace_only_messages() {
-        assert_eq!(tokenize("").count(), 0);
-        assert_eq!(tokenize("   \t\n ").count(), 0);
-        assert_eq!(tokenize("!!! ... # @").count(), 0);
+        assert!(tokens("").is_empty());
+        assert!(tokens("   \t\n ").is_empty());
+        assert!(tokens("!!! ... # @").is_empty());
     }
 
     #[test]
@@ -438,14 +460,18 @@ mod tests {
 
     #[test]
     fn sentence_final_number_is_not_glued_to_dot() {
-        assert!(
-            tokenize("death toll rises to 150.").any(|t| t == Token::new("150", TokenKind::Number))
-        );
+        assert!(tokens("death toll rises to 150.").contains(&Token::new("150", TokenKind::Number)));
     }
 
-    /// The scanner against the tokenizer it replaced, token for token.
+    /// The scanner against the tokenizer it replaced, token for token,
+    /// under the keep predicates the pipeline uses and one keeping all.
     #[test]
     fn scanner_matches_the_reference_tokenizer() {
+        let keeps: [fn(TokenKind) -> bool; 3] = [
+            all,
+            |kind| !matches!(kind, TokenKind::Mention | TokenKind::Url),
+            |kind| matches!(kind, TokenKind::Word | TokenKind::Number),
+        ];
         for text in [
             "A massive earthquake struck eastern Turkey today",
             "#Jobs,alert @CNN's #a.b @x!y",
@@ -456,17 +482,13 @@ mod tests {
             "www.a WWW.a http://x https://y x.com/y BIT.LY/x bit.ly/ü a/b #x.com/y",
             "emoji🦀crab 🦀 日本語テキスト １２３",
             "#１２ @5.9 #5.9 #",
+            "@a#b #c@d (#e) @ # ##f @@g x@y #5.9 @5.9 @x.com/y #www.a",
         ] {
-            let got: Vec<(String, TokenKind)> = folded(text)
-                .into_iter()
-                .zip(tokenize(text))
-                .map(|((lower, kind), token)| match kind {
-                    // The old tokenizer folded URLs ASCII-only.
-                    TokenKind::Url => (token.text.to_ascii_lowercase(), kind),
-                    _ => (lower, kind),
-                })
-                .collect();
-            assert_eq!(got, reference::tokenize(text), "{text:?}");
+            for keep in keeps {
+                let mut want = reference::tokenize(text);
+                want.retain(|(_, kind)| keep(*kind));
+                assert_eq!(folded_by(text, keep), want, "{text:?}");
+            }
         }
     }
 }

@@ -10,6 +10,8 @@
 //!
 //! * `process_post` on a warmed vocabulary — the returned `Vec` and
 //!   nothing else;
+//! * interning fresh author names — the table's arena, offsets and slots
+//!   growing geometrically, not two `String`s per name;
 //! * `parse` of a three-field input line — what its `Value` tree holds
 //!   (three keys, two strings, one map node);
 //! * a `JsonLinesSink` quantum batch — nothing, once its line buffer has
@@ -22,7 +24,7 @@ use dengraph_core::session::QuantumNotifications;
 use dengraph_core::{
     ClusterId, DetectedEvent, EventRecord, EventSink, JsonLinesSink, QuantumSummary,
 };
-use dengraph_text::{KeywordId, KeywordPipeline};
+use dengraph_text::{KeywordId, KeywordPipeline, UserInterner};
 
 #[path = "support/alloc_gate.rs"]
 mod alloc_gate;
@@ -114,6 +116,21 @@ fn text_parse_and_sink_layers_allocate_only_what_they_return() {
             keywords.len()
         );
     }
+
+    // --- table: fresh names share one arena -----------------------------
+    let names: Vec<String> = (0..10_000).map(|i| format!("author{i}")).collect();
+    let mut users = UserInterner::new();
+    let ((), count) = count_allocations(|| {
+        for name in &names {
+            users.intern(name);
+        }
+    });
+    assert_eq!(users.len(), names.len());
+    assert!(
+        count <= 64,
+        "interning 10 000 fresh names performed {count} heap allocations — the table \
+         stores a name per allocation again"
+    );
 
     // --- parse: what the value tree of an input line holds --------------
     let line =
