@@ -75,16 +75,41 @@ pub fn keyword_of(node: NodeId) -> KeywordId {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphDelta {
     /// A keyword entered the AKG.
-    NodeAdded { node: NodeId },
+    NodeAdded {
+        /// The keyword's node.
+        node: NodeId,
+    },
     /// A new edge was admitted (correlation ≥ τ).
-    EdgeAdded { a: NodeId, b: NodeId, weight: f64 },
+    EdgeAdded {
+        /// One endpoint.
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+        /// The edge correlation.
+        weight: f64,
+    },
     /// An existing edge's correlation was re-estimated and stays ≥ τ.
-    EdgeWeightUpdated { a: NodeId, b: NodeId, weight: f64 },
+    EdgeWeightUpdated {
+        /// One endpoint.
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+        /// The re-estimated edge correlation.
+        weight: f64,
+    },
     /// An existing edge's correlation dropped below τ.
-    EdgeRemoved { a: NodeId, b: NodeId },
+    EdgeRemoved {
+        /// One endpoint.
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+    },
     /// A keyword left the AKG (stale or lazily demoted); all its incident
     /// edges are reported as [`GraphDelta::EdgeRemoved`] first.
-    NodeRemoved { node: NodeId },
+    NodeRemoved {
+        /// The keyword's node.
+        node: NodeId,
+    },
 }
 
 impl GraphDelta {
@@ -296,6 +321,10 @@ impl<'a> CorrelationCache<'a> {
     }
 
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "`involved` lists every candidate keyword"
+    )]
     fn slot(&self, keyword: KeywordId) -> u32 {
         self.involved
             .binary_search(&keyword)
@@ -684,10 +713,10 @@ impl AkgMaintainer {
                 .filter(|&n| window.is_stale(keyword_of(n))),
         );
         nodes.sort_unstable();
-        // (Index loop: `nodes` and `deltas` are sibling scratch buffers,
-        // so an iterator over one would pin the borrow across the push
-        // into the other.)
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`nodes` and `deltas` are sibling scratch buffers; an iterator would pin the borrow"
+        )]
         for i in 0..nodes.len() {
             self.remove_node(nodes[i], deltas, &mut stats);
         }
@@ -832,7 +861,10 @@ impl AkgMaintainer {
         nodes.clear();
         nodes.extend(self.graph.nodes().filter(|&n| self.graph.degree(n) == 0));
         nodes.sort_unstable();
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`nodes` and `deltas` are sibling scratch buffers; an iterator would pin the borrow"
+        )]
         for i in 0..nodes.len() {
             let node = nodes[i];
             let keyword = keyword_of(node);

@@ -37,7 +37,10 @@ pub fn offline_bc_clusters(graph: &DynamicGraph, scheme: OfflineClusterScheme) -
     let mut make = |edges: Vec<EdgeKey>, clusters: &mut Vec<Cluster>| {
         let edge_set: FxHashSet<EdgeKey> = edges.into_iter().collect();
         let mut nodes: FxHashSet<NodeId> = FxHashSet::default();
-        // lint: allow(L001, deriving a set from a set; membership is order-independent)
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "feeds a set; membership is order-free"
+        )]
         for e in &edge_set {
             nodes.insert(e.0);
             nodes.insert(e.1);

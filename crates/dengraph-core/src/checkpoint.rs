@@ -495,7 +495,6 @@ impl CheckpointJournal {
                 }
                 let mut totals = (0usize, 0usize);
                 let mut prev_seq: Option<u64> = None;
-                // lint: allow(L001, Vec iteration in sequence order — listed is sorted)
                 for (seq, path) in &listed {
                     if prev_seq.is_some_and(|p| *seq != p + 1) {
                         return Err(format!("segment sequence gap: {seq} follows {prev_seq:?}"));

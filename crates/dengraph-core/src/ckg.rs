@@ -52,6 +52,10 @@ impl CkgTracker {
                 entry.insert(k);
             }
         }
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "feeds a set; membership is order-free"
+        )]
         for (_, kws) in per_user {
             let mut sorted: Vec<KeywordId> = kws.into_iter().collect();
             sorted.sort_unstable();
@@ -71,7 +75,7 @@ impl CkgTracker {
     pub fn node_count(&self) -> usize {
         let mut nodes = FxHashSet::default();
         for q in &self.window {
-            // lint: allow(L001, distinct count via set union; the result is order-independent)
+            #[expect(clippy::disallowed_methods, reason = "a distinct count is order-free")]
             nodes.extend(q.nodes.iter().copied());
         }
         nodes.len()
@@ -82,7 +86,7 @@ impl CkgTracker {
     pub fn edge_count(&self) -> usize {
         let mut edges = FxHashSet::default();
         for q in &self.window {
-            // lint: allow(L001, distinct count via set union; the result is order-independent)
+            #[expect(clippy::disallowed_methods, reason = "a distinct count is order-free")]
             edges.extend(q.edges.iter().copied());
         }
         edges.len()

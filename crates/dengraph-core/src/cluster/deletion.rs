@@ -41,15 +41,14 @@ fn repair_cluster(registry: &mut ClusterRegistry, id: ClusterId, quantum: u64) -
     let Some(cluster) = registry.get(id) else {
         return Vec::new();
     };
-    let mut edges: Vec<EdgeKey> = cluster.edges.iter().copied().collect();
-    edges.sort_unstable();
-    let successors: Vec<(FxHashSet<NodeId>, FxHashSet<EdgeKey>)> = scp_edge_groups(&edges)
-        .into_iter()
-        .map(|group| {
-            let nodes = group.iter().flat_map(|e| [e.0, e.1]).collect();
-            (nodes, group.into_iter().collect())
-        })
-        .collect();
+    let successors: Vec<(FxHashSet<NodeId>, FxHashSet<EdgeKey>)> =
+        scp_edge_groups(&cluster.sorted_edges())
+            .into_iter()
+            .map(|group| {
+                let nodes = group.iter().flat_map(|e| [e.0, e.1]).collect();
+                (nodes, group.into_iter().collect())
+            })
+            .collect();
     registry.replace_with(id, successors, quantum)
 }
 
@@ -82,6 +81,7 @@ pub fn node_deletion(registry: &mut ClusterRegistry, n: NodeId, quantum: u64) ->
     let affected = registry.clusters_of_node(n);
     let mut survivors = Vec::new();
     for id in affected {
+        #[expect(clippy::disallowed_methods, reason = "detaching edges is order-free")]
         let incident: Vec<EdgeKey> = registry
             .get(id)
             .map(|c| {

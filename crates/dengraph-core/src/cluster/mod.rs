@@ -42,8 +42,22 @@ pub use registry::ClusterRegistry;
 
 /// Identifier of a cluster.  Ids are never reused within one registry, so
 /// downstream event tracking can rely on them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ClusterId(pub u64);
+
+impl Ord for ClusterId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for ClusterId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl std::fmt::Display for ClusterId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -110,9 +124,19 @@ impl Cluster {
     }
 
     /// Member nodes, sorted (useful for deterministic output and tests).
+    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
     pub fn sorted_nodes(&self) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = self.nodes.iter().copied().collect();
         v.sort();
+        v
+    }
+
+    /// Cluster edges, sorted: the canonical order of the codecs and of
+    /// [`dengraph_graph::scp_edge_groups`].
+    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
+    pub(crate) fn sorted_edges(&self) -> Vec<EdgeKey> {
+        let mut v: Vec<EdgeKey> = self.edges.iter().copied().collect();
+        v.sort_unstable();
         v
     }
 
@@ -120,7 +144,10 @@ impl Cluster {
     /// a cluster from edges alone, or after manually editing the edge set).
     pub fn sync_nodes_to_edges(&mut self) {
         self.nodes.clear();
-        // lint: allow(L001, rebuilding a set from a set; membership is order-independent)
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "feeds a set; membership is order-free"
+        )]
         for e in &self.edges {
             self.nodes.insert(e.0);
             self.nodes.insert(e.1);
@@ -130,6 +157,7 @@ impl Cluster {
     /// Neighbours of `n` along cluster edges, sorted ascending so that
     /// consumers folding floats over them (e.g. [`crate::ranking`]) are
     /// independent of the edge set's hash-iteration order.
+    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
     pub fn cluster_neighbors(&self, n: NodeId) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = self.edges.iter().filter_map(|e| e.other(n)).collect();
         v.sort_unstable();
@@ -144,8 +172,7 @@ impl Cluster {
     /// node fail it (they are two clusters), and so do an edgeless cluster
     /// and a self-loop.
     pub fn satisfies_scp(&self) -> bool {
-        let mut edges: Vec<EdgeKey> = self.edges.iter().copied().collect();
-        edges.sort_unstable();
+        let edges = self.sorted_edges();
         if edges.iter().any(|e| e.0 == e.1) {
             return false;
         }
@@ -159,8 +186,6 @@ impl Encode for Cluster {
     /// quanta) to a [`dengraph_json::Value`].
     fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
-        let mut edges: Vec<EdgeKey> = self.edges.iter().copied().collect();
-        edges.sort_unstable();
         Value::obj([
             ("id", Value::from(self.id.0)),
             (
@@ -170,7 +195,7 @@ impl Encode for Cluster {
             (
                 "edges",
                 Value::arr(
-                    edges
+                    self.sorted_edges()
                         .into_iter()
                         .map(|e| Value::arr([Value::from(e.0 .0), Value::from(e.1 .0)])),
                 ),
@@ -186,8 +211,7 @@ impl Encode for Cluster {
     fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         w.u64(self.id.0);
         w.delta_u32s(self.sorted_nodes().into_iter().map(|n| n.0));
-        let mut edges: Vec<EdgeKey> = self.edges.iter().copied().collect();
-        edges.sort_unstable();
+        let edges = self.sorted_edges();
         w.usize(edges.len());
         let mut prev_a = 0u32;
         for (i, e) in edges.iter().enumerate() {

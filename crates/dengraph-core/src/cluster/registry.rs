@@ -42,8 +42,11 @@ impl ClusterRegistry {
 
     /// Iterates over all live clusters in unspecified (hash) order;
     /// deterministic consumers sort by id (the report path does).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "order-free accessor; consumers sort by id"
+    )]
     pub fn clusters(&self) -> impl Iterator<Item = &Cluster> {
-        // lint: allow(L001, order-free accessor; deterministic consumers sort by cluster id)
         self.clusters.values()
     }
 
@@ -62,6 +65,7 @@ impl ClusterRegistry {
     /// downstream consumer (e.g. the node-deletion repair order, and hence
     /// fresh-id assignment after splits) independent of hash-iteration
     /// order.
+    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
     pub fn clusters_of_node(&self, node: NodeId) -> Vec<ClusterId> {
         let mut ids: Vec<ClusterId> = self
             .node_index
@@ -88,6 +92,11 @@ impl ClusterRegistry {
     /// Inserts a brand-new cluster built from explicit node and edge sets.
     /// Panics (debug assertion) if any edge is already owned by another
     /// cluster — callers must merge first.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "index insertion and an `all` check; both are order-free"
+    )]
     pub fn insert_new(
         &mut self,
         nodes: FxHashSet<NodeId>,
@@ -99,11 +108,9 @@ impl ClusterRegistry {
             edges.iter().all(|e| !self.edge_index.contains_key(e)),
             "edge already owned by another cluster"
         );
-        // lint: allow(L001, index insertion; the resulting maps are order-independent)
         for e in &edges {
             self.edge_index.insert(*e, id);
         }
-        // lint: allow(L001, index insertion; the resulting maps are order-independent)
         for n in &nodes {
             self.node_index.entry(*n).or_default().insert(id);
         }
@@ -113,15 +120,14 @@ impl ClusterRegistry {
     }
 
     /// Removes a cluster entirely, cleaning both indexes.
+    #[expect(clippy::iter_over_hash_type, reason = "index removal is order-free")]
     pub fn remove(&mut self, id: ClusterId) -> Option<Cluster> {
         let cluster = self.clusters.remove(&id)?;
-        // lint: allow(L001, index removal; the resulting maps are order-independent)
         for e in &cluster.edges {
             if self.edge_index.get(e) == Some(&id) {
                 self.edge_index.remove(e);
             }
         }
-        // lint: allow(L001, index removal; the resulting maps are order-independent)
         for n in &cluster.nodes {
             if let Some(set) = self.node_index.get_mut(n) {
                 set.remove(&id);
@@ -146,6 +152,11 @@ impl ClusterRegistry {
     /// that cycle a fresh id before a later cycle merged it into an older
     /// cluster, so the id is used up here as well and every later id lands
     /// where the chain put it.
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "index re-pointing is order-free"
+    )]
+    #[expect(clippy::expect_used, reason = "touched ids come from the edge index")]
     pub fn absorb(
         &mut self,
         new_nodes: &[NodeId],
@@ -176,11 +187,9 @@ impl ClusterRegistry {
             .expect("touched cluster exists");
         for &cid in merged_away {
             let merged = self.clusters.remove(&cid).expect("touched cluster exists");
-            // lint: allow(L001, index re-pointing; the resulting maps are order-independent)
             for e in &merged.edges {
                 self.edge_index.insert(*e, target);
             }
-            // lint: allow(L001, index re-pointing; the resulting maps are order-independent)
             for n in &merged.nodes {
                 let ids = self.node_index.get_mut(n).expect("member node is indexed");
                 ids.remove(&cid);
@@ -210,6 +219,11 @@ impl ClusterRegistry {
     /// as the reference the one-merge EdgeAddition must match: remove
     /// every touched cluster, then re-index the union under the oldest id.
     #[cfg(test)]
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "ids are sorted; index insertion is order-free"
+    )]
     pub(crate) fn absorb_rebuilding(
         &mut self,
         nodes: FxHashSet<NodeId>,
@@ -252,6 +266,7 @@ impl ClusterRegistry {
     /// deletion repair when a cluster shrinks, splits or dissolves).  The
     /// first successor keeps the original id (so long-running events keep a
     /// stable identity across shrinking); the rest get fresh ids.
+    #[expect(clippy::iter_over_hash_type, reason = "index insertion is order-free")]
     pub fn replace_with(
         &mut self,
         id: ClusterId,
@@ -266,11 +281,9 @@ impl ClusterRegistry {
                 continue;
             }
             let new_id = if i == 0 { id } else { self.fresh_id() };
-            // lint: allow(L001, index insertion; the resulting maps are order-independent)
             for e in &edges {
                 self.edge_index.insert(*e, new_id);
             }
-            // lint: allow(L001, index insertion; the resulting maps are order-independent)
             for n in &nodes {
                 self.node_index.entry(*n).or_default().insert(new_id);
             }
@@ -318,10 +331,13 @@ impl ClusterRegistry {
     /// check debug builds assert after every quantum: every restored
     /// cluster is one SCP cluster, and a fresh id can never collide with a
     /// live one.
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "index rebuild; a duplicate edge is rejected in any order"
+    )]
     fn from_parts(next_id: u64, clusters: Vec<Cluster>) -> dengraph_json::Result<Self> {
         let mut registry = Self::new();
         for cluster in clusters {
-            // lint: allow(L001, index rebuild; duplicate-edge rejection fires regardless of order)
             for e in &cluster.edges {
                 if registry.edge_index.insert(*e, cluster.id).is_some() {
                     return Err(dengraph_json::JsonError {
@@ -330,7 +346,6 @@ impl ClusterRegistry {
                     });
                 }
             }
-            // lint: allow(L001, index rebuild; the resulting maps are order-independent)
             for n in &cluster.nodes {
                 registry
                     .node_index
@@ -360,8 +375,12 @@ impl ClusterRegistry {
     /// `next_id` strictly above every live id so fresh ids can never
     /// collide.  Both decoders end with it, so every restore runs it;
     /// debug builds also assert it after every quantum.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "validation walk; pass/fail is order-independent"
+    )]
     pub fn check_invariants(&self) -> Result<(), String> {
-        // lint: allow(L001, validation max-fold; max is order-independent)
         if let Some(max_id) = self.clusters.keys().max() {
             if self.next_id <= max_id.0 {
                 return Err(format!(
@@ -370,7 +389,6 @@ impl ClusterRegistry {
                 ));
             }
         }
-        // lint: allow(L001, validation walk; pass/fail is order-independent and the first error reported is not part of the output contract)
         for (id, c) in &self.clusters {
             if c.nodes.len() < 3 {
                 return Err(format!("cluster {id} has fewer than 3 nodes"));
@@ -378,26 +396,22 @@ impl ClusterRegistry {
             if !c.satisfies_scp() {
                 return Err(format!("cluster {id} violates the short-cycle property"));
             }
-            // lint: allow(L001, validation walk; pass/fail is order-independent)
             for e in &c.edges {
                 if self.edge_index.get(e) != Some(id) {
                     return Err(format!("edge {e:?} of cluster {id} not indexed to it"));
                 }
             }
-            // lint: allow(L001, validation walk; pass/fail is order-independent)
             for n in &c.nodes {
                 if !self.node_index.get(n).is_some_and(|s| s.contains(id)) {
                     return Err(format!("node {n} of cluster {id} missing from node index"));
                 }
             }
         }
-        // lint: allow(L001, validation walk; pass/fail is order-independent)
         for (e, id) in &self.edge_index {
             if !self.clusters.get(id).is_some_and(|c| c.edges.contains(e)) {
                 return Err(format!("edge index entry {e:?} -> {id} is dangling"));
             }
         }
-        // lint: allow(L001, validation walk; pass/fail is order-independent)
         for (n, ids) in &self.node_index {
             for id in ids {
                 if !self.clusters.get(id).is_some_and(|c| c.nodes.contains(n)) {
@@ -415,6 +429,7 @@ impl Encode for ClusterRegistry {
     /// rebuilt by [`Self::from_json`].
     fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut ids: Vec<ClusterId> = self.clusters.keys().copied().collect();
         ids.sort_unstable();
         Value::obj([
@@ -430,6 +445,7 @@ impl Encode for ClusterRegistry {
     /// live cluster, sorted by id.
     fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         w.u64(self.next_id);
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut ids: Vec<ClusterId> = self.clusters.keys().copied().collect();
         ids.sort_unstable();
         w.usize(ids.len());

@@ -391,6 +391,7 @@ impl EventDetector {
         // 2. AKG maintenance.  The hysteresis callback consults the cluster
         //    registry as it stood at the end of the previous quantum.
         let registry = &self.clusters;
+        #[expect(clippy::expect_used, reason = "a record was just pushed")]
         let record = self.window.current().expect("record was just pushed");
         self.akg.process_quantum_into(
             record,
@@ -411,8 +412,11 @@ impl EventDetector {
         }
 
         #[cfg(feature = "invariants")]
+        #[expect(
+            clippy::panic,
+            reason = "the invariants feature fails loudly on corrupt state"
+        )]
         if let Err(e) = self.validate_invariants() {
-            // lint: allow(L002, the invariants feature exists to fail loudly the moment state corrupts; it is never enabled in production builds)
             panic!("invariant violated after quantum {quantum}: {e}");
         }
 
@@ -712,6 +716,7 @@ impl EventDetector {
         summary: &QuantumSummary,
         w: &mut dengraph_json::BinWriter,
     ) {
+        #[expect(clippy::expect_used, reason = "a quantum was just processed")]
         let record = self.window.current().expect("a quantum was just processed");
         debug_assert_eq!(record.index, summary.quantum, "summary is stale");
         crate::checkpoint::DeltaRecordView {

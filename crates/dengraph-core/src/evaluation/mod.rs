@@ -61,6 +61,10 @@ pub struct DetectorRunReport {
 
 /// Runs the streaming detector over `trace` and scores it.
 pub fn run_detector_on_trace(trace: &Trace, config: &DetectorConfig) -> DetectorRunReport {
+    #[expect(
+        clippy::expect_used,
+        reason = "evaluation configs are validated upstream"
+    )]
     let mut detector = DetectorBuilder::from_config(config.clone())
         .interner(trace.interner.clone())
         .build()
@@ -117,6 +121,10 @@ pub struct GroundTruthReport {
 /// Runs the detector over a ground-truth style trace and reproduces the
 /// structure of the Section 7.1 study.
 pub fn ground_truth_report(trace: &Trace, config: &DetectorConfig) -> GroundTruthReport {
+    #[expect(
+        clippy::expect_used,
+        reason = "evaluation configs are validated upstream"
+    )]
     let mut detector = DetectorBuilder::from_config(config.clone())
         .interner(trace.interner.clone())
         .build()

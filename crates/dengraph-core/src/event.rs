@@ -430,6 +430,7 @@ impl EventTracker {
 
     /// All event records, in order of first appearance.
     pub fn records(&self) -> Vec<&EventRecord> {
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut v: Vec<&EventRecord> = self.records.values().collect();
         v.sort_by_key(|r| (r.first_seen, r.cluster_id));
         v
@@ -463,6 +464,7 @@ impl Encode for EventTracker {
     /// Serialises every record, ordered by cluster id for a canonical
     /// encoding.
     fn to_json(&self) -> Value {
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut ids: Vec<ClusterId> = self.records.keys().copied().collect();
         ids.sort_unstable();
         Value::obj([(
@@ -474,6 +476,7 @@ impl Encode for EventTracker {
     /// Appends the compact binary encoding: every record, ordered by
     /// cluster id.
     fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut records: Vec<(&ClusterId, &EventRecord)> = self.records.iter().collect();
         records.sort_unstable_by_key(|&(id, _)| *id);
         w.usize(records.len());

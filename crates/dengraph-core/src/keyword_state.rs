@@ -947,6 +947,7 @@ impl WindowIndex {
                 }
                 self.materialize(idx, sketch_size);
             }
+            #[expect(clippy::expect_used, reason = "materialized above")]
             let entry = self.entries[idx].as_mut().expect("materialized above");
             if fresh {
                 let oldest = stamp.wrapping_sub(past.len() as u32);

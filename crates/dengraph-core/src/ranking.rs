@@ -64,7 +64,7 @@ pub(crate) fn rank_and_support<S: NodeSupport>(
     nodes: &mut Vec<NodeId>,
 ) -> (f64, usize) {
     nodes.clear();
-    // lint: allow(L001, collected into a column that is sorted before any use)
+    #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
     nodes.extend(cluster.nodes.iter().copied());
     nodes.sort_unstable();
     if nodes.is_empty() {
@@ -89,8 +89,11 @@ pub(crate) fn rank_and_support<S: NodeSupport>(
 /// Total support of a cluster: the number of distinct users behind its
 /// keywords (upper-bounded here by the sum of per-node supports, which is
 /// what the paper's weight vector uses).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a usize sum is order-independent"
+)]
 pub fn cluster_support<S: NodeSupport>(cluster: &Cluster, support: &S) -> usize {
-    // lint: allow(L001, usize sum is commutative; the result is order-independent)
     cluster.nodes.iter().map(|&n| support.support(n)).sum()
 }
 

@@ -306,6 +306,10 @@ pub struct QuantumNotifications<'a> {
 /// read the sink's state back after (or while) the session runs.  The
 /// mutex is taken **once per processed quantum** (via
 /// [`EventSink::on_quantum_batch`]), not once per notification.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned sink re-raises its holder's panic"
+)]
 impl<S: EventSink> EventSink for Arc<Mutex<S>> {
     fn on_quantum(&mut self, summary: &QuantumSummary) {
         self.lock().expect("sink poisoned").on_quantum(summary);
@@ -444,6 +448,7 @@ impl<W: Write> JsonLinesSink<W> {
     /// Flushes and unwraps the inner writer, surfacing the latched error
     /// (or the final flush's) instead of discarding it — the "did every
     /// line reach the destination?" exit path.
+    #[expect(clippy::expect_used, reason = "the writer is present until close")]
     pub fn close(mut self) -> io::Result<W> {
         let mut writer = self.writer.take().expect("writer present until close");
         let flushed = writer.flush();
@@ -458,6 +463,7 @@ impl<W: Write> JsonLinesSink<W> {
     /// Unwraps the inner writer, flushing buffered lines first.  Any
     /// latched delivery error is debug-logged on drop; use
     /// [`Self::close`] to receive it instead.
+    #[expect(clippy::expect_used, reason = "the writer is present until into_inner")]
     pub fn into_inner(mut self) -> W {
         self.flush();
         let writer = self.writer.take().expect("writer present until into_inner");
@@ -1042,6 +1048,7 @@ impl DetectorSession {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "builds a set from a set")]
 mod tests {
     use super::*;
     use crate::config::ConfigError;

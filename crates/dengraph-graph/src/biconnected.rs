@@ -46,6 +46,10 @@ impl<'g> LowLink<'g> {
     }
 
     /// Iterative DFS from `root`.
+    #[expect(
+        clippy::expect_used,
+        reason = "a node's index and low entry precede its frame"
+    )]
     fn run_from(&mut self, root: NodeId) {
         if self.index.contains_key(&root) {
             return;

@@ -20,8 +20,22 @@ use crate::fxhash::FxHashMap;
 use crate::node::NodeId;
 
 /// A normalised (smaller id first) undirected edge key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeKey(pub NodeId, pub NodeId);
+
+impl Ord for EdgeKey {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.0, self.1).cmp(&(other.0, other.1))
+    }
+}
+
+impl PartialOrd for EdgeKey {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl EdgeKey {
     /// Builds a normalised key from two endpoints (in any order).
@@ -102,6 +116,10 @@ impl DynamicGraph {
 
     /// Adds (or updates) an undirected edge with the given weight.
     /// Endpoints are created if missing.  Returns `true` if the edge is new.
+    #[expect(
+        clippy::expect_used,
+        reason = "both endpoints were added by the `add_node` calls above"
+    )]
     pub fn add_edge(&mut self, a: NodeId, b: NodeId, weight: f64) -> bool {
         assert_ne!(a, b, "self-loops are not allowed in the keyword graph");
         self.add_node(a);
@@ -237,16 +255,22 @@ impl DynamicGraph {
 
     /// Iterates over all node ids in unspecified (hash) order; callers
     /// that need determinism sort, as `to_json` does.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "order-free accessor; deterministic consumers collect and sort"
+    )]
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        // lint: allow(L001, order-free accessor; deterministic consumers collect and sort)
         self.adj.keys().copied()
     }
 
     /// Iterates over all edges as normalised keys with weights, in
     /// unspecified (hash) order.  Each undirected edge is yielded exactly
     /// once; callers that need determinism sort, as `to_json` does.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "order-free accessor; deterministic consumers collect and sort"
+    )]
     pub fn edges(&self) -> impl Iterator<Item = (EdgeKey, f64)> + '_ {
-        // lint: allow(L001, order-free accessor; deterministic consumers collect and sort)
         self.adj.iter().flat_map(|(&a, nbrs)| {
             nbrs.iter()
                 .filter(move |&&(b, _)| a <= b)
@@ -270,9 +294,12 @@ impl DynamicGraph {
     /// it at quantum boundaries under the `invariants` feature of
     /// `dengraph-core`.  Cost is `O(V + E log d)`, so it is not meant for
     /// per-message use.
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "validation walk; pass/fail is order-independent"
+    )]
     pub fn validate_invariants(&self) -> Result<(), String> {
         let mut degree_sum = 0usize;
-        // lint: allow(L001, validation walk; pass/fail is order-independent)
         for (&a, nbrs) in &self.adj {
             degree_sum += nbrs.len();
             let mut prev: Option<NodeId> = None;

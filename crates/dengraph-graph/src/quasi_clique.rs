@@ -22,6 +22,7 @@ pub fn is_gamma_quasi_clique(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>, ga
         return true;
     }
     let required = (gamma * (n as f64 - 1.0)).ceil() as usize;
+    #[expect(clippy::disallowed_methods, reason = "`all` is order-independent")]
     nodes.iter().all(|&u| {
         let deg_in = graph.neighbors(u).filter(|v| nodes.contains(v)).count();
         deg_in >= required
@@ -50,7 +51,10 @@ pub fn density(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> f64 {
 /// Number of edges with both endpoints in `nodes`.
 fn count_internal_edges(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> usize {
     let mut count = 0;
-    // lint: allow(L001, usize count is commutative; the result is order-independent)
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "a usize count is order-independent"
+    )]
     for &u in nodes {
         for v in graph.neighbors(u) {
             if u < v && nodes.contains(&v) {
@@ -70,7 +74,11 @@ pub fn diameter(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> Option<usize
         return None;
     }
     let mut max_dist = 0usize;
-    // lint: allow(L001, max over usize BFS depths is order-independent)
+    #[expect(
+        clippy::iter_over_hash_type,
+        clippy::disallowed_methods,
+        reason = "a max over BFS depths is order-independent"
+    )]
     for &start in nodes {
         // BFS within the node set.
         let mut dist: crate::fxhash::FxHashMap<NodeId, usize> = crate::fxhash::FxHashMap::default();

@@ -164,6 +164,11 @@ pub fn scp_clusters_global(graph: &DynamicGraph) -> Vec<ScpCluster> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    clippy::iter_over_hash_type,
+    reason = "reference checks whose verdicts and sorted groups are order-free"
+)]
 mod tests {
     use super::*;
     use crate::fxhash::{FxHashMap, FxHashSet};
@@ -199,7 +204,6 @@ mod tests {
         let inside = |u: NodeId| -> Vec<NodeId> {
             graph.neighbors(u).filter(|v| nodes.contains(v)).collect()
         };
-        // lint: allow(L001, universally-quantified boolean check; the result is order-independent)
         nodes.iter().all(|&a| {
             let na = inside(a);
             na.iter().filter(|&&b| a < b).all(|&b| {
@@ -270,7 +274,6 @@ mod tests {
                     on_cycle[e_bc] = true;
                 }
                 // 4-cycles a–b–d–c–a.
-                // lint: allow(L001, union-find partitions are order-independent and groups are canonically sorted before return)
                 for &d in &b_neighbors {
                     if d != c && graph.contains_edge(c, d) {
                         let e_ac = index[&EdgeKey::new(a, c)];

@@ -272,6 +272,7 @@ impl<'a> BinReader<'a> {
     }
 
     /// Reads an `f64` from its 8 raw little-endian bytes.
+    #[expect(clippy::expect_used, reason = "`take(8)` returns exactly 8 bytes")]
     pub fn f64(&mut self) -> Result<f64> {
         let bytes = self.take(8)?;
         Ok(f64::from_bits(u64::from_le_bytes(

@@ -97,7 +97,10 @@ pub struct Crc32 {
 
 impl Crc32 {
     /// Starts a fresh checksum.
-    #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::new_without_default,
+        reason = "a checksum's start is named, not defaulted"
+    )]
     pub fn new() -> Self {
         Self { state: 0xFFFF_FFFF }
     }
@@ -151,6 +154,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 ///
 /// If the payload exceeds `u32::MAX` bytes (a frame that large could
 /// never be validated in one read and has no legitimate producer here).
+#[expect(clippy::expect_used, reason = "the documented panic above")]
 pub fn frame_header(tag: u8, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
     let len = u32::try_from(payload.len()).expect("frame payload exceeds u32::MAX bytes");
     let mut crc = Crc32::new();
@@ -270,6 +274,7 @@ impl<'a> FrameScanner<'a> {
     /// Validates and returns the next frame.  After [`FrameEvent::Torn`]
     /// the scanner does not advance: repeated calls return the same
     /// event.
+    #[expect(clippy::expect_used, reason = "the header's length is checked first")]
     pub fn next_frame(&mut self) -> FrameEvent<'a> {
         let remaining = &self.bytes[self.pos..];
         if remaining.is_empty() {

@@ -104,6 +104,7 @@ const HASH_BYTES: u32 = 6;
 /// stride by one byte.
 const SKIP_TRIGGER: u32 = 6;
 
+#[expect(clippy::expect_used, reason = "a four-byte slice converts to [u8; 4]")]
 fn read_u32(input: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(
         input[at..at + 4]
@@ -112,6 +113,10 @@ fn read_u32(input: &[u8], at: usize) -> u32 {
     )
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "an eight-byte slice converts to [u8; 8]"
+)]
 fn read_u64(input: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(
         input[at..at + 8]

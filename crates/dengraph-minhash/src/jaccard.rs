@@ -15,8 +15,7 @@ pub fn exact_jaccard<T: Eq + Hash, S: BuildHasher>(a: &HashSet<T, S>, b: &HashSe
     if a.is_empty() && b.is_empty() {
         return 0.0;
     }
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let inter = small.iter().filter(|x| large.contains(*x)).count();
+    let inter = a.intersection(b).count();
     let union = a.len() + b.len() - inter;
     inter as f64 / union as f64
 }

@@ -226,6 +226,10 @@ impl Decode for MinHashSketch {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sketches are order-free in their input ids"
+)]
 mod tests {
     use super::*;
     use crate::jaccard::exact_jaccard;

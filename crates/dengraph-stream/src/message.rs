@@ -7,8 +7,22 @@ use dengraph_text::KeywordId;
 /// The paper computes edge correlation over *user* ids rather than message
 /// ids "so as to avoid the case of a single user flooding the same message
 /// multiple times" (Section 3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UserId(pub u64);
+
+impl Ord for UserId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for UserId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl UserId {
     /// Returns the raw id.

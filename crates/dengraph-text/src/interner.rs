@@ -18,8 +18,22 @@ use std::ops::Range;
 ///
 /// Ids are dense (`0..len`) and never reused within one interner, so they
 /// can index into side tables directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeywordId(pub u32);
+
+impl Ord for KeywordId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for KeywordId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl KeywordId {
     /// Returns the id as a `usize` index.
@@ -39,7 +53,7 @@ impl std::fmt::Display for KeywordId {
 /// handle).  Ids are dense (`0..len`) and never reused within one
 /// interner, so they slot directly into the stream layer's `UserId`
 /// newtype and index side tables without hashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UserSym(pub u64);
 
 impl UserSym {
@@ -155,6 +169,10 @@ impl<I: Symbol> Interner<I> {
 
     /// Interns `word`, returning its stable id.  Repeated calls with the
     /// same word return the same id.
+    #[expect(
+        clippy::expect_used,
+        reason = "ids and arena ends are u32 and must not wrap"
+    )]
     pub fn intern(&mut self, word: &str) -> I {
         let tag = self.tag(word);
         let at = match self.probe(word, tag) {

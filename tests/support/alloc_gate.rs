@@ -3,7 +3,7 @@
 //! and the steady-state stream shape.  Each is its own binary with exactly
 //! one test, so no concurrent test thread can pollute the counters.  Each
 //! binary uses part of this file.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each binary uses part of this file")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -27,6 +27,9 @@ fn track(delta: i64) {
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
 }
 
+// SAFETY: every method delegates to `System` with the caller's arguments
+// unchanged; the counters are atomics and never touch the allocation.
+#[expect(unsafe_code, reason = "a counting global allocator is an unsafe impl")]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
