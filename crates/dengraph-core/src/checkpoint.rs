@@ -9,9 +9,9 @@
 //! * a [`DeltaRecord`] captures one quantum's state transition — the
 //!   pushed [`QuantumRecord`], the AKG [`GraphDelta`] log, the quantum's
 //!   AKG statistics and the reported events (the tracker updates);
-//! * a [`CheckpointJournal`] is an append-only frame log: full snapshots
-//!   as rebase points, a snapshot after every `rebase_every` delta
-//!   records;
+//! * a [`CheckpointJournal`] is an append-only frame log in the segment
+//!   files of [`crate::wal`]: full snapshots as rebase points, a snapshot
+//!   after every `rebase_every` delta records;
 //! * restore finds the latest snapshot and **replays** the journal-tail
 //!   deltas on top of it.
 //!
@@ -48,9 +48,8 @@
 //!
 //! Snapshot payloads are complete binary checkpoint documents; delta
 //! payloads are binary [`DeltaRecord`]s.  The journal frame layout is
-//! the checksummed fixed-width framing of [`dengraph_json::frame`] —
-//! the same byte stream whether the journal lives in memory or in the
-//! segment files of [`crate::wal`] — and restoring a journal *recovers*:
+//! the checksummed fixed-width framing of [`dengraph_json::frame`], and
+//! restoring a journal *recovers*:
 //! a torn tail (truncated or corrupt final frames, e.g. from a crash
 //! mid-append) rolls back to the last fully-durable quantum instead of
 //! failing the restore.
@@ -63,7 +62,7 @@
 //! the journal owns its buffers and moves each byte once: the state is
 //! encoded into a reused body buffer, packed straight into a reused
 //! frame buffer behind nine reserved header bytes, checksummed, and
-//! handed to the backend as **one** write.  A delta record is encoded
+//! handed to the segment file as **one** write.  A delta record is encoded
 //! directly behind the reserved bytes.  After the first rebase no frame
 //! allocates (`tests/allocation_gate_durable.rs`).
 //!
@@ -285,25 +284,13 @@ pub(crate) fn decode_checkpoint_document(bytes: &[u8]) -> Result<EventDetector, 
 // Journal
 // ---------------------------------------------------------------------------
 
-/// Where a [`CheckpointJournal`]'s frames go.
-#[derive(Debug)]
-enum JournalBackend {
-    /// The in-memory byte log, segment header first (tests, and callers
-    /// that ship the bytes to their own storage).
-    Memory(Vec<u8>),
-    /// The durable on-disk backend: rotating, compacting segment files.
-    Durable(SegmentedJournal),
-}
-
 /// An append-only checkpoint journal: snapshot frames as rebase points,
 /// [`DeltaRecord`] frames between them.
 ///
 /// Owned by a [`DetectorSession`](crate::session::DetectorSession) once
-/// [`enable_journal`](crate::session::DetectorSession::enable_journal)
-/// (in-memory byte log, [`Self::memory_bytes`]) or
 /// [`enable_durable_journal`](crate::session::DetectorSession::enable_durable_journal)
-/// (file-backed write-ahead log) is called; one frame is appended per
-/// processed quantum.
+/// is called; one frame is appended per processed quantum to the
+/// rotating, compacting segment files of its directory.
 ///
 /// Durable appends can fail.  Because they run inside the infallible
 /// per-quantum hot path, the first I/O error is latched
@@ -314,7 +301,7 @@ enum JournalBackend {
 pub struct CheckpointJournal {
     /// Delta frames between consecutive snapshot rebase points (≥ 1).
     rebase_every: u32,
-    backend: JournalBackend,
+    segments: SegmentedJournal,
     /// First append/sync failure, latched; all later appends are skipped.
     io_error: Option<io::Error>,
     deltas_since_snapshot: u32,
@@ -336,10 +323,7 @@ impl std::fmt::Debug for CheckpointJournal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CheckpointJournal")
             .field("rebase_every", &self.rebase_every)
-            .field(
-                "durable",
-                &matches!(self.backend, JournalBackend::Durable(_)),
-            )
+            .field("dir", &self.segments.dir())
             .field("io_error", &self.io_error)
             .field("snapshot_frames", &self.snapshot_frames)
             .field("delta_frames", &self.delta_frames)
@@ -348,21 +332,20 @@ impl std::fmt::Debug for CheckpointJournal {
 }
 
 impl CheckpointJournal {
-    /// Creates an empty in-memory journal.  Only
-    /// [`DetectorSession::enable_journal`] constructs journals — it
-    /// immediately writes the initial rebase snapshot, without which a
-    /// journal cannot be restored.
-    ///
-    /// [`DetectorSession::enable_journal`]: crate::session::DetectorSession::enable_journal
-    pub(crate) fn memory(rebase_every: u32) -> Self {
-        Self::over(rebase_every, JournalBackend::Memory(wal::segment_header()))
-    }
-
-    /// An empty journal over `backend`; `rebase_every` is clamped to ≥ 1.
-    fn over(rebase_every: u32, backend: JournalBackend) -> Self {
-        Self {
-            rebase_every: rebase_every.max(1),
-            backend,
+    /// Opens a journal under `dir` and writes (and always fsyncs) the
+    /// initial rebase snapshot of `detector`, without which a journal
+    /// cannot be restored, then compacts any segments left behind by
+    /// previous journal incarnations in the same directory — startup
+    /// compaction is safe precisely because the fresh snapshot is already
+    /// durable.  `config.rebase_every` is clamped to ≥ 1.
+    pub(crate) fn open(
+        dir: &Path,
+        config: DurableJournalConfig,
+        detector: &EventDetector,
+    ) -> io::Result<Self> {
+        let mut journal = Self {
+            rebase_every: config.rebase_every.max(1),
+            segments: SegmentedJournal::create(dir, config.fsync, config.segment_bytes)?,
             io_error: None,
             deltas_since_snapshot: 0,
             snapshot_frames: 0,
@@ -372,34 +355,10 @@ impl CheckpointJournal {
             body: BinWriter::new(),
             frame: Vec::new(),
             codec: BlockEncoder::new(),
-        }
-    }
-
-    /// Opens a durable journal under `dir` and writes (and always
-    /// fsyncs) the initial rebase snapshot of `detector`, then compacts
-    /// any segments left behind by previous journal incarnations in the
-    /// same directory — startup compaction is safe precisely because the
-    /// fresh snapshot is already durable.
-    pub(crate) fn open_durable(
-        dir: &Path,
-        config: DurableJournalConfig,
-        detector: &EventDetector,
-    ) -> io::Result<Self> {
-        let segments = SegmentedJournal::create(dir, config.fsync, config.segment_bytes)?;
-        let mut journal = Self::over(config.rebase_every, JournalBackend::Durable(segments));
-        journal.append_snapshot_inner(detector)?;
+        };
+        journal.append_snapshot(detector)?;
         journal.sync()?;
         Ok(journal)
-    }
-
-    /// The in-memory byte log — header plus every frame appended so far
-    /// (`None` for a durable journal, whose bytes live in its segment
-    /// files).
-    pub fn memory_bytes(&self) -> Option<&[u8]> {
-        match &self.backend {
-            JournalBackend::Memory(log) => Some(log),
-            JournalBackend::Durable(_) => None,
-        }
     }
 
     /// The first append/sync I/O failure, if any.  Once set, the journal
@@ -415,16 +374,12 @@ impl CheckpointJournal {
     /// durable, every segment behind it is deleted.  This is the only
     /// point at which a running [`FsyncPolicy::Never`] journal sheds its
     /// dead segments (the policies that sync also compact at every
-    /// rebase).  A no-op for in-memory journals.  Returns the latched
-    /// error if the journal already failed.
+    /// rebase).  Returns the latched error if the journal already failed.
     pub fn sync(&mut self) -> io::Result<()> {
         if let Some(e) = &self.io_error {
             return Err(io::Error::new(e.kind(), e.to_string()));
         }
-        let result = match &mut self.backend {
-            JournalBackend::Memory(_) => Ok(()),
-            JournalBackend::Durable(segments) => sync_and_compact(segments),
-        };
+        let result = sync_and_compact(&mut self.segments);
         if let Err(e) = &result {
             self.io_error = Some(io::Error::new(e.kind(), e.to_string()));
         }
@@ -463,61 +418,46 @@ impl CheckpointJournal {
     /// crashed), delta payloads decode and carry strictly increasing
     /// quantum numbers, and at least one snapshot rebase point exists so
     /// the journal is restorable.  O(journal size) — a validation aid
-    /// (the `invariants` feature wires it into quantum boundaries), not
-    /// a hot-path check.
+    /// that runs only when called (the `invariants` feature checks the
+    /// detector after every quantum, never the journal), not a hot-path
+    /// check.
     pub fn validate_invariants(&self) -> Result<(), String> {
         if let Some(e) = &self.io_error {
             return Err(format!("journal latched an I/O error: {e}"));
         }
+        let segments = &self.segments;
+        let listed = wal::list_segments(segments.dir())
+            .map_err(|e| format!("cannot list journal segments: {e}"))?;
+        if listed.last().map(|&(seq, _)| seq) != Some(segments.current_seq()) {
+            return Err(format!(
+                "live segment {} is not the newest on disk ({:?})",
+                segments.current_seq(),
+                listed.last().map(|&(seq, _)| seq)
+            ));
+        }
         let mut last_quantum: Option<u64> = None;
-        let (snapshots, deltas) = match &self.backend {
-            JournalBackend::Memory(log) => {
-                let counts = validate_segment_frames(log, &mut last_quantum, "log")?;
-                // The in-memory log is never compacted, so the frame
-                // counters must match the bytes exactly.
-                if counts != (self.snapshot_frames, self.delta_frames) {
-                    return Err(format!(
-                        "byte log holds {counts:?} (snapshot, delta) frames but the counters say ({}, {})",
-                        self.snapshot_frames, self.delta_frames
-                    ));
-                }
-                counts
+        let (mut snapshots, mut deltas) = (0usize, 0usize);
+        let mut prev_seq: Option<u64> = None;
+        for (seq, path) in &listed {
+            if prev_seq.is_some_and(|p| *seq != p + 1) {
+                return Err(format!("segment sequence gap: {seq} follows {prev_seq:?}"));
             }
-            JournalBackend::Durable(segments) => {
-                let listed = wal::list_segments(segments.dir())
-                    .map_err(|e| format!("cannot list journal segments: {e}"))?;
-                if listed.last().map(|&(seq, _)| seq) != Some(segments.current_seq()) {
-                    return Err(format!(
-                        "live segment {} is not the newest on disk ({:?})",
-                        segments.current_seq(),
-                        listed.last().map(|&(seq, _)| seq)
-                    ));
-                }
-                let mut totals = (0usize, 0usize);
-                let mut prev_seq: Option<u64> = None;
-                for (seq, path) in &listed {
-                    if prev_seq.is_some_and(|p| *seq != p + 1) {
-                        return Err(format!("segment sequence gap: {seq} follows {prev_seq:?}"));
-                    }
-                    prev_seq = Some(*seq);
-                    let bytes = std::fs::read(path)
-                        .map_err(|e| format!("cannot read segment {seq}: {e}"))?;
-                    let label = format!("segment {seq}");
-                    let counts = validate_segment_frames(&bytes, &mut last_quantum, &label)?;
-                    totals.0 += counts.0;
-                    totals.1 += counts.1;
-                }
-                // Compaction drops whole old segments, so the on-disk
-                // counts can only be at or below the lifetime counters.
-                if totals.0 > self.snapshot_frames || totals.1 > self.delta_frames {
-                    return Err(format!(
-                        "disk holds {totals:?} (snapshot, delta) frames but only ({}, {}) were ever written",
-                        self.snapshot_frames, self.delta_frames
-                    ));
-                }
-                totals
-            }
-        };
+            prev_seq = Some(*seq);
+            let bytes =
+                std::fs::read(path).map_err(|e| format!("cannot read segment {seq}: {e}"))?;
+            let label = format!("segment {seq}");
+            let counts = validate_segment_frames(&bytes, &mut last_quantum, &label)?;
+            snapshots += counts.0;
+            deltas += counts.1;
+        }
+        // Compaction drops whole old segments, so the on-disk counts can
+        // only be at or below the lifetime counters.
+        if snapshots > self.snapshot_frames || deltas > self.delta_frames {
+            return Err(format!(
+                "disk holds ({snapshots}, {deltas}) (snapshot, delta) frames but only ({}, {}) were ever written",
+                self.snapshot_frames, self.delta_frames
+            ));
+        }
         if snapshots == 0 {
             return Err(format!(
                 "journal holds {deltas} delta frames but no snapshot rebase point"
@@ -531,16 +471,13 @@ impl CheckpointJournal {
     /// payload length.
     fn push_frame(&mut self, tag: u8) -> io::Result<usize> {
         finish_frame(tag, &mut self.frame);
-        match &mut self.backend {
-            JournalBackend::Memory(log) => log.extend_from_slice(&self.frame),
-            JournalBackend::Durable(segments) => segments.append_assembled(&self.frame)?,
-        }
+        self.segments.append_assembled(&self.frame)?;
         Ok(self.frame.len() - FRAME_HEADER_LEN)
     }
 
     /// Appends a full-snapshot rebase frame.  The statistics counters
     /// update only when the frame actually reached the log.
-    fn append_snapshot_inner(&mut self, detector: &EventDetector) -> io::Result<()> {
+    fn append_snapshot(&mut self, detector: &EventDetector) -> io::Result<()> {
         begin_frame(&mut self.frame);
         self.body.clear();
         detector.to_bin(&mut self.body);
@@ -549,18 +486,6 @@ impl CheckpointJournal {
         self.snapshot_frames += 1;
         self.deltas_since_snapshot = 0;
         Ok(())
-    }
-
-    /// Infallible wrapper over [`Self::append_snapshot_inner`] for the
-    /// in-memory enable path; latches I/O failures like
-    /// [`Self::record_quantum`].
-    pub(crate) fn append_snapshot(&mut self, detector: &EventDetector) {
-        if self.io_error.is_some() {
-            return;
-        }
-        if let Err(e) = self.append_snapshot_inner(detector) {
-            self.io_error = Some(e);
-        }
     }
 
     /// Appends one processed quantum: a delta record, or a snapshot once
@@ -584,15 +509,13 @@ impl CheckpointJournal {
         summary: &QuantumSummary,
     ) -> io::Result<()> {
         if self.deltas_since_snapshot >= self.rebase_every {
-            self.append_snapshot_inner(detector)?;
+            self.append_snapshot(detector)?;
             // A rebase makes every earlier segment dead weight — but only
             // once the snapshot is durable.  Under `Never` the hot path
             // syncs nothing, so compaction waits for the caller's next
             // explicit [`Self::sync`] (or the next startup).
-            if let JournalBackend::Durable(segments) = &mut self.backend {
-                if segments.fsync() != FsyncPolicy::Never {
-                    sync_and_compact(segments)?;
-                }
+            if self.segments.fsync() != FsyncPolicy::Never {
+                sync_and_compact(&mut self.segments)?;
             }
         } else {
             begin_frame(&mut self.frame);

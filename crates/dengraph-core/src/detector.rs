@@ -16,7 +16,7 @@
 
 use dengraph_json::{Decode, Encode};
 use dengraph_minhash::UserHasher;
-use dengraph_stream::{Message, Quantum};
+use dengraph_stream::Message;
 use dengraph_text::{KeywordId, KeywordInterner, NounHeuristic};
 
 use crate::akg::{keyword_of, node_of, AkgMaintainer, AkgQuantumStats};
@@ -48,10 +48,10 @@ pub struct QuantumSummary {
     /// Number of AKG edges after this quantum.
     pub akg_edges: usize,
     /// The quantum that slid out of the window while processing this one,
-    /// if the window was already full ([`EventSink::on_slide`]
-    /// notifications derive from this).
+    /// if the window was already full (the slide a sink's
+    /// [`QuantumNotifications`] carries).
     ///
-    /// [`EventSink::on_slide`]: crate::session::EventSink::on_slide
+    /// [`QuantumNotifications`]: crate::session::QuantumNotifications
     pub evicted_quantum: Option<u64>,
 }
 
@@ -344,9 +344,16 @@ impl EventDetector {
         summary
     }
 
-    /// Processes one pre-batched quantum.
-    pub fn process_quantum(&mut self, quantum: &Quantum) -> QuantumSummary {
-        self.process_messages(&quantum.messages)
+    /// Processes `messages` as one quantum, ending the current one: any
+    /// messages [`Self::push_message`] left in the buffer come first, in
+    /// stream order, and the quantum holds them plus `messages`.  With an
+    /// empty buffer the slice is processed in place, without a copy.
+    pub fn process_quantum(&mut self, messages: &[Message]) -> QuantumSummary {
+        if self.buffer.is_empty() {
+            return self.process_messages(messages);
+        }
+        self.buffer.extend_from_slice(messages);
+        self.process_buffer()
     }
 
     /// Runs an entire message slice through the detector, batching it into

@@ -148,9 +148,8 @@ pub fn compare_schemes(trace: &Trace, config: &DetectorConfig) -> SchemeComparis
     let mut exact_overlap_hits = 0usize;
     let mut exact_overlap_total = 0usize;
 
-    let quanta = trace.quanta(config.quantum_size);
-    for quantum in &quanta {
-        let record = QuantumRecord::from_messages(quantum.index, &quantum.messages);
+    for (index, messages) in (0u64..).zip(trace.messages.chunks(config.quantum_size.max(1))) {
+        let record = QuantumRecord::from_messages(index, messages);
         window.push(record.clone());
         let registry_probe = &scp_clusters;
         let deltas = akg.process_quantum(&record, &window, |kw| {
@@ -163,7 +162,7 @@ pub fn compare_schemes(trace: &Trace, config: &DetectorConfig) -> SchemeComparis
 
         // --- incremental SCP -------------------------------------------------
         let start = Instant::now();
-        scp_clusters.apply_deltas(akg.graph(), &deltas, quantum.index);
+        scp_clusters.apply_deltas(akg.graph(), &deltas, index);
         let mut scp_snapshot: Vec<(Vec<NodeId>, f64, usize)> = Vec::new();
         for c in scp_clusters.clusters() {
             let rank = cluster_rank(c, akg.graph(), &support);
@@ -189,7 +188,7 @@ pub fn compare_schemes(trace: &Trace, config: &DetectorConfig) -> SchemeComparis
                 .unwrap_or(ClusterId(u64::MAX));
             scp_tracker.observe(&DetectedEvent {
                 cluster_id: id,
-                quantum: quantum.index,
+                quantum: index,
                 keywords,
                 rank: *rank,
                 support: *support_value,
@@ -227,8 +226,8 @@ pub fn compare_schemes(trace: &Trace, config: &DetectorConfig) -> SchemeComparis
         for (nodes, rank, _) in &bce_snapshot {
             bce_quality.add(nodes.len(), *rank);
         }
-        bc_tracker.observe_quantum(&bc_snapshot, quantum.index);
-        bce_tracker.observe_quantum(&bce_snapshot, quantum.index);
+        bc_tracker.observe_quantum(&bc_snapshot, index);
+        bce_tracker.observe_quantum(&bce_snapshot, index);
 
         // --- exact overlap between BC(≥3) clusters and SCP clusters ----------
         for (nodes, _, _) in &bc_snapshot {

@@ -8,21 +8,26 @@
 //! * [`DetectorBuilder`] — fallible, typed construction.  `build()` returns
 //!   `Err(`[`ConfigError`]`)` for every degenerate configuration instead of
 //!   panicking (or worse, hanging) deep inside the pipeline.
-//! * [`EventSink`] — push-based delivery.  Sinks attached to a
-//!   [`DetectorSession`] are notified of every processed quantum, every
-//!   reported event and every window slide, so subscribers no longer poll
-//!   `process_quantum` return values.  [`VecSink`], [`JsonLinesSink`] and
-//!   [`FnSink`] cover the common cases.
+//! * [`EventSink`] — push-based delivery.  Each sink attached to a
+//!   [`DetectorSession`] receives one [`QuantumNotifications`] batch per
+//!   processed quantum (the window slide, the summary and every reported
+//!   event's record), so subscribers no longer poll return values.
+//!   [`VecSink`], [`JsonLinesSink`] and [`FnSink`] cover the common cases.
 //! * Durable state, two ways.  [`DetectorSession::checkpoint_bytes`]
 //!   serialises the *complete* detector state (window records, AKG,
 //!   cluster registry, event tracker, partial message buffer, counters)
 //!   as one standalone document and [`DetectorSession::restore_bytes`]
-//!   resumes it; [`DetectorSession::enable_journal`] /
-//!   [`DetectorSession::enable_durable_journal`] keep a binary journal of
-//!   per-quantum delta frames with a snapshot every `rebase_every`
-//!   deltas, in memory or in a directory.  Either way
+//!   resumes it; [`DetectorSession::enable_durable_journal`] keeps a
+//!   binary write-ahead journal of per-quantum delta frames, with a
+//!   snapshot every `rebase_every` deltas, in a segment directory that
+//!   [`DetectorSession::restore_from_dir`] recovers.  Either way
 //!   restore-then-continue is **bit-identical** to the uninterrupted run
 //!   (`tests/checkpoint_resume.rs` gates this).
+//!
+//! A session takes its input one way: a message at a time through
+//! [`DetectorSession::push_message`], or a whole quantum through
+//! [`DetectorSession::process_quantum`], which ends the quantum the
+//! pushed messages began.
 //!
 //! ```
 //! use dengraph_core::{DetectorBuilder, DetectorSession, VecSink, WireFormat};
@@ -59,7 +64,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use dengraph_json::{JsonError, JsonWriter, WireFormat};
-use dengraph_stream::{Message, Quantum};
+use dengraph_stream::Message;
 use dengraph_text::KeywordInterner;
 
 use crate::checkpoint::{self, CheckpointJournal};
@@ -83,19 +88,8 @@ use crate::wal::{self, DurableJournalConfig, RecoveryReport};
 pub struct DetectorBuilder {
     config: DetectorConfig,
     interner: Option<KeywordInterner>,
-    journal: Option<JournalSpec>,
-}
-
-/// What kind of checkpoint journal [`DetectorBuilder::build`] enables.
-#[derive(Debug, Clone)]
-enum JournalSpec {
-    Memory {
-        rebase_every: u32,
-    },
-    Durable {
-        dir: PathBuf,
-        config: DurableJournalConfig,
-    },
+    /// The directory and configuration of the durable journal to enable.
+    journal: Option<(PathBuf, DurableJournalConfig)>,
 }
 
 impl DetectorBuilder {
@@ -181,14 +175,6 @@ impl DetectorBuilder {
         self
     }
 
-    /// Enables an in-memory checkpoint journal with a snapshot every
-    /// `rebase_every` deltas on the built session — the builder form of
-    /// [`DetectorSession::enable_journal`].
-    pub fn journal(mut self, rebase_every: u32) -> Self {
-        self.journal = Some(JournalSpec::Memory { rebase_every });
-        self
-    }
-
     /// Enables a durable, file-backed write-ahead journal under `dir` on
     /// the built session — the builder form of
     /// [`DetectorSession::enable_durable_journal`].  An I/O failure while
@@ -199,10 +185,7 @@ impl DetectorBuilder {
         dir: impl Into<PathBuf>,
         config: DurableJournalConfig,
     ) -> Self {
-        self.journal = Some(JournalSpec::Durable {
-            dir: dir.into(),
-            config,
-        });
+        self.journal = Some((dir.into(), config));
         self
     }
 
@@ -222,21 +205,11 @@ impl DetectorBuilder {
         if let Some(interner) = self.interner {
             detector = detector.with_interner(interner);
         }
-        let mut session = DetectorSession {
-            detector,
-            sinks: Vec::new(),
-            journal: None,
-        };
-        match self.journal {
-            None => {}
-            Some(JournalSpec::Memory { rebase_every }) => {
-                session.enable_journal(rebase_every);
-            }
-            Some(JournalSpec::Durable { dir, config }) => {
-                session
-                    .enable_durable_journal(&dir, config)
-                    .map_err(|e| ConfigError::Journal(format!("{}: {e}", dir.display())))?;
-            }
+        let mut session = DetectorSession::over(detector);
+        if let Some((dir, config)) = self.journal {
+            session
+                .enable_durable_journal(&dir, config)
+                .map_err(|e| ConfigError::Journal(format!("{}: {e}", dir.display())))?;
         }
         Ok(session)
     }
@@ -248,48 +221,23 @@ impl DetectorBuilder {
 
 /// A push-based subscriber to a [`DetectorSession`].
 ///
-/// All methods have empty default bodies, so implementors override only
-/// what they care about.  Per processed quantum a session calls, in order:
-/// [`Self::on_slide`] (if a quantum slid out of the window),
-/// [`Self::on_quantum`] with the full summary, then [`Self::on_event`] once
-/// per event reported in that quantum — with the *up-to-date long-term
-/// record*, so subscribers see rank history and keyword evolution without
-/// keeping their own state.  That is the in-process contract; what a sink
-/// puts on a wire is its own business ([`JsonLinesSink`] sends only what
-/// the report added, and [`EventLineReader`] rebuilds the records).
+/// A session calls [`Self::on_quantum_batch`] once per processed quantum
+/// with everything the quantum produced: the window slide (if a quantum
+/// left the window), the full summary, and every reported event's
+/// *up-to-date long-term record*, so subscribers see rank history and
+/// keyword evolution without keeping their own state.  One call per
+/// quantum lets a sink that pays a per-call cost (a lock, a syscall, a
+/// network round trip) pay it once per quantum.  That is the in-process
+/// contract; what a sink puts on a wire is its own business
+/// ([`JsonLinesSink`] sends only what the report added, and
+/// [`EventLineReader`] rebuilds the records).
 pub trait EventSink {
-    /// One quantum was processed.
-    fn on_quantum(&mut self, _summary: &QuantumSummary) {}
-
-    /// An event was reported in the quantum just processed.  `record` is
-    /// the event's full history including this report.
-    fn on_event(&mut self, _record: &EventRecord) {}
-
-    /// The window slid past its capacity: quantum `evicted_quantum` just
-    /// left the window of `window_quanta` quanta.
-    fn on_slide(&mut self, _evicted_quantum: u64, _window_quanta: usize) {}
-
-    /// Everything from one processed quantum, delivered in a single call:
-    /// the slide (if any), the summary, and every reported event's
-    /// up-to-date record, in that order.  The default implementation
-    /// fans out to the three fine-grained callbacks, so ordinary sinks
-    /// implement only those; adapters that pay a per-call cost (locks,
-    /// syscalls, network round trips) override this to pay it **once per
-    /// quantum** instead of once per notification.
-    fn on_quantum_batch(&mut self, batch: &QuantumNotifications<'_>) {
-        if let Some(evicted) = batch.evicted_quantum {
-            self.on_slide(evicted, batch.window_quanta);
-        }
-        self.on_quantum(batch.summary);
-        for record in batch.records {
-            self.on_event(record);
-        }
-    }
+    /// Everything from one processed quantum.
+    fn on_quantum_batch(&mut self, batch: &QuantumNotifications<'_>);
 }
 
-/// One quantum's worth of sink notifications, bundled so adapters can
-/// deliver them under a single lock acquisition (see
-/// [`EventSink::on_quantum_batch`]).
+/// One processed quantum's notifications, delivered to every sink in one
+/// [`EventSink::on_quantum_batch`] call.
 pub struct QuantumNotifications<'a> {
     /// The processed quantum's summary.
     pub summary: &'a QuantumSummary,
@@ -304,30 +252,13 @@ pub struct QuantumNotifications<'a> {
 
 /// Shared-ownership adapter: attach an `Arc<Mutex<S>>` and keep a clone to
 /// read the sink's state back after (or while) the session runs.  The
-/// mutex is taken **once per processed quantum** (via
-/// [`EventSink::on_quantum_batch`]), not once per notification.
+/// mutex is taken once per processed quantum.
 #[expect(
     clippy::expect_used,
     reason = "a poisoned sink re-raises its holder's panic"
 )]
 impl<S: EventSink> EventSink for Arc<Mutex<S>> {
-    fn on_quantum(&mut self, summary: &QuantumSummary) {
-        self.lock().expect("sink poisoned").on_quantum(summary);
-    }
-
-    fn on_event(&mut self, record: &EventRecord) {
-        self.lock().expect("sink poisoned").on_event(record);
-    }
-
-    fn on_slide(&mut self, evicted_quantum: u64, window_quanta: usize) {
-        self.lock()
-            .expect("sink poisoned")
-            .on_slide(evicted_quantum, window_quanta);
-    }
-
     fn on_quantum_batch(&mut self, batch: &QuantumNotifications<'_>) {
-        // One lock acquisition for the whole quantum; the inner sink's own
-        // `on_quantum_batch` preserves the slide → quantum → events order.
         self.lock().expect("sink poisoned").on_quantum_batch(batch);
     }
 }
@@ -369,26 +300,23 @@ impl VecSink {
 }
 
 impl EventSink for VecSink {
-    fn on_quantum(&mut self, summary: &QuantumSummary) {
-        self.summaries.push(summary.clone());
-    }
-
-    fn on_event(&mut self, record: &EventRecord) {
-        self.events.push(record.clone());
-    }
-
-    fn on_slide(&mut self, evicted_quantum: u64, _window_quanta: usize) {
-        self.slides.push(evicted_quantum);
+    fn on_quantum_batch(&mut self, batch: &QuantumNotifications<'_>) {
+        self.slides.extend(batch.evicted_quantum);
+        self.summaries.push(batch.summary.clone());
+        self.events
+            .extend(batch.records.iter().map(|&record| record.clone()));
     }
 }
 
 /// Writes one JSON object per notification to any [`Write`] destination
-/// (a file, a socket, a `Vec<u8>` in tests), keys sorted, one line each:
+/// (a file, a socket, a `Vec<u8>` in tests), keys sorted, one line each,
+/// in this order per quantum:
 ///
+/// * `{"evicted_quantum":…,"type":"slide","window_quanta":…}`, if a
+///   quantum left the window;
 /// * `{…,"type":"quantum"}` — the fields of [`QuantumSummary::to_json`];
-/// * `{"evicted_quantum":…,"type":"slide","window_quanta":…}`;
-/// * `{…,"type":"event"}` — the reported event's record **without its
-///   `rank_history`**: every other [`EventRecord`] field, plus `"rank"`
+/// * `{…,"type":"event"}`, one per reported event — its record **without
+///   its `rank_history`**: every other [`EventRecord`] field, plus `"rank"`
 ///   (the point this report appended; its quantum is `last_seen`) and
 ///   `"reports"` (the history's length so far).  A line therefore costs
 ///   O(keywords) however long the event has lived, instead of re-sending
@@ -508,42 +436,30 @@ impl<W: Write> Drop for JsonLinesSink<W> {
 }
 
 impl<W: Write> EventSink for JsonLinesSink<W> {
-    fn on_quantum(&mut self, summary: &QuantumSummary) {
+    /// Writes slide → quantum → events, then flushes once for the whole
+    /// quantum.
+    fn on_quantum_batch(&mut self, batch: &QuantumNotifications<'_>) {
+        if let Some(evicted) = batch.evicted_quantum {
+            self.write_line(|w| {
+                w.key("evicted_quantum");
+                w.u64(evicted);
+                w.key("type");
+                w.str("slide");
+                w.key("window_quanta");
+                w.u64(batch.window_quanta as u64);
+            });
+        }
         self.write_line(|w| {
-            summary.write_fields(w);
+            batch.summary.write_fields(w);
             w.key("type");
             w.str("quantum");
         });
-    }
-
-    fn on_event(&mut self, record: &EventRecord) {
-        self.write_line(|w| {
-            record.write_report_fields(w);
-            w.key("type");
-            w.str("event");
-        });
-    }
-
-    fn on_slide(&mut self, evicted_quantum: u64, window_quanta: usize) {
-        self.write_line(|w| {
-            w.key("evicted_quantum");
-            w.u64(evicted_quantum);
-            w.key("type");
-            w.str("slide");
-            w.key("window_quanta");
-            w.u64(window_quanta as u64);
-        });
-    }
-
-    fn on_quantum_batch(&mut self, batch: &QuantumNotifications<'_>) {
-        // Default fan-out (slide → quantum → events), then one flush for
-        // the whole quantum.
-        if let Some(evicted) = batch.evicted_quantum {
-            self.on_slide(evicted, batch.window_quanta);
-        }
-        self.on_quantum(batch.summary);
         for record in batch.records {
-            self.on_event(record);
+            self.write_line(|w| {
+                record.write_report_fields(w);
+                w.key("type");
+                w.str("event");
+            });
         }
         self.flush();
     }
@@ -563,8 +479,8 @@ impl<F: FnMut(&QuantumSummary)> FnSink<F> {
 }
 
 impl<F: FnMut(&QuantumSummary)> EventSink for FnSink<F> {
-    fn on_quantum(&mut self, summary: &QuantumSummary) {
-        (self.f)(summary)
+    fn on_quantum_batch(&mut self, batch: &QuantumNotifications<'_>) {
+        (self.f)(batch.summary)
     }
 }
 
@@ -732,6 +648,15 @@ impl std::fmt::Debug for DetectorSession {
 }
 
 impl DetectorSession {
+    /// A session around `detector`, with no sink and no journal.
+    fn over(detector: EventDetector) -> Self {
+        Self {
+            detector,
+            sinks: Vec::new(),
+            journal: None,
+        }
+    }
+
     /// Attaches a sink; it receives every notification from now on.
     /// Returns `&mut self` so attachments chain.
     pub fn attach_sink(&mut self, sink: Box<dyn EventSink>) -> &mut Self {
@@ -813,9 +738,11 @@ impl DetectorSession {
         summary
     }
 
-    /// Processes one pre-batched quantum, notifying sinks.
-    pub fn process_quantum(&mut self, quantum: &Quantum) -> QuantumSummary {
-        let summary = self.detector.process_quantum(quantum);
+    /// Processes `messages` as one quantum, notifying sinks.  The quantum
+    /// ends the one [`Self::push_message`] began: buffered messages come
+    /// first, then `messages`, all in one quantum.
+    pub fn process_quantum(&mut self, messages: &[Message]) -> QuantumSummary {
+        let summary = self.detector.process_quantum(messages);
         self.after_quantum(&summary);
         summary
     }
@@ -833,10 +760,12 @@ impl DetectorSession {
     /// Deep-checks the session's structural invariants: every stateful
     /// detector component
     /// ([`EventDetector::validate_invariants`]) plus, when a journal is
-    /// enabled, a full re-read of its frame log
+    /// enabled, a full re-read of its segment files
     /// ([`CheckpointJournal::validate_invariants`]).  O(total state +
-    /// journal size) — a validation aid for tests and debugging, wired
-    /// into quantum boundaries by the `invariants` cargo feature.
+    /// journal size) — a validation aid for tests and debugging.  Only
+    /// the detector half runs on its own: the `invariants` cargo feature
+    /// calls [`EventDetector::validate_invariants`] after every quantum;
+    /// the journal re-read runs only when this is called.
     pub fn validate_invariants(&self) -> Result<(), String> {
         self.detector.validate_invariants()?;
         if let Some(journal) = &self.journal {
@@ -913,65 +842,46 @@ impl DetectorSession {
     /// and event records (`tests/checkpoint_resume.rs`).  A degenerate
     /// embedded configuration is the typed [`RestoreError::Config`].
     pub fn restore_bytes(bytes: &[u8]) -> Result<Self, RestoreError> {
-        Ok(Self {
-            detector: checkpoint::decode_checkpoint_document(bytes)?,
-            sinks: Vec::new(),
-            journal: None,
-        })
+        Ok(Self::over(checkpoint::decode_checkpoint_document(bytes)?))
     }
 
-    /// Enables incremental checkpointing: from now on every processed
-    /// quantum appends one frame to an internal in-memory
-    /// [`CheckpointJournal`] — an O(quantum Δ) [`DeltaRecord`], or a full
-    /// snapshot once `rebase_every` deltas follow the latest one (so
-    /// restore replays at most `rebase_every` deltas; 0 is clamped to 1).
-    /// The journal opens with a snapshot of the *current* state, so
-    /// enabling mid-stream is safe.  Re-enabling replaces the previous
-    /// journal.
-    ///
-    /// [`DeltaRecord`]: crate::checkpoint::DeltaRecord
-    pub fn enable_journal(&mut self, rebase_every: u32) -> &mut Self {
-        let mut journal = CheckpointJournal::memory(rebase_every);
-        journal.append_snapshot(&self.detector);
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Enables the durable, file-backed write-ahead journal: every
-    /// processed quantum appends one checksummed frame to rotating
-    /// segment files under `dir`, fsynced per
+    /// Enables incremental checkpointing to a durable, file-backed
+    /// write-ahead journal: every processed quantum appends one
+    /// checksummed frame to rotating segment files under `dir` — an
+    /// O(quantum Δ) [`DeltaRecord`], or a full snapshot once
+    /// `config.rebase_every` deltas follow the latest one (so restore
+    /// replays at most that many deltas; 0 is clamped to 1) — fsynced per
     /// [`config.fsync`](crate::wal::FsyncPolicy), so a crash loses at
     /// most the configured durability window and
     /// [`Self::restore_from_dir`] recovers the rest.
     ///
     /// Opening writes (and always fsyncs) an initial snapshot of the
-    /// *current* state, then compacts segments left behind by earlier
-    /// journal incarnations in the same directory.  Re-enabling replaces
-    /// the previous journal.  Errors *after* this point do not surface
-    /// from `push_message` — the first one is latched
-    /// ([`Self::journal_io_error`]) and journaling stops while the
-    /// detector keeps running.
+    /// *current* state, so enabling mid-stream is safe, then compacts
+    /// segments left behind by earlier journal incarnations in the same
+    /// directory.  Re-enabling replaces the previous journal.  Errors
+    /// *after* this point do not surface from `push_message` — the first
+    /// one is latched ([`Self::journal_io_error`]) and journaling stops
+    /// while the detector keeps running.
+    ///
+    /// [`DeltaRecord`]: crate::checkpoint::DeltaRecord
     pub fn enable_durable_journal(
         &mut self,
         dir: impl AsRef<Path>,
         config: DurableJournalConfig,
     ) -> io::Result<&mut Self> {
-        let journal = CheckpointJournal::open_durable(dir.as_ref(), config, &self.detector)?;
+        let journal = CheckpointJournal::open(dir.as_ref(), config, &self.detector)?;
         self.journal = Some(journal);
         Ok(self)
     }
 
-    /// The active checkpoint journal, if [`Self::enable_journal`] or
-    /// [`Self::enable_durable_journal`] was called.  For an in-memory
-    /// journal, [`memory_bytes`](CheckpointJournal::memory_bytes) is the
-    /// durable, append-friendly byte log; a durable journal's bytes live
-    /// in its segment files instead.
+    /// The active checkpoint journal, if [`Self::enable_durable_journal`]
+    /// (or [`DetectorBuilder::durable_journal`]) enabled one.
     pub fn journal(&self) -> Option<&CheckpointJournal> {
         self.journal.as_ref()
     }
 
     /// The journal's latched I/O error, if journaling has failed (always
-    /// `None` for in-memory journals and sessions without a journal).
+    /// `None` for a session without a journal).
     /// After a failure the journal no longer appends; the detector keeps
     /// running.
     pub fn journal_io_error(&self) -> Option<&io::Error> {
@@ -992,22 +902,21 @@ impl DetectorSession {
         }
     }
 
-    /// Reconstructs a session from a checkpoint-journal byte log:
-    /// restores the *latest* snapshot frame, then replays every delta
-    /// frame after it.  The restored session is bit-identical to the
-    /// session that wrote the journal as of its last frame; resume the
-    /// stream from position `total_messages() + buffered_messages()` —
-    /// the buffer is non-empty exactly when the restore landed on a
-    /// snapshot taken mid-quantum with no delta after it, and those
-    /// buffered messages must not be re-fed.  Re-enable journaling (and
-    /// re-attach sinks) explicitly if the resumed session should keep
-    /// checkpointing.
+    /// Reconstructs a session from the bytes of one journal segment file
+    /// (a journal whose segments never rotated holds all of its frames in
+    /// one): restores the *latest* snapshot frame, then replays every
+    /// delta frame after it.  The same scan and replay as
+    /// [`Self::restore_from_dir`], without the file I/O, so a torn tail
+    /// rolls back to the last whole frame here too.  The restored session
+    /// is bit-identical to the session that wrote the journal as of its
+    /// last frame; resume the stream from position
+    /// `total_messages() + buffered_messages()` — the buffer is non-empty
+    /// exactly when the restore landed on a snapshot taken mid-quantum
+    /// with no delta after it, and those buffered messages must not be
+    /// re-fed.  Re-enable journaling (and re-attach sinks) explicitly if
+    /// the resumed session should keep checkpointing.
     pub fn restore_from_journal(bytes: &[u8]) -> Result<Self, RestoreError> {
-        Ok(Self {
-            detector: wal::restore_detector_from_bytes(bytes)?.0,
-            sinks: Vec::new(),
-            journal: None,
-        })
+        Ok(Self::over(wal::restore_detector_from_bytes(bytes)?.0))
     }
 
     /// Recovers a session from a durable journal directory written by
@@ -1036,14 +945,7 @@ impl DetectorSession {
         dir: impl AsRef<Path>,
     ) -> Result<(Self, RecoveryReport), RestoreError> {
         let (detector, report) = wal::restore_detector_from_dir(dir.as_ref())?;
-        Ok((
-            Self {
-                detector,
-                sinks: Vec::new(),
-                journal: None,
-            },
-            report,
-        ))
+        Ok((Self::over(detector), report))
     }
 }
 
@@ -1160,8 +1062,8 @@ mod tests {
 
     /// The `Arc<Mutex<S>>` adapter must reach the inner sink through a
     /// single `on_quantum_batch` call per processed quantum (one lock
-    /// acquisition), with the fine-grained callbacks fanned out inside
-    /// and the slide → quantum → events order preserved.
+    /// acquisition), each batch carrying the quantum's slide, summary and
+    /// event records.
     #[test]
     fn mutex_adapter_batches_to_one_delivery_per_quantum() {
         #[derive(Default)]
@@ -1170,26 +1072,13 @@ mod tests {
             log: Vec<&'static str>,
         }
         impl EventSink for BatchProbe {
-            fn on_quantum(&mut self, _summary: &QuantumSummary) {
-                self.log.push("quantum");
-            }
-            fn on_event(&mut self, _record: &crate::event::EventRecord) {
-                self.log.push("event");
-            }
-            fn on_slide(&mut self, _evicted: u64, _w: usize) {
-                self.log.push("slide");
-            }
             fn on_quantum_batch(&mut self, batch: &QuantumNotifications<'_>) {
                 self.batches += 1;
-                // Re-implement the default fan-out so the fine-grained
-                // callbacks are still observed.
-                if let Some(evicted) = batch.evicted_quantum {
-                    self.on_slide(evicted, batch.window_quanta);
+                if batch.evicted_quantum.is_some() {
+                    self.log.push("slide");
                 }
-                self.on_quantum(batch.summary);
-                for record in batch.records {
-                    self.on_event(record);
-                }
+                self.log.push("quantum");
+                self.log.extend(batch.records.iter().map(|_| "event"));
             }
         }
 
@@ -1237,25 +1126,41 @@ mod tests {
         assert_eq!(*seen.lock().unwrap(), vec![0, 1]);
     }
 
+    /// A batch with a slide of quantum 7 out of a w = 4 window, carrying
+    /// `summary` and `records`.
+    fn slide_batch<'a>(
+        summary: &'a QuantumSummary,
+        records: &'a [&'a EventRecord],
+    ) -> QuantumNotifications<'a> {
+        QuantumNotifications {
+            summary,
+            records,
+            evicted_quantum: Some(7),
+            window_quanta: 4,
+        }
+    }
+
     #[test]
     fn json_lines_sink_writes_one_object_per_notification() {
         let mut session = builder().build().unwrap();
-        session.attach_sink(Box::new(JsonLinesSink::new(Vec::new())));
-        // Steal the sink back is not possible through the trait object, so
-        // drive a second, standalone sink directly.
-        let mut sink = JsonLinesSink::new(Vec::new());
         let summaries = session.run(&event_quantum(20, 6, &[1, 2, 3], 0));
-        sink.on_quantum(&summaries[0]);
-        sink.on_slide(7, 4);
+        let records = session.event_records();
+        assert_eq!(records.len(), 1);
+        let mut sink = JsonLinesSink::new(Vec::new());
+        sink.on_quantum_batch(&slide_batch(&summaries[0], &records));
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let quantum = dengraph_json::parse(lines[0]).unwrap();
-        assert_eq!(quantum.get("type").unwrap().as_str().unwrap(), "quantum");
-        assert_eq!(quantum.get("quantum").unwrap().as_u64().unwrap(), 0);
-        let slide = dengraph_json::parse(lines[1]).unwrap();
+        assert_eq!(lines.len(), 3, "slide, quantum, event");
+        let slide = dengraph_json::parse(lines[0]).unwrap();
         assert_eq!(slide.get("type").unwrap().as_str().unwrap(), "slide");
         assert_eq!(slide.get("evicted_quantum").unwrap().as_u64().unwrap(), 7);
+        assert_eq!(slide.get("window_quanta").unwrap().as_u64().unwrap(), 4);
+        let quantum = dengraph_json::parse(lines[1]).unwrap();
+        assert_eq!(quantum.get("type").unwrap().as_str().unwrap(), "quantum");
+        assert_eq!(quantum.get("quantum").unwrap().as_u64().unwrap(), 0);
+        let event = dengraph_json::parse(lines[2]).unwrap();
+        assert_eq!(event.get("type").unwrap().as_str().unwrap(), "event");
+        assert_eq!(event.get("reports").unwrap().as_u64().unwrap(), 1);
     }
 
     /// A `Write` whose bytes stay readable after the sink is boxed away
@@ -1456,20 +1361,59 @@ mod tests {
             }
         }
 
+        let summary = builder()
+            .build()
+            .unwrap()
+            .run(&event_quantum(20, 0, &[], 0))
+            .remove(0);
+        let batch = slide_batch(&summary, &[]);
+
         // Clean path: close() hands the writer back.
         let mut sink = JsonLinesSink::new(Vec::new());
-        sink.on_slide(3, 4);
+        sink.on_quantum_batch(&batch);
         let bytes = sink.close().expect("clean close succeeds");
         assert!(!bytes.is_empty());
 
         // Failure path: the error latched mid-run comes out of close()
         // instead of being dropped on the floor.
         let mut sink = JsonLinesSink::new(FailingWriter { good: 4 });
-        sink.on_slide(3, 4);
-        sink.flush();
-        assert!(sink.last_error().is_some(), "flush latches the write error");
+        sink.on_quantum_batch(&batch);
+        assert!(
+            sink.last_error().is_some(),
+            "the batch's flush latches the write error"
+        );
         let err = sink.close().expect_err("close surfaces the latched error");
         assert_eq!(err.to_string(), "disk full");
+    }
+
+    /// `process_quantum` ends the quantum `push_message` began: the
+    /// buffered messages and the slice form one quantum, in stream order,
+    /// exactly as if the whole quantum had been passed at once.
+    #[test]
+    fn process_quantum_ends_the_quantum_push_message_began() {
+        let stream = event_quantum(25, 6, &[1, 2, 3], 0);
+        let (pushed, rest) = stream.split_at(5);
+
+        let mut mixed = builder().build().unwrap();
+        for m in pushed {
+            assert!(mixed.push_message(m.clone()).is_none());
+        }
+        let summary = mixed.process_quantum(rest);
+        assert_eq!(summary.quantum, 0);
+        assert_eq!(summary.messages, 25, "the pushed 5 join the quantum");
+        assert_eq!(mixed.buffered_messages(), 0);
+        assert_eq!(mixed.total_messages(), 25);
+
+        let mut whole = builder().build().unwrap();
+        assert_eq!(whole.process_quantum(&stream), summary);
+        assert_eq!(
+            whole.checkpoint_bytes(WireFormat::Binary),
+            mixed.checkpoint_bytes(WireFormat::Binary)
+        );
+
+        // With nothing buffered the slice is the quantum, whatever its size.
+        assert_eq!(mixed.process_quantum(&stream[..3]).messages, 3);
+        assert_eq!(mixed.quanta_processed(), 2);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The durable write-ahead journal: segmented, checksummed, crash-safe.
 //!
-//! PR 5's [`CheckpointJournal`](crate::checkpoint::CheckpointJournal)
-//! made per-quantum durability *cheap* (O(Δ) delta frames between
-//! snapshot rebases) but kept the log in memory — a crash lost every
-//! quantum since the last explicit checkpoint.  This module supplies the
-//! missing on-disk half:
+//! [`CheckpointJournal`](crate::checkpoint::CheckpointJournal) makes
+//! per-quantum durability *cheap* (O(Δ) delta frames between snapshot
+//! rebases) and decides what to append; this module is where the frames
+//! live — one sequential, append-only log on disk, so a crash loses at
+//! most the quanta the [`FsyncPolicy`] leaves unsynced:
 //!
 //! * `SegmentedJournal` (crate-internal, driven by `CheckpointJournal`)
 //!   writes frames with the CRC-32 length framing of
@@ -55,16 +55,14 @@ use crate::checkpoint::{decode_checkpoint_document, DeltaRecord, TAG_DELTA, TAG_
 use crate::detector::EventDetector;
 use crate::session::RestoreError;
 
-/// Magic prefix of every journal segment (and of the in-memory byte
-/// log).  Starts with the binary sniff byte `0xD6`, which no JSON
-/// document can begin with.
+/// Magic prefix of every journal segment.  Starts with the binary sniff
+/// byte `0xD6`, which no JSON document can begin with.
 pub(crate) const JOURNAL_MAGIC: [u8; 4] =
     [dengraph_json::codec::BINARY_MAGIC_BYTE, b'D', b'G', b'J'];
 
 /// Version of the journal container layout.  Version 2 introduced the
-/// checksummed fixed-width framing (version 1 was the in-memory-only
-/// varint framing of PR 5, which never reached disk and is not read
-/// back).
+/// checksummed fixed-width framing (version 1, a varint framing, never
+/// reached disk and is not read back).
 pub(crate) const JOURNAL_VERSION: u64 = 2;
 
 /// The segment header's last byte: binary snapshot and delta payloads.
@@ -126,7 +124,7 @@ impl FsyncPolicy {
 // ---------------------------------------------------------------------------
 
 /// Encodes the 6-byte segment header: magic, container version, `01`.
-/// Every segment file and the in-memory byte log start with it.
+/// Every segment file starts with it.
 pub(crate) fn segment_header() -> Vec<u8> {
     let mut w = BinWriter::new();
     w.raw(&JOURNAL_MAGIC);
@@ -471,8 +469,8 @@ impl std::fmt::Display for TornWriteReason {
 /// Where and why recovery stopped replaying a journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TornWrite {
-    /// The segment file containing the tear (`None` for an in-memory
-    /// byte log).
+    /// The segment file containing the tear (`None` when one segment's
+    /// bytes were restored without a path).
     pub segment: Option<PathBuf>,
     /// Byte offset of the tear within that segment.
     pub offset: usize,
@@ -697,8 +695,8 @@ fn replay(scan: &ScannedJournal<'_>) -> Result<(EventDetector, RecoveryReport), 
     Ok((detector, report))
 }
 
-/// Recovers a detector from a single journal byte log (the in-memory
-/// journal form, or one segment's bytes).
+/// Recovers a detector from one segment file's bytes: the scan and
+/// replay of [`restore_detector_from_dir`] without the file I/O.
 pub(crate) fn restore_detector_from_bytes(
     bytes: &[u8],
 ) -> Result<(EventDetector, RecoveryReport), RestoreError> {

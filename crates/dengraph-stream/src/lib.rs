@@ -8,9 +8,9 @@
 //!
 //! * [`message`] — the `(user, time, keyword set)` message model consumed by
 //!   the detector; everything downstream is agnostic about where messages
-//!   come from.
-//! * [`quantum`] — batching a message stream into quanta of Δ messages (the
-//!   unit at which the sliding window advances).
+//!   come from.  The detector consumes a stream in quanta of Δ messages
+//!   (the unit at which the sliding window advances); a slice of messages
+//!   splits into quanta with `messages.chunks(Δ)`.
 //! * [`generator`] — the synthetic workload generator: Zipfian background
 //!   chatter, injected real-world events with build-up / peak / wind-down
 //!   phases and evolving keyword sets, spurious bursts, and the TW / ES /
@@ -26,11 +26,9 @@ pub mod generator;
 pub mod ground_truth;
 pub mod json;
 pub mod message;
-pub mod quantum;
 pub mod trace;
 
 pub use generator::{EventScenario, StreamGenerator, StreamProfile};
 pub use ground_truth::{GroundTruth, GroundTruthEvent, GroundTruthEventKind};
 pub use message::{Message, UserId};
-pub use quantum::{Quantum, QuantumBatcher};
 pub use trace::{Trace, TraceStats};

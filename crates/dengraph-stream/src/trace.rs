@@ -4,7 +4,6 @@ use dengraph_text::KeywordInterner;
 
 use crate::ground_truth::GroundTruth;
 use crate::message::Message;
-use crate::quantum::{batch_messages, Quantum};
 
 /// A fully generated trace: the message stream plus everything
 /// the evaluation needs to score a detector run against it.
@@ -31,11 +30,6 @@ impl Trace {
     /// Returns `true` when the trace has no messages.
     pub fn is_empty(&self) -> bool {
         self.messages.is_empty()
-    }
-
-    /// Batches the trace into quanta of `delta` messages.
-    pub fn quanta(&self, delta: usize) -> Vec<Quantum> {
-        batch_messages(&self.messages, delta)
     }
 
     /// Computes summary statistics.
@@ -101,14 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn quanta_cover_every_message_exactly_once() {
-        let t = small_trace();
-        let quanta = t.quanta(160);
-        let total: usize = quanta.iter().map(|q| q.len()).sum();
-        assert_eq!(total, t.len());
-    }
-
-    #[test]
     fn empty_trace_helpers() {
         let t = Trace {
             profile_name: "empty".into(),
@@ -118,7 +104,6 @@ mod tests {
             interner: KeywordInterner::new(),
         };
         assert!(t.is_empty());
-        assert!(t.quanta(10).is_empty());
         assert_eq!(t.stats().messages, 0);
     }
 }

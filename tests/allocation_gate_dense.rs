@@ -16,7 +16,7 @@
 //! pollute the counter.
 
 use dengraph_core::{DetectorBuilder, DetectorConfig};
-use dengraph_stream::Quantum;
+use dengraph_stream::Message;
 
 #[path = "support/alloc_gate.rs"]
 mod alloc_gate;
@@ -38,7 +38,7 @@ fn event_dense_quanta_allocate_a_constant_plus_two_per_event() {
         .expect("gate config is valid");
 
     // Pre-build every quantum so message construction never counts.
-    let quanta: Vec<Quantum> = (0..40)
+    let quanta: Vec<Vec<Message>> = (0..40)
         .map(|q| steady_quantum(q, GROUPS, QUANTUM_SIZE))
         .collect();
     let (warmup, measured) = quanta.split_at(24);
@@ -56,7 +56,7 @@ fn event_dense_quanta_allocate_a_constant_plus_two_per_event() {
         assert!(
             events >= 40,
             "quantum {}: the gate needs an event-dense stream, got {events} events",
-            quantum.index
+            summary.quantum
         );
         // Debug builds re-check the cluster registry's invariants after
         // every quantum (a `debug_assert!` in the maintainer), which
@@ -75,7 +75,7 @@ fn event_dense_quanta_allocate_a_constant_plus_two_per_event() {
             "quantum {} performed {count} heap allocations reporting {events} events \
              (budget {budget} = constant + 2 per event) — the rank/report path allocates \
              per event again",
-            quantum.index
+            summary.quantum
         );
         if count > worst {
             (worst, worst_events) = (count, events);

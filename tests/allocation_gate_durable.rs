@@ -25,11 +25,13 @@
 //! pollute the counter.
 
 use dengraph_core::{DetectorBuilder, DetectorConfig, DurableJournalConfig, FsyncPolicy};
-use dengraph_stream::Quantum;
+use dengraph_stream::Message;
 
 #[path = "support/alloc_gate.rs"]
 mod alloc_gate;
 use alloc_gate::{count_allocations, steady_quantum};
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
 
 /// Allocations a warmed rebase may make beyond the plain quantum: the
 /// sorted columns the state encoders build — tracker records, High
@@ -49,11 +51,7 @@ fn a_warm_journal_appends_without_allocating() {
         window_quanta: 8,
         ..DetectorConfig::nominal()
     };
-    let dir = std::env::temp_dir().join(format!(
-        "dengraph-allocation-gate-durable-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = temp_dir::scratch_dir("allocation-gate-durable");
     let mut plain = DetectorBuilder::from_config(config.clone())
         .build()
         .expect("gate config is valid");
@@ -70,7 +68,7 @@ fn a_warm_journal_appends_without_allocating() {
         .expect("gate config is valid and the scratch directory writable");
 
     // Pre-build every quantum so message construction never counts.
-    let quanta: Vec<Quantum> = (0..48).map(|q| steady_quantum(q, 3, 48)).collect();
+    let quanta: Vec<Vec<Message>> = (0..48).map(|q| steady_quantum(q, 3, 48)).collect();
     // Warm-up: the window fills, every pool and scratch buffer reaches
     // its steady-state capacity, and the journal rebases twice (quanta 9
     // and 18 — the initial snapshot, then every ninth frame).
@@ -106,7 +104,7 @@ fn a_warm_journal_appends_without_allocating() {
                 share <= REBASE_BUDGET,
                 "quantum {}: the rebase allocated {share} times beyond the plain quantum's \
                  {plain_count} (budget {REBASE_BUDGET}) — a journal buffer is growing again",
-                quantum.index
+                durable_summary.quantum
             );
         } else {
             deltas += 1;
@@ -114,7 +112,7 @@ fn a_warm_journal_appends_without_allocating() {
                 share, 0,
                 "quantum {}: the delta append allocated ({durable_count} against the plain \
                  quantum's {plain_count})",
-                quantum.index
+                durable_summary.quantum
             );
         }
     }

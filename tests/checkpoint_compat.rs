@@ -59,6 +59,10 @@ use dengraph_minhash::UserHasher;
 use dengraph_stream::{Message, UserId};
 use dengraph_text::{KeywordId, KeywordInterner};
 
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+use temp_dir::scratch_dir;
+
 /// Payload methods of a binary checkpoint container, and where the
 /// method byte sits: magic(4) + version(1).
 const METHOD_AT: usize = 5;
@@ -152,15 +156,6 @@ const POPULATED_COMPONENTS: &str = "\"components\":{\"components\":[{";
 
 fn fixtures() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures")
-}
-
-fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "dengraph-checkpoint-compat-{}-{label}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
 }
 
 /// The fixture session rebuilt under the current code, as it stood when

@@ -38,6 +38,9 @@ use dengraph_stream::generator::profiles::{es_profile, tw_profile, ProfileScale}
 use dengraph_stream::{Message, StreamGenerator, Trace, UserId};
 use dengraph_text::KeywordId;
 
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+
 // ---------------------------------------------------------------------------
 // State round-trips
 // ---------------------------------------------------------------------------
@@ -219,8 +222,11 @@ fn run_with_interruption(
     cut: Cut,
 ) -> (Vec<QuantumSummary>, DetectorSession) {
     let mut first = build(trace, config);
+    let dir = temp_dir::scratch_dir("resume");
     if let Cut::Journal(rebase_every) = cut {
-        first.enable_journal(rebase_every);
+        first
+            .enable_durable_journal(&dir, temp_dir::one_segment(rebase_every))
+            .expect("journal opens");
     }
     let mut summaries = Vec::new();
     for message in &trace.messages[..split] {
@@ -238,13 +244,8 @@ fn run_with_interruption(
             (second, split)
         }
         Cut::Journal(_) => {
-            let bytes = first
-                .journal()
-                .expect("journal enabled")
-                .memory_bytes()
-                .expect("in-memory journal")
-                .to_vec();
-            let second = DetectorSession::restore_from_journal(&bytes).expect("journal restores");
+            let second = DetectorSession::restore_from_dir(&dir).expect("journal restores");
+            let _ = std::fs::remove_dir_all(&dir);
             second
                 .validate_invariants()
                 .expect("a recovered session's invariants hold");
@@ -361,11 +362,14 @@ fn journal_enabled_mid_quantum_restores_without_double_processing() {
         summaries.extend(first.push_message(message.clone()));
     }
     // Journaling starts here — mid-quantum, buffer half full.
-    first.enable_journal(4);
-    let bytes = first.journal().unwrap().memory_bytes().unwrap().to_vec();
+    let dir = temp_dir::scratch_dir("mid-quantum");
+    first
+        .enable_durable_journal(&dir, temp_dir::one_segment(4))
+        .expect("journal opens");
     drop(first);
 
-    let mut second = DetectorSession::restore_from_journal(&bytes).expect("journal restores");
+    let mut second = DetectorSession::restore_from_dir(&dir).expect("journal restores");
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(second.buffered_messages(), quantum / 2, "buffer survives");
     let resume_at = second.total_messages() as usize + second.buffered_messages();
     assert_eq!(resume_at, split, "no message may be dropped or re-fed");
@@ -387,13 +391,14 @@ fn journal_enabled_mid_quantum_restores_without_double_processing() {
 fn binary_and_delta_checkpoints_meet_size_targets() {
     let trace = StreamGenerator::new(tw_profile(64, ProfileScale::Small)).generate();
     let config = DetectorConfig::nominal().with_window_quanta(12);
-    let mut session = DetectorBuilder::from_config(config)
-        .interner(trace.interner.clone())
-        .build()
-        .expect("valid config");
     // A rebase interval beyond the run length keeps every steady-state
     // entry a delta record.
-    session.enable_journal(10_000);
+    let dir = temp_dir::scratch_dir("size-targets");
+    let mut session = DetectorBuilder::from_config(config)
+        .interner(trace.interner.clone())
+        .durable_journal(&dir, temp_dir::one_segment(10_000))
+        .build()
+        .expect("valid config and writable journal dir");
     session.run(&trace.messages);
 
     let json = session.checkpoint_bytes(WireFormat::Json);
@@ -415,6 +420,8 @@ fn binary_and_delta_checkpoints_meet_size_targets() {
          binary full snapshot ({} bytes)",
         binary.len()
     );
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A restored session pushes to freshly attached sinks exactly what the

@@ -168,8 +168,8 @@ fn detector_reports_only_valid_clusters() {
         .build()
         .expect("valid config");
 
-    for quantum in trace.quanta(120) {
-        let summary = detector.process_quantum(&quantum);
+    for quantum in trace.messages.chunks(120) {
+        let summary = detector.process_quantum(quantum);
         // Registry invariants after every quantum.
         assert!(detector.clusters().registry().check_invariants().is_ok());
         for event in &summary.events {

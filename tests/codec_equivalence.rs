@@ -34,6 +34,9 @@ use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, UserId};
 use dengraph_text::KeywordId;
 
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+
 /// Asserts the equivalence triangle for one instance and returns the
 /// `(json_bytes, binary_bytes)` sizes.
 fn assert_codecs_agree<T>(x: &T, label: &str) -> (usize, usize)
@@ -364,20 +367,18 @@ fn binary_decoders_bound_corrupt_sizes_and_ids() {
 #[test]
 fn journal_restore_recovers_torn_tails_and_rejects_non_journals() {
     let trace = StreamGenerator::new(tw_profile(72, ProfileScale::Small)).generate();
+    let dir = temp_dir::scratch_dir("codec-journal");
     let mut session = DetectorBuilder::from_config(DetectorConfig::nominal().with_window_quanta(8))
+        .durable_journal(&dir, temp_dir::one_segment(4))
         .build()
-        .expect("valid config");
-    session.enable_journal(4);
+        .expect("valid config and writable journal dir");
     for summary in session.run(&trace.messages) {
         assert_codecs_agree(&summary.akg_stats, "akg stats");
     }
     let quanta = session.quanta_processed();
-    let bytes = session
-        .journal()
-        .expect("journal enabled")
-        .memory_bytes()
-        .expect("in-memory journal")
-        .to_vec();
+    drop(session);
+    let bytes = temp_dir::only_file(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
     let full = DetectorSession::restore_from_journal(&bytes).expect("clean journal restores");
     assert_eq!(full.quanta_processed(), quanta);
     // Every delta frame the journal holds decodes, and quanta advance.

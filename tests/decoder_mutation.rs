@@ -9,7 +9,8 @@
 //!   [`DetectorSession::restore_bytes`], with a varint of `u64::MAX` and
 //!   of 2²⁰ spliced in place of the byte at every offset;
 //! * the same body **block-packed** (method 2), seeded mutations;
-//! * a journal **delta record** with the every-offset splice, decoded
+//! * a journal **delta record** (from the session's one-segment journal)
+//!   with the every-offset splice, decoded
 //!   with [`DeltaRecord::decode`]; each payload it accepts is also
 //!   re-framed, with a valid CRC, as the journal's last frame behind the
 //!   snapshot it follows and restored with
@@ -61,6 +62,8 @@ use dengraph_stream::{Message, StreamGenerator};
 #[path = "support/alloc_gate.rs"]
 mod alloc_gate;
 use alloc_gate::peak_live_bytes;
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
 
 /// Heap a mutated input may hold beyond the honest document's peak, per
 /// byte of input.
@@ -310,10 +313,11 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
     let config = DetectorConfig::nominal().with_window_quanta(WINDOW_QUANTA);
     let quantum_size = config.quantum_size;
     let lines = Arc::new(Mutex::new(JsonLinesSink::new(Vec::new())));
+    let journal_dir = temp_dir::scratch_dir("decoder-mutation-journal");
     let mut session = DetectorBuilder::from_config(config)
-        .journal(DELTAS_PER_SNAPSHOT)
+        .durable_journal(&journal_dir, temp_dir::one_segment(DELTAS_PER_SNAPSHOT))
         .build()
-        .expect("valid config");
+        .expect("valid config and writable journal dir");
     session.attach_sink(Box::new(Arc::clone(&lines)));
     session.run(&trace.messages[..MESSAGES]);
 
@@ -325,19 +329,15 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
     raw.push(METHOD_RAW);
     raw.extend_from_slice(body.as_slice());
     let json = session.checkpoint_bytes(WireFormat::Json);
-    let journal = session
-        .journal()
-        .expect("journal enabled")
-        .memory_bytes()
-        .expect("in-memory journal")
-        .to_vec();
+    drop(session);
+    let journal = temp_dir::only_file(&journal_dir);
+    let _ = fs::remove_dir_all(&journal_dir);
     let (base, delta) = snapshot_and_delta(&journal);
     let reframed = |payload: &[u8]| {
         let mut out = base.clone();
         out.extend_from_slice(&encode_frame(TAG_DELTA, payload));
         out
     };
-    drop(session);
     let sink_text = Arc::try_unwrap(lines)
         .expect("the session released its sink")
         .into_inner()
@@ -404,9 +404,7 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
             DetectorSession::restore_bytes(&doc)
         });
     }
-    let dir =
-        std::env::temp_dir().join(format!("dengraph-decoder-mutation-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
+    let dir = temp_dir::scratch_dir("decoder-mutation");
     fs::create_dir_all(&dir).expect("temporary directory");
     let mut segments: Vec<(PathBuf, Vec<u8>)> = Vec::new();
     for entry in fs::read_dir(fixtures().join("journal_parent_index")).expect("fixture reads") {

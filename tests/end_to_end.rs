@@ -175,10 +175,10 @@ fn akg_is_orders_of_magnitude_smaller_than_ckg() {
         let (mut samples, mut max_edge_ratio) = (0usize, 0f64);
         let (mut ckg_nodes, mut ckg_edges, mut akg_nodes, mut akg_edges, mut degree) =
             (0f64, 0f64, 0f64, 0f64, 0f64);
-        for quantum in trace.quanta(config.quantum_size) {
-            ckg.push_quantum(&quantum.messages);
-            let summary = detector.process_quantum(&quantum);
-            if quantum.index < config.window_quanta as u64 {
+        for quantum in trace.messages.chunks(config.quantum_size) {
+            ckg.push_quantum(quantum);
+            let summary = detector.process_quantum(quantum);
+            if summary.quantum < config.window_quanta as u64 {
                 continue;
             }
             samples += 1;
@@ -223,8 +223,8 @@ fn live_clusters_are_mostly_majority_quasi_cliques() {
             .build()
             .expect("valid config");
         let (mut clusters, mut mqcs, mut density_sum) = (0usize, 0usize, 0f64);
-        for quantum in trace.quanta(session.config().quantum_size) {
-            session.process_quantum(&quantum);
+        for quantum in trace.messages.chunks(session.config().quantum_size) {
+            session.process_quantum(quantum);
             for cluster in session.clusters().clusters() {
                 clusters += 1;
                 mqcs += usize::from(is_mqc(session.akg(), &cluster.nodes));

@@ -16,8 +16,8 @@
 //!
 //! Around the central property: rotation edge cases (threshold exactly at
 //! a frame boundary, one-frame segments, empty trailing segments),
-//! startup, rebase-time and explicit-sync compaction, and
-//! durable-vs-in-memory restore equivalence.
+//! startup, rebase-time and explicit-sync compaction, and the two restore
+//! entry points (a segment's bytes, its directory) agreeing.
 
 use std::fs;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -33,20 +33,13 @@ use dengraph_core::{
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace};
 
-// ---------------------------------------------------------------------------
-// Scratch directories and journal surgery
-// ---------------------------------------------------------------------------
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+use temp_dir::scratch_dir;
 
-/// A fresh (removed-if-present) scratch directory under the OS temp dir,
-/// unique per test process and label.
-fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "dengraph-journal-crash-{}-{label}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
+// ---------------------------------------------------------------------------
+// Journal surgery
+// ---------------------------------------------------------------------------
 
 /// The journal's segment files under `dir`, in sequence order.
 fn segment_files(dir: &Path) -> Vec<PathBuf> {
@@ -662,7 +655,7 @@ fn explicit_sync_compacts_a_never_journal_behind_its_latest_snapshot() {
 }
 
 // ---------------------------------------------------------------------------
-// Policy smoke and durable/in-memory equivalence
+// Policy smoke and the two restore entry points
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -696,48 +689,26 @@ fn every_fsync_policy_produces_a_restorable_journal() {
     }
 }
 
+/// The two restore entry points are one scan and replay: a journal that
+/// never rotated is one segment file, and `restore_from_journal` of its
+/// bytes restores what `restore_from_dir` of its directory does, bit for
+/// bit.
 #[test]
-fn durable_restore_matches_in_memory_journal_restore() {
+fn one_segment_restores_alike_from_its_bytes_and_its_directory() {
     let trace = StreamGenerator::new(tw_profile(78, ProfileScale::Small)).generate();
     let config = edge_config();
     let messages = &trace.messages[..6 * config.quantum_size];
-    let rebase_every = 3;
+    let dir = scratch_dir("one-segment");
+    let reference = run_journaled(&trace, messages, &config, &dir, temp_dir::one_segment(3));
+    let bytes = temp_dir::only_file(&dir);
+    let from_bytes = DetectorSession::restore_from_journal(&bytes).expect("segment restores");
+    let from_dir = DetectorSession::restore_from_dir(&dir).expect("directory restores");
 
-    let mut memory = DetectorBuilder::from_config(config.clone())
-        .interner(trace.interner.clone())
-        .journal(rebase_every)
-        .build()
-        .expect("valid config");
-    for message in messages {
-        memory.push_message(message.clone());
-    }
-    let bytes = memory
-        .journal()
-        .expect("journal enabled")
-        .memory_bytes()
-        .expect("in-memory journal")
-        .to_vec();
-    let from_memory = DetectorSession::restore_from_journal(&bytes).expect("memory restores");
-
-    let dir = scratch_dir("durable-vs-memory");
-    run_journaled(
-        &trace,
-        messages,
-        &config,
-        &dir,
-        DurableJournalConfig {
-            rebase_every,
-            fsync: FsyncPolicy::Never,
-            segment_bytes: 4 * 1024,
-        },
-    );
-    let from_disk = DetectorSession::restore_from_dir(&dir).expect("durable restores");
-
-    assert_eq!(from_memory.quanta_processed(), from_disk.quanta_processed());
+    assert_eq!(from_bytes.quanta_processed(), reference.quanta);
     assert_eq!(
-        from_memory.checkpoint_bytes(WireFormat::Binary),
-        from_disk.checkpoint_bytes(WireFormat::Binary),
-        "durable and in-memory journals must restore bit-identical state"
+        from_bytes.checkpoint_bytes(WireFormat::Binary),
+        from_dir.checkpoint_bytes(WireFormat::Binary),
+        "a segment's bytes and its directory must restore bit-identical state"
     );
     let _ = fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,7 @@
 //! through the public API.
 
 use dengraph_core::{DetectorBuilder, DetectorConfig, DetectorSession};
-use dengraph_stream::{Message, Quantum, UserId};
+use dengraph_stream::{Message, UserId};
 use dengraph_text::KeywordId;
 
 fn config(window: usize) -> DetectorConfig {
@@ -185,10 +185,7 @@ fn empty_quantum_slides_the_window_and_advances_stale_accounting() {
     // Empty quanta (zero messages, not filler) until the burst falls out
     // of the window.
     for i in 1..=(cfg.window_quanta as u64) {
-        let summary = det.process_quantum(&Quantum {
-            index: i,
-            messages: Vec::new(),
-        });
+        let summary = det.process_quantum(&[]);
         assert_eq!(summary.messages, 0);
         // While the burst is still inside the window the cluster keeps
         // being reported; once it slides out, nothing is.
@@ -221,11 +218,8 @@ fn leading_empty_quanta_are_harmless() {
     let mut det = DetectorBuilder::from_config(cfg.clone())
         .build()
         .expect("valid config");
-    for i in 0..4u64 {
-        let summary = det.process_quantum(&Quantum {
-            index: i,
-            messages: Vec::new(),
-        });
+    for _ in 0..4 {
+        let summary = det.process_quantum(&[]);
         assert!(summary.events.is_empty());
         assert_eq!(summary.akg_nodes, 0);
     }

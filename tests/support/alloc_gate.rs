@@ -8,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
-use dengraph_stream::{Message, Quantum, UserId};
+use dengraph_stream::{Message, UserId};
 use dengraph_text::KeywordId;
 
 /// Counts `alloc`/`realloc` calls while armed, and always tracks the
@@ -83,7 +83,7 @@ pub fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// refcounts oscillate without growing), plus fresh long-tail filler
 /// (below σ, so it never materializes index entries — exactly the
 /// real-stream shape).  Every burst forms one reportable cluster.
-pub fn steady_quantum(q: u64, groups: u32, quantum_size: usize) -> Quantum {
+pub fn steady_quantum(q: u64, groups: u32, quantum_size: usize) -> Vec<Message> {
     let mut messages = Vec::with_capacity(quantum_size);
     for group in 0..groups {
         let keywords: Vec<KeywordId> = (0..3).map(|i| KeywordId(group * 10 + i)).collect();
@@ -104,5 +104,5 @@ pub fn steady_quantum(q: u64, groups: u32, quantum_size: usize) -> Quantum {
         ));
         filler += 1;
     }
-    Quantum { index: q, messages }
+    messages
 }
