@@ -201,8 +201,8 @@ fn write_checkpoint_container(body: &[u8], codec: &mut BlockEncoder, out: &mut V
 /// the requested wire format: JSON text, or the headered binary layout
 /// whose payload is packed by the block codec (the struct encodings
 /// strip JSON's framing; the container compression then folds the
-/// remaining redundancy — interner words, repeated column structure —
-/// typically another ~1.5×).
+/// remaining redundancy, above all repeated column structure — typically
+/// another ~1.5×).
 pub(crate) fn encode_checkpoint_document(detector: &EventDetector, format: WireFormat) -> Vec<u8> {
     match format {
         WireFormat::Json => dengraph_json::to_string(&detector.to_json()).into_bytes(),

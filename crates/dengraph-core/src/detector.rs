@@ -162,40 +162,175 @@ pub struct EventDetector {
     scratch: ScratchArena,
 }
 
-/// The noun-based precision filter of Section 7.2.2: the stream's
-/// interner, the heuristic, and every verdict reached so far.  The
-/// interner never changes once the detector owns it, so a keyword's
-/// verdict is final and the report loop asks the heuristic (a character
-/// scan plus three hash probes per word) once per keyword, not once per
-/// event per quantum.
+/// The noun-based precision filter of Section 7.2.2: one verdict bit per
+/// keyword id of the stream's vocabulary.  The vocabulary is consumed
+/// when the detector takes it ([`EventDetector::with_interner`], or the
+/// restore of a document that still carries its words): each word goes
+/// through the heuristic once, and only the verdicts are kept.  So the
+/// report loop's question is one bit load, and a checkpoint carries
+/// ⌈len/8⌉ bytes where it used to carry every word.
 #[derive(Debug)]
 struct NounFilter {
-    interner: KeywordInterner,
-    heuristic: NounHeuristic,
-    /// Indexed by keyword id; `None` until first asked.
-    verdicts: Vec<Option<bool>>,
+    /// The keyword ids covered: `0..len`.  Ids past it resolve to no word
+    /// and are not nouns.
+    len: usize,
+    /// Bit `id % 8` of byte `id / 8` is set iff keyword `id` is a noun.
+    /// Exactly ⌈len/8⌉ bytes, and the padding bits of the last one are
+    /// clear, so a restored filter re-encodes to the bytes it came from.
+    bits: Vec<u8>,
 }
 
+/// The tag byte that opens the binary filter section: no filter, …
+const FILTER_NONE: u8 = 0;
+/// … the vocabulary's words (what documents carried before the verdicts;
+/// read only), …
+const FILTER_WORDS: u8 = 1;
+/// … or `usize(len)` followed by the ⌈len/8⌉ verdict bytes.
+const FILTER_VERDICTS: u8 = 2;
+
 impl NounFilter {
-    fn new(interner: KeywordInterner) -> Self {
-        Self {
-            verdicts: vec![None; interner.len()],
-            interner,
-            heuristic: NounHeuristic::new(),
+    /// Reaches every keyword's verdict once.
+    fn new(vocabulary: &KeywordInterner) -> Self {
+        let heuristic = NounHeuristic::new();
+        let len = vocabulary.len();
+        let mut bits = vec![0u8; len.div_ceil(8)];
+        for (id, word) in vocabulary.iter() {
+            if heuristic.is_noun(word) {
+                let id = id.index();
+                bits[id / 8] |= 1 << (id % 8);
+            }
+        }
+        Self { len, bits }
+    }
+
+    /// The filter of `len` verdicts stored in `bits`, which must be
+    /// exactly ⌈len/8⌉ bytes with clear padding bits.
+    fn from_bits(len: usize, bits: Vec<u8>, offset: usize) -> dengraph_json::Result<Self> {
+        let fail = |message: String| Err(dengraph_json::JsonError { message, offset });
+        let want = len.div_ceil(8);
+        if bits.len() != want {
+            return fail(format!(
+                "noun verdicts: {} bytes for {len} keywords, which take {want}",
+                bits.len()
+            ));
+        }
+        // The last byte holds `used` verdicts, or eight when `used` is 0.
+        let used = len % 8;
+        if used != 0 && bits.last().is_some_and(|&last| last >> used != 0) {
+            return fail(format!(
+                "noun verdicts: padding bits past keyword {len} are set"
+            ));
+        }
+        Ok(Self { len, bits })
+    }
+
+    /// Is `keyword` a noun?  Padding bits are clear, so one byte load
+    /// answers for every id.
+    fn is_noun(&self, keyword: KeywordId) -> bool {
+        let id = keyword.0 as usize;
+        self.bits
+            .get(id / 8)
+            .is_some_and(|&byte| (byte >> (id % 8)) & 1 == 1)
+    }
+
+    /// The JSON form: `{"len": n, "bits": "<the verdict bytes as hex>"}`.
+    fn to_json(&self) -> dengraph_json::Value {
+        use dengraph_json::Value;
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let hex: String = self
+            .bits
+            .iter()
+            .flat_map(|&byte| {
+                [
+                    DIGITS[usize::from(byte >> 4)],
+                    DIGITS[usize::from(byte & 15)],
+                ]
+            })
+            .map(char::from)
+            .collect();
+        Value::obj([("len", Value::from(self.len)), ("bits", Value::str(hex))])
+    }
+
+    /// Reads [`Self::to_json`]'s form; the hex digits are lower-case.
+    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+        let len = value.get("len")?.as_usize()?;
+        let hex = value.get("bits")?.as_str()?.as_bytes();
+        let digit = |c: u8| match c {
+            b'0'..=b'9' => Some(c - b'0'),
+            b'a'..=b'f' => Some(c - b'a' + 10),
+            _ => None,
+        };
+        let bits = hex
+            .chunks(2)
+            .map(|pair| match *pair {
+                [high, low] => Some(digit(high)? << 4 | digit(low)?),
+                _ => None,
+            })
+            .collect::<Option<Vec<u8>>>()
+            .ok_or_else(|| dengraph_json::JsonError {
+                message: "noun verdicts: \"bits\" is not a string of hex digit pairs".into(),
+                offset: 0,
+            })?;
+        Self::from_bits(len, bits, 0)
+    }
+
+    /// The JSON filter of a detector document: `"noun_verdicts"`, or the
+    /// `"interner"` word list of a document written before the verdicts.
+    fn read_json(value: &dengraph_json::Value) -> dengraph_json::Result<Option<Self>> {
+        match (value.get_opt("noun_verdicts")?, value.get_opt("interner")?) {
+            (None, None) => Ok(None),
+            (Some(verdicts), None) => Self::from_json(verdicts).map(Some),
+            (None, Some(words)) => {
+                let mut vocabulary = KeywordInterner::new();
+                for word in words.as_arr()? {
+                    intern_next(&mut vocabulary, word.as_str()?, 0)?;
+                }
+                Ok(Some(Self::new(&vocabulary)))
+            }
+            (Some(_), Some(_)) => Err(dengraph_json::JsonError {
+                message: "checkpoint carries both noun verdicts and a vocabulary".into(),
+                offset: 0,
+            }),
         }
     }
 
-    /// Does `keyword` resolve to a noun?  Ids the interner does not know
-    /// resolve to nothing and are not nouns.
-    fn is_noun(&mut self, keyword: KeywordId) -> bool {
-        let Some(verdict) = self.verdicts.get_mut(keyword.0 as usize) else {
-            return false;
-        };
-        *verdict.get_or_insert_with(|| {
-            self.interner
-                .resolve(keyword)
-                .is_some_and(|word| self.heuristic.is_noun(word))
-        })
+    /// Writes the binary filter section of `filter`.
+    fn write_bin(filter: Option<&Self>, w: &mut dengraph_json::BinWriter) {
+        match filter {
+            Some(filter) => {
+                w.byte(FILTER_VERDICTS);
+                w.usize(filter.len);
+                w.raw(&filter.bits);
+            }
+            None => w.byte(FILTER_NONE),
+        }
+    }
+
+    /// Reads a binary filter section of any tag.
+    fn read_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Option<Self>> {
+        let at = r.pos();
+        match r.byte()? {
+            FILTER_NONE => Ok(None),
+            FILTER_WORDS => {
+                let words = r.seq_len(1)?;
+                let mut vocabulary = KeywordInterner::new();
+                for _ in 0..words {
+                    let at = r.pos();
+                    intern_next(&mut vocabulary, &r.str()?, at)?;
+                }
+                Ok(Some(Self::new(&vocabulary)))
+            }
+            FILTER_VERDICTS => {
+                let len = r.usize()?;
+                let at = r.pos();
+                let bits = r.take(len.div_ceil(8))?.to_vec();
+                Self::from_bits(len, bits, at).map(Some)
+            }
+            tag => Err(dengraph_json::JsonError {
+                message: format!("unknown noun filter tag {tag}"),
+                offset: at,
+            }),
+        }
     }
 }
 
@@ -251,10 +386,11 @@ impl EventDetector {
     }
 
     /// Enables the noun-based precision filter by supplying the keyword
-    /// interner used by the message stream (needed to resolve keyword ids
-    /// back to strings).
+    /// interner used by the message stream.  The vocabulary is consumed
+    /// here: each keyword's noun verdict is reached once, and only the
+    /// verdicts are kept.
     pub fn with_interner(mut self, interner: KeywordInterner) -> Self {
-        self.noun_filter = Some(NounFilter::new(interner));
+        self.noun_filter = Some(NounFilter::new(&interner));
         self
     }
 
@@ -492,13 +628,10 @@ impl EventDetector {
             ("clusters", self.clusters.to_json()),
             ("tracker", self.tracker.to_json()),
             (
-                "interner",
-                match &self.noun_filter {
-                    Some(filter) => {
-                        Value::arr(filter.interner.iter().map(|(_, word)| Value::str(word)))
-                    }
-                    None => Value::Null,
-                },
+                "noun_verdicts",
+                self.noun_filter
+                    .as_ref()
+                    .map_or(Value::Null, NounFilter::to_json),
             ),
             (
                 "buffer",
@@ -549,16 +682,7 @@ impl EventDetector {
                 offset: 0,
             });
         }
-        let noun_filter = match value.get_opt("interner")? {
-            Some(words) => {
-                let mut interner = KeywordInterner::new();
-                for word in words.as_arr()? {
-                    intern_next(&mut interner, word.as_str()?, 0)?;
-                }
-                Some(NounFilter::new(interner))
-            }
-            None => None,
-        };
+        let noun_filter = NounFilter::read_json(value)?;
         let window = WindowState::from_json_with(
             value.get("window")?,
             Some(Self::window_geometry(&config)),
@@ -623,8 +747,9 @@ impl EventDetector {
 
     /// Appends the complete detector state in the compact binary format —
     /// the binary twin of [`Self::to_json`], byte layout:
-    /// config · window · AKG · clusters · tracker · optional interner ·
-    /// partial message buffer · quantum counters.  The document header
+    /// config · window · AKG · clusters · tracker · noun filter (a tag
+    /// byte: `0` none, `2` the verdict bits; `1`, the word list, is only
+    /// read) · partial message buffer · quantum counters.  The document header
     /// (magic + version) is written by the checkpoint container
     /// ([`DetectorSession::checkpoint_bytes`](crate::session::DetectorSession::checkpoint_bytes)
     /// / [`CheckpointJournal`](crate::checkpoint::CheckpointJournal)),
@@ -635,16 +760,7 @@ impl EventDetector {
         self.akg.to_bin(w);
         self.clusters.to_bin(w);
         self.tracker.to_bin(w);
-        match &self.noun_filter {
-            Some(filter) => {
-                w.bool(true);
-                w.usize(filter.interner.len());
-                for (_, word) in filter.interner.iter() {
-                    w.str(word);
-                }
-            }
-            None => w.bool(false),
-        }
+        NounFilter::write_bin(self.noun_filter.as_ref(), w);
         w.usize(self.buffer.len());
         for message in &self.buffer {
             dengraph_stream::json::message_to_bin(message, w);
@@ -679,17 +795,7 @@ impl EventDetector {
         })?;
         let clusters = ClusterMaintainer::from_bin(r)?;
         let tracker = EventTracker::from_bin(r)?;
-        let noun_filter = if r.bool()? {
-            let words = r.seq_len(1)?;
-            let mut interner = KeywordInterner::new();
-            for _ in 0..words {
-                let at = r.pos();
-                intern_next(&mut interner, &r.str()?, at)?;
-            }
-            Some(NounFilter::new(interner))
-        } else {
-            None
-        };
+        let noun_filter = NounFilter::read_bin(r)?;
         let buffered = r.seq_len(2)?;
         let mut buffer = Vec::with_capacity(buffered.min(config.quantum_size));
         for _ in 0..buffered {
@@ -825,7 +931,7 @@ impl EventDetector {
         let graph = akg.graph();
         let node_support =
             |node: dengraph_graph::NodeId| window.window_user_count(keyword_of(node));
-        let mut noun_filter = noun_filter.as_mut().filter(|_| config.require_noun);
+        let noun_filter = noun_filter.as_ref().filter(|_| config.require_noun);
         let rank_threshold = config.rank_report_threshold();
         let mut events: Vec<DetectedEvent> = Vec::with_capacity(clusters.cluster_count());
         for cluster in clusters.clusters() {
@@ -836,7 +942,7 @@ impl EventDetector {
             // Node order is keyword order, so the sorted member column is
             // the event's sorted keyword list.
             let keywords = rank_nodes.iter().map(|&n| keyword_of(n));
-            if let Some(filter) = noun_filter.as_deref_mut() {
+            if let Some(filter) = noun_filter {
                 if !keywords.clone().any(|k| filter.is_noun(k)) {
                     continue;
                 }
@@ -1202,6 +1308,217 @@ mod tests {
         assert_eq!(s.live_clusters, 1);
         assert!(s.akg_stats.bursty_keywords >= 3);
         assert_eq!(det.total_messages(), config.quantum_size as u64);
+    }
+
+    /// Nouns and non-nouns, thirteen of them: the last verdict byte has
+    /// three padding bits.
+    fn mixed_vocabulary() -> KeywordInterner {
+        let mut vocabulary = KeywordInterner::new();
+        for word in [
+            "earthquake",
+            "massive",
+            "tsunami",
+            "really",
+            "japan",
+            "watching",
+            "coast",
+            "awesome",
+            "warning",
+            "quickly",
+            "magnitude",
+            "tremor",
+            "hopeful",
+        ] {
+            vocabulary.intern(word);
+        }
+        vocabulary
+    }
+
+    /// A detector over [`mixed_vocabulary`] that has seen one quantum,
+    /// and its binary body split around the noun filter section:
+    /// `(before, section, after)`.
+    fn filtered_detector() -> (EventDetector, Vec<u8>, Vec<u8>, Vec<u8>) {
+        let mut det = detector(cfg()).with_interner(mixed_vocabulary());
+        det.process_messages(&event_quantum(&cfg(), 6, 0, &[0, 2, 4], 0));
+        let mut before = dengraph_json::BinWriter::new();
+        det.config.to_bin(&mut before);
+        det.window.to_bin(&mut before);
+        det.akg.to_bin(&mut before);
+        det.clusters.to_bin(&mut before);
+        det.tracker.to_bin(&mut before);
+        let mut section = dengraph_json::BinWriter::new();
+        NounFilter::write_bin(det.noun_filter.as_ref(), &mut section);
+        let mut body = dengraph_json::BinWriter::new();
+        det.to_bin(&mut body);
+        let (before, section) = (before.into_bytes(), section.into_bytes());
+        assert!(body.as_slice().starts_with(&before));
+        assert!(body.as_slice()[before.len()..].starts_with(&section));
+        let after = body.as_slice()[before.len() + section.len()..].to_vec();
+        (det, before, section, after)
+    }
+
+    /// Decodes a whole binary detector body, as a checkpoint container does.
+    fn decode_body(body: &[u8]) -> dengraph_json::Result<EventDetector> {
+        let mut r = dengraph_json::BinReader::new(body);
+        let det = EventDetector::from_bin(&mut r)?;
+        r.expect_end()?;
+        Ok(det)
+    }
+
+    fn encoded(det: &EventDetector) -> Vec<u8> {
+        let mut body = dengraph_json::BinWriter::new();
+        det.to_bin(&mut body);
+        body.into_bytes()
+    }
+
+    /// The verdicts a detector took from its vocabulary — and the ones
+    /// each restore path rebuilds: the binary verdict bits, the JSON hex,
+    /// and the word list of an older document in either codec — are the
+    /// heuristic's, for every vocabulary id; ids past the vocabulary are
+    /// not nouns.  Every restore re-encodes to the honest bytes.
+    #[test]
+    fn restored_noun_verdicts_are_the_heuristics() {
+        let (det, before, section, after) = filtered_detector();
+        let vocabulary = mixed_vocabulary();
+        let heuristic = NounHeuristic::new();
+        let mut words = dengraph_json::BinWriter::new();
+        words.byte(FILTER_WORDS);
+        words.usize(vocabulary.len());
+        for (_, word) in vocabulary.iter() {
+            words.str(word);
+        }
+        let mut json_words = det.to_json();
+        if let dengraph_json::Value::Obj(map) = &mut json_words {
+            assert!(map.remove("noun_verdicts").is_some());
+            let list = vocabulary.iter().map(|(_, w)| dengraph_json::Value::str(w));
+            map.insert("interner".into(), dengraph_json::Value::arr(list));
+        }
+        assert_eq!(section[0], FILTER_VERDICTS);
+        assert_eq!(section.len(), 1 + 1 + 2, "tag, len 13, two bytes");
+
+        let honest_bin = encoded(&det);
+        let honest_json = dengraph_json::to_string(&det.to_json());
+        for (label, restored) in [
+            ("binary verdicts", decode_body(&honest_bin)),
+            (
+                "binary words",
+                decode_body(&[&before[..], words.as_slice(), &after[..]].concat()),
+            ),
+            ("JSON verdicts", EventDetector::from_json(&det.to_json())),
+            ("JSON words", EventDetector::from_json(&json_words)),
+        ] {
+            let restored = restored.unwrap_or_else(|e| panic!("{label}: {e}"));
+            let filter = restored.noun_filter.as_ref().expect("a filter");
+            let mut nouns = 0;
+            for (id, word) in vocabulary.iter() {
+                assert_eq!(
+                    filter.is_noun(id),
+                    heuristic.is_noun(word),
+                    "{label}: {word}"
+                );
+                nouns += usize::from(filter.is_noun(id));
+            }
+            assert!(
+                (1..vocabulary.len()).contains(&nouns),
+                "{label}: a mixed vocabulary"
+            );
+            for id in vocabulary.len() as u32..64 {
+                assert!(!filter.is_noun(KeywordId(id)), "{label}: id {id}");
+            }
+            assert!(encoded(&restored) == honest_bin, "{label}");
+            assert_eq!(dengraph_json::to_string(&restored.to_json()), honest_json);
+        }
+    }
+
+    /// A verdict byte count other than ⌈len/8⌉, a set padding bit, an
+    /// unknown tag, a JSON section that is not lower-case hex pairs, and a
+    /// JSON document carrying both forms: each is a typed error.
+    #[test]
+    fn a_malformed_noun_verdict_section_is_a_typed_error() {
+        let (det, before, section, after) = filtered_detector();
+        let bits = section[2..].to_vec();
+        // earthquake, tsunami, japan, coast; magnitude, tremor.
+        assert_eq!(bits, [0x55, 0x0c]);
+        let verdicts = |len: usize, bits: &[u8]| {
+            let mut w = dengraph_json::BinWriter::new();
+            w.byte(FILTER_VERDICTS);
+            w.usize(len);
+            w.raw(bits);
+            w.into_bytes()
+        };
+        let mut padded = bits.clone();
+        padded[1] |= 0x80;
+        let mut cases = vec![
+            ("a byte short", verdicts(13, &bits[..1]), None),
+            (
+                "a byte long",
+                verdicts(13, &[&bits[..], &[0]].concat()),
+                None,
+            ),
+            ("len 8 over two bytes", verdicts(8, &bits), None),
+            ("len 17 over two bytes", verdicts(17, &bits), None),
+            ("a padding bit", verdicts(13, &padded), Some("padding")),
+        ];
+        for tag in 3..=u8::MAX {
+            let mut tagged = section.clone();
+            tagged[0] = tag;
+            cases.push(("an unknown tag", tagged, Some("unknown noun filter tag")));
+        }
+        assert!(decode_body(&[&before[..], &section[..], &after[..]].concat()).is_ok());
+        for (label, section, reason) in cases {
+            let body = [&before[..], &section[..], &after[..]].concat();
+            match decode_body(&body) {
+                Err(e) => assert!(
+                    reason.is_none_or(|reason| e.message.contains(reason)),
+                    "{label}: rejected for {e}"
+                ),
+                Ok(_) => panic!("binary, {label}: accepted"),
+            }
+            // Alone, the section is refused for itself, not for what
+            // follows it.
+            let mut r = dengraph_json::BinReader::new(&section);
+            assert!(
+                NounFilter::read_bin(&mut r)
+                    .and_then(|_| r.expect_end())
+                    .is_err(),
+                "binary section alone, {label}"
+            );
+        }
+
+        let honest = dengraph_json::to_string(&det.to_json());
+        let needle = "\"noun_verdicts\":{\"bits\":\"550c\",\"len\":13}";
+        assert!(honest.contains(needle), "{honest}");
+        assert!(EventDetector::from_json(&dengraph_json::parse(&honest).unwrap()).is_ok());
+        for (label, replacement, reason) in [
+            (
+                "a byte long",
+                r#"{"bits":"550c00","len":13}"#,
+                "bytes for 13",
+            ),
+            ("a byte short", r#"{"bits":"55","len":13}"#, "bytes for 13"),
+            ("len 8", r#"{"bits":"550c","len":8}"#, "bytes for 8"),
+            ("len 17", r#"{"bits":"550c","len":17}"#, "bytes for 17"),
+            ("a padding bit", r#"{"bits":"558c","len":13}"#, "padding"),
+            ("an odd digit count", r#"{"bits":"550c5","len":13}"#, "hex"),
+            ("upper-case hex", r#"{"bits":"550C","len":13}"#, "hex"),
+            ("a non-hex digit", r#"{"bits":"5g0c","len":13}"#, "hex"),
+            ("no bits", r#"{"len":13}"#, "bits"),
+        ] {
+            let tampered = honest.replace(needle, &format!("\"noun_verdicts\":{replacement}"));
+            match EventDetector::from_json(&dengraph_json::parse(&tampered).unwrap()) {
+                Err(e) => assert!(
+                    e.message.contains(reason),
+                    "JSON, {label}: rejected for {e}"
+                ),
+                Ok(_) => panic!("JSON, {label}: accepted"),
+            }
+        }
+        let both = honest.replace(
+            "\"noun_verdicts\":",
+            "\"interner\":[\"earthquake\"],\"noun_verdicts\":",
+        );
+        let err = EventDetector::from_json(&dengraph_json::parse(&both).unwrap()).unwrap_err();
+        assert!(err.message.contains("both"), "{err}");
     }
 
     #[test]

@@ -169,7 +169,9 @@ impl DetectorBuilder {
     }
 
     /// Supplies the keyword interner of the message stream, enabling the
-    /// noun-based precision filter (Section 7.2.2).
+    /// noun-based precision filter (Section 7.2.2).  The vocabulary is
+    /// consumed at [`Self::build`]: the detector reaches each keyword's
+    /// noun verdict once and keeps only the verdicts, one bit per keyword.
     pub fn interner(mut self, interner: KeywordInterner) -> Self {
         self.interner = Some(interner);
         self
@@ -1554,37 +1556,58 @@ mod tests {
         }
     }
 
-    /// A vocabulary that repeats a word would shift every later keyword id
-    /// onto another word: both decoders refuse it with a typed error.
+    /// A document written before the noun verdicts carries the
+    /// vocabulary's words (binary filter tag 1, JSON `"interner"`).  One
+    /// that repeats a word would shift every later keyword id onto another
+    /// word: both decoders refuse it with a typed error.  The honest list
+    /// restores, and re-encodes as verdicts.
     #[test]
     fn restore_rejects_a_vocabulary_that_repeats_a_word() {
-        let mut vocabulary = KeywordInterner::new();
-        for word in ["quake1", "quake2", "tsunami"] {
-            vocabulary.intern(word);
-        }
-        let session = builder().interner(vocabulary).build().unwrap();
+        let session = builder().build().unwrap();
         let json = json_checkpoint(&session);
-        let doc = json.replace("\"quake2\"", "\"quake1\"");
-        assert_ne!(doc, json, "the fixture must actually repeat a word");
+        let none = "\"noun_verdicts\":null";
+        assert!(json.contains(none));
+        let json_words = |words: &str| json.replace(none, &format!("\"interner\":[{words}]"));
         // A raw binary container (magic, version, method 0) around the
-        // body, with the same-length word overwritten in place.
-        let mut honest = session.checkpoint_bytes(WireFormat::Binary)[..5].to_vec();
-        honest.push(0);
+        // body, whose filter section — tag 0 behind the tracker, before an
+        // empty buffer and two zero counters — becomes a word list.
         let mut body = dengraph_json::BinWriter::new();
         session.detector().to_bin(&mut body);
-        honest.extend_from_slice(body.as_slice());
-        let at: Vec<usize> = (0..honest.len())
-            .filter(|&i| honest[i..].starts_with(b"quake2"))
-            .collect();
-        assert_eq!(at.len(), 1, "the word sits once in the body");
-        let mut doc_bin = honest.clone();
-        doc_bin[at[0]..at[0] + 6].copy_from_slice(b"quake1");
+        let body = body.into_bytes();
+        assert!(
+            body.ends_with(&[0, 0, 0, 0]),
+            "no filter, no buffer, quantum 0"
+        );
+        let bin_words = |words: [&str; 3]| {
+            let mut doc = session.checkpoint_bytes(WireFormat::Binary)[..5].to_vec();
+            doc.push(0);
+            doc.extend_from_slice(&body[..body.len() - 4]);
+            let mut section = dengraph_json::BinWriter::new();
+            section.byte(1);
+            section.usize(words.len());
+            for word in words {
+                section.str(word);
+            }
+            doc.extend_from_slice(section.as_slice());
+            doc.extend_from_slice(&[0, 0, 0]);
+            doc
+        };
         for (format, good, bad) in [
-            ("JSON", json.as_bytes(), doc.as_bytes()),
-            ("binary", &honest[..], &doc_bin[..]),
+            (
+                "JSON",
+                json_words("\"quake1\",\"quake2\",\"tsunami\"").into_bytes(),
+                json_words("\"quake1\",\"quake1\",\"tsunami\"").into_bytes(),
+            ),
+            (
+                "binary",
+                bin_words(["quake1", "quake2", "tsunami"]),
+                bin_words(["quake1", "quake1", "tsunami"]),
+            ),
         ] {
-            assert!(DetectorSession::restore_bytes(good).is_ok(), "{format}");
-            match DetectorSession::restore_bytes(bad) {
+            let restored = DetectorSession::restore_bytes(&good).expect(format);
+            assert!(json_checkpoint(&restored)
+                .contains("\"noun_verdicts\":{\"bits\":\"07\",\"len\":3}"));
+            match DetectorSession::restore_bytes(&bad) {
                 Err(RestoreError::Json(e)) => assert!(
                     e.message.contains("repeats the word \"quake1\""),
                     "{format}: rejected for {e}"

@@ -2,8 +2,10 @@
 //!
 //! The binary struct encodings (see [`crate::binary`]) remove JSON's
 //! framing overhead, but whole-checkpoint documents still carry large
-//! repetitive sections — above all the interner word list, plus the
-//! recurring structure of per-keyword columns.  Checkpoint *containers*
+//! repetitive sections — above all the recurring structure of
+//! per-keyword columns (a detector body used to carry the stream's whole
+//! vocabulary as a word list as well; it now carries one noun verdict bit
+//! per word).  Checkpoint *containers*
 //! run their payload through a codec of this module (struct-level
 //! encodings stay raw: compression is a property of the durable
 //! document, not of the codec abstraction).
@@ -78,7 +80,10 @@ const MATCH_START_MARGIN: usize = 12;
 /// which stays in L1) and bytes of input that select an entry.  Both
 /// picked by measurement on a 508 KB checkpoint body — time relative to
 /// the first row, ≈ 1.0 ms there; the LZSS container this replaces
-/// weighed 323 891 bytes:
+/// weighed 323 891 bytes.  That body still carried the stream's
+/// vocabulary as a word list, whose short repeated fragments make many
+/// short sequences; bodies no longer do, and the table was not
+/// re-measured on one without it:
 ///
 /// | table | hashed bytes | time | packed bytes | sequences |
 /// |---|---|---|---|---|

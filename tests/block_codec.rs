@@ -50,7 +50,7 @@ fn random_bytes(rng: &mut ChaCha8Rng, n: usize) -> Vec<u8> {
 }
 
 /// The binary state of a detector that has seen a real stream: sorted
-/// varint columns, sketches, an interner word list.
+/// varint columns, sketches, the noun verdict bits of its vocabulary.
 fn checkpoint_body(seed: u64, window: usize) -> Vec<u8> {
     let trace = StreamGenerator::new(tw_profile(seed, ProfileScale::Small)).generate();
     let mut session =

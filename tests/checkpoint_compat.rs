@@ -1,4 +1,4 @@
-//! On-disk compatibility across three format changes.
+//! On-disk compatibility across four format changes.
 //!
 //! `tests/fixtures/` holds documents **written by earlier commits** from
 //! the small seeded session rebuilt below:
@@ -25,6 +25,13 @@
 //! AKG component index, populated (a non-zero binary component count, JSON
 //! `"components":{"components":[{…}]}`); a current document writes a zero
 //! count and no JSON key, and a restore drops what an old one holds.
+//!
+//! And every fixture — all three generations, journals included — carries
+//! the noun filter as the vocabulary's word list (binary filter tag 1,
+//! JSON `"interner"`).  A current document carries one verdict bit per
+//! word instead (tag 2, JSON `"noun_verdicts"`); a restore reaches the
+//! verdicts from the words, so an old document and a current one of the
+//! same session still restore to the same state bytes.
 //!
 //! Gated here: every fixture restores under the current code — the first
 //! two generations to a detector equal to the one a current-format
@@ -319,6 +326,8 @@ fn parent_checkpoints_with_an_entries_index_restore_in_both_wire_formats() {
     let new_text = std::str::from_utf8(&new_json).expect("JSON checkpoint is text");
     assert!(new_text.contains("\"live\":[0,1,2,3,8,9,10,11]") && !new_text.contains("\"entries\""));
     assert!(!new_text.contains("\"components\""));
+    assert!(old_text.contains("\"interner\":[\"earthquake\",\"tsunami\","));
+    assert!(new_text.contains("\"noun_verdicts\":{\"bits\":\"") && !new_text.contains("interner"));
     assert!(new_bin.len() < old_bin.len() && new_json.len() < old_json.len());
     let threads = old_text.replacen("\"parallelism\":\"serial\"", "\"parallelism\":100000", 1);
     assert_ne!(threads, old_text);

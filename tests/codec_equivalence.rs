@@ -28,11 +28,11 @@ use dengraph_core::{
     GraphDelta, WireFormat,
 };
 use dengraph_graph::{DynamicGraph, NodeId};
-use dengraph_json::{Decode, Encode};
+use dengraph_json::{BinWriter, Decode, Encode};
 use dengraph_minhash::{MinHashSketch, UserHasher};
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, UserId};
-use dengraph_text::KeywordId;
+use dengraph_text::{KeywordId, KeywordInterner};
 
 #[path = "support/temp_dir.rs"]
 mod temp_dir;
@@ -258,7 +258,7 @@ fn detector_config_codecs_agree() {
 // ---------------------------------------------------------------------------
 
 /// Runs a real trace into a session and returns it (with interner, so the
-/// checkpoint exercises the optional word list too).
+/// checkpoint exercises the noun filter section too).
 fn loaded_session() -> DetectorSession {
     let trace = StreamGenerator::new(tw_profile(71, ProfileScale::Small)).generate();
     let mut session = DetectorBuilder::from_config(DetectorConfig::nominal().with_window_quanta(8))
@@ -291,6 +291,94 @@ fn binary_and_json_checkpoints_restore_identically() {
     );
     assert_eq!(from_bin.quanta_processed(), session.quanta_processed());
     assert_eq!(from_bin.total_messages(), session.total_messages());
+}
+
+/// A vocabulary of `n` long words, every third one a non-noun; the first
+/// `n` words of any two such vocabularies agree.
+fn long_word_vocabulary(n: usize) -> KeywordInterner {
+    let mut vocabulary = KeywordInterner::new();
+    for i in 0..n {
+        let suffix = if i % 3 == 0 { "ing" } else { "" };
+        vocabulary.intern(&format!("{LONG_WORD_PREFIX}{i:06}{suffix}"));
+    }
+    vocabulary
+}
+
+const LONG_WORD_PREFIX: &str = "longvocabularyword";
+
+/// A checkpoint carries one verdict bit per vocabulary word, not the
+/// words.  Two sessions fed the same stream, whose keywords all lie in
+/// the first 1 000 ids, over vocabularies of 1 000 and 20 000 long words
+/// (the same first 1 000): their detector bodies differ by exactly the
+/// varint of the vocabulary size and the ⌈n/8⌉ verdict bytes, and no word
+/// appears in a checkpoint that wraps the body unpacked.
+#[test]
+fn a_checkpoint_grows_one_bit_per_vocabulary_word() {
+    const SMALL: usize = 1_000;
+    const LARGE: usize = 20_000;
+    let trace = StreamGenerator::new(tw_profile(71, ProfileScale::Small)).generate();
+    let messages: Vec<Message> = trace
+        .messages
+        .iter()
+        .map(|m| {
+            let mut keywords: Vec<KeywordId> = m
+                .keywords
+                .iter()
+                .map(|k| KeywordId(k.0 % SMALL as u32))
+                .collect();
+            keywords.sort_unstable();
+            keywords.dedup();
+            Message::new(m.user, m.time, keywords)
+        })
+        .collect();
+    let body = |n: usize| {
+        let mut session =
+            DetectorBuilder::from_config(DetectorConfig::nominal().with_window_quanta(8))
+                .interner(long_word_vocabulary(n))
+                .build()
+                .expect("valid config");
+        session.run(&messages);
+        assert!(
+            session.event_records().len() > 1,
+            "the stream must report events"
+        );
+        let mut body = BinWriter::new();
+        session.detector().to_bin(&mut body);
+        (session, body.into_bytes())
+    };
+    let (small_session, small) = body(SMALL);
+    let (large_session, large) = body(LARGE);
+    assert_eq!(
+        large_session.checkpoint_bytes(WireFormat::Json).len()
+            - small_session.checkpoint_bytes(WireFormat::Json).len(),
+        LARGE.to_string().len() - SMALL.to_string().len()
+            + 2 * (LARGE.div_ceil(8) - SMALL.div_ceil(8)),
+        "JSON: the digits of len, and two hex digits per verdict byte"
+    );
+    let varint_len = |n: usize| {
+        let mut w = BinWriter::new();
+        w.usize(n);
+        w.len()
+    };
+    assert_eq!(
+        large.len() - small.len(),
+        varint_len(LARGE) - varint_len(SMALL) + LARGE.div_ceil(8) - SMALL.div_ceil(8)
+    );
+
+    // A raw container (magic, version, method 0) around the large body.
+    let mut raw = large_session.checkpoint_bytes(WireFormat::Binary)[..5].to_vec();
+    raw.push(0);
+    raw.extend_from_slice(&large);
+    let restored = DetectorSession::restore_bytes(&raw).expect("the raw container restores");
+    assert!(
+        restored.checkpoint_bytes(WireFormat::Binary)
+            == large_session.checkpoint_bytes(WireFormat::Binary)
+    );
+    let prefix = LONG_WORD_PREFIX.as_bytes();
+    assert!(
+        !raw.windows(prefix.len()).any(|w| w == prefix),
+        "a vocabulary word is in the checkpoint"
+    );
 }
 
 #[test]

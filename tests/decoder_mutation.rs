@@ -2,8 +2,10 @@
 //!
 //! A detector is a long-running stream consumer, so what keeps it from
 //! crashing or exhausting memory on restart is how its restore paths
-//! treat damaged bytes.  One small seeded session supplies the documents,
-//! and each is mutated and fed back through its entry point:
+//! treat damaged bytes.  One small seeded session, given its trace's
+//! vocabulary so that its documents carry the noun filter's verdict bits,
+//! supplies the documents (the fixtures below carry the filter as a word
+//! list), and each is mutated and fed back through its entry point:
 //!
 //! * the detector body in a **raw** container (method 0), restored with
 //!   [`DetectorSession::restore_bytes`], with a varint of `u64::MAX` and
@@ -315,6 +317,7 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
     let lines = Arc::new(Mutex::new(JsonLinesSink::new(Vec::new())));
     let journal_dir = temp_dir::scratch_dir("decoder-mutation-journal");
     let mut session = DetectorBuilder::from_config(config)
+        .interner(trace.interner.clone())
         .durable_journal(&journal_dir, temp_dir::one_segment(DELTAS_PER_SNAPSHOT))
         .build()
         .expect("valid config and writable journal dir");
