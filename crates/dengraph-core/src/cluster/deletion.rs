@@ -10,10 +10,12 @@
 //!   edge can break other edges' cycles, so this runs to a fixpoint; the
 //!   fixpoint is unique regardless of processing order (Lemma 5), and no
 //!   edge that still has a short cycle is ever lost.
-//! * **Articulation check** — split the surviving edge set at articulation
-//!   points into biconnected components; each component with at least three
-//!   nodes survives as a cluster (the first keeps the original cluster id),
-//!   anything smaller dissolves.
+//! * **Articulation check** — split the surviving edge set where its parts
+//!   meet only at articulation points; each part with at least three nodes
+//!   survives as a cluster (the first keeps the original cluster id),
+//!   anything smaller dissolves.  Nothing here computes biconnected
+//!   components: the SCP decomposition that does the cycle check splits
+//!   there too (see `repair_cluster`).
 //!
 //! Both phases touch only the nodes and edges of the original cluster,
 //! which the paper shows stays small (< 7 nodes on average), so deletions

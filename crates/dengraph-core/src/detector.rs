@@ -492,21 +492,6 @@ impl EventDetector {
         self.process_buffer()
     }
 
-    /// Runs an entire message slice through the detector, batching it into
-    /// quanta of the configured size.  Returns one summary per quantum.
-    pub fn run(&mut self, messages: &[Message]) -> Vec<QuantumSummary> {
-        let mut out = Vec::new();
-        for m in messages {
-            if let Some(summary) = self.push_message(m.clone()) {
-                out.push(summary);
-            }
-        }
-        if let Some(summary) = self.flush() {
-            out.push(summary);
-        }
-        out
-    }
-
     /// Core per-quantum pipeline.
     fn process_messages(&mut self, messages: &[Message]) -> QuantumSummary {
         let quantum = self.next_quantum;

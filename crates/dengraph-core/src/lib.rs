@@ -13,7 +13,6 @@
 //! |---|---|---|
 //! | [`config`] | Table 2 | tunable parameters and nominal values |
 //! | [`keyword_state`] | §3.1 | sliding window, per-keyword user sets, two-state automaton |
-//! | [`ckg`] | §3 / §7.4 | full-CKG size bookkeeping (for the AKG-reduction numbers) |
 //! | [`akg`] | §3.1–3.2 | AKG node admission, min-hash edge correlation, lazy removal |
 //! | [`cluster`] | §4–5 | short-cycle clusters, local addition/deletion maintenance |
 //! | [`ranking`] | §6 | local cluster ranking |
@@ -22,8 +21,7 @@
 //! | [`session`] | service surface | [`DetectorBuilder`], push-based [`EventSink`]s, checkpoint bytes and restore |
 //! | [`checkpoint`] | durability | checkpoint documents, per-quantum [`DeltaRecord`]s, the [`CheckpointJournal`] |
 //! | [`wal`] | durability | segmented on-disk write-ahead log: [`FsyncPolicy`], rotation, compaction, torn-write recovery |
-//! | [`baseline`] | §7.3 | offline biconnected-component clustering |
-//! | [`evaluation`] | §7 | ground-truth matching, precision/recall, quality, scheme comparison |
+//! | [`evaluation`] | §7 | ground-truth matching and precision/recall (what the repo benchmark scores with) |
 //!
 //! ## Quick start
 //!
@@ -55,14 +53,17 @@
 //! ```
 //!
 //! For push-based delivery and checkpoint/restore, see [`session`].
+//!
+//! The paper's reference and evaluation code — the offline biconnected
+//! baseline, the full-CKG bookkeeping, the Table 3 scheme comparison and
+//! the Section 7 run reports — is not part of the engine; it lives in the
+//! `dengraph-tests` library beside the tests that use it.
 
 // Module docs live as `//!` inner docs in each module's own file;
 // adding outer `///` docs here would merge with them and re-scope
 // their intra-doc links into this file, breaking `cargo doc`.
 pub mod akg;
-pub mod baseline;
 pub mod checkpoint;
-pub mod ckg;
 pub mod cluster;
 pub mod config;
 pub mod detector;

@@ -294,11 +294,6 @@ impl VecSink {
     pub fn slides(&self) -> &[u64] {
         &self.slides
     }
-
-    /// Consumes the sink, returning the collected summaries.
-    pub fn into_summaries(self) -> Vec<QuantumSummary> {
-        self.summaries
-    }
 }
 
 impl EventSink for VecSink {

@@ -10,30 +10,24 @@
 //!   edge insertion/removal, weighted edges and common-neighbour queries.
 //! * [`components`] — a stateless stand-in for the retired
 //!   connected-component index, held only for the repo benchmark.
-//! * [`biconnected`] — Hopcroft–Tarjan articulation points and biconnected
-//!   components; used by the offline baseline of Section 7.3 and by the
-//!   correctness oracle for the incremental maintenance.
-//! * [`quasi_clique`] — γ-quasi-clique / majority-quasi-clique (MQC)
-//!   verification, density and diameter (Section 4.2's `O(N²)` check);
-//!   `tests/end_to_end.rs` measures how many live SCP clusters are MQCs.
 //! * [`scp`] — the short-cycle property itself: the one SCP decomposition
 //!   and test.  [`scp_edge_groups`] decomposes a sorted edge list; the
 //!   deletion repair, a cluster's own SCP test and the *global* test
 //!   oracle for the incremental algorithms (property P3 of Section 4.3)
 //!   all call it.
 //! * [`fxhash`] — a small, fast integer hasher for the hot adjacency maps.
+//!
+//! Biconnectivity (the Section 7.3 baseline and Theorem 2's check) and the
+//! quasi-clique tests of Section 1.1 are reference code the engine never
+//! runs; they live in the `dengraph-tests` library.
 
-pub mod biconnected;
 pub mod components;
 pub mod dynamic_graph;
 pub mod fxhash;
 pub mod node;
-pub mod quasi_clique;
 pub mod scp;
 
-pub use biconnected::{articulation_points, biconnected_components};
 pub use components::ComponentIndex;
 pub use dynamic_graph::{DynamicGraph, EdgeKey};
 pub use node::NodeId;
-pub use quasi_clique::{density, diameter, is_gamma_quasi_clique, is_mqc};
 pub use scp::{scp_clusters_global, scp_edge_groups};

@@ -167,7 +167,7 @@ pub fn scp_clusters_global(graph: &DynamicGraph) -> Vec<ScpCluster> {
 #[expect(
     clippy::disallowed_methods,
     clippy::iter_over_hash_type,
-    reason = "reference checks whose verdicts and sorted groups are order-free"
+    reason = "a reference decomposition whose sorted groups are order-free"
 )]
 mod tests {
     use super::*;
@@ -175,10 +175,6 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
-    }
-
-    fn set(ids: &[u32]) -> FxHashSet<NodeId> {
-        ids.iter().map(|&i| NodeId(i)).collect()
     }
 
     fn graph(pairs: &[(u32, u32)]) -> DynamicGraph {
@@ -193,28 +189,6 @@ mod tests {
         let mut edges: Vec<EdgeKey> = g.edges().map(|(k, _)| k).collect();
         edges.sort_unstable();
         edges
-    }
-
-    /// Section 4.1's test, written from the definition and independent of
-    /// [`scp_edge_groups`]: every edge the graph induces on `nodes` lies on
-    /// a cycle of length ≤ 4 within `nodes` — its endpoints `a` and `b`
-    /// have a common neighbour in the set, or a neighbour `c` of `a` and a
-    /// neighbour `d` of `b` in the set are adjacent.
-    fn induces_scp(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> bool {
-        let inside = |u: NodeId| -> Vec<NodeId> {
-            graph.neighbors(u).filter(|v| nodes.contains(v)).collect()
-        };
-        nodes.iter().all(|&a| {
-            let na = inside(a);
-            na.iter().filter(|&&b| a < b).all(|&b| {
-                let nb = inside(b);
-                na.iter().any(|c| nb.contains(c))
-                    || na
-                        .iter()
-                        .filter(|&&c| c != b)
-                        .any(|&c| nb.iter().any(|&d| d != a && graph.contains_edge(c, d)))
-            })
-        })
     }
 
     /// The union–find the reference decomposition was written against.
@@ -328,28 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn five_cycle_has_no_short_cycles() {
-        let g = graph(&[(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]);
-        assert!(!induces_scp(&g, &set(&[1, 2, 3, 4, 5])));
-        assert!(scp_clusters_global(&g).is_empty());
-        assert!(scp_edge_groups(&sorted_edges(&g)).is_empty());
-    }
-
-    /// The reference test [`induces_scp`] on the shapes it must tell apart.
-    #[test]
-    fn subgraph_scp_check() {
-        let g = graph(&[(1, 2), (2, 3), (1, 3), (3, 4)]);
-        assert!(induces_scp(&g, &set(&[1, 2, 3])));
-        assert!(!induces_scp(&g, &set(&[1, 2, 3, 4])));
-        assert!(induces_scp(&g, &set(&[1])));
-        assert!(induces_scp(&g, &FxHashSet::default()));
-        // A node set inducing no edges is vacuously fine.
-        assert!(induces_scp(&g, &set(&[1, 4])));
-        let square = graph(&[(1, 2), (2, 3), (3, 4), (4, 1)]);
-        assert!(induces_scp(&square, &set(&[1, 2, 3, 4])));
-    }
-
-    #[test]
     fn global_clusters_on_figure2_shapes() {
         // Figure 2(a): incoming node n (=0) adjacent to 1 and 2, which share
         // neighbour 3 — a 4-cycle cluster.
@@ -415,44 +367,6 @@ mod tests {
         assert_eq!(clusters.len(), 2);
         let sizes: Vec<usize> = clusters.iter().map(|c| c.nodes.len()).collect();
         assert_eq!(sizes, vec![3, 4]);
-    }
-
-    #[test]
-    fn every_global_cluster_satisfies_scp_and_is_biconnected() {
-        // A denser mixed graph.
-        let g = graph(&[
-            (1, 2),
-            (2, 3),
-            (1, 3),
-            (3, 4),
-            (4, 5),
-            (5, 6),
-            (6, 4),
-            (7, 8),
-            (8, 9),
-            (9, 10),
-            (10, 7),
-            (7, 9),
-            (20, 21),
-        ]);
-        for c in scp_clusters_global(&g) {
-            let nodes: FxHashSet<NodeId> = c.nodes.iter().copied().collect();
-            assert!(
-                induces_scp(&g, &nodes),
-                "cluster {:?} violates SCP",
-                c.nodes
-            );
-            // Biconnected: no articulation point within the cluster's own edges.
-            let mut sub = DynamicGraph::new();
-            for e in &c.edges {
-                sub.add_edge(e.0, e.1, 1.0);
-            }
-            assert!(
-                crate::biconnected::articulation_points(&sub).is_empty(),
-                "cluster {:?} has an articulation point",
-                c.nodes
-            );
-        }
     }
 
     #[test]

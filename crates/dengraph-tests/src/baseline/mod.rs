@@ -15,5 +15,3 @@
 // Module docs live as `//!` inner docs in each module's own file (outer
 // `///` docs here would re-scope their intra-doc links into this file).
 pub mod offline_bc;
-
-pub use offline_bc::OfflineClusterScheme;

@@ -8,12 +8,11 @@
 //! is deliberately no incremental state, because the absence of incremental
 //! maintenance is exactly what the baseline represents.
 
-use dengraph_graph::biconnected::biconnected_components;
-use dengraph_graph::dynamic_graph::EdgeKey;
+use dengraph_core::{Cluster, ClusterId};
 use dengraph_graph::fxhash::FxHashSet;
-use dengraph_graph::{DynamicGraph, NodeId};
+use dengraph_graph::{DynamicGraph, EdgeKey, NodeId};
 
-use crate::cluster::{Cluster, ClusterId};
+use crate::biconnected::biconnected_components;
 
 /// Which flavour of the offline baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,10 +36,6 @@ pub fn offline_bc_clusters(graph: &DynamicGraph, scheme: OfflineClusterScheme) -
     let mut make = |edges: Vec<EdgeKey>, clusters: &mut Vec<Cluster>| {
         let edge_set: FxHashSet<EdgeKey> = edges.into_iter().collect();
         let mut nodes: FxHashSet<NodeId> = FxHashSet::default();
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "feeds a set; membership is order-free"
-        )]
         for e in &edge_set {
             nodes.insert(e.0);
             nodes.insert(e.1);
@@ -81,18 +76,7 @@ pub fn offline_bc_clusters(graph: &DynamicGraph, scheme: OfflineClusterScheme) -
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn n(i: u32) -> NodeId {
-        NodeId(i)
-    }
-
-    fn graph(pairs: &[(u32, u32)]) -> DynamicGraph {
-        let mut g = DynamicGraph::new();
-        for &(a, b) in pairs {
-            g.add_edge(n(a), n(b), 1.0);
-        }
-        g
-    }
+    use crate::fixtures::graph;
 
     #[test]
     fn triangle_plus_bridge() {

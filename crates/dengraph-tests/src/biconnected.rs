@@ -7,9 +7,8 @@
 //! module).  The implementation is the standard iterative low-link
 //! algorithm, so it works on graphs far deeper than any stack limit.
 
-use crate::dynamic_graph::{DynamicGraph, EdgeKey};
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::node::NodeId;
+use dengraph_graph::fxhash::{FxHashMap, FxHashSet};
+use dengraph_graph::{DynamicGraph, EdgeKey, NodeId};
 
 /// State of the iterative DFS used by both public functions.
 struct LowLink<'g> {
@@ -46,10 +45,6 @@ impl<'g> LowLink<'g> {
     }
 
     /// Iterative DFS from `root`.
-    #[expect(
-        clippy::expect_used,
-        reason = "a node's index and low entry precede its frame"
-    )]
     fn run_from(&mut self, root: NodeId) {
         if self.index.contains_key(&root) {
             return;

@@ -52,10 +52,6 @@ impl CkgTracker {
                 entry.insert(k);
             }
         }
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "feeds a set; membership is order-free"
-        )]
         for (_, kws) in per_user {
             let mut sorted: Vec<KeywordId> = kws.into_iter().collect();
             sorted.sort_unstable();
@@ -91,11 +87,6 @@ impl CkgTracker {
         }
         edges.len()
     }
-
-    /// Number of quanta currently inside the window.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +115,6 @@ mod tests {
         t.push_quantum(&[msg(1, &[1, 2])]);
         t.push_quantum(&[msg(2, &[3, 4])]);
         t.push_quantum(&[msg(3, &[5, 6])]);
-        assert_eq!(t.window_len(), 2);
         assert_eq!(t.node_count(), 4); // 3,4,5,6
         assert_eq!(t.edge_count(), 2);
     }

@@ -5,7 +5,7 @@
 //! the *average cluster rank* (a proxy for how strong the discovered
 //! clusters are).
 
-use crate::event::EventRecord;
+use dengraph_core::EventRecord;
 
 /// Quality statistics over a set of discovered events.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,7 +111,7 @@ impl SnapshotQualityAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterId;
+    use dengraph_core::ClusterId;
     use dengraph_text::KeywordId;
 
     fn record(keywords: usize, peak_rank: f64, quanta: usize) -> EventRecord {

@@ -7,9 +7,8 @@
 //! check costs `O(N²)` — that check lives here, together with the density
 //! and diameter statistics used by the evaluation.
 
-use crate::dynamic_graph::DynamicGraph;
-use crate::fxhash::FxHashSet;
-use crate::node::NodeId;
+use dengraph_graph::fxhash::{FxHashMap, FxHashSet};
+use dengraph_graph::{DynamicGraph, NodeId};
 
 /// Is the subgraph induced by `nodes` a γ-quasi clique?
 ///
@@ -51,10 +50,6 @@ pub fn density(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> f64 {
 /// Number of edges with both endpoints in `nodes`.
 fn count_internal_edges(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> usize {
     let mut count = 0;
-    #[expect(
-        clippy::iter_over_hash_type,
-        reason = "a usize count is order-independent"
-    )]
     for &u in nodes {
         for v in graph.neighbors(u) {
             if u < v && nodes.contains(&v) {
@@ -75,13 +70,12 @@ pub fn diameter(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> Option<usize
     }
     let mut max_dist = 0usize;
     #[expect(
-        clippy::iter_over_hash_type,
         clippy::disallowed_methods,
         reason = "a max over BFS depths is order-independent"
     )]
     for &start in nodes {
         // BFS within the node set.
-        let mut dist: crate::fxhash::FxHashMap<NodeId, usize> = crate::fxhash::FxHashMap::default();
+        let mut dist: FxHashMap<NodeId, usize> = FxHashMap::default();
         dist.insert(start, 0);
         let mut queue = std::collections::VecDeque::from([start]);
         while let Some(u) = queue.pop_front() {
@@ -104,22 +98,10 @@ pub fn diameter(graph: &DynamicGraph, nodes: &FxHashSet<NodeId>) -> Option<usize
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn n(i: u32) -> NodeId {
-        NodeId(i)
-    }
-
-    fn set(ids: &[u32]) -> FxHashSet<NodeId> {
-        ids.iter().map(|&i| NodeId(i)).collect()
-    }
-
-    fn graph(pairs: &[(u32, u32)]) -> DynamicGraph {
-        let mut g = DynamicGraph::new();
-        for &(a, b) in pairs {
-            g.add_edge(n(a), n(b), 1.0);
-        }
-        g
-    }
+    use crate::fixtures::{graph, n, set, sorted_edges};
+    use dengraph_graph::{scp_edge_groups, EdgeKey};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn triangle_is_clique_mqc_and_dense() {
@@ -214,5 +196,131 @@ mod tests {
     fn count_internal_edges_ignores_outside_edges() {
         let g = graph(&[(1, 2), (2, 3), (3, 9)]);
         assert_eq!(count_internal_edges(&g, &set(&[1, 2, 3])), 2);
+    }
+
+    fn all_nodes(count: u32) -> FxHashSet<NodeId> {
+        (0..count).map(NodeId).collect()
+    }
+
+    /// SCP as `Cluster::satisfies_scp` decides it: one group holds every
+    /// edge.
+    fn one_group(groups: &[Vec<EdgeKey>], edges: &[EdgeKey]) -> bool {
+        groups.len() == 1 && groups[0].len() == edges.len()
+    }
+
+    /// No size from which every connected MQC satisfies SCP: over every
+    /// labelled graph on 3..=6 nodes, the connected MQCs (all of diameter
+    /// ≤ 2) and those `scp_edge_groups` does not put in one group — the
+    /// 3-paths, and at n = 5 the five-cycles (no edge on a short cycle)
+    /// and the bowties (two groups).
+    #[test]
+    fn connected_mqcs_on_up_to_six_nodes_against_scp() {
+        // (n, connected MQCs, not SCP, of which no group, of which two groups)
+        let expected = [
+            (3, 4, 3, 3, 0),
+            (4, 10, 0, 0, 0),
+            (5, 253, 27, 12, 15),
+            (6, 1858, 0, 0, 0),
+        ];
+        for (count, mqcs, not_scp, no_group, two_groups) in expected {
+            let pairs: Vec<(u32, u32)> = (0..count)
+                .flat_map(|a| (a + 1..count).map(move |b| (a, b)))
+                .collect();
+            let nodes = all_nodes(count);
+            let mut seen = (0, 0, 0, 0);
+            for mask in 0u32..1 << pairs.len() {
+                let chosen: Vec<(u32, u32)> = (0..pairs.len())
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| pairs[i])
+                    .collect();
+                let g = graph(&chosen);
+                if !is_mqc(&g, &nodes) {
+                    continue;
+                }
+                let Some(d) = diameter(&g, &nodes) else {
+                    continue;
+                };
+                assert!(d <= 2, "n = {count}: {chosen:?}");
+                seen.0 += 1;
+                let edges = sorted_edges(&g);
+                let groups = scp_edge_groups(&edges);
+                if !one_group(&groups, &edges) {
+                    seen.1 += 1;
+                    seen.2 += usize::from(groups.is_empty());
+                    seen.3 += usize::from(groups.len() == 2);
+                }
+            }
+            assert_eq!(seen, (mqcs, not_scp, no_group, two_groups), "n = {count}");
+        }
+    }
+
+    /// For every odd n = 2m + 1 ≥ 5 there is a connected MQC with an edge
+    /// on no cycle of length ≤ 4: an edge u–v, a clique A of m − 1 nodes
+    /// joined to u, a clique B of m − 1 nodes joined to v, and a node w
+    /// joined to all of A ∪ B.  Every degree is at least m.
+    #[test]
+    fn odd_mqcs_can_hold_an_edge_on_no_short_cycle() {
+        for m in [3u32, 4] {
+            let (u, v, w) = (0, 1, 2);
+            let a: Vec<u32> = (3..m + 2).collect();
+            let b: Vec<u32> = (m + 2..2 * m + 1).collect();
+            let mut pairs = vec![(u, v)];
+            for (clique, end) in [(&a, u), (&b, v)] {
+                for (i, &x) in clique.iter().enumerate() {
+                    pairs.push((end, x));
+                    pairs.push((w, x));
+                    pairs.extend(clique[i + 1..].iter().map(|&y| (x, y)));
+                }
+            }
+            let g = graph(&pairs);
+            let nodes = all_nodes(2 * m + 1);
+            assert!(is_mqc(&g, &nodes), "n = {}", 2 * m + 1);
+            assert_eq!(diameter(&g, &nodes), Some(2));
+            let uv = EdgeKey::new(n(u), n(v));
+            assert!(
+                scp_edge_groups(&sorted_edges(&g))
+                    .iter()
+                    .all(|group| !group.contains(&uv)),
+                "n = {}",
+                2 * m + 1
+            );
+        }
+    }
+
+    /// For even n every edge of a connected MQC lies on a short cycle: an
+    /// edge u–v on none forces a neighbour of u other than v below
+    /// ⌈(n − 1)/2⌉ neighbours.  Checked on seeded random MQCs; whether
+    /// the edges then form one group is printed, not asserted.
+    #[test]
+    fn even_mqcs_put_every_edge_on_a_short_cycle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x3C_0008);
+        for count in [8u32, 10] {
+            let nodes = all_nodes(count);
+            let (mut mqcs, mut scp) = (0usize, 0usize);
+            while mqcs < 300 {
+                let p = rng.gen_range(0.45..0.75);
+                let pairs: Vec<(u32, u32)> = (0..count)
+                    .flat_map(|a| (a + 1..count).map(move |b| (a, b)))
+                    .filter(|_| rng.gen_bool(p))
+                    .collect();
+                let g = graph(&pairs);
+                if !is_mqc(&g, &nodes) || diameter(&g, &nodes).is_none() {
+                    continue;
+                }
+                mqcs += 1;
+                let edges = sorted_edges(&g);
+                let groups = scp_edge_groups(&edges);
+                assert_eq!(
+                    groups.iter().map(Vec::len).sum::<usize>(),
+                    edges.len(),
+                    "n = {count}: {pairs:?}"
+                );
+                scp += usize::from(one_group(&groups, &edges));
+            }
+            eprintln!(
+                "mqc-scp n={count}: {scp} of {mqcs} random connected MQCs are one SCP group ({:.1}%)",
+                100.0 * scp as f64 / mqcs as f64
+            );
+        }
     }
 }

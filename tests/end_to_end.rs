@@ -12,17 +12,17 @@
 //! The paper-artefact traces are seeded with [`SEED`] (Time-Window),
 //! `SEED + 1` (Event-Specific) and `SEED + 2` (the ground-truth study).
 
-use dengraph_core::ckg::CkgTracker;
-use dengraph_core::evaluation::quality::quality_stats;
-use dengraph_core::evaluation::{
-    compare_schemes, ground_truth_report, run_detector_on_trace, DetectorRunReport,
-};
 use dengraph_core::{DetectorBuilder, DetectorConfig};
-use dengraph_graph::{density, is_mqc};
 use dengraph_stream::generator::profiles::{
     es_profile, ground_truth_profile, tw_profile, ProfileScale,
 };
 use dengraph_stream::{StreamGenerator, Trace};
+use dengraph_tests::ckg::CkgTracker;
+use dengraph_tests::evaluation::quality::quality_stats;
+use dengraph_tests::evaluation::{
+    compare_schemes, ground_truth_report, run_detector_on_trace, DetectorRunReport,
+};
+use dengraph_tests::quasi_clique::{density, is_mqc};
 
 /// Seed of the Time-Window paper-artefact trace; the Event-Specific and
 /// ground-truth traces take the next two.
@@ -331,12 +331,11 @@ fn scheme_comparison_favours_scp_clusters() {
     // least the plain BC baseline's.
     let cmp = compare_schemes(&ground_truth(), &DetectorConfig::nominal());
     eprintln!(
-        "table3: Ac {:+.1}% AE {:+.1}% exact overlap {:.1}% scp speed-up {:.0}% \
+        "table3: Ac {:+.1}% AE {:+.1}% exact overlap {:.1}% \
          (precision, recall) scp ({:.3}, {:.3}) bc ({:.3}, {:.3}) bc+edges ({:.3}, {:.3})",
         cmp.additional_clusters_pct,
         cmp.additional_events_pct,
         cmp.exact_overlap_pct,
-        cmp.scp_speedup_pct,
         cmp.scp.precision,
         cmp.scp.recall,
         cmp.biconnected.precision,

@@ -16,6 +16,7 @@ use rand_chacha::ChaCha8Rng;
 use dengraph_core::akg::GraphDelta;
 use dengraph_core::ClusterMaintainer;
 use dengraph_graph::{scp_clusters_global, DynamicGraph, NodeId};
+use dengraph_tests::biconnected::articulation_points;
 
 /// One step of a random edit script.
 #[derive(Debug, Clone, Copy)]
@@ -176,7 +177,7 @@ fn maintained_clusters_satisfy_scp_and_biconnectivity() {
                 sub.add_edge(e.0, e.1, 1.0);
             }
             assert!(
-                dengraph_graph::articulation_points(&sub).is_empty(),
+                articulation_points(&sub).is_empty(),
                 "case {case}: cluster {:?} has an articulation point",
                 cluster.sorted_nodes()
             );
