@@ -5,7 +5,9 @@
 //!
 //! 1. removes *stale* keywords (not seen in any quantum of the window),
 //! 2. promotes keywords that are *bursty* this quantum (≥ σ distinct users)
-//!    into the high state and hence into the AKG,
+//!    into the high state, which is AKG membership: Section 3.1's
+//!    two-state automaton is the graph's node set, with no copy of its
+//!    own,
 //! 3. computes edge correlations for the two candidate sets of Section
 //!    3.2.1 — (1) pairs of this quantum's bursty keywords **whose window
 //!    sketches share a minimum** and (2) AKG keywords occurring this
@@ -39,9 +41,10 @@
 //!
 //! ## Two-phase edge recomputation
 //!
-//! Edge-correlation work is split into a read-only **score** phase — build
-//! one window sketch (or exact user set) per candidate keyword, then score
-//! every candidate pair against the window — and a serial **apply** phase
+//! Edge-correlation work is split into a read-only **score** phase — borrow
+//! one window sketch (the minima the window index holds in place) or build
+//! one exact user set per candidate keyword, then score every candidate
+//! pair against the window — and a serial **apply** phase
 //! that mutates the graph in canonical (sorted) order.  Every score is a
 //! pure function of the window, so the result does not depend on the order
 //! pairs are scored in — only on the order they are applied.
@@ -49,14 +52,11 @@
 use dengraph_graph::fxhash::FxHashSet;
 use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
-use dengraph_minhash::MinHashSketch;
 use dengraph_stream::UserId;
 use dengraph_text::KeywordId;
 
 use crate::config::DetectorConfig;
-use crate::keyword_state::{
-    check_keyword_index, KeywordState, KeywordStateMachine, QuantumRecord, WindowState,
-};
+use crate::keyword_state::{check_keyword_index, QuantumRecord, WindowState};
 use crate::scratch::ScratchArena;
 
 /// Converts a keyword id into the graph-node id used by the AKG.
@@ -145,8 +145,8 @@ impl GraphDelta {
     }
 
     /// Reconstructs a delta encoded by [`Self::to_bin`].  Node ids are
-    /// keyword ids, bounded like every decoded one: a replayed node sizes
-    /// the keyword automaton's bitset.
+    /// keyword ids, bounded like every decoded one: a replayed node must
+    /// own a live window index slot, and no slot lies beyond the bound.
     pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         let node = |r: &mut dengraph_json::BinReader<'_>| -> dengraph_json::Result<NodeId> {
             let id = r.u32()?;
@@ -269,18 +269,18 @@ impl Decode for AkgQuantumStats {
 }
 
 /// Per-quantum cache of the window state each candidate keyword needs for
-/// edge scoring: one min-hash sketch per keyword, or the exact window user
+/// edge scoring: one window sketch per keyword, or the exact window user
 /// set when the config asks for exact Jaccard.
 ///
-/// Each sketch entry **borrows** the window index's cached per-keyword
-/// sketch — zero copies.  The keyword → slot mapping is a binary search
-/// over the sorted `involved` column instead of a hash map.  Both
-/// construction and lookup are pure reads of the window.
+/// Each sketch **borrows** the minima the window index keeps in place
+/// ([`WindowState::window_minima`]) — zero copies.  The keyword → slot
+/// mapping is a binary search over the sorted `involved` column instead of
+/// a hash map.  Both construction and lookup are pure reads of the window.
 enum CacheData<'w> {
-    /// Borrowed cached window sketches.  `None` marks a keyword absent
-    /// from the window, scored as an empty sketch (a keyword the AKG
-    /// scores was bursty, so it has an entry while it is in the window).
-    Borrowed(Vec<Option<&'w MinHashSketch>>),
+    /// Borrowed window minima.  An empty slice marks a keyword absent from
+    /// the window, scored as an empty sketch (a keyword the AKG scores was
+    /// bursty, so it has an entry while it is in the window).
+    Minima(Vec<&'w [u64]>),
     /// Exact window user sets (the `exact_edge_correlation` ablation).
     Exact(Vec<FxHashSet<UserId>>),
 }
@@ -290,9 +290,9 @@ struct CorrelationCache<'a> {
     /// `involved[i]`.
     involved: &'a [KeywordId],
     data: CacheData<'a>,
-    /// Stand-in for keywords absent from the window (same sketch the old
-    /// clone-based path materialised for them).
-    empty: MinHashSketch,
+    /// The sketch size every window sketch shares (at least 1, as
+    /// [`MinHashSketch::new`](dengraph_minhash::MinHashSketch::new) keeps).
+    p: usize,
 }
 
 impl<'a> CorrelationCache<'a> {
@@ -306,17 +306,17 @@ impl<'a> CorrelationCache<'a> {
                     .collect(),
             )
         } else {
-            CacheData::Borrowed(
+            CacheData::Minima(
                 involved
                     .iter()
-                    .map(|&k| window.window_sketch_ref(k))
+                    .map(|&k| window.window_minima(k).unwrap_or_default())
                     .collect(),
             )
         };
         Self {
             involved,
             data,
-            empty: MinHashSketch::new(window.sketch_size()),
+            p: window.sketch_size().max(1),
         }
     }
 
@@ -331,13 +331,13 @@ impl<'a> CorrelationCache<'a> {
             .expect("candidate keyword missing from correlation cache") as u32
     }
 
-    /// The window sketch cached for `slot`, whichever way the cache holds
-    /// it (the empty sketch in exact mode, which caches user sets).
+    /// The window minima cached for `slot` (none in exact mode, which
+    /// caches user sets).
     #[inline]
-    fn sketch(&self, slot: usize) -> &MinHashSketch {
+    fn minima(&self, slot: usize) -> &[u64] {
         match &self.data {
-            CacheData::Borrowed(sketches) => sketches[slot].unwrap_or(&self.empty),
-            CacheData::Exact(_) => &self.empty,
+            CacheData::Minima(minima) => minima[slot],
+            CacheData::Exact(_) => &[],
         }
     }
 
@@ -351,7 +351,9 @@ impl<'a> CorrelationCache<'a> {
         let (a, b) = (a as usize, b as usize);
         match &self.data {
             CacheData::Exact(sets) => dengraph_minhash::exact_jaccard(&sets[a], &sets[b]),
-            _ => self.sketch(a).estimate_jaccard(self.sketch(b)),
+            CacheData::Minima(minima) => {
+                dengraph_minhash::estimate_jaccard_minima(minima[a], minima[b], self.p)
+            }
         }
     }
 }
@@ -414,7 +416,7 @@ impl MinimaJoin {
             while cache.involved[slot] != keyword {
                 slot += 1;
             }
-            let minima = cache.sketch(slot).minima();
+            let minima = cache.minima(slot);
             postings.extend(minima.iter().map(|&m| (m, slot as u32)));
         }
         group_postings(postings, spare, bucket_end);
@@ -518,19 +520,24 @@ fn group_postings(
 }
 
 /// The binary AKG section once carried a connected-component index
-/// between the graph and the keyword automaton: a component count, then
-/// per component its edge count and delta-encoded members.  Nothing read
-/// the index, so the count is written as a constant 0 and a populated list
-/// read back is dropped; documents written before the index went still
-/// decode.
+/// after the graph: a component count, then per component its edge count
+/// and delta-encoded members.  Nothing read the index, so the count is
+/// written as a constant 0 and a populated list read back is dropped;
+/// documents written before the index went still decode.
 const RETIRED_COMPONENT_COUNT: usize = 0;
 
-/// Maintains the AKG across quanta.
+/// The binary AKG section once carried the keyword automaton after the
+/// component section: its High keywords as one delta column.  High is AKG
+/// membership, so the column repeated the graph's node set; its length is
+/// written as a constant 0 and a populated column read back is dropped.
+const RETIRED_HIGH_KEYWORD_COUNT: usize = 0;
+
+/// Maintains the AKG across quanta.  A keyword is in Section 3.1's high
+/// state exactly while it is a node of [`Self::graph`].
 #[derive(Debug)]
 pub struct AkgMaintainer {
     config: DetectorConfig,
     graph: DynamicGraph,
-    states: KeywordStateMachine,
     last_stats: AkgQuantumStats,
 }
 
@@ -540,7 +547,6 @@ impl AkgMaintainer {
         Self {
             config,
             graph: DynamicGraph::new(),
-            states: KeywordStateMachine::new(),
             last_stats: AkgQuantumStats::default(),
         }
     }
@@ -561,25 +567,20 @@ impl AkgMaintainer {
         self.last_stats
     }
 
-    /// Current state of a keyword.
-    pub fn keyword_state(&self, keyword: KeywordId) -> KeywordState {
-        self.states.state(keyword)
-    }
-
-    /// Serialises the maintainer's state (graph, keyword automaton, last
-    /// stats).  The configuration is *not* included — it is shared
-    /// detector state and travels once at the checkpoint's top level.
+    /// Serialises the maintainer's state (graph, last stats).  The
+    /// configuration is *not* included — it is shared detector state and
+    /// travels once at the checkpoint's top level.
     pub fn to_json(&self) -> dengraph_json::Value {
         dengraph_json::Value::obj([
             ("graph", self.graph.to_json()),
-            ("states", self.states.to_json()),
             ("last_stats", self.last_stats.to_json()),
         ])
     }
 
     /// Reconstructs a maintainer serialised by [`Self::to_json`] under the
-    /// given configuration.  The `"components"` key earlier versions wrote
-    /// (the retired component index) is ignored.
+    /// given configuration.  The `"components"` and `"states"` keys
+    /// earlier versions wrote (the retired component index and keyword
+    /// automaton) are ignored.
     pub fn from_json(
         config: DetectorConfig,
         value: &dengraph_json::Value,
@@ -587,25 +588,24 @@ impl AkgMaintainer {
         Ok(Self {
             config,
             graph: DynamicGraph::from_json(value.get("graph")?)?,
-            states: KeywordStateMachine::from_json(value.get("states")?)?,
             last_stats: AkgQuantumStats::from_json(value.get("last_stats")?)?,
         })
     }
 
     /// Appends the compact binary encoding (graph, the retired component
-    /// section, keyword automaton, last stats) — the binary twin of
+    /// section, the retired High column, last stats) — the binary twin of
     /// [`Self::to_json`].
     pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         self.graph.to_bin(w);
         w.usize(RETIRED_COMPONENT_COUNT);
-        self.states.to_bin(w);
+        w.usize(RETIRED_HIGH_KEYWORD_COUNT);
         self.last_stats.to_bin(w);
     }
 
     /// Reconstructs a maintainer encoded by [`Self::to_bin`] under the
-    /// given configuration.  A populated component section, as earlier
-    /// versions wrote it, is read under the bounds it always had and
-    /// dropped.
+    /// given configuration.  A populated component section or High
+    /// column, as earlier versions wrote them, is read under the bounds it
+    /// always had and dropped.
     pub fn from_bin(
         config: DetectorConfig,
         r: &mut dengraph_json::BinReader<'_>,
@@ -616,32 +616,28 @@ impl AkgMaintainer {
             r.u32()?;
             r.delta_u32s()?;
         }
+        // The High keywords.
+        r.delta_u32s()?;
         Ok(Self {
             config,
             graph,
-            states: KeywordStateMachine::from_bin(r)?,
             last_stats: AkgQuantumStats::from_bin(r)?,
         })
     }
 
-    /// Re-applies one quantum's worth of logged deltas to the graph and
-    /// the keyword automaton — the redo half of incremental
-    /// checkpointing.  Promotions and demotions mirror the original run
-    /// exactly: a node enters the AKG iff its keyword just turned bursty
-    /// (promoted), and leaves it iff it was demoted, so replaying the
-    /// node deltas reproduces the automaton bit-for-bit without
+    /// Re-applies one quantum's worth of logged deltas to the graph — the
+    /// redo half of incremental checkpointing.  The node deltas are the
+    /// original run's promotions and demotions, so replaying them
+    /// reproduces the high-state set (the node set) bit-for-bit without
     /// re-scoring a single correlation.
     pub(crate) fn replay_deltas(&mut self, deltas: &[GraphDelta], stats: AkgQuantumStats) {
         for delta in deltas {
             match *delta {
                 GraphDelta::NodeAdded { node } => {
                     self.graph.add_node(node);
-                    // Saturated observe is exactly "force High".
-                    self.states.observe(keyword_of(node), 1, 1);
                 }
                 GraphDelta::NodeRemoved { node } => {
                     self.graph.remove_node(node);
-                    self.states.demote(keyword_of(node));
                 }
                 GraphDelta::EdgeAdded { a, b, weight } => {
                     self.graph.add_edge(a, b, weight);
@@ -730,7 +726,6 @@ impl AkgMaintainer {
         for (keyword, users) in record.iter() {
             let count = users.len();
             let already_in_akg = self.graph.contains_node(node_of(keyword));
-            self.states.observe(keyword, count, sigma);
             if count >= sigma as usize {
                 set1.push(keyword);
                 if !already_in_akg {
@@ -898,7 +893,6 @@ impl AkgMaintainer {
         }
         deltas.push(GraphDelta::NodeRemoved { node });
         stats.nodes_removed += 1;
-        self.states.demote(keyword_of(node));
     }
 }
 
@@ -1009,8 +1003,6 @@ mod tests {
             .any(|d| matches!(d, GraphDelta::EdgeAdded { .. })));
         // Non-bursty keywords stay out of the AKG.
         assert!(!akg.graph().contains_node(node_of(k(50))));
-        assert_eq!(akg.keyword_state(k(1)), KeywordState::High);
-        assert_eq!(akg.keyword_state(k(50)), KeywordState::Low);
     }
 
     #[test]
@@ -1046,7 +1038,6 @@ mod tests {
         }
         assert!(!akg.graph().contains_node(node_of(k(1))));
         assert!(!akg.graph().contains_node(node_of(k(2))));
-        assert_eq!(akg.keyword_state(k(1)), KeywordState::Low);
     }
 
     #[test]
@@ -1131,10 +1122,11 @@ mod tests {
         }
     }
 
-    /// A document of an earlier version carries a populated component list
-    /// between the graph and the keyword automaton (binary) or under
-    /// `"components"` (JSON); both decode to the maintainer a current
-    /// document describes, and a list that runs past the input is an error.
+    /// Documents of earlier versions carry a populated component list
+    /// after the graph and a populated High column after that (binary), or
+    /// `"components"` and `"states"` keys (JSON); all decode to the
+    /// maintainer a current document describes, and a list or column that
+    /// runs past the input is an error.
     #[test]
     fn the_retired_component_section_still_decodes() {
         let cfg = config();
@@ -1148,11 +1140,12 @@ mod tests {
         };
         let current = bin(&akg);
 
-        let old_layout = |section: &dengraph_json::BinWriter| {
+        let old_layout = |components: &dengraph_json::BinWriter,
+                          high: &dengraph_json::BinWriter| {
             let mut w = dengraph_json::BinWriter::new();
             akg.graph.to_bin(&mut w);
-            w.raw(section.as_slice());
-            akg.states.to_bin(&mut w);
+            w.raw(components.as_slice());
+            w.raw(high.as_slice());
             akg.last_stats.to_bin(&mut w);
             w.into_bytes()
         };
@@ -1160,32 +1153,47 @@ mod tests {
             AkgMaintainer::from_bin(cfg.clone(), &mut dengraph_json::BinReader::new(bytes))
         };
         // One component {1, 2} with its one edge, as the index wrote it.
-        let mut section = dengraph_json::BinWriter::new();
-        section.usize(1);
-        section.u32(1);
-        section.delta_u32s([1u32, 2].into_iter());
-        let old = old_layout(&section);
-        assert!(old.len() > current.len());
-        let back = decode(&old).expect("the old layout decodes");
-        assert_eq!(bin(&back), current);
-        assert_eq!(
-            dengraph_json::to_string(&back.to_json()),
-            dengraph_json::to_string(&akg.to_json())
-        );
-        for cut in 0..old.len() {
-            assert!(decode(&old[..cut]).is_err(), "truncation at {cut}");
+        let mut components = dengraph_json::BinWriter::new();
+        components.usize(1);
+        components.u32(1);
+        components.delta_u32s([1u32, 2].into_iter());
+        let mut no_components = dengraph_json::BinWriter::new();
+        no_components.usize(0);
+        // Keywords 1 and 2 High, as the automaton wrote them.
+        let mut high = dengraph_json::BinWriter::new();
+        high.delta_u32s([1u32, 2].into_iter());
+        for (old, label) in [
+            (old_layout(&components, &high), "components and High column"),
+            (old_layout(&no_components, &high), "High column"),
+        ] {
+            assert!(old.len() > current.len(), "{label}");
+            let back = decode(&old).expect("the old layout decodes");
+            assert_eq!(bin(&back), current, "{label}");
+            assert_eq!(
+                dengraph_json::to_string(&back.to_json()),
+                dengraph_json::to_string(&akg.to_json()),
+                "{label}"
+            );
+            for cut in 0..old.len() {
+                assert!(decode(&old[..cut]).is_err(), "{label}: truncation at {cut}");
+            }
         }
-        // A count, or a member column, longer than the input can hold.
+        // A component count, a member column or a High column longer than
+        // the input can hold.
         for (count, members) in [(1 << 40, 0), (1, 1 << 40)] {
-            let mut section = dengraph_json::BinWriter::new();
-            section.usize(count);
-            section.u32(1);
-            section.usize(members);
-            assert!(decode(&old_layout(&section)).is_err());
+            let mut components = dengraph_json::BinWriter::new();
+            components.usize(count);
+            components.u32(1);
+            components.usize(members);
+            assert!(decode(&old_layout(&components, &high)).is_err());
         }
+        let mut long_high = dengraph_json::BinWriter::new();
+        long_high.usize(1 << 40);
+        long_high.u32(1);
+        assert!(decode(&old_layout(&no_components, &long_high)).is_err());
 
         let text = dengraph_json::to_string(&akg.to_json());
-        assert!(!text.contains("\"components\""));
+        assert!(!text.contains("\"components\"") && !text.contains("\"states\""));
         let decode = |text: &str| {
             let value = dengraph_json::parse(text).expect("JSON");
             let back = AkgMaintainer::from_json(cfg.clone(), &value).expect("decodes");
@@ -1194,6 +1202,13 @@ mod tests {
         let old = text.replacen(
             "\"graph\":",
             "\"components\":{\"components\":[{\"edges\":1,\"nodes\":[1,2]}]},\"graph\":",
+            1,
+        );
+        assert_ne!(old, text);
+        assert_eq!(decode(&old), text);
+        let old = text.replacen(
+            "\"last_stats\":",
+            "\"states\":{\"high\":[1,2]},\"last_stats\":",
             1,
         );
         assert_ne!(old, text);

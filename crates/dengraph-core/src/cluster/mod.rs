@@ -15,8 +15,9 @@
 //! * [`registry`] — the [`ClusterRegistry`]: cluster storage plus the
 //!   edge→cluster and node→clusters indexes and the shared-edge merge rule
 //!   (Lemma 6).
-//! * [`addition`] — the `NodeAddition` and `EdgeAddition` algorithms of
-//!   Sections 5.1 and 5.2.
+//! * [`addition`] — the `EdgeAddition` algorithm of Section 5.2 (the AKG
+//!   adds a node's edges one by one, so it also does Section 5.1's
+//!   `NodeAddition`).
 //! * [`deletion`] — the `NodeDeletion` and `EdgeDeletion` algorithms of
 //!   Sections 5.3 and 5.4 (cycle check, articulation check, cluster
 //!   splitting).
@@ -35,7 +36,7 @@ use dengraph_graph::fxhash::FxHashSet;
 use dengraph_graph::NodeId;
 use dengraph_json::{Decode, Encode};
 
-pub use addition::{edge_addition, node_addition};
+pub use addition::edge_addition;
 pub use deletion::{edge_deletion, node_deletion};
 pub use maintainer::ClusterMaintainer;
 pub use registry::ClusterRegistry;

@@ -963,11 +963,11 @@ fn check_akg_window_tie(
     graph: &dengraph_graph::DynamicGraph,
     window: &WindowState,
 ) -> Result<(), String> {
-    // Only index entries cache a sketch.
+    // Only index entries hand out minima.
     match graph
         .nodes()
         .map(keyword_of)
-        .find(|&keyword| window.window_sketch_ref(keyword).is_none())
+        .find(|&keyword| window.window_minima(keyword).is_none())
     {
         Some(keyword) => Err(format!("AKG node {keyword} has no live window index entry")),
         None => Ok(()),

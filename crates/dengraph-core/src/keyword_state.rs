@@ -1,5 +1,7 @@
-//! Sliding-window keyword state: the two-state automaton and per-keyword
-//! user-id bookkeeping of Section 3.1 / 3.2.
+//! Sliding-window keyword state: the per-keyword user-id bookkeeping of
+//! Section 3.1 / 3.2.  The other half of Section 3.1, the two-state
+//! automaton, needs no state of its own: a keyword is in the high state
+//! exactly while it is a node of the AKG (`crate::akg`).
 //!
 //! For every keyword the detector needs to know, over the current window of
 //! `w` quanta:
@@ -7,7 +9,8 @@
 //! * how many distinct users mentioned it in the **current** quantum (the
 //!   burstiness test against the high-state threshold σ),
 //! * the min-hash sketch of the users who mentioned it anywhere in the
-//!   window (for edge-correlation estimation),
+//!   window (for edge-correlation estimation; the first `min(p, len)` rows
+//!   of the keyword's hash-ordered head, which the scorer reads in place),
 //! * how many distinct users mentioned it anywhere in the window (cluster
 //!   support in the ranking function) — and, for the exact-EC ablation
 //!   only, that exact user-id set — and
@@ -88,8 +91,7 @@
 //!   id (a lookup is one bounds check), each entry two short parallel
 //!   columns (`hashes`, `stamps`), with emptied entries pooled and reused
 //!   and the overflow table grown during warm-up only, so steady-state
-//!   sliding performs no allocation;
-//! * [`KeywordStateMachine`] is a bitset over keyword ids.
+//!   sliding performs no allocation.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -110,12 +112,12 @@ pub(crate) type KeywordSpan = (KeywordId, u32, u32);
 pub(crate) type RecordStorage = (Vec<UserId>, Vec<KeywordSpan>);
 
 /// Upper bound on keyword ids accepted by the checkpoint *decoders* of
-/// the id-indexed structures (window index slots, state-machine bits),
-/// and of the journal records whose replay feeds them (quantum records,
-/// graph deltas).  Both structures allocate proportionally to the largest
-/// id, so a corrupted id near `u32::MAX` would otherwise force a
-/// multi-gigabyte resize before any other validation could reject the
-/// document.  The bound caps the
+/// the id-indexed window index slots and of the journal records replayed
+/// over them: quantum records, whose replay materializes slots, and graph
+/// deltas, whose nodes must own a live slot (every AKG node does).  The
+/// slot vector is sized by the largest id, so a corrupted id near
+/// `u32::MAX` would otherwise force a multi-gigabyte resize before any
+/// other validation could reject the document.  The bound caps the
 /// decode-time allocation at roughly half a gigabyte of index slots —
 /// the same order the *live* dense-id layout would occupy for such a
 /// vocabulary, so no state a deployment can actually run is rejected.
@@ -596,8 +598,7 @@ impl OverflowTable {
 }
 
 /// Per-keyword incremental state over the current window: the **head** of
-/// the keyword's window users in hash order, a count of the rest, and the
-/// sketch.
+/// the keyword's window users in hash order and a count of the rest.
 ///
 /// One invariant carries everything: *a live hash ≤ the head's last row is
 /// in the head; anything larger is in the [`OverflowTable`]* (and while
@@ -608,7 +609,8 @@ impl OverflowTable {
 /// * membership, insert and expiry of a row are one binary search over at
 ///   most `4p` hashes **or** one table probe, never a column move;
 /// * the window sketch — the `p` smallest hashes of the window's users —
-///   is the first `min(p, len)` rows of `hashes`;
+///   is the first `min(p, len)` rows of `hashes` ([`Self::minima`]), read
+///   in place;
 /// * the window user count is `hashes.len() + over`.
 ///
 /// A row carries a *stamp*, the last window push that saw its user, in
@@ -624,26 +626,25 @@ struct KeywordWindowEntry {
     stamps: Vec<u32>,
     /// Rows of this keyword in the overflow table.
     over: u32,
-    /// The head of `hashes` as the sketch [`WindowState::window_sketch_ref`]
-    /// hands out; re-copied only when a row below `p` came or went.
-    sketch: MinHashSketch,
+    /// The sketch size `p` (at least 1, as [`MinHashSketch::new`] keeps).
+    p: usize,
     /// Most recent quantum index in which the keyword occurred.
     last_seen: u64,
 }
 
 impl KeywordWindowEntry {
     fn new(sketch_size: usize) -> Self {
-        let sketch = MinHashSketch::new(sketch_size);
+        let p = sketch_size.max(1);
         // Entries are pooled, and a pooled entry serves whichever keyword
         // materializes next: starting both columns at a few quanta's worth
         // of rows keeps a recycled entry from growing step by step under
         // each new owner.
-        let rows = 32.min(HEAD_ROWS_PER_SKETCH_ROW * sketch.capacity());
+        let rows = 32.min(HEAD_ROWS_PER_SKETCH_ROW * p);
         Self {
             hashes: Vec::with_capacity(rows),
             stamps: Vec::with_capacity(rows),
             over: 0,
-            sketch,
+            p,
             last_seen: 0,
         }
     }
@@ -653,9 +654,9 @@ impl KeywordWindowEntry {
         self.hashes.len() + self.over as usize
     }
 
-    fn refresh_sketch(&mut self) {
-        let head = self.hashes.len().min(self.sketch.capacity());
-        self.sketch.assign_sorted(&self.hashes[..head]);
+    /// The window sketch: the first `min(p, len)` head rows.
+    fn minima(&self) -> &[u64] {
+        &self.hashes[..self.hashes.len().min(self.p)]
     }
 
     /// Routes `hash` by the entry's one invariant: within the head's range
@@ -669,17 +670,12 @@ impl KeywordWindowEntry {
         }
     }
 
-    /// Records that push `stamp` saw the user hashing to `hash`.  Returns
-    /// whether a row below `p` came (the sketch is then stale).
+    /// Records that push `stamp` saw the user hashing to `hash`.
     #[inline]
-    fn see(&mut self, keyword: u32, hash: u64, stamp: u32, table: &mut OverflowTable) -> bool {
-        let p = self.sketch.capacity();
-        let cap = HEAD_ROWS_PER_SKETCH_ROW * p;
+    fn see(&mut self, keyword: u32, hash: u64, stamp: u32, table: &mut OverflowTable) {
+        let cap = HEAD_ROWS_PER_SKETCH_ROW * self.p;
         match self.head_row(hash) {
-            Some(Ok(row)) => {
-                self.stamps[row] = stamp;
-                false
-            }
+            Some(Ok(row)) => self.stamps[row] = stamp,
             Some(Err(row)) => {
                 if self.hashes.len() == cap {
                     // A full head spills its last row: still larger than
@@ -692,19 +688,14 @@ impl KeywordWindowEntry {
                 }
                 self.hashes.insert(row, hash);
                 self.stamps.insert(row, stamp);
-                row < p
             }
             // With nothing spilled the head is the whole set and, until it
             // is full, simply grows.
             None if self.over == 0 && self.hashes.len() < cap => {
                 self.hashes.push(hash);
                 self.stamps.push(stamp);
-                self.hashes.len() <= p
             }
-            None => {
-                self.over += u32::from(table.touch(keyword, hash, stamp));
-                false
-            }
+            None => self.over += u32::from(table.touch(keyword, hash, stamp)),
         }
     }
 
@@ -719,19 +710,14 @@ impl KeywordWindowEntry {
         hasher: &UserHasher,
         table: &mut OverflowTable,
     ) {
-        let mut stale = false;
         for user in users {
-            stale |= self.see(keyword.0, hasher.hash(user.raw()), stamp, table);
-        }
-        if stale {
-            self.refresh_sketch();
+            self.see(keyword.0, hasher.hash(user.raw()), stamp, table);
         }
         self.last_seen = quantum;
     }
 
     /// Takes back the users of the evicted push `stamp`: a row goes iff it
-    /// still carries that stamp (no later push saw its user).  Returns
-    /// whether a row below `p` went.
+    /// still carries that stamp (no later push saw its user).
     fn expire(
         &mut self,
         keyword: KeywordId,
@@ -739,15 +725,13 @@ impl KeywordWindowEntry {
         stamp: u32,
         hasher: &UserHasher,
         table: &mut OverflowTable,
-    ) -> bool {
-        let mut stale = false;
+    ) {
         for user in users {
             let hash = hasher.hash(user.raw());
             match self.head_row(hash) {
                 Some(Ok(row)) if self.stamps[row] == stamp => {
                     self.hashes.remove(row);
                     self.stamps.remove(row);
-                    stale |= row < self.sketch.capacity();
                 }
                 // Seen again by a later push.
                 Some(Ok(_)) => {}
@@ -759,7 +743,6 @@ impl KeywordWindowEntry {
                 }
             }
         }
-        stale
     }
 
     /// Draws the smallest rows above the head back out of the table until
@@ -790,7 +773,7 @@ impl KeywordWindowEntry {
         // By hash, a user's mentions oldest first: the last of a run of
         // equal hashes names the newest push that saw the user.
         rows.sort_unstable();
-        let cap = HEAD_ROWS_PER_SKETCH_ROW * self.sketch.capacity();
+        let cap = HEAD_ROWS_PER_SKETCH_ROW * self.p;
         for (i, &(hash, age)) in rows.iter().enumerate() {
             if self.hashes.len() == cap {
                 break;
@@ -855,18 +838,19 @@ struct WindowIndex {
 
 /// Equality is **logical**: the threshold, the live keywords and, per
 /// entry, what the window serves from it — user count, recency mark and
-/// sketch.  Which rows sit in the head and which in the table, and the
-/// absolute stamps, depend on history (a head that shrank towards `p`
-/// holds fewer rows than the full head a restore replays) and are a
-/// function of the records, which [`WindowState`]'s equality compares
-/// anyway; `validate_invariants()` re-derives them.
+/// sketch (the head's first `min(p, len)` rows).  Which rows sit in the
+/// head and which in the table, and the absolute stamps, depend on
+/// history (a head that shrank towards `p` holds fewer rows than the full
+/// head a restore replays) and are a function of the records, which
+/// [`WindowState`]'s equality compares anyway; `validate_invariants()`
+/// re-derives them.
 impl PartialEq for WindowIndex {
     fn eq(&self, other: &Self) -> bool {
         if self.materialize_threshold != other.materialize_threshold || self.live != other.live {
             return false;
         }
-        fn served(e: &KeywordWindowEntry) -> (usize, u64, &MinHashSketch) {
-            (e.user_count(), e.last_seen, &e.sketch)
+        fn served(e: &KeywordWindowEntry) -> (usize, u64, &[u64]) {
+            (e.user_count(), e.last_seen, e.minima())
         }
         self.live_entries()
             .map(|(k, e)| (k, served(e)))
@@ -992,8 +976,8 @@ impl WindowIndex {
             let Some(entry) = slot.as_mut() else {
                 continue;
             };
-            let mut stale = entry.expire(keyword, users, evicted, hasher, &mut self.table);
-            if entry.over > 0 && entry.hashes.len() < entry.sketch.capacity() {
+            entry.expire(keyword, users, evicted, hasher, &mut self.table);
+            if entry.over > 0 && entry.hashes.len() < entry.p {
                 entry.refill(
                     keyword,
                     window,
@@ -1002,14 +986,10 @@ impl WindowIndex {
                     &mut self.table,
                     &mut self.refill_rows,
                 );
-                stale = true;
-            }
-            if stale {
-                entry.refresh_sketch();
             }
             if entry.hashes.is_empty() {
                 // A refill leaves an empty head only over an empty table.
-                debug_assert!(entry.over == 0 && entry.sketch.is_empty());
+                debug_assert_eq!(entry.over, 0);
                 self.live -= 1;
                 if let Some(dead) = slot.take() {
                     self.entry_pool.push(dead);
@@ -1361,12 +1341,14 @@ impl WindowState {
         self.window_user_set(keyword).len()
     }
 
-    /// The min-hash sketch of `keyword`'s window user set.
+    /// The min-hash sketch of `keyword`'s window user set, as an owned
+    /// value: [`Self::window_minima`] copied out, or a record walk.
     pub fn window_sketch(&self, keyword: KeywordId) -> MinHashSketch {
-        if let Some(sketch) = self.window_sketch_ref(keyword) {
-            return sketch.clone();
-        }
         let mut sketch = MinHashSketch::new(self.sketch_size);
+        if let Some(minima) = self.window_minima(keyword) {
+            sketch.assign_sorted(minima);
+            return sketch;
+        }
         for record in &self.window {
             for u in record.users_of(keyword) {
                 sketch.insert(&self.hasher, u.raw());
@@ -1375,13 +1357,13 @@ impl WindowState {
         sketch
     }
 
-    /// Borrows the cached window sketch of `keyword` without cloning.
-    /// Only index entries cache sketches, so this returns `None` for
-    /// keywords without a materialized entry (not in the window, or below
-    /// the materialization threshold); callers fall back to
-    /// [`Self::window_sketch`], which walks the records.
-    pub fn window_sketch_ref(&self, keyword: KeywordId) -> Option<&MinHashSketch> {
-        self.index_entry(keyword).map(|e| &e.sketch)
+    /// Borrows the window sketch of `keyword` — its `min(p, users)`
+    /// smallest user hashes, ascending — straight off its index entry's
+    /// head.  `None` for keywords without a materialized entry (not in the
+    /// window, or below the materialization threshold); callers fall back
+    /// to [`Self::window_sketch`], which walks the records.
+    pub fn window_minima(&self, keyword: KeywordId) -> Option<&[u64]> {
+        self.index_entry(keyword).map(KeywordWindowEntry::minima)
     }
 
     /// [`Self::window_user_count`] of every keyword in `keywords`, in input
@@ -1447,11 +1429,6 @@ impl WindowState {
         all
     }
 
-    /// Total number of messages currently inside the window.
-    pub fn window_message_count(&self) -> usize {
-        self.window.iter().map(|r| r.message_count).sum()
-    }
-
     /// Deep-checks every structural invariant of the window and its
     /// incremental index, recomputing each per-keyword aggregate from a
     /// raw record walk and comparing bit-for-bit.  O(w · Δ · keywords) —
@@ -1475,9 +1452,9 @@ impl WindowState {
     ///   exactly `over` rows of the keyword, all above the head's last;
     ///   head ∪ table rows are the walk's distinct users, each stamped with
     ///   the newest push that holds it; the recency mark equals the walk's;
-    ///   the cached sketch is the first `min(p, len)` head rows and equals
-    ///   a from-scratch [`MinHashSketch::from_ids`] over the walk.  No
-    ///   table row belongs to a keyword without a live entry.
+    ///   the sketch the entry serves, its first `min(p, len)` head rows,
+    ///   equals a from-scratch [`MinHashSketch::from_ids`] over the walk.
+    ///   No table row belongs to a keyword without a live entry.
     pub fn validate_invariants(&self) -> Result<(), String> {
         if self.window.len() > self.capacity {
             return Err(format!(
@@ -1587,7 +1564,7 @@ impl WindowState {
         let oldest = index.pushes.wrapping_sub(self.window.len() as u32);
         for (keyword, entry) in index.live_entries() {
             let rows = entry.hashes.len();
-            let p = entry.sketch.capacity();
+            let p = entry.p;
             if entry.stamps.len() != rows || rows > HEAD_ROWS_PER_SKETCH_ROW * p {
                 return Err(format!(
                     "{keyword}: head holds {rows} hashes and {} stamps (p = {p})",
@@ -1660,10 +1637,9 @@ impl WindowState {
                 ));
             }
             let scratch = MinHashSketch::from_ids(self.sketch_size, &self.hasher, users);
-            if entry.sketch.minima() != &entry.hashes[..rows.min(p)] || entry.sketch != scratch {
+            if entry.minima() != scratch.minima() {
                 return Err(format!(
-                    "{keyword}: cached sketch is not the first rows of the head, or \
-                     differs from a from-scratch rebuild"
+                    "{keyword}: the head's first rows differ from a from-scratch sketch"
                 ));
             }
         }
@@ -1882,167 +1858,6 @@ impl Decode for WindowState {
     }
 }
 
-/// The two-state (low/high) automaton state of a keyword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KeywordState {
-    /// Not bursty.
-    #[default]
-    Low,
-    /// Bursty in some recent quantum (member of the AKG).
-    High,
-}
-
-/// Tracks the low/high state of every keyword ever seen.
-///
-/// Only high-state keywords carry information (low is the default), so the
-/// machine is a **bitset over keyword ids**: bit `k` set means
-/// `KeywordId(k)` is High.  Keyword ids are interner-dense, so the bitset
-/// stays compact and both the burstiness test and demotion are single
-/// word operations.
-#[derive(Debug, Default)]
-pub struct KeywordStateMachine {
-    /// Bit `k` of word `k / 64` is set iff keyword `k` is High.
-    high_bits: Vec<u64>,
-    /// Number of set bits.
-    high_count: usize,
-}
-
-/// Equality compares the set of High keywords; trailing zero words (left
-/// behind by demotions) are ignored.
-impl PartialEq for KeywordStateMachine {
-    fn eq(&self, other: &Self) -> bool {
-        if self.high_count != other.high_count {
-            return false;
-        }
-        let len = self.high_bits.len().max(other.high_bits.len());
-        (0..len).all(|i| {
-            self.high_bits.get(i).copied().unwrap_or(0)
-                == other.high_bits.get(i).copied().unwrap_or(0)
-        })
-    }
-}
-
-impl KeywordStateMachine {
-    /// Creates an empty state machine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    fn bit(&self, keyword: KeywordId) -> bool {
-        let idx = keyword.index();
-        self.high_bits
-            .get(idx / 64)
-            .is_some_and(|w| w & (1u64 << (idx % 64)) != 0)
-    }
-
-    /// Current state of a keyword (Low if never seen).
-    pub fn state(&self, keyword: KeywordId) -> KeywordState {
-        if self.bit(keyword) {
-            KeywordState::High
-        } else {
-            KeywordState::Low
-        }
-    }
-
-    /// Applies the burstiness test for one keyword in the current quantum:
-    /// a keyword moves to the high state when at least `sigma` distinct
-    /// users mentioned it this quantum.  Returns `(previous, new)` states.
-    pub fn observe(
-        &mut self,
-        keyword: KeywordId,
-        users_this_quantum: usize,
-        sigma: u32,
-    ) -> (KeywordState, KeywordState) {
-        let prev = self.state(keyword);
-        let new = if users_this_quantum >= sigma as usize {
-            KeywordState::High
-        } else {
-            prev
-        };
-        if prev == KeywordState::Low && new == KeywordState::High {
-            let idx = keyword.index();
-            if idx / 64 >= self.high_bits.len() {
-                self.high_bits.resize(idx / 64 + 1, 0);
-            }
-            self.high_bits[idx / 64] |= 1u64 << (idx % 64);
-            self.high_count += 1;
-        }
-        (prev, new)
-    }
-
-    /// Forces a keyword back to the low state (used when it is removed from
-    /// the AKG by stale removal or lazy update).
-    pub fn demote(&mut self, keyword: KeywordId) {
-        let idx = keyword.index();
-        if let Some(word) = self.high_bits.get_mut(idx / 64) {
-            let mask = 1u64 << (idx % 64);
-            if *word & mask != 0 {
-                *word &= !mask;
-                self.high_count -= 1;
-            }
-        }
-    }
-
-    /// Number of keywords currently in the high state.
-    pub fn high_count(&self) -> usize {
-        self.high_count
-    }
-}
-
-impl Encode for KeywordStateMachine {
-    /// Serialises the machine as the sorted list of High keywords.
-    fn to_json(&self) -> dengraph_json::Value {
-        use dengraph_json::Value;
-        let high = self.high_bits.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64)
-                .filter(move |b| bits & (1u64 << b) != 0)
-                .map(move |b| Value::from((w * 64 + b) as u32))
-        });
-        Value::obj([("high", Value::arr(high))])
-    }
-
-    /// Appends the compact binary encoding: the sorted High keywords as
-    /// one delta column.
-    fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
-        // Walks the set bits only: the bitset spans the whole vocabulary
-        // and a snapshot runs inside a quantum's latency.
-        let mut high: Vec<u32> = Vec::with_capacity(self.high_count);
-        for (word, &bits) in self.high_bits.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                high.push(word as u32 * 64 + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-        }
-        w.delta_u32s(high.iter().copied());
-    }
-}
-
-impl Decode for KeywordStateMachine {
-    /// Reconstructs a machine serialised by [`Self::to_json`].
-    fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let mut machine = Self::new();
-        for k in value.get("high")?.as_arr()? {
-            let keyword = KeywordId(k.as_u32()?);
-            check_keyword_index(keyword.index(), 0)?;
-            // `observe` with a saturated count is exactly "force High".
-            machine.observe(keyword, 1, 1);
-        }
-        Ok(machine)
-    }
-
-    /// Reconstructs a machine encoded by [`Self::to_bin`].
-    fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        let mut machine = Self::new();
-        for k in r.delta_u32s()? {
-            check_keyword_index(k as usize, r.pos())?;
-            machine.observe(KeywordId(k), 1, 1);
-        }
-        Ok(machine)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2195,7 +2010,6 @@ mod tests {
         w.push(QuantumRecord::from_messages(1, &[msg(2, 1, &[11])]));
         let kws = w.keywords_in_window();
         assert!(kws.contains(&k(10)) && kws.contains(&k(11)));
-        assert_eq!(w.window_message_count(), 2);
     }
 
     #[test]
@@ -2205,10 +2019,13 @@ mod tests {
             0,
             &[msg(1, 0, &[10]), msg(2, 1, &[10])],
         ));
-        assert_eq!(*w.window_sketch_ref(k(10)).unwrap(), w.window_sketch(k(10)));
-        assert!(w.window_sketch_ref(k(99)).is_none());
+        assert_eq!(
+            w.window_minima(k(10)).unwrap(),
+            w.window_sketch(k(10)).minima()
+        );
+        assert!(w.window_minima(k(99)).is_none());
         let walk = window(3).with_materialize_threshold(usize::MAX);
-        assert!(walk.window_sketch_ref(k(10)).is_none());
+        assert!(walk.window_minima(k(10)).is_none());
     }
 
     /// The overflow table against a map, under the churn a slide gives it:
@@ -2303,10 +2120,7 @@ mod tests {
                 );
                 assert_eq!(walk.last_seen(kw), incremental.last_seen(kw));
                 assert_eq!(walk.is_stale(kw), incremental.is_stale(kw));
-                assert!(
-                    walk.window_sketch_ref(kw).is_none(),
-                    "the walk indexes nothing"
-                );
+                assert!(walk.window_minima(kw).is_none(), "the walk indexes nothing");
             }
         }
     }
@@ -2340,55 +2154,5 @@ mod tests {
         for capacity in [1, 2, 5] {
             assert_modes_agree(capacity, &quanta);
         }
-    }
-
-    #[test]
-    fn state_machine_promotes_on_sigma_users() {
-        let mut sm = KeywordStateMachine::new();
-        assert_eq!(sm.state(k(1)), KeywordState::Low);
-        let (prev, new) = sm.observe(k(1), 3, 4);
-        assert_eq!((prev, new), (KeywordState::Low, KeywordState::Low));
-        let (prev, new) = sm.observe(k(1), 4, 4);
-        assert_eq!((prev, new), (KeywordState::Low, KeywordState::High));
-        assert_eq!(sm.high_count(), 1);
-    }
-
-    #[test]
-    fn state_machine_hysteresis_keeps_high_state() {
-        let mut sm = KeywordStateMachine::new();
-        sm.observe(k(1), 10, 4);
-        // Next quantum it is no longer bursty but stays High (hysteresis);
-        // demotion is an explicit decision of the AKG maintenance.
-        let (prev, new) = sm.observe(k(1), 0, 4);
-        assert_eq!((prev, new), (KeywordState::High, KeywordState::High));
-        sm.demote(k(1));
-        assert_eq!(sm.state(k(1)), KeywordState::Low);
-    }
-
-    #[test]
-    fn state_machine_equality_ignores_demotion_residue() {
-        let mut a = KeywordStateMachine::new();
-        a.observe(k(3), 9, 1);
-        a.observe(k(200), 9, 1); // forces a longer bit vector…
-        a.demote(k(200)); // …then leaves a trailing zero word behind
-        let mut b = KeywordStateMachine::new();
-        b.observe(k(3), 9, 1);
-        assert_eq!(a, b);
-        assert_eq!(
-            KeywordStateMachine::from_json(&a.to_json()).unwrap(),
-            a,
-            "round trip strips the residue"
-        );
-    }
-
-    #[test]
-    fn state_machine_json_lists_sorted_high_keywords() {
-        let mut sm = KeywordStateMachine::new();
-        for id in [130u32, 2, 64] {
-            sm.observe(KeywordId(id), 5, 1);
-        }
-        let text = dengraph_json::to_string(&sm.to_json());
-        assert_eq!(text, "{\"high\":[2,64,130]}");
-        assert_eq!(KeywordStateMachine::from_json(&sm.to_json()).unwrap(), sm);
     }
 }

@@ -12,8 +12,8 @@
 //! | module | paper section | contents |
 //! |---|---|---|
 //! | [`config`] | Table 2 | tunable parameters and nominal values |
-//! | [`keyword_state`] | §3.1 | sliding window, per-keyword user sets, two-state automaton |
-//! | [`akg`] | §3.1–3.2 | AKG node admission, min-hash edge correlation, lazy removal |
+//! | [`keyword_state`] | §3.1–3.2 | sliding window, per-keyword user sets and window sketches |
+//! | [`akg`] | §3.1–3.2 | AKG node admission (the two-state automaton), min-hash edge correlation, lazy removal |
 //! | [`cluster`] | §4–5 | short-cycle clusters, local addition/deletion maintenance |
 //! | [`ranking`] | §6 | local cluster ranking |
 //! | [`event`] | §7.2.2 | event records, evolution and post-hoc spuriousness |

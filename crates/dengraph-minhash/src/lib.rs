@@ -13,9 +13,10 @@
 //!   map user ids into a `2^{2n}`-sized space so that collisions between
 //!   distinct users are negligible (the paper's birthday-paradox argument).
 //! * [`sketch`] — [`MinHashSketch`], the bounded "p minima" sketch with
-//!   merge / overlap / estimation operations.
-//! * [`jaccard`] — exact Jaccard helpers used by tests and the evaluation
-//!   harness.
+//!   merge / overlap operations, and the Jaccard estimator over two
+//!   minima lists ([`estimate_jaccard_minima`]).
+//! * [`jaccard`] — the exact Jaccard coefficient, the ground truth of the
+//!   estimator and the score of the exact-EC ablation.
 //! * [`kernel`] — the batch struct-of-arrays kernels behind all of the
 //!   above: 8-lane splitmix64 hashing, branch-free minima folding, O(p)
 //!   sorted-minima merging, an LSD radix sort for packed pair columns and
@@ -34,9 +35,9 @@ pub mod kernel;
 pub mod sketch;
 
 pub use hasher::{HashFamily, UserHasher};
-pub use jaccard::{exact_jaccard, exact_jaccard_sorted, overlap_coefficient_sorted};
+pub use jaccard::exact_jaccard;
 pub use kernel::SketchLanes;
-pub use sketch::MinHashSketch;
+pub use sketch::{estimate_jaccard_minima, MinHashSketch};
 
 /// Computes the sketch size `p` from the high-state threshold `sigma` and
 /// the edge-correlation threshold `tau`, per Section 3.2.2:

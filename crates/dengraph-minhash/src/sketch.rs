@@ -127,19 +127,10 @@ impl MinHashSketch {
     /// sketches as a uniform sample of the union and counts how many of
     /// those sampled values appear in both sets.
     ///
-    /// Implemented as an allocation-free merge walk over the two sorted
-    /// minima lists ([`kernel::merge_walk`], shared with
-    /// [`Self::overlap`]) — this runs once per candidate keyword pair per
-    /// quantum, which makes it one of the hottest spots of the detector.
+    /// [`estimate_jaccard_minima`] over the two minima lists, sampling the
+    /// union's `max(p_a, p_b)` smallest values.
     pub fn estimate_jaccard(&self, other: &MinHashSketch) -> f64 {
-        // Walk the union's distinct values in ascending order, keeping the
-        // `max(p_a, p_b)` smallest, and count those present in both.
-        let cap = self.p.max(other.p);
-        let (taken, in_both) = kernel::merge_walk(&self.minima, &other.minima, cap);
-        if taken == 0 {
-            return 0.0;
-        }
-        in_both as f64 / taken as f64
+        estimate_jaccard_minima(&self.minima, &other.minima, self.p.max(other.p))
     }
 
     /// Clears the sketch while keeping its capacity.
@@ -150,7 +141,7 @@ impl MinHashSketch {
     /// Replaces the minima with `sorted`, which must already be the
     /// sketch: strictly ascending and at most `p` values.  The window
     /// index keeps each keyword's users in hash order, so its window
-    /// sketch is the head of that column and a refresh is this copy.
+    /// sketch is the head of that column and an owned copy is this one.
     pub fn assign_sorted(&mut self, sorted: &[u64]) {
         debug_assert!(sorted.len() <= self.p, "more minima than the sketch keeps");
         debug_assert!(
@@ -160,6 +151,25 @@ impl MinHashSketch {
         self.minima.clear();
         self.minima.extend_from_slice(sorted);
     }
+}
+
+/// Estimates the Jaccard coefficient of two sets from their sketches'
+/// minima, each strictly ascending: the `p` smallest distinct values of
+/// the union of both lists are a uniform sample of the union, and the
+/// estimate is the share of that sample present in both.  0.0 when both
+/// lists are empty, and whenever they share no value.
+///
+/// An allocation-free merge walk ([`kernel::merge_walk`]) — it runs once
+/// per candidate keyword pair per quantum, which makes it one of the
+/// hottest spots of the detector.  The detector calls it on the minima its
+/// window index hands out in place; [`MinHashSketch::estimate_jaccard`]
+/// calls it on a sketch's own.
+pub fn estimate_jaccard_minima(a: &[u64], b: &[u64], p: usize) -> f64 {
+    let (taken, in_both) = kernel::merge_walk(a, b, p);
+    if taken == 0 {
+        return 0.0;
+    }
+    in_both as f64 / taken as f64
 }
 
 /// Upper bound on the sketch size `p` accepted by the binary decoders.

@@ -7,6 +7,7 @@
 //! | module | paper section | contents |
 //! |---|---|---|
 //! | [`scp`] | §4.1 | the short-cycle property checked edge by edge, from its definition |
+//! | [`cluster`] | §5.1 | `NodeAddition`, which the engine runs as one `EdgeAddition` per edge |
 //! | [`quasi_clique`] | §1.1, §4.2 | γ-quasi-clique / majority-quasi-clique checks, density, diameter |
 //! | [`biconnected`] | §7.3, Theorem 2 | Hopcroft–Tarjan articulation points and biconnected components |
 //! | [`baseline`] | §7.3 | the offline biconnected-component clustering of Table 3 |
@@ -20,6 +21,7 @@
 pub mod baseline;
 pub mod biconnected;
 pub mod ckg;
+pub mod cluster;
 pub mod evaluation;
 pub mod quasi_clique;
 pub mod scp;

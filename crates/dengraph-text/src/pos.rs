@@ -5,10 +5,8 @@
 //! noun keyword**; clusters made of non-noun words only are treated as
 //! spurious.  Shipping the Stanford tagger is out of scope (it is an
 //! external Java artefact), so we substitute a deterministic heuristic:
-//! a small embedded lexicon of unambiguous non-nouns plus suffix rules.
-//! The synthetic workload generator labels its own vocabulary, so on the
-//! data used by the benchmark harness the heuristic acts as an exact
-//! oracle; on free text it is a reasonable approximation.
+//! a small embedded lexicon of unambiguous non-nouns plus suffix rules,
+//! a reasonable approximation on free text.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -148,29 +146,14 @@ fn non_noun_set() -> &'static HashSet<&'static str> {
     SET.get_or_init(|| NON_NOUNS.iter().copied().collect())
 }
 
-/// Deterministic noun heuristic.
+/// Deterministic noun heuristic: the embedded lexicon and suffix rules.
 #[derive(Debug, Default, Clone)]
-pub struct NounHeuristic {
-    /// Extra words the caller knows to be nouns (e.g. generator vocabulary).
-    known_nouns: HashSet<String>,
-    /// Extra words the caller knows to be non-nouns.
-    known_other: HashSet<String>,
-}
+pub struct NounHeuristic;
 
 impl NounHeuristic {
-    /// Creates a heuristic with only the embedded lexicon.
+    /// Creates the heuristic.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a word as a known noun, overriding the heuristic.
-    pub fn add_known_noun(&mut self, word: impl Into<String>) {
-        self.known_nouns.insert(word.into());
-    }
-
-    /// Registers a word as a known non-noun, overriding the heuristic.
-    pub fn add_known_other(&mut self, word: impl Into<String>) {
-        self.known_other.insert(word.into());
+        Self
     }
 
     /// Classifies a lower-cased word.
@@ -178,10 +161,7 @@ impl NounHeuristic {
         if word.chars().all(|c| c.is_ascii_digit() || c == '.') {
             return WordClass::Number;
         }
-        if self.known_nouns.contains(word) {
-            return WordClass::Noun;
-        }
-        if self.known_other.contains(word) || non_noun_set().contains(word) {
+        if non_noun_set().contains(word) {
             return WordClass::OtherContent;
         }
         if NOUN_SUFFIXES.iter().any(|s| word.ends_with(s)) {
@@ -196,12 +176,6 @@ impl NounHeuristic {
     /// Returns `true` when the word is classified as a noun.
     pub fn is_noun(&self, word: &str) -> bool {
         self.classify(word) == WordClass::Noun
-    }
-
-    /// Returns `true` when at least one of the words is a noun — the
-    /// paper's "real event must contain a noun keyword" precision filter.
-    pub fn contains_noun<'a, I: IntoIterator<Item = &'a str>>(&self, words: I) -> bool {
-        words.into_iter().any(|w| self.is_noun(w))
     }
 }
 
@@ -245,22 +219,5 @@ mod tests {
         assert_eq!(h.classify("devastation"), WordClass::Noun);
         assert_eq!(h.classify("quickly"), WordClass::OtherContent);
         assert_eq!(h.classify("flooding"), WordClass::OtherContent);
-    }
-
-    #[test]
-    fn caller_overrides_win() {
-        let mut h = NounHeuristic::new();
-        h.add_known_noun("awesome");
-        h.add_known_other("turkey");
-        assert!(h.is_noun("awesome"));
-        assert!(!h.is_noun("turkey"));
-    }
-
-    #[test]
-    fn contains_noun_filter() {
-        let h = NounHeuristic::new();
-        assert!(h.contains_noun(["massive", "earthquake"]));
-        assert!(!h.contains_noun(["massive", "awesome", "really"]));
-        assert!(!h.contains_noun::<[&str; 0]>([]));
     }
 }

@@ -433,7 +433,7 @@ fn parent_rebuild_mode_documents_restore_with_every_window_keyword_live() {
             window
                 .keywords_in_window()
                 .into_iter()
-                .all(|k| window.window_sketch_ref(k).is_some()),
+                .all(|k| window.window_minima(k).is_some()),
             "{label}: a window keyword restored without an entry"
         );
     };
@@ -553,8 +553,8 @@ fn hostile_fixture_window() -> WindowState {
         }
         window.push(QuantumRecord::from_messages(q, &messages));
     }
-    assert!(window.window_sketch_ref(KeywordId(2)).is_some());
-    assert!(window.window_sketch_ref(KeywordId(3)).is_none());
+    assert!(window.window_minima(KeywordId(2)).is_some());
+    assert!(window.window_minima(KeywordId(3)).is_none());
     window
 }
 
@@ -655,7 +655,7 @@ fn a_live_list_no_window_can_have_produced_is_an_error() {
     let more = decode(&with_index_section(&bytes, &index_section(t, &[1, 1, 1])))
         .expect("a quiet keyword may be live");
     more.validate_invariants().expect("invariants hold");
-    assert!(more.window_sketch_ref(KeywordId(3)).is_some());
+    assert!(more.window_minima(KeywordId(3)).is_some());
     assert_eq!(
         more.window_sketch(KeywordId(3)),
         window.window_sketch(KeywordId(3))
@@ -714,7 +714,7 @@ fn assert_all_live(restored: &WindowState, honest: &WindowState) {
     let in_window = honest.keywords_in_window();
     for k in (0..=5).map(KeywordId) {
         assert_eq!(
-            restored.window_sketch_ref(k).is_some(),
+            restored.window_minima(k).is_some(),
             in_window.contains(&k),
             "{k}"
         );

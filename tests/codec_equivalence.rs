@@ -21,7 +21,7 @@ use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::cluster::ClusterId;
 use dengraph_core::cluster::{edge_addition, edge_deletion, ClusterMaintainer, ClusterRegistry};
-use dengraph_core::keyword_state::{KeywordStateMachine, QuantumRecord, WindowState};
+use dengraph_core::keyword_state::{QuantumRecord, WindowState};
 use dengraph_core::wal::{JournalFrameEvent, JournalReader};
 use dengraph_core::{
     DeltaRecord, DetectedEvent, DetectorBuilder, DetectorConfig, DetectorSession, EventTracker,
@@ -145,23 +145,6 @@ fn window_state_codecs_agree() {
             ));
         }
         assert_codecs_agree(&window, &format!("window case {case}"));
-    }
-}
-
-#[test]
-fn keyword_state_machine_codecs_agree() {
-    for case in 0..16u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(0x0DEC_5000 + case);
-        let mut machine = KeywordStateMachine::new();
-        for _ in 0..rng.gen_range(0..200u32) {
-            let k = KeywordId(rng.gen_range(0..400u32));
-            if rng.gen_range(0..4u32) == 0 {
-                machine.demote(k);
-            } else {
-                machine.observe(k, rng.gen_range(0..10usize), 4);
-            }
-        }
-        assert_codecs_agree(&machine, &format!("state machine case {case}"));
     }
 }
 
@@ -415,10 +398,11 @@ fn binary_checkpoint_rejects_corrupted_and_truncated_headers() {
     assert!(DetectorSession::restore_bytes(&bad).is_err());
 }
 
-/// Corrupt size/id fields must be rejected *before* they can drive a
-/// huge allocation: a sketch size near `u64::MAX` used to reach
-/// `Vec::with_capacity` (capacity-overflow panic), and a keyword id near
-/// `u32::MAX` used to resize an id-indexed column to billions of slots.
+/// Corrupt size fields must be rejected *before* they can drive a huge
+/// allocation: a sketch size near `u64::MAX` used to reach
+/// `Vec::with_capacity` (capacity-overflow panic).  Keyword ids, which
+/// size the window index's id-indexed slots, are held to their bound by
+/// `checkpoint_compat`'s live-list cases.
 #[test]
 fn binary_decoders_bound_corrupt_sizes_and_ids() {
     use dengraph_json::BinWriter;
@@ -439,14 +423,6 @@ fn binary_decoders_bound_corrupt_sizes_and_ids() {
     w.usize(1); // materialization threshold
     w.usize(0); // empty live list
     assert!(WindowState::decode(w.as_slice(), WireFormat::Binary).is_err());
-
-    let mut w = BinWriter::new();
-    w.usize(1); // one High keyword…
-    w.u32(u32::MAX); // …with an id far beyond any real vocabulary
-    assert!(KeywordStateMachine::decode(w.as_slice(), WireFormat::Binary).is_err());
-    // Same guard on the JSON fallback decoder.
-    let huge = dengraph_json::parse(&format!("{{\"high\":[{}]}}", u32::MAX)).unwrap();
-    assert!(KeywordStateMachine::from_json(&huge).is_err());
 }
 
 /// Journal restore must *recover* from damage the CRC framing can

@@ -64,7 +64,8 @@ fn event_survives_while_inside_the_window_and_expires_after() {
     assert_eq!(det.clusters().cluster_count(), 1);
 
     // One quiet quantum: the keywords are still inside the window, the
-    // cluster keeps existing (hysteresis keeps the nodes in the AKG).
+    // cluster keeps existing (none of them occurs, so no edge of theirs
+    // is re-scored, and a node with edges is never lazily demoted).
     feed(&mut det, quantum(&cfg, 0, 0, &[], 1));
     assert_eq!(
         det.clusters().cluster_count(),

@@ -140,7 +140,7 @@ fn sigma_one_materializes_every_keyword_and_is_pinned() {
     let current = window.current().expect("a quantum was pushed");
     assert!(current
         .keywords()
-        .all(|k| window.window_sketch_ref(k).is_some()));
+        .all(|k| window.window_minima(k).is_some()));
     assert_eq!(digest, 0xa70d_da5a_0f00_d9a2);
 }
 
@@ -325,8 +325,8 @@ impl Differential {
             );
             let window = &self.incremental;
             assert_eq!(window.window_sketch(keyword), scratch, "{at}");
-            if let Some(cached) = window.window_sketch_ref(keyword) {
-                assert_eq!(*cached, scratch, "{at}: cached sketch");
+            if let Some(minima) = window.window_minima(keyword) {
+                assert_eq!(minima, scratch.minima(), "{at}: minima in place");
             }
             let set: BTreeSet<UserId> = window.window_user_set(keyword).into_iter().collect();
             assert_eq!(set, users, "{at}");
@@ -474,13 +474,8 @@ fn the_head_survives_one_eviction_and_promotes_on_the_last() {
     for sketch_size in [1usize, 2, 16] {
         let mut windows = Differential::new(sketch_size, 1, 2);
         let label = format!("p={sketch_size}");
-        let head_of = |windows: &Differential| {
-            windows
-                .incremental
-                .window_sketch_ref(k)
-                .expect("live")
-                .minima()[0]
-        };
+        let head_of =
+            |windows: &Differential| windows.incremental.window_minima(k).expect("live")[0];
         // The head posts in quanta 0 and 1; the second-lowest only in 1.
         windows.push(&[post(head, 0, &[0]), post(crowd[5], 0, &[0])], 1, &label);
         windows.push(&[post(head, 1, &[0]), post(second, 1, &[0])], 1, &label);
@@ -514,29 +509,23 @@ fn a_pooled_entry_starts_clean() {
         assert_eq!(windows.incremental.window_user_count(KeywordId(0)), 9);
         // w = 1: keyword 0 dies here and keyword 1 takes its entry.
         windows.push(&burst(&second, 1, 1), 2, &label);
-        assert!(windows
+        assert!(windows.incremental.window_minima(KeywordId(0)).is_none());
+        let minima = windows
             .incremental
-            .window_sketch_ref(KeywordId(0))
-            .is_none());
-        let sketch = windows
-            .incremental
-            .window_sketch_ref(KeywordId(1))
+            .window_minima(KeywordId(1))
             .expect("live");
         let expected: Vec<u64> = by_hash(second.iter().copied())
             .iter()
             .take(sketch_size)
             .map(|&u| hasher.hash(u))
             .collect();
-        assert_eq!(sketch.minima(), expected);
+        assert_eq!(minima, expected);
         // And back again, into the entry keyword 1 gives up.
         windows.push(&burst(&first[..5], 2, 0), 2, &label);
         assert_eq!(windows.incremental.window_user_count(KeywordId(0)), 5);
         // An empty quantum empties the window and the index with it.
         windows.push(&[], 2, &label);
-        assert!(windows
-            .incremental
-            .window_sketch_ref(KeywordId(0))
-            .is_none());
+        assert!(windows.incremental.window_minima(KeywordId(0)).is_none());
     }
 }
 
@@ -613,10 +602,7 @@ fn a_keyword_spills_past_four_p_users_and_drains_to_nothing() {
                     let q = windows.pushed;
                     windows.push(&[post(7, q, &[1])], 2, &label);
                 }
-                assert!(
-                    windows.incremental.window_sketch_ref(k).is_none(),
-                    "{label}"
-                );
+                assert!(windows.incremental.window_minima(k).is_none(), "{label}");
                 assert_eq!(windows.incremental.window_user_count(k), 0, "{label}");
                 // Keyword 2 takes the pooled entry (the invariants hold it
                 // to no stale row, `over == 0` and no table row under the
@@ -722,15 +708,11 @@ fn a_hash_between_the_new_and_the_old_last_row_goes_above_the_head() {
             &label,
         );
         assert_eq!(counts, [1, 6 * p + 2, 6 * p + 1, 2, 1], "{label}");
-        let sketch = windows
+        let minima = windows
             .incremental
-            .window_sketch_ref(KeywordId(0))
+            .window_minima(KeywordId(0))
             .expect("live");
-        assert_eq!(
-            sketch.minima(),
-            [churn_hasher().hash(c[top - 1])],
-            "{label}"
-        );
+        assert_eq!(minima, [churn_hasher().hash(c[top - 1])], "{label}");
     }
 }
 
