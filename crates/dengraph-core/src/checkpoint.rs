@@ -16,10 +16,11 @@
 //!   deltas on top of it.
 //!
 //! Replay is a pure redo: the window record is pushed as-is, the graph
-//! and keyword automaton re-apply the logged deltas (no correlation is
-//! re-scored), cluster maintenance re-runs the deterministic Section-5
-//! algorithms from the same delta log, in the same order (reproducing
-//! cluster ids exactly), and the tracker re-observes the logged events.
+//! re-applies the logged deltas (no correlation is re-scored; its node
+//! set is the keywords' high state), cluster maintenance re-runs the
+//! deterministic Section-5 algorithms from the same delta log, in the
+//! same order (reproducing cluster ids exactly), and the tracker
+//! re-observes the logged events.
 //! The result is bit-identical to the uninterrupted run
 //! (`tests/checkpoint_resume.rs` gates this across rebase cadences).
 //!
@@ -58,16 +59,29 @@
 //!
 //! A journaled session pays for its journal inside every quantum's
 //! latency, and every `rebase_every`-th quantum pays for a whole
-//! snapshot, so
-//! the journal owns its buffers and moves each byte once: the state is
-//! encoded into a reused body buffer, packed straight into a reused
-//! frame buffer behind nine reserved header bytes, checksummed, and
-//! handed to the segment file as **one** write.  A delta record is encoded
-//! directly behind the reserved bytes.  After the first rebase no frame
-//! allocates (`tests/allocation_gate_durable.rs`).
+//! snapshot, so the journal owns its buffers and encodes each window
+//! record once:
+//!
+//! * a delta frame's window record is encoded into the newest slot of a
+//!   ring of at most `window_quanta` records (`RecordRing`; the slot
+//!   that falls out lends its buffer), and copied from there behind the
+//!   frame's nine reserved header bytes, followed by the rest of the
+//!   delta record;
+//! * a rebase encodes the state into a reused body buffer, copying every
+//!   window record the ring holds instead of encoding it again (only the
+//!   rebase quantum's own record, and records from before the journal
+//!   opened, are encoded afresh), packs it straight into a reused frame
+//!   buffer behind the reserved bytes and checksums it;
+//! * each frame goes to the segment file as **one** write.
+//!
+//! The bytes are those of [`EventDetector::to_bin`] and of a fresh delta
+//! encoding (`tests/checkpoint_resume.rs` compares every snapshot frame
+//! with `checkpoint_bytes`).  After the first rebase no frame allocates
+//! (`tests/allocation_gate_durable.rs`).
 //!
 //! [`DetectorSession::restore_bytes`]: crate::session::DetectorSession::restore_bytes
 
+use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 
@@ -143,9 +157,10 @@ impl DeltaRecord {
 /// Borrowed view of a [`DeltaRecord`] used on the per-quantum append hot
 /// path: the one encoder of a delta record, so a journal append never
 /// clones the window record, the AKG delta log and the event list out of
-/// the detector.
+/// the detector.  The window record arrives already encoded, from the
+/// journal's [`RecordRing`].
 pub(crate) struct DeltaRecordView<'a> {
-    pub(crate) record: &'a QuantumRecord,
+    pub(crate) record: &'a [u8],
     pub(crate) akg_deltas: &'a [GraphDelta],
     pub(crate) akg_stats: AkgQuantumStats,
     pub(crate) events: &'a [DetectedEvent],
@@ -154,7 +169,7 @@ pub(crate) struct DeltaRecordView<'a> {
 impl DeltaRecordView<'_> {
     /// Appends the binary encoding [`DeltaRecord::decode`] reads.
     pub(crate) fn to_bin(&self, w: &mut BinWriter) {
-        self.record.to_bin(w);
+        w.raw(self.record);
         w.usize(self.akg_deltas.len());
         for d in self.akg_deltas {
             d.to_bin(w);
@@ -164,6 +179,53 @@ impl DeltaRecordView<'_> {
         for e in self.events {
             e.to_bin(w);
         }
+    }
+}
+
+/// The binary encodings of the window records the journal has written,
+/// oldest first, keyed by [`QuantumRecord::index`].
+///
+/// A window record never changes once pushed, and it stays in the window
+/// for `window_quanta` quanta.  Its delta frame encodes it once, into
+/// this ring; every rebase snapshot taken while it is still in the window
+/// copies those bytes instead of encoding it again (module docs, "The
+/// append path").  The ring holds at most `capacity` entries; the entry
+/// that falls out gives its buffer to the next record, so a warm ring
+/// does not allocate.  An empty ring ([`Self::default`]) holds nothing,
+/// and every record is encoded afresh.
+#[derive(Debug, Default)]
+pub(crate) struct RecordRing {
+    entries: VecDeque<(u64, BinWriter)>,
+    capacity: usize,
+}
+
+impl RecordRing {
+    fn new(capacity: usize) -> Self {
+        Self {
+            entries: VecDeque::with_capacity(capacity),
+            capacity,
+        }
+    }
+
+    /// Encodes `record` into the newest slot and returns its bytes.
+    pub(crate) fn push(&mut self, record: &QuantumRecord) -> &[u8] {
+        let mut slot = if self.entries.len() >= self.capacity {
+            self.entries.pop_front().map(|(_, w)| w).unwrap_or_default()
+        } else {
+            BinWriter::new()
+        };
+        slot.clear();
+        record.to_bin(&mut slot);
+        self.entries.push_back((record.index, slot));
+        self.entries.back().map_or(&[], |(_, w)| w.as_slice())
+    }
+
+    /// The bytes of the record of quantum `index`, if the ring holds it.
+    pub(crate) fn get(&self, index: u64) -> Option<&[u8]> {
+        self.entries
+            .binary_search_by_key(&index, |&(i, _)| i)
+            .ok()
+            .map(|at| self.entries[at].1.as_slice())
     }
 }
 
@@ -317,6 +379,9 @@ pub struct CheckpointJournal {
     frame: Vec<u8>,
     /// The block codec's table.
     codec: BlockEncoder,
+    /// The window records' encodings, kept from their delta frames for
+    /// the next rebase.
+    records: RecordRing,
 }
 
 impl std::fmt::Debug for CheckpointJournal {
@@ -355,6 +420,7 @@ impl CheckpointJournal {
             body: BinWriter::new(),
             frame: Vec::new(),
             codec: BlockEncoder::new(),
+            records: RecordRing::new(detector.config().window_quanta),
         };
         journal.append_snapshot(detector)?;
         journal.sync()?;
@@ -480,7 +546,7 @@ impl CheckpointJournal {
     fn append_snapshot(&mut self, detector: &EventDetector) -> io::Result<()> {
         begin_frame(&mut self.frame);
         self.body.clear();
-        detector.to_bin(&mut self.body);
+        detector.to_bin_reusing(&mut self.body, &self.records);
         write_checkpoint_container(self.body.as_slice(), &mut self.codec, &mut self.frame);
         self.last_snapshot_bytes = self.push_frame(TAG_SNAPSHOT)?;
         self.snapshot_frames += 1;
@@ -520,7 +586,7 @@ impl CheckpointJournal {
         } else {
             begin_frame(&mut self.frame);
             let mut w = BinWriter::from_vec(std::mem::take(&mut self.frame));
-            detector.encode_delta_record(summary, &mut w);
+            detector.encode_delta_record(summary, &mut self.records, &mut w);
             self.frame = w.into_bytes();
             self.delta_payload_bytes += self.push_frame(TAG_DELTA)? as u64;
             self.delta_frames += 1;

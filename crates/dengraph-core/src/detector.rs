@@ -20,6 +20,7 @@ use dengraph_stream::Message;
 use dengraph_text::{KeywordId, KeywordInterner, NounHeuristic};
 
 use crate::akg::{keyword_of, node_of, AkgMaintainer, AkgQuantumStats};
+use crate::checkpoint::RecordRing;
 use crate::cluster::maintainer::MaintenanceStats;
 use crate::cluster::ClusterMaintainer;
 use crate::config::DetectorConfig;
@@ -592,9 +593,9 @@ impl EventDetector {
     }
 
     /// Serialises the complete detector state — configuration, sliding
-    /// window (records + incremental index), AKG graph and keyword
-    /// automaton, cluster registry, event tracker, the partially filled
-    /// message buffer and the quantum counters — to a
+    /// window (records + the index's live keyword ids), AKG graph,
+    /// cluster registry, event tracker, noun verdicts, the partially
+    /// filled message buffer and the quantum counters — to a
     /// [`dengraph_json::Value`].
     ///
     /// [`Self::from_json`] reconstructs a detector whose subsequent output
@@ -740,8 +741,16 @@ impl EventDetector {
     /// / [`CheckpointJournal`](crate::checkpoint::CheckpointJournal)),
     /// not here.
     pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        self.to_bin_reusing(w, &RecordRing::default());
+    }
+
+    /// [`Self::to_bin`], copying each window record `records` holds from
+    /// those bytes instead of encoding it again (a journal rebase: the
+    /// records' delta frames already encoded them).  The one writer of
+    /// the body layout.
+    pub(crate) fn to_bin_reusing(&self, w: &mut dengraph_json::BinWriter, records: &RecordRing) {
         self.config.to_bin(w);
-        self.window.to_bin(w);
+        self.window.to_bin_reusing(w, records);
         self.akg.to_bin(w);
         self.clusters.to_bin(w);
         self.tracker.to_bin(w);
@@ -804,7 +813,9 @@ impl EventDetector {
     /// Encodes the state transition of the quantum that just completed
     /// (`summary` must be its summary) as a journal delta-record payload:
     /// the window record, the AKG delta log still sitting in the scratch
-    /// arena, the quantum's AKG statistics and the reported events.
+    /// arena, the quantum's AKG statistics and the reported events.  The
+    /// window record is encoded once, into the newest slot of `records`,
+    /// and copied from there, so later rebases can copy it too.
     /// Encodes straight from the borrowed state into the caller's writer
     /// (the journal's frame buffer) — this runs once per quantum on the
     /// journaled hot path, so it must not clone the delta log or the
@@ -812,13 +823,14 @@ impl EventDetector {
     pub(crate) fn encode_delta_record(
         &self,
         summary: &QuantumSummary,
+        records: &mut RecordRing,
         w: &mut dengraph_json::BinWriter,
     ) {
         #[expect(clippy::expect_used, reason = "a quantum was just processed")]
         let record = self.window.current().expect("a quantum was just processed");
         debug_assert_eq!(record.index, summary.quantum, "summary is stale");
         crate::checkpoint::DeltaRecordView {
-            record,
+            record: records.push(record),
             akg_deltas: &self.scratch.deltas,
             akg_stats: self.akg.last_stats(),
             events: &summary.events,
@@ -828,11 +840,11 @@ impl EventDetector {
 
     /// Redoes one quantum from a journal delta record — the replay half
     /// of incremental checkpointing.  Pushes the logged window record,
-    /// re-applies the AKG delta log to the graph and keyword automaton,
-    /// re-runs cluster maintenance from the same deltas (deterministic,
-    /// cluster ids included) and re-observes the logged events; no
-    /// correlation is re-scored.  Rejects records that do not continue
-    /// exactly at this detector's next quantum.
+    /// re-applies the AKG delta log to the graph (whose node set is the
+    /// keywords' high state), re-runs cluster maintenance from the same
+    /// deltas (deterministic, cluster ids included) and re-observes the
+    /// logged events; no correlation is re-scored.  Rejects records that
+    /// do not continue exactly at this detector's next quantum.
     pub(crate) fn apply_delta_record(
         &mut self,
         record: &crate::checkpoint::DeltaRecord,

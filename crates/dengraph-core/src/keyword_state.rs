@@ -103,6 +103,8 @@ use dengraph_parallel::Parallelism;
 use dengraph_stream::{Message, UserId};
 use dengraph_text::KeywordId;
 
+use crate::checkpoint::RecordRing;
+
 /// One per-keyword user span of a [`QuantumRecord`]: the keyword plus the
 /// `[start, end)` range of its users in the record's flat user column.
 pub(crate) type KeywordSpan = (KeywordId, u32, u32);
@@ -118,11 +120,12 @@ pub(crate) type RecordStorage = (Vec<UserId>, Vec<KeywordSpan>);
 /// slot vector is sized by the largest id, so a corrupted id near
 /// `u32::MAX` would otherwise force a multi-gigabyte resize before any
 /// other validation could reject the document.  The bound caps the
-/// decode-time allocation at roughly half a gigabyte of index slots —
-/// the same order the *live* dense-id layout would occupy for such a
-/// vocabulary, so no state a deployment can actually run is rejected.
-/// Raise this constant together with the deployment's memory envelope if
-/// interned vocabularies ever approach four million keywords.
+/// decode-time allocation at 302 MB of index slots: 2²² + 1 slots of 72
+/// bytes each (an `Option<KeywordWindowEntry>`; a unit test holds the
+/// product to that figure) — what the *live* dense-id layout occupies
+/// for such a vocabulary, so no state a deployment can actually run is
+/// rejected.  Raise this constant together with the deployment's memory
+/// envelope if interned vocabularies ever approach four million keywords.
 const MAX_DECODED_KEYWORD_INDEX: usize = 1 << 22;
 
 pub(crate) fn check_keyword_index(idx: usize, offset: usize) -> dengraph_json::Result<()> {
@@ -1830,13 +1833,25 @@ impl Encode for WindowState {
     /// what earlier versions wrote: `0` (the retired rebuild mode, nothing)
     /// and `1` (every entry's columns and sub-sketches).
     fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
+        self.to_bin_reusing(w, &RecordRing::default());
+    }
+}
+
+impl WindowState {
+    /// [`Encode::to_bin`], copying each record `records` holds from those
+    /// bytes instead of encoding it again.  The one writer of the window
+    /// section.
+    pub(crate) fn to_bin_reusing(&self, w: &mut dengraph_json::BinWriter, records: &RecordRing) {
         w.usize(self.capacity);
         w.usize(self.sketch_size);
         w.u64(self.hasher.seed());
         w.byte(2);
         w.usize(self.window.len());
         for record in &self.window {
-            record.to_bin(w);
+            match records.get(record.index) {
+                Some(bytes) => w.raw(bytes),
+                None => record.to_bin(w),
+            }
         }
         self.index.to_bin(w);
     }
@@ -2154,5 +2169,17 @@ mod tests {
         for capacity in [1, 2, 5] {
             assert_modes_agree(capacity, &quanta);
         }
+    }
+
+    /// The decode bound's stated cost (`MAX_DECODED_KEYWORD_INDEX`'s
+    /// docs, and the restore entry points') is what the slots weigh.
+    #[test]
+    fn decoder_bound_caps_index_slots_at_the_stated_figure() {
+        let slot = std::mem::size_of::<Option<KeywordWindowEntry>>();
+        let worst = slot * (MAX_DECODED_KEYWORD_INDEX + 1);
+        assert!(
+            worst <= 302_000_000,
+            "{slot}-byte slots put the decoder bound at {worst} bytes, above the stated 302 MB"
+        );
     }
 }

@@ -818,9 +818,9 @@ impl DetectorSession {
         }
     }
 
-    /// Snapshots the complete detector state — window records, AKG graph
-    /// and keyword automaton, cluster registry, event tracker, the
-    /// partially filled message buffer and all counters — as standalone
+    /// Snapshots the complete detector state — window records, AKG graph,
+    /// cluster registry, event tracker, the noun verdicts, the partially
+    /// filled message buffer and all counters — as standalone
     /// durable bytes in the requested wire format.  [`WireFormat::Binary`]
     /// (the default format) is typically several times smaller than the
     /// [`WireFormat::Json`] text, which stays for debugging and as the
@@ -912,6 +912,10 @@ impl DetectorSession {
     /// with no delta after it, and those buffered messages must not be
     /// re-fed.  Re-enable journaling (and re-attach sinks) explicitly if
     /// the resumed session should keep checkpointing.
+    ///
+    /// Replay trusts a consistent journal's keyword ids up to the decoder
+    /// bound of 2²² keywords, so a restore may allocate up to about
+    /// 302 MB of window index slots (72 bytes per id).
     pub fn restore_from_journal(bytes: &[u8]) -> Result<Self, RestoreError> {
         Ok(Self::over(wal::restore_detector_from_bytes(bytes)?.0))
     }
@@ -931,6 +935,10 @@ impl DetectorSession {
     /// recovered session; call [`Self::enable_durable_journal`] again
     /// (same directory is fine — recovery and startup compaction ignore
     /// the torn tail and the fresh snapshot supersedes it).
+    ///
+    /// Replay trusts a consistent journal's keyword ids up to the decoder
+    /// bound of 2²² keywords, so a restore may allocate up to about
+    /// 302 MB of window index slots (72 bytes per id).
     pub fn restore_from_dir(dir: impl AsRef<Path>) -> Result<Self, RestoreError> {
         Self::restore_from_dir_with_report(dir).map(|(session, _report)| session)
     }

@@ -1,15 +1,19 @@
 //! Allocation gate for the durable journal's append path.
 //!
 //! A journaled session pays for its journal inside every quantum's
-//! latency, so the journal owns its buffers: a delta record is encoded
-//! straight into a reused frame buffer behind the reserved header bytes,
-//! a rebase snapshot goes state → reused body buffer → block codec
-//! (reused table) → the same frame buffer, and each frame is one write.
-//! This test pins that with a counting global allocator.  The journal's
-//! share of a quantum is measured as *durable minus plain*: two sessions
-//! over the same stream, one with a durable journal, count their
-//! allocations quantum by quantum.  Once the journal is warm (past two
-//! rebases) the difference must be
+//! latency, so the journal owns its buffers: a delta frame's window
+//! record is encoded once into a ring of at most `window_quanta` reused
+//! slots (the slot that falls out lends its buffer) and copied from
+//! there into a reused frame buffer behind the reserved header bytes,
+//! followed by the rest of the delta record; a rebase snapshot goes
+//! state → reused body buffer (the window records the ring holds are
+//! copied, not re-encoded) → block codec (reused table) → the same frame
+//! buffer; and each frame is one write.  This test pins that with a
+//! counting global allocator.  The journal's share of a quantum is
+//! measured as *durable minus plain*: two sessions over the same stream,
+//! one with a durable journal, count their allocations quantum by
+//! quantum.  Once the journal is warm (past two rebases) the difference
+//! must be
 //!
 //! * **0** for a quantum that appends a delta frame, and
 //! * **at most [`REBASE_BUDGET`]** for a quantum that rebases — the

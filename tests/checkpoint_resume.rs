@@ -13,11 +13,19 @@
 //! fresh session, run M more quanta — and the concatenated
 //! `QuantumSummary` stream, the final long-term event records and the
 //! final binary checkpoint must be **bit-identical** to an uninterrupted
-//! N+M run.  Checked across window
-//! sizes × journal rebase cadences (`rebase_every` 0, 1, 3), with the
-//! full-snapshot split placed mid-quantum so the partial message buffer
-//! round-trips too (journal restores resume at the last completed
-//! quantum boundary and re-feed the partial tail).
+//! N+M run.  Checked across window sizes × journal rebase cadences
+//! (`rebase_every` 0, 1, 3 and one above the window, the shape of the
+//! default 64 against a window of 30; every journal cut rebases at least
+//! twice before the split), with the full-snapshot split placed
+//! mid-quantum so the partial message buffer round-trips too (journal
+//! restores resume at the last completed quantum boundary and re-feed the
+//! partial tail).
+//!
+//! **Snapshot bytes** — a journal rebase copies the window records its
+//! delta frames already encoded; every snapshot frame it writes must
+//! still be exactly `checkpoint_bytes(WireFormat::Binary)` of the same
+//! state, at cadences below, at and above the window and right after a
+//! restore.
 //!
 //! **Size targets** — the binary full checkpoint must be at most half
 //! the JSON one, and steady-state journal delta records at least 10×
@@ -28,6 +36,7 @@ use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::cluster::{edge_addition, edge_deletion, ClusterRegistry};
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
+use dengraph_core::wal::{JournalFrameEvent, JournalReader};
 use dengraph_core::{
     DetectorBuilder, DetectorConfig, DetectorSession, QuantumSummary, VecSink, WireFormat,
 };
@@ -232,6 +241,14 @@ fn run_with_interruption(
     for message in &trace.messages[..split] {
         summaries.extend(first.push_message(message.clone()));
     }
+    if let Some(journal) = first.journal() {
+        assert!(
+            journal.snapshot_frames() >= 3,
+            "{cut:?}: only {} snapshots in the {} quanta before the cut",
+            journal.snapshot_frames(),
+            first.quanta_processed()
+        );
+    }
     let (mut second, resume_at) = match cut {
         Cut::JsonBytes | Cut::BinaryBytes => {
             let format = match cut {
@@ -280,13 +297,16 @@ fn mid_stream_restore_is_bit_identical_across_profiles() {
         let full = uninterrupted.run(&trace.messages);
 
         // `Journal(1)` snapshots after every delta; `Journal(0)` pins the
-        // documented clamp to 1.
+        // documented clamp to 1.  A cadence above the window is the only
+        // shape in which a rebase finds every window record but its own
+        // already encoded by a delta frame.
         for cut in [
             Cut::JsonBytes,
             Cut::BinaryBytes,
             Cut::Journal(3),
             Cut::Journal(1),
             Cut::Journal(0),
+            Cut::Journal(window_quanta as u32 + 1),
         ] {
             let label = format!("w={window_quanta} {cut:?}");
             let (stitched, resumed) = run_with_interruption(&trace, &config, split, cut);
@@ -313,12 +333,19 @@ fn mid_stream_restore_is_bit_identical_across_profiles() {
 #[test]
 fn mid_stream_restore_is_bit_identical_on_event_dense_streams() {
     let trace = StreamGenerator::new(es_profile(62, ProfileScale::Small)).generate();
-    let config = DetectorConfig::nominal().with_window_quanta(8);
+    let window_quanta = 8;
+    let config = DetectorConfig::nominal().with_window_quanta(window_quanta);
     for fraction in [1, 2, 3] {
         let split = trace.messages.len() * fraction / 4 + 3;
         let mut uninterrupted = build(&trace, &config);
         let full = uninterrupted.run(&trace.messages);
-        for cut in [Cut::JsonBytes, Cut::BinaryBytes, Cut::Journal(5)] {
+        let mut cuts = vec![Cut::JsonBytes, Cut::BinaryBytes, Cut::Journal(5)];
+        // The first split comes before a cadence above the window has
+        // rebased twice.
+        if fraction > 1 {
+            cuts.push(Cut::Journal(window_quanta as u32 + 1));
+        }
+        for cut in cuts {
             let (stitched, resumed) = run_with_interruption(&trace, &config, split, cut);
             assert_eq!(
                 canonical(&full),
@@ -382,6 +409,99 @@ fn journal_enabled_mid_quantum_restores_without_double_processing() {
         canonical(&summaries),
         "mid-quantum journal restore diverged"
     );
+}
+
+/// Streams `messages` into a journaled `session` and appends, after every
+/// quantum that wrote a snapshot frame, the session's standalone binary
+/// checkpoint of that state to `expected`.
+fn feed_collecting_rebases(
+    session: &mut DetectorSession,
+    messages: &[Message],
+    expected: &mut Vec<Vec<u8>>,
+) {
+    let snapshots = |s: &DetectorSession| s.journal().expect("journal enabled").snapshot_frames();
+    for message in messages {
+        let before = snapshots(session);
+        if session.push_message(message.clone()).is_some() && snapshots(session) > before {
+            expected.push(session.checkpoint_bytes(WireFormat::Binary));
+        }
+    }
+}
+
+/// The payloads of the snapshot frames in the one segment under `dir`,
+/// in the order they were written.
+fn snapshot_payloads(dir: &std::path::Path) -> Vec<Vec<u8>> {
+    let bytes = temp_dir::only_file(dir);
+    let mut reader = JournalReader::new(&bytes).expect("the segment header parses");
+    let mut payloads = Vec::new();
+    loop {
+        match reader.next_frame() {
+            JournalFrameEvent::Snapshot(payload) => payloads.push(payload.to_vec()),
+            JournalFrameEvent::Delta(_) => {}
+            JournalFrameEvent::End => return payloads,
+            JournalFrameEvent::Torn { offset, reason } => {
+                panic!("torn frame at byte {offset}: {reason}")
+            }
+        }
+    }
+}
+
+/// A rebase writes each window record its delta frame already encoded by
+/// copying those bytes, and encodes only the rest: its own record and
+/// any from before the journal opened.  Whatever the mix, every snapshot
+/// frame must be byte for byte the standalone checkpoint of the same
+/// state — at cadences below, at and above the window, and for the first
+/// rebases of a journal re-enabled after `restore_from_dir`, whose ring
+/// starts empty under a full window.
+#[test]
+fn every_journal_snapshot_is_the_sessions_binary_checkpoint() {
+    let trace = StreamGenerator::new(es_profile(66, ProfileScale::Small)).generate();
+    let window_quanta = 6usize;
+    let config = DetectorConfig::nominal().with_window_quanta(window_quanta);
+    let split = trace.messages.len() * 2 / 3;
+    let w = window_quanta as u32;
+    for rebase_every in [2, w, 2 * w + 1] {
+        let label = format!("rebase_every {rebase_every}, window {window_quanta}");
+        let dir = temp_dir::scratch_dir("snapshot-bytes");
+        let mut first = build(&trace, &config);
+        first
+            .enable_durable_journal(&dir, temp_dir::one_segment(rebase_every))
+            .expect("journal opens");
+        let mut expected = vec![first.checkpoint_bytes(WireFormat::Binary)];
+        feed_collecting_rebases(&mut first, &trace.messages[..split], &mut expected);
+        assert!(
+            expected.len() >= 3,
+            "{label}: {} snapshots in {} quanta",
+            expected.len(),
+            first.quanta_processed()
+        );
+        assert!(
+            snapshot_payloads(&dir) == expected,
+            "{label}: a snapshot frame differs from the checkpoint of its state"
+        );
+
+        let mut second = DetectorSession::restore_from_dir(&dir).expect("journal restores");
+        drop(first);
+        let _ = std::fs::remove_dir_all(&dir);
+        let resume_at = second.total_messages() as usize + second.buffered_messages();
+        let dir = temp_dir::scratch_dir("snapshot-bytes-restored");
+        second
+            .enable_durable_journal(&dir, temp_dir::one_segment(rebase_every))
+            .expect("journal reopens");
+        let mut expected = vec![second.checkpoint_bytes(WireFormat::Binary)];
+        feed_collecting_rebases(&mut second, &trace.messages[resume_at..], &mut expected);
+        assert!(
+            expected.len() >= 2,
+            "{label}, restored: {} snapshots",
+            expected.len()
+        );
+        assert!(
+            snapshot_payloads(&dir) == expected,
+            "{label}, restored: a snapshot frame differs from the checkpoint of its state"
+        );
+        drop(second);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The size acceptance criteria of the codec layer: a binary full
