@@ -33,11 +33,18 @@
 //! (`MinimaJoin`): work is bounded by the posting lists and the pairs
 //! emitted, not by C(|set 1|, 2), and the AKG, the delta log and every
 //! reported event are bit-identical to the all-pairs enumeration.  The
-//! join is an equi-join on the minimum, so it partitions its postings
-//! instead of comparison-sorting them: minima are keyed uniform hashes,
-//! and a counting scatter on their top bits leaves about one posting per
-//! bucket (`group_postings`).  The `exact_edge_correlation` ablation has
-//! no sketches to join on and keeps the cross product.
+//! join is an equi-join on the minimum, so it sorts nothing: its postings
+//! stay grouped by keyword as they are collected, and one open-addressed
+//! table (a Fibonacci hash of the whole minimum) chains each posting to
+//! the next one holding the same minimum.  Ordering the postings would
+//! not be linear even by a counting scatter on their top bits: minima are
+//! the *smallest* hashes of each user set, so their top bits crowd
+//! together — on the benchmark's streams 90 % of the postings (`tw-ids`,
+//! `es-durable`, ≈ 500 a quantum) and 99.8 % (`dense-ids`, ≈ 2 000) share
+//! a top-bits bucket with another, the largest holding 14–25 on average.
+//! What remains is output-sensitive emission, bounded by Σ r_m² over the
+//! minima `m` shared by `r_m` keywords.  The `exact_edge_correlation`
+//! ablation has no sketches to join on and keeps the cross product.
 //!
 //! ## Two-phase edge recomputation
 //!
@@ -358,26 +365,39 @@ impl<'a> CorrelationCache<'a> {
     }
 }
 
+/// Marks the end of a [`MinimaJoin`] chain and a vacant table slot.
+const NO_POSTING: u32 = u32::MAX;
+
+/// The multiplier of the join table's Fibonacci hash: 2⁶⁴ divided by the
+/// golden ratio.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// The transient inverted index *sketch minimum → bursty keywords* behind
 /// candidate set 1 (see the module docs), rebuilt every quantum out of
-/// retained capacity.  Keywords are addressed by their
+/// retained capacity: a chained hash join.  Keywords are addressed by their
 /// [`CorrelationCache`] slot, so slot order is keyword order.
+///
+/// The trust model is the window index overflow table's (`keyword_state`
+/// module docs): a minimum is `UserHasher::hash` of a user id, a public
+/// bijection, so user ids chosen to collide in `table` lengthen a probe
+/// run — by at most the number of distinct minima that collide — and cost
+/// probes, never answers: a probe compares the whole minimum.  Equal
+/// minima (a keyword family) chain on their first probe.
 #[derive(Debug, Default)]
 pub(crate) struct MinimaJoin {
     /// One `(minimum, slot)` per sketch minimum of every set-1 keyword,
-    /// ascending: a run of equal minima lists the keywords sharing it,
-    /// ascending.
+    /// grouped by slot, ascending.
     postings: Vec<(u64, u32)>,
-    /// The scatter target of [`group_postings`], swapped with `postings`.
-    spare: Vec<(u64, u32)>,
-    /// Per top-bits bucket, where its postings end (see
-    /// [`group_postings`]).
-    bucket_end: Vec<u32>,
-    /// Positions into `postings`, grouped by slot (a counting sort).
-    by_slot: Vec<u32>,
-    /// Per slot, where its `by_slot` group ends (it starts where the
-    /// previous slot's ends).
-    group_end: Vec<u32>,
+    /// One `(slot, end)` per set-1 keyword: its postings end at `end` and
+    /// start where the previous keyword's end.
+    keywords: Vec<(u32, u32)>,
+    /// Per posting, the next posting holding the same minimum (which
+    /// belongs to a larger slot: a keyword's minima are distinct), or
+    /// [`NO_POSTING`].
+    next: Vec<u32>,
+    /// Open-addressed, linear probing, a power of two ≥ 2·|postings| long:
+    /// per minimum, the first posting of its chain, or [`NO_POSTING`].
+    table: Vec<u32>,
     /// `stamp[b] == a` once the pair `(a, b)` has been emitted: a family
     /// of keywords over the same users shares every minimum, and must
     /// still yield each of its pairs once.
@@ -387,12 +407,12 @@ pub(crate) struct MinimaJoin {
 impl MinimaJoin {
     /// Appends to `out` every slot pair `(a, b)`, `a < b`, of `set1`
     /// keywords whose cached sketches share at least one minimum — each
-    /// pair once, ascending.  Costs one linear grouping of the
-    /// ≤ p·|set 1| postings ([`group_postings`]) plus one stamp check per
-    /// (pair, shared minimum); the degenerate quantum in which every
-    /// bursty keyword shares every minimum pays p·C(n, 2) one-word
-    /// checks, still less than the C(n, 2) sketch walks the cross product
-    /// costs.
+    /// pair once, ascending.  Costs one table insert per posting (≤ p per
+    /// set-1 keyword) plus one stamp check per (pair, shared minimum): the
+    /// ℓ2 degree bound Σ r_m² over minima `m` shared by `r_m` keywords.
+    /// The degenerate quantum in which every bursty keyword shares every
+    /// minimum pays p·C(n, 2) one-word checks, still less than the
+    /// C(n, 2) sketch walks the cross product costs.
     fn bursty_pairs(
         &mut self,
         cache: &CorrelationCache<'_>,
@@ -401,16 +421,15 @@ impl MinimaJoin {
     ) {
         let Self {
             postings,
-            spare,
-            bucket_end,
-            by_slot,
-            group_end,
+            keywords,
+            next,
+            table,
             stamp,
         } = self;
-        let slots = cache.involved.len();
         postings.clear();
+        keywords.clear();
         // `set1` is a sorted subset of `involved`: one forward walk finds
-        // every slot.
+        // every slot, and leaves the postings grouped by slot.
         let mut slot = 0;
         for &keyword in set1 {
             while cache.involved[slot] != keyword {
@@ -418,104 +437,57 @@ impl MinimaJoin {
             }
             let minima = cache.minima(slot);
             postings.extend(minima.iter().map(|&m| (m, slot as u32)));
+            keywords.push((slot as u32, postings.len() as u32));
         }
-        group_postings(postings, spare, bucket_end);
 
-        // Group posting positions by slot: count, prefix-sum to group
-        // starts, then scatter — which advances every start to its end.
-        group_end.clear();
-        group_end.resize(slots, 0);
-        for &(_, s) in postings.iter() {
-            group_end[s as usize] += 1;
-        }
-        let mut running = 0;
-        for g in group_end.iter_mut() {
-            let count = *g;
-            *g = running;
-            running += count;
-        }
-        by_slot.clear();
-        by_slot.resize(postings.len(), 0);
-        for (position, &(_, s)) in postings.iter().enumerate() {
-            let cursor = &mut group_end[s as usize];
-            by_slot[*cursor as usize] = position as u32;
-            *cursor += 1;
+        // Chain equal minima: walking backwards, each posting links to the
+        // chain its minimum has so far and becomes its head, so a chain
+        // runs forward through ascending slots.  At least two table slots,
+        // so the shift below stays under 64.
+        let bits = (2 * postings.len())
+            .max(2)
+            .next_power_of_two()
+            .trailing_zeros();
+        table.clear();
+        table.resize(1 << bits, NO_POSTING);
+        next.clear();
+        next.resize(postings.len(), NO_POSTING);
+        let mask = table.len() - 1;
+        for (i, &(minimum, _)) in postings.iter().enumerate().rev() {
+            let mut at = (minimum.wrapping_mul(FIBONACCI) >> (u64::BITS - bits)) as usize;
+            loop {
+                let head = table[at];
+                if head == NO_POSTING || postings[head as usize].0 == minimum {
+                    next[i] = head;
+                    table[at] = i as u32;
+                    break;
+                }
+                at = (at + 1) & mask;
+            }
         }
 
         // Emit grouped by left keyword, so one stamp word per right
-        // keyword de-duplicates.  The postings after `(m, a)` in its run
-        // are exactly the keywords b > a sharing m.
+        // keyword de-duplicates.  The chain after a posting of `a` holds
+        // exactly the keywords b > a sharing its minimum.
         stamp.clear();
-        stamp.resize(slots, u32::MAX);
+        stamp.resize(cache.involved.len(), u32::MAX);
         let mut start = 0;
-        for (a, &end) in group_end.iter().enumerate() {
-            let a = a as u32;
+        for &(a, end) in keywords.iter() {
             let first = out.len();
-            for &position in &by_slot[start..end as usize] {
-                let position = position as usize;
-                let minimum = postings[position].0;
-                for &(m, b) in &postings[position + 1..] {
-                    if m != minimum {
-                        break;
-                    }
+            for &head in &next[start..end as usize] {
+                let mut at = head;
+                while at != NO_POSTING {
+                    let b = postings[at as usize].1;
                     if stamp[b as usize] != a {
                         stamp[b as usize] = a;
                         out.push((a, b));
                     }
+                    at = next[at as usize];
                 }
             }
             out[first..].sort_unstable();
             start = end as usize;
         }
-    }
-}
-
-/// Puts `postings` into the order `sort_unstable` gives them, in linear
-/// time on keyed-hash minima: a stable counting scatter into `spare` on
-/// the top `b` bits of the minimum — `b` the bit length of the posting
-/// count, clamped to 1..=16, so buckets average at most one posting —
-/// then a sort of each bucket holding more than one.  Top bits are
-/// monotone in the minimum, so bucket order is key order, and a bucket
-/// sorted by the whole posting is that stretch of the total order.  A
-/// family of keywords over the same users shares a bucket per minimum;
-/// if every minimum lands in one bucket this costs the one sort plus a
-/// linear pass.  `spare` and `bucket_end` are scratch, reused across
-/// calls.
-fn group_postings(
-    postings: &mut Vec<(u64, u32)>,
-    spare: &mut Vec<(u64, u32)>,
-    bucket_end: &mut Vec<u32>,
-) {
-    let bits = (usize::BITS - postings.len().leading_zeros()).clamp(1, 16);
-    let shift = u64::BITS - bits;
-    // Count, prefix-sum to bucket starts, then scatter — which advances
-    // every start to its end.
-    bucket_end.clear();
-    bucket_end.resize(1 << bits, 0);
-    for &(m, _) in postings.iter() {
-        bucket_end[(m >> shift) as usize] += 1;
-    }
-    let mut running = 0;
-    for b in bucket_end.iter_mut() {
-        let count = *b;
-        *b = running;
-        running += count;
-    }
-    spare.clear();
-    spare.resize(postings.len(), (0, 0));
-    for &posting in postings.iter() {
-        let cursor = &mut bucket_end[(posting.0 >> shift) as usize];
-        spare[*cursor as usize] = posting;
-        *cursor += 1;
-    }
-    std::mem::swap(postings, spare);
-    let mut start = 0;
-    for &end in bucket_end.iter() {
-        let end = end as usize;
-        if end - start > 1 {
-            postings[start..end].sort_unstable();
-        }
-        start = end;
     }
 }
 
@@ -687,9 +659,11 @@ impl AkgMaintainer {
             ref mut deltas,
             ref mut nodes,
             ref mut set1,
+            ref mut set1_bits,
             ref mut set2,
             ref mut edge_pairs,
             ref mut all_pairs,
+            ref mut scores,
             ref mut involved,
             ref mut join,
             ..
@@ -741,6 +715,21 @@ impl AkgMaintainer {
             }
         }
         stats.bursty_keywords = set1.len();
+        // Set 1 as one bit per keyword id, cleared again before returning.
+        if let Some(&last) = set1.last() {
+            let words = last.0 as usize / 64 + 1;
+            if set1_bits.len() < words {
+                set1_bits.resize(words, 0);
+            }
+        }
+        for &keyword in set1.iter() {
+            set1_bits[keyword.0 as usize / 64] |= 1 << (keyword.0 % 64);
+        }
+        let in_set1 = |keyword: KeywordId| {
+            set1_bits
+                .get(keyword.0 as usize / 64)
+                .is_some_and(|&word| word >> (keyword.0 % 64) & 1 == 1)
+        };
 
         // --- 3. candidate collection (read-only) ------------------------------
         // The two candidate sets of Section 3.2.1, collected before any
@@ -753,13 +742,12 @@ impl AkgMaintainer {
         // (module docs; τ > 0 is a validated precondition).  An existing
         // edge between two bursty keywords belongs to set 1 alone — it is
         // re-weighted there if still ≥ τ and otherwise left as it is.
-        // `set1` is sorted, so membership is a binary search.
         edge_pairs.clear();
         for &keyword in set2.iter() {
-            let keyword_bursty = set1.binary_search(&keyword).is_ok();
+            let keyword_bursty = in_set1(keyword);
             for other in self.graph.neighbors(node_of(keyword)) {
                 let other_kw = keyword_of(other);
-                if keyword_bursty && set1.binary_search(&other_kw).is_ok() {
+                if keyword_bursty && in_set1(other_kw) {
                     continue;
                 }
                 let pair = if keyword <= other_kw {
@@ -806,13 +794,11 @@ impl AkgMaintainer {
         stats.pairs_evaluated = all_pairs.len();
 
         // --- 3a. score phase (read-only) --------------------------------------
-        // Both candidate sets are scored in one pass; the scores vector is
+        // Both candidate sets are scored in one pass; the score column is
         // split back afterwards.
-        let all_scores: Vec<f64> = all_pairs
-            .iter()
-            .map(|&(a, b)| cache.correlation(a, b))
-            .collect();
-        let (bursty_scores, edge_scores) = all_scores.split_at(bursty_count);
+        scores.clear();
+        scores.extend(all_pairs.iter().map(|&(a, b)| cache.correlation(a, b)));
+        let (bursty_scores, edge_scores) = scores.split_at(bursty_count);
 
         // --- 3b. apply phase (serial, canonical order) ------------------------
         for (&(a, b), &ec) in all_pairs[..bursty_count].iter().zip(bursty_scores) {
@@ -863,13 +849,18 @@ impl AkgMaintainer {
         for i in 0..nodes.len() {
             let node = nodes[i];
             let keyword = keyword_of(node);
-            if set1.binary_search(&keyword).is_ok() {
+            if in_set1(keyword) {
                 continue;
             }
             let keep = self.config.hysteresis && cluster_members(keyword);
             if !keep {
                 self.remove_node(node, deltas, &mut stats);
             }
+        }
+        // Only set-1 bits were set, so zeroing their words clears the
+        // column in O(|set 1|).
+        for &keyword in set1.iter() {
+            set1_bits[keyword.0 as usize / 64] = 0;
         }
 
         self.last_stats = stats;
@@ -944,49 +935,6 @@ mod tests {
             msg(4, &[50]),
             msg(5, &[51]),
         ]
-    }
-
-    /// `group_postings` must leave postings exactly as `sort_unstable`
-    /// does, with its scratch reused across calls.
-    #[test]
-    fn grouping_postings_equals_sorting_them() {
-        use rand::{Rng, SeedableRng};
-        use rand_chacha::ChaCha8Rng;
-        let (mut spare, mut bucket_end) = (Vec::new(), Vec::new());
-        let mut check = |postings: Vec<(u64, u32)>, label: &str| {
-            let mut expected = postings.clone();
-            expected.sort_unstable();
-            let mut grouped = postings;
-            group_postings(&mut grouped, &mut spare, &mut bucket_end);
-            assert_eq!(grouped, expected, "{label}");
-        };
-        check(Vec::new(), "empty");
-        check(vec![(u64::MAX, 3)], "single");
-
-        let mut rng = ChaCha8Rng::seed_from_u64(0x6B0C);
-        for _ in 0..40 {
-            let n = rng.gen_range(1..=5_000usize);
-            let postings = (0..n).map(|_| (rng.gen(), rng.gen_range(0..400))).collect();
-            check(postings, &format!("{n} random postings"));
-        }
-        // A family of keywords over the same users: every minimum is
-        // shared by every member, in any input order.
-        for members in [2u32, 17, 300] {
-            let minima: Vec<u64> = (0..16).map(|_| rng.gen()).collect();
-            let mut postings: Vec<(u64, u32)> = (0..members)
-                .flat_map(|slot| minima.iter().map(move |&m| (m, slot)))
-                .collect();
-            postings.reverse();
-            check(postings, &format!("a family of {members}"));
-        }
-        // Every minimum in one bucket, whatever the bucket width.
-        for n in [2usize, 100, 5_000] {
-            let prefix = rng.gen::<u64>() & !(u64::MAX >> 16);
-            let postings = (0..n)
-                .map(|_| (prefix | rng.gen::<u64>() >> 16, rng.gen_range(0..50)))
-                .collect();
-            check(postings, &format!("{n} postings sharing their top 16 bits"));
-        }
     }
 
     #[test]

@@ -38,6 +38,9 @@ pub(crate) struct ScratchArena {
     pub nodes: Vec<NodeId>,
     /// Set 1 of Section 3.2.1: this quantum's bursty keywords, sorted.
     pub set1: Vec<KeywordId>,
+    /// Set 1 as one bit per keyword id, all zero between quanta; grown to
+    /// the largest bursty id seen, never shrunk.
+    pub set1_bits: Vec<u64>,
     /// Set 2 of Section 3.2.1: AKG keywords occurring this quantum, sorted.
     pub set2: Vec<KeywordId>,
     /// Candidate pairs along existing AKG edges, sorted.
@@ -45,6 +48,8 @@ pub(crate) struct ScratchArena {
     /// Both candidate sets as `involved`-slot pairs — the set-1 join's
     /// output, then `edge_pairs` — for the single scoring pass.
     pub all_pairs: Vec<(u32, u32)>,
+    /// The edge correlation of each `all_pairs` entry (stage 2).
+    pub scores: Vec<f64>,
     /// Set 1 plus the endpoints of `edge_pairs`, sorted + deduped — the
     /// key column of the correlation cache.
     pub involved: Vec<KeywordId>,

@@ -330,17 +330,13 @@ fn exact_correlation_ablation_still_scores_the_cross_product() {
     assert!(pairs > 0);
 }
 
-/// The join groups its postings by the top bits of each minimum.  Here
-/// every user is chosen, by brute force against [`HASHER_SEED`], to hash
-/// into one top-16-bit bucket, so every minimum of every sketch shares
-/// one bucket whatever the posting count: the grouping's worst case.
-#[test]
-fn join_matches_the_reference_when_every_minimum_shares_its_top_bits() {
+/// Runs six seeded streams whose users all come from a pool of 64 user
+/// ids, the first 64 that satisfy `in_pool` (tested against the
+/// [`HASHER_SEED`] hash of the id), through [`check_stream`].
+fn check_streams_over_a_pool(in_pool: impl Fn(u64) -> bool) {
     const POOL: usize = 64;
-    let hasher = UserHasher::new(HASHER_SEED);
-    let bucket = |id: u64| hasher.hash(id) >> 48;
     let pool: Vec<UserId> = (0..)
-        .filter(|&id| bucket(id) == bucket(0))
+        .filter(|&id| in_pool(id))
         .take(POOL)
         .map(UserId)
         .collect();
@@ -362,6 +358,34 @@ fn join_matches_the_reference_when_every_minimum_shares_its_top_bits() {
         evaluated > 0,
         "the streams must give the join pairs to emit"
     );
+}
+
+/// Every user is chosen, by brute force against [`HASHER_SEED`], to hash
+/// into one top-16-bit bucket, so every minimum of every sketch shares its
+/// top bits: sketch minima crowd there anyway, being the smallest hashes
+/// of their user sets.
+#[test]
+fn join_matches_the_reference_when_every_minimum_shares_its_top_bits() {
+    let hasher = UserHasher::new(HASHER_SEED);
+    let bucket = |id: u64| hasher.hash(id) >> 48;
+    check_streams_over_a_pool(|id| bucket(id) == bucket(0));
+}
+
+/// The multiplier of the join table's Fibonacci hash (`FIBONACCI` in
+/// `dengraph_core::akg`): under any other multiplier this pool is an
+/// ordinary one.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The join chains equal minima through one open-addressed table whose
+/// slot is the top bits of the minimum's Fibonacci product.  Here every
+/// user hashes to a minimum whose product shares its top 16 bits, so
+/// every posting starts its probe at the same slot for every table size
+/// up to 2¹⁶: distinct minima share one probe run, the table's worst case.
+#[test]
+fn join_matches_the_reference_when_every_minimum_shares_its_table_slot() {
+    let hasher = UserHasher::new(HASHER_SEED);
+    let slot = |id: u64| hasher.hash(id).wrapping_mul(FIBONACCI) >> 48;
+    check_streams_over_a_pool(|id| slot(id) == slot(0));
 }
 
 /// Runs one quantum of `keywords` bursty keywords through a fresh

@@ -297,14 +297,27 @@ fn throughput_exceeds_stream_rates_by_a_wide_margin() {
 
 /// Table 4: the paper's TW trace ran several times faster per message than
 /// the event-dense ES trace, and both slowed as Δ grew.  Only "TW is faster
-/// over the three quantum sizes together" is asserted.
+/// over the three quantum sizes together" is asserted.  Each (Δ, trace)
+/// cell is the fastest of three runs, the TW and ES runs interleaved
+/// within each Δ, so one stall of a shared machine cannot decide it.
 #[test]
 fn es_trace_is_slower_per_message_than_tw_trace() {
     const DELTAS: [usize; 3] = [120, 160, 200];
     let traces = [tw(ProfileScale::Small), es(ProfileScale::Small)];
     let runs = DELTAS.map(|delta| {
         let config = DetectorConfig::nominal().with_quantum_size(delta);
-        [&traces[0], &traces[1]].map(|trace| run_detector_on_trace(trace, &config))
+        let mut fastest = traces
+            .each_ref()
+            .map(|trace| run_detector_on_trace(trace, &config));
+        for _ in 1..3 {
+            for (best, trace) in fastest.iter_mut().zip(&traces) {
+                let run = run_detector_on_trace(trace, &config);
+                if run.elapsed_secs < best.elapsed_secs {
+                    *best = run;
+                }
+            }
+        }
+        fastest
     });
     let rates = |i: usize| runs.each_ref().map(|pair| msgs_per_sec(&pair[i]));
     let overall = |i: usize| {
