@@ -46,20 +46,20 @@
 //! minima `m` shared by `r_m` keywords.  The `exact_edge_correlation`
 //! ablation has no sketches to join on and keeps the cross product.
 //!
-//! ## Two-phase edge recomputation
+//! ## One scoring path
 //!
-//! Edge-correlation work is split into a read-only **score** phase — borrow
-//! one window sketch (the minima the window index holds in place) or build
-//! one exact user set per candidate keyword, then score every candidate
-//! pair against the window — and a serial **apply** phase
-//! that mutates the graph in canonical (sorted) order.  Every score is a
-//! pure function of the window, so the result does not depend on the order
-//! pairs are scored in — only on the order they are applied.
+//! Every candidate pair is scored by one estimator,
+//! `dengraph_minhash::estimate_jaccard_minima`, over two columns of
+//! ascending user hashes, and applied as soon as it is scored: a score
+//! reads only the window, which applying never mutates.  A keyword's
+//! column is its window sketch, read off the index in place and compared
+//! on the first `p` values of the union; under the ablation it is the
+//! keyword's whole window hash set, compared in full — a bottom-k estimate
+//! with k ≥ |A ∪ B| is the exact Jaccard coefficient, and user hashing is
+//! a bijection, so the columns stand for the user sets.
 
-use dengraph_graph::fxhash::FxHashSet;
 use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
-use dengraph_stream::UserId;
 use dengraph_text::KeywordId;
 
 use crate::config::DetectorConfig;
@@ -275,96 +275,6 @@ impl Decode for AkgQuantumStats {
     }
 }
 
-/// Per-quantum cache of the window state each candidate keyword needs for
-/// edge scoring: one window sketch per keyword, or the exact window user
-/// set when the config asks for exact Jaccard.
-///
-/// Each sketch **borrows** the minima the window index keeps in place
-/// ([`WindowState::window_minima`]) — zero copies.  The keyword → slot
-/// mapping is a binary search over the sorted `involved` column instead of
-/// a hash map.  Both construction and lookup are pure reads of the window.
-enum CacheData<'w> {
-    /// Borrowed window minima.  An empty slice marks a keyword absent from
-    /// the window, scored as an empty sketch (a keyword the AKG scores was
-    /// bursty, so it has an entry while it is in the window).
-    Minima(Vec<&'w [u64]>),
-    /// Exact window user sets (the `exact_edge_correlation` ablation).
-    Exact(Vec<FxHashSet<UserId>>),
-}
-
-struct CorrelationCache<'a> {
-    /// Sorted, deduped keywords; slot `i` of `data` belongs to
-    /// `involved[i]`.
-    involved: &'a [KeywordId],
-    data: CacheData<'a>,
-    /// The sketch size every window sketch shares (at least 1, as
-    /// [`MinHashSketch::new`](dengraph_minhash::MinHashSketch::new) keeps).
-    p: usize,
-}
-
-impl<'a> CorrelationCache<'a> {
-    /// Builds the cache over `involved` (sorted + deduped by the caller).
-    fn build(config: &DetectorConfig, window: &'a WindowState, involved: &'a [KeywordId]) -> Self {
-        let data = if config.exact_edge_correlation {
-            CacheData::Exact(
-                involved
-                    .iter()
-                    .map(|&k| window.window_user_set(k))
-                    .collect(),
-            )
-        } else {
-            CacheData::Minima(
-                involved
-                    .iter()
-                    .map(|&k| window.window_minima(k).unwrap_or_default())
-                    .collect(),
-            )
-        };
-        Self {
-            involved,
-            data,
-            p: window.sketch_size().max(1),
-        }
-    }
-
-    #[inline]
-    #[expect(
-        clippy::expect_used,
-        reason = "`involved` lists every candidate keyword"
-    )]
-    fn slot(&self, keyword: KeywordId) -> u32 {
-        self.involved
-            .binary_search(&keyword)
-            .expect("candidate keyword missing from correlation cache") as u32
-    }
-
-    /// The window minima cached for `slot` (none in exact mode, which
-    /// caches user sets).
-    #[inline]
-    fn minima(&self, slot: usize) -> &[u64] {
-        match &self.data {
-            CacheData::Minima(minima) => minima[slot],
-            CacheData::Exact(_) => &[],
-        }
-    }
-
-    /// Edge correlation of the keywords at two slots; identical to
-    /// [`WindowState::estimated_edge_correlation`] /
-    /// [`WindowState::exact_edge_correlation`].  The former's
-    /// `shares_minimum` gate needs no walk of its own here: the estimator
-    /// counts values present in both sketches, so a pair sharing none
-    /// estimates exactly 0.0.
-    fn correlation(&self, a: u32, b: u32) -> f64 {
-        let (a, b) = (a as usize, b as usize);
-        match &self.data {
-            CacheData::Exact(sets) => dengraph_minhash::exact_jaccard(&sets[a], &sets[b]),
-            CacheData::Minima(minima) => {
-                dengraph_minhash::estimate_jaccard_minima(minima[a], minima[b], self.p)
-            }
-        }
-    }
-}
-
 /// Marks the end of a [`MinimaJoin`] chain and a vacant table slot.
 const NO_POSTING: u32 = u32::MAX;
 
@@ -374,8 +284,9 @@ const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The transient inverted index *sketch minimum → bursty keywords* behind
 /// candidate set 1 (see the module docs), rebuilt every quantum out of
-/// retained capacity: a chained hash join.  Keywords are addressed by their
-/// [`CorrelationCache`] slot, so slot order is keyword order.
+/// retained capacity: a chained hash join.  Keywords are addressed by
+/// their position in set 1, which is sorted, so position order is keyword
+/// order.
 ///
 /// The trust model is the window index overflow table's (`keyword_state`
 /// module docs): a minimum is `UserHasher::hash` of a user id, a public
@@ -385,14 +296,14 @@ const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 /// minima (a keyword family) chain on their first probe.
 #[derive(Debug, Default)]
 pub(crate) struct MinimaJoin {
-    /// One `(minimum, slot)` per sketch minimum of every set-1 keyword,
-    /// grouped by slot, ascending.
+    /// One `(minimum, position)` per sketch minimum of every set-1
+    /// keyword, grouped by position, ascending.
     postings: Vec<(u64, u32)>,
-    /// One `(slot, end)` per set-1 keyword: its postings end at `end` and
-    /// start where the previous keyword's end.
-    keywords: Vec<(u32, u32)>,
+    /// Per set-1 keyword, where its postings end; they start where the
+    /// previous keyword's end.
+    ends: Vec<u32>,
     /// Per posting, the next posting holding the same minimum (which
-    /// belongs to a larger slot: a keyword's minima are distinct), or
+    /// belongs to a larger position: a keyword's minima are distinct), or
     /// [`NO_POSTING`].
     next: Vec<u32>,
     /// Open-addressed, linear probing, a power of two ≥ 2·|postings| long:
@@ -405,8 +316,8 @@ pub(crate) struct MinimaJoin {
 }
 
 impl MinimaJoin {
-    /// Appends to `out` every slot pair `(a, b)`, `a < b`, of `set1`
-    /// keywords whose cached sketches share at least one minimum — each
+    /// Appends to `out` every position pair `(a, b)`, `a < b`, of `set1`
+    /// keywords whose window sketches share at least one minimum — each
     /// pair once, ascending.  Costs one table insert per posting (≤ p per
     /// set-1 keyword) plus one stamp check per (pair, shared minimum): the
     /// ℓ2 degree bound Σ r_m² over minima `m` shared by `r_m` keywords.
@@ -415,35 +326,29 @@ impl MinimaJoin {
     /// C(n, 2) sketch walks the cross product costs.
     fn bursty_pairs(
         &mut self,
-        cache: &CorrelationCache<'_>,
+        window: &WindowState,
         set1: &[KeywordId],
         out: &mut Vec<(u32, u32)>,
     ) {
         let Self {
             postings,
-            keywords,
+            ends,
             next,
             table,
             stamp,
         } = self;
         postings.clear();
-        keywords.clear();
-        // `set1` is a sorted subset of `involved`: one forward walk finds
-        // every slot, and leaves the postings grouped by slot.
-        let mut slot = 0;
-        for &keyword in set1 {
-            while cache.involved[slot] != keyword {
-                slot += 1;
-            }
-            let minima = cache.minima(slot);
-            postings.extend(minima.iter().map(|&m| (m, slot as u32)));
-            keywords.push((slot as u32, postings.len() as u32));
+        ends.clear();
+        for (a, &keyword) in set1.iter().enumerate() {
+            let minima = window.window_minima(keyword).unwrap_or_default();
+            postings.extend(minima.iter().map(|&m| (m, a as u32)));
+            ends.push(postings.len() as u32);
         }
 
         // Chain equal minima: walking backwards, each posting links to the
         // chain its minimum has so far and becomes its head, so a chain
-        // runs forward through ascending slots.  At least two table slots,
-        // so the shift below stays under 64.
+        // runs forward through ascending positions.  At least two table
+        // slots, so the shift below stays under 64.
         let bits = (2 * postings.len())
             .max(2)
             .next_power_of_two()
@@ -470,10 +375,10 @@ impl MinimaJoin {
         // keyword de-duplicates.  The chain after a posting of `a` holds
         // exactly the keywords b > a sharing its minimum.
         stamp.clear();
-        stamp.resize(cache.involved.len(), u32::MAX);
+        stamp.resize(set1.len(), u32::MAX);
         let mut start = 0;
-        for &(a, end) in keywords.iter() {
-            let first = out.len();
+        for (a, &end) in ends.iter().enumerate() {
+            let (a, first) = (a as u32, out.len());
             for &head in &next[start..end as usize] {
                 let mut at = head;
                 while at != NO_POSTING {
@@ -663,8 +568,8 @@ impl AkgMaintainer {
             ref mut set2,
             ref mut edge_pairs,
             ref mut all_pairs,
-            ref mut scores,
             ref mut involved,
+            ref mut hash_columns,
             ref mut join,
             ..
         } = *scratch;
@@ -731,12 +636,11 @@ impl AkgMaintainer {
                 .is_some_and(|&word| word >> (keyword.0 % 64) & 1 == 1)
         };
 
-        // --- 3. candidate collection (read-only) ------------------------------
-        // The two candidate sets of Section 3.2.1, collected before any
-        // edge mutation so the score phase runs on an immutable snapshot:
-        // (2) existing edges of AKG keywords seen this quantum, and
-        // (1) pairs of this quantum's bursty keywords whose window
-        // sketches share a minimum.  Bursty pairs sharing none score
+        // --- 3. edge recomputation --------------------------------------------
+        // The two candidate sets of Section 3.2.1: (2) existing edges of
+        // AKG keywords seen this quantum, collected before any edge
+        // mutation, and (1) pairs of this quantum's bursty keywords whose
+        // window sketches share a minimum.  Bursty pairs sharing none score
         // exactly 0.0 < τ and the set-1 apply loop below only ever acts on
         // `ec >= tau`, so leaving them out changes nothing but the work
         // (module docs; τ > 0 is a validated precondition).  An existing
@@ -763,46 +667,57 @@ impl AkgMaintainer {
         edge_pairs.sort_unstable();
         edge_pairs.dedup();
 
-        // The correlation cache is built first: set 1 is joined on the
-        // sketches it holds, whichever window-index mode supplied them.
-        involved.clear();
-        involved.extend_from_slice(set1);
-        involved.extend(edge_pairs.iter().flat_map(|&(a, b)| [a, b]));
-        involved.sort_unstable();
-        involved.dedup();
-        let cache = CorrelationCache::build(&self.config, window, involved);
-
-        // Both candidate sets share one column of cache-slot pairs — set 1
-        // first, ascending (slot order is keyword order), which is the
-        // order the apply phase and hence cluster-id assignment rely on.
-        all_pairs.clear();
-        if self.config.exact_edge_correlation {
-            // No sketches to join on: the ablation scores the cross product.
-            for (i, &a) in set1.iter().enumerate() {
-                let a = cache.slot(a);
-                all_pairs.extend(set1[i + 1..].iter().map(|&b| (a, cache.slot(b))));
+        // One column of ascending user hashes per keyword (module docs):
+        // the window minima, or under the ablation the whole window hash
+        // set of each keyword it scores, built once per quantum.
+        let exact = self.config.exact_edge_correlation;
+        if exact {
+            involved.clear();
+            involved.extend_from_slice(set1);
+            involved.extend(edge_pairs.iter().flat_map(|&(a, b)| [a, b]));
+            involved.sort_unstable();
+            involved.dedup();
+            if hash_columns.len() < involved.len() {
+                hash_columns.resize_with(involved.len(), Vec::new);
             }
-        } else {
-            join.bursty_pairs(&cache, set1, all_pairs);
+            for (&keyword, column) in involved.iter().zip(hash_columns.iter_mut()) {
+                window.window_user_hashes(keyword, column);
+            }
         }
-        let bursty_count = all_pairs.len();
-        all_pairs.extend(
-            edge_pairs
-                .iter()
-                .map(|&(a, b)| (cache.slot(a), cache.slot(b))),
-        );
-        stats.pairs_evaluated = all_pairs.len();
+        let column = |keyword: KeywordId| -> &[u64] {
+            if exact {
+                // `involved` lists every keyword scored this quantum.
+                involved
+                    .binary_search(&keyword)
+                    .map_or(&[], |slot| &hash_columns[slot])
+            } else {
+                window.window_minima(keyword).unwrap_or_default()
+            }
+        };
+        let cap = if exact {
+            usize::MAX
+        } else {
+            window.sketch_size().max(1)
+        };
+        let correlation =
+            |a, b| dengraph_minhash::estimate_jaccard_minima(column(a), column(b), cap);
 
-        // --- 3a. score phase (read-only) --------------------------------------
-        // Both candidate sets are scored in one pass; the score column is
-        // split back afterwards.
-        scores.clear();
-        scores.extend(all_pairs.iter().map(|&(a, b)| cache.correlation(a, b)));
-        let (bursty_scores, edge_scores) = scores.split_at(bursty_count);
-
-        // --- 3b. apply phase (serial, canonical order) ------------------------
-        for (&(a, b), &ec) in all_pairs[..bursty_count].iter().zip(bursty_scores) {
-            let (na, nb) = (node_of(involved[a as usize]), node_of(involved[b as usize]));
+        // Set 1 first, as ascending position pairs (position order is
+        // keyword order), which is the order cluster-id assignment relies
+        // on.
+        all_pairs.clear();
+        if exact {
+            // No sketches to join on: the ablation scores the cross product.
+            let n = set1.len() as u32;
+            all_pairs.extend((0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))));
+        } else {
+            join.bursty_pairs(window, set1, all_pairs);
+        }
+        stats.pairs_evaluated = all_pairs.len() + edge_pairs.len();
+        for &(a, b) in all_pairs.iter() {
+            let (a, b) = (set1[a as usize], set1[b as usize]);
+            let ec = correlation(a, b);
+            let (na, nb) = (node_of(a), node_of(b));
             if ec >= tau {
                 if self.graph.contains_edge(na, nb) {
                     self.graph.set_edge_weight(na, nb, ec);
@@ -822,7 +737,8 @@ impl AkgMaintainer {
                 }
             }
         }
-        for (&(a, b), &ec) in edge_pairs.iter().zip(edge_scores) {
+        for &(a, b) in edge_pairs.iter() {
+            let ec = correlation(a, b);
             let (na, nb) = (node_of(a), node_of(b));
             if ec >= tau {
                 self.graph.set_edge_weight(na, nb, ec);

@@ -82,8 +82,11 @@ pub struct DetectorConfig {
     /// Window length w in quanta (nominal 30, tunable 20–40).
     pub window_quanta: usize,
     /// Use the exact Jaccard coefficient instead of the min-hash estimate
-    /// when computing edge correlations.  Defaults to `false` (the paper's
-    /// min-hash scheme); the end-to-end test
+    /// when computing edge correlations: the same estimator, over each
+    /// keyword's whole window hash set (a record walk per scored keyword
+    /// per quantum) instead of its `p` smallest hashes, and over the cross
+    /// product of the bursty keywords instead of the shared-minimum join.
+    /// Defaults to `false` (the paper's min-hash scheme); the end-to-end test
     /// `ablations_pin_exact_correlation_and_the_sketch_size_floor` flips it.
     pub exact_edge_correlation: bool,
     /// Lower bound on the min-hash sketch size.  The paper's formula

@@ -121,29 +121,6 @@ impl QuantumSummary {
         w.key("quantum");
         w.u64(self.quantum);
     }
-
-    /// Reconstructs a summary serialised by [`Self::to_json`].
-    pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        Ok(Self {
-            quantum: value.get("quantum")?.as_u64()?,
-            messages: value.get("messages")?.as_usize()?,
-            events: value
-                .get("events")?
-                .as_arr()?
-                .iter()
-                .map(DetectedEvent::from_json)
-                .collect::<dengraph_json::Result<_>>()?,
-            akg_stats: AkgQuantumStats::from_json(value.get("akg_stats")?)?,
-            maintenance_stats: MaintenanceStats::from_json(value.get("maintenance_stats")?)?,
-            live_clusters: value.get("live_clusters")?.as_usize()?,
-            akg_nodes: value.get("akg_nodes")?.as_usize()?,
-            akg_edges: value.get("akg_edges")?.as_usize()?,
-            evicted_quantum: value
-                .get_opt("evicted_quantum")?
-                .map(|v| v.as_u64())
-                .transpose()?,
-        })
-    }
 }
 
 /// The streaming event detector.

@@ -45,14 +45,17 @@ pub(crate) struct ScratchArena {
     pub set2: Vec<KeywordId>,
     /// Candidate pairs along existing AKG edges, sorted.
     pub edge_pairs: Vec<(KeywordId, KeywordId)>,
-    /// Both candidate sets as `involved`-slot pairs — the set-1 join's
-    /// output, then `edge_pairs` — for the single scoring pass.
+    /// Candidate set 1 as pairs of positions in `set1`, ascending: the
+    /// shared-minimum join's output (the cross product under the
+    /// `exact_edge_correlation` ablation).
     pub all_pairs: Vec<(u32, u32)>,
-    /// The edge correlation of each `all_pairs` entry (stage 2).
-    pub scores: Vec<f64>,
-    /// Set 1 plus the endpoints of `edge_pairs`, sorted + deduped — the
-    /// key column of the correlation cache.
+    /// Under the ablation only: set 1 plus the endpoints of `edge_pairs`,
+    /// sorted + deduped — the keys of `hash_columns`.
     pub involved: Vec<KeywordId>,
+    /// Under the ablation only: slot `i` holds the window user hashes of
+    /// `involved[i]`, ascending; columns past `involved` keep their
+    /// capacity for later quanta.
+    pub hash_columns: Vec<Vec<u64>>,
     /// The set-1 shared-minimum join index (stage 2).
     pub join: MinimaJoin,
     /// The sorted member nodes of the cluster being ranked (stage 5).

@@ -14,7 +14,10 @@
 //! quanta — with sketches small enough that overlapping user sets
 //! routinely share no minimum.  The reference reads a window that indexes
 //! nothing (every sketch is walked from the records); the maintainer reads
-//! the detector's window, indexed from σ.
+//! the detector's window, indexed from σ.  The `exact_edge_correlation`
+//! ablation keeps the cross product and scores whole window hash columns
+//! with the sketch's estimator; the reference scores it with
+//! `WindowState::exact_edge_correlation`, over sets of user ids.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -309,6 +312,13 @@ fn join_matches_the_all_pairs_reference_on_adversarial_streams() {
         let (pairs, reference_pairs) = check_stream(0xA1C0 + seed, &config, 60, |u| u);
         evaluated += pairs;
         reference_evaluated += reference_pairs;
+        // The ablation scores whole window hash columns with the sketch's
+        // estimator; the reference scores hash sets of user ids.
+        let exact = DetectorConfig {
+            exact_edge_correlation: true,
+            ..config
+        };
+        check_stream(0xA1C0 + seed, &exact, 60, |u| u);
     }
     assert!(
         evaluated * 4 < reference_evaluated * 3,

@@ -58,10 +58,10 @@ fn steady_state_quanta_allocate_a_small_constant() {
 
     eprintln!("worst steady-state quantum: {worst} allocations");
     // Budget: the per-quantum constant — the returned summary's vectors,
-    // the reported events (3 × keyword list), the correlation cache's
-    // per-quantum columns, the scoring pass's result vector and the
-    // tracker's (amortised) history growth.  Measured 11 in release and
-    // 38 in debug on the current implementation (the gap is the cluster
+    // the reported events (3 × keyword list) and the tracker's (amortised)
+    // history growth; the AKG stage scores off the window in place and
+    // allocates nothing once warm.  Measured 7 in release and
+    // 28 in debug on the current implementation (the gap is the cluster
     // registry's `debug_assert!`ed invariant check, ~9 per live cluster;
     // the batch sketch kernels keep their lane buffers in the
     // `ScratchArena` and merge through a stack buffer — zero steady-state

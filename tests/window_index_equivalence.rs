@@ -155,9 +155,10 @@ fn window_reads_are_bit_identical_under_random_workloads() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x71D0_0000 + case);
         let capacity = rng.gen_range(1..8usize);
         let sketch_size = rng.gen_range(2..20usize);
-        let mut walk = WindowState::new(capacity, sketch_size, UserHasher::new(0xBEEF))
-            .with_materialize_threshold(usize::MAX);
-        let mut incremental = WindowState::new(capacity, sketch_size, UserHasher::new(0xBEEF));
+        let hasher = UserHasher::new(0xBEEF);
+        let mut walk =
+            WindowState::new(capacity, sketch_size, hasher).with_materialize_threshold(usize::MAX);
+        let mut incremental = WindowState::new(capacity, sketch_size, hasher);
         let quanta = rng.gen_range(5..20u64);
         for q in 0..quanta {
             // Occasionally an entirely empty quantum: pure slide.
@@ -194,16 +195,28 @@ fn window_reads_are_bit_identical_under_random_workloads() {
                 "case {case}: keyword sets diverged at quantum {q}"
             );
             // Probe every keyword in the universe, including absent ones.
+            // One hash column is reused across keywords, as the AKG does.
+            let mut column = Vec::new();
             for kw in (0..10u32).map(KeywordId) {
                 assert_eq!(
                     walk.window_sketch(kw),
                     incremental.window_sketch(kw),
                     "case {case}: sketch diverged for {kw:?} at quantum {q}"
                 );
+                let users = walk.window_user_set(kw);
                 assert_eq!(
-                    walk.window_user_set(kw),
+                    users,
                     incremental.window_user_set(kw),
                     "case {case}: user set diverged for {kw:?} at quantum {q}"
+                );
+                // Users recur across quanta: the column holds each once.
+                #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
+                let mut hashes: Vec<u64> = users.iter().map(|u| hasher.hash(u.raw())).collect();
+                hashes.sort_unstable();
+                incremental.window_user_hashes(kw, &mut column);
+                assert_eq!(
+                    column, hashes,
+                    "case {case}: hash column diverged for {kw:?} at quantum {q}"
                 );
                 assert_eq!(
                     walk.window_user_count(kw),
