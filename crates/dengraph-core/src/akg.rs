@@ -78,6 +78,24 @@ pub fn keyword_of(node: NodeId) -> KeywordId {
     KeywordId(node.0)
 }
 
+/// The keyword of `node` if the window holds a live index entry for it,
+/// else why `node` cannot be an AKG node.  A keyword enters the AKG in a
+/// quantum that brings it σ users — the index's materialization
+/// threshold, so its entry goes live in the same push — and stale removal
+/// drops it in the quantum its last record slides out, which is when the
+/// entry dies.  So every AKG node has a live index entry: ranking reads
+/// support through it, the graph decoders admit a node only with one
+/// (before the graph's id-indexed slots are sized), and
+/// `EventDetector::validate_invariants` and journal replay check it.
+pub(crate) fn live_keyword(window: &WindowState, node: NodeId) -> Result<KeywordId, String> {
+    let keyword = keyword_of(node);
+    // Only index entries hand out minima.
+    match window.window_minima(keyword) {
+        Some(_) => Ok(keyword),
+        None => Err(format!("AKG node {keyword} has no live window index entry")),
+    }
+}
+
 /// One structural change applied to the AKG during a quantum.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphDelta {
@@ -455,16 +473,21 @@ impl AkgMaintainer {
     }
 
     /// Reconstructs a maintainer serialised by [`Self::to_json`] under the
-    /// given configuration.  The `"components"` and `"states"` keys
-    /// earlier versions wrote (the retired component index and keyword
-    /// automaton) are ignored.
+    /// given configuration, beside the already-decoded `window`: the graph
+    /// admits only nodes whose keyword has a live entry in the window's
+    /// index, and only edges between its listed nodes.  The `"components"`
+    /// and `"states"` keys earlier versions wrote (the retired component
+    /// index and keyword automaton) are ignored.
     pub fn from_json(
         config: DetectorConfig,
+        window: &WindowState,
         value: &dengraph_json::Value,
     ) -> dengraph_json::Result<Self> {
         Ok(Self {
             config,
-            graph: DynamicGraph::from_json(value.get("graph")?)?,
+            graph: DynamicGraph::from_json_admitting(value.get("graph")?, |node| {
+                live_keyword(window, node)
+            })?,
             last_stats: AkgQuantumStats::from_json(value.get("last_stats")?)?,
         })
     }
@@ -480,14 +503,16 @@ impl AkgMaintainer {
     }
 
     /// Reconstructs a maintainer encoded by [`Self::to_bin`] under the
-    /// given configuration.  A populated component section or High
-    /// column, as earlier versions wrote them, is read under the bounds it
-    /// always had and dropped.
+    /// given configuration and beside `window`, admitting the graph's
+    /// nodes and edges like [`Self::from_json`].  A populated component
+    /// section or High column, as earlier versions wrote them, is read
+    /// under the bounds it always had and dropped.
     pub fn from_bin(
         config: DetectorConfig,
+        window: &WindowState,
         r: &mut dengraph_json::BinReader<'_>,
     ) -> dengraph_json::Result<Self> {
-        let graph = DynamicGraph::from_bin(r)?;
+        let graph = DynamicGraph::from_bin_admitting(r, |node| live_keyword(window, node))?;
         // Per component: its edge count, then its delta-encoded members.
         for _ in 0..r.seq_len(2)? {
             r.u32()?;
@@ -579,15 +604,13 @@ impl AkgMaintainer {
         let tau = self.config.edge_correlation_threshold;
 
         // --- 1. stale removal -------------------------------------------------
-        // Sorted so the delta order is canonical regardless of the
-        // adjacency map's internal iteration order.
+        // `nodes()` is ascending, so the delta order is canonical.
         nodes.clear();
         nodes.extend(
             self.graph
                 .nodes()
                 .filter(|&n| window.is_stale(keyword_of(n))),
         );
-        nodes.sort_unstable();
         #[expect(
             clippy::needless_range_loop,
             reason = "`nodes` and `deltas` are sibling scratch buffers; an iterator would pin the borrow"
@@ -757,7 +780,6 @@ impl AkgMaintainer {
         // --- 4. lazy demotion --------------------------------------------------
         nodes.clear();
         nodes.extend(self.graph.nodes().filter(|&n| self.graph.degree(n) == 0));
-        nodes.sort_unstable();
         #[expect(
             clippy::needless_range_loop,
             reason = "`nodes` and `deltas` are sibling scratch buffers; an iterator would pin the borrow"
@@ -790,11 +812,10 @@ impl AkgMaintainer {
         deltas: &mut Vec<GraphDelta>,
         stats: &mut AkgQuantumStats,
     ) {
-        let removed_edges = self.graph.remove_node(node);
-        for (edge, _) in removed_edges {
+        for (other, _) in self.graph.remove_node(node) {
             deltas.push(GraphDelta::EdgeRemoved {
-                a: edge.0,
-                b: edge.1,
+                a: node.min(other),
+                b: node.max(other),
             });
             stats.edges_removed += 1;
         }
@@ -1014,7 +1035,11 @@ mod tests {
             w.into_bytes()
         };
         let decode = |bytes: &[u8]| {
-            AkgMaintainer::from_bin(cfg.clone(), &mut dengraph_json::BinReader::new(bytes))
+            AkgMaintainer::from_bin(
+                cfg.clone(),
+                &window,
+                &mut dengraph_json::BinReader::new(bytes),
+            )
         };
         // One component {1, 2} with its one edge, as the index wrote it.
         let mut components = dengraph_json::BinWriter::new();
@@ -1060,7 +1085,7 @@ mod tests {
         assert!(!text.contains("\"components\"") && !text.contains("\"states\""));
         let decode = |text: &str| {
             let value = dengraph_json::parse(text).expect("JSON");
-            let back = AkgMaintainer::from_json(cfg.clone(), &value).expect("decodes");
+            let back = AkgMaintainer::from_json(cfg.clone(), &window, &value).expect("decodes");
             dengraph_json::to_string(&back.to_json())
         };
         let old = text.replacen(

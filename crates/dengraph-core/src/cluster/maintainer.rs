@@ -276,7 +276,10 @@ mod tests {
             let removed = self.graph.remove_node(n(a));
             let mut deltas: Vec<GraphDelta> = removed
                 .iter()
-                .map(|(e, _)| GraphDelta::EdgeRemoved { a: e.0, b: e.1 })
+                .map(|&(m, _)| GraphDelta::EdgeRemoved {
+                    a: n(a).min(m),
+                    b: n(a).max(m),
+                })
                 .collect();
             deltas.push(GraphDelta::NodeRemoved { node: n(a) });
             self.maintainer

@@ -14,12 +14,13 @@
 //! 5. reports the surviving clusters as this quantum's emerging events,
 //!    feeding the long-term [`EventTracker`].
 
+use dengraph_graph::NodeId;
 use dengraph_json::{Decode, Encode};
 use dengraph_minhash::UserHasher;
 use dengraph_stream::Message;
 use dengraph_text::{KeywordId, KeywordInterner, NounHeuristic};
 
-use crate::akg::{keyword_of, node_of, AkgMaintainer, AkgQuantumStats};
+use crate::akg::{keyword_of, live_keyword, node_of, AkgMaintainer, AkgQuantumStats, GraphDelta};
 use crate::checkpoint::RecordRing;
 use crate::cluster::maintainer::MaintenanceStats;
 use crate::cluster::ClusterMaintainer;
@@ -651,9 +652,7 @@ impl EventDetector {
             Some(Self::window_geometry(&config)),
         )?;
         let next_quantum = Self::check_next_quantum(&window, value.get("next_quantum")?.as_u64()?)?;
-        let akg = AkgMaintainer::from_json(config.clone(), value.get("akg")?)?;
-        check_akg_window_tie(akg.graph(), &window)
-            .map_err(|message| dengraph_json::JsonError { message, offset: 0 })?;
+        let akg = AkgMaintainer::from_json(config.clone(), &window, value.get("akg")?)?;
         Ok(Self {
             window,
             akg,
@@ -759,11 +758,7 @@ impl EventDetector {
         r: &mut dengraph_json::BinReader<'_>,
     ) -> dengraph_json::Result<Self> {
         let window = WindowState::from_bin_with(r, Some(Self::window_geometry(&config)))?;
-        let akg = AkgMaintainer::from_bin(config.clone(), r)?;
-        check_akg_window_tie(akg.graph(), &window).map_err(|message| dengraph_json::JsonError {
-            message,
-            offset: r.pos(),
-        })?;
+        let akg = AkgMaintainer::from_bin(config.clone(), &window, r)?;
         let clusters = ClusterMaintainer::from_bin(r)?;
         let tracker = EventTracker::from_bin(r)?;
         let noun_filter = NounFilter::read_bin(r)?;
@@ -836,6 +831,11 @@ impl EventDetector {
                 offset: 0,
             });
         }
+        self.check_delta_log(record)
+            .map_err(|e| dengraph_json::JsonError {
+                message: format!("delta record for quantum {}: {e}", record.record.index),
+                offset: 0,
+            })?;
         // The record aggregates the full quantum, superseding any
         // partially buffered prefix of it restored from the snapshot.
         self.buffer.clear();
@@ -879,6 +879,53 @@ impl EventDetector {
         self.total_messages = self
             .total_messages
             .saturating_add(record.record.message_count as u64);
+        Ok(())
+    }
+
+    /// Checks a journal record's AKG delta log against the record itself,
+    /// before anything replays it (the graph's slots are sized by the
+    /// largest node id, so an id must be known to be a keyword of this
+    /// state first): a node the log adds has σ users in the record — it
+    /// was bursty — and an edge delta joins two distinct nodes, each a
+    /// node of the graph or one the log adds.
+    fn check_delta_log(&self, record: &crate::checkpoint::DeltaRecord) -> Result<(), String> {
+        let sigma = self.config.high_state_threshold as usize;
+        let mut added: Vec<NodeId> = Vec::new();
+        for delta in &record.akg_deltas {
+            if let GraphDelta::NodeAdded { node } = *delta {
+                let keyword = keyword_of(node);
+                let users = record.record.user_count(keyword);
+                if users < sigma {
+                    return Err(format!(
+                        "the delta log adds {keyword}, which has {users} users in the record \
+                         (σ = {sigma})"
+                    ));
+                }
+                added.push(node);
+            }
+        }
+        added.sort_unstable();
+        let graph = self.akg.graph();
+        for delta in &record.akg_deltas {
+            let (GraphDelta::EdgeAdded { a, b, .. }
+            | GraphDelta::EdgeWeightUpdated { a, b, .. }
+            | GraphDelta::EdgeRemoved { a, b }) = *delta
+            else {
+                continue;
+            };
+            if a == b {
+                return Err(format!("the delta log loops {} to itself", keyword_of(a)));
+            }
+            if let Some(&stray) = [a, b]
+                .iter()
+                .find(|&&n| !graph.contains_node(n) && added.binary_search(&n).is_err())
+            {
+                return Err(format!(
+                    "the delta log names an edge at {}, which is no AKG node",
+                    keyword_of(stray)
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -942,25 +989,17 @@ impl EventDetector {
 }
 
 /// The tie between the AKG and the window index that ranking reads
-/// support through.  A keyword enters the AKG in a quantum that brings it
-/// σ users — the index's materialization threshold, so its entry goes
-/// live in the same push — and stale removal drops it in the quantum its
-/// last record slides out, which is when the entry dies.  So every AKG
-/// node has a live index entry.  Checked by
-/// [`EventDetector::validate_invariants`] and by every restore path.
+/// support through: every AKG node has a live index entry
+/// ([`live_keyword`]).  Checked by [`EventDetector::validate_invariants`]
+/// and after every journal replay; the graph decoders admit no node
+/// without one.
 fn check_akg_window_tie(
     graph: &dengraph_graph::DynamicGraph,
     window: &WindowState,
 ) -> Result<(), String> {
-    // Only index entries hand out minima.
-    match graph
+    graph
         .nodes()
-        .map(keyword_of)
-        .find(|&keyword| window.window_minima(keyword).is_none())
-    {
-        Some(keyword) => Err(format!("AKG node {keyword} has no live window index entry")),
-        None => Ok(()),
-    }
+        .try_for_each(|node| live_keyword(window, node).map(drop))
 }
 
 #[cfg(test)]
@@ -1101,6 +1140,129 @@ mod tests {
             "{}",
             err.message
         );
+    }
+
+    /// The graph section of a checkpoint with its node column replaced by
+    /// `nodes` (its edges kept), in both encodings.
+    fn with_graph_nodes(det: &EventDetector, nodes: &[u32]) -> (dengraph_json::Value, Vec<u8>) {
+        use dengraph_json::Value;
+        let listed = det.akg.graph().nodes().map(|n| n.0);
+        let column = |ids: &mut dyn Iterator<Item = u32>| {
+            format!(
+                "\"nodes\":{}",
+                dengraph_json::to_string(&Value::arr(ids.map(Value::from)))
+            )
+        };
+        let text = dengraph_json::to_string(&det.to_json()).replacen(
+            &column(&mut listed.clone()),
+            &column(&mut nodes.iter().copied()),
+            1,
+        );
+        let json = dengraph_json::parse(&text).unwrap();
+        let graph = json.get("akg").and_then(|akg| akg.get("graph")).unwrap();
+        assert_eq!(
+            graph.get("nodes").unwrap().as_arr().unwrap().len(),
+            nodes.len()
+        );
+        // config · window · graph (node column, edges) · the rest.
+        let (mut honest, mut head, mut graph, mut column, mut tampered) = (
+            dengraph_json::BinWriter::new(),
+            dengraph_json::BinWriter::new(),
+            dengraph_json::BinWriter::new(),
+            dengraph_json::BinWriter::new(),
+            dengraph_json::BinWriter::new(),
+        );
+        det.to_bin(&mut honest);
+        det.config.to_bin(&mut head);
+        det.window.to_bin(&mut head);
+        det.akg.graph().to_bin(&mut graph);
+        column.delta_u32s(listed);
+        let honest = honest.as_slice();
+        assert!(honest[head.len()..].starts_with(graph.as_slice()));
+        tampered.raw(head.as_slice());
+        tampered.delta_u32s(nodes.iter().copied());
+        tampered.raw(&honest[head.len() + column.len()..]);
+        (json, tampered.into_bytes())
+    }
+
+    /// A graph node must have a live window index entry and an edge must
+    /// join listed nodes; both decoders check each id before the graph's
+    /// slots are sized by it (`u32::MAX` slots would take 96 GiB).
+    #[test]
+    fn a_graph_section_off_its_window_is_rejected_in_both_encodings() {
+        let mut det = detector(cfg());
+        det.process_messages(&event_quantum(&cfg(), 6, 0, &[1, 2, 3], 0));
+        assert_eq!(det.akg.graph().node_count(), 3);
+        let (json, bin) = with_graph_nodes(&det, &[1, 2, 3]);
+        assert!(EventDetector::from_json(&json).is_ok());
+        assert!(EventDetector::from_bin(&mut dengraph_json::BinReader::new(&bin)).is_ok());
+        for (nodes, expected) in [
+            (
+                &[1, 2, 3, u32::MAX][..],
+                "k4294967295 has no live window index entry",
+            ),
+            (&[1, 2, 3, 9][..], "k9 has no live window index entry"),
+            (&[1, 2][..], "names k3, which is not a listed node"),
+        ] {
+            let (json, bin) = with_graph_nodes(&det, nodes);
+            let err = EventDetector::from_json(&json).unwrap_err();
+            assert!(err.message.contains(expected), "{nodes:?}: {}", err.message);
+            let err =
+                EventDetector::from_bin(&mut dengraph_json::BinReader::new(&bin)).unwrap_err();
+            assert!(err.message.contains(expected), "{nodes:?}: {}", err.message);
+        }
+    }
+
+    /// Replay checks a delta log against its own record first: a node it
+    /// adds had σ users in the record, and an edge delta joins two
+    /// distinct nodes of the graph or of the log.
+    #[test]
+    fn replay_rejects_a_delta_log_its_record_does_not_back() {
+        use crate::akg::{AkgQuantumStats, GraphDelta};
+        use dengraph_graph::NodeId;
+        let mut det = detector(cfg());
+        det.process_messages(&event_quantum(&cfg(), 6, 0, &[1, 2, 3], 0));
+        let mut honest = dengraph_json::BinWriter::new();
+        det.to_bin(&mut honest);
+        // Keyword 7 has two users, keyword 8 three, in quantum 1.
+        let mut messages = event_quantum(&cfg(), 2, 50, &[7], 20);
+        messages.extend(event_quantum(&cfg(), 3, 60, &[8], 40));
+        let record = QuantumRecord::from_messages(1, &messages);
+        let added = |node| GraphDelta::NodeAdded { node: NodeId(node) };
+        let edge = |a, b| GraphDelta::EdgeAdded {
+            a: NodeId(a),
+            b: NodeId(b),
+            weight: 0.5,
+        };
+        for (akg_deltas, expected) in [
+            (
+                vec![added(7)],
+                "adds k7, which has 2 users in the record (σ = 3)",
+            ),
+            (vec![edge(1, 50)], "an edge at k50, which is no AKG node"),
+            (vec![added(8), edge(8, 1)], ""),
+            (vec![edge(8, 1)], "an edge at k8, which is no AKG node"),
+            (vec![edge(2, 2)], "loops k2 to itself"),
+        ] {
+            let mut replayed =
+                EventDetector::from_bin(&mut dengraph_json::BinReader::new(honest.as_slice()))
+                    .unwrap();
+            let delta_record = crate::checkpoint::DeltaRecord {
+                record: record.clone(),
+                akg_deltas: akg_deltas.clone(),
+                akg_stats: AkgQuantumStats::default(),
+                events: Vec::new(),
+            };
+            let outcome = replayed.apply_delta_record(&delta_record);
+            match outcome {
+                Err(err) => assert!(
+                    !expected.is_empty() && err.message.contains(expected),
+                    "{akg_deltas:?}: {}",
+                    err.message
+                ),
+                Ok(()) => assert!(expected.is_empty(), "{akg_deltas:?} was replayed"),
+            }
+        }
     }
 
     #[test]

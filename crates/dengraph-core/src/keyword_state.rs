@@ -119,13 +119,18 @@ pub(crate) type RecordStorage = (Vec<UserId>, Vec<KeywordSpan>);
 /// deltas, whose nodes must own a live slot (every AKG node does).  The
 /// slot vector is sized by the largest id, so a corrupted id near
 /// `u32::MAX` would otherwise force a multi-gigabyte resize before any
-/// other validation could reject the document.  The bound caps the
-/// decode-time allocation at 302 MB of index slots: 2²² + 1 slots of 72
-/// bytes each (an `Option<KeywordWindowEntry>`; a unit test holds the
-/// product to that figure) — what the *live* dense-id layout occupies
-/// for such a vocabulary, so no state a deployment can actually run is
-/// rejected.  Raise this constant together with the deployment's memory
-/// envelope if interned vocabularies ever approach four million keywords.
+/// other validation could reject the document.  The AKG's id-indexed
+/// slots are bounded through the window: its decoders admit only nodes
+/// with a live index entry, and replay only nodes its record makes
+/// bursty.  The bound caps the decode-time allocation at ≈ 403 MB of
+/// slots: 2²² + 1 ids at 72 bytes of window index slot (an
+/// `Option<KeywordWindowEntry>`) plus 24 bytes of graph slot (a
+/// `DynamicGraph` adjacency `Vec`) and one presence bit each — a unit
+/// test holds the sum to that figure — which is what the *live* dense-id
+/// layout occupies for such a vocabulary, so no state a deployment can
+/// actually run is rejected.  Raise this constant together with the
+/// deployment's memory envelope if interned vocabularies ever approach
+/// four million keywords.
 const MAX_DECODED_KEYWORD_INDEX: usize = 1 << 22;
 
 pub(crate) fn check_keyword_index(idx: usize, offset: usize) -> dengraph_json::Result<()> {
@@ -2190,14 +2195,18 @@ mod tests {
     }
 
     /// The decode bound's stated cost (`MAX_DECODED_KEYWORD_INDEX`'s
-    /// docs, and the restore entry points') is what the slots weigh.
+    /// docs, and the restore entry points') is what the slots weigh: a
+    /// window index slot, a graph adjacency slot and a presence bit per id.
     #[test]
     fn decoder_bound_caps_index_slots_at_the_stated_figure() {
-        let slot = std::mem::size_of::<Option<KeywordWindowEntry>>();
-        let worst = slot * (MAX_DECODED_KEYWORD_INDEX + 1);
+        let window_slot = std::mem::size_of::<Option<KeywordWindowEntry>>();
+        let graph_slot = std::mem::size_of::<Vec<(dengraph_graph::NodeId, f64)>>();
+        let ids = MAX_DECODED_KEYWORD_INDEX + 1;
+        let worst = (window_slot + graph_slot) * ids + ids.div_ceil(64) * 8;
         assert!(
-            worst <= 302_000_000,
-            "{slot}-byte slots put the decoder bound at {worst} bytes, above the stated 302 MB"
+            worst <= 403_200_000,
+            "{window_slot} + {graph_slot}-byte slots put the decoder bound at {worst} bytes, \
+             above the stated 403 MB"
         );
     }
 }

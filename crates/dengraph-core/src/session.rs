@@ -915,7 +915,8 @@ impl DetectorSession {
     ///
     /// Replay trusts a consistent journal's keyword ids up to the decoder
     /// bound of 2²² keywords, so a restore may allocate up to about
-    /// 302 MB of window index slots (72 bytes per id).
+    /// 403 MB of id-indexed slots: 72 bytes of window index slot plus
+    /// 24 bytes of AKG adjacency slot per id.
     pub fn restore_from_journal(bytes: &[u8]) -> Result<Self, RestoreError> {
         Ok(Self::over(wal::restore_detector_from_bytes(bytes)?.0))
     }
@@ -938,7 +939,8 @@ impl DetectorSession {
     ///
     /// Replay trusts a consistent journal's keyword ids up to the decoder
     /// bound of 2²² keywords, so a restore may allocate up to about
-    /// 302 MB of window index slots (72 bytes per id).
+    /// 403 MB of id-indexed slots: 72 bytes of window index slot plus
+    /// 24 bytes of AKG adjacency slot per id.
     pub fn restore_from_dir(dir: impl AsRef<Path>) -> Result<Self, RestoreError> {
         Self::restore_from_dir_with_report(dir).map(|(session, _report)| session)
     }

@@ -1,8 +1,10 @@
 //! A small, fast hasher for integer-keyed maps.
 //!
-//! The adjacency maps are keyed by dense `u32` node ids and are touched on
-//! every message of the stream; SipHash's HashDoS protection buys nothing
-//! here and costs a measurable fraction of the per-quantum budget.  This is
+//! The engine's id-keyed sets and maps (a cluster's member nodes and
+//! edges, for one) are keyed by dense `u32` ids the program assigns and are
+//! touched every quantum; SipHash's HashDoS protection buys nothing here
+//! and costs a measurable fraction of the per-quantum budget.  (The graph
+//! itself hashes nothing: it is indexed by node id.)  This is
 //! the well-known "Fx" multiply-and-rotate hash (as used by rustc),
 //! implemented locally so the workspace needs no extra dependency.
 

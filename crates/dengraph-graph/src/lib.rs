@@ -6,8 +6,10 @@
 //! provides the graph machinery those structures are built on, independent
 //! of anything keyword- or stream-specific:
 //!
-//! * [`dynamic_graph`] — an adjacency-map graph with O(1) amortised node and
-//!   edge insertion/removal, weighted edges and common-neighbour queries.
+//! * [`dynamic_graph`] — a graph indexed by dense node id (one sorted
+//!   adjacency slot per id, a presence bitset) with amortised O(1) node
+//!   insertion, weighted edges, ascending node and edge iteration and
+//!   common-neighbour queries.
 //! * [`components`] — a stateless stand-in for the retired
 //!   connected-component index, held only for the repo benchmark.
 //! * [`scp`] — the short-cycle property itself: the one SCP decomposition
@@ -15,7 +17,8 @@
 //!   deletion repair, a cluster's own SCP test and the *global* test
 //!   oracle for the incremental algorithms (property P3 of Section 4.3)
 //!   all call it.
-//! * [`fxhash`] — a small, fast integer hasher for the hot adjacency maps.
+//! * [`fxhash`] — a small, fast integer hasher for the id-keyed sets and
+//!   maps of the layers above.
 //!
 //! Biconnectivity (the Section 7.3 baseline and Theorem 2's check) and the
 //! quasi-clique tests of Section 1.1 are reference code the engine never

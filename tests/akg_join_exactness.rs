@@ -48,10 +48,10 @@ struct AllPairsReference {
 
 impl AllPairsReference {
     fn remove_node(&mut self, node: NodeId, deltas: &mut Vec<GraphDelta>) {
-        for (edge, _) in self.graph.remove_node(node) {
+        for (other, _) in self.graph.remove_node(node) {
             deltas.push(GraphDelta::EdgeRemoved {
-                a: edge.0,
-                b: edge.1,
+                a: node.min(other),
+                b: node.max(other),
             });
         }
         deltas.push(GraphDelta::NodeRemoved { node });

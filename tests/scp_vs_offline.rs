@@ -75,7 +75,10 @@ fn run_script(edits: &[Edit]) -> (DynamicGraph, ClusterMaintainer) {
                 let removed = graph.remove_node(n);
                 let mut deltas: Vec<GraphDelta> = removed
                     .iter()
-                    .map(|(e, _)| GraphDelta::EdgeRemoved { a: e.0, b: e.1 })
+                    .map(|&(m, _)| GraphDelta::EdgeRemoved {
+                        a: n.min(m),
+                        b: n.max(m),
+                    })
                     .collect();
                 deltas.push(GraphDelta::NodeRemoved { node: n });
                 maintainer.apply_deltas(&graph, &deltas, quantum);
