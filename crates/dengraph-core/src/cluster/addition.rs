@@ -110,23 +110,16 @@ fn edge_addition_per_cycle(
     n2: NodeId,
     quantum: u64,
 ) -> Option<ClusterId> {
-    use dengraph_graph::fxhash::FxHashSet;
-    let mut candidates: Vec<(FxHashSet<NodeId>, FxHashSet<EdgeKey>)> = Vec::new();
+    let mut candidates: Vec<(Vec<NodeId>, Vec<EdgeKey>)> = Vec::new();
     let n1_neighbors: Vec<NodeId> = graph.neighbors(n1).filter(|&x| x != n2).collect();
     let n2_neighbors: Vec<NodeId> = graph.neighbors(n2).filter(|&x| x != n1).collect();
     for &n3 in &n1_neighbors {
         if n2_neighbors.binary_search(&n3).is_ok() {
-            candidates.push((
-                [n1, n2, n3].into_iter().collect(),
-                triangle_edges(n1, n2, n3).into_iter().collect(),
-            ));
+            candidates.push((vec![n1, n2, n3], triangle_edges(n1, n2, n3).to_vec()));
         }
         for &n4 in &n2_neighbors {
             if n4 != n3 && graph.contains_edge(n3, n4) {
-                candidates.push((
-                    [n2, n1, n3, n4].into_iter().collect(),
-                    square_edges(n2, n1, n3, n4).into_iter().collect(),
-                ));
+                candidates.push((vec![n2, n1, n3, n4], square_edges(n2, n1, n3, n4).to_vec()));
             }
         }
     }

@@ -22,7 +22,6 @@
 //! remain local and cheap.
 
 use dengraph_graph::dynamic_graph::EdgeKey;
-use dengraph_graph::fxhash::FxHashSet;
 use dengraph_graph::{scp_edge_groups, NodeId};
 
 use super::registry::ClusterRegistry;
@@ -33,7 +32,7 @@ use super::ClusterId;
 /// with its surviving fragments.  Returns the surviving cluster ids.
 ///
 /// The repair recomputes the SCP decomposition of the cluster's *remaining
-/// edges*, sorted: edges that no longer lie on a short cycle drop out (the
+/// edges*, handing [`scp_edge_groups`] the sorted edge column itself: edges that no longer lie on a short cycle drop out (the
 /// cycle check), and the survivors split into groups connected through
 /// shared short cycles (which subsumes the articulation check — two
 /// fragments meeting only at an articulation point share no cycle).  This
@@ -43,14 +42,7 @@ fn repair_cluster(registry: &mut ClusterRegistry, id: ClusterId, quantum: u64) -
     let Some(cluster) = registry.get(id) else {
         return Vec::new();
     };
-    let successors: Vec<(FxHashSet<NodeId>, FxHashSet<EdgeKey>)> =
-        scp_edge_groups(&cluster.sorted_edges())
-            .into_iter()
-            .map(|group| {
-                let nodes = group.iter().flat_map(|e| [e.0, e.1]).collect();
-                (nodes, group.into_iter().collect())
-            })
-            .collect();
+    let successors = scp_edge_groups(&cluster.edges);
     registry.replace_with(id, successors, quantum)
 }
 
@@ -69,9 +61,10 @@ pub fn edge_deletion(
         return Vec::new();
     };
     registry.detach_edge(id, key);
-    // Note: the cluster's node set is left untouched here; `repair_cluster`
-    // rebuilds node sets for the successors and `replace_with` cleans the
-    // node index using the original (superset) node set.
+    // Note: the cluster's node column is left untouched here;
+    // `repair_cluster` derives the successors' nodes from their edges and
+    // `replace_with` cleans the node index using the original (superset)
+    // node column.
     repair_cluster(registry, id, quantum)
 }
 
@@ -83,7 +76,6 @@ pub fn node_deletion(registry: &mut ClusterRegistry, n: NodeId, quantum: u64) ->
     let affected = registry.clusters_of_node(n);
     let mut survivors = Vec::new();
     for id in affected {
-        #[expect(clippy::disallowed_methods, reason = "detaching edges is order-free")]
         let incident: Vec<EdgeKey> = registry
             .get(id)
             .map(|c| {

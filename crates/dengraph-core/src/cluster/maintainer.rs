@@ -94,7 +94,7 @@ impl Decode for MaintenanceStats {
 }
 
 /// Applies AKG deltas to the cluster registry.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterMaintainer {
     registry: ClusterRegistry,
     last_stats: MaintenanceStats,

@@ -9,6 +9,14 @@
 //! removed from the AKG, only the neighbourhood of that change and the
 //! clusters touching it are processed.
 //!
+//! A cluster holds its nodes and its edges as two strictly ascending
+//! columns.  Every reader wants them in that order — the rank pass
+//! ([`crate::ranking`]) folds each member's row by ascending neighbour,
+//! [`dengraph_graph::scp_edge_groups`] takes sorted edges, the codecs
+//! write sorted lists — so none of them copies or sorts, and membership is
+//! a binary search over a cluster the paper shows stays small (< 7 nodes
+//! on average).
+//!
 //! Module layout:
 //!
 //! * [`cluster`](self) — the [`Cluster`] value type and [`ClusterId`].
@@ -32,7 +40,6 @@ pub mod maintainer;
 pub mod registry;
 
 use dengraph_graph::dynamic_graph::EdgeKey;
-use dengraph_graph::fxhash::FxHashSet;
 use dengraph_graph::NodeId;
 use dengraph_json::{Decode, Encode};
 
@@ -66,21 +73,30 @@ impl std::fmt::Display for ClusterId {
     }
 }
 
-/// One discovered cluster: a set of AKG nodes plus the set of AKG edges that
-/// hold it together.
+/// One discovered cluster: its AKG nodes plus the AKG edges that hold it
+/// together, each kept as a strictly ascending column.
 ///
 /// The edge set is explicit (rather than "all induced edges") because the
 /// short-cycle property is a property of *edges*: an AKG edge between two
 /// cluster nodes that does not participate in any short cycle within the
 /// cluster is not part of the cluster.
+///
+/// Both columns are sorted because every reader wants them in order: the
+/// rank pass ([`crate::ranking`]) folds each member's row in ascending
+/// neighbour order, [`dengraph_graph::scp_edge_groups`] (deletion repair,
+/// [`Self::satisfies_scp`]) takes sorted edges, and the codecs write both
+/// columns sorted.  Membership is a binary search.  Code that edits a
+/// column must keep it strictly ascending; the registry's edits do, and
+/// [`ClusterRegistry::check_invariants`] checks it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// The cluster's id.
     pub id: ClusterId,
-    /// The member nodes (always the endpoints of [`Self::edges`]).
-    pub nodes: FxHashSet<NodeId>,
-    /// The member edges.
-    pub edges: FxHashSet<EdgeKey>,
+    /// The member nodes, strictly ascending: always the endpoints of
+    /// [`Self::edges`].
+    pub nodes: Vec<NodeId>,
+    /// The member edges, strictly ascending.
+    pub edges: Vec<EdgeKey>,
     /// Quantum in which the cluster was first created.
     pub born_quantum: u64,
     /// Quantum in which the cluster last changed (grew, shrank or merged).
@@ -88,13 +104,18 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Creates a cluster from explicit node and edge sets.
+    /// Creates a cluster from node and edge lists in any order; each is
+    /// sorted and de-duplicated into its column.
     pub fn new(
         id: ClusterId,
-        nodes: FxHashSet<NodeId>,
-        edges: FxHashSet<EdgeKey>,
+        mut nodes: Vec<NodeId>,
+        mut edges: Vec<EdgeKey>,
         quantum: u64,
     ) -> Self {
+        nodes.sort_unstable();
+        nodes.dedup();
+        edges.sort_unstable();
+        edges.dedup();
         Self {
             id,
             nodes,
@@ -116,74 +137,58 @@ impl Cluster {
 
     /// Does the cluster contain this node?
     pub fn contains_node(&self, n: NodeId) -> bool {
-        self.nodes.contains(&n)
+        self.nodes.binary_search(&n).is_ok()
     }
 
     /// Does the cluster contain this edge?
     pub fn contains_edge(&self, e: EdgeKey) -> bool {
-        self.edges.contains(&e)
+        self.edges.binary_search(&e).is_ok()
     }
 
-    /// Member nodes, sorted (useful for deterministic output and tests).
-    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
+    /// An owned copy of the member column (already sorted; read
+    /// [`Self::nodes`] to borrow it).
     pub fn sorted_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.nodes.iter().copied().collect();
-        v.sort();
-        v
+        self.nodes.clone()
     }
 
-    /// Cluster edges, sorted: the canonical order of the codecs and of
-    /// [`dengraph_graph::scp_edge_groups`].
-    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
-    pub(crate) fn sorted_edges(&self) -> Vec<EdgeKey> {
-        let mut v: Vec<EdgeKey> = self.edges.iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Recomputes the node set from the edge set (useful when constructing
-    /// a cluster from edges alone, or after manually editing the edge set).
+    /// Recomputes the node column from the edge column (useful after
+    /// editing the edges by hand).
     pub fn sync_nodes_to_edges(&mut self) {
-        self.nodes.clear();
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "feeds a set; membership is order-free"
-        )]
-        for e in &self.edges {
-            self.nodes.insert(e.0);
-            self.nodes.insert(e.1);
-        }
+        self.nodes = endpoints(&self.edges);
     }
 
-    /// Neighbours of `n` along cluster edges, sorted ascending so that
-    /// consumers folding floats over them (e.g. [`crate::ranking`]) are
-    /// independent of the edge set's hash-iteration order.
-    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
+    /// Neighbours of `n` along cluster edges, ascending: the edges `(a, n)`
+    /// come in ascending `a`, all before the run of edges `(n, b)`.
     pub fn cluster_neighbors(&self, n: NodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.edges.iter().filter_map(|e| e.other(n)).collect();
-        v.sort_unstable();
-        v
+        self.edges.iter().filter_map(|e| e.other(n)).collect()
     }
 
-    /// Is the cluster one SCP cluster?  Its edges, sorted, must form
-    /// exactly one group of [`dengraph_graph::scp_edge_groups`] holding
-    /// every edge: each edge lies on a cycle of length ≤ 4 within the
-    /// cluster, and the cycles are joined through shared edges.  This is
-    /// the defining invariant (property P1).  Two triangles sharing only a
-    /// node fail it (they are two clusters), and so do an edgeless cluster
-    /// and a self-loop.
+    /// Is the cluster one SCP cluster?  Its edges must form exactly one
+    /// group of [`dengraph_graph::scp_edge_groups`] holding every edge:
+    /// each edge lies on a cycle of length ≤ 4 within the cluster, and the
+    /// cycles are joined through shared edges.  This is the defining
+    /// invariant (property P1).  Two triangles sharing only a node fail it
+    /// (they are two clusters), and so do an edgeless cluster and a
+    /// self-loop.
     pub fn satisfies_scp(&self) -> bool {
-        let edges = self.sorted_edges();
-        if edges.iter().any(|e| e.0 == e.1) {
+        if self.edges.iter().any(|e| e.0 == e.1) {
             return false;
         }
-        let groups = dengraph_graph::scp_edge_groups(&edges);
-        groups.len() == 1 && groups[0].len() == edges.len()
+        let groups = dengraph_graph::scp_edge_groups(&self.edges);
+        groups.len() == 1 && groups[0].len() == self.edges.len()
     }
 }
 
+/// The endpoints of `edges`, strictly ascending.
+pub(crate) fn endpoints(edges: &[EdgeKey]) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = edges.iter().flat_map(|e| [e.0, e.1]).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes
+}
+
 impl Encode for Cluster {
-    /// Serialises the cluster (id, sorted nodes, sorted edges, lifecycle
+    /// Serialises the cluster (id, node column, edge column, lifecycle
     /// quanta) to a [`dengraph_json::Value`].
     fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
@@ -191,13 +196,13 @@ impl Encode for Cluster {
             ("id", Value::from(self.id.0)),
             (
                 "nodes",
-                Value::arr(self.sorted_nodes().into_iter().map(|n| Value::from(n.0))),
+                Value::arr(self.nodes.iter().map(|n| Value::from(n.0))),
             ),
             (
                 "edges",
                 Value::arr(
-                    self.sorted_edges()
-                        .into_iter()
+                    self.edges
+                        .iter()
                         .map(|e| Value::arr([Value::from(e.0 .0), Value::from(e.1 .0)])),
                 ),
             ),
@@ -206,16 +211,15 @@ impl Encode for Cluster {
         ])
     }
 
-    /// Appends the compact binary encoding: id, the delta-encoded sorted
-    /// node column, the sorted edge list (first endpoint delta-encoded)
-    /// and the lifecycle quanta.
+    /// Appends the compact binary encoding: id, the delta-encoded node
+    /// column, the edge column (first endpoint delta-encoded) and the
+    /// lifecycle quanta.
     fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         w.u64(self.id.0);
-        w.delta_u32s(self.sorted_nodes().into_iter().map(|n| n.0));
-        let edges = self.sorted_edges();
-        w.usize(edges.len());
+        w.delta_u32s(self.nodes.iter().map(|n| n.0));
+        w.usize(self.edges.len());
         let mut prev_a = 0u32;
-        for (i, e) in edges.iter().enumerate() {
+        for (i, e) in self.edges.iter().enumerate() {
             w.u32(if i == 0 { e.0 .0 } else { e.0 .0 - prev_a });
             prev_a = e.0 .0;
             w.u32(e.1 .0);
@@ -226,15 +230,17 @@ impl Encode for Cluster {
 }
 
 impl Decode for Cluster {
-    /// Reconstructs a cluster serialised by [`Self::to_json`].
+    /// Reconstructs a cluster serialised by [`Self::to_json`] (the lists
+    /// are sorted and de-duplicated into columns, as [`Cluster::new`]
+    /// does).
     fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let nodes: FxHashSet<NodeId> = value
+        let nodes: Vec<NodeId> = value
             .get("nodes")?
             .as_arr()?
             .iter()
             .map(|n| n.as_u32().map(NodeId))
             .collect::<dengraph_json::Result<_>>()?;
-        let mut edges: FxHashSet<EdgeKey> = FxHashSet::default();
+        let mut edges: Vec<EdgeKey> = Vec::new();
         for edge in value.get("edges")?.as_arr()? {
             let parts = edge.as_arr()?;
             if parts.len() != 2 {
@@ -243,23 +249,25 @@ impl Decode for Cluster {
                     offset: 0,
                 });
             }
-            edges.insert(checked_edge(parts[0].as_u32()?, parts[1].as_u32()?, 0)?);
+            edges.push(checked_edge(parts[0].as_u32()?, parts[1].as_u32()?, 0)?);
         }
-        Ok(Self {
-            id: ClusterId(value.get("id")?.as_u64()?),
+        let mut cluster = Self::new(
+            ClusterId(value.get("id")?.as_u64()?),
             nodes,
             edges,
-            born_quantum: value.get("born_quantum")?.as_u64()?,
-            updated_quantum: value.get("updated_quantum")?.as_u64()?,
-        })
+            value.get("born_quantum")?.as_u64()?,
+        );
+        cluster.updated_quantum = value.get("updated_quantum")?.as_u64()?;
+        Ok(cluster)
     }
 
-    /// Reconstructs a cluster encoded by [`Self::to_bin`].
+    /// Reconstructs a cluster encoded by [`Self::to_bin`] (the lists are
+    /// sorted and de-duplicated into columns, as [`Cluster::new`] does).
     fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         let id = ClusterId(r.u64()?);
-        let nodes: FxHashSet<NodeId> = r.delta_u32s()?.into_iter().map(NodeId).collect();
+        let nodes: Vec<NodeId> = r.delta_u32s()?.into_iter().map(NodeId).collect();
         let edge_count = r.seq_len(2)?;
-        let mut edges: FxHashSet<EdgeKey> = FxHashSet::default();
+        let mut edges: Vec<EdgeKey> = Vec::with_capacity(edge_count);
         let mut prev_a = 0u32;
         for i in 0..edge_count {
             let d = r.u32()?;
@@ -273,15 +281,11 @@ impl Decode for Cluster {
             };
             prev_a = a;
             let b = r.u32()?;
-            edges.insert(checked_edge(a, b, r.pos())?);
+            edges.push(checked_edge(a, b, r.pos())?);
         }
-        Ok(Self {
-            id,
-            nodes,
-            edges,
-            born_quantum: r.u64()?,
-            updated_quantum: r.u64()?,
-        })
+        let mut cluster = Self::new(id, nodes, edges, r.u64()?);
+        cluster.updated_quantum = r.u64()?;
+        Ok(cluster)
     }
 }
 
@@ -306,11 +310,11 @@ mod tests {
     }
 
     fn cluster_from(edges: &[(u32, u32)]) -> Cluster {
-        let edge_set: FxHashSet<EdgeKey> = edges
+        let edges = edges
             .iter()
             .map(|&(a, b)| EdgeKey::new(n(a), n(b)))
             .collect();
-        let mut c = Cluster::new(ClusterId(1), FxHashSet::default(), edge_set, 0);
+        let mut c = Cluster::new(ClusterId(1), Vec::new(), edges, 0);
         c.sync_nodes_to_edges();
         c
     }
@@ -353,7 +357,7 @@ mod tests {
     #[test]
     fn decoders_reject_self_loop_edges() {
         let mut c = cluster_from(&[(1, 2), (2, 3), (1, 3)]);
-        c.edges.insert(EdgeKey::new(n(2), n(2)));
+        c.edges.insert(2, EdgeKey::new(n(2), n(2)));
         let json = Cluster::from_json(&c.to_json()).expect_err("JSON self-loop");
         assert!(json.message.contains("(2, 2) is a self-loop"), "{json:?}");
         let mut w = dengraph_json::BinWriter::new();
@@ -366,9 +370,8 @@ mod tests {
     #[test]
     fn cluster_neighbors_and_membership() {
         let c = cluster_from(&[(1, 2), (2, 3), (1, 3)]);
-        let mut nbrs = c.cluster_neighbors(n(1));
-        nbrs.sort();
-        assert_eq!(nbrs, vec![n(2), n(3)]);
+        assert_eq!(c.cluster_neighbors(n(1)), vec![n(2), n(3)]);
+        assert_eq!(c.cluster_neighbors(n(2)), vec![n(1), n(3)]);
         assert!(c.contains_node(n(1)));
         assert!(!c.contains_node(n(9)));
         assert!(c.contains_edge(EdgeKey::new(n(2), n(1))));
@@ -378,8 +381,7 @@ mod tests {
     #[test]
     fn sync_nodes_follows_edges() {
         let mut c = cluster_from(&[(1, 2), (2, 3), (1, 3)]);
-        c.edges.remove(&EdgeKey::new(n(1), n(3)));
-        c.edges.remove(&EdgeKey::new(n(2), n(3)));
+        c.edges.retain(|&e| e == EdgeKey::new(n(1), n(2)));
         c.sync_nodes_to_edges();
         assert_eq!(c.sorted_nodes(), vec![n(1), n(2)]);
     }

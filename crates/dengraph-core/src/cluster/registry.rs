@@ -7,16 +7,23 @@
 //! * `node → clusters` — a node may belong to several clusters (two
 //!   clusters may share an articulation node, e.g. after the split of
 //!   Figure 6), so this is a multimap.
+//!
+//! Every edit keeps each cluster's two columns strictly ascending and its
+//! nodes the endpoints of its edges: [`ClusterRegistry::absorb`] merges by
+//! a sorted union, [`ClusterRegistry::replace_with`] builds each successor
+//! from its edge column, and `ClusterRegistry::detach_edge` removes one
+//! edge by binary search (the repair that must follow rebuilds the
+//! nodes).  [`ClusterRegistry::check_invariants`] checks both.
 
 use dengraph_graph::dynamic_graph::EdgeKey;
 use dengraph_graph::fxhash::{FxHashMap, FxHashSet};
 use dengraph_graph::NodeId;
 use dengraph_json::{Decode, Encode};
 
-use super::{Cluster, ClusterId};
+use super::{endpoints, Cluster, ClusterId};
 
 /// Owns every live cluster plus the edge and node indexes.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterRegistry {
     clusters: FxHashMap<ClusterId, Cluster>,
     edge_index: FxHashMap<EdgeKey, ClusterId>,
@@ -89,38 +96,41 @@ impl ClusterRegistry {
         id
     }
 
-    /// Inserts a brand-new cluster built from explicit node and edge sets.
-    /// Panics (debug assertion) if any edge is already owned by another
-    /// cluster — callers must merge first.
-    #[expect(
-        clippy::disallowed_methods,
-        clippy::iter_over_hash_type,
-        reason = "index insertion and an `all` check; both are order-free"
-    )]
+    /// Inserts a brand-new cluster built from node and edge lists (in any
+    /// order; [`Cluster::new`] sorts them into columns).  Panics (debug
+    /// assertion) if any edge is already owned by another cluster —
+    /// callers must merge first.
     pub fn insert_new(
         &mut self,
-        nodes: FxHashSet<NodeId>,
-        edges: FxHashSet<EdgeKey>,
+        nodes: Vec<NodeId>,
+        edges: Vec<EdgeKey>,
         quantum: u64,
     ) -> ClusterId {
         let id = self.fresh_id();
+        let cluster = Cluster::new(id, nodes, edges, quantum);
         debug_assert!(
-            edges.iter().all(|e| !self.edge_index.contains_key(e)),
+            cluster
+                .edges
+                .iter()
+                .all(|e| !self.edge_index.contains_key(e)),
             "edge already owned by another cluster"
         );
-        for e in &edges {
-            self.edge_index.insert(*e, id);
-        }
-        for n in &nodes {
-            self.node_index.entry(*n).or_default().insert(id);
-        }
-        self.clusters
-            .insert(id, Cluster::new(id, nodes, edges, quantum));
+        self.index(&cluster);
+        self.clusters.insert(id, cluster);
         id
     }
 
+    /// Points both indexes at every edge and node of `cluster`.
+    fn index(&mut self, cluster: &Cluster) {
+        for &e in &cluster.edges {
+            self.edge_index.insert(e, cluster.id);
+        }
+        for &n in &cluster.nodes {
+            self.node_index.entry(n).or_default().insert(cluster.id);
+        }
+    }
+
     /// Removes a cluster entirely, cleaning both indexes.
-    #[expect(clippy::iter_over_hash_type, reason = "index removal is order-free")]
     pub fn remove(&mut self, id: ClusterId) -> Option<Cluster> {
         let cluster = self.clusters.remove(&id)?;
         for e in &cluster.edges {
@@ -139,23 +149,20 @@ impl ClusterRegistry {
         Some(cluster)
     }
 
-    /// Absorbs new nodes and edges into the cluster structure: every
-    /// existing cluster sharing an edge with `new_edges` is merged with the
-    /// new material into a single cluster (Lemma 6).  Returns the id of the
-    /// resulting cluster.
+    /// Absorbs new nodes and edges (in any order) into the cluster
+    /// structure: every existing cluster sharing an edge with `new_edges`
+    /// is merged with the new material into a single cluster (Lemma 6).
+    /// Returns the id of the resulting cluster.
     ///
-    /// The merge happens in place in the oldest touched cluster: only the
-    /// edges and nodes new to it are indexed, and only the clusters merged
-    /// away are re-pointed.  `spend_id` is for a caller folding several
-    /// short cycles into one call (EdgeAddition): when its first cycle
-    /// touched no cluster, the per-cycle chain this call stands for gave
-    /// that cycle a fresh id before a later cycle merged it into an older
-    /// cluster, so the id is used up here as well and every later id lands
-    /// where the chain put it.
-    #[expect(
-        clippy::iter_over_hash_type,
-        reason = "index re-pointing is order-free"
-    )]
+    /// The merge happens in place in the oldest touched cluster, whose
+    /// columns take the others' and the new material by a sorted union:
+    /// only the edges and nodes new to it are indexed, and only the
+    /// clusters merged away are re-pointed.  `spend_id` is for a caller
+    /// folding several short cycles into one call (EdgeAddition): when its
+    /// first cycle touched no cluster, the per-cycle chain this call
+    /// stands for gave that cycle a fresh id before a later cycle merged
+    /// it into an older cluster, so the id is used up here as well and
+    /// every later id lands where the chain put it.
     #[expect(clippy::expect_used, reason = "touched ids come from the edge index")]
     pub fn absorb(
         &mut self,
@@ -174,9 +181,7 @@ impl ClusterRegistry {
         // Merge everything into the oldest touched cluster (stable ids keep
         // event tracking simple).
         let Some((&target, merged_away)) = touched.split_first() else {
-            let nodes = new_nodes.iter().copied().collect();
-            let edges = new_edges.iter().copied().collect();
-            return self.insert_new(nodes, edges, quantum);
+            return self.insert_new(new_nodes.to_vec(), new_edges.to_vec(), quantum);
         };
         if spend_id {
             self.fresh_id();
@@ -187,8 +192,8 @@ impl ClusterRegistry {
             .expect("touched cluster exists");
         for &cid in merged_away {
             let merged = self.clusters.remove(&cid).expect("touched cluster exists");
-            for e in &merged.edges {
-                self.edge_index.insert(*e, target);
+            for &e in &merged.edges {
+                self.edge_index.insert(e, target);
             }
             for n in &merged.nodes {
                 let ids = self.node_index.get_mut(n).expect("member node is indexed");
@@ -196,19 +201,15 @@ impl ClusterRegistry {
                 ids.insert(target);
             }
             cluster.born_quantum = cluster.born_quantum.min(merged.born_quantum);
-            cluster.edges.extend(merged.edges);
-            cluster.nodes.extend(merged.nodes);
+            union_into(&mut cluster.edges, &merged.edges, |_| {});
+            union_into(&mut cluster.nodes, &merged.nodes, |_| {});
         }
-        for &e in new_edges {
-            if cluster.edges.insert(e) {
-                self.edge_index.insert(e, target);
-            }
-        }
-        for &n in new_nodes {
-            if cluster.nodes.insert(n) {
-                self.node_index.entry(n).or_default().insert(target);
-            }
-        }
+        union_into(&mut cluster.edges, new_edges, |e| {
+            self.edge_index.insert(e, target);
+        });
+        union_into(&mut cluster.nodes, new_nodes, |n| {
+            self.node_index.entry(n).or_default().insert(target);
+        });
         cluster.born_quantum = cluster.born_quantum.min(quantum);
         cluster.updated_quantum = quantum;
         self.clusters.insert(target, cluster);
@@ -219,15 +220,10 @@ impl ClusterRegistry {
     /// as the reference the one-merge EdgeAddition must match: remove
     /// every touched cluster, then re-index the union under the oldest id.
     #[cfg(test)]
-    #[expect(
-        clippy::disallowed_methods,
-        clippy::iter_over_hash_type,
-        reason = "ids are sorted; index insertion is order-free"
-    )]
     pub(crate) fn absorb_rebuilding(
         &mut self,
-        nodes: FxHashSet<NodeId>,
-        edges: FxHashSet<EdgeKey>,
+        nodes: Vec<NodeId>,
+        edges: Vec<EdgeKey>,
         quantum: u64,
     ) -> ClusterId {
         let mut ids: Vec<ClusterId> = edges
@@ -249,46 +245,39 @@ impl ClusterRegistry {
             all_nodes.extend(c.nodes);
             all_edges.extend(c.edges);
         }
-        for e in &all_edges {
-            self.edge_index.insert(*e, target);
-        }
-        for n in &all_nodes {
-            self.node_index.entry(*n).or_default().insert(target);
-        }
         let mut cluster = Cluster::new(target, all_nodes, all_edges, born);
         cluster.updated_quantum = quantum;
+        self.index(&cluster);
         self.clusters.insert(target, cluster);
         self.next_id = self.next_id.max(target.0 + 1);
         target
     }
 
-    /// Replaces a cluster with zero or more successor clusters (used by the
-    /// deletion repair when a cluster shrinks, splits or dissolves).  The
-    /// first successor keeps the original id (so long-running events keep a
-    /// stable identity across shrinking); the rest get fresh ids.
-    #[expect(clippy::iter_over_hash_type, reason = "index insertion is order-free")]
+    /// Replaces a cluster with zero or more successor clusters, each given
+    /// by its edge column (used by the deletion repair when a cluster
+    /// shrinks, splits or dissolves; a successor's nodes are its edges'
+    /// endpoints).  The first successor keeps the original id (so
+    /// long-running events keep a stable identity across shrinking); the
+    /// rest get fresh ids.  A successor with fewer than three nodes is
+    /// dropped.
     pub fn replace_with(
         &mut self,
         id: ClusterId,
-        successors: Vec<(FxHashSet<NodeId>, FxHashSet<EdgeKey>)>,
+        successors: Vec<Vec<EdgeKey>>,
         quantum: u64,
     ) -> Vec<ClusterId> {
         let original = self.remove(id);
         let born = original.as_ref().map_or(quantum, |c| c.born_quantum);
         let mut out = Vec::with_capacity(successors.len());
-        for (i, (nodes, edges)) in successors.into_iter().enumerate() {
-            if edges.is_empty() || nodes.len() < 3 {
+        for (i, edges) in successors.into_iter().enumerate() {
+            let nodes = endpoints(&edges);
+            if nodes.len() < 3 {
                 continue;
             }
             let new_id = if i == 0 { id } else { self.fresh_id() };
-            for e in &edges {
-                self.edge_index.insert(*e, new_id);
-            }
-            for n in &nodes {
-                self.node_index.entry(*n).or_default().insert(new_id);
-            }
             let mut cluster = Cluster::new(new_id, nodes, edges, born);
             cluster.updated_quantum = quantum;
+            self.index(&cluster);
             self.clusters.insert(new_id, cluster);
             self.next_id = self.next_id.max(new_id.0 + 1);
             out.push(new_id);
@@ -311,15 +300,18 @@ impl ClusterRegistry {
         }
     }
 
-    /// Removes one edge from a cluster's edge set and the edge index,
-    /// without any repair.  Used as the first step of the deletion
-    /// algorithms; callers must follow up with a repair.
+    /// Removes one edge from a cluster's edge column and the edge index,
+    /// without any repair (the node column keeps the edge's endpoints
+    /// until the repair replaces the cluster).  Used as the first step of
+    /// the deletion algorithms; callers must follow up with a repair.
     pub(crate) fn detach_edge(&mut self, id: ClusterId, edge: EdgeKey) {
         if self.edge_index.get(&edge) == Some(&id) {
             self.edge_index.remove(&edge);
         }
         if let Some(c) = self.clusters.get_mut(&id) {
-            c.edges.remove(&edge);
+            if let Ok(row) = c.edges.binary_search(&edge) {
+                c.edges.remove(row);
+            }
         }
     }
 
@@ -331,27 +323,19 @@ impl ClusterRegistry {
     /// check debug builds assert after every quantum: every restored
     /// cluster is one SCP cluster, and a fresh id can never collide with a
     /// live one.
-    #[expect(
-        clippy::iter_over_hash_type,
-        reason = "index rebuild; a duplicate edge is rejected in any order"
-    )]
     fn from_parts(next_id: u64, clusters: Vec<Cluster>) -> dengraph_json::Result<Self> {
         let mut registry = Self::new();
         for cluster in clusters {
-            for e in &cluster.edges {
-                if registry.edge_index.insert(*e, cluster.id).is_some() {
+            for &e in &cluster.edges {
+                if registry.edge_index.insert(e, cluster.id).is_some() {
                     return Err(dengraph_json::JsonError {
                         message: format!("edge {e:?} owned by two serialised clusters"),
                         offset: 0,
                     });
                 }
             }
-            for n in &cluster.nodes {
-                registry
-                    .node_index
-                    .entry(*n)
-                    .or_default()
-                    .insert(cluster.id);
+            for &n in &cluster.nodes {
+                registry.node_index.entry(n).or_default().insert(cluster.id);
             }
             let id = cluster.id;
             if registry.clusters.insert(id, cluster).is_some() {
@@ -368,12 +352,13 @@ impl ClusterRegistry {
         Ok(registry)
     }
 
-    /// Checks the internal invariants: each edge owned by exactly the
-    /// cluster the index says; node index consistent; every cluster has
-    /// ≥ 3 nodes and is one SCP cluster ([`Cluster::satisfies_scp`], one
-    /// [`dengraph_graph::scp_edge_groups`] group holding all its edges);
-    /// `next_id` strictly above every live id so fresh ids can never
-    /// collide.  Both decoders end with it, so every restore runs it;
+    /// Checks the internal invariants: both columns of every cluster
+    /// strictly ascending and its nodes exactly its edges' endpoints; each
+    /// edge owned by exactly the cluster the index says; node index
+    /// consistent; every cluster has ≥ 3 nodes and is one SCP cluster
+    /// ([`Cluster::satisfies_scp`], one [`dengraph_graph::scp_edge_groups`]
+    /// group holding all its edges); `next_id` strictly above every live
+    /// id so fresh ids can never collide.  Both decoders end with it, so every restore runs it;
     /// debug builds also assert it after every quantum.
     #[expect(
         clippy::disallowed_methods,
@@ -393,6 +378,14 @@ impl ClusterRegistry {
             if c.nodes.len() < 3 {
                 return Err(format!("cluster {id} has fewer than 3 nodes"));
             }
+            if c.edges.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("cluster {id}: edges not strictly ascending"));
+            }
+            if c.nodes != endpoints(&c.edges) {
+                return Err(format!(
+                    "cluster {id}: nodes are not exactly its edges' endpoints"
+                ));
+            }
             if !c.satisfies_scp() {
                 return Err(format!("cluster {id} violates the short-cycle property"));
             }
@@ -408,18 +401,35 @@ impl ClusterRegistry {
             }
         }
         for (e, id) in &self.edge_index {
-            if !self.clusters.get(id).is_some_and(|c| c.edges.contains(e)) {
+            if !self.clusters.get(id).is_some_and(|c| c.contains_edge(*e)) {
                 return Err(format!("edge index entry {e:?} -> {id} is dangling"));
             }
         }
         for (n, ids) in &self.node_index {
             for id in ids {
-                if !self.clusters.get(id).is_some_and(|c| c.nodes.contains(n)) {
+                if !self.clusters.get(id).is_some_and(|c| c.contains_node(*n)) {
                     return Err(format!("node index entry {n} -> {id} is dangling"));
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// Merges `add` (in any order) into the strictly ascending `column`, which
+/// stays strictly ascending; `on_new` sees each element of `add` the
+/// column lacked (a repeated one possibly more than once).
+fn union_into<T: Ord + Copy>(column: &mut Vec<T>, add: &[T], mut on_new: impl FnMut(T)) {
+    let old = column.len();
+    for &x in add {
+        if column[..old].binary_search(&x).is_err() {
+            column.push(x);
+            on_new(x);
+        }
+    }
+    if column.len() > old {
+        column.sort_unstable();
+        column.dedup();
     }
 }
 
@@ -494,10 +504,8 @@ mod tests {
         EdgeKey::new(n(a), n(b))
     }
 
-    fn triangle(a: u32, b: u32, c: u32) -> (FxHashSet<NodeId>, FxHashSet<EdgeKey>) {
-        let nodes = [n(a), n(b), n(c)].into_iter().collect();
-        let edges = [e(a, b), e(b, c), e(a, c)].into_iter().collect();
-        (nodes, edges)
+    fn triangle(a: u32, b: u32, c: u32) -> (Vec<NodeId>, Vec<EdgeKey>) {
+        (vec![n(a), n(b), n(c)], vec![e(a, b), e(b, c), e(a, c)])
     }
 
     #[test]
@@ -513,10 +521,10 @@ mod tests {
         assert!(r.check_invariants().is_ok());
     }
 
-    /// A triangle as the node and edge columns [`ClusterRegistry::absorb`]
-    /// takes.
+    /// A triangle `a < b < c` as the node and edge columns
+    /// [`ClusterRegistry::absorb`] takes.
     fn triangle_columns(a: u32, b: u32, c: u32) -> ([NodeId; 3], [EdgeKey; 3]) {
-        ([n(a), n(b), n(c)], [e(a, b), e(b, c), e(a, c)])
+        ([n(a), n(b), n(c)], [e(a, b), e(a, c), e(b, c)])
     }
 
     #[test]
@@ -561,7 +569,7 @@ mod tests {
         let c = r.absorb(&n3, &e3, false, 1);
         // New 4-cycle sharing an edge with the first two: 2-3-5-6-2.
         let nodes = [n(2), n(3), n(5), n(6)];
-        let edges = [e(2, 3), e(3, 5), e(5, 6), e(6, 2)];
+        let edges = [e(2, 3), e(2, 6), e(3, 5), e(5, 6)];
         let merged = r.absorb(&nodes, &edges, false, 2);
         assert_eq!(merged, a);
         assert_eq!(r.len(), 2);
@@ -606,14 +614,12 @@ mod tests {
     fn replace_with_splits_and_keeps_original_id_for_first() {
         let mut r = ClusterRegistry::new();
         // One big cluster: two triangles sharing node 3 (pretend it was valid).
-        let nodes: FxHashSet<NodeId> = [n(1), n(2), n(3), n(4), n(5)].into_iter().collect();
-        let edges: FxHashSet<EdgeKey> = [e(1, 2), e(2, 3), e(1, 3), e(3, 4), e(4, 5), e(3, 5)]
-            .into_iter()
-            .collect();
+        let nodes = vec![n(1), n(2), n(3), n(4), n(5)];
+        let edges = vec![e(1, 2), e(2, 3), e(1, 3), e(3, 4), e(4, 5), e(3, 5)];
         let id = r.insert_new(nodes, edges, 0);
-        let (na, ea) = triangle(1, 2, 3);
-        let (nb, eb) = triangle(3, 4, 5);
-        let new_ids = r.replace_with(id, vec![(na, ea), (nb, eb)], 5);
+        let (_, ea) = triangle(1, 2, 3);
+        let (_, eb) = triangle(3, 4, 5);
+        let new_ids = r.replace_with(id, vec![ea, eb], 5);
         assert_eq!(new_ids.len(), 2);
         assert_eq!(new_ids[0], id);
         assert_ne!(new_ids[1], id);
@@ -629,9 +635,7 @@ mod tests {
         let (nodes, edges) = triangle(1, 2, 3);
         let id = r.insert_new(nodes, edges, 0);
         // A successor with only one edge (2 nodes) must be discarded.
-        let nodes2: FxHashSet<NodeId> = [n(1), n(2)].into_iter().collect();
-        let edges2: FxHashSet<EdgeKey> = [e(1, 2)].into_iter().collect();
-        let out = r.replace_with(id, vec![(nodes2, edges2)], 1);
+        let out = r.replace_with(id, vec![vec![e(1, 2)]], 1);
         assert!(out.is_empty());
         assert!(r.is_empty());
         assert!(r.check_invariants().is_ok());
@@ -643,19 +647,15 @@ mod tests {
         // Many clusters sharing node 1 (pairwise edge-disjoint triangles).
         let mut ids = Vec::new();
         for i in 0..16u32 {
-            ids.push(
-                r.insert_new(
-                    [n(1), n(100 + 2 * i), n(101 + 2 * i)].into_iter().collect(),
-                    [
-                        e(1, 100 + 2 * i),
-                        e(100 + 2 * i, 101 + 2 * i),
-                        e(1, 101 + 2 * i),
-                    ]
-                    .into_iter()
-                    .collect(),
-                    0,
-                ),
-            );
+            ids.push(r.insert_new(
+                vec![n(1), n(100 + 2 * i), n(101 + 2 * i)],
+                vec![
+                    e(1, 100 + 2 * i),
+                    e(100 + 2 * i, 101 + 2 * i),
+                    e(1, 101 + 2 * i),
+                ],
+                0,
+            ));
         }
         let got = r.clusters_of_node(n(1));
         let mut expected = ids.clone();
@@ -685,5 +685,183 @@ mod tests {
         let (nodes, edges) = triangle(4, 5, 6);
         let b = r.insert_new(nodes, edges, 0);
         assert_ne!(a, b);
+    }
+
+    /// The registry as sets: what every cluster holds, by id, and the
+    /// next id.  Each edit below is written from the registry's docs.
+    #[derive(Default)]
+    struct Model {
+        clusters: std::collections::BTreeMap<u64, (FxHashSet<NodeId>, FxHashSet<EdgeKey>)>,
+        next_id: u64,
+    }
+
+    impl Model {
+        fn fresh(&mut self) -> u64 {
+            self.next_id += 1;
+            self.next_id - 1
+        }
+
+        fn owner(&self, e: EdgeKey) -> Option<u64> {
+            self.clusters
+                .iter()
+                .find(|(_, (_, edges))| edges.contains(&e))
+                .map(|(&id, _)| id)
+        }
+
+        fn absorb(&mut self, nodes: &[NodeId], edges: &[EdgeKey], spend_id: bool) -> u64 {
+            let mut touched: Vec<u64> = edges.iter().filter_map(|&e| self.owner(e)).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let target = match touched.first() {
+                None => self.fresh(),
+                Some(&target) => {
+                    if spend_id {
+                        self.fresh();
+                    }
+                    target
+                }
+            };
+            let mut merged = self.clusters.remove(&target).unwrap_or_default();
+            for id in touched.iter().skip(1) {
+                let (n, e) = self.clusters.remove(id).unwrap();
+                merged.0.extend(n);
+                merged.1.extend(e);
+            }
+            merged.0.extend(nodes.iter().copied());
+            merged.1.extend(edges.iter().copied());
+            self.clusters.insert(target, merged);
+            target
+        }
+
+        fn replace_with(&mut self, id: u64, successors: &[Vec<EdgeKey>]) -> Vec<u64> {
+            self.clusters.remove(&id);
+            let mut out = Vec::new();
+            for (i, edges) in successors.iter().enumerate() {
+                let nodes: FxHashSet<NodeId> = edges.iter().flat_map(|e| [e.0, e.1]).collect();
+                if nodes.len() < 3 {
+                    continue;
+                }
+                let new_id = if i == 0 { id } else { self.fresh() };
+                self.clusters
+                    .insert(new_id, (nodes, edges.iter().copied().collect()));
+                out.push(new_id);
+            }
+            out
+        }
+    }
+
+    /// Random `absorb` / `detach_edge` / `replace_with` scripts: after
+    /// every edit both columns of every cluster are strictly ascending, a
+    /// cluster whose edges were not detached since it was built has
+    /// exactly their endpoints as nodes, both indexes point at the
+    /// columns, and everything matches the set model.
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "set equality and `all` are order-free"
+    )]
+    fn sorted_columns_match_a_set_model_under_random_scripts() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_0049);
+        let (mut merges, mut splits, mut detaches) = (0, 0, 0);
+        for case in 0..60 {
+            let universe = rng.gen_range(5..14u32);
+            let mut r = ClusterRegistry::new();
+            let mut model = Model::default();
+            for step in 0..rng.gen_range(10..80u64) {
+                let at = format!("case {case} step {step}");
+                let live: Vec<ClusterId> = {
+                    let mut ids: Vec<ClusterId> = r.clusters.keys().copied().collect();
+                    ids.sort_unstable();
+                    ids
+                };
+                let pick = rng.gen_range(0..10u32);
+                if pick < 5 || live.is_empty() {
+                    // New material: a few random edges and their endpoints,
+                    // in random order, as an EdgeAddition might hand over.
+                    let mut edges: Vec<EdgeKey> = (0..rng.gen_range(1..6usize))
+                        .filter_map(|_| {
+                            let (a, b) = (rng.gen_range(0..universe), rng.gen_range(0..universe));
+                            (a != b).then(|| e(a, b))
+                        })
+                        .collect();
+                    edges.sort_unstable();
+                    edges.dedup();
+                    edges.shuffle(&mut rng);
+                    let mut nodes: Vec<NodeId> = edges.iter().flat_map(|e| [e.0, e.1]).collect();
+                    nodes.sort_unstable();
+                    nodes.dedup();
+                    nodes.shuffle(&mut rng);
+                    let spend_id = rng.gen_bool(0.3);
+                    let before = r.len();
+                    let got = r.absorb(&nodes, &edges, spend_id, step);
+                    assert_eq!(got.0, model.absorb(&nodes, &edges, spend_id), "{at}");
+                    if r.len() < before {
+                        merges += 1;
+                    }
+                } else if pick < 7 {
+                    let id = live[rng.gen_range(0..live.len())];
+                    let edges = &r.get(id).unwrap().edges;
+                    if edges.is_empty() {
+                        continue;
+                    }
+                    let edge = edges[rng.gen_range(0..edges.len())];
+                    r.detach_edge(id, edge);
+                    model.clusters.get_mut(&id.0).unwrap().1.remove(&edge);
+                    detaches += 1;
+                } else {
+                    // Split the edges into up to three random groups.
+                    let id = live[rng.gen_range(0..live.len())];
+                    let groups = rng.gen_range(0..4);
+                    let mut successors: Vec<Vec<EdgeKey>> = vec![Vec::new(); groups];
+                    if groups > 0 {
+                        for &edge in &r.get(id).unwrap().edges {
+                            successors[rng.gen_range(0..groups)].push(edge);
+                        }
+                    }
+                    for group in &mut successors {
+                        group.shuffle(&mut rng);
+                    }
+                    let got = r.replace_with(id, successors.clone(), step);
+                    let want = model.replace_with(id.0, &successors);
+                    assert_eq!(got.iter().map(|c| c.0).collect::<Vec<_>>(), want, "{at}");
+                    splits += usize::from(got.len() > 1);
+                }
+                assert_eq!(r.next_id(), model.next_id, "{at}");
+                assert_eq!(r.len(), model.clusters.len(), "{at}");
+                for (&id, (nodes, edges)) in &model.clusters {
+                    let c = r.get(ClusterId(id)).unwrap();
+                    assert!(c.nodes.windows(2).all(|w| w[0] < w[1]), "{at}: nodes");
+                    assert!(c.edges.windows(2).all(|w| w[0] < w[1]), "{at}: edges");
+                    assert_eq!(
+                        &c.nodes.iter().copied().collect::<FxHashSet<_>>(),
+                        nodes,
+                        "{at}"
+                    );
+                    assert_eq!(
+                        &c.edges.iter().copied().collect::<FxHashSet<_>>(),
+                        edges,
+                        "{at}"
+                    );
+                    let ends: FxHashSet<NodeId> = edges.iter().flat_map(|e| [e.0, e.1]).collect();
+                    if &ends == nodes {
+                        assert_eq!(c.nodes, endpoints(&c.edges), "{at}: nodes are endpoints");
+                    }
+                    for &edge in &c.edges {
+                        assert_eq!(r.cluster_of_edge(edge), Some(c.id), "{at}: edge index");
+                    }
+                    for &node in &c.nodes {
+                        assert!(r.clusters_of_node(node).contains(&c.id), "{at}: node index");
+                    }
+                }
+            }
+        }
+        // The scripts reach what the columns have to survive.
+        assert!(merges > 50, "only {merges} merges");
+        assert!(splits > 20, "only {splits} splits");
+        assert!(detaches > 100, "only {detaches} detached edges");
     }
 }

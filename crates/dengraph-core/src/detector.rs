@@ -934,10 +934,9 @@ impl EventDetector {
     /// A node's support weight (distinct window users of its keyword) is
     /// read straight from the window index: every AKG node has a live
     /// index entry (see [`Self::validate_invariants`]), so each read is one
-    /// slot load.  The loop makes one pass per cluster
-    /// ([`rank_and_support`]: rank, support and the sorted member column
-    /// together) and allocates exactly the keyword list of each event it
-    /// reports.
+    /// slot load.  The loop makes one pass per cluster over its sorted
+    /// columns ([`rank_and_support`]: rank and support together) and
+    /// allocates exactly the keyword list of each event it reports.
     fn report_events(&mut self, quantum: u64) -> Vec<DetectedEvent> {
         let Self {
             config,
@@ -948,7 +947,7 @@ impl EventDetector {
             scratch,
             ..
         } = self;
-        let rank_nodes = &mut scratch.rank_nodes;
+        let rank_rows = &mut scratch.rank_rows;
         let graph = akg.graph();
         let node_support =
             |node: dengraph_graph::NodeId| window.window_user_count(keyword_of(node));
@@ -956,13 +955,13 @@ impl EventDetector {
         let rank_threshold = config.rank_report_threshold();
         let mut events: Vec<DetectedEvent> = Vec::with_capacity(clusters.cluster_count());
         for cluster in clusters.clusters() {
-            let (rank, support) = rank_and_support(cluster, graph, &node_support, rank_nodes);
+            let (rank, support) = rank_and_support(cluster, graph, &node_support, rank_rows);
             if rank < rank_threshold {
                 continue;
             }
-            // Node order is keyword order, so the sorted member column is
-            // the event's sorted keyword list.
-            let keywords = rank_nodes.iter().map(|&n| keyword_of(n));
+            // Node order is keyword order, so the member column is the
+            // event's sorted keyword list.
+            let keywords = cluster.nodes.iter().map(|&n| keyword_of(n));
             if let Some(filter) = noun_filter {
                 if !keywords.clone().any(|k| filter.is_noun(k)) {
                     continue;

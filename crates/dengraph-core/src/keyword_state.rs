@@ -47,12 +47,14 @@
 //!   all keywords.
 //!
 //! One invariant carries everything: *a live hash ≤ the head's last row is
-//! in the head, anything larger is in the table.*  So membership, insert
-//! and expiry of a `(keyword, user)` row are one binary search over ≤ `4p`
+//! in the head, anything larger is in the table.*  So membership and
+//! insert of a `(keyword, user)` row are one binary search over ≤ `4p`
 //! hashes **or** one table probe — never a move of a window-long column;
-//! the sketch is by construction the first `min(p, len)` head rows; the
-//! user count is `len + over`; and a keyword with at most `4p` window
-//! users never touches the table.
+//! an eviction takes a keyword's head rows out in **one** stable
+//! compaction pass and its table rows one probe each; the sketch is by
+//! construction the first `min(p, len)` head rows; the user count is
+//! `len + over`; and a keyword with at most `4p` window users never
+//! touches the table.
 //!
 //! * **Stamps, not counts.**  A row dies exactly when the push it is
 //!   stamped with is evicted: a re-mention restamps, an eviction removes
@@ -89,9 +91,12 @@
 //!   the record that slid out of the window;
 //! * the incremental `WindowIndex` is a `Vec` indexed directly by keyword
 //!   id (a lookup is one bounds check), each entry two short parallel
-//!   columns (`hashes`, `stamps`), with emptied entries pooled and reused
-//!   and the overflow table grown during warm-up only, so steady-state
-//!   sliding performs no allocation.
+//!   columns (`hashes`, `stamps`) in a 64-byte slot, with emptied entries
+//!   pooled and reused and the overflow table grown during warm-up only,
+//!   so steady-state sliding performs no allocation;
+//! * one presence bit per keyword id marks the live entries, so listing
+//!   them (a snapshot, equality) walks the set bits instead of every slot
+//!   of every id ever seen.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -122,13 +127,13 @@ pub(crate) type RecordStorage = (Vec<UserId>, Vec<KeywordSpan>);
 /// other validation could reject the document.  The AKG's id-indexed
 /// slots are bounded through the window: its decoders admit only nodes
 /// with a live index entry, and replay only nodes its record makes
-/// bursty.  The bound caps the decode-time allocation at ≈ 403 MB of
-/// slots: 2²² + 1 ids at 72 bytes of window index slot (an
+/// bursty.  The bound caps the decode-time allocation at ≈ 370 MB of
+/// slots: 2²² + 1 ids at 64 bytes of window index slot (an
 /// `Option<KeywordWindowEntry>`) plus 24 bytes of graph slot (a
-/// `DynamicGraph` adjacency `Vec`) and one presence bit each — a unit
-/// test holds the sum to that figure — which is what the *live* dense-id
-/// layout occupies for such a vocabulary, so no state a deployment can
-/// actually run is rejected.  Raise this constant together with the
+/// `DynamicGraph` adjacency `Vec`) and two presence bits each (the
+/// index's and the graph's) — a unit test holds the sum to that figure —
+/// which is what the *live* dense-id layout occupies for such a
+/// vocabulary, so no state a deployment can actually run is rejected.  Raise this constant together with the
 /// deployment's memory envelope if interned vocabularies ever approach
 /// four million keywords.
 const MAX_DECODED_KEYWORD_INDEX: usize = 1 << 22;
@@ -614,8 +619,9 @@ impl OverflowTable {
 /// [`UserHasher::hash`] is a bijection, so distinct users never tie and
 /// "the `len` smallest" is well defined.  Hence
 ///
-/// * membership, insert and expiry of a row are one binary search over at
-///   most `4p` hashes **or** one table probe, never a column move;
+/// * membership and insert of a row are one binary search over at most
+///   `4p` hashes **or** one table probe, never a column move, and an
+///   eviction is one compaction pass over the head ([`Self::expire`]);
 /// * the window sketch — the `p` smallest hashes of the window's users —
 ///   is the first `min(p, len)` rows of `hashes` ([`Self::minima`]), read
 ///   in place;
@@ -634,20 +640,21 @@ struct KeywordWindowEntry {
     stamps: Vec<u32>,
     /// Rows of this keyword in the overflow table.
     over: u32,
-    /// The sketch size `p` (at least 1, as [`MinHashSketch::new`] keeps).
-    p: usize,
+    /// The sketch size `p` (at least 1, as [`MinHashSketch::new`] keeps;
+    /// a `u32` beside `over` keeps the entry at 64 bytes).
+    p: u32,
     /// Most recent quantum index in which the keyword occurred.
     last_seen: u64,
 }
 
 impl KeywordWindowEntry {
     fn new(sketch_size: usize) -> Self {
-        let p = sketch_size.max(1);
+        let p = u32::try_from(sketch_size.max(1)).unwrap_or(u32::MAX);
         // Entries are pooled, and a pooled entry serves whichever keyword
         // materializes next: starting both columns at a few quanta's worth
         // of rows keeps a recycled entry from growing step by step under
         // each new owner.
-        let rows = 32.min(HEAD_ROWS_PER_SKETCH_ROW * p);
+        let rows = 32.min(HEAD_ROWS_PER_SKETCH_ROW * p as usize);
         Self {
             hashes: Vec::with_capacity(rows),
             stamps: Vec::with_capacity(rows),
@@ -664,7 +671,7 @@ impl KeywordWindowEntry {
 
     /// The window sketch: the first `min(p, len)` head rows.
     fn minima(&self) -> &[u64] {
-        &self.hashes[..self.hashes.len().min(self.p)]
+        &self.hashes[..self.hashes.len().min(self.p as usize)]
     }
 
     /// Routes `hash` by the entry's one invariant: within the head's range
@@ -681,7 +688,7 @@ impl KeywordWindowEntry {
     /// Records that push `stamp` saw the user hashing to `hash`.
     #[inline]
     fn see(&mut self, keyword: u32, hash: u64, stamp: u32, table: &mut OverflowTable) {
-        let cap = HEAD_ROWS_PER_SKETCH_ROW * self.p;
+        let cap = HEAD_ROWS_PER_SKETCH_ROW * self.p as usize;
         match self.head_row(hash) {
             Some(Ok(row)) => self.stamps[row] = stamp,
             Some(Err(row)) => {
@@ -726,6 +733,15 @@ impl KeywordWindowEntry {
 
     /// Takes back the users of the evicted push `stamp`: a row goes iff it
     /// still carries that stamp (no later push saw its user).
+    ///
+    /// Each user is routed by the head's last row as it was before any
+    /// removal: one above it is taken out of the table where it sits; one
+    /// at or below it is a head row.  A head row carries `stamp` exactly
+    /// when its user is one of these and no later push restamped it, so
+    /// the head's share of the eviction is one stable compaction that
+    /// drops the rows stamped `stamp` — the rows, in the order, that a
+    /// search and a removal per user would drop, for one pass over the
+    /// head instead of two column shifts per row.
     fn expire(
         &mut self,
         keyword: KeywordId,
@@ -734,23 +750,38 @@ impl KeywordWindowEntry {
         hasher: &UserHasher,
         table: &mut OverflowTable,
     ) {
-        for user in users {
-            let hash = hasher.hash(user.raw());
-            match self.head_row(hash) {
-                Some(Ok(row)) if self.stamps[row] == stamp => {
-                    self.hashes.remove(row);
-                    self.stamps.remove(row);
-                }
-                // Seen again by a later push.
-                Some(Ok(_)) => {}
-                Some(Err(_)) => debug_assert!(false, "evicted user missing from the head"),
-                None => {
-                    if table.take(keyword.0, hash, Some(stamp)).is_some() {
-                        self.over -= 1;
-                    }
+        // With nothing spilled the head is the whole set, and every
+        // evicted user is a head row: no hash to route.
+        let in_head = if self.over == 0 {
+            !users.is_empty()
+        } else {
+            let last = self.hashes.last().copied();
+            let mut in_head = false;
+            for user in users {
+                let hash = hasher.hash(user.raw());
+                if last.is_some_and(|last| hash <= last) {
+                    in_head = true;
+                } else if table.take(keyword.0, hash, Some(stamp)).is_some() {
+                    self.over -= 1;
                 }
             }
+            in_head
+        };
+        if !in_head {
+            return;
         }
+        let Some(first) = self.stamps.iter().position(|&s| s == stamp) else {
+            return;
+        };
+        let mut kept = first;
+        for row in first + 1..self.stamps.len() {
+            let s = self.stamps[row];
+            self.hashes[kept] = self.hashes[row];
+            self.stamps[kept] = s;
+            kept += usize::from(s != stamp);
+        }
+        self.hashes.truncate(kept);
+        self.stamps.truncate(kept);
     }
 
     /// Draws the smallest rows above the head back out of the table until
@@ -781,7 +812,7 @@ impl KeywordWindowEntry {
         // By hash, a user's mentions oldest first: the last of a run of
         // equal hashes names the newest push that saw the user.
         rows.sort_unstable();
-        let cap = HEAD_ROWS_PER_SKETCH_ROW * self.p;
+        let cap = HEAD_ROWS_PER_SKETCH_ROW * self.p as usize;
         for (i, &(hash, age)) in rows.iter().enumerate() {
             if self.hashes.len() == cap {
                 break;
@@ -798,6 +829,16 @@ impl KeywordWindowEntry {
             }
         }
     }
+}
+
+/// The positions of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word).filter(|&b| b != 0), |&b| {
+            Some(b & (b - 1)).filter(|&b| b != 0)
+        })
+        .map(move |b| w * 64 + b.trailing_zeros() as usize)
+    })
 }
 
 /// The incremental window index: everything [`WindowState`] serves per
@@ -829,6 +870,10 @@ struct WindowIndex {
     materialize_threshold: usize,
     /// Slot `k` holds the entry of `KeywordId(k)`, if live.
     entries: Vec<Option<KeywordWindowEntry>>,
+    /// One bit per keyword id, set exactly for the live entries: what
+    /// [`Self::live_entries`] walks, 8 bytes per 64 ids instead of one
+    /// slot per id ever seen.
+    live_bits: Vec<u64>,
     /// Number of live entries.
     live: usize,
     /// The rows above their keyword's head, for every live entry.
@@ -871,6 +916,7 @@ impl WindowIndex {
         Self {
             materialize_threshold: materialize_threshold.max(1),
             entries: Vec::new(),
+            live_bits: Vec::new(),
             live: 0,
             table: OverflowTable::default(),
             pushes: 0,
@@ -885,12 +931,13 @@ impl WindowIndex {
         self.entries.get(keyword.index()).and_then(Option::as_ref)
     }
 
-    /// Iterates `(keyword, entry)` pairs ascending by keyword id.
+    /// Iterates `(keyword, entry)` pairs ascending by keyword id: a walk
+    /// of the set bits of [`Self::live_bits`], `O(max id / 64 + live)`.
     fn live_entries(&self) -> impl Iterator<Item = (KeywordId, &KeywordWindowEntry)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|e| (KeywordId(i as u32), e)))
+        set_bits(&self.live_bits).filter_map(|i| {
+            let entry = self.entries.get(i)?.as_ref()?;
+            Some((KeywordId(i as u32), entry))
+        })
     }
 
     /// Puts an empty (pooled, if there is one) entry into the vacant slot
@@ -905,6 +952,11 @@ impl WindowIndex {
         }
         debug_assert!(self.entries[idx].is_none(), "slot is already live");
         self.live += 1;
+        let word = idx / 64;
+        if word >= self.live_bits.len() {
+            self.live_bits.resize(word + 1, 0);
+        }
+        self.live_bits[word] |= 1 << (idx % 64);
         self.entries[idx] = Some(
             self.entry_pool
                 .pop()
@@ -985,7 +1037,7 @@ impl WindowIndex {
                 continue;
             };
             entry.expire(keyword, users, evicted, hasher, &mut self.table);
-            if entry.over > 0 && entry.hashes.len() < entry.p {
+            if entry.over > 0 && entry.hashes.len() < entry.p as usize {
                 entry.refill(
                     keyword,
                     window,
@@ -999,6 +1051,8 @@ impl WindowIndex {
                 // A refill leaves an empty head only over an empty table.
                 debug_assert_eq!(entry.over, 0);
                 self.live -= 1;
+                let idx = keyword.index();
+                self.live_bits[idx / 64] &= !(1 << (idx % 64));
                 if let Some(dead) = slot.take() {
                     self.entry_pool.push(dead);
                 }
@@ -1539,6 +1593,27 @@ impl WindowState {
                 index.live
             ));
         }
+        // The presence bits, both ways: a bit for every live slot (the
+        // count of set bits is the live count) and none for any other id.
+        let bits: usize = index
+            .live_bits
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        if bits != index.live {
+            return Err(format!(
+                "index live count is {} but {bits} presence bits are set",
+                index.live
+            ));
+        }
+        if let Some(stray) =
+            set_bits(&index.live_bits).find(|&i| index.entries.get(i).is_none_or(Option::is_none))
+        {
+            return Err(format!(
+                "{} has a presence bit but no live entry",
+                KeywordId(stray as u32)
+            ));
+        }
         // Materialization soundness: a record bringing at least the
         // threshold of distinct users forces an entry, and that entry can
         // only die when the keyword leaves the window entirely — so while
@@ -1590,7 +1665,7 @@ impl WindowState {
         let oldest = index.pushes.wrapping_sub(self.window.len() as u32);
         for (keyword, entry) in index.live_entries() {
             let rows = entry.hashes.len();
-            let p = entry.p;
+            let p = entry.p as usize;
             if entry.stamps.len() != rows || rows > HEAD_ROWS_PER_SKETCH_ROW * p {
                 return Err(format!(
                     "{keyword}: head holds {rows} hashes and {} stamps (p = {p})",
@@ -2196,17 +2271,18 @@ mod tests {
 
     /// The decode bound's stated cost (`MAX_DECODED_KEYWORD_INDEX`'s
     /// docs, and the restore entry points') is what the slots weigh: a
-    /// window index slot, a graph adjacency slot and a presence bit per id.
+    /// window index slot, a graph adjacency slot and two presence bits
+    /// (the index's and the graph's) per id.
     #[test]
     fn decoder_bound_caps_index_slots_at_the_stated_figure() {
         let window_slot = std::mem::size_of::<Option<KeywordWindowEntry>>();
         let graph_slot = std::mem::size_of::<Vec<(dengraph_graph::NodeId, f64)>>();
         let ids = MAX_DECODED_KEYWORD_INDEX + 1;
-        let worst = (window_slot + graph_slot) * ids + ids.div_ceil(64) * 8;
+        let worst = (window_slot + graph_slot) * ids + 2 * ids.div_ceil(64) * 8;
         assert!(
-            worst <= 403_200_000,
+            worst <= 370_200_000,
             "{window_slot} + {graph_slot}-byte slots put the decoder bound at {worst} bytes, \
-             above the stated 403 MB"
+             above the stated 370 MB"
         );
     }
 }

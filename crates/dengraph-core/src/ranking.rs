@@ -15,6 +15,13 @@
 //!
 //! Dense, strongly correlated, well-supported clusters therefore rank high;
 //! accidental clusters rank low.
+//!
+//! The rank is one forward pass over the cluster's sorted columns: one row
+//! per member, each starting at the diagonal 1, filled by a scan of the
+//! edge column that walks each left endpoint's AKG adjacency forward for
+//! the weights.  Every row receives its terms in ascending-neighbour order,
+//! so the f64 result does not depend on how the cluster was built, and the
+//! pass makes no hash probe and no sort.
 
 use dengraph_graph::dynamic_graph::EdgeKey;
 use dengraph_graph::DynamicGraph;
@@ -44,43 +51,81 @@ pub fn cluster_rank<S: NodeSupport>(cluster: &Cluster, graph: &DynamicGraph, sup
 }
 
 /// Rank ([`cluster_rank`]) and total support ([`cluster_support`]) of a
-/// cluster in one pass, leaving its member nodes in `nodes`, ascending (a
-/// reported event's keyword list is exactly that column).  Allocates
-/// nothing once `nodes` has grown to the largest cluster.
+/// cluster in one pass over its two sorted columns, read in place.
+/// `rows` is scratch, one `f64` per member; nothing is allocated once it
+/// has grown to the largest cluster.
 ///
 /// The f64 accumulation is not associative, so the fold order is part of
-/// the result: each node's row starts at the diagonal `C_ii = 1` and adds
-/// its cluster edges' correlations ascending by neighbour, and the total
-/// adds `w_i · row_i` ascending by node — never in hash order, which
-/// would make the rank depend on how the sets happened to be built.  A
-/// node's row is read off its AKG adjacency, which is already in that
-/// order and carries the weights; the cluster's edge set only says which
-/// entries count.  (A cluster edge missing from the graph contributes
-/// 0.0 either way.)
+/// the result: each member's row starts at the diagonal `C_ii = 1` and
+/// adds its cluster edges' correlations ascending by neighbour, and the
+/// total adds `w_i · row_i` ascending by node — never in hash order,
+/// which would make the rank depend on how the sets happened to be built.
+///
+/// One forward scan of the edge column fills every row in that order.
+/// The edges `(a, b)`, `a < b`, come in runs by left endpoint `a`; a run
+/// walks `a`'s AKG adjacency (ascending, carrying the weights) forward to
+/// each right endpoint `b` and adds the weight to both rows.  A row `x`
+/// thus gets its `(a, x)` terms, `a < x`, from earlier runs in ascending
+/// `a`, then its own run's `(x, b)` terms in ascending `b`: ascending by
+/// neighbour.  Members are found by moving two cursors forward through
+/// the node column (the left one across the whole pass, the right one
+/// across a run), so the pass makes no hash probe, no search and no
+/// sort.  A cluster edge missing from the graph contributes nothing (the
+/// reference adds 0.0), and an endpoint that is not a member has no row.
 pub(crate) fn rank_and_support<S: NodeSupport>(
     cluster: &Cluster,
     graph: &DynamicGraph,
     support: &S,
-    nodes: &mut Vec<NodeId>,
+    rows: &mut Vec<f64>,
 ) -> (f64, usize) {
-    nodes.clear();
-    #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
-    nodes.extend(cluster.nodes.iter().copied());
-    nodes.sort_unstable();
+    let (nodes, edges) = (&cluster.nodes, &cluster.edges);
     if nodes.is_empty() {
         return (0.0, 0);
     }
-    let mut total = 0.0;
-    let mut total_support = 0;
-    for &node in nodes.iter() {
-        let w = support.support(node);
-        total_support += w;
-        let mut row = 1.0;
-        for (other, ec) in graph.neighbors_weighted(node) {
-            if cluster.contains_edge(EdgeKey::new(node, other)) {
-                row += ec;
+    rows.clear();
+    rows.resize(nodes.len(), 1.0);
+    // `left` / `right`: the rows of the current run's left endpoint and of
+    // its current right endpoint, or where they would be.
+    let (mut i, mut left) = (0, 0);
+    while let Some(&EdgeKey(a, _)) = edges.get(i) {
+        while nodes.get(left).is_some_and(|&n| n < a) {
+            left += 1;
+        }
+        let a_is_member = nodes.get(left) == Some(&a);
+        let mut right = left;
+        let mut adjacency = graph.neighbors_weighted(a);
+        let mut entry = adjacency.next();
+        while let Some(&EdgeKey(run_a, b)) = edges.get(i) {
+            if run_a != a {
+                break;
+            }
+            i += 1;
+            while let Some((x, _)) = entry {
+                if x >= b {
+                    break;
+                }
+                entry = adjacency.next();
+            }
+            let Some((x, ec)) = entry else { continue };
+            if x != b {
+                continue;
+            }
+            if a_is_member {
+                rows[left] += ec;
+            }
+            while nodes.get(right).is_some_and(|&n| n < b) {
+                right += 1;
+            }
+            if nodes.get(right) == Some(&b) {
+                rows[right] += ec;
             }
         }
+    }
+    let mut total = 0.0;
+    let mut total_support = 0;
+    for (&node, &row) in nodes.iter().zip(rows.iter()) {
+        let w = support.support(node);
+        total_support += w;
         total += w as f64 * row;
     }
     (total / nodes.len() as f64, total_support)
@@ -89,10 +134,6 @@ pub(crate) fn rank_and_support<S: NodeSupport>(
 /// Total support of a cluster: the number of distinct users behind its
 /// keywords (upper-bounded here by the sum of per-node supports, which is
 /// what the paper's weight vector uses).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "a usize sum is order-independent"
-)]
 pub fn cluster_support<S: NodeSupport>(cluster: &Cluster, support: &S) -> usize {
     cluster.nodes.iter().map(|&n| support.support(n)).sum()
 }
@@ -101,7 +142,6 @@ pub fn cluster_support<S: NodeSupport>(cluster: &Cluster, support: &S) -> usize 
 mod tests {
     use super::*;
     use crate::cluster::ClusterId;
-    use dengraph_graph::fxhash::FxHashSet;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -135,10 +175,17 @@ mod tests {
         total / n as f64
     }
 
+    /// Inserts `x` where a strictly ascending column keeps its order.
+    fn insert_sorted<T: Ord>(column: &mut Vec<T>, x: T) {
+        if let Err(at) = column.binary_search(&x) {
+            column.insert(at, x);
+        }
+    }
+
     fn assert_matches_reference(cluster: &Cluster, graph: &DynamicGraph, context: &str) {
         let support = |node: NodeId| (node.0 as usize * 7 + 3) % 41;
-        let mut nodes = Vec::new();
-        let (rank, total_support) = rank_and_support(cluster, graph, &support, &mut nodes);
+        let mut rows = Vec::new();
+        let (rank, total_support) = rank_and_support(cluster, graph, &support, &mut rows);
         assert_eq!(
             rank.to_bits(),
             cluster_rank_reference(cluster, graph, &support).to_bits(),
@@ -154,7 +201,7 @@ mod tests {
             cluster_support(cluster, &support),
             "{context}: support"
         );
-        assert_eq!(nodes, cluster.sorted_nodes(), "{context}: member column");
+        assert_eq!(rows.len(), cluster.size(), "{context}: one row per member");
     }
 
     #[test]
@@ -174,10 +221,13 @@ mod tests {
             }
             // A cluster over a random subset of its edges, plus: a member
             // node with no cluster edge, a cluster edge the graph does
-            // not carry, and an edge whose far endpoint is not a member.
+            // not carry, and an edge whose far endpoint is not a member;
+            // every other case also drops one endpoint from the members,
+            // so edges the graph carries run to a non-member from either
+            // side.
             let mut cluster = Cluster::new(
                 ClusterId(case),
-                FxHashSet::default(),
+                Vec::new(),
                 graph
                     .edges()
                     .filter(|_| rng.gen_bool(0.6))
@@ -186,10 +236,13 @@ mod tests {
                 0,
             );
             cluster.sync_nodes_to_edges();
-            cluster.nodes.insert(n(universe + 1));
-            cluster.edges.insert(EdgeKey::new(n(0), n(universe + 2)));
-            cluster.nodes.insert(n(universe + 2));
-            cluster.edges.insert(EdgeKey::new(n(1), n(universe + 3)));
+            if case % 2 == 1 && !cluster.nodes.is_empty() {
+                cluster.nodes.remove(rng.gen_range(0..cluster.nodes.len()));
+            }
+            insert_sorted(&mut cluster.nodes, n(universe + 1));
+            insert_sorted(&mut cluster.edges, EdgeKey::new(n(0), n(universe + 2)));
+            insert_sorted(&mut cluster.nodes, n(universe + 2));
+            insert_sorted(&mut cluster.edges, EdgeKey::new(n(1), n(universe + 3)));
             assert_matches_reference(&cluster, &graph, &format!("case {case}"));
             // The scratch column carries nothing from one cluster to the next.
             let support = |node: NodeId| node.0 as usize;
@@ -216,7 +269,7 @@ mod tests {
         let edgeless = Cluster::new(
             ClusterId(1),
             [n(4), n(5), n(77)].into_iter().collect(),
-            FxHashSet::default(),
+            Vec::new(),
             0,
         );
         assert_matches_reference(&edgeless, &graph, "no edges");
@@ -227,8 +280,8 @@ mod tests {
         g.add_edge(n(1), n(2), weights);
         g.add_edge(n(2), n(3), weights);
         g.add_edge(n(1), n(3), weights);
-        let nodes: FxHashSet<NodeId> = [n(1), n(2), n(3)].into_iter().collect();
-        let edges: FxHashSet<EdgeKey> = [
+        let nodes: Vec<NodeId> = [n(1), n(2), n(3)].into_iter().collect();
+        let edges: Vec<EdgeKey> = [
             EdgeKey::new(n(1), n(2)),
             EdgeKey::new(n(2), n(3)),
             EdgeKey::new(n(1), n(3)),
@@ -270,11 +323,11 @@ mod tests {
         let (tri, tri_g) = triangle_cluster(0.5);
         let mut g = DynamicGraph::new();
         let nodes: Vec<NodeId> = (1..=4).map(n).collect();
-        let mut edge_set: FxHashSet<EdgeKey> = FxHashSet::default();
+        let mut edge_set: Vec<EdgeKey> = Vec::new();
         for i in 0..4 {
             for j in (i + 1)..4 {
                 g.add_edge(nodes[i], nodes[j], 0.5);
-                edge_set.insert(EdgeKey::new(nodes[i], nodes[j]));
+                edge_set.push(EdgeKey::new(nodes[i], nodes[j]));
             }
         }
         let clique = Cluster::new(ClusterId(1), nodes.into_iter().collect(), edge_set, 0);
@@ -298,8 +351,8 @@ mod tests {
         g.add_edge(n(2), n(3), tau);
         g.add_edge(n(3), n(4), tau);
         g.add_edge(n(4), n(1), tau);
-        let nodes: FxHashSet<NodeId> = (1..=4).map(n).collect();
-        let edges: FxHashSet<EdgeKey> = [
+        let nodes: Vec<NodeId> = (1..=4).map(n).collect();
+        let edges: Vec<EdgeKey> = [
             EdgeKey::new(n(1), n(2)),
             EdgeKey::new(n(2), n(3)),
             EdgeKey::new(n(3), n(4)),
@@ -318,7 +371,7 @@ mod tests {
 
     #[test]
     fn empty_cluster_ranks_zero() {
-        let c = Cluster::new(ClusterId(0), FxHashSet::default(), FxHashSet::default(), 0);
+        let c = Cluster::new(ClusterId(0), Vec::new(), Vec::new(), 0);
         let g = DynamicGraph::new();
         assert_eq!(cluster_rank(&c, &g, &|_: NodeId| 10usize), 0.0);
         assert_eq!(cluster_support(&c, &|_: NodeId| 10usize), 0);

@@ -3,7 +3,7 @@
 //! Every quantum of the hot path used to allocate its working vectors
 //! fresh — candidate keyword lists, candidate pairs, the delta log, the
 //! `(keyword, user)` staging buffer for window aggregation, the member
-//! column of the cluster being ranked.  The [`ScratchArena`] is owned by
+//! rows of the cluster being ranked.  The [`ScratchArena`] is owned by
 //! the detector and threaded through the pipeline stages instead, so
 //! steady-state quanta reuse the previous quantum's capacity and perform
 //! (near) zero heap allocation (`tests/allocation_gate.rs` pins this).
@@ -58,6 +58,6 @@ pub(crate) struct ScratchArena {
     pub hash_columns: Vec<Vec<u64>>,
     /// The set-1 shared-minimum join index (stage 2).
     pub join: MinimaJoin,
-    /// The sorted member nodes of the cluster being ranked (stage 5).
-    pub rank_nodes: Vec<NodeId>,
+    /// One row sum per member of the cluster being ranked (stage 5).
+    pub rank_rows: Vec<f64>,
 }

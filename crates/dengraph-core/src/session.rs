@@ -915,7 +915,7 @@ impl DetectorSession {
     ///
     /// Replay trusts a consistent journal's keyword ids up to the decoder
     /// bound of 2²² keywords, so a restore may allocate up to about
-    /// 403 MB of id-indexed slots: 72 bytes of window index slot plus
+    /// 370 MB of id-indexed slots: 64 bytes of window index slot plus
     /// 24 bytes of AKG adjacency slot per id.
     pub fn restore_from_journal(bytes: &[u8]) -> Result<Self, RestoreError> {
         Ok(Self::over(wal::restore_detector_from_bytes(bytes)?.0))
@@ -939,7 +939,7 @@ impl DetectorSession {
     ///
     /// Replay trusts a consistent journal's keyword ids up to the decoder
     /// bound of 2²² keywords, so a restore may allocate up to about
-    /// 403 MB of id-indexed slots: 72 bytes of window index slot plus
+    /// 370 MB of id-indexed slots: 64 bytes of window index slot plus
     /// 24 bytes of AKG adjacency slot per id.
     pub fn restore_from_dir(dir: impl AsRef<Path>) -> Result<Self, RestoreError> {
         Self::restore_from_dir_with_report(dir).map(|(session, _report)| session)
@@ -957,7 +957,6 @@ impl DetectorSession {
 }
 
 #[cfg(test)]
-#[expect(clippy::disallowed_methods, reason = "builds a set from a set")]
 mod tests {
     use super::*;
     use crate::config::ConfigError;
@@ -1493,7 +1492,6 @@ mod tests {
     #[test]
     fn restore_rejects_clusters_the_engine_could_not_build() {
         use crate::cluster::ClusterRegistry;
-        use dengraph_graph::fxhash::FxHashSet;
         use dengraph_graph::{EdgeKey, NodeId};
 
         let mut session = builder().build().unwrap();
@@ -1534,7 +1532,7 @@ mod tests {
                 "is a self-loop",
             ),
         ] {
-            let edges: FxHashSet<EdgeKey> = edges
+            let edges: Vec<EdgeKey> = edges
                 .iter()
                 .map(|&(a, b)| EdgeKey(NodeId(a), NodeId(b)))
                 .collect();

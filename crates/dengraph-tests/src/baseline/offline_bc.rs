@@ -34,13 +34,9 @@ pub fn offline_bc_clusters(graph: &DynamicGraph, scheme: OfflineClusterScheme) -
     let mut clusters = Vec::new();
     let mut next_id = 0u64;
     let mut make = |edges: Vec<EdgeKey>, clusters: &mut Vec<Cluster>| {
-        let edge_set: FxHashSet<EdgeKey> = edges.into_iter().collect();
-        let mut nodes: FxHashSet<NodeId> = FxHashSet::default();
-        for e in &edge_set {
-            nodes.insert(e.0);
-            nodes.insert(e.1);
-        }
-        clusters.push(Cluster::new(ClusterId(next_id), nodes, edge_set, 0));
+        let mut cluster = Cluster::new(ClusterId(next_id), Vec::new(), edges, 0);
+        cluster.sync_nodes_to_edges();
+        clusters.push(cluster);
         next_id += 1;
     };
     for comp in components {

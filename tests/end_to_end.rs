@@ -13,6 +13,8 @@
 //! `SEED + 1` (Event-Specific) and `SEED + 2` (the ground-truth study).
 
 use dengraph_core::{DetectorBuilder, DetectorConfig};
+use dengraph_graph::fxhash::FxHashSet;
+use dengraph_graph::NodeId;
 use dengraph_stream::generator::profiles::{
     es_profile, ground_truth_profile, tw_profile, ProfileScale,
 };
@@ -227,8 +229,9 @@ fn live_clusters_are_mostly_majority_quasi_cliques() {
             session.process_quantum(quantum);
             for cluster in session.clusters().clusters() {
                 clusters += 1;
-                mqcs += usize::from(is_mqc(session.akg(), &cluster.nodes));
-                density_sum += density(session.akg(), &cluster.nodes);
+                let nodes: FxHashSet<NodeId> = cluster.nodes.iter().copied().collect();
+                mqcs += usize::from(is_mqc(session.akg(), &nodes));
+                density_sum += density(session.akg(), &nodes);
             }
         }
         let mqc_pct = 100.0 * mqcs as f64 / clusters as f64;

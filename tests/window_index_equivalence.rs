@@ -504,6 +504,46 @@ fn the_head_survives_one_eviction_and_promotes_on_the_last() {
     }
 }
 
+/// One eviction takes several rows out of one head at once while other
+/// users of the evicted quantum were restamped by a later one, on both
+/// sides of the head's last row: the compaction keeps the restamped rows,
+/// in order, between the rows it drops, and the table gives up only the
+/// rows still stamped with the evicted push.
+#[test]
+fn one_eviction_drops_several_head_rows_around_restamped_ones() {
+    let hasher = churn_hasher();
+    let crowd = by_hash(0..10);
+    let k = KeywordId(0);
+    let users = |picks: &[usize], quantum: u64| -> Vec<Message> {
+        picks
+            .iter()
+            .map(|&i| post(crowd[i], quantum, &[0]))
+            .collect()
+    };
+    for sketch_size in [1usize, 2, 16] {
+        let mut windows = Differential::new(sketch_size, 1, 2);
+        let label = format!("p={sketch_size}");
+        // Six users, then two of them again (the second lowest, inside
+        // every head; the fifth, in the table when p = 1) plus a new one.
+        windows.push(&users(&[0, 1, 2, 3, 4, 5], 0), 1, &label);
+        windows.push(&users(&[1, 4, 8], 1), 1, &label);
+        // Quantum 0 leaves: users 0, 2, 3 and 5 go, 1 and 4 stay.
+        windows.push(&users(&[9], 2), 1, &label);
+        assert_eq!(windows.incremental.window_user_count(k), 4, "{label}");
+        let mut kept: Vec<u64> = [1, 4, 8, 9]
+            .iter()
+            .map(|&i| hasher.hash(crowd[i]))
+            .collect();
+        kept.sort_unstable();
+        let p = sketch_size.min(kept.len());
+        assert_eq!(
+            windows.incremental.window_minima(k).expect("live"),
+            &kept[..p],
+            "{label}"
+        );
+    }
+}
+
 /// An entry whose keyword leaves the window is pooled and handed to the
 /// next keyword that materialises: neither the old rows nor the old cached
 /// sketch may come with it.
