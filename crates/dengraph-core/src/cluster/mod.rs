@@ -21,8 +21,9 @@
 //!
 //! * [`cluster`](self) — the [`Cluster`] value type and [`ClusterId`].
 //! * [`registry`] — the [`ClusterRegistry`]: cluster storage plus the
-//!   edge→cluster and node→clusters indexes and the shared-edge merge rule
-//!   (Lemma 6).
+//!   node→clusters index and the shared-edge merge rule (Lemma 6); an
+//!   edge's one owner is the cluster of its endpoint whose edge column
+//!   holds it.
 //! * [`addition`] — the `EdgeAddition` algorithm of Section 5.2 (the AKG
 //!   adds a node's edges one by one, so it also does Section 5.1's
 //!   `NodeAddition`).

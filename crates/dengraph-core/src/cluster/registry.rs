@@ -1,33 +1,38 @@
-//! Cluster storage and indexes.
+//! Cluster storage and its node index.
 //!
-//! The registry owns all live clusters and maintains two indexes:
+//! The registry owns all live clusters, by id, and one index: `node →
+//! clusters`, each node's cluster ids strictly ascending.  A node may
+//! belong to several clusters (two clusters may share an articulation
+//! node, e.g. after the split of Figure 6), so the index holds a list.
 //!
-//! * `edge → cluster` — an AKG edge belongs to at most one cluster (two
-//!   clusters sharing an edge merge, Lemma 6), so this is a plain map;
-//! * `node → clusters` — a node may belong to several clusters (two
-//!   clusters may share an articulation node, e.g. after the split of
-//!   Figure 6), so this is a multimap.
+//! An AKG edge belongs to at most one cluster (two clusters sharing an
+//! edge merge, Lemma 6), and that cluster holds both of its endpoints, so
+//! an edge's owner is found without an index of its own:
+//! [`ClusterRegistry::cluster_of_edge`] asks the clusters of the edge's
+//! first endpoint — usually one or two — which of them has the edge in its
+//! sorted edge column.
 //!
 //! Every edit keeps each cluster's two columns strictly ascending and its
 //! nodes the endpoints of its edges: [`ClusterRegistry::absorb`] merges by
 //! a sorted union, [`ClusterRegistry::replace_with`] builds each successor
 //! from its edge column, and `ClusterRegistry::detach_edge` removes one
 //! edge by binary search (the repair that must follow rebuilds the
-//! nodes).  [`ClusterRegistry::check_invariants`] checks both.
+//! nodes).  [`ClusterRegistry::check_invariants`] checks both, and that no
+//! edge has two owners.
 
 use dengraph_graph::dynamic_graph::EdgeKey;
-use dengraph_graph::fxhash::{FxHashMap, FxHashSet};
+use dengraph_graph::fxhash::FxHashMap;
 use dengraph_graph::NodeId;
 use dengraph_json::{Decode, Encode};
 
 use super::{endpoints, Cluster, ClusterId};
 
-/// Owns every live cluster plus the edge and node indexes.
+/// Owns every live cluster plus the node index.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterRegistry {
     clusters: FxHashMap<ClusterId, Cluster>,
-    edge_index: FxHashMap<EdgeKey, ClusterId>,
-    node_index: FxHashMap<NodeId, FxHashSet<ClusterId>>,
+    /// Each member node's clusters, strictly ascending and never empty.
+    node_index: FxHashMap<NodeId, Vec<ClusterId>>,
     next_id: u64,
 }
 
@@ -62,31 +67,31 @@ impl ClusterRegistry {
         self.clusters.get(&id)
     }
 
-    /// The cluster owning this edge, if any.
+    /// The cluster owning this edge, if any: the one cluster of the edge's
+    /// first endpoint whose edge column holds it (Lemma 6 allows no
+    /// second).  It reads the edge column, not the node column: after
+    /// `detach_edge` the node column keeps the detached edge's endpoints
+    /// until the repair runs, and the edge has no owner.
     pub fn cluster_of_edge(&self, edge: EdgeKey) -> Option<ClusterId> {
-        self.edge_index.get(&edge).copied()
+        self.node_index
+            .get(&edge.0)?
+            .iter()
+            .copied()
+            .find(|id| self.clusters.get(id).is_some_and(|c| c.contains_edge(edge)))
     }
 
-    /// The clusters containing this node (possibly several), sorted by id.
-    /// The underlying index is an `FxHashSet`; sorting here keeps every
-    /// downstream consumer (e.g. the node-deletion repair order, and hence
-    /// fresh-id assignment after splits) independent of hash-iteration
+    /// The clusters containing this node (possibly several), sorted by id,
+    /// so every downstream consumer (e.g. the node-deletion repair order,
+    /// and hence fresh-id assignment after splits) is independent of hash
     /// order.
-    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
     pub fn clusters_of_node(&self, node: NodeId) -> Vec<ClusterId> {
-        let mut ids: Vec<ClusterId> = self
-            .node_index
-            .get(&node)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        ids.sort_unstable();
-        ids
+        self.node_index.get(&node).cloned().unwrap_or_default()
     }
 
     /// Is the node a member of at least one cluster?  (This is the
     /// hysteresis test the AKG maintenance asks about.)
     pub fn is_cluster_member(&self, node: NodeId) -> bool {
-        self.node_index.get(&node).is_some_and(|s| !s.is_empty())
+        self.node_index.contains_key(&node)
     }
 
     /// Allocates a fresh cluster id.
@@ -112,7 +117,7 @@ impl ClusterRegistry {
             cluster
                 .edges
                 .iter()
-                .all(|e| !self.edge_index.contains_key(e)),
+                .all(|&e| self.cluster_of_edge(e).is_none()),
             "edge already owned by another cluster"
         );
         self.index(&cluster);
@@ -120,28 +125,20 @@ impl ClusterRegistry {
         id
     }
 
-    /// Points both indexes at every edge and node of `cluster`.
+    /// Points the node index at every node of `cluster`.
     fn index(&mut self, cluster: &Cluster) {
-        for &e in &cluster.edges {
-            self.edge_index.insert(e, cluster.id);
-        }
         for &n in &cluster.nodes {
-            self.node_index.entry(n).or_default().insert(cluster.id);
+            insert_id(self.node_index.entry(n).or_default(), cluster.id);
         }
     }
 
-    /// Removes a cluster entirely, cleaning both indexes.
+    /// Removes a cluster entirely, cleaning the node index.
     pub fn remove(&mut self, id: ClusterId) -> Option<Cluster> {
         let cluster = self.clusters.remove(&id)?;
-        for e in &cluster.edges {
-            if self.edge_index.get(e) == Some(&id) {
-                self.edge_index.remove(e);
-            }
-        }
         for n in &cluster.nodes {
-            if let Some(set) = self.node_index.get_mut(n) {
-                set.remove(&id);
-                if set.is_empty() {
+            if let Some(ids) = self.node_index.get_mut(n) {
+                ids.retain(|&c| c != id);
+                if ids.is_empty() {
                     self.node_index.remove(n);
                 }
             }
@@ -155,15 +152,18 @@ impl ClusterRegistry {
     /// Returns the id of the resulting cluster.
     ///
     /// The merge happens in place in the oldest touched cluster, whose
-    /// columns take the others' and the new material by a sorted union:
-    /// only the edges and nodes new to it are indexed, and only the
-    /// clusters merged away are re-pointed.  `spend_id` is for a caller
-    /// folding several short cycles into one call (EdgeAddition): when its
-    /// first cycle touched no cluster, the per-cycle chain this call
-    /// stands for gave that cycle a fresh id before a later cycle merged
-    /// it into an older cluster, so the id is used up here as well and
-    /// every later id lands where the chain put it.
-    #[expect(clippy::expect_used, reason = "touched ids come from the edge index")]
+    /// columns take the others' and the new material by a sorted union.
+    /// The node index is edited in place: each node of a cluster merged
+    /// away swaps that cluster's id for the target's in its own list, and
+    /// each new node gains the target's id if it lacks it.
+    ///
+    /// `spend_id` is for a caller folding several short cycles into one
+    /// call (EdgeAddition): when its first cycle touched no cluster, the
+    /// per-cycle chain this call stands for gave that cycle a fresh id
+    /// before a later cycle merged it into an older cluster, so the id is
+    /// used up here as well and every later id lands where the chain put
+    /// it.
+    #[expect(clippy::expect_used, reason = "touched ids come from the node index")]
     pub fn absorb(
         &mut self,
         new_nodes: &[NodeId],
@@ -174,7 +174,7 @@ impl ClusterRegistry {
         // Which existing clusters share an edge with the new material?
         let mut touched: Vec<ClusterId> = new_edges
             .iter()
-            .filter_map(|e| self.edge_index.get(e).copied())
+            .filter_map(|&e| self.cluster_of_edge(e))
             .collect();
         touched.sort_unstable();
         touched.dedup();
@@ -192,24 +192,20 @@ impl ClusterRegistry {
             .expect("touched cluster exists");
         for &cid in merged_away {
             let merged = self.clusters.remove(&cid).expect("touched cluster exists");
-            for &e in &merged.edges {
-                self.edge_index.insert(e, target);
-            }
             for n in &merged.nodes {
                 let ids = self.node_index.get_mut(n).expect("member node is indexed");
-                ids.remove(&cid);
-                ids.insert(target);
+                ids.retain(|&c| c != cid);
+                insert_id(ids, target);
             }
             cluster.born_quantum = cluster.born_quantum.min(merged.born_quantum);
-            union_into(&mut cluster.edges, &merged.edges, |_| {});
-            union_into(&mut cluster.nodes, &merged.nodes, |_| {});
+            union_into(&mut cluster.edges, &merged.edges);
+            union_into(&mut cluster.nodes, &merged.nodes);
         }
-        union_into(&mut cluster.edges, new_edges, |e| {
-            self.edge_index.insert(e, target);
-        });
-        union_into(&mut cluster.nodes, new_nodes, |n| {
-            self.node_index.entry(n).or_default().insert(target);
-        });
+        union_into(&mut cluster.edges, new_edges);
+        union_into(&mut cluster.nodes, new_nodes);
+        for &n in new_nodes {
+            insert_id(self.node_index.entry(n).or_default(), target);
+        }
         cluster.born_quantum = cluster.born_quantum.min(quantum);
         cluster.updated_quantum = quantum;
         self.clusters.insert(target, cluster);
@@ -228,7 +224,7 @@ impl ClusterRegistry {
     ) -> ClusterId {
         let mut ids: Vec<ClusterId> = edges
             .iter()
-            .filter_map(|e| self.edge_index.get(e).copied())
+            .filter_map(|&e| self.cluster_of_edge(e))
             .collect();
         if ids.is_empty() {
             return self.insert_new(nodes, edges, quantum);
@@ -292,22 +288,11 @@ impl ClusterRegistry {
         self.next_id
     }
 
-    /// Marks a cluster as updated in `quantum` (e.g. after a weight-only
-    /// change relevant to event tracking).
-    pub fn touch(&mut self, id: ClusterId, quantum: u64) {
-        if let Some(c) = self.clusters.get_mut(&id) {
-            c.updated_quantum = quantum;
-        }
-    }
-
-    /// Removes one edge from a cluster's edge column and the edge index,
-    /// without any repair (the node column keeps the edge's endpoints
-    /// until the repair replaces the cluster).  Used as the first step of
-    /// the deletion algorithms; callers must follow up with a repair.
+    /// Removes one edge from a cluster's edge column, without any repair
+    /// (the node column and the node index keep the edge's endpoints until
+    /// the repair replaces the cluster).  Used as the first step of the
+    /// deletion algorithms; callers must follow up with a repair.
     pub(crate) fn detach_edge(&mut self, id: ClusterId, edge: EdgeKey) {
-        if self.edge_index.get(&edge) == Some(&id) {
-            self.edge_index.remove(&edge);
-        }
         if let Some(c) = self.clusters.get_mut(&id) {
             if let Ok(row) = c.edges.binary_search(&edge) {
                 c.edges.remove(row);
@@ -315,28 +300,17 @@ impl ClusterRegistry {
         }
     }
 
-    /// Assembles a registry from decoded parts, rebuilding both indexes
+    /// Assembles a registry from decoded parts, rebuilding the node index
     /// from the cluster contents — the single validation path shared by
     /// the JSON and binary decoders (checkpoints and journal snapshots
-    /// alike).  Rejects a duplicate cluster id or an edge owned by two
-    /// clusters while indexing, then runs [`Self::check_invariants`], the
-    /// check debug builds assert after every quantum: every restored
-    /// cluster is one SCP cluster, and a fresh id can never collide with a
-    /// live one.
+    /// alike).  Rejects a duplicate cluster id, then runs
+    /// [`Self::check_invariants`], the check debug builds assert after
+    /// every quantum: every restored cluster is one SCP cluster, no edge
+    /// has two owners, and a fresh id can never collide with a live one.
     fn from_parts(next_id: u64, clusters: Vec<Cluster>) -> dengraph_json::Result<Self> {
         let mut registry = Self::new();
         for cluster in clusters {
-            for &e in &cluster.edges {
-                if registry.edge_index.insert(e, cluster.id).is_some() {
-                    return Err(dengraph_json::JsonError {
-                        message: format!("edge {e:?} owned by two serialised clusters"),
-                        offset: 0,
-                    });
-                }
-            }
-            for &n in &cluster.nodes {
-                registry.node_index.entry(n).or_default().insert(cluster.id);
-            }
+            registry.index(&cluster);
             let id = cluster.id;
             if registry.clusters.insert(id, cluster).is_some() {
                 return Err(dengraph_json::JsonError {
@@ -353,13 +327,15 @@ impl ClusterRegistry {
     }
 
     /// Checks the internal invariants: both columns of every cluster
-    /// strictly ascending and its nodes exactly its edges' endpoints; each
-    /// edge owned by exactly the cluster the index says; node index
-    /// consistent; every cluster has ≥ 3 nodes and is one SCP cluster
+    /// strictly ascending and its nodes exactly its edges' endpoints; no
+    /// edge owned by two clusters (Lemma 6); each node's index list
+    /// non-empty, strictly ascending and exactly the clusters holding the
+    /// node; every cluster has ≥ 3 nodes and is one SCP cluster
     /// ([`Cluster::satisfies_scp`], one [`dengraph_graph::scp_edge_groups`]
     /// group holding all its edges); `next_id` strictly above every live
-    /// id so fresh ids can never collide.  Both decoders end with it, so every restore runs it;
-    /// debug builds also assert it after every quantum.
+    /// id so fresh ids can never collide.  Both decoders end with it, so
+    /// every restore runs it; debug builds also assert it after every
+    /// quantum.
     #[expect(
         clippy::disallowed_methods,
         clippy::iter_over_hash_type,
@@ -372,6 +348,18 @@ impl ClusterRegistry {
                     "next_id {} is not above the highest live cluster id {max_id}",
                     self.next_id
                 ));
+            }
+        }
+        for (n, ids) in &self.node_index {
+            if ids.is_empty() || ids.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!(
+                    "node index list of {n} is empty or not strictly ascending"
+                ));
+            }
+            for id in ids {
+                if !self.clusters.get(id).is_some_and(|c| c.contains_node(*n)) {
+                    return Err(format!("node index entry {n} -> {id} is dangling"));
+                }
             }
         }
         for (id, c) in &self.clusters {
@@ -389,26 +377,22 @@ impl ClusterRegistry {
             if !c.satisfies_scp() {
                 return Err(format!("cluster {id} violates the short-cycle property"));
             }
-            for e in &c.edges {
-                if self.edge_index.get(e) != Some(id) {
-                    return Err(format!("edge {e:?} of cluster {id} not indexed to it"));
-                }
-            }
             for n in &c.nodes {
-                if !self.node_index.get(n).is_some_and(|s| s.contains(id)) {
+                if self
+                    .node_index
+                    .get(n)
+                    .is_none_or(|ids| ids.binary_search(id).is_err())
+                {
                     return Err(format!("node {n} of cluster {id} missing from node index"));
                 }
             }
-        }
-        for (e, id) in &self.edge_index {
-            if !self.clusters.get(id).is_some_and(|c| c.contains_edge(*e)) {
-                return Err(format!("edge index entry {e:?} -> {id} is dangling"));
-            }
-        }
-        for (n, ids) in &self.node_index {
-            for id in ids {
-                if !self.clusters.get(id).is_some_and(|c| c.contains_node(*n)) {
-                    return Err(format!("node index entry {n} -> {id} is dangling"));
+            // The edge's first endpoint lists this cluster, so the lookup
+            // finds an owner; another one means two clusters hold the edge.
+            for &e in &c.edges {
+                if let Some(owner) = self.cluster_of_edge(e).filter(|owner| owner != id) {
+                    return Err(format!(
+                        "edge {e:?} owned by two clusters, {owner} and {id}"
+                    ));
                 }
             }
         }
@@ -416,15 +400,20 @@ impl ClusterRegistry {
     }
 }
 
+/// Inserts `id` into the strictly ascending `ids` unless it is there.
+fn insert_id(ids: &mut Vec<ClusterId>, id: ClusterId) {
+    if let Err(at) = ids.binary_search(&id) {
+        ids.insert(at, id);
+    }
+}
+
 /// Merges `add` (in any order) into the strictly ascending `column`, which
-/// stays strictly ascending; `on_new` sees each element of `add` the
-/// column lacked (a repeated one possibly more than once).
-fn union_into<T: Ord + Copy>(column: &mut Vec<T>, add: &[T], mut on_new: impl FnMut(T)) {
+/// stays strictly ascending.
+fn union_into<T: Ord + Copy>(column: &mut Vec<T>, add: &[T]) {
     let old = column.len();
     for &x in add {
         if column[..old].binary_search(&x).is_err() {
             column.push(x);
-            on_new(x);
         }
     }
     if column.len() > old {
@@ -435,8 +424,8 @@ fn union_into<T: Ord + Copy>(column: &mut Vec<T>, add: &[T], mut on_new: impl Fn
 
 impl Encode for ClusterRegistry {
     /// Serialises the registry: the next fresh id plus every live cluster,
-    /// sorted by id.  The edge and node indexes are derived data and are
-    /// rebuilt by [`Self::from_json`].
+    /// sorted by id.  The node index is derived data and is rebuilt by
+    /// [`Self::from_json`].
     fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
@@ -495,6 +484,7 @@ impl Decode for ClusterRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dengraph_graph::fxhash::FxHashSet;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -687,6 +677,51 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// `check_invariants` rejects what Lemma 6 and the node index forbid,
+    /// in states built by hand (`insert_new` debug-asserts that no edge is
+    /// shared, so no edit reaches them).
+    #[test]
+    fn check_invariants_rejects_a_shared_edge_and_a_bad_node_list() {
+        let mut honest = ClusterRegistry::new();
+        let (nodes, edges) = triangle(1, 2, 3);
+        let a = honest.insert_new(nodes, edges, 0);
+        let (nodes, edges) = triangle(3, 4, 5);
+        let b = honest.insert_new(nodes, edges, 0);
+        assert!(honest.check_invariants().is_ok());
+
+        // Triangles 1-2-3 and 1-2-4 as two clusters share the edge 1-2.
+        let mut shared = honest.clone();
+        let (nodes, edges) = triangle(1, 2, 4);
+        let c = ClusterId(shared.next_id);
+        shared.next_id += 1;
+        let cluster = Cluster::new(c, nodes, edges, 0);
+        shared.index(&cluster);
+        shared.clusters.insert(c, cluster);
+        let err = shared.check_invariants().unwrap_err();
+        assert!(err.contains("owned by two clusters, c0 and c2"), "{err}");
+
+        // Node 1's list also names `b`, which lacks node 1.
+        let mut dangling = honest.clone();
+        dangling.node_index.get_mut(&n(1)).unwrap().push(b);
+        let err = dangling.check_invariants().unwrap_err();
+        assert!(
+            err.contains("node index entry n1 -> c1 is dangling"),
+            "{err}"
+        );
+
+        // Node 3 belongs to both clusters, listed in descending order.
+        let mut unsorted = honest.clone();
+        *unsorted.node_index.get_mut(&n(3)).unwrap() = vec![b, a];
+        let err = unsorted.check_invariants().unwrap_err();
+        assert!(err.contains("list of n3 is empty or not strictly"), "{err}");
+
+        // An empty list is a member with no cluster.
+        let mut empty = honest.clone();
+        empty.node_index.insert(n(9), Vec::new());
+        let err = empty.check_invariants().unwrap_err();
+        assert!(err.contains("list of n9 is empty"), "{err}");
+    }
+
     /// The registry as sets: what every cluster holds, by id, and the
     /// next id.  Each edit below is written from the registry's docs.
     #[derive(Default)]
@@ -753,8 +788,9 @@ mod tests {
     /// Random `absorb` / `detach_edge` / `replace_with` scripts: after
     /// every edit both columns of every cluster are strictly ascending, a
     /// cluster whose edges were not detached since it was built has
-    /// exactly their endpoints as nodes, both indexes point at the
-    /// columns, and everything matches the set model.
+    /// exactly their endpoints as nodes, and everything matches the set
+    /// model — every edge of the universe has the model's owner (none for
+    /// a detached edge), and every node the model's clusters.
     #[test]
     #[expect(
         clippy::disallowed_methods,
@@ -850,11 +886,19 @@ mod tests {
                     if &ends == nodes {
                         assert_eq!(c.nodes, endpoints(&c.edges), "{at}: nodes are endpoints");
                     }
-                    for &edge in &c.edges {
-                        assert_eq!(r.cluster_of_edge(edge), Some(c.id), "{at}: edge index");
-                    }
-                    for &node in &c.nodes {
-                        assert!(r.clusters_of_node(node).contains(&c.id), "{at}: node index");
+                }
+                for a in 0..universe {
+                    let want: Vec<ClusterId> = model
+                        .clusters
+                        .iter()
+                        .filter(|(_, (nodes, _))| nodes.contains(&n(a)))
+                        .map(|(&id, _)| ClusterId(id))
+                        .collect();
+                    assert_eq!(r.clusters_of_node(n(a)), want, "{at}: clusters of {a}");
+                    assert_eq!(r.is_cluster_member(n(a)), !want.is_empty(), "{at}");
+                    for b in a + 1..universe {
+                        let owner = model.owner(e(a, b)).map(ClusterId);
+                        assert_eq!(r.cluster_of_edge(e(a, b)), owner, "{at}: owner of {a}-{b}");
                     }
                 }
             }

@@ -46,6 +46,13 @@ impl<F: Fn(NodeId) -> usize> NodeSupport for F {
 /// `graph` supplies the edge-correlation weights of the cluster's edges;
 /// `support` supplies the per-node user counts.  Returns 0.0 for an empty
 /// cluster.
+///
+/// Each call allocates one row column (one `f64` per member) and drops
+/// it.  The session's report loop does not pay that: it calls
+/// `rank_and_support` with the rows kept in `ScratchArena::rank_rows`,
+/// which stop growing once they fit the largest cluster.  A caller that
+/// ranks every cluster every quantum through this function pays one
+/// allocation per cluster per quantum.
 pub fn cluster_rank<S: NodeSupport>(cluster: &Cluster, graph: &DynamicGraph, support: &S) -> f64 {
     rank_and_support(cluster, graph, support, &mut Vec::new()).0
 }

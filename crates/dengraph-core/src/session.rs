@@ -1485,15 +1485,11 @@ mod tests {
         }
     }
 
-    /// Restore runs the cluster registry's own check: a checkpoint holding
-    /// a cluster the engine could not have built fails with a typed error,
-    /// in both wire formats.  Each hand-built registry replaces the honest
-    /// one (a single cluster) where it sits in the encoded detector.
-    #[test]
-    fn restore_rejects_clusters_the_engine_could_not_build() {
-        use crate::cluster::ClusterRegistry;
-        use dengraph_graph::{EdgeKey, NodeId};
-
+    /// The fixture checkpoint (one cluster) in both wire formats with its
+    /// registry replaced, where it sits in the encoded detector, by the
+    /// given JSON text and binary bytes: `("JSON", doc)` and
+    /// `("binary", doc)`.
+    fn with_registry(json_registry: &str, bin_registry: &[u8]) -> [(&'static str, Vec<u8>); 2] {
         let mut session = builder().build().unwrap();
         session.run(&event_quantum(20, 6, &[1, 2, 3], 0));
         let honest = session.detector().clusters().registry();
@@ -1512,8 +1508,42 @@ mod tests {
             .collect();
         assert_eq!(at.len(), 1, "the honest registry sits once in the body");
         // A raw binary container: magic, version, method 0.
-        let mut raw = session.checkpoint_bytes(WireFormat::Binary)[..5].to_vec();
-        raw.push(0);
+        let mut doc_bin = session.checkpoint_bytes(WireFormat::Binary)[..5].to_vec();
+        doc_bin.push(0);
+        doc_bin.extend_from_slice(&body[..at[0]]);
+        doc_bin.extend_from_slice(bin_registry);
+        doc_bin.extend_from_slice(&body[at[0] + honest_bin.len()..]);
+        [
+            (
+                "JSON",
+                json.replace(&honest_json, json_registry).into_bytes(),
+            ),
+            ("binary", doc_bin),
+        ]
+    }
+
+    /// Asserts that both documents fail to restore with a typed error
+    /// whose message contains `reason`.
+    fn assert_rejected(shape: &str, documents: [(&str, Vec<u8>); 2], reason: &str) {
+        for (format, bytes) in documents {
+            match DetectorSession::restore_bytes(&bytes) {
+                Err(RestoreError::Json(e)) => assert!(
+                    e.message.contains(reason),
+                    "{shape} ({format}): rejected for {e}"
+                ),
+                other => panic!("{shape} ({format}): expected a typed error, got {other:?}"),
+            }
+        }
+    }
+
+    /// Restore runs the cluster registry's own check: a checkpoint holding
+    /// a cluster the engine could not have built fails with a typed error,
+    /// in both wire formats.  Each hand-built registry replaces the honest
+    /// one (a single cluster) where it sits in the encoded detector.
+    #[test]
+    fn restore_rejects_clusters_the_engine_could_not_build() {
+        use crate::cluster::ClusterRegistry;
+        use dengraph_graph::{EdgeKey, NodeId};
 
         for (shape, edges, reason) in [
             (
@@ -1539,23 +1569,60 @@ mod tests {
             let nodes = edges.iter().flat_map(|e| [e.0, e.1]).collect();
             let mut bad = ClusterRegistry::new();
             bad.insert_new(nodes, edges, 0);
-
-            let doc = json.replace(&honest_json, &dengraph_json::to_string(&bad.to_json()));
             let mut bin = dengraph_json::BinWriter::new();
             bad.to_bin(&mut bin);
-            let mut doc_bin = raw.clone();
-            doc_bin.extend_from_slice(&body[..at[0]]);
-            doc_bin.extend_from_slice(bin.as_slice());
-            doc_bin.extend_from_slice(&body[at[0] + honest_bin.len()..]);
-            for (format, bytes) in [("JSON", doc.as_bytes()), ("binary", &doc_bin[..])] {
-                match DetectorSession::restore_bytes(bytes) {
-                    Err(RestoreError::Json(e)) => assert!(
-                        e.message.contains(reason),
-                        "{shape} ({format}): rejected for {e}"
-                    ),
-                    other => panic!("{shape} ({format}): expected a typed error, got {other:?}"),
-                }
+            let documents =
+                with_registry(&dengraph_json::to_string(&bad.to_json()), bin.as_slice());
+            assert_rejected(shape, documents, reason);
+        }
+    }
+
+    /// Restore rejects registries Lemma 6 forbids, each cluster in them
+    /// valid on its own: two clusters sharing an edge (two clusters that
+    /// share an edge are one), and one cluster id listed twice.  The
+    /// registries are written cluster by cluster, since no edit builds
+    /// them.
+    #[test]
+    fn restore_rejects_a_shared_edge_and_a_repeated_cluster_id() {
+        use crate::cluster::{Cluster, ClusterId};
+        use dengraph_graph::{EdgeKey, NodeId};
+        use dengraph_json::Value;
+
+        let triangle = |id: u64, [a, b, c]: [u32; 3]| {
+            let [a, b, c] = [a, b, c].map(NodeId);
+            let edges = vec![EdgeKey::new(a, b), EdgeKey::new(b, c), EdgeKey::new(a, c)];
+            Cluster::new(ClusterId(id), vec![a, b, c], edges, 0)
+        };
+        let shared_edge = format!("edge {:?} owned by two", EdgeKey::new(NodeId(1), NodeId(2)));
+        for (shape, next_id, clusters, reason) in [
+            (
+                "triangles 1-2-3 and 1-2-4",
+                2,
+                [triangle(0, [1, 2, 3]), triangle(1, [1, 2, 4])],
+                shared_edge.as_str(),
+            ),
+            (
+                "cluster id 0 twice",
+                1,
+                [triangle(0, [1, 2, 3]), triangle(0, [4, 5, 6])],
+                "cluster id c0 serialised twice",
+            ),
+        ] {
+            let json = Value::obj([
+                ("next_id", Value::from(next_id)),
+                (
+                    "clusters",
+                    Value::arr(clusters.iter().map(Cluster::to_json)),
+                ),
+            ]);
+            let mut bin = dengraph_json::BinWriter::new();
+            bin.u64(next_id);
+            bin.usize(clusters.len());
+            for cluster in &clusters {
+                cluster.to_bin(&mut bin);
             }
+            let documents = with_registry(&dengraph_json::to_string(&json), bin.as_slice());
+            assert_rejected(shape, documents, reason);
         }
     }
 
