@@ -42,21 +42,25 @@
 //! together — on the benchmark's streams 90 % of the postings (`tw-ids`,
 //! `es-durable`, ≈ 500 a quantum) and 99.8 % (`dense-ids`, ≈ 2 000) share
 //! a top-bits bucket with another, the largest holding 14–25 on average.
-//! What remains is output-sensitive emission, bounded by Σ r_m² over the
+//! What remains is output-sensitive work, bounded by Σ r_m² over the
 //! minima `m` shared by `r_m` keywords.  The `exact_edge_correlation`
 //! ablation has no sketches to join on and keeps the cross product.
 //!
-//! ## One scoring path
+//! ## One estimator
 //!
-//! Every candidate pair is scored by one estimator,
-//! `dengraph_minhash::estimate_jaccard_minima`, over two columns of
-//! ascending user hashes, and applied as soon as it is scored: a score
-//! reads only the window, which applying never mutates.  A keyword's
-//! column is its window sketch, read off the index in place and compared
-//! on the first `p` values of the union; under the ablation it is the
-//! keyword's whole window hash set, compared in full — a bottom-k estimate
-//! with k ≥ |A ∪ B| is the exact Jaccard coefficient, and user hashing is
-//! a bijection, so the columns stand for the user sets.
+//! Every candidate pair is scored by one estimator — of the first `p`
+//! values of the union of two ascending user-hash columns, the share held
+//! by both — and applied as soon as it is scored: a score reads only the
+//! window, which applying never mutates.  A keyword's column is its
+//! window sketch, read off the index in place; under the ablation it is
+//! the keyword's whole window hash set, compared in full (`p` unbounded)
+//! — a bottom-k estimate with k ≥ |A ∪ B| is the exact Jaccard
+//! coefficient, and user hashing is a bijection, so the columns stand for
+//! the user sets.  The join meets each set-1 pair once per shared minimum,
+//! in ascending order, so it counts the estimator's integers itself
+//! (`MinimaJoin::bursty_pairs`); every other pair is scored by
+//! `dengraph_minhash::estimate_jaccard_minima`'s merge walk.  Both divide
+//! the same two integers, so the two paths agree bit for bit.
 
 use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
@@ -302,9 +306,9 @@ const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The transient inverted index *sketch minimum → bursty keywords* behind
 /// candidate set 1 (see the module docs), rebuilt every quantum out of
-/// retained capacity: a chained hash join.  Keywords are addressed by
-/// their position in set 1, which is sorted, so position order is keyword
-/// order.
+/// retained capacity: a chained hash join that scores each pair it meets.
+/// Keywords are addressed by their position in set 1, which is sorted, so
+/// position order is keyword order.
 ///
 /// The trust model is the window index overflow table's (`keyword_state`
 /// module docs): a minimum is `UserHasher::hash` of a user id, a public
@@ -315,7 +319,7 @@ const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 #[derive(Debug, Default)]
 pub(crate) struct MinimaJoin {
     /// One `(minimum, position)` per sketch minimum of every set-1
-    /// keyword, grouped by position, ascending.
+    /// keyword, grouped by position, each group in column order.
     postings: Vec<(u64, u32)>,
     /// Per set-1 keyword, where its postings end; they start where the
     /// previous keyword's end.
@@ -327,33 +331,61 @@ pub(crate) struct MinimaJoin {
     /// Open-addressed, linear probing, a power of two ≥ 2·|postings| long:
     /// per minimum, the first posting of its chain, or [`NO_POSTING`].
     table: Vec<u32>,
-    /// `stamp[b] == a` once the pair `(a, b)` has been emitted: a family
-    /// of keywords over the same users shares every minimum, and must
-    /// still yield each of its pairs once.
-    stamp: Vec<u32>,
+    /// Per set-1 position `b`, its meeting with the current left keyword.
+    meets: Vec<Meet>,
+    /// The right keywords the current left keyword has met, in meeting
+    /// order.
+    met: Vec<u32>,
+}
+
+/// What the join has counted of one pair `(a, b)`: a family of keywords
+/// over the same users shares every minimum, and must still yield each of
+/// its pairs once.
+#[derive(Debug, Clone, Copy)]
+struct Meet {
+    /// The left position `a` these counts belong to (stale otherwise).
+    left: u32,
+    /// Shared minima met so far.
+    shared: u32,
+    /// Of those, the ones among the first `p` values of the union.
+    in_both: u32,
 }
 
 impl MinimaJoin {
-    /// Appends to `out` every position pair `(a, b)`, `a < b`, of `set1`
-    /// keywords whose window sketches share at least one minimum — each
-    /// pair once, ascending.  Costs one table insert per posting (≤ p per
-    /// set-1 keyword) plus one stamp check per (pair, shared minimum): the
-    /// ℓ2 degree bound Σ r_m² over minima `m` shared by `r_m` keywords.
-    /// The degenerate quantum in which every bursty keyword shares every
-    /// minimum pays p·C(n, 2) one-word checks, still less than the
-    /// C(n, 2) sketch walks the cross product costs.
+    /// Scores every position pair `(a, b)`, `a < b`, of `set1` keywords
+    /// whose window sketches share at least one minimum — each pair once,
+    /// ascending — and hands `apply` the pairs whose estimate reaches
+    /// `tau`.  Returns the number of pairs scored.
+    ///
+    /// The estimate is `estimate_jaccard_minima(a, b, p)`'s, counted from
+    /// the join's own walk: a shared minimum at index `i` of `a`'s column
+    /// and `j` of `b`'s, with `s` shared minima before it, has `i + j − s`
+    /// union values below it, so it is among the union's first `p` values
+    /// iff `i + j − s < p`.  With `c` shared minima in all, the union has
+    /// `|a| + |b| − c` values, so the estimate is `in_both / min(p, |a| +
+    /// |b| − c)` — the integers the merge walk would divide, bit for bit.
+    ///
+    /// Costs one table insert per posting (≤ p per set-1 keyword) plus one
+    /// count per (pair, shared minimum): the ℓ2 degree bound Σ r_m² over
+    /// minima `m` shared by `r_m` keywords.  The degenerate quantum in
+    /// which every bursty keyword shares every minimum pays p·C(n, 2)
+    /// counts, still less than the C(n, 2) sketch walks the cross product
+    /// costs.
     fn bursty_pairs(
         &mut self,
         window: &WindowState,
         set1: &[KeywordId],
-        out: &mut Vec<(u32, u32)>,
-    ) {
+        p: usize,
+        tau: f64,
+        mut apply: impl FnMut(u32, u32, f64),
+    ) -> usize {
         let Self {
             postings,
             ends,
             next,
             table,
-            stamp,
+            meets,
+            met,
         } = self;
         postings.clear();
         ends.clear();
@@ -389,28 +421,60 @@ impl MinimaJoin {
             }
         }
 
-        // Emit grouped by left keyword, so one stamp word per right
-        // keyword de-duplicates.  The chain after a posting of `a` holds
-        // exactly the keywords b > a sharing its minimum.
-        stamp.clear();
-        stamp.resize(set1.len(), u32::MAX);
-        let mut start = 0;
+        // Walk grouped by left keyword, so one `Meet` per right keyword
+        // counts a pair.  The chain after a posting of `a` holds exactly
+        // the keywords b > a sharing its minimum, and `a`'s postings run
+        // in column order, so each pair meets its shared minima ascending.
+        meets.clear();
+        meets.resize(
+            set1.len(),
+            Meet {
+                left: u32::MAX,
+                shared: 0,
+                in_both: 0,
+            },
+        );
+        let (mut start, mut scored) = (0, 0);
         for (a, &end) in ends.iter().enumerate() {
-            let (a, first) = (a as u32, out.len());
-            for &head in &next[start..end as usize] {
+            let a = a as u32;
+            met.clear();
+            for (i, &head) in next[start..end as usize].iter().enumerate() {
                 let mut at = head;
                 while at != NO_POSTING {
                     let b = postings[at as usize].1;
-                    if stamp[b as usize] != a {
-                        stamp[b as usize] = a;
-                        out.push((a, b));
+                    let meet = &mut meets[b as usize];
+                    if meet.left != a {
+                        *meet = Meet {
+                            left: a,
+                            shared: 0,
+                            in_both: 0,
+                        };
+                        met.push(b);
                     }
+                    // `b > a ≥ 0`, so `b`'s postings start at `ends[b − 1]`.
+                    let j = at as usize - ends[b as usize - 1] as usize;
+                    meet.in_both += u32::from(i + j - (meet.shared as usize) < p);
+                    meet.shared += 1;
                     at = next[at as usize];
                 }
             }
-            out[first..].sort_unstable();
+            met.sort_unstable();
+            let len_a = end as usize - start;
+            for &b in met.iter() {
+                let Meet {
+                    shared, in_both, ..
+                } = meets[b as usize];
+                let len_b = (ends[b as usize] - ends[b as usize - 1]) as usize;
+                let taken = p.min(len_a + len_b - shared as usize);
+                let ec = f64::from(in_both) / taken as f64;
+                if ec >= tau {
+                    apply(a, b, ec);
+                }
+            }
+            scored += met.len();
             start = end as usize;
         }
+        scored
     }
 }
 
@@ -589,10 +653,9 @@ impl AkgMaintainer {
             ref mut deltas,
             ref mut nodes,
             ref mut set1,
-            ref mut set1_bits,
+            ref mut keyword_bits,
             ref mut set2,
             ref mut edge_pairs,
-            ref mut all_pairs,
             ref mut involved,
             ref mut hash_columns,
             ref mut join,
@@ -644,20 +707,10 @@ impl AkgMaintainer {
         }
         stats.bursty_keywords = set1.len();
         // Set 1 as one bit per keyword id, cleared again before returning.
-        if let Some(&last) = set1.last() {
-            let words = last.0 as usize / 64 + 1;
-            if set1_bits.len() < words {
-                set1_bits.resize(words, 0);
-            }
-        }
         for &keyword in set1.iter() {
-            set1_bits[keyword.0 as usize / 64] |= 1 << (keyword.0 % 64);
+            keyword_bits.mark(keyword);
         }
-        let in_set1 = |keyword: KeywordId| {
-            set1_bits
-                .get(keyword.0 as usize / 64)
-                .is_some_and(|&word| word >> (keyword.0 % 64) & 1 == 1)
-        };
+        let in_set1 = |keyword: KeywordId| keyword_bits.contains(keyword);
 
         // --- 3. edge recomputation --------------------------------------------
         // The two candidate sets of Section 3.2.1: (2) existing edges of
@@ -727,39 +780,44 @@ impl AkgMaintainer {
 
         // Set 1 first, as ascending position pairs (position order is
         // keyword order), which is the order cluster-id assignment relies
-        // on.
-        all_pairs.clear();
-        if exact {
-            // No sketches to join on: the ablation scores the cross product.
-            let n = set1.len() as u32;
-            all_pairs.extend((0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))));
-        } else {
-            join.bursty_pairs(window, set1, all_pairs);
-        }
-        stats.pairs_evaluated = all_pairs.len() + edge_pairs.len();
-        for &(a, b) in all_pairs.iter() {
-            let (a, b) = (set1[a as usize], set1[b as usize]);
-            let ec = correlation(a, b);
-            let (na, nb) = (node_of(a), node_of(b));
-            if ec >= tau {
-                if self.graph.contains_edge(na, nb) {
-                    self.graph.set_edge_weight(na, nb, ec);
-                    deltas.push(GraphDelta::EdgeWeightUpdated {
-                        a: na,
-                        b: nb,
-                        weight: ec,
-                    });
-                } else {
-                    self.graph.add_edge(na, nb, ec);
+        // on.  Only pairs at `ec >= tau` act, so the join scores each pair
+        // it meets as it walks and hands over only those.
+        let bursty_scored = {
+            let graph = &mut self.graph;
+            let mut apply = |a: u32, b: u32, ec: f64| {
+                let (na, nb) = (node_of(set1[a as usize]), node_of(set1[b as usize]));
+                if graph.add_edge(na, nb, ec) {
                     deltas.push(GraphDelta::EdgeAdded {
                         a: na,
                         b: nb,
                         weight: ec,
                     });
                     stats.edges_added += 1;
+                } else {
+                    deltas.push(GraphDelta::EdgeWeightUpdated {
+                        a: na,
+                        b: nb,
+                        weight: ec,
+                    });
                 }
+            };
+            if exact {
+                // No sketches to join on: the ablation scores the cross product.
+                let n = set1.len() as u32;
+                for a in 0..n {
+                    for b in a + 1..n {
+                        let ec = correlation(set1[a as usize], set1[b as usize]);
+                        if ec >= tau {
+                            apply(a, b, ec);
+                        }
+                    }
+                }
+                set1.len() * set1.len().saturating_sub(1) / 2
+            } else {
+                join.bursty_pairs(window, set1, cap, tau, apply)
             }
-        }
+        };
+        stats.pairs_evaluated = bursty_scored + edge_pairs.len();
         for &(a, b) in edge_pairs.iter() {
             let ec = correlation(a, b);
             let (na, nb) = (node_of(a), node_of(b));
@@ -798,7 +856,7 @@ impl AkgMaintainer {
         // Only set-1 bits were set, so zeroing their words clears the
         // column in O(|set 1|).
         for &keyword in set1.iter() {
-            set1_bits[keyword.0 as usize / 64] = 0;
+            keyword_bits.clear_word(keyword);
         }
 
         self.last_stats = stats;

@@ -23,11 +23,11 @@ use dengraph_text::{KeywordId, KeywordInterner, NounHeuristic};
 use crate::akg::{keyword_of, live_keyword, node_of, AkgMaintainer, AkgQuantumStats, GraphDelta};
 use crate::checkpoint::RecordRing;
 use crate::cluster::maintainer::MaintenanceStats;
-use crate::cluster::ClusterMaintainer;
+use crate::cluster::{Cluster, ClusterMaintainer};
 use crate::config::DetectorConfig;
 use crate::event::{DetectedEvent, EventRecord, EventTracker};
 use crate::keyword_state::{QuantumRecord, WindowGeometry, WindowState};
-use crate::ranking::rank_and_support;
+use crate::ranking::{cluster_support, rank_and_support};
 use crate::scratch::ScratchArena;
 
 /// Summary of one processed quantum.
@@ -491,9 +491,6 @@ impl EventDetector {
         );
         let evicted = self.window.push(record);
         let evicted_quantum = evicted.as_ref().map(|r| r.index);
-        if let Some(old) = evicted {
-            self.scratch.record_storage = Some(old.into_storage());
-        }
 
         // 2. AKG maintenance.  The hysteresis callback consults the cluster
         //    registry as it stood at the end of the previous quantum.
@@ -512,8 +509,12 @@ impl EventDetector {
         self.clusters
             .apply_deltas(self.akg.graph(), &self.scratch.deltas, quantum);
 
-        // 4 + 5. Rank, filter and report.
-        let events = self.report_events(quantum);
+        // 4 + 5. Rank, filter and report.  The evicted record names the
+        //    keywords whose support fell; then its storage is recycled.
+        let events = self.report_events(quantum, evicted.as_ref());
+        if let Some(old) = evicted {
+            self.scratch.record_storage = Some(old.into_storage());
+        }
         for e in &events {
             self.tracker.observe(e);
         }
@@ -567,6 +568,43 @@ impl EventDetector {
             .registry()
             .check_invariants()
             .map_err(|e| format!("cluster registry: {e}"))?;
+        self.check_reported_outcomes()
+            .map_err(|e| format!("event tracker: {e}"))?;
+        Ok(())
+    }
+
+    /// The tie between the cluster registry and the event tracker that
+    /// lets a cluster whose inputs did not move keep its last outcome
+    /// (see [`Self::report_events`]): every live cluster's outcome at the
+    /// quantum processed last, as the tracker holds it, is the one its
+    /// current inputs give — a history point at that quantum with the
+    /// rank, bit for bit, if and only if ranking it now passes the report
+    /// filters.  Checked by [`Self::validate_invariants`], by both
+    /// decoders and after a journal's replay; under the `invariants`
+    /// feature it re-ranks every cluster, reused ranks included, at every
+    /// quantum boundary.
+    fn check_reported_outcomes(&self) -> Result<(), String> {
+        let Some(last) = self.next_quantum.checked_sub(1) else {
+            return Ok(());
+        };
+        let inputs = ReportInputs::new(
+            &self.config,
+            &self.window,
+            self.akg.graph(),
+            self.noun_filter.as_ref(),
+        );
+        let mut rows = Vec::new();
+        for cluster in self.clusters.clusters() {
+            let fresh = inputs.outcome(cluster, &mut rows).map(|(rank, _)| rank);
+            let kept = self.tracker.outcome_at(cluster.id, last);
+            if fresh.map(f64::to_bits) != kept.map(f64::to_bits) {
+                return Err(format!(
+                    "cluster {} reports {fresh:?} from its inputs, but its outcome at quantum \
+                     {last} is {kept:?}",
+                    cluster.id
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -653,7 +691,7 @@ impl EventDetector {
         )?;
         let next_quantum = Self::check_next_quantum(&window, value.get("next_quantum")?.as_u64()?)?;
         let akg = AkgMaintainer::from_json(config.clone(), &window, value.get("akg")?)?;
-        Ok(Self {
+        Self {
             window,
             akg,
             clusters: ClusterMaintainer::from_json(value.get("clusters")?)?,
@@ -669,7 +707,22 @@ impl EventDetector {
             total_messages: value.get("total_messages")?.as_u64()?,
             scratch: ScratchArena::default(),
             config,
-        })
+        }
+        .with_checked_outcomes(0)
+    }
+
+    /// `self`, or why its event tracker contradicts its clusters
+    /// ([`Self::check_reported_outcomes`]) as a decode error at `offset`.
+    /// Both decoders end with it, and journal recovery calls it once the
+    /// delta tail is replayed.
+    pub(crate) fn with_checked_outcomes(self, offset: usize) -> dengraph_json::Result<Self> {
+        match self.check_reported_outcomes() {
+            Ok(()) => Ok(self),
+            Err(e) => Err(dengraph_json::JsonError {
+                message: format!("event tracker: {e}"),
+                offset,
+            }),
+        }
     }
 
     /// The window's geometry is derived state; a checkpoint whose window
@@ -768,7 +821,7 @@ impl EventDetector {
             buffer.push(dengraph_stream::json::message_from_bin(r)?);
         }
         let next_quantum = Self::check_next_quantum(&window, r.u64()?)?;
-        Ok(Self {
+        Self {
             window,
             akg,
             clusters,
@@ -779,7 +832,8 @@ impl EventDetector {
             total_messages: r.u64()?,
             scratch: ScratchArena::default(),
             config,
-        })
+        }
+        .with_checked_outcomes(r.pos())
     }
 
     /// Encodes the state transition of the quantum that just completed
@@ -934,56 +988,159 @@ impl EventDetector {
     /// A node's support weight (distinct window users of its keyword) is
     /// read straight from the window index: every AKG node has a live
     /// index entry (see [`Self::validate_invariants`]), so each read is one
-    /// slot load.  The loop makes one pass per cluster over its sorted
-    /// columns ([`rank_and_support`]: rank and support together) and
-    /// allocates exactly the keyword list of each event it reports.
-    fn report_events(&mut self, quantum: u64) -> Vec<DetectedEvent> {
+    /// slot load.  A ranked cluster costs one pass over its sorted columns
+    /// ([`rank_and_support`]: rank and support together).
+    ///
+    /// A cluster's outcome reads only its columns, its edges' weights and
+    /// its members' support, so most clusters keep last quantum's.  One
+    /// the registry did not edit this quantum (`updated_quantum !=
+    /// quantum`: every edit sets it), none of whose members is a keyword
+    /// of the pushed or the `evicted` record (the only keywords whose
+    /// window users changed) or a node of this quantum's AKG deltas (the
+    /// only edges whose weight changed), has exactly its inputs of
+    /// `quantum − 1`.  It reuses that quantum's outcome from the tracker
+    /// ([`Self::check_reported_outcomes`] holds every restored state to
+    /// it): the rank of its history point at `quantum − 1` with the
+    /// support summed again, or no report.  The marks live in the
+    /// scratch keyword bits between the AKG stage and the end of this
+    /// one.  The loop allocates exactly the keyword list of each event it
+    /// reports.
+    fn report_events(
+        &mut self,
+        quantum: u64,
+        evicted: Option<&QuantumRecord>,
+    ) -> Vec<DetectedEvent> {
         let Self {
             config,
             window,
             akg,
             clusters,
+            tracker,
             noun_filter,
             scratch,
             ..
         } = self;
-        let rank_rows = &mut scratch.rank_rows;
-        let graph = akg.graph();
-        let node_support =
-            |node: dengraph_graph::NodeId| window.window_user_count(keyword_of(node));
-        let noun_filter = noun_filter.as_ref().filter(|_| config.require_noun);
-        let rank_threshold = config.rank_report_threshold();
+        let ScratchArena {
+            keyword_bits: moved,
+            rank_rows,
+            deltas,
+            ..
+        } = scratch;
+        let inputs = ReportInputs::new(config, window, akg.graph(), noun_filter.as_ref());
+        let moved_keywords = || {
+            window
+                .current()
+                .into_iter()
+                .chain(evicted)
+                .flat_map(|record| record.keywords())
+                .chain(deltas.iter().flat_map(|&d| delta_nodes(d).map(keyword_of)))
+        };
+        for keyword in moved_keywords() {
+            moved.mark(keyword);
+        }
+        let previous = quantum.checked_sub(1);
         let mut events: Vec<DetectedEvent> = Vec::with_capacity(clusters.cluster_count());
         for cluster in clusters.clusters() {
-            let (rank, support) = rank_and_support(cluster, graph, &node_support, rank_rows);
-            if rank < rank_threshold {
+            let unmoved = cluster.updated_quantum != quantum
+                && !cluster.nodes.iter().any(|&n| moved.contains(keyword_of(n)));
+            let outcome = match previous {
+                Some(previous) if unmoved => tracker
+                    .outcome_at(cluster.id, previous)
+                    .map(|rank| (rank, inputs.support(cluster))),
+                _ => inputs.outcome(cluster, rank_rows),
+            };
+            let Some((rank, support)) = outcome else {
                 continue;
-            }
+            };
             // Node order is keyword order, so the member column is the
             // event's sorted keyword list.
-            let keywords = cluster.nodes.iter().map(|&n| keyword_of(n));
-            if let Some(filter) = noun_filter {
-                if !keywords.clone().any(|k| filter.is_noun(k)) {
-                    continue;
-                }
-            }
             events.push(DetectedEvent {
                 cluster_id: cluster.id,
                 quantum,
                 rank,
                 support,
-                keywords: keywords.collect(),
+                keywords: cluster.nodes.iter().map(|&n| keyword_of(n)).collect(),
             });
         }
-        // Best rank first; equal ranks tie-break on cluster id so the
-        // report order never depends on hash-map iteration order (and,
-        // ids being unique, an unstable sort has nothing to reorder).
-        events.sort_unstable_by(|a, b| {
-            b.rank
-                .total_cmp(&a.rank)
-                .then(a.cluster_id.cmp(&b.cluster_id))
-        });
+        for keyword in moved_keywords() {
+            moved.clear_word(keyword);
+        }
+        sort_report(&mut events);
         events
+    }
+}
+
+/// Best rank first; equal ranks tie-break on cluster id so the report
+/// order never depends on hash-map iteration order (and, ids being
+/// unique, an unstable sort has nothing to reorder).
+fn sort_report(events: &mut [DetectedEvent]) {
+    events.sort_unstable_by(|a, b| {
+        b.rank
+            .total_cmp(&a.rank)
+            .then(a.cluster_id.cmp(&b.cluster_id))
+    });
+}
+
+/// The nodes a delta names (a node delta names its node twice).
+fn delta_nodes(delta: GraphDelta) -> [NodeId; 2] {
+    match delta {
+        GraphDelta::NodeAdded { node } | GraphDelta::NodeRemoved { node } => [node, node],
+        GraphDelta::EdgeAdded { a, b, .. }
+        | GraphDelta::EdgeWeightUpdated { a, b, .. }
+        | GraphDelta::EdgeRemoved { a, b } => [a, b],
+    }
+}
+
+/// What ranking a cluster reads besides its own columns: the AKG's edge
+/// weights, its members' window support, and the report filters.
+struct ReportInputs<'a> {
+    graph: &'a dengraph_graph::DynamicGraph,
+    window: &'a WindowState,
+    rank_threshold: f64,
+    /// The noun filter, when the configuration requires a noun.
+    noun_filter: Option<&'a NounFilter>,
+}
+
+impl<'a> ReportInputs<'a> {
+    fn new(
+        config: &DetectorConfig,
+        window: &'a WindowState,
+        graph: &'a dengraph_graph::DynamicGraph,
+        noun_filter: Option<&'a NounFilter>,
+    ) -> Self {
+        Self {
+            graph,
+            window,
+            rank_threshold: config.rank_report_threshold(),
+            noun_filter: noun_filter.filter(|_| config.require_noun),
+        }
+    }
+
+    /// A member's support: its keyword's distinct window users.
+    fn node_support(&self, node: NodeId) -> usize {
+        self.window.window_user_count(keyword_of(node))
+    }
+
+    /// The cluster's total support ([`cluster_support`]).
+    fn support(&self, cluster: &Cluster) -> usize {
+        cluster_support(cluster, &|node| self.node_support(node))
+    }
+
+    /// The cluster's rank and support if it is reported: its rank reaches
+    /// the threshold and, when nouns are required, a member is a noun.
+    /// `rows` is [`rank_and_support`]'s scratch.
+    fn outcome(&self, cluster: &Cluster, rows: &mut Vec<f64>) -> Option<(f64, usize)> {
+        let (rank, support) =
+            rank_and_support(cluster, self.graph, &|node| self.node_support(node), rows);
+        if rank < self.rank_threshold {
+            return None;
+        }
+        if let Some(filter) = self.noun_filter {
+            if !cluster.nodes.iter().any(|&n| filter.is_noun(keyword_of(n))) {
+                return None;
+            }
+        }
+        Some((rank, support))
     }
 }
 
@@ -1672,5 +1829,355 @@ mod tests {
         );
         // The cluster itself still exists; only reporting is filtered.
         assert_eq!(det.clusters().cluster_count(), 1);
+    }
+
+    /// Every live cluster ranked from its current inputs, filtered and
+    /// ordered as a report: what stage 5 reports with no outcome reused.
+    fn fresh_events(det: &EventDetector, quantum: u64) -> Vec<DetectedEvent> {
+        let inputs = ReportInputs::new(
+            &det.config,
+            &det.window,
+            det.akg.graph(),
+            det.noun_filter.as_ref(),
+        );
+        let mut rows = Vec::new();
+        let mut events: Vec<DetectedEvent> = det
+            .clusters
+            .clusters()
+            .filter_map(|cluster| {
+                let (rank, support) = inputs.outcome(cluster, &mut rows)?;
+                Some(DetectedEvent {
+                    cluster_id: cluster.id,
+                    quantum,
+                    rank,
+                    support,
+                    keywords: cluster.nodes.iter().map(|&n| keyword_of(n)).collect(),
+                })
+            })
+            .collect();
+        sort_report(&mut events);
+        events
+    }
+
+    /// Processes one quantum and holds its report to [`fresh_events`]
+    /// (ranks bit for bit) and the state to its invariants.
+    fn step(det: &mut EventDetector, messages: &[Message]) -> QuantumSummary {
+        let summary = det.process_messages(messages);
+        let fresh = fresh_events(det, summary.quantum);
+        let bits = |events: &[DetectedEvent]| -> Vec<(u64, u64, usize)> {
+            events
+                .iter()
+                .map(|e| (e.cluster_id.0, e.rank.to_bits(), e.support))
+                .collect()
+        };
+        assert_eq!(
+            bits(&summary.events),
+            bits(&fresh),
+            "quantum {}: a reused outcome is not the cluster's own",
+            summary.quantum
+        );
+        assert_eq!(summary.events, fresh);
+        if let Err(e) = det.validate_invariants() {
+            panic!("quantum {}: {e}", summary.quantum);
+        }
+        summary
+    }
+
+    /// `users` each post `keywords` once.
+    fn posts(users: std::ops::Range<u64>, keywords: &[u32]) -> Vec<Message> {
+        users
+            .map(|u| Message::new(UserId(u), u, keywords.iter().map(|&i| k(i)).collect()))
+            .collect()
+    }
+
+    /// The rank reported for `cluster` in `summary`, if any.
+    fn rank_of(summary: &QuantumSummary, cluster: crate::cluster::ClusterId) -> Option<f64> {
+        summary
+            .events
+            .iter()
+            .find(|e| e.cluster_id == cluster)
+            .map(|e| e.rank)
+    }
+
+    /// The one live cluster, which the registry last edited in
+    /// `updated_quantum`.
+    fn only_cluster(det: &EventDetector) -> &Cluster {
+        let mut clusters = det.clusters.clusters();
+        let cluster = clusters.next().expect("a live cluster");
+        assert!(clusters.next().is_none(), "one live cluster");
+        cluster
+    }
+
+    /// A member whose users leave with the evicted record, while it still
+    /// occurs in the window: the registry does not touch the cluster and
+    /// no AKG delta names the member, so only the evicted record's marks
+    /// show that its support fell.
+    #[test]
+    fn a_member_seen_only_in_the_evicted_record_is_re_ranked() {
+        let mut det = detector(cfg());
+        let mut reports = Vec::new();
+        for quantum in [
+            posts(100..106, &[1, 2, 3]),
+            posts(200..201, &[1, 2, 3]),
+            Vec::new(),
+            Vec::new(),
+            // Quantum 0 slides out: six of each member's seven users go.
+            Vec::new(),
+        ] {
+            let summary = step(&mut det, &quantum);
+            let cluster = only_cluster(&det);
+            reports.push(rank_of(&summary, cluster.id));
+            assert!(cluster.updated_quantum <= 1);
+        }
+        assert_eq!(
+            reports,
+            [Some(18.0), Some(21.0), Some(21.0), Some(21.0), None],
+            "7 users × (1 + 2 · 1.0) while the burst is in the window, 1 × 3 after"
+        );
+    }
+
+    /// A member that is bursty again, over new users whose sketch shares
+    /// no minimum with its neighbours': set 1 leaves the cluster's edges
+    /// unscored, so no AKG delta names it and the registry does not touch
+    /// the cluster; only the pushed record's marks show that its support
+    /// rose.  One-value sketches: the new users hash below the first ones.
+    #[test]
+    fn a_bursty_member_whose_edges_go_unscored_is_re_ranked() {
+        let config = DetectorConfig {
+            min_sketch_size: 1,
+            ..cfg()
+        };
+        assert_eq!(config.sketch_size(), 1);
+        let hasher = UserHasher::new(WINDOW_HASHER_SEED);
+        let mut ids: Vec<u64> = (0..60).collect();
+        ids.sort_unstable_by_key(|&id| hasher.hash(id));
+        let users = |ranks: std::ops::Range<usize>, keywords: &[u32]| -> Vec<Message> {
+            ids[ranks]
+                .iter()
+                .map(|&u| Message::new(UserId(u), u, keywords.iter().map(|&i| k(i)).collect()))
+                .collect()
+        };
+        let mut det = detector(config);
+        let summary = step(&mut det, &users(50..56, &[1, 2, 3]));
+        let id = only_cluster(&det).id;
+        assert_eq!(rank_of(&summary, id), Some(18.0));
+        let mut apart = users(0..3, &[1]);
+        apart.extend(users(3..6, &[2]));
+        apart.extend(users(6..9, &[3]));
+        let summary = step(&mut det, &apart);
+        assert_eq!(summary.akg_stats.pairs_evaluated, 0);
+        assert_eq!(only_cluster(&det).updated_quantum, 0);
+        assert_eq!(rank_of(&summary, id), Some(27.0), "9 users × (1 + 2 · 1.0)");
+    }
+
+    /// An edge's weight moves while every member keeps its support: user
+    /// 300 leaves keyword 3 with the evicted record and user 301 joins it,
+    /// so EC(1, 3) falls from 1 to 6/8 on its own.
+    #[test]
+    fn a_cluster_edge_whose_weight_alone_moves_is_re_ranked() {
+        let mut det = detector(cfg());
+        let core = || posts(100..106, &[1, 2, 3]);
+        let with = |mut messages: Vec<Message>, extra: Vec<Message>| {
+            messages.extend(extra);
+            messages
+        };
+        let mut reports = Vec::new();
+        for quantum in [
+            core(),
+            with(core(), posts(300..301, &[1, 3])),
+            core(),
+            with(core(), posts(300..301, &[1])),
+            core(),
+            with(core(), posts(301..302, &[3])),
+        ] {
+            let summary = step(&mut det, &quantum);
+            let cluster = only_cluster(&det);
+            assert_eq!(cluster.updated_quantum, 0, "weights are not registry edits");
+            let event = summary.events.iter().find(|e| e.cluster_id == cluster.id);
+            reports.push(event.map(|e| (e.rank, e.support)));
+        }
+        let (before, after) = (reports[4].unwrap(), reports[5].unwrap());
+        assert_eq!(before.1, after.1, "every member keeps its support");
+        assert!(after.0 < before.0, "EC(1, 3) fell: {before:?} → {after:?}");
+    }
+
+    /// A five-node cluster (triangles 1-2-3 and 3-4-5 joined by triangle
+    /// 2-3-4) loses edge 2-4 when its users slide out: it splits, the
+    /// successor 1-2-3 keeps the cluster's id and is ranked afresh, and
+    /// 3-4-5 gets a new id.
+    #[test]
+    fn a_split_whose_first_successor_keeps_its_id_is_re_ranked() {
+        let mut det = detector(cfg());
+        let mut first = posts(100..103, &[1, 2, 3]);
+        first.extend(posts(200..203, &[3, 4, 5]));
+        first.extend(posts(300..303, &[2, 4]));
+        let summary = step(&mut det, &first);
+        let whole = only_cluster(&det).id;
+        assert_eq!(only_cluster(&det).nodes.len(), 5);
+        let whole_rank = rank_of(&summary, whole).expect("the five-node cluster is reported");
+        let mut again = posts(100..102, &[1, 2, 3]);
+        again.extend(posts(200..202, &[3, 4, 5]));
+        for quantum in 1..4 {
+            let summary = step(&mut det, &again);
+            assert_eq!(only_cluster(&det).updated_quantum, 0, "quantum {quantum}");
+            assert!(rank_of(&summary, whole).is_some());
+        }
+        // Quantum 0 slides out with the users of 2-4.
+        let summary = step(&mut det, &again);
+        assert!(!det.akg().contains_edge(NodeId(2), NodeId(4)));
+        let kept = det.clusters.registry().get(whole).expect("the id survives");
+        assert_eq!(kept.nodes, [1, 2, 3].map(NodeId));
+        assert_eq!(kept.updated_quantum, 4);
+        assert_eq!(det.clusters.cluster_count(), 2);
+        let kept_rank = rank_of(&summary, whole).expect("1-2-3 is reported");
+        assert_ne!(kept_rank.to_bits(), whole_rank.to_bits());
+        // 2 × (1 + 1 + 0.5), twice, and 4 × (1 + 0.5 + 0.5), over 3.
+        assert_eq!(kept_rank, 6.0);
+    }
+
+    /// A cluster below the report threshold at q − 1 stays unreported
+    /// while nothing moves, is reported once a new user lifts it, keeps
+    /// that report while nothing moves, and drops out when the window
+    /// loses its users.
+    #[test]
+    fn a_cluster_below_the_threshold_keeps_its_outcome_until_an_input_moves() {
+        let config = DetectorConfig {
+            rank_threshold_factor: 2.0,
+            ..cfg()
+        };
+        // 9.6: above 3 users × (1 + 2 · 1.0), below 4 × 3.
+        let threshold = config.rank_report_threshold();
+        assert!(9.0 < threshold && threshold < 12.0);
+        let mut det = detector(config);
+        let mut reports = Vec::new();
+        for quantum in [
+            posts(100..103, &[1, 2, 3]),
+            Vec::new(),
+            posts(103..104, &[1, 2, 3]),
+            Vec::new(),
+            // Quantum 0 slides out.
+            Vec::new(),
+            Vec::new(),
+        ] {
+            let summary = step(&mut det, &quantum);
+            reports.push(rank_of(&summary, only_cluster(&det).id));
+        }
+        assert_eq!(reports, [None, None, Some(12.0), Some(12.0), None, None]);
+    }
+
+    /// The scenarios above in one stream, under distinct keywords: a
+    /// restore from either encoding after every quantum continues with
+    /// the uninterrupted run's reports, every one held to a fresh re-rank.
+    #[test]
+    fn a_restored_detector_reuses_only_outcomes_its_inputs_give() {
+        let config = DetectorConfig {
+            rank_threshold_factor: 1.5,
+            ..cfg()
+        };
+        let shifted = |messages: Vec<Message>, by: u32, users: u64| -> Vec<Message> {
+            messages
+                .into_iter()
+                .map(|m| {
+                    let keywords = m.keywords.iter().map(|kw| k(kw.0 + by)).collect();
+                    Message::new(UserId(m.user.raw() + users), m.time, keywords)
+                })
+                .collect()
+        };
+        let quanta: Vec<Vec<Message>> = (0..14u64)
+            .map(|q| {
+                let mut messages = Vec::new();
+                if q % 7 == 0 {
+                    messages.extend(posts(100..106, &[1, 2, 3]));
+                    messages.extend(shifted(posts(100..103, &[1, 2, 3]), 10, 1_000));
+                    messages.extend(shifted(posts(200..203, &[3, 4, 5]), 10, 1_000));
+                    messages.extend(shifted(posts(300..303, &[2, 4]), 10, 1_000));
+                }
+                if q % 7 == 1 {
+                    messages.extend(posts(200..201, &[1, 2, 3]));
+                }
+                if q % 7 != 0 && q % 7 < 5 {
+                    messages.extend(shifted(posts(100..102, &[1, 2, 3]), 10, 1_000));
+                    messages.extend(shifted(posts(200..202, &[3, 4, 5]), 10, 1_000));
+                }
+                if q % 3 == 2 {
+                    messages.extend(shifted(posts(100..103 + q, &[1, 2, 3]), 20, 2_000));
+                }
+                messages
+            })
+            .collect();
+        let mut whole = detector(config.clone());
+        let expected: Vec<QuantumSummary> = quanta.iter().map(|q| step(&mut whole, q)).collect();
+        assert!(expected.iter().any(|s| !s.events.is_empty()));
+        for at in 1..quanta.len() {
+            let mut head = detector(config.clone());
+            for quantum in &quanta[..at] {
+                head.process_messages(quantum);
+            }
+            let mut bin = dengraph_json::BinWriter::new();
+            head.to_bin(&mut bin);
+            let restored = [
+                EventDetector::from_json(&head.to_json()).expect("JSON restores"),
+                EventDetector::from_bin(&mut dengraph_json::BinReader::new(bin.as_slice()))
+                    .expect("binary restores"),
+            ];
+            for mut det in restored {
+                for (quantum, summary) in quanta[at..].iter().zip(&expected[at..]) {
+                    assert_eq!(&step(&mut det, quantum), summary, "restored at {at}");
+                }
+            }
+        }
+    }
+
+    /// A document whose tracker does not hold a cluster's last outcome is
+    /// one the engine could not have written, and both decoders refuse it:
+    /// the next quantum would report from it.
+    #[test]
+    fn decoders_reject_a_tracker_that_contradicts_the_clusters() {
+        let mut det = detector(cfg());
+        step(&mut det, &posts(100..106, &[1, 2, 3]));
+        step(&mut det, &[]);
+        let id = only_cluster(&det).id;
+        let honest = det.tracker.get(id).expect("reported").clone();
+        let mut forged = honest.clone();
+        forged.rank_history.last_mut().expect("a report").1 += 1.0;
+        let mut stale = honest.clone();
+        stale.rank_history.pop();
+        for (record, expected) in [
+            (
+                Some(forged),
+                "reports Some(18.0) from its inputs, but its outcome",
+            ),
+            (Some(stale), "is None"),
+            (None, "is None"),
+        ] {
+            let mut tampered = detector(cfg());
+            step(&mut tampered, &posts(100..106, &[1, 2, 3]));
+            step(&mut tampered, &[]);
+            tampered.tracker = EventTracker::new();
+            if let Some(record) = &record {
+                for (q, rank) in &record.rank_history {
+                    tampered.tracker.observe(&DetectedEvent {
+                        cluster_id: id,
+                        quantum: *q,
+                        keywords: record.keywords.clone(),
+                        rank: *rank,
+                        support: record.peak_support,
+                    });
+                }
+            }
+            let err = EventDetector::from_json(&tampered.to_json()).unwrap_err();
+            assert!(err.message.contains(expected), "{}", err.message);
+            let mut bin = dengraph_json::BinWriter::new();
+            tampered.to_bin(&mut bin);
+            let err = EventDetector::from_bin(&mut dengraph_json::BinReader::new(bin.as_slice()))
+                .unwrap_err();
+            assert!(err.message.contains(expected), "{}", err.message);
+            assert!(tampered.validate_invariants().is_err());
+        }
+        let mut bin = dengraph_json::BinWriter::new();
+        det.to_bin(&mut bin);
+        assert!(
+            EventDetector::from_bin(&mut dengraph_json::BinReader::new(bin.as_slice())).is_ok()
+        );
     }
 }

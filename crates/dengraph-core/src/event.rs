@@ -458,6 +458,15 @@ impl EventTracker {
     pub fn get(&self, cluster_id: ClusterId) -> Option<&EventRecord> {
         self.records.get(&cluster_id)
     }
+
+    /// The rank the event of `cluster_id` was reported with at `quantum`,
+    /// if its newest report is from that quantum.
+    pub(crate) fn outcome_at(&self, cluster_id: ClusterId, quantum: u64) -> Option<f64> {
+        match self.records.get(&cluster_id)?.rank_history.last() {
+            Some(&(at, rank)) if at == quantum => Some(rank),
+            _ => None,
+        }
+    }
 }
 
 impl Encode for EventTracker {

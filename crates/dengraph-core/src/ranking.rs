@@ -23,6 +23,8 @@
 //! so the f64 result does not depend on how the cluster was built, and the
 //! pass makes no hash probe and no sort.
 
+use std::cell::Cell;
+
 use dengraph_graph::dynamic_graph::EdgeKey;
 use dengraph_graph::DynamicGraph;
 use dengraph_graph::NodeId;
@@ -41,20 +43,28 @@ impl<F: Fn(NodeId) -> usize> NodeSupport for F {
     }
 }
 
+thread_local! {
+    /// [`cluster_rank`]'s row scratch, one per thread, kept between calls.
+    static RANK_ROWS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
 /// Computes the rank of a cluster.
 ///
 /// `graph` supplies the edge-correlation weights of the cluster's edges;
 /// `support` supplies the per-node user counts.  Returns 0.0 for an empty
 /// cluster.
 ///
-/// Each call allocates one row column (one `f64` per member) and drops
-/// it.  The session's report loop does not pay that: it calls
-/// `rank_and_support` with the rows kept in `ScratchArena::rank_rows`,
-/// which stop growing once they fit the largest cluster.  A caller that
-/// ranks every cluster every quantum through this function pays one
-/// allocation per cluster per quantum.
+/// The member rows the rank pass fills are a per-thread column kept
+/// between calls, so once it fits the largest cluster ranked on the
+/// thread, a call allocates nothing.  (A `support` that itself ranks a
+/// cluster finds the column taken and ranks into a fresh one.)
 pub fn cluster_rank<S: NodeSupport>(cluster: &Cluster, graph: &DynamicGraph, support: &S) -> f64 {
-    rank_and_support(cluster, graph, support, &mut Vec::new()).0
+    RANK_ROWS.with(|cell| {
+        let mut rows = cell.take();
+        let (rank, _) = rank_and_support(cluster, graph, support, &mut rows);
+        cell.set(rows);
+        rank
+    })
 }
 
 /// Rank ([`cluster_rank`]) and total support ([`cluster_support`]) of a

@@ -38,17 +38,15 @@ pub(crate) struct ScratchArena {
     pub nodes: Vec<NodeId>,
     /// Set 1 of Section 3.2.1: this quantum's bursty keywords, sorted.
     pub set1: Vec<KeywordId>,
-    /// Set 1 as one bit per keyword id, all zero between quanta; grown to
-    /// the largest bursty id seen, never shrunk.
-    pub set1_bits: Vec<u64>,
+    /// One bit per keyword id, all zero between stages; grown to the
+    /// largest id marked, never shrunk.  Set 1 while the AKG is maintained
+    /// (stage 2), then the keywords whose rank inputs may have moved while
+    /// clusters are ranked (stage 5).
+    pub keyword_bits: KeywordBits,
     /// Set 2 of Section 3.2.1: AKG keywords occurring this quantum, sorted.
     pub set2: Vec<KeywordId>,
     /// Candidate pairs along existing AKG edges, sorted.
     pub edge_pairs: Vec<(KeywordId, KeywordId)>,
-    /// Candidate set 1 as pairs of positions in `set1`, ascending: the
-    /// shared-minimum join's output (the cross product under the
-    /// `exact_edge_correlation` ablation).
-    pub all_pairs: Vec<(u32, u32)>,
     /// Under the ablation only: set 1 plus the endpoints of `edge_pairs`,
     /// sorted + deduped — the keys of `hash_columns`.
     pub involved: Vec<KeywordId>,
@@ -60,4 +58,38 @@ pub(crate) struct ScratchArena {
     pub join: MinimaJoin,
     /// One row sum per member of the cluster being ranked (stage 5).
     pub rank_rows: Vec<f64>,
+}
+
+/// A set of keyword ids as one bit per id, grown on demand and never
+/// shrunk.  Its users clear it by zeroing the words of the ids they
+/// marked, in O(marks) whatever the largest id.
+#[derive(Debug, Default)]
+pub(crate) struct KeywordBits {
+    words: Vec<u64>,
+}
+
+impl KeywordBits {
+    /// Adds `keyword`.
+    pub fn mark(&mut self, keyword: KeywordId) {
+        let word = keyword.0 as usize / 64;
+        if self.words.len() <= word {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (keyword.0 % 64);
+    }
+
+    /// Is `keyword` marked?
+    pub fn contains(&self, keyword: KeywordId) -> bool {
+        self.words
+            .get(keyword.0 as usize / 64)
+            .is_some_and(|&word| word >> (keyword.0 % 64) & 1 == 1)
+    }
+
+    /// Zeroes the word holding `keyword`: unmarks it and every id that
+    /// shares its word.
+    pub fn clear_word(&mut self, keyword: KeywordId) {
+        if let Some(word) = self.words.get_mut(keyword.0 as usize / 64) {
+            *word = 0;
+        }
+    }
 }

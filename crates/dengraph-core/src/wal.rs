@@ -685,6 +685,7 @@ fn replay(scan: &ScannedJournal<'_>) -> Result<(EventDetector, RecoveryReport), 
         let record = DeltaRecord::decode(payload)?;
         detector.apply_delta_record(&record)?;
     }
+    let detector = detector.with_checked_outcomes(0)?;
     let report = RecoveryReport {
         segments_scanned: scan.segments_scanned,
         frames_recovered: scan.frames_recovered,

@@ -442,3 +442,128 @@ fn thousands_of_bursty_keywords_in_one_quantum_pin_the_join() {
         0
     );
 }
+
+/// The first `n` user ids in ascending order of their [`HASHER_SEED`]
+/// hash: user `ranked(n)[k]` holds the `k`-th smallest hash, so a keyword
+/// over users of ranks `R` has the `p` smallest ranks of `R` as its
+/// sketch.
+fn ranked(n: usize) -> Vec<u64> {
+    let hasher = UserHasher::new(HASHER_SEED);
+    let mut ids: Vec<u64> = (0..n as u64).collect();
+    ids.sort_unstable_by_key(|&id| hasher.hash(id));
+    ids
+}
+
+/// Runs one quantum in which keyword `i` is posted by the users of hash
+/// ranks `keywords[i]` (each at least σ = 3 of them), at sketch width `p`
+/// and threshold `tau`, through a fresh maintainer and the all-pairs
+/// reference; asserts the two delta logs are equal and returns the
+/// maintainer's graph.
+fn one_designed_quantum(p: usize, tau: f64, keywords: &[Vec<usize>]) -> DynamicGraph {
+    let config = DetectorConfig {
+        high_state_threshold: 3,
+        edge_correlation_threshold: tau,
+        min_sketch_size: p,
+        window_quanta: 2,
+        ..DetectorConfig::nominal()
+    };
+    assert_eq!(config.sketch_size(), p, "σ = 3 leaves the width to p");
+    let users = ranked(keywords.iter().flatten().max().map_or(0, |&r| r + 1));
+    let mut messages = Vec::new();
+    for (rank, &user) in users.iter().enumerate() {
+        let posted: Vec<KeywordId> = (0..keywords.len() as u32)
+            .filter(|&i| keywords[i as usize].contains(&rank))
+            .map(KeywordId)
+            .collect();
+        if !posted.is_empty() {
+            messages.push(Message::new(UserId(user), 0, posted));
+        }
+    }
+    let record = QuantumRecord::from_messages(0, &messages);
+    let mut reference = AllPairsReference {
+        config: config.clone(),
+        graph: DynamicGraph::new(),
+    };
+    let mut reference_window = window_for(&config, usize::MAX);
+    reference_window.push(record.clone());
+    let (expected, _) = reference.process_quantum(&record, &reference_window);
+    let mut window = window_for(&config, config.high_state_threshold as usize);
+    window.push(record.clone());
+    let mut akg = AkgMaintainer::new(config);
+    let deltas = akg.process_quantum(&record, &window, |_| false);
+    assert_eq!(
+        deltas, expected,
+        "p {p}, τ {tau}, {keywords:?}: the in-join estimate diverged from the merge walk"
+    );
+    reference.graph
+}
+
+/// The weight the pair of keywords 0 and 1 gets, if any, from
+/// [`one_designed_quantum`].
+fn designed_pair(p: usize, tau: f64, a: &[usize], b: &[usize]) -> Option<f64> {
+    one_designed_quantum(p, tau, &[a.to_vec(), b.to_vec()]).edge_weight(NodeId(0), NodeId(1))
+}
+
+/// The join scores a pair from its own walk: a shared minimum at index `i`
+/// of one column and `j` of the other, with `s` shared before it, counts
+/// iff `i + j − s < p`, over `min(p, |a| + |b| − c)` values.  Each case
+/// below sits on one edge of that arithmetic; the columns are hash ranks,
+/// so `[0, 1, 2, 5]` is a sketch of the four smallest hashes but one.
+#[test]
+fn the_in_join_estimate_is_exact_at_its_boundaries() {
+    // τ · max(|a|, |b|) integral: 1 of the union's first 4 values is
+    // shared, 1/4 = τ exactly, and the edge is added at τ.
+    let (a, b) = ([0, 1, 2, 3], [0, 4, 5, 6]);
+    assert_eq!(designed_pair(4, 0.25, &a, &b), Some(0.25));
+    // ... and 2/4 = τ with the second shared minimum last of the four.
+    let (a, b) = ([0, 1, 3, 6], [0, 2, 3, 5]);
+    assert_eq!(designed_pair(4, 0.5, &a, &b), Some(0.5));
+
+    // Columns shorter than p, |a ∪ b| ≤ p: the estimate is c / |a ∪ b|.
+    let (a, b) = ([0, 1, 2], [0, 1, 3]);
+    assert_eq!(designed_pair(4, 0.5, &a, &b), Some(0.5));
+    assert_eq!(designed_pair(5, 0.5, &a, &b), Some(0.5));
+    assert_eq!(designed_pair(8, 0.25, &[0, 2, 4], &[2, 3, 4]), Some(0.5));
+    // Columns shorter than p, |a ∪ b| > p: the union is cut at p.
+    assert_eq!(designed_pair(4, 0.25, &[0, 1, 2], &[0, 3, 4]), Some(0.25));
+    assert_eq!(designed_pair(4, 0.2, &[0, 2, 4], &[1, 3, 4]), None);
+
+    // Shared minima past the union's first p values (in_both < c): the
+    // last shared minimum of each pair below falls outside the first 4.
+    // Counting it would score 2/4 and add the edge.
+    let (a, b) = ([0, 1, 2, 5], [0, 3, 4, 5]);
+    assert_eq!(designed_pair(4, 0.3, &a, &b), None);
+    assert_eq!(designed_pair(4, 0.25, &a, &b), Some(0.25));
+    // The union rank of the second shared minimum is i + j − s = 3 + 2 −
+    // 1 = 4 = p: the first value past the cut.
+    let (a, b) = ([0, 1, 2, 4], [0, 3, 4, 6]);
+    assert_eq!(designed_pair(4, 0.3, &a, &b), None);
+    assert_eq!(designed_pair(4, 0.25, &a, &b), Some(0.25));
+    // One rank earlier (i + j − s = 3) it counts.
+    let (a, b) = ([0, 1, 3, 4], [0, 2, 3, 6]);
+    assert_eq!(designed_pair(4, 0.5, &a, &b), Some(0.5));
+    // Every minimum shared but the union cut at p: c = 4, in_both = 4.
+    assert_eq!(
+        designed_pair(4, 1.0, &[0, 1, 2, 3, 7], &[0, 1, 2, 3]),
+        Some(1.0)
+    );
+}
+
+/// Every pair of user sets of at least σ = 3 over six users, as keywords
+/// of one quantum, at sketch widths 3 to 6 and thresholds on the
+/// estimator's fractions: the join's delta log equals the merge walk's.
+#[test]
+fn every_pair_of_small_user_sets_scores_as_the_merge_walk() {
+    const USERS: usize = 6;
+    let sets: Vec<Vec<usize>> = (0u32..1 << USERS)
+        .filter(|set| set.count_ones() >= 3)
+        .map(|set| (0..USERS).filter(|&r| set >> r & 1 == 1).collect())
+        .collect();
+    let mut edges = 0;
+    for p in 3..=USERS {
+        for tau in [0.2, 0.25, 1.0 / 3.0, 0.4, 0.5, 2.0 / 3.0, 0.75, 1.0] {
+            edges += one_designed_quantum(p, tau, &sets).edge_count();
+        }
+    }
+    assert!(edges > 0);
+}
