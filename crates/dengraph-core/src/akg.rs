@@ -478,19 +478,6 @@ impl MinimaJoin {
     }
 }
 
-/// The binary AKG section once carried a connected-component index
-/// after the graph: a component count, then per component its edge count
-/// and delta-encoded members.  Nothing read the index, so the count is
-/// written as a constant 0 and a populated list read back is dropped;
-/// documents written before the index went still decode.
-const RETIRED_COMPONENT_COUNT: usize = 0;
-
-/// The binary AKG section once carried the keyword automaton after the
-/// component section: its High keywords as one delta column.  High is AKG
-/// membership, so the column repeated the graph's node set; its length is
-/// written as a constant 0 and a populated column read back is dropped.
-const RETIRED_HIGH_KEYWORD_COUNT: usize = 0;
-
 /// Maintains the AKG across quanta.  A keyword is in Section 3.1's high
 /// state exactly while it is a node of [`Self::graph`].
 #[derive(Debug)]
@@ -539,9 +526,7 @@ impl AkgMaintainer {
     /// Reconstructs a maintainer serialised by [`Self::to_json`] under the
     /// given configuration, beside the already-decoded `window`: the graph
     /// admits only nodes whose keyword has a live entry in the window's
-    /// index, and only edges between its listed nodes.  The `"components"`
-    /// and `"states"` keys earlier versions wrote (the retired component
-    /// index and keyword automaton) are ignored.
+    /// index, and only edges between its listed nodes.
     pub fn from_json(
         config: DetectorConfig,
         window: &WindowState,
@@ -556,37 +541,24 @@ impl AkgMaintainer {
         })
     }
 
-    /// Appends the compact binary encoding (graph, the retired component
-    /// section, the retired High column, last stats) — the binary twin of
-    /// [`Self::to_json`].
+    /// Appends the compact binary encoding (graph, last stats) — the
+    /// binary twin of [`Self::to_json`].
     pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         self.graph.to_bin(w);
-        w.usize(RETIRED_COMPONENT_COUNT);
-        w.usize(RETIRED_HIGH_KEYWORD_COUNT);
         self.last_stats.to_bin(w);
     }
 
     /// Reconstructs a maintainer encoded by [`Self::to_bin`] under the
     /// given configuration and beside `window`, admitting the graph's
-    /// nodes and edges like [`Self::from_json`].  A populated component
-    /// section or High column, as earlier versions wrote them, is read
-    /// under the bounds it always had and dropped.
+    /// nodes and edges like [`Self::from_json`].
     pub fn from_bin(
         config: DetectorConfig,
         window: &WindowState,
         r: &mut dengraph_json::BinReader<'_>,
     ) -> dengraph_json::Result<Self> {
-        let graph = DynamicGraph::from_bin_admitting(r, |node| live_keyword(window, node))?;
-        // Per component: its edge count, then its delta-encoded members.
-        for _ in 0..r.seq_len(2)? {
-            r.u32()?;
-            r.delta_u32s()?;
-        }
-        // The High keywords.
-        r.delta_u32s()?;
         Ok(Self {
             config,
-            graph,
+            graph: DynamicGraph::from_bin_admitting(r, |node| live_keyword(window, node))?,
             last_stats: AkgQuantumStats::from_bin(r)?,
         })
     }
@@ -1063,104 +1035,6 @@ mod tests {
                 "edge must exist with exact_edge_correlation={exact}"
             );
         }
-    }
-
-    /// Documents of earlier versions carry a populated component list
-    /// after the graph and a populated High column after that (binary), or
-    /// `"components"` and `"states"` keys (JSON); all decode to the
-    /// maintainer a current document describes, and a list or column that
-    /// runs past the input is an error.
-    #[test]
-    fn the_retired_component_section_still_decodes() {
-        let cfg = config();
-        let mut akg = AkgMaintainer::new(cfg.clone());
-        let mut window = window_for(&cfg);
-        step(&mut akg, &mut window, 0, &correlated_burst());
-        let bin = |akg: &AkgMaintainer| {
-            let mut w = dengraph_json::BinWriter::new();
-            akg.to_bin(&mut w);
-            w.into_bytes()
-        };
-        let current = bin(&akg);
-
-        let old_layout = |components: &dengraph_json::BinWriter,
-                          high: &dengraph_json::BinWriter| {
-            let mut w = dengraph_json::BinWriter::new();
-            akg.graph.to_bin(&mut w);
-            w.raw(components.as_slice());
-            w.raw(high.as_slice());
-            akg.last_stats.to_bin(&mut w);
-            w.into_bytes()
-        };
-        let decode = |bytes: &[u8]| {
-            AkgMaintainer::from_bin(
-                cfg.clone(),
-                &window,
-                &mut dengraph_json::BinReader::new(bytes),
-            )
-        };
-        // One component {1, 2} with its one edge, as the index wrote it.
-        let mut components = dengraph_json::BinWriter::new();
-        components.usize(1);
-        components.u32(1);
-        components.delta_u32s([1u32, 2].into_iter());
-        let mut no_components = dengraph_json::BinWriter::new();
-        no_components.usize(0);
-        // Keywords 1 and 2 High, as the automaton wrote them.
-        let mut high = dengraph_json::BinWriter::new();
-        high.delta_u32s([1u32, 2].into_iter());
-        for (old, label) in [
-            (old_layout(&components, &high), "components and High column"),
-            (old_layout(&no_components, &high), "High column"),
-        ] {
-            assert!(old.len() > current.len(), "{label}");
-            let back = decode(&old).expect("the old layout decodes");
-            assert_eq!(bin(&back), current, "{label}");
-            assert_eq!(
-                dengraph_json::to_string(&back.to_json()),
-                dengraph_json::to_string(&akg.to_json()),
-                "{label}"
-            );
-            for cut in 0..old.len() {
-                assert!(decode(&old[..cut]).is_err(), "{label}: truncation at {cut}");
-            }
-        }
-        // A component count, a member column or a High column longer than
-        // the input can hold.
-        for (count, members) in [(1 << 40, 0), (1, 1 << 40)] {
-            let mut components = dengraph_json::BinWriter::new();
-            components.usize(count);
-            components.u32(1);
-            components.usize(members);
-            assert!(decode(&old_layout(&components, &high)).is_err());
-        }
-        let mut long_high = dengraph_json::BinWriter::new();
-        long_high.usize(1 << 40);
-        long_high.u32(1);
-        assert!(decode(&old_layout(&no_components, &long_high)).is_err());
-
-        let text = dengraph_json::to_string(&akg.to_json());
-        assert!(!text.contains("\"components\"") && !text.contains("\"states\""));
-        let decode = |text: &str| {
-            let value = dengraph_json::parse(text).expect("JSON");
-            let back = AkgMaintainer::from_json(cfg.clone(), &window, &value).expect("decodes");
-            dengraph_json::to_string(&back.to_json())
-        };
-        let old = text.replacen(
-            "\"graph\":",
-            "\"components\":{\"components\":[{\"edges\":1,\"nodes\":[1,2]}]},\"graph\":",
-            1,
-        );
-        assert_ne!(old, text);
-        assert_eq!(decode(&old), text);
-        let old = text.replacen(
-            "\"last_stats\":",
-            "\"states\":{\"high\":[1,2]},\"last_stats\":",
-            1,
-        );
-        assert_ne!(old, text);
-        assert_eq!(decode(&old), text);
-        assert_eq!(decode(&text), text);
     }
 
     #[test]

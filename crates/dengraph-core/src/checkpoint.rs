@@ -26,26 +26,25 @@
 //!
 //! ## Wire layout
 //!
-//! Standalone checkpoints come in two wire formats: JSON text (the
-//! debugging and cross-version fallback) and a binary document.  Binary
-//! documents and journals both start with a magic the JSON grammar cannot
-//! produce (`0xD6`), so [`DetectorSession::restore_bytes`] sniffs the
-//! format from the first byte.  A journal is always binary:
+//! Standalone checkpoints come in two wire formats: JSON text (for
+//! debugging) and a binary document.  Binary documents and journals both
+//! start with a magic the JSON grammar cannot produce (`0xD6`), so
+//! [`DetectorSession::restore_bytes`] sniffs the format from the first
+//! byte.  A journal is always binary:
 //!
 //! ```text
 //! checkpoint  = D6 'D' 'G' 'C'  version  method  payload
-//! method      = 00 raw | 01 lzss (read only) | 02 block
+//! method      = 00 raw | 02 block
 //! journal     = D6 'D' 'G' 'J'  version  01  frame*
 //! frame       = tag(01 snapshot | 02 delta)  len u32-LE  crc32 u32-LE  payload
 //! ```
 //!
 //! A checkpoint's payload is the detector state
-//! ([`EventDetector::to_bin`]) stored raw or packed by one of the codecs
-//! of [`dengraph_json::lz`].  Documents are **written** with method 02
-//! (the LZ4-class block codec) or 00 (when packing does not shrink the
-//! body); method 01 is what documents carried before the block codec
-//! existed and is only ever read.  The state bytes under the wrapping
-//! are the same for all three.
+//! ([`EventDetector::to_bin`]) stored raw or packed by the block codec
+//! of [`dengraph_json::lz`]: method 02, or 00 when packing does not
+//! shrink the body.  The state bytes under the wrapping are the same for
+//! both.  There is one format epoch: a container of another version, or
+//! a JSON document of another `"version"`, is refused.
 //!
 //! Snapshot payloads are complete binary checkpoint documents; delta
 //! payloads are binary [`DeltaRecord`]s.  The journal frame layout is
@@ -103,7 +102,9 @@ pub(crate) const CHECKPOINT_MAGIC: [u8; 4] =
 
 /// Version of the binary checkpoint-document container (the journal
 /// container is versioned separately — [`crate::wal::JOURNAL_VERSION`]).
-const CONTAINER_VERSION: u64 = 1;
+/// Version 2 is the format epoch that dropped every retired field; the
+/// detector body's JSON twin carries the same number as `"version"`.
+pub(crate) const CONTAINER_VERSION: u64 = 2;
 
 pub(crate) const TAG_SNAPSHOT: u8 = 1;
 pub(crate) const TAG_DELTA: u8 = 2;
@@ -233,10 +234,9 @@ impl RecordRing {
 // Checkpoint documents
 // ---------------------------------------------------------------------------
 
-/// Payload methods of a binary checkpoint container.  The writer emits
-/// `RAW` or `BLOCK`; `LZSS` is read for documents already on disk.
+/// Payload methods of a binary checkpoint container.  (Method 1 was a
+/// codec of an earlier format epoch.)
 const METHOD_RAW: u8 = 0;
-const METHOD_LZSS: u8 = 1;
 const METHOD_BLOCK: u8 = 2;
 
 /// Appends the binary checkpoint container holding `body` (a detector's
@@ -289,6 +289,7 @@ pub(crate) fn decode_checkpoint_document(bytes: &[u8]) -> Result<EventDetector, 
                 offset: 0,
             })?;
             let value = dengraph_json::parse(text)?;
+            EventDetector::check_json_header(&value)?;
             let config = DetectorConfig::from_json(value.get("config")?)?;
             config.validate()?;
             Ok(EventDetector::from_json_validated(config, &value)?)
@@ -316,10 +317,6 @@ pub(crate) fn decode_checkpoint_document(bytes: &[u8]) -> Result<EventDetector, 
             let mut decompressed = Vec::new();
             let body: &[u8] = match method {
                 METHOD_RAW => payload,
-                METHOD_LZSS => {
-                    decompressed = lz::decompress(payload)?;
-                    &decompressed
-                }
                 METHOD_BLOCK => {
                     lz::decompress_block_into(payload, &mut decompressed)?;
                     &decompressed

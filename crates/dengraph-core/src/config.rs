@@ -232,26 +232,6 @@ impl DetectorConfig {
     }
 }
 
-/// The varint before the window mode byte once carried the worker thread
-/// count (0 for serial).  The pipeline is serial, so it is written as a
-/// constant 0 and any value read back is dropped; documents written before
-/// the knob went still decode.
-const RETIRED_THREAD_COUNT: usize = 0;
-
-/// The last byte of a binary configuration once chose how stage 3
-/// partitioned its work (0 from scratch, 1 from the component index).
-/// Stage 3 no longer partitions, so the byte is written as a constant 1
-/// and read back as 0 or 1 and dropped; documents written before the
-/// knob went still decode.
-const RETIRED_COMPONENT_INDEX_MODE_BYTE: u8 = 1;
-
-/// The byte after the retired thread count once chose how the window
-/// served its reads (0 walked the records, 1 kept the incremental index).
-/// The index is the only way left, so the byte is written as a constant 1
-/// and read back as 0 or 1 and dropped; documents written before the knob
-/// went still decode.
-const RETIRED_WINDOW_INDEX_MODE_BYTE: u8 = 1;
-
 impl Encode for DetectorConfig {
     /// Serialises the configuration to a [`dengraph_json::Value`].
     fn to_json(&self) -> dengraph_json::Value {
@@ -294,17 +274,13 @@ impl Encode for DetectorConfig {
         w.bool(self.hysteresis);
         w.f64(self.rank_threshold_factor);
         w.bool(self.require_noun);
-        w.usize(RETIRED_THREAD_COUNT);
-        w.byte(RETIRED_WINDOW_INDEX_MODE_BYTE);
-        w.byte(RETIRED_COMPONENT_INDEX_MODE_BYTE);
     }
 }
 
 impl Decode for DetectorConfig {
     /// Reconstructs a configuration serialised by [`Self::to_json`].  The
     /// result is *not* validated — callers that accept external input should
-    /// follow up with [`Self::validate`].  Retired keys (`parallelism`,
-    /// `window_index_mode`, `component_index_mode`) are ignored.
+    /// follow up with [`Self::validate`].
     fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         Ok(Self {
             quantum_size: value.get("quantum_size")?.as_usize()?,
@@ -321,7 +297,7 @@ impl Decode for DetectorConfig {
 
     /// Reconstructs a configuration encoded by [`Self::to_bin`].
     fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        let config = Self {
+        Ok(Self {
             quantum_size: r.usize()?,
             high_state_threshold: r.u32()?,
             edge_correlation_threshold: r.f64()?,
@@ -331,20 +307,7 @@ impl Decode for DetectorConfig {
             hysteresis: r.bool()?,
             rank_threshold_factor: r.f64()?,
             require_noun: r.bool()?,
-        };
-        r.usize()?; // RETIRED_THREAD_COUNT, dropped
-        for knob in ["window_index_mode", "component_index_mode"] {
-            match r.byte()? {
-                0 | 1 => {}
-                other => {
-                    return Err(dengraph_json::JsonError {
-                        message: format!("unknown {knob} byte {other}"),
-                        offset: r.pos(),
-                    })
-                }
-            }
-        }
-        Ok(config)
+        })
     }
 }
 
@@ -538,51 +501,17 @@ mod tests {
         }
     }
 
-    /// The bytes and keys that carried the retired `window_index_mode`,
-    /// `component_index_mode` and thread count still decode, to the
-    /// configuration a current document describes; no other mode byte is
-    /// accepted in their place.
-    /// No truncation or single-byte mutation of a binary configuration
-    /// panics the decoder.
+    /// A binary configuration round-trips, and no truncation or
+    /// single-byte mutation of it panics the decoder.
     #[test]
-    fn retired_component_index_mode_still_decodes() {
+    fn a_truncated_or_mutated_binary_configuration_never_panics() {
         let config = DetectorConfig::nominal();
         let mut w = dengraph_json::BinWriter::new();
         config.to_bin(&mut w);
-        let mut bytes = w.into_bytes();
+        let bytes = w.into_bytes();
         let decode =
             |bytes: &[u8]| DetectorConfig::from_bin(&mut dengraph_json::BinReader::new(bytes));
-        assert_eq!(bytes.last(), Some(&1));
         assert_eq!(decode(&bytes).unwrap(), config);
-        *bytes.last_mut().unwrap() = 0;
-        assert_eq!(decode(&bytes).unwrap(), config);
-        *bytes.last_mut().unwrap() = 2;
-        assert!(decode(&bytes).is_err());
-        *bytes.last_mut().unwrap() = 1;
-        let window_mode = bytes.len() - 2;
-        assert_eq!(bytes[window_mode], 1);
-        for (value, decodes) in [(0, true), (1, true), (2, false), (u8::MAX, false)] {
-            let mut old = bytes.clone();
-            old[window_mode] = value;
-            assert_eq!(
-                decode(&old).ok(),
-                decodes.then(|| config.clone()),
-                "{value}"
-            );
-        }
-
-        // The thread-count varint sits before the two mode bytes and is
-        // written as 0; any count a parent document carried is dropped.
-        let (head, modes) = bytes.split_at(bytes.len() - 2);
-        let (prefix, threads) = head.split_at(head.len() - 1);
-        assert_eq!(threads, [0]);
-        for count in [0usize, 4, 1 << 40] {
-            let mut w = dengraph_json::BinWriter::new();
-            w.usize(count);
-            let old = [prefix, &w.into_bytes(), modes].concat();
-            assert_eq!(decode(&old).unwrap(), config, "thread count {count}");
-        }
-
         for len in 0..bytes.len() {
             assert!(decode(&bytes[..len]).is_err(), "truncated at {len}");
         }
@@ -592,28 +521,6 @@ mod tests {
                 mutated[at] = value;
                 let _ = decode(&mutated);
             }
-        }
-
-        let text = dengraph_json::to_string(&config.to_json());
-        assert!(!text.contains("component_index_mode"));
-        assert!(!text.contains("window_index_mode"));
-        assert!(!text.contains("parallelism"));
-        for knob in ["component_index_mode", "window_index_mode"] {
-            for mode in ["rebuild", "incremental"] {
-                let old = text.replacen('{', &format!("{{\"{knob}\":\"{mode}\","), 1);
-                let back = DetectorConfig::from_json(&dengraph_json::parse(&old).unwrap()).unwrap();
-                assert_eq!(back, config, "{knob} {mode}");
-            }
-        }
-        for key in [
-            "",
-            r#""parallelism":"serial","#,
-            r#""parallelism":4,"#,
-            r#""parallelism":100000,"#,
-        ] {
-            let old = text.replacen('{', &format!("{{{key}"), 1);
-            let back = DetectorConfig::from_json(&dengraph_json::parse(&old).unwrap()).unwrap();
-            assert_eq!(back, config, "{key}");
         }
     }
 }

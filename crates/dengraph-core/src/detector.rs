@@ -21,7 +21,7 @@ use dengraph_stream::Message;
 use dengraph_text::{KeywordId, KeywordInterner, NounHeuristic};
 
 use crate::akg::{keyword_of, live_keyword, node_of, AkgMaintainer, AkgQuantumStats, GraphDelta};
-use crate::checkpoint::RecordRing;
+use crate::checkpoint::{RecordRing, CONTAINER_VERSION};
 use crate::cluster::maintainer::MaintenanceStats;
 use crate::cluster::{Cluster, ClusterMaintainer};
 use crate::config::DetectorConfig;
@@ -143,11 +143,10 @@ pub struct EventDetector {
 
 /// The noun-based precision filter of Section 7.2.2: one verdict bit per
 /// keyword id of the stream's vocabulary.  The vocabulary is consumed
-/// when the detector takes it ([`EventDetector::with_interner`], or the
-/// restore of a document that still carries its words): each word goes
-/// through the heuristic once, and only the verdicts are kept.  So the
-/// report loop's question is one bit load, and a checkpoint carries
-/// ⌈len/8⌉ bytes where it used to carry every word.
+/// when the detector takes it ([`EventDetector::with_interner`]): each
+/// word goes through the heuristic once, and only the verdicts are kept.
+/// So the report loop's question is one bit load, and a checkpoint
+/// carries ⌈len/8⌉ bytes, not the words.
 #[derive(Debug)]
 struct NounFilter {
     /// The keyword ids covered: `0..len`.  Ids past it resolve to no word
@@ -161,10 +160,8 @@ struct NounFilter {
 
 /// The tag byte that opens the binary filter section: no filter, …
 const FILTER_NONE: u8 = 0;
-/// … the vocabulary's words (what documents carried before the verdicts;
-/// read only), …
-const FILTER_WORDS: u8 = 1;
-/// … or `usize(len)` followed by the ⌈len/8⌉ verdict bytes.
+/// … or `usize(len)` followed by the ⌈len/8⌉ verdict bytes.  (Tag 1 was
+/// the word list of an earlier format epoch, and is unknown.)
 const FILTER_VERDICTS: u8 = 2;
 
 impl NounFilter {
@@ -253,26 +250,6 @@ impl NounFilter {
         Self::from_bits(len, bits, 0)
     }
 
-    /// The JSON filter of a detector document: `"noun_verdicts"`, or the
-    /// `"interner"` word list of a document written before the verdicts.
-    fn read_json(value: &dengraph_json::Value) -> dengraph_json::Result<Option<Self>> {
-        match (value.get_opt("noun_verdicts")?, value.get_opt("interner")?) {
-            (None, None) => Ok(None),
-            (Some(verdicts), None) => Self::from_json(verdicts).map(Some),
-            (None, Some(words)) => {
-                let mut vocabulary = KeywordInterner::new();
-                for word in words.as_arr()? {
-                    intern_next(&mut vocabulary, word.as_str()?, 0)?;
-                }
-                Ok(Some(Self::new(&vocabulary)))
-            }
-            (Some(_), Some(_)) => Err(dengraph_json::JsonError {
-                message: "checkpoint carries both noun verdicts and a vocabulary".into(),
-                offset: 0,
-            }),
-        }
-    }
-
     /// Writes the binary filter section of `filter`.
     fn write_bin(filter: Option<&Self>, w: &mut dengraph_json::BinWriter) {
         match filter {
@@ -285,20 +262,11 @@ impl NounFilter {
         }
     }
 
-    /// Reads a binary filter section of any tag.
+    /// Reads a binary filter section written by [`Self::write_bin`].
     fn read_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Option<Self>> {
         let at = r.pos();
         match r.byte()? {
             FILTER_NONE => Ok(None),
-            FILTER_WORDS => {
-                let words = r.seq_len(1)?;
-                let mut vocabulary = KeywordInterner::new();
-                for _ in 0..words {
-                    let at = r.pos();
-                    intern_next(&mut vocabulary, &r.str()?, at)?;
-                }
-                Ok(Some(Self::new(&vocabulary)))
-            }
             FILTER_VERDICTS => {
                 let len = r.usize()?;
                 let at = r.pos();
@@ -311,23 +279,6 @@ impl NounFilter {
             }),
         }
     }
-}
-
-/// Interns the next word of a checkpoint's vocabulary, which must be new:
-/// a repeated word would shift every later keyword id onto another word.
-fn intern_next(
-    interner: &mut KeywordInterner,
-    word: &str,
-    offset: usize,
-) -> dengraph_json::Result<()> {
-    let next = interner.len();
-    if interner.intern(word).index() != next {
-        return Err(dengraph_json::JsonError {
-            message: format!("checkpoint vocabulary repeats the word {word:?}"),
-            offset,
-        });
-    }
-    Ok(())
 }
 
 /// The fixed seed of the window's user hasher.  Part of the detector's
@@ -623,7 +574,7 @@ impl EventDetector {
         use dengraph_json::Value;
         Value::obj([
             ("format", Value::str("dengraph-detector-state")),
-            ("version", Value::from(1u32)),
+            ("version", Value::from(CONTAINER_VERSION)),
             ("config", self.config.to_json()),
             ("window", self.window.to_json()),
             ("akg", self.akg.to_json()),
@@ -653,6 +604,7 @@ impl EventDetector {
     /// checkpoint cannot smuggle a degenerate configuration past
     /// [`DetectorConfig::validate`].
     pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
+        Self::check_json_header(value)?;
         let config = DetectorConfig::from_json(value.get("config")?)?;
         config.validate().map_err(|e| dengraph_json::JsonError {
             message: format!("invalid configuration in checkpoint: {e}"),
@@ -661,13 +613,10 @@ impl EventDetector {
         Self::from_json_validated(config, value)
     }
 
-    /// Decodes the full detector state under an already-decoded and
-    /// -validated configuration (the session restore path, which surfaces
-    /// configuration failures as a typed error before calling this).
-    pub(crate) fn from_json_validated(
-        config: DetectorConfig,
-        value: &dengraph_json::Value,
-    ) -> dengraph_json::Result<Self> {
+    /// Checks a JSON document's `"format"` and `"version"` — first, so a
+    /// document of another format epoch is refused for its version, not
+    /// for a field its configuration may lack.
+    pub(crate) fn check_json_header(value: &dengraph_json::Value) -> dengraph_json::Result<()> {
         match value.get("format")?.as_str()? {
             "dengraph-detector-state" => {}
             other => {
@@ -677,14 +626,28 @@ impl EventDetector {
                 })
             }
         }
-        let version = value.get("version")?.as_u32()?;
-        if version != 1 {
+        let version = value.get("version")?.as_u64()?;
+        if version != CONTAINER_VERSION {
             return Err(dengraph_json::JsonError {
                 message: format!("unsupported checkpoint version {version}"),
                 offset: 0,
             });
         }
-        let noun_filter = NounFilter::read_json(value)?;
+        Ok(())
+    }
+
+    /// Decodes the full detector state of a document that passed
+    /// [`Self::check_json_header`] under an already-decoded and
+    /// -validated configuration (the session restore path, which surfaces
+    /// configuration failures as a typed error before calling this).
+    pub(crate) fn from_json_validated(
+        config: DetectorConfig,
+        value: &dengraph_json::Value,
+    ) -> dengraph_json::Result<Self> {
+        let noun_filter = value
+            .get_opt("noun_verdicts")?
+            .map(NounFilter::from_json)
+            .transpose()?;
         let window = WindowState::from_json_with(
             value.get("window")?,
             Some(Self::window_geometry(&config)),
@@ -730,11 +693,9 @@ impl EventDetector {
     /// restoring it would silently change slide/sketch behaviour.  That
     /// includes the index's materialization threshold: the detector always
     /// wires it to σ, it decides which keywords get an entry, and a
-    /// document — of this version or an earlier one — that says otherwise
-    /// was not written by this detector.  (A document of the retired
-    /// rebuild mode names no threshold; its window decodes at σ.)  Shared
-    /// by the JSON and binary decoders, which check it before the window
-    /// index is rebuilt.
+    /// document that says otherwise was not written by this detector.
+    /// Shared by the JSON and binary decoders, which check it before the
+    /// window index is rebuilt.
     fn window_geometry(config: &DetectorConfig) -> WindowGeometry {
         WindowGeometry {
             capacity: config.window_quanta,
@@ -763,9 +724,9 @@ impl EventDetector {
     /// Appends the complete detector state in the compact binary format —
     /// the binary twin of [`Self::to_json`], byte layout:
     /// config · window · AKG · clusters · tracker · noun filter (a tag
-    /// byte: `0` none, `2` the verdict bits; `1`, the word list, is only
-    /// read) · partial message buffer · quantum counters.  The document header
-    /// (magic + version) is written by the checkpoint container
+    /// byte: `0` none, `2` the verdict bits) · partial message buffer ·
+    /// quantum counters.  The document header (magic + version) is
+    /// written by the checkpoint container
     /// ([`DetectorSession::checkpoint_bytes`](crate::session::DetectorSession::checkpoint_bytes)
     /// / [`CheckpointJournal`](crate::checkpoint::CheckpointJournal)),
     /// not here.
@@ -1664,27 +1625,15 @@ mod tests {
     }
 
     /// The verdicts a detector took from its vocabulary — and the ones
-    /// each restore path rebuilds: the binary verdict bits, the JSON hex,
-    /// and the word list of an older document in either codec — are the
-    /// heuristic's, for every vocabulary id; ids past the vocabulary are
-    /// not nouns.  Every restore re-encodes to the honest bytes.
+    /// each restore path rebuilds: the binary verdict bits and the JSON
+    /// hex — are the heuristic's, for every vocabulary id; ids past the
+    /// vocabulary are not nouns.  Every restore re-encodes to the honest
+    /// bytes.
     #[test]
     fn restored_noun_verdicts_are_the_heuristics() {
-        let (det, before, section, after) = filtered_detector();
+        let (det, _, section, _) = filtered_detector();
         let vocabulary = mixed_vocabulary();
         let heuristic = NounHeuristic::new();
-        let mut words = dengraph_json::BinWriter::new();
-        words.byte(FILTER_WORDS);
-        words.usize(vocabulary.len());
-        for (_, word) in vocabulary.iter() {
-            words.str(word);
-        }
-        let mut json_words = det.to_json();
-        if let dengraph_json::Value::Obj(map) = &mut json_words {
-            assert!(map.remove("noun_verdicts").is_some());
-            let list = vocabulary.iter().map(|(_, w)| dengraph_json::Value::str(w));
-            map.insert("interner".into(), dengraph_json::Value::arr(list));
-        }
         assert_eq!(section[0], FILTER_VERDICTS);
         assert_eq!(section.len(), 1 + 1 + 2, "tag, len 13, two bytes");
 
@@ -1692,12 +1641,7 @@ mod tests {
         let honest_json = dengraph_json::to_string(&det.to_json());
         for (label, restored) in [
             ("binary verdicts", decode_body(&honest_bin)),
-            (
-                "binary words",
-                decode_body(&[&before[..], words.as_slice(), &after[..]].concat()),
-            ),
             ("JSON verdicts", EventDetector::from_json(&det.to_json())),
-            ("JSON words", EventDetector::from_json(&json_words)),
         ] {
             let restored = restored.unwrap_or_else(|e| panic!("{label}: {e}"));
             let filter = restored.noun_filter.as_ref().expect("a filter");
@@ -1723,8 +1667,8 @@ mod tests {
     }
 
     /// A verdict byte count other than ⌈len/8⌉, a set padding bit, an
-    /// unknown tag, a JSON section that is not lower-case hex pairs, and a
-    /// JSON document carrying both forms: each is a typed error.
+    /// unknown tag (the retired word list's 1 among them) and a JSON
+    /// section that is not lower-case hex pairs: each is a typed error.
     #[test]
     fn a_malformed_noun_verdict_section_is_a_typed_error() {
         let (det, before, section, after) = filtered_detector();
@@ -1751,7 +1695,7 @@ mod tests {
             ("len 17 over two bytes", verdicts(17, &bits), None),
             ("a padding bit", verdicts(13, &padded), Some("padding")),
         ];
-        for tag in 3..=u8::MAX {
+        for tag in std::iter::once(1).chain(3..=u8::MAX) {
             let mut tagged = section.clone();
             tagged[0] = tag;
             cases.push(("an unknown tag", tagged, Some("unknown noun filter tag")));
@@ -1805,12 +1749,6 @@ mod tests {
                 Ok(_) => panic!("JSON, {label}: accepted"),
             }
         }
-        let both = honest.replace(
-            "\"noun_verdicts\":",
-            "\"interner\":[\"earthquake\"],\"noun_verdicts\":",
-        );
-        let err = EventDetector::from_json(&dengraph_json::parse(&both).unwrap()).unwrap_err();
-        assert!(err.message.contains("both"), "{err}");
     }
 
     #[test]

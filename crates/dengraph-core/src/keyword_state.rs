@@ -1134,23 +1134,6 @@ impl WindowIndex {
         Ok(index)
     }
 
-    /// The header a window section of the retired rebuild mode (mode byte
-    /// 0, JSON `"rebuild"`) stands for, having no index section: **every**
-    /// keyword of the window's records live, at `threshold` — a list any
-    /// threshold accepts.  Listing only the keywords some record brings
-    /// `threshold` users would not do: an AKG node whose bursty record slid
-    /// out is still read through its entry, and without one it would score
-    /// as the empty sketch.
-    fn all_live(window: &VecDeque<QuantumRecord>, threshold: usize) -> (usize, Vec<u32>) {
-        let mut live: Vec<u32> = window
-            .iter()
-            .flat_map(|r| r.keywords().map(|k| k.0))
-            .collect();
-        live.sort_unstable();
-        live.dedup();
-        (threshold, live)
-    }
-
     /// Serialises what the records cannot tell: the threshold and the
     /// ascending live keyword ids.
     fn to_json(&self) -> dengraph_json::Value {
@@ -1167,39 +1150,20 @@ impl WindowIndex {
         ])
     }
 
-    /// Reads `(threshold, live ids)` from [`Self::to_json`]'s object, or
-    /// from the `"entries"` object older documents carry: the keyword ids
-    /// are kept, the serialised columns and sub-sketches ignored.
+    /// Reads `(threshold, live ids)` from [`Self::to_json`]'s object.
     fn header_from_json(value: &dengraph_json::Value) -> dengraph_json::Result<(usize, Vec<u32>)> {
-        let threshold = match value.get_opt("materialize_threshold")? {
-            Some(v) => v.as_usize()?,
-            None => 1,
-        };
-        let live = match value.get_opt("live")? {
-            Some(ids) => ids
-                .as_arr()?
-                .iter()
-                .map(dengraph_json::Value::as_u32)
-                .collect::<dengraph_json::Result<_>>()?,
-            None => value
-                .get("entries")?
-                .as_arr()?
-                .iter()
-                .map(|pair| match pair.as_arr()? {
-                    [keyword, _] => keyword.as_u32(),
-                    parts => Err(dengraph_json::JsonError {
-                        message: format!("index entry has {} elements", parts.len()),
-                        offset: 0,
-                    }),
-                })
-                .collect::<dengraph_json::Result<_>>()?,
-        };
-        Ok((threshold, live))
+        let live = value
+            .get("live")?
+            .as_arr()?
+            .iter()
+            .map(dengraph_json::Value::as_u32)
+            .collect::<dengraph_json::Result<_>>()?;
+        Ok((value.get("materialize_threshold")?.as_usize()?, live))
     }
 
-    /// Appends the binary form of [`Self::to_json`] (window mode byte 2):
-    /// the threshold, then the live ids as [`BinWriter::delta_u32s`] lays a
-    /// column out, written here without collecting it first.
+    /// Appends the binary form of [`Self::to_json`]: the threshold, then
+    /// the live ids as [`BinWriter::delta_u32s`] lays a column out, written
+    /// here without collecting it first.
     ///
     /// [`BinWriter::delta_u32s`]: dengraph_json::BinWriter::delta_u32s
     fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
@@ -1211,43 +1175,6 @@ impl WindowIndex {
             w.u32(keyword.0 - prev);
             prev = keyword.0;
         }
-    }
-
-    /// Reads `(threshold, live ids)` from the index section older
-    /// documents carry (window mode byte 1): per live keyword its id, its
-    /// `(user, count)` columns, one sub-sketch per window quantum and its
-    /// recency mark.  Only the ids are kept; everything else is walked
-    /// with the reader's bounds checks and dropped.
-    fn legacy_header_from_bin(
-        r: &mut dengraph_json::BinReader<'_>,
-    ) -> dengraph_json::Result<(usize, Vec<u32>)> {
-        let _sketch_size = r.usize()?;
-        let threshold = r.usize()?;
-        let entries = r.seq_len(4)?;
-        let mut live: Vec<u32> = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            let delta = r.u32()?;
-            live.push(match live.last() {
-                None => delta,
-                Some(prev) => prev.checked_add(delta).ok_or(dengraph_json::JsonError {
-                    message: "index keyword id overflows u32".into(),
-                    offset: r.pos(),
-                })?,
-            });
-            // User deltas and counts: two varints a row.
-            for _ in 0..2 * r.seq_len(2)? {
-                r.u64()?;
-            }
-            let _p = r.usize()?;
-            for _ in 0..r.seq_len(3)? {
-                let (_epoch, _p) = (r.u64()?, r.usize()?);
-                for _ in 0..r.seq_len(1)? {
-                    r.u64()?;
-                }
-            }
-            let _last_seen = r.u64()?;
-        }
-        Ok((threshold, live))
     }
 }
 
@@ -1822,42 +1749,23 @@ impl WindowState {
     }
 
     /// [`Decode::from_json`], holding the document to the `expected`
-    /// geometry if one is given (the detector passes its configuration's)
-    /// and restoring a document of the retired rebuild mode at the
-    /// expected threshold, or at 1 (see [`WindowIndex::all_live`]).
+    /// geometry if one is given (the detector passes its configuration's).
     pub(crate) fn from_json_with(
         value: &dengraph_json::Value,
         expected: Option<WindowGeometry>,
     ) -> dengraph_json::Result<Self> {
-        let retired_threshold = expected.map_or(1, |g| g.threshold);
         let window: VecDeque<QuantumRecord> = value
             .get("records")?
             .as_arr()?
             .iter()
             .map(QuantumRecord::from_json)
             .collect::<dengraph_json::Result<_>>()?;
-        let header = match (value.get("mode")?.as_str()?, value.get_opt("index")?) {
-            ("rebuild", _) => WindowIndex::all_live(&window, retired_threshold),
-            ("incremental", Some(index)) => WindowIndex::header_from_json(index)?,
-            ("incremental", None) => {
-                return Err(dengraph_json::JsonError {
-                    message: "incremental window is missing its index".into(),
-                    offset: 0,
-                })
-            }
-            (other, _) => {
-                return Err(dengraph_json::JsonError {
-                    message: format!("unknown window mode '{other}'"),
-                    offset: 0,
-                })
-            }
-        };
         Self::from_decoded(
             value.get("capacity")?.as_usize()?,
             value.get("sketch_size")?.as_usize()?,
             value.get("seed")?.as_u64()?,
             window,
-            header,
+            WindowIndex::header_from_json(value.get("index")?)?,
             expected,
             0,
         )
@@ -1869,27 +1777,15 @@ impl WindowState {
         r: &mut dengraph_json::BinReader<'_>,
         expected: Option<WindowGeometry>,
     ) -> dengraph_json::Result<Self> {
-        let retired_threshold = expected.map_or(1, |g| g.threshold);
         let capacity = r.usize()?;
         let sketch_size = r.usize()?;
         let seed = r.u64()?;
-        let mode = r.byte()?;
-        if mode > 2 {
-            return Err(dengraph_json::JsonError {
-                message: format!("unknown window mode byte {mode}"),
-                offset: r.pos(),
-            });
-        }
         let records = r.seq_len(2)?;
         let mut window = VecDeque::with_capacity(records.min(capacity.saturating_add(1)));
         for _ in 0..records {
             window.push_back(QuantumRecord::from_bin(r)?);
         }
-        let header = match mode {
-            0 => WindowIndex::all_live(&window, retired_threshold),
-            1 => WindowIndex::legacy_header_from_bin(r)?,
-            _ => (r.usize()?, r.delta_u32s()?),
-        };
+        let header = (r.usize()?, r.delta_u32s()?);
         Self::from_decoded(
             capacity,
             sketch_size,
@@ -1913,7 +1809,6 @@ impl Encode for WindowState {
             ("capacity", Value::from(self.capacity)),
             ("sketch_size", Value::from(self.sketch_size)),
             ("seed", Value::from(self.hasher.seed())),
-            ("mode", Value::str("incremental")),
             (
                 "records",
                 Value::arr(self.window.iter().map(|r| r.to_json())),
@@ -1922,14 +1817,9 @@ impl Encode for WindowState {
         ])
     }
 
-    /// Appends the compact binary encoding — geometry, hasher seed, a mode
-    /// byte, the retained records (oldest first) and the index's threshold
-    /// and live keyword ids.
-    ///
-    /// The mode byte names the layout of what follows the records; this
-    /// version writes `2`, the live list.  [`Self::from_bin`] still reads
-    /// what earlier versions wrote: `0` (the retired rebuild mode, nothing)
-    /// and `1` (every entry's columns and sub-sketches).
+    /// Appends the compact binary encoding — geometry, hasher seed, the
+    /// retained records (oldest first) and the index's threshold and live
+    /// keyword ids.
     fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         self.to_bin_reusing(w, &RecordRing::default());
     }
@@ -1943,7 +1833,6 @@ impl WindowState {
         w.usize(self.capacity);
         w.usize(self.sketch_size);
         w.u64(self.hasher.seed());
-        w.byte(2);
         w.usize(self.window.len());
         for record in &self.window {
             match records.get(record.index) {
@@ -1956,16 +1845,15 @@ impl WindowState {
 }
 
 impl Decode for WindowState {
-    /// Reconstructs a window serialised by [`Self::to_json`], by this
-    /// version or an earlier one (a rebuild-mode window at threshold 1).
-    /// The restored window is `==` the original: the records round-trip
+    /// Reconstructs a window serialised by [`Self::to_json`].  The
+    /// restored window is `==` the original: the records round-trip
     /// and the index is rebuilt from them.
     fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
         Self::from_json_with(value, None)
     }
 
-    /// Reconstructs a window encoded by [`Self::to_bin`] (mode byte 2) or
-    /// by an earlier version (mode byte 0 or 1), like [`Self::from_json`].
+    /// Reconstructs a window encoded by [`Self::to_bin`], like
+    /// [`Self::from_json`].
     fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
         Self::from_bin_with(r, None)
     }

@@ -676,9 +676,8 @@ fn scan_segments<'a>(segments: &[SegmentRef<'a>]) -> Result<ScannedJournal<'a>, 
 
 /// Decodes the scanned snapshot and replays the delta tail.
 fn replay(scan: &ScannedJournal<'_>) -> Result<(EventDetector, RecoveryReport), RestoreError> {
-    let snapshot = scan.snapshot.ok_or_else(|| JsonError {
-        message: "journal contains no snapshot frame to restore from".into(),
-        offset: 0,
+    let snapshot = scan.snapshot.ok_or_else(|| {
+        RestoreError::Io("journal contains no snapshot frame to restore from".to_string())
     })?;
     let mut detector = decode_checkpoint_document(snapshot)?;
     for payload in &scan.tail {

@@ -4,8 +4,7 @@
 //! [`Encode`] / [`Decode`], which expose the same state under two wire
 //! formats:
 //!
-//! * **JSON** ([`crate::Value`]) — human-readable, kept for debugging and
-//!   as the cross-version fallback format;
+//! * **JSON** ([`crate::Value`]) — human-readable, kept for debugging;
 //! * **binary** ([`crate::binary`]) — varint integers and delta-encoded
 //!   dense columns matching the in-memory flat layouts, typically 4–8×
 //!   smaller than the JSON text.
@@ -26,8 +25,7 @@ use crate::{JsonError, Result, Value};
 /// Which wire format a document is (or should be) encoded in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
-    /// Human-readable JSON text — the debugging and cross-version
-    /// fallback format.
+    /// Human-readable JSON text — the debugging format.
     Json,
     /// The compact binary format of [`crate::binary`] (the default for
     /// durable checkpoints).

@@ -10,8 +10,8 @@
 //!
 //! Since PR 5 the crate also hosts the workspace's serialisation
 //! *abstraction*: the [`codec`] module defines the [`Encode`]/[`Decode`]
-//! trait pair and [`WireFormat`] (JSON for debugging and cross-version
-//! fallback, binary for durable checkpoints), and the [`binary`] module
+//! trait pair and [`WireFormat`] (JSON for debugging, binary for durable
+//! checkpoints), and the [`binary`] module
 //! provides the varint/delta-column primitives the binary format is built
 //! from.  [`JsonError`] doubles as the error type of both formats — for a
 //! binary document the `offset` is the byte position in the binary

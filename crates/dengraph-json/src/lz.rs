@@ -1,19 +1,12 @@
-//! Dependency-free byte-oriented LZ codecs for document payloads.
+//! The dependency-free LZ4-class block codec for document payloads.
 //!
 //! The binary struct encodings (see [`crate::binary`]) remove JSON's
 //! framing overhead, but whole-checkpoint documents still carry large
 //! repetitive sections — above all the recurring structure of
-//! per-keyword columns (a detector body used to carry the stream's whole
-//! vocabulary as a word list as well; it now carries one noun verdict bit
-//! per word).  Checkpoint *containers*
-//! run their payload through a codec of this module (struct-level
-//! encodings stay raw: compression is a property of the durable
-//! document, not of the codec abstraction).
-//!
-//! Two stream formats live here.  **One is written**; the other is only
-//! read, for documents already on disk:
-//!
-//! ## The block format (written and read)
+//! per-keyword columns.  Checkpoint *containers* run their payload
+//! through this codec (struct-level encodings stay raw: compression is a
+//! property of the durable document, not of the codec abstraction).
+//! There is one format, written and read:
 //!
 //! [`BlockEncoder::compress_into`] / [`decompress_block_into`].  An
 //! LZ4-class format sized for a snapshot that sits in the per-quantum
@@ -37,20 +30,9 @@
 //! call: **the output depends only on the input**, which the
 //! bit-identical checkpoint suites rely on.
 //!
-//! ## The LZSS format (read only)
-//!
-//! [`decompress`].  What checkpoint containers carried before the block
-//! format (payload method 1): a varint uncompressed length, then groups
-//! of one flag byte (bit *i* set ⇒ item *i* is a match) and up to 8
-//! items; a literal item is one raw byte, a match item two bytes
-//! encoding a distance in `1..=4096` and a length in `3..=18`
-//! (`byte0 = (dist-1) & 0xFF`, `byte1 = (dist-1) >> 8 | (len-3) << 4`).
-//! Its encoder is gone from the build (a test-only reference produces
-//! streams for the decoder's tests).
-//!
-//! Both decoders validate every token against the declared output
-//! length, never index past either buffer, and bound what a hostile
-//! length prefix can make them allocate: truncated or corrupted streams
+//! The decoder validates every token against the declared output
+//! length, never indexes past either buffer, and bounds what a hostile
+//! length prefix can make it allocate: truncated or corrupted streams
 //! fail with a [`JsonError`], never a panic.
 
 use crate::binary::{BinReader, BinWriter};
@@ -353,155 +335,9 @@ pub fn decompress_block_into(input: &[u8], out: &mut Vec<u8>) -> Result<()> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// LZSS (decoder only)
-// ---------------------------------------------------------------------------
-
-const LZSS_MIN_MATCH: usize = 3;
-const LZSS_MAX_MATCH: usize = 18;
-
-/// Decompresses an LZSS stream (payload method 1 of checkpoint
-/// containers written before the block format; see the module docs).
-pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
-    // Varint uncompressed length, via the canonical varint reader.
-    let mut header = BinReader::new(input);
-    let expected = header.usize()?;
-    let mut pos = header.pos();
-    // Every output byte costs at least 1/8 flag bit + either a literal
-    // byte or 3/18ths of a match token, so `expected` can exceed the
-    // remaining input by at most a factor of ~16; reject anything wilder
-    // before allocating.
-    if expected / LZSS_MAX_MATCH > input.len().saturating_sub(pos).saturating_mul(2) {
-        return Err(fail("lzss length implausible for input size", pos));
-    }
-    let mut out = Vec::with_capacity(expected);
-    while out.len() < expected {
-        let &flags = input
-            .get(pos)
-            .ok_or_else(|| fail("truncated lzss stream", pos))?;
-        pos += 1;
-        for bit in 0..8 {
-            if out.len() == expected {
-                break;
-            }
-            if flags & (1 << bit) != 0 {
-                let b0 = *input
-                    .get(pos)
-                    .ok_or_else(|| fail("truncated lzss match", pos))?;
-                let b1 = *input
-                    .get(pos + 1)
-                    .ok_or_else(|| fail("truncated lzss match", pos))?;
-                pos += 2;
-                let dist = ((b0 as usize) | (((b1 & 0x0F) as usize) << 8)) + 1;
-                let len = ((b1 >> 4) as usize) + LZSS_MIN_MATCH;
-                if dist > out.len() {
-                    return Err(fail("lzss match before start of output", pos));
-                }
-                if out.len() + len > expected {
-                    return Err(fail("lzss match overruns declared length", pos));
-                }
-                let start = out.len() - dist;
-                for i in 0..len {
-                    let byte = out[start + i];
-                    out.push(byte);
-                }
-            } else {
-                let &b = input
-                    .get(pos)
-                    .ok_or_else(|| fail("truncated lzss literal", pos))?;
-                pos += 1;
-                out.push(b);
-            }
-        }
-    }
-    if pos != input.len() {
-        return Err(fail("trailing bytes after lzss stream", pos));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The retired LZSS encoder (greedy, 4 KB window, 32-link hash-chain
-    /// search), kept as the reference that produces method-1 streams for
-    /// [`decompress`]'s tests.
-    fn lzss_compress(input: &[u8]) -> Vec<u8> {
-        const WINDOW: usize = 4096;
-        const MAX_CHAIN: usize = 32;
-        const HASH_SIZE: usize = 1 << 13;
-        fn hash3(bytes: &[u8]) -> usize {
-            let v = (bytes[0] as u32) | ((bytes[1] as u32) << 8) | ((bytes[2] as u32) << 16);
-            (v.wrapping_mul(0x9E37_79B1) >> 17) as usize & (HASH_SIZE - 1)
-        }
-        let mut header = BinWriter::new();
-        header.usize(input.len());
-        let mut out = header.into_bytes();
-        let mut head = vec![usize::MAX; HASH_SIZE];
-        let mut prev = vec![usize::MAX; WINDOW];
-        let mut pos = 0usize;
-        let mut flags_at = usize::MAX;
-        let mut flag_bit = 8u32;
-        let emit = |out: &mut Vec<u8>, flags_at: &mut usize, flag_bit: &mut u32, is_match: bool| {
-            if *flag_bit == 8 {
-                *flags_at = out.len();
-                out.push(0);
-                *flag_bit = 0;
-            }
-            if is_match {
-                out[*flags_at] |= 1 << *flag_bit;
-            }
-            *flag_bit += 1;
-        };
-        while pos < input.len() {
-            let mut best_len = 0usize;
-            let mut best_dist = 0usize;
-            if pos + LZSS_MIN_MATCH <= input.len() {
-                let mut candidate = head[hash3(&input[pos..])];
-                let limit = input.len().min(pos + LZSS_MAX_MATCH);
-                for _ in 0..MAX_CHAIN {
-                    if candidate == usize::MAX || candidate + WINDOW <= pos {
-                        break;
-                    }
-                    let mut len = 0usize;
-                    while pos + len < limit && input[candidate + len] == input[pos + len] {
-                        len += 1;
-                    }
-                    if len > best_len {
-                        best_len = len;
-                        best_dist = pos - candidate;
-                        if len == LZSS_MAX_MATCH {
-                            break;
-                        }
-                    }
-                    candidate = prev[candidate % WINDOW];
-                }
-            }
-            let step = if best_len >= LZSS_MIN_MATCH {
-                emit(&mut out, &mut flags_at, &mut flag_bit, true);
-                let d = best_dist - 1;
-                out.push((d & 0xFF) as u8);
-                out.push(((d >> 8) as u8) | (((best_len - LZSS_MIN_MATCH) as u8) << 4));
-                best_len
-            } else {
-                emit(&mut out, &mut flags_at, &mut flag_bit, false);
-                out.push(input[pos]);
-                1
-            };
-            // Index every covered position so later matches can refer
-            // inside this run.
-            for p in pos..pos + step {
-                if p + LZSS_MIN_MATCH <= input.len() {
-                    let h = hash3(&input[p..]);
-                    prev[p % WINDOW] = head[h];
-                    head[h] = p;
-                }
-            }
-            pos += step;
-        }
-        out
-    }
 
     fn compress_block(input: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -514,10 +350,8 @@ mod tests {
         decompress_block_into(input, &mut out).map(|()| out)
     }
 
-    /// Round-trips `input` through both formats.
+    /// Round-trips `input` through the block format.
     fn round_trip(input: &[u8]) {
-        let packed = lzss_compress(input);
-        assert_eq!(decompress(&packed).expect("lzss decodes"), input);
         let packed = compress_block(input);
         assert_eq!(decompress_block(&packed).expect("block decodes"), input);
     }
@@ -550,7 +384,6 @@ mod tests {
     #[test]
     fn round_trips_text_and_shrinks_it() {
         let text = "the quick brown fox jumps over the lazy dog ".repeat(100);
-        assert!(lzss_compress(text.as_bytes()).len() < text.len() / 3);
         let packed = compress_block(text.as_bytes());
         assert!(packed.len() < text.len() / 20, "got {}", packed.len());
         round_trip(text.as_bytes());
@@ -560,7 +393,6 @@ mod tests {
     fn round_trips_incompressible_data_with_bounded_overhead() {
         // A xorshift stream: no repeats to speak of.
         let data = xorshift_bytes(10_000);
-        assert!(lzss_compress(&data).len() <= data.len() + data.len() / 8 + 16);
         // One extension byte per 255 literals, plus token and length.
         assert!(compress_block(&data).len() <= data.len() + data.len() / 255 + 16);
         round_trip(&data);
@@ -573,7 +405,7 @@ mod tests {
             data.extend(std::iter::repeat_n(i, 100));
         }
         round_trip(&data);
-        // Distances larger than either window force literals; still
+        // Distances larger than the window force literals; still
         // correct.
         let mut far = vec![7u8; 10];
         far.extend(xorshift_bytes(MAX_DISTANCE + 100));
@@ -596,27 +428,6 @@ mod tests {
         encoder.compress_into(text.as_bytes(), &mut out);
         assert_eq!(&out[..6], b"prefix");
         assert_eq!(&out[6..], fresh);
-    }
-
-    #[test]
-    fn rejects_corrupted_streams() {
-        let packed = lzss_compress(b"hello hello hello hello");
-        // Truncations.
-        for cut in 0..packed.len() {
-            assert!(decompress(&packed[..cut]).is_err(), "cut {cut} accepted");
-        }
-        // Trailing garbage.
-        let mut bad = packed.clone();
-        bad.push(0);
-        assert!(decompress(&bad).is_err());
-        // A match pointing before the start of the output: declared length
-        // 10, one match item, distance 4096 against an empty output.
-        let bad = vec![10, 0b0000_0001, 0xFF, 0x0F];
-        assert!(decompress(&bad).is_err());
-        // Absurd declared length with a tiny stream.
-        let mut bad = vec![0xFF; 9];
-        bad.push(0x01);
-        assert!(decompress(&bad).is_err());
     }
 
     #[test]

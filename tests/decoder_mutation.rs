@@ -4,8 +4,8 @@
 //! crashing or exhausting memory on restart is how its restore paths
 //! treat damaged bytes.  One small seeded session, given its trace's
 //! vocabulary so that its documents carry the noun filter's verdict bits,
-//! supplies the documents (the fixtures below carry the filter as a word
-//! list), and each is mutated and fed back through its entry point:
+//! supplies the documents, and each is mutated and fed back through its
+//! entry point:
 //!
 //! * the detector body in a **raw** container (method 0), restored with
 //!   [`DetectorSession::restore_bytes`], with a varint of `u64::MAX` and
@@ -18,9 +18,9 @@
 //!   snapshot it follows and restored with
 //!   [`DetectorSession::restore_from_journal`], which replays it (without
 //!   the re-framing a mutated frame only tests the checksum);
-//! * `tests/fixtures/checkpoint_parent_lzss.bin` (the read-only LZSS
-//!   decoder) and a copy of `tests/fixtures/journal_parent_index/`
-//!   restored with [`DetectorSession::restore_from_dir`], seeded mutations;
+//! * the same run journaled into a **directory** of at least three
+//!   segments, restored with [`DetectorSession::restore_from_dir`],
+//!   seeded mutations of one segment at a time;
 //! * the **JSON** checkpoint, and [`EventLineReader::push_line`] over the
 //!   session's own sink lines, seeded mutations.
 //!
@@ -45,7 +45,7 @@
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -53,8 +53,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::{
-    DeltaRecord, DetectorBuilder, DetectorConfig, DetectorSession, EventLineReader,
-    JournalFrameEvent, JournalReader, JsonLinesSink, WireFormat,
+    DeltaRecord, DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig,
+    EventLineReader, FsyncPolicy, JournalFrameEvent, JournalReader, JsonLinesSink, WireFormat,
 };
 use dengraph_json::frame::encode_frame;
 use dengraph_json::BinWriter;
@@ -77,6 +77,9 @@ const SEED: u64 = 72;
 const MESSAGES: usize = 1_500;
 const WINDOW_QUANTA: usize = 3;
 const DELTAS_PER_SNAPSHOT: u32 = 4;
+/// Segment size of the journal directory: small enough that the run
+/// spreads its frames over several segments.
+const DIRECTORY_SEGMENT_BYTES: u64 = 8 << 10;
 
 /// Seeded mutations per document, and per sink line.
 const SEEDED: usize = 600;
@@ -278,10 +281,6 @@ fn mutate(rng: &mut ChaCha8Rng, doc: &[u8], text: bool) -> (String, Vec<u8>) {
     (label, out)
 }
 
-fn fixtures() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures")
-}
-
 /// The journal cut down to its header and the last snapshot frame that a
 /// delta frame directly follows, and that delta's payload: re-framed
 /// behind the cut, the delta is the journal's last frame, and a restore
@@ -316,7 +315,7 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
     let quantum_size = config.quantum_size;
     let lines = Arc::new(Mutex::new(JsonLinesSink::new(Vec::new())));
     let journal_dir = temp_dir::scratch_dir("decoder-mutation-journal");
-    let mut session = DetectorBuilder::from_config(config)
+    let mut session = DetectorBuilder::from_config(config.clone())
         .interner(trace.interner.clone())
         .durable_journal(&journal_dir, temp_dir::one_segment(DELTAS_PER_SNAPSHOT))
         .build()
@@ -333,6 +332,21 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
     raw.extend_from_slice(body.as_slice());
     let json = session.checkpoint_bytes(WireFormat::Json);
     drop(session);
+    // The same run again, journaled into a directory of segments.
+    let dir = temp_dir::scratch_dir("decoder-mutation-directory");
+    DetectorBuilder::from_config(config.clone())
+        .interner(trace.interner.clone())
+        .durable_journal(
+            &dir,
+            DurableJournalConfig {
+                rebase_every: DELTAS_PER_SNAPSHOT,
+                fsync: FsyncPolicy::Never,
+                segment_bytes: DIRECTORY_SEGMENT_BYTES,
+            },
+        )
+        .build()
+        .expect("valid config and writable journal dir")
+        .run(&trace.messages[..MESSAGES]);
     let journal = temp_dir::only_file(&journal_dir);
     let _ = fs::remove_dir_all(&journal_dir);
     let (base, delta) = snapshot_and_delta(&journal);
@@ -398,26 +412,17 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
         }
     }
 
-    // (d) The LZSS fixture, and a copy of a journal directory fixture.
-    let lzss = fs::read(fixtures().join("checkpoint_parent_lzss.bin")).expect("fixture reads");
-    let family = sweep.family("LZSS checkpoint", || DetectorSession::restore_bytes(&lzss));
-    for _ in 0..SEEDED {
-        let (label, doc) = mutate(&mut rng, &lzss, false);
-        sweep.restore(family, &label, doc.len(), || {
-            DetectorSession::restore_bytes(&doc)
-        });
-    }
-    let dir = temp_dir::scratch_dir("decoder-mutation");
-    fs::create_dir_all(&dir).expect("temporary directory");
-    let mut segments: Vec<(PathBuf, Vec<u8>)> = Vec::new();
-    for entry in fs::read_dir(fixtures().join("journal_parent_index")).expect("fixture reads") {
-        let path = entry.expect("directory entry reads").path();
-        let bytes = fs::read(&path).expect("segment reads");
-        let copy = dir.join(path.file_name().expect("a segment file name"));
-        fs::write(&copy, &bytes).expect("segment copies");
-        segments.push((copy, bytes));
-    }
+    // (d) The journal directory, one segment mutated at a time.
+    let mut segments: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(&dir)
+        .expect("journal directory reads")
+        .map(|entry| {
+            let path = entry.expect("directory entry reads").path();
+            let bytes = fs::read(&path).expect("segment reads");
+            (path, bytes)
+        })
+        .collect();
     segments.sort();
+    assert!(segments.len() >= 3, "{} segments", segments.len());
     let journal_len: usize = segments.iter().map(|(_, bytes)| bytes.len()).sum();
     let family = sweep.family("journal directory", || {
         DetectorSession::restore_from_dir(&dir)
