@@ -10,10 +10,10 @@
 //!   pushed [`QuantumRecord`], the AKG [`GraphDelta`] log, the quantum's
 //!   AKG statistics and the reported events (the tracker updates);
 //! * a [`CheckpointJournal`] is an append-only frame log in the segment
-//!   files of [`crate::wal`]: full snapshots as rebase points, a snapshot
-//!   after every `rebase_every` delta records;
-//! * restore finds the latest snapshot and **replays** the journal-tail
-//!   deltas on top of it.
+//!   files of [`crate::wal`]: one delta record per quantum, and a full
+//!   snapshot as a rebase point every `rebase_every + 1` quanta;
+//! * restore finds the latest snapshot and **replays** the deltas of the
+//!   quanta after it on top of it.
 //!
 //! Replay is a pure redo: the window record is pushed as-is, the graph
 //! re-applies the logged deltas (no correlation is re-scored; its node
@@ -57,34 +57,47 @@
 //! ## The append path
 //!
 //! A journaled session pays for its journal inside every quantum's
-//! latency, and every `rebase_every`-th quantum pays for a whole
-//! snapshot, so the journal owns its buffers and encodes each window
-//! record once:
+//! latency, so the journal owns its buffers, encodes each window record
+//! once, and spreads a rebase's snapshot over several quanta:
 //!
-//! * a delta frame's window record is encoded into the newest slot of a
-//!   ring of at most `window_quanta` records (`RecordRing`; the slot
-//!   that falls out lends its buffer), and copied from there behind the
-//!   frame's nine reserved header bytes, followed by the rest of the
-//!   delta record;
-//! * a rebase encodes the state into a reused body buffer, copying every
-//!   window record the ring holds instead of encoding it again (only the
-//!   rebase quantum's own record, and records from before the journal
-//!   opened, are encoded afresh), packs it straight into a reused frame
-//!   buffer behind the reserved bytes and checksums it;
+//! * every quantum appends its delta frame: its window record is encoded
+//!   into the newest slot of a ring of at most `window_quanta` records
+//!   (`RecordRing`; the slot that falls out lends its buffer), and copied
+//!   from there behind the frame's nine reserved header bytes, followed
+//!   by the rest of the delta record;
+//! * a rebase quantum `Q` — the first after `rebase_every` quanta since
+//!   the last — appends its own delta frame, so it is durable at once,
+//!   and then encodes the state into a reused body buffer, copying every
+//!   window record the ring holds instead of encoding it again (records
+//!   from before the journal opened are encoded afresh).  The encode is
+//!   the only step that reads live state, and the only one `Q` pays for;
+//! * the block codec packs the body over the next `spread` quanta
+//!   (`rebase_every / 2`, at most 8 and at least 1), one equal byte
+//!   slice after each of their delta frames, into a reused snapshot
+//!   frame buffer behind the reserved bytes, folding each slice's output
+//!   into the frame's checksum; after the last slice the frame is
+//!   written behind the delta of `Q + spread`.  A crash before that
+//!   leaves the snapshot before it, and every delta since, to restore
+//!   from.  [`CheckpointJournal::sync`] finishes a snapshot still being
+//!   packed before it syncs;
 //! * each frame goes to the segment file as **one** write.
 //!
-//! The bytes are those of [`EventDetector::to_bin`] and of a fresh delta
-//! encoding (`tests/checkpoint_resume.rs` compares every snapshot frame
-//! with `checkpoint_bytes`).  After the first rebase no frame allocates
-//! (`tests/allocation_gate_durable.rs`).
+//! The body is a consistent image of the state at `Q`: nothing writes
+//! the buffer while it is packed.  The bytes are those of
+//! [`EventDetector::to_bin`] and of a fresh delta encoding, and a sliced
+//! packing writes what one call would (`tests/checkpoint_resume.rs`
+//! compares every snapshot frame with `checkpoint_bytes` taken at its
+//! rebase, and reads the frame layout back).  After the first rebase no
+//! frame allocates (`tests/allocation_gate_durable.rs`).
 //!
 //! [`DetectorSession::restore_bytes`]: crate::session::DetectorSession::restore_bytes
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 
-use dengraph_json::frame::{begin_frame, finish_frame, FRAME_HEADER_LEN};
+use dengraph_json::frame::{begin_frame, finish_frame, seal_frame, Crc32, FRAME_HEADER_LEN};
 use dengraph_json::lz::{self, BlockEncoder};
 use dengraph_json::{BinReader, BinWriter, Decode, Encode, JsonError, WireFormat};
 
@@ -239,24 +252,65 @@ impl RecordRing {
 const METHOD_RAW: u8 = 0;
 const METHOD_BLOCK: u8 = 2;
 
-/// Appends the binary checkpoint container holding `body` (a detector's
-/// [`EventDetector::to_bin`] bytes) to `out`: header, then the body
-/// packed by the block codec — or raw when packing does not shrink it
-/// (tiny or incompressible states).  The one container writer: the
-/// journal calls it with its own buffers, [`encode_checkpoint_document`]
-/// with temporaries.
-fn write_checkpoint_container(body: &[u8], codec: &mut BlockEncoder, out: &mut Vec<u8>) {
+/// Appends a binary checkpoint container's header to `out` and starts
+/// packing `body` (a detector's [`EventDetector::to_bin`] bytes) behind
+/// it with the block codec; [`pack_checkpoint_container`] goes on from
+/// there.  Returns where the payload starts, or `None` when the body is
+/// too long for the codec and is stored raw, which completes the
+/// container at once.
+fn begin_checkpoint_container(
+    body: &[u8],
+    codec: &mut BlockEncoder,
+    out: &mut Vec<u8>,
+) -> Option<usize> {
     let mut header = BinWriter::from_vec(std::mem::take(out));
     header.raw(&CHECKPOINT_MAGIC);
     header.u64(CONTAINER_VERSION);
     header.byte(METHOD_BLOCK);
     *out = header.into_bytes();
     let payload_at = out.len();
-    if !codec.compress_into(body, out) || out.len() - payload_at >= body.len() {
-        out.truncate(payload_at);
-        out[payload_at - 1] = METHOD_RAW;
-        out.extend_from_slice(body);
+    if codec.begin(body, out) {
+        Some(payload_at)
+    } else {
+        store_raw(body, payload_at, out);
+        None
     }
+}
+
+/// Packs the container [`begin_checkpoint_container`] began (payload at
+/// `payload_at` of `out`) until the codec's cursor reaches byte `until`
+/// of `body`.  Returns `None` while the body is not packed to its end;
+/// then `Some(raw)`, where `raw` says the packed stream did not shrink
+/// the body (tiny or incompressible states) and was replaced by the body
+/// itself under method 00, which rewrites the method byte too.
+fn pack_checkpoint_container(
+    body: &[u8],
+    codec: &mut BlockEncoder,
+    out: &mut Vec<u8>,
+    payload_at: usize,
+    until: usize,
+) -> Option<bool> {
+    if !codec.pack_until(body, until, out) {
+        return None;
+    }
+    let raw = out.len() - payload_at >= body.len();
+    if raw {
+        store_raw(body, payload_at, out);
+    }
+    Some(raw)
+}
+
+/// Replaces whatever follows the header in `out` by `body`, stored raw.
+fn store_raw(body: &[u8], payload_at: usize, out: &mut Vec<u8>) {
+    out.truncate(payload_at);
+    out[payload_at - 1] = METHOD_RAW;
+    out.extend_from_slice(body);
+}
+
+thread_local! {
+    /// The block codec of [`encode_checkpoint_document`], one per thread,
+    /// kept between calls so a standalone checkpoint allocates no table.
+    static CODEC: Cell<BlockEncoder> = const { Cell::new(BlockEncoder::new()) };
 }
 
 /// Encodes the complete detector as a standalone checkpoint document in
@@ -271,8 +325,13 @@ pub(crate) fn encode_checkpoint_document(detector: &EventDetector, format: WireF
         WireFormat::Binary => {
             let mut body = BinWriter::new();
             detector.to_bin(&mut body);
+            let body = body.as_slice();
             let mut out = Vec::new();
-            write_checkpoint_container(body.as_slice(), &mut BlockEncoder::new(), &mut out);
+            let mut codec = CODEC.take();
+            if let Some(payload_at) = begin_checkpoint_container(body, &mut codec, &mut out) {
+                pack_checkpoint_container(body, &mut codec, &mut out, payload_at, body.len());
+            }
+            CODEC.set(codec);
             out
         }
     }
@@ -348,7 +407,8 @@ pub(crate) fn decode_checkpoint_document(bytes: &[u8]) -> Result<EventDetector, 
 ///
 /// Owned by a [`DetectorSession`](crate::session::DetectorSession) once
 /// [`enable_durable_journal`](crate::session::DetectorSession::enable_durable_journal)
-/// is called; one frame is appended per processed quantum to the
+/// is called; one delta frame is appended per processed quantum, and a
+/// rebase's snapshot frame a few quanta after its rebase, to the
 /// rotating, compacting segment files of its directory.
 ///
 /// Durable appends can fail.  Because they run inside the infallible
@@ -358,27 +418,54 @@ pub(crate) fn decode_checkpoint_document(bytes: &[u8]) -> Result<EventDetector, 
 /// cadence (e.g. once per quantum batch) via
 /// [`DetectorSession::journal_io_error`](crate::session::DetectorSession::journal_io_error).
 pub struct CheckpointJournal {
-    /// Delta frames between consecutive snapshot rebase points (≥ 1).
+    /// Quanta between consecutive rebases (≥ 1).
     rebase_every: u32,
+    /// Quanta a rebase's snapshot is packed over (module docs, "The
+    /// append path").
+    spread: u32,
     segments: SegmentedJournal,
     /// First append/sync failure, latched; all later appends are skipped.
     io_error: Option<io::Error>,
-    deltas_since_snapshot: u32,
+    /// Quanta since the latest rebase (or the opening snapshot).
+    quanta_since_rebase: u32,
+    /// The rebase snapshot being packed, if any.
+    pending: Option<PendingSnapshot>,
     snapshot_frames: usize,
     delta_frames: usize,
     delta_payload_bytes: u64,
     last_snapshot_bytes: usize,
     /// A snapshot's detector state, before packing.  This and the next
-    /// two are scratch reused across frames (module docs, "The append
-    /// path").
+    /// three are scratch reused across frames.
     body: BinWriter,
-    /// The frame being assembled: reserved header bytes + payload.
+    /// The delta frame being assembled: reserved header bytes + payload.
     frame: Vec<u8>,
-    /// The block codec's table.
+    /// The snapshot frame being assembled, over as many quanta as the
+    /// packing takes.
+    snapshot: Vec<u8>,
+    /// The block codec's table and cursor.
     codec: BlockEncoder,
     /// The window records' encodings, kept from their delta frames for
     /// the next rebase.
     records: RecordRing,
+}
+
+/// A rebase snapshot between the quantum that encoded its body and the
+/// write of its frame.
+#[derive(Debug)]
+struct PendingSnapshot {
+    /// Slices of the body packed so far.
+    slices: u32,
+    /// Where the container's payload starts in the snapshot frame;
+    /// `None` when the body, too long for the codec, was stored raw at
+    /// the begin.
+    payload_at: Option<usize>,
+    /// Checksum of the frame's tag and of its bytes before `folded`.
+    crc: Crc32,
+    folded: usize,
+    /// The segment holding the delta frame of the quantum after the
+    /// snapshot's, once that frame is written: the first segment a
+    /// restore from this snapshot reads.
+    restore_from: Option<u64>,
 }
 
 impl std::fmt::Debug for CheckpointJournal {
@@ -389,9 +476,13 @@ impl std::fmt::Debug for CheckpointJournal {
             .field("io_error", &self.io_error)
             .field("snapshot_frames", &self.snapshot_frames)
             .field("delta_frames", &self.delta_frames)
+            .field("pending", &self.pending)
             .finish()
     }
 }
+
+/// The most quanta a rebase spreads its snapshot's packing over.
+const MAX_SPREAD: u32 = 8;
 
 impl CheckpointJournal {
     /// Opens a journal under `dir` and writes (and always fsyncs) the
@@ -405,21 +496,26 @@ impl CheckpointJournal {
         config: DurableJournalConfig,
         detector: &EventDetector,
     ) -> io::Result<Self> {
+        let rebase_every = config.rebase_every.max(1);
         let mut journal = Self {
-            rebase_every: config.rebase_every.max(1),
+            rebase_every,
+            spread: (rebase_every / 2).clamp(1, MAX_SPREAD),
             segments: SegmentedJournal::create(dir, config.fsync, config.segment_bytes)?,
             io_error: None,
-            deltas_since_snapshot: 0,
+            quanta_since_rebase: 0,
+            pending: None,
             snapshot_frames: 0,
             delta_frames: 0,
             delta_payload_bytes: 0,
             last_snapshot_bytes: 0,
             body: BinWriter::new(),
             frame: Vec::new(),
+            snapshot: Vec::new(),
             codec: BlockEncoder::new(),
             records: RecordRing::new(detector.config().window_quanta),
         };
-        journal.append_snapshot(detector)?;
+        // The sync packs and writes the snapshot before it syncs.
+        journal.begin_snapshot(detector);
         journal.sync()?;
         Ok(journal)
     }
@@ -434,15 +530,20 @@ impl CheckpointJournal {
 
     /// Forces all appended frames to stable storage now, regardless of
     /// [`FsyncPolicy`], and then compacts: with the latest snapshot
-    /// durable, every segment behind it is deleted.  This is the only
-    /// point at which a running [`FsyncPolicy::Never`] journal sheds its
-    /// dead segments (the policies that sync also compact at every
-    /// rebase).  Returns the latched error if the journal already failed.
+    /// durable, every segment a restore from it does not read is deleted.
+    /// A snapshot still being packed is completed and written first, so
+    /// it is the one that becomes durable.  This is the only point at
+    /// which a running [`FsyncPolicy::Never`] journal sheds its dead
+    /// segments (the policies that sync also compact whenever a rebase
+    /// snapshot is written).  Returns the latched error if the journal
+    /// already failed.
     pub fn sync(&mut self) -> io::Result<()> {
         if let Some(e) = &self.io_error {
             return Err(io::Error::new(e.kind(), e.to_string()));
         }
-        let result = sync_and_compact(&mut self.segments);
+        let result = self
+            .pack_snapshot(usize::MAX)
+            .and_then(|_| sync_and_compact(&mut self.segments));
         if let Err(e) = &result {
             self.io_error = Some(io::Error::new(e.kind(), e.to_string()));
         }
@@ -529,30 +630,69 @@ impl CheckpointJournal {
         Ok(())
     }
 
-    /// Completes the frame assembled in `self.frame` (payload behind the
-    /// reserved header bytes) and appends it: one write.  Returns the
-    /// payload length.
-    fn push_frame(&mut self, tag: u8) -> io::Result<usize> {
-        finish_frame(tag, &mut self.frame);
-        self.segments.append_assembled(&self.frame)?;
-        Ok(self.frame.len() - FRAME_HEADER_LEN)
-    }
-
-    /// Appends a full-snapshot rebase frame.  The statistics counters
-    /// update only when the frame actually reached the log.
-    fn append_snapshot(&mut self, detector: &EventDetector) -> io::Result<()> {
-        begin_frame(&mut self.frame);
+    /// Encodes `detector` into the body buffer and starts its snapshot
+    /// frame: container header, codec begun, checksum opened.
+    fn begin_snapshot(&mut self, detector: &EventDetector) {
+        debug_assert!(self.pending.is_none(), "a rebase began while one packs");
         self.body.clear();
         detector.to_bin_reusing(&mut self.body, &self.records);
-        write_checkpoint_container(self.body.as_slice(), &mut self.codec, &mut self.frame);
-        self.last_snapshot_bytes = self.push_frame(TAG_SNAPSHOT)?;
-        self.snapshot_frames += 1;
-        self.deltas_since_snapshot = 0;
-        Ok(())
+        begin_frame(&mut self.snapshot);
+        let payload_at =
+            begin_checkpoint_container(self.body.as_slice(), &mut self.codec, &mut self.snapshot);
+        let mut crc = Crc32::new();
+        crc.update(&[TAG_SNAPSHOT]);
+        self.pending = Some(PendingSnapshot {
+            slices: 0,
+            payload_at,
+            crc,
+            folded: FRAME_HEADER_LEN,
+            restore_from: None,
+        });
     }
 
-    /// Appends one processed quantum: a delta record, or a snapshot once
-    /// `rebase_every` deltas follow the latest one.
+    /// Packs the pending snapshot's body up to byte `until` and folds the
+    /// new output into its checksum; once the body is packed to its end,
+    /// writes the frame (one write).  Returns whether a frame was written.
+    fn pack_snapshot(&mut self, until: usize) -> io::Result<bool> {
+        let Some(pending) = &mut self.pending else {
+            return Ok(false);
+        };
+        let packed = match pending.payload_at {
+            Some(at) => pack_checkpoint_container(
+                self.body.as_slice(),
+                &mut self.codec,
+                &mut self.snapshot,
+                at,
+                until,
+            ),
+            None => Some(false),
+        };
+        if packed == Some(true) {
+            // The raw fallback rewrote the bytes already folded.
+            pending.crc = Crc32::new();
+            pending.crc.update(&[TAG_SNAPSHOT]);
+            pending.folded = FRAME_HEADER_LEN;
+        }
+        pending.crc.update(&self.snapshot[pending.folded..]);
+        pending.folded = self.snapshot.len();
+        if packed.is_none() {
+            return Ok(false);
+        }
+        seal_frame(TAG_SNAPSHOT, &pending.crc, &mut self.snapshot);
+        let restore_from = pending.restore_from;
+        self.pending = None;
+        self.segments.append_assembled(&self.snapshot)?;
+        self.segments
+            .set_restore_from(restore_from.unwrap_or(self.segments.current_seq()));
+        self.last_snapshot_bytes = self.snapshot.len() - FRAME_HEADER_LEN;
+        self.snapshot_frames += 1;
+        Ok(true)
+    }
+
+    /// Appends one processed quantum: its delta record, and then the
+    /// rebase work this quantum carries — encoding a new snapshot once
+    /// `rebase_every` quanta follow the latest rebase, or packing the next
+    /// slice of the pending one (module docs, "The append path").
     ///
     /// Runs inside the infallible per-quantum pipeline, so an I/O failure
     /// is latched ([`Self::io_error`]) rather than returned; the journal
@@ -571,31 +711,47 @@ impl CheckpointJournal {
         detector: &EventDetector,
         summary: &QuantumSummary,
     ) -> io::Result<()> {
-        if self.deltas_since_snapshot >= self.rebase_every {
-            self.append_snapshot(detector)?;
-            // A rebase makes every earlier segment dead weight — but only
-            // once the snapshot is durable.  Under `Never` the hot path
-            // syncs nothing, so compaction waits for the caller's next
-            // explicit [`Self::sync`] (or the next startup).
-            if self.segments.fsync() != FsyncPolicy::Never {
-                sync_and_compact(&mut self.segments)?;
-            }
-        } else {
-            begin_frame(&mut self.frame);
-            let mut w = BinWriter::from_vec(std::mem::take(&mut self.frame));
-            detector.encode_delta_record(summary, &mut self.records, &mut w);
-            self.frame = w.into_bytes();
-            self.delta_payload_bytes += self.push_frame(TAG_DELTA)? as u64;
-            self.delta_frames += 1;
-            self.deltas_since_snapshot += 1;
+        begin_frame(&mut self.frame);
+        let mut w = BinWriter::from_vec(std::mem::take(&mut self.frame));
+        detector.encode_delta_record(summary, &mut self.records, &mut w);
+        self.frame = w.into_bytes();
+        finish_frame(TAG_DELTA, &mut self.frame);
+        self.segments.append_assembled(&self.frame)?;
+        self.delta_payload_bytes += (self.frame.len() - FRAME_HEADER_LEN) as u64;
+        self.delta_frames += 1;
+        if self.quanta_since_rebase >= self.rebase_every {
+            // The delta just written makes this quantum durable; the
+            // snapshot is the state after it, read now and packed later.
+            self.begin_snapshot(detector);
+            self.quanta_since_rebase = 0;
+            return Ok(());
+        }
+        self.quanta_since_rebase += 1;
+        let Some(pending) = &mut self.pending else {
+            return Ok(());
+        };
+        pending
+            .restore_from
+            .get_or_insert(self.segments.current_seq());
+        pending.slices += 1;
+        // Equal byte slices; the last one reaches the end of the body.
+        let until = self.body.as_slice().len() * pending.slices as usize / self.spread as usize;
+        // A rebase makes every segment before the one holding the delta
+        // after the snapshot's quantum dead weight — but only once the
+        // snapshot is durable.  Under `Never` the hot path syncs nothing,
+        // so compaction waits for the caller's next explicit
+        // [`Self::sync`] (or the next startup).
+        if self.pack_snapshot(until)? && self.segments.fsync() != FsyncPolicy::Never {
+            sync_and_compact(&mut self.segments)?;
         }
         Ok(())
     }
 }
 
-/// Makes everything appended so far durable, then deletes the segments
-/// behind the latest snapshot — in that order, so a crash at any point
-/// leaves a complete snapshot on disk.
+/// Makes everything appended so far durable, then deletes the segments a
+/// restore from the latest snapshot does not read — in that order, so a
+/// crash at any point leaves a complete snapshot, and every delta after
+/// it, on disk.
 fn sync_and_compact(segments: &mut SegmentedJournal) -> io::Result<()> {
     segments.sync()?;
     segments.compact()?;

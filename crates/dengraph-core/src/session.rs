@@ -19,7 +19,7 @@
 //!   as one standalone document and [`DetectorSession::restore_bytes`]
 //!   resumes it; [`DetectorSession::enable_durable_journal`] keeps a
 //!   binary write-ahead journal of per-quantum delta frames, with a
-//!   snapshot every `rebase_every` deltas, in a segment directory that
+//!   snapshot every `rebase_every + 1` quanta, in a segment directory that
 //!   [`DetectorSession::restore_from_dir`] recovers.  Either way
 //!   restore-then-continue is **bit-identical** to the uninterrupted run
 //!   (`tests/checkpoint_resume.rs` gates this).
@@ -846,10 +846,11 @@ impl DetectorSession {
 
     /// Enables incremental checkpointing to a durable, file-backed
     /// write-ahead journal: every processed quantum appends one
-    /// checksummed frame to rotating segment files under `dir` — an
-    /// O(quantum Δ) [`DeltaRecord`], or a full snapshot once
-    /// `config.rebase_every` deltas follow the latest one (so restore
-    /// replays at most that many deltas; 0 is clamped to 1) — fsynced per
+    /// checksummed O(quantum Δ) [`DeltaRecord`] frame to rotating segment
+    /// files under `dir`, and once `config.rebase_every` quanta follow the
+    /// latest rebase, the next one also encodes a full snapshot, packed
+    /// over the following quanta and written a few frames later (see
+    /// [`DurableJournalConfig::rebase_every`]; 0 is clamped to 1) — fsynced per
     /// [`config.fsync`](crate::wal::FsyncPolicy), so a crash loses at
     /// most the configured durability window and
     /// [`Self::restore_from_dir`] recovers the rest.
@@ -890,8 +891,9 @@ impl DetectorSession {
     /// Forces all journaled frames to stable storage now, regardless of
     /// the configured [`FsyncPolicy`](crate::wal::FsyncPolicy) — the
     /// explicit sync point for `FsyncPolicy::Never`/`EveryN`
-    /// deployments — and then deletes the segments behind the latest
-    /// snapshot, which under `Never` nothing else does while the session
+    /// deployments — after writing a snapshot still being packed, and
+    /// then deletes the segments a restore from the latest snapshot does
+    /// not read, which under `Never` nothing else does while the session
     /// runs.  A no-op without a journal; returns the latched error if
     /// journaling already failed.
     pub fn sync_journal(&mut self) -> io::Result<()> {
@@ -925,7 +927,8 @@ impl DetectorSession {
 
     /// Recovers a session from a durable journal directory written by
     /// [`Self::enable_durable_journal`]: scans the segment files in
-    /// order, restores the latest snapshot and replays the delta tail.
+    /// order, restores the latest complete snapshot and replays the
+    /// deltas of the quanta after it.
     ///
     /// This is the crash-recovery entry point, so a **torn tail** —
     /// truncated or checksum-corrupt final frames from a crash

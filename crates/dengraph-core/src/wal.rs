@@ -13,13 +13,13 @@
 //!   assembled by the journal in its own buffer, so no frame is ever
 //!   half-issued between two calls and a quantum costs one syscall.  It
 //!   rotates the log across `seg-NNNNNNNN.dgj` files at a byte
-//!   threshold and compacts segments wholly behind the latest durable
-//!   snapshot — at every rebase under the policies that sync, and at the
-//!   caller's explicit sync under [`FsyncPolicy::Never`], after first
-//!   syncing the closed segments that policy's rotations left in the
-//!   page cache.  A segment file's creation and a compaction's unlinks
-//!   are made durable by syncing the directory itself (see
-//!   `SegmentedJournal`);
+//!   threshold and compacts the segments a restore from the latest
+//!   durable snapshot does not read — whenever a rebase writes its
+//!   snapshot under the policies that sync, and at the caller's explicit
+//!   sync under [`FsyncPolicy::Never`], after first syncing the closed
+//!   segments that policy's rotations left in the page cache.  A segment
+//!   file's creation and a compaction's unlinks are made durable by
+//!   syncing the directory itself (see `SegmentedJournal`);
 //! * [`JournalReader`] scans one segment's bytes frame by frame, and the
 //!   crate-internal recovery routine folds every segment of a journal
 //!   directory into the *last fully-durable quantum*: a torn tail (bad
@@ -39,10 +39,28 @@
 //! byte, `01`, says the payloads are binary; it is the only value written
 //! or read (`00` marked the retired JSON journals).  Frames carry tag
 //! `01` (snapshot: a complete binary checkpoint document) or `02` (delta:
-//! a [`DeltaRecord`]).  Recovery keeps the
-//! latest snapshot and the delta frames after it, so compaction — which
-//! only ever deletes segments *strictly before* the segment holding the
-//! latest durable snapshot — never changes what a restore produces.
+//! a [`DeltaRecord`]).  Every quantum writes one delta frame; a rebase's
+//! snapshot of quantum `Q` is written a few quanta later, behind the
+//! deltas of the quanta its packing spanned, and before the frame of the
+//! next rebase (see [`crate::checkpoint`], "The append path"):
+//!
+//! ```text
+//! … [delta Q] [delta Q+1] … [delta Q+spread] [snapshot of Q] [delta Q+spread+1] …
+//! ```
+//!
+//! Recovery restores the latest complete snapshot and replays the delta
+//! frames of the quanta after it, wherever they sit in the log: it keeps
+//! the deltas from the frame of the snapshot before it on, and skips
+//! those of earlier quanta on their record index, the payload's first
+//! varint.  A journal's opening snapshot is the first frame of the
+//! segment the journal opens, and no other snapshot frame ever opens a
+//! segment (only a delta frame rotates), so a snapshot at a segment's
+//! start adopts no earlier delta: a directory that still holds another
+//! history's segments when a journal opens there (a crash before the
+//! opening compaction) never has those deltas replayed onto the new
+//! state.  Compaction deletes only segments *strictly before* the one
+//! holding the delta of the quantum after the latest durable snapshot's,
+//! so it never changes what a restore produces.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -169,20 +187,27 @@ fn parse_segment_header(bytes: &[u8]) -> Result<usize, JsonError> {
 /// Configuration of a durable (file-backed) journal.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurableJournalConfig {
-    /// Delta frames between consecutive snapshot rebase points: restore
-    /// replays at most this many, and the journal grows by one snapshot
-    /// per this many quanta.  Clamped to at least 1.
+    /// Quanta between consecutive rebases: the quantum after this many
+    /// encodes a snapshot, packed over the next `spread` quanta
+    /// (`rebase_every / 2`, at most 8 and at least 1) and written behind
+    /// the last of their delta frames.  The journal grows by one snapshot
+    /// per `rebase_every + 1` quanta, and a restore replays at most
+    /// `rebase_every + spread + 1` deltas (a crash before a snapshot's
+    /// frame is written replays from the one before).  Clamped to at
+    /// least 1.
     pub rebase_every: u32,
     /// When appended frames are forced to stable storage.
     pub fsync: FsyncPolicy,
     /// Byte threshold at which the journal rotates to a fresh segment
-    /// file.  A segment always holds at least one frame, so a threshold
-    /// smaller than a frame degenerates to one frame per segment.
+    /// file, before the next delta frame: a rebase's snapshot frame stays
+    /// in the segment of the delta before it.  A segment always holds at
+    /// least one frame, so a threshold smaller than a frame degenerates
+    /// to one delta frame per segment.
     pub segment_bytes: u64,
 }
 
 impl Default for DurableJournalConfig {
-    /// A snapshot every 64 deltas, fsync on every frame, 8 MiB segments.
+    /// A rebase after every 64 quanta, fsync on every frame, 8 MiB segments.
     fn default() -> Self {
         Self {
             rebase_every: 64,
@@ -259,8 +284,11 @@ pub(crate) struct SegmentedJournal {
     frames_in_segment: u64,
     /// Frames appended since the live segment was last synced.
     frames_since_sync: u32,
-    /// Segment holding the most recently appended snapshot frame.
-    last_snapshot_seq: u64,
+    /// The first segment a restore from the most recently appended
+    /// snapshot reads: the one holding the delta frame of the quantum
+    /// after the snapshot's, or the snapshot's own when no such delta
+    /// precedes it.  Compaction keeps every segment from here on.
+    restore_from_seq: u64,
     /// Every closed segment numbered below this is on stable storage.
     /// [`Self::rotate`] skips the old segment's fsync under
     /// [`FsyncPolicy::Never`], so closed segments from here up to the
@@ -289,7 +317,7 @@ impl SegmentedJournal {
             current_seq: next_seq,
             frames_in_segment: 0,
             frames_since_sync: 0,
-            last_snapshot_seq: next_seq,
+            restore_from_seq: next_seq,
             synced_before: next_seq,
             dir_synced: true,
         })
@@ -312,11 +340,17 @@ impl SegmentedJournal {
     /// `write_all`, so a frame is never half-issued between two calls
     /// into the file, and fsyncs if the policy says the frame count since
     /// the last sync is due.  Rotates to a fresh segment first when the
-    /// current one has reached the byte threshold (a segment always
-    /// receives at least one frame, so rotation lands exactly on frame
-    /// boundaries).
+    /// current one has reached the byte threshold and `frame` is a delta
+    /// (a segment always receives at least one frame, so rotation lands
+    /// exactly on frame boundaries).  A snapshot frame goes to the
+    /// segment of the frame before it, so only a journal's opening
+    /// snapshot, written to the segment [`Self::create`] opens, is a
+    /// segment's first frame: recovery tells it from a rebase's by that.
     pub(crate) fn append_assembled(&mut self, frame: &[u8]) -> io::Result<()> {
-        if self.bytes_in_segment >= self.segment_bytes && self.frames_in_segment > 0 {
+        if self.bytes_in_segment >= self.segment_bytes
+            && self.frames_in_segment > 0
+            && frame.first() == Some(&TAG_DELTA)
+        {
             self.rotate()?;
         }
         self.file.write_all(frame)?;
@@ -326,10 +360,13 @@ impl SegmentedJournal {
             self.sync_file()?;
         }
         self.frames_in_segment += 1;
-        if frame.first() == Some(&TAG_SNAPSHOT) {
-            self.last_snapshot_seq = self.current_seq;
-        }
         Ok(())
+    }
+
+    /// Records, after a snapshot frame's append, the first segment a
+    /// restore from that snapshot reads (see `restore_from_seq`).
+    pub(crate) fn set_restore_from(&mut self, seq: u64) {
+        self.restore_from_seq = seq;
     }
 
     /// Forces the live segment's frames to stable storage.
@@ -368,11 +405,11 @@ impl SegmentedJournal {
 
     /// Forces everything appended so far to stable storage: the closed
     /// segments a [`FsyncPolicy::Never`] rotation left un-synced — those
-    /// from the latest snapshot's on; anything older is dead weight a
-    /// restore never reads — then the live one, then the directory if a
-    /// segment was created since it was last synced.
+    /// a restore from the latest snapshot reads; anything older is dead
+    /// weight — then the live one, then the directory if a segment was
+    /// created since it was last synced.
     pub(crate) fn sync(&mut self) -> io::Result<()> {
-        for seq in self.synced_before.max(self.last_snapshot_seq)..self.current_seq {
+        for seq in self.synced_before.max(self.restore_from_seq)..self.current_seq {
             OpenOptions::new()
                 .write(true)
                 .open(segment_path(&self.dir, seq))?
@@ -386,16 +423,18 @@ impl SegmentedJournal {
         Ok(())
     }
 
-    /// Deletes every segment strictly before the one holding the latest
-    /// snapshot.  The caller must have made that snapshot durable first
-    /// with [`Self::sync`] (compaction after an unsynced snapshot could
+    /// Deletes every segment strictly before the first one a restore from
+    /// the latest snapshot reads (see `restore_from_seq`): the one holding
+    /// the delta after the snapshot's quantum, which may precede the
+    /// snapshot's own.  The caller must have made that snapshot durable
+    /// first with [`Self::sync`] (compaction after an unsynced snapshot could
     /// leave the journal with no complete snapshot on disk after a
     /// crash).  The directory is synced after any unlink.  Returns the
     /// number of segments removed.
     pub(crate) fn compact(&mut self) -> io::Result<usize> {
         let mut removed = 0;
         for (seq, path) in list_segments(&self.dir)? {
-            if seq < self.last_snapshot_seq {
+            if seq < self.restore_from_seq {
                 fs::remove_file(&path)?;
                 removed += 1;
             }
@@ -593,10 +632,20 @@ struct SegmentRef<'a> {
 }
 
 /// The surviving frames of a scanned journal: the latest snapshot, the
-/// delta tail after it, and where (if anywhere) the scan tore off.
+/// delta frames a restore from it may need, and where (if anywhere) the
+/// scan tore off.
 struct ScannedJournal<'a> {
     snapshot: Option<&'a [u8]>,
-    tail: Vec<&'a [u8]>,
+    /// Every delta payload from the frame of the snapshot before
+    /// `snapshot` on (from the scan's start if there is none): a rebase
+    /// writes its snapshot frame behind the deltas of the quanta its
+    /// packing spans, so the deltas that continue a snapshot may precede
+    /// its frame, but never the frame of the snapshot before it.  Only
+    /// those after `snapshot` when its frame opens a segment (a
+    /// journal's opening snapshot, module docs).
+    deltas: Vec<&'a [u8]>,
+    /// How many of `deltas` precede the `snapshot` frame.
+    before_snapshot: usize,
     segments_scanned: usize,
     frames_recovered: usize,
     torn: Option<TornWrite>,
@@ -615,7 +664,8 @@ fn scan_segments<'a>(segments: &[SegmentRef<'a>]) -> Result<ScannedJournal<'a>, 
     }
     let mut scan = ScannedJournal {
         snapshot: None,
-        tail: Vec::new(),
+        deltas: Vec::new(),
+        before_snapshot: 0,
         segments_scanned: 0,
         frames_recovered: 0,
         torn: None,
@@ -649,15 +699,24 @@ fn scan_segments<'a>(segments: &[SegmentRef<'a>]) -> Result<ScannedJournal<'a>, 
             }
         };
         scan.segments_scanned += 1;
+        let mut opens_segment = true;
         let segment_torn = loop {
-            match reader.next_frame() {
+            let frame = reader.next_frame();
+            let first = std::mem::replace(&mut opens_segment, false);
+            match frame {
                 JournalFrameEvent::Snapshot(payload) => {
                     scan.snapshot = Some(payload);
-                    scan.tail.clear();
+                    let stale = if first {
+                        scan.deltas.len()
+                    } else {
+                        scan.before_snapshot
+                    };
+                    scan.deltas.drain(..stale);
+                    scan.before_snapshot = scan.deltas.len();
                     scan.frames_recovered += 1;
                 }
                 JournalFrameEvent::Delta(payload) => {
-                    scan.tail.push(payload);
+                    scan.deltas.push(payload);
                     scan.frames_recovered += 1;
                 }
                 JournalFrameEvent::End => break None,
@@ -674,21 +733,29 @@ fn scan_segments<'a>(segments: &[SegmentRef<'a>]) -> Result<ScannedJournal<'a>, 
     Ok(scan)
 }
 
-/// Decodes the scanned snapshot and replays the delta tail.
+/// Decodes the scanned snapshot and replays, in log order, the delta
+/// frames of the quanta after it; a delta of an earlier quantum is
+/// skipped on its record index, the payload's first varint, without
+/// being decoded.
 fn replay(scan: &ScannedJournal<'_>) -> Result<(EventDetector, RecoveryReport), RestoreError> {
     let snapshot = scan.snapshot.ok_or_else(|| {
         RestoreError::Io("journal contains no snapshot frame to restore from".to_string())
     })?;
     let mut detector = decode_checkpoint_document(snapshot)?;
-    for payload in &scan.tail {
+    let mut replayed = 0;
+    for payload in &scan.deltas {
+        if BinReader::new(payload).u64()? < detector.quanta_processed() {
+            continue;
+        }
         let record = DeltaRecord::decode(payload)?;
         detector.apply_delta_record(&record)?;
+        replayed += 1;
     }
     let detector = detector.with_checked_outcomes(0)?;
     let report = RecoveryReport {
         segments_scanned: scan.segments_scanned,
         frames_recovered: scan.frames_recovered,
-        deltas_replayed: scan.tail.len(),
+        deltas_replayed: replayed,
         recovered_quantum: detector.quanta_processed(),
         torn: scan.torn.clone(),
     };
@@ -849,6 +916,46 @@ mod tests {
         }
     }
 
+    /// A snapshot frame adopts the deltas since the snapshot frame before
+    /// it (a rebase's, packed over the quanta those deltas log) — unless
+    /// it opens its segment, as only a journal's opening snapshot does:
+    /// then the deltas before it are another history's, and none is kept.
+    #[test]
+    fn only_a_snapshot_inside_a_segment_adopts_the_deltas_before_it() {
+        let old = segment(&[
+            (TAG_SNAPSHOT, b"s1"),
+            (TAG_DELTA, b"d1"),
+            (TAG_DELTA, b"d2"),
+        ]);
+        let rebase = segment(&[
+            (TAG_DELTA, b"d3"),
+            (TAG_SNAPSHOT, b"s2"),
+            (TAG_DELTA, b"d4"),
+        ]);
+        let opening = segment(&[(TAG_SNAPSHOT, b"s3"), (TAG_DELTA, b"d5")]);
+        fn scan_of<'a>(parts: &[&'a [u8]]) -> (Option<&'a [u8]>, Vec<&'a [u8]>, usize) {
+            let segments: Vec<SegmentRef<'a>> = parts
+                .iter()
+                .enumerate()
+                .map(|(i, bytes)| SegmentRef {
+                    path: None,
+                    seq: Some(i as u64 + 1),
+                    bytes,
+                })
+                .collect();
+            let scan = scan_segments(&segments).unwrap();
+            (scan.snapshot, scan.deltas, scan.before_snapshot)
+        }
+        let (snapshot, deltas, before) = scan_of(&[&old, &rebase]);
+        assert_eq!(snapshot, Some(&b"s2"[..]));
+        assert_eq!(deltas, [&b"d1"[..], b"d2", b"d3", b"d4"]);
+        assert_eq!(before, 3);
+        let (snapshot, deltas, before) = scan_of(&[&old, &opening]);
+        assert_eq!(snapshot, Some(&b"s3"[..]));
+        assert_eq!(deltas, [&b"d5"[..]]);
+        assert_eq!(before, 0);
+    }
+
     #[test]
     fn segment_sequence_gaps_stop_the_scan() {
         let seg = segment(&[(TAG_DELTA, b"d")]);
@@ -884,12 +991,13 @@ mod tests {
             std::env::temp_dir().join(format!("dengraph-wal-dir-sync-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let snapshot = encode_frame(TAG_SNAPSHOT, &[7; 32]);
-        // A one-byte threshold rotates before every frame but a segment's
-        // first.
+        let delta = encode_frame(TAG_DELTA, &[7; 32]);
+        // A one-byte threshold rotates before every delta frame but a
+        // segment's first.
         let mut every = SegmentedJournal::create(&dir, FsyncPolicy::EveryFrame, 1).unwrap();
         assert!(every.dir_synced, "create syncs the directory");
         every.append_assembled(&snapshot).unwrap();
-        every.append_assembled(&snapshot).unwrap();
+        every.append_assembled(&delta).unwrap();
         assert_eq!(every.current_seq, 2);
         assert!(every.dir_synced, "an EveryFrame rotation syncs it");
         drop(every);
@@ -901,13 +1009,16 @@ mod tests {
             "create syncs the directory under Never too"
         );
         never.append_assembled(&snapshot).unwrap();
-        never.append_assembled(&snapshot).unwrap();
+        never.append_assembled(&delta).unwrap();
         assert_eq!(never.current_seq, 2);
         assert!(!never.dir_synced, "a Never rotation leaves it for sync()");
         never.sync().unwrap();
         assert!(never.dir_synced, "sync() catches up");
 
+        never.append_assembled(&delta).unwrap();
         never.append_assembled(&snapshot).unwrap();
+        assert_eq!(never.current_seq, 3, "a snapshot frame never rotates");
+        never.set_restore_from(never.current_seq);
         assert!(!never.dir_synced);
         assert_eq!(
             never.compact().unwrap(),

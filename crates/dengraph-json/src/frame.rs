@@ -28,8 +28,9 @@
 //! A writer either frames a finished payload ([`frame_header`],
 //! [`encode_frame`]) or assembles the frame in place — [`begin_frame`]
 //! reserves the header in a reused buffer, the payload is encoded
-//! straight behind it, [`finish_frame`] patches the header — and issues
-//! the whole frame as one `write`.
+//! straight behind it, [`finish_frame`] patches the header (or
+//! [`seal_frame`], when the writer checksummed the payload piece by
+//! piece as it wrote it) — and issues the whole frame as one `write`.
 //!
 //! [`FrameScanner`] walks a byte region frame by frame and never fails
 //! hard: a damaged or incomplete frame comes back as
@@ -154,12 +155,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 ///
 /// If the payload exceeds `u32::MAX` bytes (a frame that large could
 /// never be validated in one read and has no legitimate producer here).
-#[expect(clippy::expect_used, reason = "the documented panic above")]
 pub fn frame_header(tag: u8, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
-    let len = u32::try_from(payload.len()).expect("frame payload exceeds u32::MAX bytes");
     let mut crc = Crc32::new();
     crc.update(&[tag]);
     crc.update(payload);
+    header_with(tag, payload.len(), &crc)
+}
+
+/// The header of a `payload_len`-byte frame under `tag` whose checksum
+/// `crc` has folded (the tag byte, then the payload).
+#[expect(clippy::expect_used, reason = "the documented panics of its callers")]
+fn header_with(tag: u8, payload_len: usize, crc: &Crc32) -> [u8; FRAME_HEADER_LEN] {
+    let len = u32::try_from(payload_len).expect("frame payload exceeds u32::MAX bytes");
     let mut header = [0u8; FRAME_HEADER_LEN];
     header[0] = tag;
     header[1..5].copy_from_slice(&len.to_le_bytes());
@@ -187,6 +194,20 @@ pub fn begin_frame(buf: &mut Vec<u8>) {
 pub fn finish_frame(tag: u8, frame: &mut [u8]) {
     let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
     header.copy_from_slice(&frame_header(tag, payload));
+}
+
+/// Completes a frame started by [`begin_frame`] whose checksum the
+/// caller folded as the payload was written — `crc` has taken `tag`,
+/// then every payload byte behind the reserved bytes, in order and in
+/// any number of pieces — by patching the header in.  For a payload
+/// assembled over several calls, so no pass re-reads it at the end.
+///
+/// # Panics
+///
+/// As [`finish_frame`].
+pub fn seal_frame(tag: u8, crc: &Crc32, frame: &mut [u8]) {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
+    header.copy_from_slice(&header_with(tag, payload.len(), crc));
 }
 
 /// Encodes one complete frame (header + payload) as a fresh buffer.
@@ -409,6 +430,25 @@ mod tests {
         ));
         assert_eq!(scanner.next_frame(), FrameEvent::End);
         assert_eq!(scanner.pos(), region.len());
+    }
+
+    #[test]
+    fn a_frame_checksummed_piece_by_piece_is_the_one_shot_frame() {
+        let payload = seeded_bytes(1_000);
+        for pieces in [1, 2, 7, 1_000] {
+            let mut frame = Vec::new();
+            begin_frame(&mut frame);
+            let mut crc = Crc32::new();
+            crc.update(&[3]);
+            let mut folded = FRAME_HEADER_LEN;
+            for piece in payload.chunks(payload.len().div_ceil(pieces)) {
+                frame.extend_from_slice(piece);
+                crc.update(&frame[folded..]);
+                folded = frame.len();
+            }
+            seal_frame(3, &crc, &mut frame);
+            assert_eq!(frame, encode_frame(3, &payload), "{pieces} pieces");
+        }
     }
 
     #[test]

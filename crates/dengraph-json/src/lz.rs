@@ -8,7 +8,7 @@
 //! property of the durable document, not of the codec abstraction).
 //! There is one format, written and read:
 //!
-//! [`BlockEncoder::compress_into`] / [`decompress_block_into`].  An
+//! [`BlockEncoder`] / [`decompress_block_into`].  An
 //! LZ4-class format sized for a snapshot that sits in the per-quantum
 //! latency path — encoding costs about what copying the bytes costs:
 //!
@@ -26,9 +26,10 @@
 //! greedy over one single-probe hash table of 6-byte prefixes and
 //! lengthens its stride while it finds nothing, so incompressible runs
 //! (min-hash sketches) cost a couple of nanoseconds per byte instead of
-//! a probe per byte.  Its table is caller-owned scratch, reset on every
-//! call: **the output depends only on the input**, which the
-//! bit-identical checkpoint suites rely on.
+//! a probe per byte.  Its table is caller-owned scratch, reset at the
+//! start of every stream, and a stream may be packed in slices over
+//! several calls: **the output depends only on the input**, however it
+//! is sliced, which the bit-identical checkpoint suites rely on.
 //!
 //! The decoder validates every token against the declared output
 //! length, never indexes past either buffer, and bounds what a hostile
@@ -162,27 +163,49 @@ fn push_sequence(out: &mut Vec<u8>, literals: &[u8], matched: Option<(usize, usi
     }
 }
 
+/// Entries of the encoder's hash table.
+const TABLE_LEN: usize = 1 << HASH_BITS;
+/// The encoder's table at the start of a stream, copied over it as one
+/// block (in an unoptimised build, `fill` or `resize` is an element
+/// loop: the test suites pack tens of thousands of tiny checkpoints).
+static EMPTY_TABLE: [u32; TABLE_LEN] = [0; TABLE_LEN];
+
 /// The block-format encoder: the hash table it searches with, kept
-/// between calls so a journal's periodic snapshots do not allocate it
-/// again.  The table is reset at the start of every call, so reuse never
-/// changes the output.
+/// between streams so a journal's periodic snapshots, and a thread's
+/// standalone checkpoints, do not allocate it again, plus the cursor of
+/// the stream it is packing.
+///
+/// A stream is packed by [`Self::begin`], which zeroes the table, and
+/// then [`Self::pack_until`] calls that each stop at the first sequence
+/// boundary at or past a given input offset, so one stream can be packed
+/// in slices spread over several calls, or in one call to its end.
+/// However the stream is sliced, the output is the same bytes, and they
+/// depend only on the input.
 #[derive(Debug, Default)]
 pub struct BlockEncoder {
     /// Most recent position of each hashed prefix.
     table: Vec<u32>,
+    /// Everything before `anchor` has been emitted; the next sequence's
+    /// match search starts at `pos`.  `None` once the stream is complete.
+    cursor: Option<(usize, usize)>,
 }
 
 impl BlockEncoder {
     /// Creates an encoder; the table is allocated on first use.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self {
+            table: Vec::new(),
+            cursor: None,
+        }
     }
 
-    /// Appends the block-format stream of `input` to `out` and returns
-    /// `true` — or appends nothing and returns `false` when `input` is
-    /// longer than `u32::MAX` bytes (the table holds 32-bit positions;
-    /// the caller stores such a body raw).
-    pub fn compress_into(&mut self, input: &[u8], out: &mut Vec<u8>) -> bool {
+    /// Starts packing `input`: appends the stream's length prefix to
+    /// `out` and resets the table.  Returns `false`, appending nothing,
+    /// when `input` is longer than `u32::MAX` bytes (the table holds
+    /// 32-bit positions; the caller stores such a body raw).  Every later
+    /// [`Self::pack_until`] of this stream must be given the same `input`
+    /// and the same `out`, unchanged in between.
+    pub fn begin(&mut self, input: &[u8], out: &mut Vec<u8>) -> bool {
         if u32::try_from(input.len()).is_err() {
             return false;
         }
@@ -190,21 +213,45 @@ impl BlockEncoder {
         header.usize(input.len());
         *out = header.into_bytes();
         self.table.clear();
-        self.table.resize(1 << HASH_BITS, 0);
-        let table = &mut self.table[..];
-
-        // Everything before `anchor` has been emitted.
-        let mut anchor = 0;
+        self.table.extend_from_slice(&EMPTY_TABLE);
+        self.cursor = Some((0, 1));
         if input.len() > MATCH_START_MARGIN {
-            let last_start = input.len() - MATCH_START_MARGIN;
-            let match_limit = input.len() - LAST_LITERALS;
             // Position 0 can only ever be a candidate; the scan starts at
             // 1, so a candidate always lies strictly before the cursor
             // (an empty slot reads as position 0 and is verified like any
             // other candidate).
-            table[hash(read_u64(input, 0))] = 0;
-            let mut pos = 1;
+            self.table[hash(read_u64(input, 0))] = 0;
+        }
+        true
+    }
+
+    /// Emits sequences of the stream [`Self::begin`] started until the
+    /// cursor reaches input offset `until` — the last sequence may run
+    /// past it — or the input is exhausted, in which case the closing
+    /// literals are emitted too.  Returns `true` once the stream is
+    /// complete; an `until` of `input.len()` always completes it.
+    #[expect(
+        clippy::expect_used,
+        reason = "`begin` sizes the table before a cursor exists"
+    )]
+    pub fn pack_until(&mut self, input: &[u8], until: usize, out: &mut Vec<u8>) -> bool {
+        let Some((mut anchor, mut pos)) = self.cursor else {
+            return true;
+        };
+        // A fixed-size view: the hashed indices need no bounds checks.
+        let table: &mut [u32; TABLE_LEN] = self
+            .table
+            .as_mut_slice()
+            .try_into()
+            .expect("`begin` sizes the table before a cursor exists");
+        if input.len() > MATCH_START_MARGIN {
+            let last_start = input.len() - MATCH_START_MARGIN;
+            let match_limit = input.len() - LAST_LITERALS;
             'sequences: loop {
+                if pos >= until {
+                    self.cursor = Some((anchor, pos));
+                    return false;
+                }
                 let mut misses = 1usize << SKIP_TRIGGER;
                 let mut candidate;
                 loop {
@@ -241,6 +288,7 @@ impl BlockEncoder {
             }
         }
         push_sequence(out, &input[anchor..], None);
+        self.cursor = None;
         true
     }
 }
@@ -339,9 +387,14 @@ pub fn decompress_block_into(input: &[u8], out: &mut Vec<u8>) -> Result<()> {
 mod tests {
     use super::*;
 
+    /// Packs `input` to its end in one call.
+    fn pack(encoder: &mut BlockEncoder, input: &[u8], out: &mut Vec<u8>) {
+        assert!(encoder.begin(input, out) && encoder.pack_until(input, input.len(), out));
+    }
+
     fn compress_block(input: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        assert!(BlockEncoder::new().compress_into(input, &mut out));
+        pack(&mut BlockEncoder::new(), input, &mut out);
         out
     }
 
@@ -419,13 +472,13 @@ mod tests {
         let fresh = compress_block(text.as_bytes());
         let mut encoder = BlockEncoder::new();
         let mut out = Vec::new();
-        encoder.compress_into(&xorshift_bytes(5_000), &mut out);
+        pack(&mut encoder, &xorshift_bytes(5_000), &mut out);
         out.clear();
-        encoder.compress_into(text.as_bytes(), &mut out);
+        pack(&mut encoder, text.as_bytes(), &mut out);
         assert_eq!(out, fresh, "a used table must not change the output");
         // Appends after whatever the caller already wrote.
         let mut out = b"prefix".to_vec();
-        encoder.compress_into(text.as_bytes(), &mut out);
+        pack(&mut encoder, text.as_bytes(), &mut out);
         assert_eq!(&out[..6], b"prefix");
         assert_eq!(&out[6..], fresh);
     }

@@ -15,8 +15,9 @@
 //!   never panics, and never lets a length prefix size an allocation.
 //!
 //! Plus the property the bit-identical checkpoint suites rest on: the
-//! encoder's output depends only on its input, not on what its reused
-//! table saw before.
+//! encoder's output depends only on its input — not on what its reused
+//! table saw before, nor on how a journal slices one stream's packing
+//! over several calls.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -27,9 +28,14 @@ use dengraph_json::BinWriter;
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::StreamGenerator;
 
+/// Packs `input` behind `out` to its end in one call.
+fn pack_into(encoder: &mut BlockEncoder, input: &[u8], out: &mut Vec<u8>) -> bool {
+    encoder.begin(input, out) && encoder.pack_until(input, input.len(), out)
+}
+
 fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    assert!(BlockEncoder::new().compress_into(input, &mut out));
+    assert!(pack_into(&mut BlockEncoder::new(), input, &mut out));
     out
 }
 
@@ -370,13 +376,87 @@ fn a_reused_encoder_produces_the_bytes_a_fresh_one_does() {
         Vec::new(),
     ] {
         out.clear();
-        assert!(encoder.compress_into(&unrelated, &mut out));
+        assert!(pack_into(&mut encoder, &unrelated, &mut out));
         out.clear();
-        assert!(encoder.compress_into(&body, &mut out));
+        assert!(pack_into(&mut encoder, &body, &mut out));
         assert!(out == fresh, "a used table changed the output");
     }
     // Twice in a row through the same scratch, appending behind a prefix.
     let mut twice = b"frame header".to_vec();
-    assert!(encoder.compress_into(&body, &mut twice));
+    assert!(pack_into(&mut encoder, &body, &mut twice));
     assert!(twice[12..] == fresh[..]);
+}
+
+/// Offsets to pause a sliced packing of `len` bytes at, in order.
+fn slice_ends(rng: &mut ChaCha8Rng, len: usize, trial: usize) -> Vec<usize> {
+    match trial {
+        // Every byte, and every few bytes: most slices end inside a match
+        // or before the cursor.
+        0 => (0..=len).collect(),
+        1 => (0..=len).step_by(7).collect(),
+        // A journal's equal slices.
+        2 => (1..=8).map(|k| len * k / 8).collect(),
+        _ => {
+            let mut ends: Vec<usize> = (0..rng.gen_range(1..12usize))
+                .map(|_| rng.gen_range(0..=len))
+                .collect();
+            ends.sort_unstable();
+            ends
+        }
+    }
+}
+
+/// Packing one stream in slices — [`BlockEncoder::begin`], then
+/// [`BlockEncoder::pack_until`] at offsets picked at random, then to the
+/// end — writes the bytes one call to the end does, whatever the input
+/// and wherever the slices end: inside a match, on inputs at or below the
+/// 12 bytes in which no match may start, on incompressible input.  A
+/// slice that stops has reached its offset, and a completed stream takes
+/// no more bytes.
+#[test]
+fn sliced_packing_is_one_shot_packing() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xB10C_0005);
+    let mut inputs: Vec<(String, Vec<u8>)> = Vec::new();
+    for n in 0..=14 {
+        inputs.push((format!("{n} random bytes"), random_bytes(&mut rng, n)));
+        inputs.push((format!("{n} equal bytes"), vec![b'a'; n]));
+    }
+    inputs.push(("incompressible".into(), random_bytes(&mut rng, 40_000)));
+    inputs.push(("zeros".into(), vec![0u8; 20_000]));
+    let mut mixed = Vec::new();
+    while mixed.len() < 30_000 {
+        let len = rng.gen_range(1..200usize);
+        let run = random_bytes(&mut rng, len);
+        for _ in 0..rng.gen_range(1..4usize) {
+            mixed.extend_from_slice(&run);
+        }
+    }
+    inputs.push(("mixed runs".into(), mixed));
+    inputs.push(("checkpoint body".into(), checkpoint_body(72, 4)));
+
+    let mut encoder = BlockEncoder::new();
+    for (label, input) in &inputs {
+        let one_shot = compress(input);
+        for trial in 0..6 {
+            let mut out = b"prefix".to_vec();
+            assert!(encoder.begin(input, &mut out));
+            for end in slice_ends(&mut rng, input.len(), trial) {
+                if !encoder.pack_until(input, end, &mut out) {
+                    let before = out.len();
+                    assert!(
+                        !encoder.pack_until(input, end, &mut out) && out.len() == before,
+                        "{label}, trial {trial}: a slice stopped short of byte {end}"
+                    );
+                }
+            }
+            assert!(encoder.pack_until(input, input.len(), &mut out));
+            let complete = out.len();
+            assert!(encoder.pack_until(input, input.len(), &mut out));
+            assert_eq!(out.len(), complete, "{label}: a complete stream grew");
+            assert!(
+                out[6..] == one_shot[..],
+                "{label}, trial {trial}: sliced packing differs from one call"
+            );
+        }
+    }
 }

@@ -22,10 +22,12 @@
 //! partial tail).
 //!
 //! **Snapshot bytes** — a journal rebase copies the window records its
-//! delta frames already encoded; every snapshot frame it writes must
-//! still be exactly `checkpoint_bytes(WireFormat::Binary)` of the same
-//! state, at cadences below, at and above the window and right after a
-//! restore.
+//! delta frames already encoded and packs the snapshot over the quanta
+//! that follow; every snapshot frame it writes must still be exactly
+//! `checkpoint_bytes(WireFormat::Binary)` of the state at its rebase, at
+//! cadences below, at and above the window and right after a restore,
+//! and must sit in the log behind the delta of the quantum its packing
+//! ends at.
 //!
 //! **Size targets** — the binary full checkpoint must be at most half
 //! the JSON one, and steady-state journal delta records at least 10×
@@ -38,7 +40,8 @@ use dengraph_core::cluster::{edge_addition, edge_deletion, ClusterRegistry};
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
 use dengraph_core::wal::{JournalFrameEvent, JournalReader};
 use dengraph_core::{
-    DetectorBuilder, DetectorConfig, DetectorSession, QuantumSummary, VecSink, WireFormat,
+    DeltaRecord, DetectorBuilder, DetectorConfig, DetectorSession, QuantumSummary, VecSink,
+    WireFormat,
 };
 use dengraph_graph::{DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
@@ -209,9 +212,9 @@ enum Cut {
     /// `checkpoint_bytes(WireFormat::Binary)` → `restore_bytes`.
     BinaryBytes,
     /// A checkpoint journal written per quantum from the start of the
-    /// run, with a snapshot every `rebase_every` deltas; restore replays
-    /// the journal-tail deltas on top of the latest snapshot and resumes
-    /// at the last completed quantum boundary.
+    /// run, with a rebase after every `rebase_every` quanta; restore
+    /// replays the deltas after the latest written snapshot on top of it
+    /// and resumes at the last completed quantum boundary.
     Journal(u32),
 }
 
@@ -290,8 +293,11 @@ fn mid_stream_restore_is_bit_identical_across_profiles() {
     let trace = StreamGenerator::new(tw_profile(61, ProfileScale::Small)).generate();
     // Mid-quantum split: the partial message buffer must survive the trip
     // (full-snapshot cuts), and journal restores must rewind to the last
-    // quantum boundary correctly.
-    let split = trace.messages.len() * 2 / 3 + 7;
+    // quantum boundary correctly.  After 34 quanta every journal cadence
+    // below has written two rebase snapshots, and those of `Journal(1)`,
+    // `Journal(0)` and `Journal(7)` (the window of 6 plus one) are
+    // packing a third: their restores replay from the snapshot before it.
+    let split = 34 * DetectorConfig::nominal().quantum_size + 7;
     assert!(split < trace.messages.len());
 
     for window_quanta in [6usize, 12] {
@@ -339,14 +345,17 @@ fn mid_stream_restore_is_bit_identical_on_event_dense_streams() {
     let trace = StreamGenerator::new(es_profile(62, ProfileScale::Small)).generate();
     let window_quanta = 8;
     let config = DetectorConfig::nominal().with_window_quanta(window_quanta);
-    for fraction in [1, 2, 3] {
-        let split = trace.messages.len() * fraction / 4 + 3;
+    // Splits a few messages into quantum 15, 25 and 37 of 50: each
+    // journal has written two rebase snapshots by then, and at the last
+    // two `Journal(5)` is packing another.
+    for quanta in [15, 25, 37] {
+        let split = quanta * config.quantum_size + 3;
         let mut uninterrupted = build(&trace, &config);
         let full = uninterrupted.run(&trace.messages);
         let mut cuts = vec![Cut::JsonBytes, Cut::BinaryBytes, Cut::Journal(5)];
         // The first split comes before a cadence above the window has
         // rebased twice.
-        if fraction > 1 {
+        if quanta > 15 {
             cuts.push(Cut::Journal(window_quanta as u32 + 1));
         }
         for cut in cuts {
@@ -415,21 +424,35 @@ fn journal_enabled_mid_quantum_restores_without_double_processing() {
     );
 }
 
-/// Streams `messages` into a journaled `session` and appends, after every
-/// quantum that wrote a snapshot frame, the session's standalone binary
-/// checkpoint of that state to `expected`.
+/// Streams `messages` into a `session` journaled at `rebase_every` and
+/// appends, after every quantum that began a rebase (every
+/// `rebase_every + 1`-th delta frame: it encodes a snapshot, whose frame
+/// is written a few quanta later), the session's standalone binary
+/// checkpoint of that state to `expected`.  Then syncs the journal,
+/// which writes the snapshot frame of a rebase still packing.
 fn feed_collecting_rebases(
     session: &mut DetectorSession,
     messages: &[Message],
+    rebase_every: u32,
     expected: &mut Vec<Vec<u8>>,
 ) {
-    let snapshots = |s: &DetectorSession| s.journal().expect("journal enabled").snapshot_frames();
+    let frames = |s: &DetectorSession| {
+        let journal = s.journal().expect("journal enabled");
+        (journal.delta_frames(), journal.snapshot_frames())
+    };
     for message in messages {
-        let before = snapshots(session);
-        if session.push_message(message.clone()).is_some() && snapshots(session) > before {
+        if session.push_message(message.clone()).is_some()
+            && frames(session).0.is_multiple_of(rebase_every as usize + 1)
+        {
             expected.push(session.checkpoint_bytes(WireFormat::Binary));
         }
     }
+    session.sync_journal().expect("the journal syncs");
+    assert_eq!(
+        frames(session).1,
+        expected.len(),
+        "a sync writes the pending snapshot"
+    );
 }
 
 /// The payloads of the snapshot frames in the one segment under `dir`,
@@ -472,7 +495,12 @@ fn every_journal_snapshot_is_the_sessions_binary_checkpoint() {
             .enable_durable_journal(&dir, temp_dir::one_segment(rebase_every))
             .expect("journal opens");
         let mut expected = vec![first.checkpoint_bytes(WireFormat::Binary)];
-        feed_collecting_rebases(&mut first, &trace.messages[..split], &mut expected);
+        feed_collecting_rebases(
+            &mut first,
+            &trace.messages[..split],
+            rebase_every,
+            &mut expected,
+        );
         assert!(
             expected.len() >= 3,
             "{label}: {} snapshots in {} quanta",
@@ -493,7 +521,12 @@ fn every_journal_snapshot_is_the_sessions_binary_checkpoint() {
             .enable_durable_journal(&dir, temp_dir::one_segment(rebase_every))
             .expect("journal reopens");
         let mut expected = vec![second.checkpoint_bytes(WireFormat::Binary)];
-        feed_collecting_rebases(&mut second, &trace.messages[resume_at..], &mut expected);
+        feed_collecting_rebases(
+            &mut second,
+            &trace.messages[resume_at..],
+            rebase_every,
+            &mut expected,
+        );
         assert!(
             expected.len() >= 2,
             "{label}, restored: {} snapshots",
@@ -506,6 +539,75 @@ fn every_journal_snapshot_is_the_sessions_binary_checkpoint() {
         drop(second);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The frame layout of a rebase whose snapshot is packed over several
+/// quanta, read back from the log: every quantum appends its own delta
+/// frame, in quantum order; the snapshot of the rebase at quantum `Q`
+/// (every `rebase_every + 1`-th quantum) is written right behind the
+/// delta of `Q + spread`, where `spread` is `rebase_every / 2` capped at
+/// 8; and its payload is `checkpoint_bytes(WireFormat::Binary)` taken
+/// at the end of `Q`.
+#[test]
+fn a_rebase_writes_its_snapshot_behind_the_delta_spread_quanta_later() {
+    const REBASE_EVERY: u64 = 16;
+    const SPREAD: u64 = 8;
+    let trace = StreamGenerator::new(es_profile(67, ProfileScale::Small)).generate();
+    let config = DetectorConfig::nominal().with_window_quanta(6);
+    let dir = temp_dir::scratch_dir("snapshot-layout");
+    let mut session = build(&trace, &config);
+    session
+        .enable_durable_journal(&dir, temp_dir::one_segment(REBASE_EVERY as u32))
+        .expect("journal opens");
+    // `checkpoints[n]`: the state after `n` quanta.
+    let mut checkpoints = vec![session.checkpoint_bytes(WireFormat::Binary)];
+    for message in &trace.messages {
+        if session.push_message(message.clone()).is_some() {
+            checkpoints.push(session.checkpoint_bytes(WireFormat::Binary));
+        }
+    }
+    let quanta = session.quanta_processed();
+    drop(session);
+    let bytes = temp_dir::only_file(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut reader = JournalReader::new(&bytes).expect("the segment header parses");
+    // Delta frames read so far: the log holds quanta `0..deltas`.
+    let (mut deltas, mut snapshots) = (0u64, 0u64);
+    loop {
+        match reader.next_frame() {
+            JournalFrameEvent::Delta(payload) => {
+                let record = DeltaRecord::decode(payload).expect("a delta frame decodes");
+                assert_eq!(record.quantum(), deltas, "one delta frame per quantum");
+                deltas += 1;
+            }
+            JournalFrameEvent::Snapshot(payload) => {
+                // The opening snapshot precedes every delta; the k-th
+                // rebase's state is that after k·(rebase_every + 1)
+                // quanta, and its frame follows `SPREAD` more deltas.
+                let state = snapshots * (REBASE_EVERY + 1);
+                let behind = if snapshots == 0 { 0 } else { state + SPREAD };
+                assert_eq!(
+                    deltas, behind,
+                    "snapshot {snapshots} follows the wrong delta"
+                );
+                assert!(
+                    payload == checkpoints[state as usize],
+                    "snapshot {snapshots} is not the checkpoint after {state} quanta"
+                );
+                snapshots += 1;
+            }
+            JournalFrameEvent::End => break,
+            JournalFrameEvent::Torn { offset, reason } => {
+                panic!("torn frame at byte {offset}: {reason}")
+            }
+        }
+    }
+    assert_eq!(deltas, quanta, "every quantum's delta is in the log");
+    assert!(
+        snapshots >= 3,
+        "{snapshots} snapshots in {quanta} quanta: the run must rebase twice"
+    );
 }
 
 /// The size acceptance criteria of the codec layer: a binary full

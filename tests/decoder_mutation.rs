@@ -15,12 +15,16 @@
 //!   with the every-offset splice, decoded
 //!   with [`DeltaRecord::decode`]; each payload it accepts is also
 //!   re-framed, with a valid CRC, as the journal's last frame behind the
-//!   snapshot it follows and restored with
+//!   snapshot it continues (the delta of the quantum after the
+//!   snapshot's, which the journal wrote before the snapshot's frame
+//!   while it packed the snapshot) and restored with
 //!   [`DetectorSession::restore_from_journal`], which replays it (without
 //!   the re-framing a mutated frame only tests the checksum);
 //! * the same run journaled into a **directory** of at least three
-//!   segments, restored with [`DetectorSession::restore_from_dir`],
-//!   seeded mutations of one segment at a time;
+//!   segments, whose newest snapshot frame trails deltas of later quanta
+//!   (replayed) behind deltas of earlier ones (skipped on their quantum),
+//!   restored with [`DetectorSession::restore_from_dir`], seeded
+//!   mutations of one segment at a time;
 //! * the **JSON** checkpoint, and [`EventLineReader::push_line`] over the
 //!   session's own sink lines, seeded mutations.
 //!
@@ -91,7 +95,8 @@ const SEEDED_PER_LINE: usize = 12;
 const METHOD_AT: usize = 5;
 const METHOD_RAW: u8 = 0;
 const METHOD_BLOCK: u8 = 2;
-/// The frame tag of a journal delta record.
+/// The frame tags of a journal snapshot and of a delta record.
+const TAG_SNAPSHOT: u8 = 1;
 const TAG_DELTA: u8 = 2;
 
 /// One entry point's tally.
@@ -281,31 +286,44 @@ fn mutate(rng: &mut ChaCha8Rng, doc: &[u8], text: bool) -> (String, Vec<u8>) {
     (label, out)
 }
 
-/// The journal cut down to its header and the last snapshot frame that a
-/// delta frame directly follows, and that delta's payload: re-framed
-/// behind the cut, the delta is the journal's last frame, and a restore
-/// replays it alone on top of the snapshot.
-fn snapshot_and_delta(journal: &[u8]) -> (Vec<u8>, &[u8]) {
-    let mut reader = JournalReader::new(journal).expect("the journal has a header");
-    let header = reader.pos();
-    let (mut found, mut snapshot_at) = (None, None);
-    loop {
-        let start = reader.pos();
-        match reader.next_frame() {
-            JournalFrameEvent::Delta(payload) => {
-                if let Some(at) = snapshot_at.take() {
-                    found = Some((at..start, payload));
-                }
+/// The payload of the newest snapshot frame in a journal's `segments`
+/// (in sequence order), and the payloads of the delta frames before it
+/// that a restore from it replays: those of the quantum it continues at
+/// and later, which a rebase writes while it packs its snapshot.
+fn newest_snapshot<'a>(segments: &[&'a [u8]]) -> (&'a [u8], Vec<&'a [u8]>) {
+    // (is a snapshot, payload) of every frame, in log order.
+    let mut frames: Vec<(bool, &[u8])> = Vec::new();
+    for segment in segments {
+        let mut reader = JournalReader::new(segment).expect("the segment has a header");
+        loop {
+            match reader.next_frame() {
+                JournalFrameEvent::Snapshot(payload) => frames.push((true, payload)),
+                JournalFrameEvent::Delta(payload) => frames.push((false, payload)),
+                JournalFrameEvent::End => break,
+                torn => panic!("the honest journal is torn: {torn:?}"),
             }
-            JournalFrameEvent::Snapshot(_) => snapshot_at = Some(start),
-            JournalFrameEvent::End => break,
-            torn => panic!("the honest journal is torn: {torn:?}"),
         }
     }
-    let (snapshot, payload) = found.expect("the journal holds a delta frame after a snapshot");
-    let mut base = journal[..header].to_vec();
-    base.extend_from_slice(&journal[snapshot]);
-    (base, payload)
+    let at = frames
+        .iter()
+        .rposition(|&(is_snapshot, _)| is_snapshot)
+        .expect("the journal holds a snapshot frame");
+    let snapshot = frames[at].1;
+    let next = DetectorSession::restore_bytes(snapshot)
+        .expect("the snapshot restores")
+        .quanta_processed();
+    let later = frames[..at]
+        .iter()
+        .filter(|&&(is_snapshot, payload)| {
+            !is_snapshot
+                && DeltaRecord::decode(payload)
+                    .expect("an honest delta decodes")
+                    .quantum()
+                    >= next
+        })
+        .map(|&(_, payload)| payload)
+        .collect();
+    (snapshot, later)
 }
 
 #[test]
@@ -349,7 +367,17 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
         .run(&trace.messages[..MESSAGES]);
     let journal = temp_dir::only_file(&journal_dir);
     let _ = fs::remove_dir_all(&journal_dir);
-    let (base, delta) = snapshot_and_delta(&journal);
+    // The journal cut down to its header and its newest snapshot frame,
+    // and the delta that continues the snapshot: re-framed behind the
+    // cut, the delta is the journal's last frame, and a restore replays
+    // it alone on top of the snapshot.
+    let (snapshot, later) = newest_snapshot(&[&journal]);
+    let delta = later[0];
+    let header = JournalReader::new(&journal)
+        .expect("the journal has a header")
+        .pos();
+    let mut base = journal[..header].to_vec();
+    base.extend_from_slice(&encode_frame(TAG_SNAPSHOT, snapshot));
     let reframed = |payload: &[u8]| {
         let mut out = base.clone();
         out.extend_from_slice(&encode_frame(TAG_DELTA, payload));
@@ -423,6 +451,14 @@ fn every_restore_entry_point_survives_mutated_input_within_an_allocation_bound()
         .collect();
     segments.sort();
     assert!(segments.len() >= 3, "{} segments", segments.len());
+    // Its newest snapshot frame trails deltas of later quanta, which a
+    // restore replays, behind deltas of earlier ones, which it skips.
+    let in_order: Vec<&[u8]> = segments.iter().map(|(_, bytes)| bytes.as_slice()).collect();
+    let (_, later) = newest_snapshot(&in_order);
+    assert!(
+        !later.is_empty(),
+        "the newest snapshot frame follows no delta it continues with"
+    );
     let journal_len: usize = segments.iter().map(|(_, bytes)| bytes.len()).sum();
     let family = sweep.family("journal directory", || {
         DetectorSession::restore_from_dir(&dir)

@@ -14,10 +14,18 @@
 //! `target/journal-crash-repro/<case>/` before the panic propagates, so
 //! CI can upload the exact reproducer as a workflow artifact.
 //!
+//! The matrix's journal rebases twice, and each rebase packs its snapshot
+//! over the two quanta after it, so its frame trails their deltas: cuts
+//! fall between a rebase and its frame, where recovery replays the
+//! rebase's quanta from the snapshot before.
+//!
 //! Around the central property: rotation edge cases (threshold exactly at
 //! a frame boundary, one-frame segments, empty trailing segments),
-//! startup, rebase-time and explicit-sync compaction, and the two restore
-//! entry points (a segment's bytes, its directory) agreeing.
+//! startup, rebase-time and explicit-sync compaction (the sync writing a
+//! snapshot still being packed first), a crash before the startup
+//! compaction (an opening snapshot behind another history's deltas), and
+//! the two restore entry points (a segment's bytes, its directory)
+//! agreeing.
 
 use std::fs;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -27,8 +35,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::{
-    DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig, FsyncPolicy,
-    JournalFrameEvent, JournalReader, QuantumSummary, WireFormat,
+    DeltaRecord, DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig,
+    FsyncPolicy, JournalFrameEvent, JournalReader, QuantumSummary, WireFormat,
 };
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace};
@@ -99,7 +107,10 @@ fn truncate_at(dir: &Path, cut: u64) {
 struct FrameSpan {
     start: u64,
     end: u64,
-    is_snapshot: bool,
+    /// The delta frame's quantum; `None` for a snapshot frame.
+    delta: Option<u64>,
+    /// Index of the frame's segment in sequence order.
+    segment: usize,
 }
 
 /// Walks the segment chain with [`JournalReader`] and returns every
@@ -108,14 +119,18 @@ struct FrameSpan {
 fn layout(dir: &Path) -> (Vec<FrameSpan>, u64) {
     let mut spans = Vec::new();
     let mut base = 0u64;
-    for path in segment_files(dir) {
+    for (segment, path) in segment_files(dir).into_iter().enumerate() {
         let bytes = fs::read(&path).expect("segment reads");
         let mut reader = JournalReader::new(&bytes).expect("segment header parses");
         let mut prev = reader.pos() as u64;
         loop {
-            let is_snapshot = match reader.next_frame() {
-                JournalFrameEvent::Snapshot(_) => true,
-                JournalFrameEvent::Delta(_) => false,
+            let delta = match reader.next_frame() {
+                JournalFrameEvent::Snapshot(_) => None,
+                JournalFrameEvent::Delta(payload) => Some(
+                    DeltaRecord::decode(payload)
+                        .expect("a delta frame decodes")
+                        .quantum(),
+                ),
                 JournalFrameEvent::End => break,
                 JournalFrameEvent::Torn { offset, reason } => {
                     panic!("reference journal torn at {offset} in {path:?}: {reason}")
@@ -125,7 +140,8 @@ fn layout(dir: &Path) -> (Vec<FrameSpan>, u64) {
             spans.push(FrameSpan {
                 start: base + prev,
                 end: base + end,
-                is_snapshot,
+                delta,
+                segment,
             });
             prev = end;
         }
@@ -229,10 +245,14 @@ fn check_cut(
 
     let (mut resumed, report) = DetectorSession::restore_from_dir_with_report(case_dir)
         .unwrap_or_else(|e| panic!("cut at {cut}: restore failed: {e}"));
-    // Frame 1 is the initial snapshot (quantum 0); every later frame
-    // records exactly one quantum, whether as a delta or a rebase
-    // snapshot.
-    let expect_quanta = durable_frames as u64 - 1;
+    // Frame 1 is the initial snapshot (quantum 0); every quantum appends
+    // exactly one delta frame, and a rebase snapshot, written some
+    // quanta after its own, records none: recovery reaches the quantum of
+    // the last durable delta.
+    let expect_quanta = spans
+        .iter()
+        .filter(|span| span.end <= cut && span.delta.is_some())
+        .count() as u64;
     assert_eq!(
         resumed.quanta_processed(),
         expect_quanta,
@@ -293,12 +313,25 @@ fn kill_at_any_byte_recovers_to_last_durable_quantum() {
     let reference = run_journaled(&trace, messages, &config, &dir, durable);
     assert_eq!(reference.quanta, QUANTA as u64);
 
+    // Rebases at quanta 4 and 9, each packing its snapshot over the next
+    // two quanta: the frames of both sit behind later deltas (that of 9
+    // is the journal's last frame), so cuts fall between a rebase and its
+    // frame, where recovery replays the rebase's quanta from the snapshot
+    // before.
     let (spans, total) = layout(&dir);
+    let deltas: Vec<u64> = spans.iter().filter_map(|span| span.delta).collect();
+    assert_eq!(deltas, (0..QUANTA as u64).collect::<Vec<_>>());
+    let snapshots_behind: Vec<Option<u64>> = spans
+        .windows(2)
+        .filter(|pair| pair[1].delta.is_none())
+        .map(|pair| pair[0].delta)
+        .collect();
     assert_eq!(
-        spans.len(),
-        QUANTA + 1,
-        "initial snapshot + one frame per quantum"
+        snapshots_behind,
+        [Some(6), Some(11)],
+        "each rebase snapshot follows the delta two quanta after its own"
     );
+    assert!(spans[0].delta.is_none(), "the chain opens with a snapshot");
     assert!(
         segment_files(&dir).len() > 1,
         "workload must span multiple segments to exercise rotation"
@@ -527,15 +560,93 @@ fn startup_compaction_drops_segments_behind_the_fresh_snapshot() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A journal opened in a directory that still holds another history —
+/// here the state of an older checkpoint journaled over that history's
+/// own segments — writes its opening snapshot to a fresh segment and
+/// then compacts the old ones away.  A crash between the two leaves the
+/// old history's deltas in front of the opening snapshot, some of them
+/// at the snapshot's quantum and later, so their indices continue it.
+/// Recovery must restore the opening snapshot alone: it adopts no delta
+/// written before it, unlike a rebase's snapshot, which adopts the
+/// deltas of the quanta its packing spanned.
+#[test]
+fn an_opening_snapshot_adopts_no_delta_of_an_older_history() {
+    let trace = StreamGenerator::new(tw_profile(80, ProfileScale::Small)).generate();
+    let config = edge_config();
+    let dir = scratch_dir("foreign-history");
+    // The old history: rebases at quanta 4 and 9, the snapshot of 4
+    // written behind the delta of 6, that of 9 still packing at the end.
+    let mut old = DetectorBuilder::from_config(config.clone())
+        .interner(trace.interner.clone())
+        .durable_journal(
+            &dir,
+            DurableJournalConfig {
+                rebase_every: 4,
+                fsync: FsyncPolicy::Never,
+                ..DurableJournalConfig::default()
+            },
+        )
+        .build()
+        .expect("valid config and writable journal dir");
+    // `checkpoints[n]`: the state after `n` quanta.
+    let mut checkpoints = vec![old.checkpoint_bytes(WireFormat::Binary)];
+    for message in &trace.messages[..11 * config.quantum_size] {
+        if old.push_message(message.clone()).is_some() {
+            checkpoints.push(old.checkpoint_bytes(WireFormat::Binary));
+        }
+    }
+    assert!(old.journal_io_error().is_none());
+    drop(old);
+    let (spans, _) = layout(&dir);
+    let last_snapshot = spans
+        .iter()
+        .rposition(|span| span.delta.is_none())
+        .expect("the old history has a snapshot");
+    let quantum = spans[last_snapshot + 1..]
+        .first()
+        .and_then(|span| span.delta)
+        .expect("deltas follow the old history's last snapshot");
+    let old_segments = scratch_dir("foreign-history-old");
+    copy_dir(&dir, &old_segments);
+
+    // The new history restores the state after `quantum` quanta, so the
+    // old history's delta of `quantum` continues it, and opens a journal
+    // in the same directory.
+    let mut new = DetectorSession::restore_bytes(&checkpoints[quantum as usize])
+        .expect("checkpoint restores");
+    new.enable_durable_journal(&dir, DurableJournalConfig::default())
+        .expect("journal opens");
+    assert_eq!(segment_files(&dir).len(), 1, "the opening compacted");
+    drop(new);
+    // The crash before the compaction's unlinks: the old segments are
+    // back in front of the opening snapshot's.
+    copy_dir(&old_segments, &dir);
+    let _ = fs::remove_dir_all(&old_segments);
+    assert!(segment_files(&dir).len() > 1);
+
+    let (restored, report) =
+        DetectorSession::restore_from_dir_with_report(&dir).expect("the directory restores");
+    assert!(report.torn.is_none(), "{:?}", report.torn);
+    assert_eq!(report.deltas_replayed, 0, "no delta of the old history");
+    assert_eq!(restored.quanta_processed(), quantum);
+    assert!(
+        restored.checkpoint_bytes(WireFormat::Binary) == checkpoints[quantum as usize],
+        "the opening snapshot restores as written"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn rebase_compaction_leaves_a_restorable_snapshot_with_zero_trailing_deltas() {
     let trace = StreamGenerator::new(tw_profile(76, ProfileScale::Small)).generate();
     let config = edge_config();
-    // Delta{every:2}: quanta 1-2 are deltas, quantum 3 rebases.  Stop
-    // exactly there: the rebase snapshot is the final frame, zero deltas
-    // past it, and (fsync != Never) rebase-time compaction has pruned the
-    // chain.
-    let messages = &trace.messages[..3 * config.quantum_size];
+    // Every 2: quanta 0 and 1 append deltas, quantum 2 appends its delta
+    // and rebases, and quantum 3 appends its delta and packs the snapshot
+    // in one slice and writes it.  Stop exactly there: the rebase
+    // snapshot is the final frame, zero deltas past it, and (fsync !=
+    // Never) compaction has pruned the chain down to the segment holding
+    // the delta of quantum 3, the first a restore from the snapshot reads.
+    let messages = &trace.messages[..4 * config.quantum_size];
     let dir = scratch_dir("rebase-compaction");
     let reference = run_journaled(
         &trace,
@@ -550,19 +661,21 @@ fn rebase_compaction_leaves_a_restorable_snapshot_with_zero_trailing_deltas() {
     );
 
     let (spans, _) = layout(&dir);
-    let last = spans.last().expect("frames exist");
-    assert!(last.is_snapshot, "final frame must be the rebase snapshot");
-    assert!(
-        spans.iter().all(|span| span.is_snapshot),
-        "rebase-time compaction must drop every pre-rebase segment \
-         (found {} frames)",
-        spans.len()
+    let frames: Vec<Option<u64>> = spans.iter().map(|span| span.delta).collect();
+    assert_eq!(
+        frames,
+        [Some(3), None],
+        "rebase-time compaction must drop every segment before the one holding \
+         the delta of quantum 3, and keep that one"
     );
 
     let (resumed, report) =
         DetectorSession::restore_from_dir_with_report(&dir).expect("compacted journal restores");
     assert_eq!(resumed.quanta_processed(), reference.quanta);
-    assert_eq!(report.deltas_replayed, 0);
+    assert_eq!(
+        report.deltas_replayed, 1,
+        "the delta in front of the snapshot"
+    );
     assert_eq!(
         resumed.checkpoint_bytes(WireFormat::Binary),
         reference.final_checkpoint
@@ -573,15 +686,18 @@ fn rebase_compaction_leaves_a_restorable_snapshot_with_zero_trailing_deltas() {
 /// `FsyncPolicy::Never` skips the sync (and so the compaction) at every
 /// rebase and at every rotation; `sync_journal` is its documented
 /// explicit sync point and must shed the dead segments itself — it used
-/// to leave every one of them in place until the next start-up.
+/// to leave every one of them in place until the next start-up.  With a
+/// snapshot still being packed, the sync writes it first, and that is
+/// the snapshot the compacted chain restores from.
 #[test]
 fn explicit_sync_compacts_a_never_journal_behind_its_latest_snapshot() {
     let trace = StreamGenerator::new(tw_profile(79, ProfileScale::Small)).generate();
     let config = edge_config();
     let split = 11 * config.quantum_size;
     let dir = scratch_dir("never-sync-compaction");
-    // Delta{every:4}: rebases at quanta 5 and 10; a small threshold
-    // rotates several times between them and once more after the last.
+    // Every 4: rebases at quanta 4 and 9, each packed over two quanta; a
+    // small threshold rotates several times between them.  After eleven
+    // quanta the snapshot of 4 is written and that of 9 is still packing.
     let mut session = DetectorBuilder::from_config(config.clone())
         .interner(trace.interner.clone())
         .durable_journal(
@@ -599,36 +715,63 @@ fn explicit_sync_compacts_a_never_journal_behind_its_latest_snapshot() {
     }
     assert!(session.journal_io_error().is_none());
     let (before, _) = layout(&dir);
-    assert_eq!(before.len(), 12, "initial snapshot + one frame per quantum");
+    assert_eq!(
+        before
+            .iter()
+            .map(|span| span.delta.is_none())
+            .collect::<Vec<_>>(),
+        [[true].as_slice(), &[false; 7], &[true], &[false; 4]].concat(),
+        "initial snapshot, deltas 0-6, the snapshot of 4, deltas 7-10"
+    );
+    assert_eq!(
+        session
+            .journal()
+            .expect("journal enabled")
+            .snapshot_frames(),
+        2,
+        "the rebase of 9 is packing"
+    );
     let segments_before = segment_files(&dir).len();
     assert!(segments_before >= 4, "the journal must have rotated");
 
     session.sync_journal().expect("journal syncs and compacts");
+    assert_eq!(
+        session
+            .journal()
+            .expect("journal enabled")
+            .snapshot_frames(),
+        3,
+        "the sync wrote the snapshot of 9"
+    );
     session
         .validate_invariants()
         .expect("compacted journal is structurally sound");
 
-    // Everything behind the quantum-10 rebase is gone: the chain now
-    // opens with that snapshot and holds only the delta after it.
+    // Everything before the segment holding the delta of quantum 10, the
+    // first a restore from the snapshot of 9 reads, is gone; that segment
+    // survives, and the snapshot the sync wrote is the last frame.
     let (after, _) = layout(&dir);
     assert!(segment_files(&dir).len() < segments_before);
-    assert!(after[0].is_snapshot, "the chain must open with the rebase");
+    let first_needed = after
+        .iter()
+        .find(|span| span.delta == Some(10))
+        .expect("the delta after the snapshot's quantum survives");
+    assert_eq!(first_needed.segment, 0, "the chain opens with its segment");
     assert_eq!(
-        after.iter().filter(|span| span.is_snapshot).count(),
+        after.iter().filter(|span| span.delta.is_none()).count(),
         1,
         "only the latest snapshot survives"
     );
-    assert_eq!(
-        after.len(),
-        2,
-        "the rebase snapshot and the quantum-11 delta"
+    assert!(
+        after.last().is_some_and(|span| span.delta.is_none()),
+        "the snapshot of 9 follows the delta of 10"
     );
 
     // What survives restores to the live state and continues identically.
     let (mut resumed, report) =
         DetectorSession::restore_from_dir_with_report(&dir).expect("compacted journal restores");
     assert!(report.torn.is_none(), "{:?}", report.torn);
-    assert_eq!(report.deltas_replayed, 1);
+    assert_eq!(report.deltas_replayed, 1, "the delta of quantum 10");
     assert_eq!(resumed.quanta_processed(), session.quanta_processed());
     assert_eq!(
         resumed.checkpoint_bytes(WireFormat::Binary),
