@@ -43,24 +43,27 @@
 //! `es-durable`, ≈ 500 a quantum) and 99.8 % (`dense-ids`, ≈ 2 000) share
 //! a top-bits bucket with another, the largest holding 14–25 on average.
 //! What remains is output-sensitive work, bounded by Σ r_m² over the
-//! minima `m` shared by `r_m` keywords.  The `exact_edge_correlation`
-//! ablation has no sketches to join on and keeps the cross product.
+//! minima `m` shared by `r_m` keywords.
 //!
 //! ## One estimator
 //!
 //! Every candidate pair is scored by one estimator — of the first `p`
-//! values of the union of two ascending user-hash columns, the share held
-//! by both — and applied as soon as it is scored: a score reads only the
-//! window, which applying never mutates.  A keyword's column is its
-//! window sketch, read off the index in place; under the ablation it is
-//! the keyword's whole window hash set, compared in full (`p` unbounded)
-//! — a bottom-k estimate with k ≥ |A ∪ B| is the exact Jaccard
-//! coefficient, and user hashing is a bijection, so the columns stand for
-//! the user sets.  The join meets each set-1 pair once per shared minimum,
-//! in ascending order, so it counts the estimator's integers itself
-//! (`MinimaJoin::bursty_pairs`); every other pair is scored by
-//! `dengraph_minhash::estimate_jaccard_minima`'s merge walk.  Both divide
-//! the same two integers, so the two paths agree bit for bit.
+//! values of the union of two keywords' window sketches (ascending user
+//! hashes, read off the index in place), the share held by both — and
+//! applied as soon as it is scored: a score reads only the window, which
+//! applying never mutates.  The join meets each set-1 pair once per
+//! shared minimum, in ascending order, so it counts the estimator's
+//! integers itself (`MinimaJoin::bursty_pairs`); every other pair is
+//! scored by `dengraph_minhash::estimate_jaccard_minima`'s merge walk.
+//! Both divide the same two integers, so the two paths agree bit for bit.
+//!
+//! There is no separate exact mode.  A window holds at most Δ·w messages,
+//! so at most Δ·w distinct users per keyword; with `min_sketch_size ≥ Δ·w`
+//! every sketch is its keyword's whole user set (user hashing is a
+//! bijection), and a bottom-k estimate with k ≥ |A ∪ B| is the exact
+//! Jaccard coefficient.  `dengraph_tests::oracle`, which recounts user
+//! sets from the raw window, is the reference the engine is held to at
+//! that width.
 
 use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
 use dengraph_json::{Decode, Encode};
@@ -628,8 +631,6 @@ impl AkgMaintainer {
             ref mut keyword_bits,
             ref mut set2,
             ref mut edge_pairs,
-            ref mut involved,
-            ref mut hash_columns,
             ref mut join,
             ..
         } = *scratch;
@@ -715,83 +716,34 @@ impl AkgMaintainer {
         edge_pairs.sort_unstable();
         edge_pairs.dedup();
 
-        // One column of ascending user hashes per keyword (module docs):
-        // the window minima, or under the ablation the whole window hash
-        // set of each keyword it scores, built once per quantum.
-        let exact = self.config.exact_edge_correlation;
-        if exact {
-            involved.clear();
-            involved.extend_from_slice(set1);
-            involved.extend(edge_pairs.iter().flat_map(|&(a, b)| [a, b]));
-            involved.sort_unstable();
-            involved.dedup();
-            if hash_columns.len() < involved.len() {
-                hash_columns.resize_with(involved.len(), Vec::new);
-            }
-            for (&keyword, column) in involved.iter().zip(hash_columns.iter_mut()) {
-                window.window_user_hashes(keyword, column);
-            }
-        }
-        let column = |keyword: KeywordId| -> &[u64] {
-            if exact {
-                // `involved` lists every keyword scored this quantum.
-                involved
-                    .binary_search(&keyword)
-                    .map_or(&[], |slot| &hash_columns[slot])
-            } else {
-                window.window_minima(keyword).unwrap_or_default()
-            }
-        };
-        let cap = if exact {
-            usize::MAX
-        } else {
-            window.sketch_size().max(1)
-        };
-        let correlation =
-            |a, b| dengraph_minhash::estimate_jaccard_minima(column(a), column(b), cap);
-
         // Set 1 first, as ascending position pairs (position order is
         // keyword order), which is the order cluster-id assignment relies
         // on.  Only pairs at `ec >= tau` act, so the join scores each pair
         // it meets as it walks and hands over only those.
-        let bursty_scored = {
-            let graph = &mut self.graph;
-            let mut apply = |a: u32, b: u32, ec: f64| {
-                let (na, nb) = (node_of(set1[a as usize]), node_of(set1[b as usize]));
-                if graph.add_edge(na, nb, ec) {
-                    deltas.push(GraphDelta::EdgeAdded {
-                        a: na,
-                        b: nb,
-                        weight: ec,
-                    });
-                    stats.edges_added += 1;
-                } else {
-                    deltas.push(GraphDelta::EdgeWeightUpdated {
-                        a: na,
-                        b: nb,
-                        weight: ec,
-                    });
-                }
-            };
-            if exact {
-                // No sketches to join on: the ablation scores the cross product.
-                let n = set1.len() as u32;
-                for a in 0..n {
-                    for b in a + 1..n {
-                        let ec = correlation(set1[a as usize], set1[b as usize]);
-                        if ec >= tau {
-                            apply(a, b, ec);
-                        }
-                    }
-                }
-                set1.len() * set1.len().saturating_sub(1) / 2
+        let p = window.sketch_size().max(1);
+        let graph = &mut self.graph;
+        let bursty_scored = join.bursty_pairs(window, set1, p, tau, |a, b, ec| {
+            let (na, nb) = (node_of(set1[a as usize]), node_of(set1[b as usize]));
+            if graph.add_edge(na, nb, ec) {
+                deltas.push(GraphDelta::EdgeAdded {
+                    a: na,
+                    b: nb,
+                    weight: ec,
+                });
+                stats.edges_added += 1;
             } else {
-                join.bursty_pairs(window, set1, cap, tau, apply)
+                deltas.push(GraphDelta::EdgeWeightUpdated {
+                    a: na,
+                    b: nb,
+                    weight: ec,
+                });
             }
-        };
+        });
         stats.pairs_evaluated = bursty_scored + edge_pairs.len();
+        // Then set 2, each pair by the merge walk over the two sketches.
+        let minima = |keyword| window.window_minima(keyword).unwrap_or_default();
         for &(a, b) in edge_pairs.iter() {
-            let ec = correlation(a, b);
+            let ec = dengraph_minhash::estimate_jaccard_minima(minima(a), minima(b), p);
             let (na, nb) = (node_of(a), node_of(b));
             if ec >= tau {
                 self.graph.set_edge_weight(na, nb, ec);
@@ -1018,23 +970,6 @@ mod tests {
         assert_eq!(stats.nodes_added, 2);
         assert_eq!(stats.edges_added, 1);
         assert!(stats.pairs_evaluated >= 1);
-    }
-
-    #[test]
-    fn exact_and_minhash_agree_on_strong_correlation() {
-        for exact in [false, true] {
-            let cfg = DetectorConfig {
-                exact_edge_correlation: exact,
-                ..config()
-            };
-            let mut akg = AkgMaintainer::new(cfg.clone());
-            let mut window = window_for(&cfg);
-            step(&mut akg, &mut window, 0, &correlated_burst());
-            assert!(
-                akg.graph().contains_edge(node_of(k(1)), node_of(k(2))),
-                "edge must exist with exact_edge_correlation={exact}"
-            );
-        }
     }
 
     #[test]

@@ -115,9 +115,10 @@ pub(crate) const CHECKPOINT_MAGIC: [u8; 4] =
 
 /// Version of the binary checkpoint-document container (the journal
 /// container is versioned separately — [`crate::wal::JOURNAL_VERSION`]).
-/// Version 2 is the format epoch that dropped every retired field; the
+/// Version 2 was the format epoch that dropped every retired field;
+/// version 3 drops the configuration's exact-correlation byte.  The
 /// detector body's JSON twin carries the same number as `"version"`.
-pub(crate) const CONTAINER_VERSION: u64 = 2;
+pub(crate) const CONTAINER_VERSION: u64 = 3;
 
 pub(crate) const TAG_SNAPSHOT: u8 = 1;
 pub(crate) const TAG_DELTA: u8 = 2;

@@ -1,7 +1,10 @@
 //! Detector configuration.
 //!
 //! Table 2 of the paper lists the tunable parameters and their nominal
-//! values; those nominal values are the defaults here.
+//! values; those nominal values are the defaults here.  One field is the
+//! engine's own: `min_sketch_size`, a floor under the paper's sketch size.
+//! At Δ·w it makes every edge correlation exact, so exactness is a sketch
+//! width, not a mode of its own.
 
 use dengraph_json::{Decode, Encode};
 use dengraph_minhash::sketch::MAX_DECODED_SKETCH_SIZE;
@@ -81,21 +84,18 @@ pub struct DetectorConfig {
     pub edge_correlation_threshold: f64,
     /// Window length w in quanta (nominal 30, tunable 20–40).
     pub window_quanta: usize,
-    /// Use the exact Jaccard coefficient instead of the min-hash estimate
-    /// when computing edge correlations: the same estimator, over each
-    /// keyword's whole window hash set (a record walk per scored keyword
-    /// per quantum) instead of its `p` smallest hashes, and over the cross
-    /// product of the bursty keywords instead of the shared-minimum join.
-    /// Defaults to `false` (the paper's min-hash scheme); the end-to-end test
-    /// `ablations_pin_exact_correlation_and_the_sketch_size_floor` flips it.
-    pub exact_edge_correlation: bool,
     /// Lower bound on the min-hash sketch size.  The paper's formula
     /// `p = min(σ/2, 1/τ)` yields p = 2 at the nominal thresholds, which is
     /// enough for the *edge admission gate* ("do the sketches share a
     /// minimum?") but far too coarse to compare the estimated correlation
     /// against τ.  Keeping at least this many minima makes the estimate
     /// usable while leaving the admission gate untouched (a deliberate
-    /// deviation from the paper).
+    /// deviation from the paper).  At `quantum_size × window_quanta` or
+    /// more the estimate is the exact Jaccard coefficient: a window holds
+    /// at most Δ·w users per keyword, so every sketch is a whole user set
+    /// (the end-to-end test
+    /// `ablations_pin_exact_correlation_and_the_sketch_size_floor` runs
+    /// that width as its exact arm).
     pub min_sketch_size: usize,
     /// Keep keywords in the AKG while they participate in a cluster even if
     /// they stop being bursty (the hysteresis / lazy-update rule of
@@ -118,7 +118,6 @@ impl Default for DetectorConfig {
             high_state_threshold: 4,
             edge_correlation_threshold: 0.20,
             window_quanta: 30,
-            exact_edge_correlation: false,
             min_sketch_size: 16,
             hysteresis: true,
             rank_threshold_factor: 1.0,
@@ -247,10 +246,6 @@ impl Encode for DetectorConfig {
                 Value::from(self.edge_correlation_threshold),
             ),
             ("window_quanta", Value::from(self.window_quanta)),
-            (
-                "exact_edge_correlation",
-                Value::from(self.exact_edge_correlation),
-            ),
             ("min_sketch_size", Value::from(self.min_sketch_size)),
             ("hysteresis", Value::from(self.hysteresis)),
             (
@@ -269,7 +264,6 @@ impl Encode for DetectorConfig {
         w.u32(self.high_state_threshold);
         w.f64(self.edge_correlation_threshold);
         w.usize(self.window_quanta);
-        w.bool(self.exact_edge_correlation);
         w.usize(self.min_sketch_size);
         w.bool(self.hysteresis);
         w.f64(self.rank_threshold_factor);
@@ -287,7 +281,6 @@ impl Decode for DetectorConfig {
             high_state_threshold: value.get("high_state_threshold")?.as_u32()?,
             edge_correlation_threshold: value.get("edge_correlation_threshold")?.as_f64()?,
             window_quanta: value.get("window_quanta")?.as_usize()?,
-            exact_edge_correlation: value.get("exact_edge_correlation")?.as_bool()?,
             min_sketch_size: value.get("min_sketch_size")?.as_usize()?,
             hysteresis: value.get("hysteresis")?.as_bool()?,
             rank_threshold_factor: value.get("rank_threshold_factor")?.as_f64()?,
@@ -302,7 +295,6 @@ impl Decode for DetectorConfig {
             high_state_threshold: r.u32()?,
             edge_correlation_threshold: r.f64()?,
             window_quanta: r.usize()?,
-            exact_edge_correlation: r.bool()?,
             min_sketch_size: r.usize()?,
             hysteresis: r.bool()?,
             rank_threshold_factor: r.f64()?,
@@ -488,7 +480,6 @@ mod tests {
             DetectorConfig::nominal(),
             DetectorConfig::ground_truth_study(),
             DetectorConfig {
-                exact_edge_correlation: true,
                 hysteresis: false,
                 require_noun: false,
                 rank_threshold_factor: 1.25,

@@ -12,8 +12,7 @@
 //!   window (for edge-correlation estimation; the first `min(p, len)` rows
 //!   of the keyword's hash-ordered head, which the scorer reads in place),
 //! * how many distinct users mentioned it anywhere in the window (cluster
-//!   support in the ranking function) — and, for the exact-EC ablation
-//!   only, the hashes of that whole user set, ascending — and
+//!   support in the ranking function), and
 //! * the most recent quantum in which it occurred (for stale removal).
 //!
 //! Each quantum contributes one immutable [`QuantumRecord`]; sliding the
@@ -22,8 +21,9 @@
 //! window (the sketch), the exact distinct-user count and a recency mark —
 //! updated in O(Δ) as the window slides, so those reads are O(1).  A
 //! keyword without an index entry (below the materialization threshold)
-//! is served by a walk over the `w` records, and so is a keyword's whole
-//! hash set (the exact-EC ablation's column), which is not indexed at all.
+//! is served by a walk over the `w` records.  Exact edge correlations need
+//! no read of their own: with `p ≥ Δ·w` a sketch is its keyword's whole
+//! window hash set.
 //!
 //! The walk is also the index's reference: a window built with
 //! [`WindowState::with_materialize_threshold`]`(usize::MAX)` indexes
@@ -1320,23 +1320,6 @@ impl WindowState {
             users.extend(record.users_of(keyword).iter().copied());
         }
         users
-    }
-
-    /// Replaces `column` with the hashes of `keyword`'s distinct window
-    /// users, ascending: the whole set its window sketch is the first `p`
-    /// of.  [`UserHasher::hash`] is a bijection, so two columns scored by
-    /// [`dengraph_minhash::estimate_jaccard_minima`] with no cap give the
-    /// exact Jaccard coefficient (the `exact_edge_correlation` ablation).
-    /// Always a walk over the records: the overflow table cannot be
-    /// enumerated per keyword.
-    pub fn window_user_hashes(&self, keyword: KeywordId, column: &mut Vec<u64>) {
-        column.clear();
-        for record in &self.window {
-            let users = record.users_of(keyword);
-            column.extend(users.iter().map(|u| self.hasher.hash(u.raw())));
-        }
-        column.sort_unstable();
-        column.dedup();
     }
 
     /// Number of distinct users that mentioned `keyword` in the window —

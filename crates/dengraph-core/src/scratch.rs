@@ -47,13 +47,6 @@ pub(crate) struct ScratchArena {
     pub set2: Vec<KeywordId>,
     /// Candidate pairs along existing AKG edges, sorted.
     pub edge_pairs: Vec<(KeywordId, KeywordId)>,
-    /// Under the ablation only: set 1 plus the endpoints of `edge_pairs`,
-    /// sorted + deduped — the keys of `hash_columns`.
-    pub involved: Vec<KeywordId>,
-    /// Under the ablation only: slot `i` holds the window user hashes of
-    /// `involved[i]`, ascending; columns past `involved` keep their
-    /// capacity for later quanta.
-    pub hash_columns: Vec<Vec<u64>>,
     /// The set-1 shared-minimum join index (stage 2).
     pub join: MinimaJoin,
     /// One row sum per member of the cluster being ranked (stage 5).

@@ -132,12 +132,6 @@ impl DetectorBuilder {
         self
     }
 
-    /// Uses the exact Jaccard coefficient instead of the min-hash estimate.
-    pub fn exact_edge_correlation(mut self, exact: bool) -> Self {
-        self.config.exact_edge_correlation = exact;
-        self
-    }
-
     /// Sets the lower bound on the min-hash sketch size.
     pub fn min_sketch_size(mut self, p: usize) -> Self {
         self.config.min_sketch_size = p;

@@ -13,9 +13,7 @@
 //! | [`baseline`] | §7.3 | the offline biconnected-component clustering of Table 3 |
 //! | [`ckg`] | §7.4 | full-CKG size bookkeeping, for the AKG-reduction numbers |
 //! | [`evaluation`] | §7 | Section 7 run reports, cluster quality, the Table 3 scheme comparison |
-//!
-//! A reference detector written from the paper's pseudo-code belongs here
-//! too.
+//! | [`oracle`] | §3–6 | a naive reference detector: raw-window user sets, exact Jaccard, global SCP |
 
 // Module docs live as `//!` inner docs in each module's own file.
 pub mod baseline;
@@ -23,6 +21,7 @@ pub mod biconnected;
 pub mod ckg;
 pub mod cluster;
 pub mod evaluation;
+pub mod oracle;
 pub mod quasi_clique;
 pub mod scp;
 

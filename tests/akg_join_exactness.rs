@@ -14,10 +14,7 @@
 //! quanta — with sketches small enough that overlapping user sets
 //! routinely share no minimum.  The reference reads a window that indexes
 //! nothing (every sketch is walked from the records); the maintainer reads
-//! the detector's window, indexed from σ.  The `exact_edge_correlation`
-//! ablation keeps the cross product and scores whole window hash columns
-//! with the sketch's estimator; the reference scores it with
-//! `WindowState::exact_edge_correlation`, over sets of user ids.
+//! the detector's window, indexed from σ.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -66,14 +63,7 @@ impl AllPairsReference {
     ) -> (Vec<GraphDelta>, usize) {
         let sigma = self.config.high_state_threshold as usize;
         let tau = self.config.edge_correlation_threshold;
-        let exact = self.config.exact_edge_correlation;
-        let correlation = |a: KeywordId, b: KeywordId| {
-            if exact {
-                window.exact_edge_correlation(a, b)
-            } else {
-                window.estimated_edge_correlation(a, b)
-            }
-        };
+        let correlation = |a: KeywordId, b: KeywordId| window.estimated_edge_correlation(a, b);
         let mut deltas = Vec::new();
 
         let mut stale: Vec<NodeId> = self
@@ -284,12 +274,6 @@ fn check_stream(
             "seed {seed} quantum {q}: evaluated {pairs} pairs, the cross product is only \
              {reference_pairs}"
         );
-        if base.exact_edge_correlation {
-            assert_eq!(
-                pairs, reference_pairs,
-                "the exact ablation keeps the cross product"
-            );
-        }
         evaluated += pairs;
     }
     (evaluated, reference_evaluated)
@@ -312,32 +296,12 @@ fn join_matches_the_all_pairs_reference_on_adversarial_streams() {
         let (pairs, reference_pairs) = check_stream(0xA1C0 + seed, &config, 60, |u| u);
         evaluated += pairs;
         reference_evaluated += reference_pairs;
-        // The ablation scores whole window hash columns with the sketch's
-        // estimator; the reference scores hash sets of user ids.
-        let exact = DetectorConfig {
-            exact_edge_correlation: true,
-            ..config
-        };
-        check_stream(0xA1C0 + seed, &exact, 60, |u| u);
     }
     assert!(
         evaluated * 4 < reference_evaluated * 3,
         "the streams must leave the join something to skip: it evaluated {evaluated} of the \
          cross product's {reference_evaluated} pairs"
     );
-}
-
-#[test]
-fn exact_correlation_ablation_still_scores_the_cross_product() {
-    let config = DetectorConfig {
-        high_state_threshold: 3,
-        window_quanta: 4,
-        exact_edge_correlation: true,
-        ..DetectorConfig::nominal()
-    };
-    let (pairs, reference_pairs) = check_stream(0xE8AC7, &config, 40, |u| u);
-    assert_eq!(pairs, reference_pairs);
-    assert!(pairs > 0);
 }
 
 /// Runs six seeded streams whose users all come from a pool of 64 user

@@ -19,8 +19,8 @@
 //! * **0** for a quantum that appends a delta frame, whether or not it
 //!   also packs a slice of a snapshot or writes its frame, and
 //! * **at most [`REBASE_BUDGET`]** for a quantum that rebases (encodes a
-//!   snapshot body) — the sorted id columns the state encoders collect
-//!   (a few per live cluster), never a buffer growing from empty.
+//!   snapshot body) — the sorted columns the state encoders collect,
+//!   never a buffer growing from empty.
 //!
 //! Before the journal owned its buffers every one of them grew from
 //! empty on every frame: ~10 `Vec` growths for a 2.7 KB delta payload,
@@ -39,13 +39,13 @@ use alloc_gate::{count_allocations, steady_quantum};
 #[path = "support/temp_dir.rs"]
 mod temp_dir;
 
-/// Allocations a warmed rebase may make beyond the plain quantum: the
-/// sorted columns the state encoders build — tracker records, High
-/// keywords, the graph's nodes and edges, and per live cluster (three
-/// here) its nodes and its edges.  Measured: 13.  The journal's own
-/// buffers (body, frame, codec table) contribute nothing; any one of them
-/// growing from empty again costs ≥ 10 more.
-const REBASE_BUDGET: u64 = 19;
+/// Allocations a warmed rebase may make beyond the plain quantum: the two
+/// sorted columns the state encoders build over hash maps — the cluster
+/// registry's ids and the event tracker's records.  Measured: 2, in debug
+/// and release.  The journal's own buffers (body, frame, codec table)
+/// contribute nothing; any one of them growing from empty again costs
+/// more.
+const REBASE_BUDGET: u64 = 2;
 
 const REBASE_EVERY: u32 = 8;
 

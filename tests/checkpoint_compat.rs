@@ -1,20 +1,24 @@
 //! One format epoch, and the checks its window index section needs.
 //!
-//! Checkpoint containers and JSON documents carry format version 2: the
-//! epoch that writes no retired field and reads none.  `tests/fixtures/`
-//! keeps one document of each kind **written by earlier commits**, all
-//! of version 1, from the small seeded session rebuilt below:
+//! Checkpoint containers and JSON documents carry format version 3: the
+//! epoch that writes no retired field and reads none (version 2 still
+//! carried the configuration's exact-correlation byte).  `tests/fixtures/`
+//! keeps documents **written by earlier commits**, from the small seeded
+//! session rebuilt below:
 //!
-//! * `checkpoint_parent_lzss.bin` (commit `3ac7497`) — a binary container
-//!   whose state is LZSS-packed (payload method 1);
-//! * `checkpoint_parent_index.json` (commit `93e6cc0`) — a JSON document
-//!   whose window carries every index entry (`"entries"`);
-//! * `journal_parent_index/` (commit `93e6cc0`) — a three-segment journal
-//!   directory whose snapshots are block-packed containers of version 1.
+//! * `checkpoint_parent_lzss.bin` (commit `3ac7497`, version 1) — a
+//!   binary container whose state is LZSS-packed (payload method 1);
+//! * `checkpoint_parent_index.json` (commit `93e6cc0`, version 1) — a JSON
+//!   document whose window carries every index entry (`"entries"`);
+//! * `journal_parent_index/` (commit `93e6cc0`, version 1) — a
+//!   three-segment journal directory whose snapshots are block-packed
+//!   containers of version 1;
+//! * `checkpoint_parent_v2.bin` (commit `230eb3c`, version 2) — a
+//!   block-packed binary container of the previous epoch.
 //!
 //! Gated here: each is refused through its restore entry point with a
-//! typed [`RestoreError`] that names the version, never a panic, and so
-//! is each old body relabelled as version 2.  And the window's index
+//! typed [`RestoreError`] that names its version, never a panic, and so
+//! is each version-1 body relabelled as the current version.  And the window's index
 //! section — the materialization threshold and the live keyword ids,
 //! behind the records — is held to σ, and a live list no window can have
 //! produced is an error, never a panic.
@@ -148,15 +152,16 @@ fn state_bytes(session: &DetectorSession) -> Vec<u8> {
     body.into_bytes()
 }
 
-/// `result` is the typed refusal of a document of format version 1.
-fn assert_refused_as_version_1<T>(label: &str, result: Result<T, RestoreError>) {
+/// `result` is the typed refusal of a document of format `version`.
+fn assert_refused_as_version<T>(version: u8, label: &str, result: Result<T, RestoreError>) {
+    let needle = format!("version {version}");
     match result {
         Err(RestoreError::Json(e)) => {
             assert!(
-                e.message.contains("version 1"),
+                e.message.contains(&needle),
                 "{label}: refused for {e}, not for its version"
             );
-            assert!(RestoreError::Json(e).to_string().contains("version 1"));
+            assert!(RestoreError::Json(e).to_string().contains(&needle));
         }
         Err(other) => panic!("{label}: expected a JSON-class error, got {other}"),
         Ok(_) => panic!("{label}: a pre-epoch document restored"),
@@ -164,41 +169,47 @@ fn assert_refused_as_version_1<T>(label: &str, result: Result<T, RestoreError>) 
 }
 
 /// Every kept pre-epoch fixture is refused through its entry point, with
-/// an error that names version 1.  Relabelled as version 2, the old
-/// bodies are still refused — for what they hold (LZSS is no payload
-/// method, `"entries"` is no index) — and nothing panics.
+/// an error that names its version.  Relabelled as the current version,
+/// the version-1 bodies are still refused — for what they hold (LZSS is
+/// no payload method, `"entries"` is no index) — and nothing panics.
 #[test]
 fn every_pre_epoch_fixture_is_refused_naming_its_version() {
     let bin = fs::read(fixtures().join("checkpoint_parent_lzss.bin")).expect("fixture reads");
     let json = fs::read(fixtures().join("checkpoint_parent_index.json")).expect("fixture reads");
     assert_eq!(bin[VERSION_AT], 1, "a version-1 container");
-    assert_refused_as_version_1("binary", DetectorSession::restore_bytes(&bin));
-    assert_refused_as_version_1("JSON", DetectorSession::restore_bytes(&json));
+    assert_refused_as_version(1, "binary", DetectorSession::restore_bytes(&bin));
+    assert_refused_as_version(1, "JSON", DetectorSession::restore_bytes(&json));
     // The version is checked first, whatever the configuration holds.
     let text = std::str::from_utf8(&json).expect("JSON fixture is text");
     let no_config = text.replacen("\"config\":", "\"retired_config\":", 1);
     assert_ne!(no_config, text);
-    assert_refused_as_version_1(
+    assert_refused_as_version(
+        1,
         "JSON without a configuration",
         DetectorSession::restore_bytes(no_config.as_bytes()),
     );
-    assert_refused_as_version_1(
+    assert_refused_as_version(
+        1,
         "journal directory",
         DetectorSession::restore_from_dir(fixtures().join("journal_parent_index")),
     );
 
+    let v2 = fs::read(fixtures().join("checkpoint_parent_v2.bin")).expect("fixture reads");
+    assert_eq!(v2[VERSION_AT], 2, "a version-2 container");
+    assert_refused_as_version(2, "version-2 binary", DetectorSession::restore_bytes(&v2));
+
     let current = fixture_session().checkpoint_bytes(WireFormat::Binary);
     assert_eq!(current[..VERSION_AT], bin[..VERSION_AT], "the same magic");
-    assert_eq!(current[VERSION_AT], 2, "the epoch writes version 2");
+    assert_eq!(current[VERSION_AT], 3, "the epoch writes version 3");
     let mut relabelled = bin.clone();
-    relabelled[VERSION_AT] = 2;
+    relabelled[VERSION_AT] = 3;
     match DetectorSession::restore_bytes(&relabelled) {
         Err(RestoreError::Json(e)) => assert!(e.message.contains("payload method 1"), "{e}"),
         other => panic!("an LZSS payload: {:?}", other.err()),
     }
     let needle = "\"version\":1";
     assert!(text.contains(needle) && text.contains("\"entries\":[[0,{"));
-    let relabelled = text.replacen(needle, "\"version\":2", 1);
+    let relabelled = text.replacen(needle, "\"version\":3", 1);
     match DetectorSession::restore_bytes(relabelled.as_bytes()) {
         Err(RestoreError::Json(e)) => assert!(e.message.contains("'live'"), "{e}"),
         other => panic!("an entries index: {:?}", other.err()),

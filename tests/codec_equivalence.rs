@@ -245,7 +245,6 @@ fn detector_config_codecs_agree() {
         DetectorConfig::nominal(),
         DetectorConfig::ground_truth_study(),
         DetectorConfig {
-            exact_edge_correlation: true,
             hysteresis: false,
             require_noun: false,
             rank_threshold_factor: 1.25,

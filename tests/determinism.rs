@@ -94,16 +94,22 @@ fn es_profile_output_is_pinned() {
     );
 }
 
+/// Exact edge correlations: a sketch of width Δ·w holds every window
+/// user of a keyword.  Its events and event records are those the
+/// retired exact mode reported on this trace; only the summaries' AKG
+/// statistics differ (the join scores fewer pairs than the cross
+/// product did).
 #[test]
 fn exact_edge_correlation_output_is_pinned() {
     let trace = StreamGenerator::new(tw_profile(33, ProfileScale::Small)).generate();
+    let nominal = DetectorConfig::nominal().with_window_quanta(20);
     let config = DetectorConfig {
-        exact_edge_correlation: true,
-        ..DetectorConfig::nominal().with_window_quanta(20)
+        min_sketch_size: nominal.quantum_size * nominal.window_quanta,
+        ..nominal
     };
     let (output, _) = run_trace(&trace, config);
     assert_eq!(
-        output, 10_720_751_998_224_151_423,
+        output, 1_262_175_259_444_707_987,
         "exact-ec summaries and clusters"
     );
 }

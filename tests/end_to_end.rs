@@ -246,8 +246,10 @@ fn live_clusters_are_mostly_majority_quasi_cliques() {
     }
 }
 
-/// Design-choice ablations.  Exact Jaccard correlation is more precise than
-/// the min-hash estimate at no cost in recall; the paper's sketch size
+/// Design-choice ablations.  Exact Jaccard correlation — a sketch as wide
+/// as the window can hold users, Δ·w, so every sketch is a whole user set
+/// — is more precise than the min-hash estimate at no cost in recall; the
+/// paper's sketch size
 /// `p = min(σ/2, 1/τ)` (`min_sketch_size = 1`) costs precision, which is why
 /// `DetectorConfig::min_sketch_size` deviates from it.  Turning hysteresis
 /// off is printed only.
@@ -259,8 +261,9 @@ fn ablations_pin_exact_correlation_and_the_sketch_size_floor() {
     ] {
         let run = |config: DetectorConfig| run_detector_on_trace(&trace, &config).scores;
         let minhash = run(DetectorConfig::nominal());
+        let nominal = DetectorConfig::nominal();
         let exact = run(DetectorConfig {
-            exact_edge_correlation: true,
+            min_sketch_size: nominal.quantum_size * nominal.window_quanta,
             ..DetectorConfig::nominal()
         });
         let paper_p = run(DetectorConfig {

@@ -91,33 +91,6 @@ fn incremental_matches_rebuild_across_window_sizes() {
 }
 
 #[test]
-fn exact_edge_correlation_ablation_matches_across_modes() {
-    let trace = StreamGenerator::new(tw_profile(43, ProfileScale::Small)).generate();
-    let config = DetectorConfig {
-        exact_edge_correlation: true,
-        ..DetectorConfig::nominal().with_window_quanta(12)
-    };
-    assert_eq!(run_checked(&trace, &config).0, 0x14d3_efea_9493_e4f0);
-}
-
-/// The exact-EC ablation reads user sets, which come from a walk over the
-/// records even for indexed keywords: its events are pinned to what the
-/// commit before that change (b71e3c4, indexed user columns) reported.
-#[test]
-fn exact_edge_correlation_events_are_those_of_the_indexed_user_columns() {
-    let trace = StreamGenerator::new(es_profile(45, ProfileScale::Small)).generate();
-    let config = DetectorConfig {
-        exact_edge_correlation: true,
-        ..DetectorConfig::nominal().with_window_quanta(12)
-    };
-    let (digest, session) = run_checked(&trace, &config);
-    assert!(!session.event_records().is_empty());
-    assert_eq!(digest, EXACT_EC_DIGEST, "digest {digest:#018x}");
-}
-
-const EXACT_EC_DIGEST: u64 = 0x0924_c069_e4a4_771b;
-
-#[test]
 fn long_term_event_records_match_across_modes() {
     let trace = StreamGenerator::new(es_profile(44, ProfileScale::Small)).generate();
     let (_, session) = run_checked(&trace, &DetectorConfig::nominal().with_window_quanta(12));
@@ -195,8 +168,6 @@ fn window_reads_are_bit_identical_under_random_workloads() {
                 "case {case}: keyword sets diverged at quantum {q}"
             );
             // Probe every keyword in the universe, including absent ones.
-            // One hash column is reused across keywords, as the AKG does.
-            let mut column = Vec::new();
             for kw in (0..10u32).map(KeywordId) {
                 assert_eq!(
                     walk.window_sketch(kw),
@@ -208,15 +179,6 @@ fn window_reads_are_bit_identical_under_random_workloads() {
                     users,
                     incremental.window_user_set(kw),
                     "case {case}: user set diverged for {kw:?} at quantum {q}"
-                );
-                // Users recur across quanta: the column holds each once.
-                #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
-                let mut hashes: Vec<u64> = users.iter().map(|u| hasher.hash(u.raw())).collect();
-                hashes.sort_unstable();
-                incremental.window_user_hashes(kw, &mut column);
-                assert_eq!(
-                    column, hashes,
-                    "case {case}: hash column diverged for {kw:?} at quantum {q}"
                 );
                 assert_eq!(
                     walk.window_user_count(kw),
