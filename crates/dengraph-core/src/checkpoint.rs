@@ -105,7 +105,7 @@ use crate::akg::{AkgQuantumStats, GraphDelta};
 use crate::config::DetectorConfig;
 use crate::detector::{EventDetector, QuantumSummary};
 use crate::event::DetectedEvent;
-use crate::keyword_state::QuantumRecord;
+use crate::keyword_state::{QuantumRecord, RESERVED_RECORDS};
 use crate::session::RestoreError;
 use crate::wal::{self, DurableJournalConfig, FsyncPolicy, SegmentedJournal};
 
@@ -217,7 +217,7 @@ pub(crate) struct RecordRing {
 impl RecordRing {
     fn new(capacity: usize) -> Self {
         Self {
-            entries: VecDeque::with_capacity(capacity),
+            entries: VecDeque::with_capacity(capacity.min(RESERVED_RECORDS)),
             capacity,
         }
     }

@@ -27,9 +27,8 @@ pub enum ConfigError {
     /// `min_sketch_size` is 0 — min-hash sketches need at least one minimum.
     ZeroSketchWidth,
     /// The effective sketch size `p` (carried here) exceeds
-    /// [`MAX_DECODED_SKETCH_SIZE`] — every materialized keyword sizes a
-    /// sketch and a `4p`-row head by it, and the window decoder refuses
-    /// anything larger.
+    /// [`MAX_DECODED_SKETCH_SIZE`] — the widest `p` a window entry is
+    /// built for, and the window decoder refuses anything larger.
     SketchWidthTooLarge(usize),
     /// `edge_correlation_threshold` lies outside `(0, 1]` (or is NaN).  Zero
     /// is out: `ec ≥ 0` would admit every scored pair, zero-overlap ones

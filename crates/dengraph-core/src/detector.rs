@@ -286,6 +286,10 @@ impl NounFilter {
 /// hashes users exactly as the original did.
 pub(crate) const WINDOW_HASHER_SEED: u64 = 0x5EED_CAFE;
 
+/// Most message slots a new detector reserves (it wants a quantum's); a
+/// larger quantum grows the buffer as it fills.
+const RESERVED_MESSAGES: usize = 1 << 12;
+
 impl EventDetector {
     /// Creates a detector from an already-validated configuration.  Callers
     /// outside this crate go through
@@ -298,15 +302,15 @@ impl EventDetector {
             UserHasher::new(WINDOW_HASHER_SEED),
         )
         // Only keywords that were bursty at least once are ever read
-        // through the index, so the long tail below σ skips all
-        // incremental bookkeeping (reads fall back to the record walk).
+        // (every AKG node was), so the long tail below σ gets no index
+        // entry and no incremental bookkeeping.
         .with_materialize_threshold(config.high_state_threshold as usize);
         Self {
             akg: AkgMaintainer::new(config.clone()),
             clusters: ClusterMaintainer::new(),
             tracker: EventTracker::new(),
             noun_filter: None,
-            buffer: Vec::with_capacity(config.quantum_size),
+            buffer: Vec::with_capacity(config.quantum_size.min(RESERVED_MESSAGES)),
             next_quantum: 0,
             total_messages: 0,
             scratch: ScratchArena::default(),

@@ -1034,6 +1034,25 @@ mod tests {
         assert!(builder().build().is_ok());
     }
 
+    /// `validate()` accepts any positive quantum size and window length,
+    /// so `build()` must not reserve memory by them: at `usize::MAX` the
+    /// message buffer's and the journal record ring's reservations
+    /// overflow their capacity, and the window ring's `w + 1` overflows.
+    /// Only `usize::MAX` is tried: a huge value that can be allocated
+    /// would be.
+    #[test]
+    fn build_survives_the_largest_quantum_and_window() {
+        assert!(builder().quantum_size(usize::MAX).build().is_ok());
+        assert!(builder().window_quanta(usize::MAX).build().is_ok());
+        let dir = std::env::temp_dir().join(format!("dengraph-widest-{}", std::process::id()));
+        let journaled = builder()
+            .window_quanta(usize::MAX)
+            .durable_journal(&dir, DurableJournalConfig::default())
+            .build();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(journaled.is_ok());
+    }
+
     #[test]
     fn sinks_receive_quanta_events_and_slides_without_polling() {
         let mut session = builder().build().unwrap();

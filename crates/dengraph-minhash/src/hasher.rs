@@ -45,36 +45,6 @@ impl UserHasher {
     }
 }
 
-/// A family of [`UserHasher`]s derived from one master seed.
-///
-/// The event detector uses one hasher per window "epoch" so that stale
-/// windows do not correlate with fresh ones; tests use several members to
-/// check estimator variance.
-#[derive(Debug, Clone)]
-pub struct HashFamily {
-    master_seed: u64,
-}
-
-impl HashFamily {
-    /// Creates a family from a master seed.
-    pub fn new(master_seed: u64) -> Self {
-        Self { master_seed }
-    }
-
-    /// Returns the `i`-th member of the family.
-    pub fn member(&self, i: u64) -> UserHasher {
-        // Derive member seeds by hashing the index with the master seed.
-        let base = UserHasher::new(self.master_seed);
-        UserHasher::new(base.hash(i.wrapping_mul(0xA24B_AED4_963E_E407).wrapping_add(1)))
-    }
-}
-
-impl Default for HashFamily {
-    fn default() -> Self {
-        Self::new(0xD15C_0EE2 ^ 0x5EED)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,21 +82,5 @@ mod tests {
         let total: u64 = (0..10_000u64).map(|i| h.hash(i).count_ones() as u64).sum();
         let avg = total as f64 / 10_000.0;
         assert!((avg - 32.0).abs() < 0.5, "average popcount {avg}");
-    }
-
-    #[test]
-    fn family_members_differ() {
-        let fam = HashFamily::new(5);
-        let a = fam.member(0);
-        let b = fam.member(1);
-        assert_ne!(a.seed(), b.seed());
-        assert_ne!(a.hash(10), b.hash(10));
-    }
-
-    #[test]
-    fn family_is_deterministic() {
-        let f1 = HashFamily::new(5);
-        let f2 = HashFamily::new(5);
-        assert_eq!(f1.member(3).seed(), f2.member(3).seed());
     }
 }

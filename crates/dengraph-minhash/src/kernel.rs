@@ -15,19 +15,20 @@
 //!   `p`-th minimum can enter the sketch) followed by **one** sorted merge
 //!   of the few survivors, instead of a `binary_search` + memmove per id;
 //! * [`merge_sorted_minima`] — the O(p) two-pointer union of two sorted,
-//!   de-duplicated minima lists (repeated `insert_hash` was O(p²));
+//!   de-duplicated minima lists;
 //! * [`merge_walk`] — the shared overlap/estimator merge walk;
 //! * [`radix_sort_u64`] — an LSD radix sort for packed pair columns,
 //!   replacing the comparison `sort_unstable` in `QuantumRecord`
 //!   canonicalisation.
 //!
 //! The engine calls only [`radix_sort_u64`] (the record builder's pair
-//! sort) and, through [`crate::MinHashSketch`]'s estimator, [`merge_walk`].
+//! sort) and, through [`crate::estimate_jaccard_minima`], [`merge_walk`].
 //! The window index routes each `(keyword, user)` row by its hash — one
 //! search of a short sorted head or one probe of an overflow table — so
 //! there is no run to hash, sort and merge as a batch.  [`hash_batch`],
-//! [`fold_lanes_into`] and [`SketchLanes`] have no engine caller; they stay
-//! because the repo benchmark's kernel probes time them.
+//! [`fold_lanes_into`], [`merge_sorted_minima`] and [`SketchLanes`] have
+//! no engine caller; they stay because the repo benchmark's kernel probes
+//! time them.
 //!
 //! **Bit-identity is the contract.**  Every kernel produces exactly the
 //! same result as its scalar reference: the `p` smallest distinct hashes
@@ -103,10 +104,6 @@ pub fn hash_batch<T: Copy>(
 /// keeping the `p` smallest distinct values.  Writes into `out` (which
 /// must hold at least `min(p, a.len() + b.len())` slots) and returns the
 /// number of values written.
-///
-/// This is the O(p) replacement for merging one sketch into another by
-/// repeated `insert_hash` (a `binary_search` plus memmove per value —
-/// O(p²) per merge).
 pub fn merge_sorted_minima(a: &[u64], b: &[u64], p: usize, out: &mut [u64]) -> usize {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "a must be sorted+dedup");
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "b must be sorted+dedup");
@@ -146,7 +143,8 @@ pub fn merge_sorted_minima(a: &[u64], b: &[u64], p: usize, out: &mut [u64]) -> u
 /// 2. **one merge** — survivors are sorted, de-duplicated and merged into
 ///    the minima column with [`merge_sorted_minima`].
 ///
-/// Identical to calling `insert_hash` per lane, in any order.
+/// Identical to sorting the column and the lanes together, removing
+/// duplicates and keeping the first `p`, in any lane order.
 pub fn fold_lanes_into(minima: &mut Vec<u64>, p: usize, lanes: &mut SketchLanes) {
     debug_assert!(p >= 1, "sketch size must be at least 1");
     let SketchLanes {
@@ -181,15 +179,12 @@ pub fn fold_lanes_into(minima: &mut Vec<u64>, p: usize, lanes: &mut SketchLanes)
     minima.extend_from_slice(&merged[..written]);
 }
 
-/// The shared merge walk behind sketch overlap and Jaccard estimation:
-/// walks the distinct values of the union of two sorted, de-duplicated
-/// lists in ascending order, visiting at most `cap` of them, and returns
-/// `(visited, present_in_both)`.
-///
-/// * overlap / shared-minimum test: `cap = usize::MAX`, read the second
-///   component;
-/// * the estimator: `cap = max(p_a, p_b)` — the visited prefix is the
-///   union sample, the second component the intersection count.
+/// The merge walk behind Jaccard estimation: walks the distinct values of
+/// the union of two sorted, de-duplicated lists in ascending order,
+/// visiting at most `cap` of them, and returns `(visited,
+/// present_in_both)`.  With `cap = p` the visited prefix is the union
+/// sample and the second component its shared count; with `usize::MAX`
+/// the second is the whole overlap.
 pub fn merge_walk(a: &[u64], b: &[u64], cap: usize) -> (usize, usize) {
     let (mut i, mut j) = (0usize, 0usize);
     let (mut taken, mut in_both) = (0usize, 0usize);

@@ -12,32 +12,28 @@
 //! * [`hasher`] — a seedable 64-bit mixing hash (splitmix64 family) used to
 //!   map user ids into a `2^{2n}`-sized space so that collisions between
 //!   distinct users are negligible (the paper's birthday-paradox argument).
-//! * [`sketch`] — [`MinHashSketch`], the bounded "p minima" sketch with
-//!   merge / overlap operations, and the Jaccard estimator over two
-//!   minima lists ([`estimate_jaccard_minima`]).
-//! * [`jaccard`] — the exact Jaccard coefficient, the ground truth of the
-//!   estimator and the score of the exact-EC ablation.
-//! * [`kernel`] — the batch struct-of-arrays kernels behind all of the
-//!   above: 8-lane splitmix64 hashing, branch-free minima folding, O(p)
-//!   sorted-minima merging, an LSD radix sort for packed pair columns and
-//!   the hash-ordered run the window index merges into its columns, each
+//! * [`sketch`] — the Jaccard estimator over two minima lists
+//!   ([`estimate_jaccard_minima`]), with its error law.
+//! * [`kernel`] — batch struct-of-arrays kernels: the estimator's merge
+//!   walk, an LSD radix sort for packed pair columns, and the 8-lane
+//!   splitmix64 hashing, branch-free minima folding and O(p)
+//!   sorted-minima merging the repo benchmark's kernel probes time, each
 //!   bit-identical to its scalar reference.
 //!
-//! There is no sliding-window sketch *store* here.  [`UserHasher::hash`]
-//! is a bijection on `u64`, so a column of a keyword's window users kept
-//! in hash order has the window sketch as its first `p` rows; the
-//! detector's window index (`dengraph_core::keyword_state`) keeps exactly
-//! that column and nothing per quantum.
+//! There is no sketch *type* and no sliding-window sketch store here.
+//! [`UserHasher::hash`] is a bijection on `u64`, so a column of a
+//! keyword's window users kept in hash order has the window sketch as its
+//! first `p` rows; the detector's window index
+//! (`dengraph_core::keyword_state`) keeps exactly that column, and lends
+//! its first rows to [`estimate_jaccard_minima`] in place.
 
 pub mod hasher;
-pub mod jaccard;
 pub mod kernel;
 pub mod sketch;
 
-pub use hasher::{HashFamily, UserHasher};
-pub use jaccard::exact_jaccard;
+pub use hasher::UserHasher;
 pub use kernel::SketchLanes;
-pub use sketch::{estimate_jaccard_minima, MinHashSketch};
+pub use sketch::estimate_jaccard_minima;
 
 /// Computes the sketch size `p` from the high-state threshold `sigma` and
 /// the edge-correlation threshold `tau`, per Section 3.2.2:

@@ -14,20 +14,21 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_minhash::kernel::{self, SketchLanes};
-use dengraph_minhash::{MinHashSketch, UserHasher};
+use dengraph_minhash::UserHasher;
 
 /// Sketch sizes under test: the full range the detector can configure
 /// (p = min(sigma/2, 1/tau) is small, but the kernel contract covers the
 /// whole documented range).
 const SKETCH_SIZES: [usize; 8] = [4, 7, 8, 16, 63, 128, 257, 512];
 
-/// Scalar reference: one `insert` per id, in stream order.
-fn scalar_sketch(p: usize, hasher: &UserHasher, ids: &[u64]) -> MinHashSketch {
-    let mut sketch = MinHashSketch::new(p);
-    for &id in ids {
-        sketch.insert(hasher, id);
-    }
-    sketch
+/// Scalar reference: every id hashed, sorted, de-duplicated and cut at
+/// the `p` smallest.
+fn scalar_sketch(p: usize, hasher: &UserHasher, ids: &[u64]) -> Vec<u64> {
+    let mut hashes: Vec<u64> = ids.iter().map(|&id| hasher.hash(id)).collect();
+    hashes.sort_unstable();
+    hashes.dedup();
+    hashes.truncate(p);
+    hashes
 }
 
 /// Batched path: the id stream in chunks of varying size through
@@ -59,8 +60,7 @@ fn assert_batched_matches_scalar(seed: u64, ids: &[u64]) {
         for chunk in [1, 3, 7, 8, 9, 64, ids.len().max(1)] {
             let batched = batched_minima(p, &hasher, ids, chunk, &mut lanes);
             assert_eq!(
-                batched,
-                reference.minima(),
+                batched, reference,
                 "batched sketch diverged (seed {seed}, p {p}, chunk {chunk})"
             );
         }
@@ -105,11 +105,7 @@ fn batched_matches_scalar_on_adversarial_descending_streams() {
         let reference = scalar_sketch(p, &hasher, &ids);
         for chunk in [1, 8, 9, 1024] {
             let batched = batched_minima(p, &hasher, &ids, chunk, &mut lanes);
-            assert_eq!(
-                batched,
-                reference.minima(),
-                "descending stream diverged (p {p})"
-            );
+            assert_eq!(batched, reference, "descending stream diverged (p {p})");
         }
     }
 }
@@ -125,9 +121,11 @@ fn merge_matches_scalar_union_reference() {
         // Overlapping domains so merged minima interleave and collide.
         let a_ids: Vec<u64> = (0..len_a).map(|_| rng.gen_range(0u64..1000)).collect();
         let b_ids: Vec<u64> = (0..len_b).map(|_| rng.gen_range(0u64..1000)).collect();
-        let mut merged = scalar_sketch(p_a, &hasher, &a_ids);
-        let other = scalar_sketch(p_a, &hasher, &b_ids);
-        merged.merge(&other);
+        let a = scalar_sketch(p_a, &hasher, &a_ids);
+        let b = scalar_sketch(p_a, &hasher, &b_ids);
+        let mut out = vec![0; p_a];
+        let written = kernel::merge_sorted_minima(&a, &b, p_a, &mut out);
+        let merged = &out[..written];
         // Reference: sketching the concatenated stream directly (p-minima
         // union is exactly the sketch of the union stream).
         let mut union_ids = a_ids.clone();

@@ -13,6 +13,7 @@
 //! | [`baseline`] | §7.3 | the offline biconnected-component clustering of Table 3 |
 //! | [`ckg`] | §7.4 | full-CKG size bookkeeping, for the AKG-reduction numbers |
 //! | [`evaluation`] | §7 | Section 7 run reports, cluster quality, the Table 3 scheme comparison |
+//! | [`window`] | §3.2 | the sliding window from scratch: a copy of the last w quanta, each keyword's users, recency and p smallest hashes, exact Jaccard |
 //! | [`oracle`] | §3–6 | a naive reference detector: raw-window user sets, exact Jaccard, global SCP |
 
 // Module docs live as `//!` inner docs in each module's own file.
@@ -24,6 +25,7 @@ pub mod evaluation;
 pub mod oracle;
 pub mod quasi_clique;
 pub mod scp;
+pub mod window;
 
 /// Graph builders the unit tests share.
 #[cfg(test)]

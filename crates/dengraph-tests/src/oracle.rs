@@ -39,12 +39,14 @@
 //! whole user set and the min-hash estimate is the exact Jaccard
 //! coefficient.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use dengraph_core::DetectorConfig;
 use dengraph_graph::{scp_clusters_global, DynamicGraph, NodeId};
-use dengraph_stream::{Message, UserId};
+use dengraph_stream::Message;
 use dengraph_text::KeywordId;
+
+use crate::window::{jaccard, recount, user_sets, UserSets};
 
 /// One reported cluster.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,9 +58,6 @@ pub struct OracleEvent {
     /// The sum of its members' window user counts.
     pub support: usize,
 }
-
-/// Keyword → the distinct users that mentioned it.
-type UserSets = BTreeMap<KeywordId, BTreeSet<UserId>>;
 
 /// The reference detector's state across quanta.
 #[derive(Debug)]
@@ -111,27 +110,12 @@ impl Oracle {
     /// Processes one quantum and returns what it reports, ordered by
     /// keyword set.
     pub fn quantum(&mut self, messages: &[Message]) -> Vec<OracleEvent> {
-        let mut record = UserSets::new();
-        for message in messages {
-            for &keyword in &message.keywords {
-                record.entry(keyword).or_default().insert(message.user);
-            }
-        }
-        self.window.push_back(record);
+        self.window.push_back(user_sets(messages));
         if self.window.len() > self.window_quanta {
             self.window.pop_front();
         }
-        let mut users = UserSets::new();
-        for record in &self.window {
-            for (&keyword, set) in record {
-                users.entry(keyword).or_default().extend(set);
-            }
-        }
-        let jaccard = |a: KeywordId, b: KeywordId| {
-            let (a, b) = (&users[&a], &users[&b]);
-            let shared = a.intersection(b).count();
-            shared as f64 / (a.len() + b.len() - shared) as f64
-        };
+        let users = recount(&self.window);
+        let jaccard = |a: KeywordId, b: KeywordId| jaccard(&users[&a], &users[&b]);
         let record = self.window.back().expect("a quantum was just pushed");
         let node = |keyword: KeywordId| NodeId(keyword.0);
         let keyword = |node: NodeId| KeywordId(node.0);

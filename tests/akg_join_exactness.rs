@@ -6,15 +6,16 @@
 //! estimates 0.0 < τ and the set-1 apply loop never acts below τ.  This
 //! suite checks the claim instead of the argument: a test-only reference
 //! that still walks the full cross product (nested loop +
-//! `WindowState::estimated_edge_correlation`) must produce the same delta
+//! `WindowReference::estimate`) must produce the same delta
 //! log and the same graph, quantum for quantum, on seeded ChaCha8 streams
 //! built from the shapes that stress a join — every bursty keyword over
 //! the same users (all minima shared), pairwise-disjoint users (nothing
 //! shared), one user emitting every keyword, random mixtures, and empty
 //! quanta — with sketches small enough that overlapping user sets
-//! routinely share no minimum.  The reference reads a window that indexes
-//! nothing (every sketch is walked from the records); the maintainer reads
-//! the detector's window, indexed from σ.
+//! routinely share no minimum.  The reference reads a
+//! [`WindowReference`], which recounts every sketch from a plain copy of
+//! the window's quanta; the maintainer reads the detector's window,
+//! indexed from σ.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -25,6 +26,7 @@ use dengraph_core::{AkgMaintainer, DetectorConfig, GraphDelta};
 use dengraph_graph::{DynamicGraph, NodeId};
 use dengraph_minhash::UserHasher;
 use dengraph_stream::{Message, UserId};
+use dengraph_tests::window::WindowReference;
 use dengraph_text::KeywordId;
 
 const HASHER_SEED: u64 = 0xD15C_0B01;
@@ -59,17 +61,17 @@ impl AllPairsReference {
     fn process_quantum(
         &mut self,
         record: &QuantumRecord,
-        window: &WindowState,
+        window: &WindowReference,
     ) -> (Vec<GraphDelta>, usize) {
         let sigma = self.config.high_state_threshold as usize;
         let tau = self.config.edge_correlation_threshold;
-        let correlation = |a: KeywordId, b: KeywordId| window.estimated_edge_correlation(a, b);
+        let correlation = |a: KeywordId, b: KeywordId| window.estimate(a, b);
         let mut deltas = Vec::new();
 
         let mut stale: Vec<NodeId> = self
             .graph
             .nodes()
-            .filter(|&n| window.is_stale(keyword_of(n)))
+            .filter(|&n| window.last_seen(keyword_of(n)).is_none())
             .collect();
         stale.sort_unstable();
         for node in stale {
@@ -215,15 +217,25 @@ fn adversarial_quantum(rng: &mut ChaCha8Rng, time: u64) -> Vec<Message> {
     messages
 }
 
-/// The window of `config`, materializing keywords from `threshold`
-/// distinct users in one quantum (`usize::MAX`: none).
-fn window_for(config: &DetectorConfig, threshold: usize) -> WindowState {
+/// The window of `config`, materializing keywords from σ distinct users
+/// in one quantum, as the detector's does.
+fn window_for(config: &DetectorConfig) -> WindowState {
     WindowState::new(
         config.window_quanta,
         config.sketch_size(),
         UserHasher::new(HASHER_SEED),
     )
-    .with_materialize_threshold(threshold)
+    .with_materialize_threshold(config.high_state_threshold as usize)
+}
+
+/// The reference of [`window_for`]'s window.
+fn reference_for(config: &DetectorConfig) -> WindowReference {
+    WindowReference::new(
+        config.window_quanta,
+        config.sketch_size(),
+        UserHasher::new(HASHER_SEED),
+        config.high_state_threshold as usize,
+    )
 }
 
 /// Drives the reference and the maintainer over one seeded stream, each
@@ -240,11 +252,9 @@ fn check_stream(
         config: base.clone(),
         graph: DynamicGraph::new(),
     };
-    // The maintainer must read an indexed window: it scores a keyword
-    // without an index entry as the empty sketch.
-    let mut reference_window = window_for(base, usize::MAX);
+    let mut reference_window = reference_for(base);
     let mut akg = AkgMaintainer::new(base.clone());
-    let mut window = window_for(base, base.high_state_threshold as usize);
+    let mut window = window_for(base);
 
     let (mut evaluated, mut reference_evaluated) = (0, 0);
     for q in 0..quanta {
@@ -253,11 +263,18 @@ fn check_stream(
             message.user = user_of(message.user);
         }
         let record = QuantumRecord::from_messages(q, &messages);
-        reference_window.push(record.clone());
+        reference_window.push(q, &messages);
         let (expected, reference_pairs) = reference.process_quantum(&record, &reference_window);
         reference_evaluated += reference_pairs;
 
         window.push(record.clone());
+        // Under `--features invariants`, the window the maintainer reads is
+        // also re-derived from its records at every quantum.
+        if cfg!(feature = "invariants") {
+            window
+                .validate_invariants()
+                .unwrap_or_else(|e| panic!("seed {seed} quantum {q}: {e}"));
+        }
         let deltas = akg.process_quantum(&record, &window, is_cluster_member);
         assert_eq!(
             deltas, expected,
@@ -378,7 +395,7 @@ fn one_quantum_of_bursty_keywords(keywords: u32, users_of: impl Fn(u32) -> Vec<u
         })
         .collect();
     let record = QuantumRecord::from_messages(0, &messages);
-    let mut window = window_for(&config, config.high_state_threshold as usize);
+    let mut window = window_for(&config);
     window.push(record.clone());
     let mut akg = AkgMaintainer::new(config);
     akg.process_quantum(&record, &window, |_| false);
@@ -448,10 +465,10 @@ fn one_designed_quantum(p: usize, tau: f64, keywords: &[Vec<usize>]) -> DynamicG
         config: config.clone(),
         graph: DynamicGraph::new(),
     };
-    let mut reference_window = window_for(&config, usize::MAX);
-    reference_window.push(record.clone());
+    let mut reference_window = reference_for(&config);
+    reference_window.push(0, &messages);
     let (expected, _) = reference.process_quantum(&record, &reference_window);
-    let mut window = window_for(&config, config.high_state_threshold as usize);
+    let mut window = window_for(&config);
     window.push(record.clone());
     let mut akg = AkgMaintainer::new(config);
     let deltas = akg.process_quantum(&record, &window, |_| false);

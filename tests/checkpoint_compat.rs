@@ -43,6 +43,7 @@ use dengraph_core::{
 use dengraph_json::{BinReader, BinWriter, Decode, Encode};
 use dengraph_minhash::UserHasher;
 use dengraph_stream::{Message, UserId};
+use dengraph_tests::window::WindowReference;
 use dengraph_text::{KeywordId, KeywordInterner};
 
 /// Where the version varint of a binary checkpoint container sits:
@@ -274,21 +275,30 @@ const HOSTILE_SEED: u64 = 7;
 fn hostile_fixture_window() -> WindowState {
     let mut window = WindowState::new(HOSTILE_CAPACITY, 4, UserHasher::new(HOSTILE_SEED))
         .with_materialize_threshold(HOSTILE_THRESHOLD);
-    for q in 0..=HOSTILE_CAPACITY as u64 {
-        let mut messages: Vec<Message> = (0..3)
-            .map(|u| Message::new(UserId(10 * q + u), q, vec![KeywordId(1)]))
-            .collect();
-        let idlers = if q == 0 { 0..3 } else { 0..1 };
-        messages.extend(idlers.map(|u| Message::new(UserId(u), q, vec![KeywordId(2)])));
-        messages.push(Message::new(UserId(50 + q), q, vec![KeywordId(3)]));
-        if q == 0 {
-            messages.push(Message::new(UserId(99), q, vec![KeywordId(4)]));
-        }
-        window.push(QuantumRecord::from_messages(q, &messages));
+    for (q, messages) in hostile_fixture_quanta().iter().enumerate() {
+        window.push(QuantumRecord::from_messages(q as u64, messages));
     }
     assert!(window.window_minima(KeywordId(2)).is_some());
     assert!(window.window_minima(KeywordId(3)).is_none());
     window
+}
+
+/// The quanta of [`hostile_fixture_window`].
+fn hostile_fixture_quanta() -> Vec<Vec<Message>> {
+    (0..=HOSTILE_CAPACITY as u64)
+        .map(|q| {
+            let mut messages: Vec<Message> = (0..3)
+                .map(|u| Message::new(UserId(10 * q + u), q, vec![KeywordId(1)]))
+                .collect();
+            let idlers = if q == 0 { 0..3 } else { 0..1 };
+            messages.extend(idlers.map(|u| Message::new(UserId(u), q, vec![KeywordId(2)])));
+            messages.push(Message::new(UserId(50 + q), q, vec![KeywordId(3)]));
+            if q == 0 {
+                messages.push(Message::new(UserId(99), q, vec![KeywordId(4)]));
+            }
+            messages
+        })
+        .collect()
 }
 
 /// The binary window with its index section (threshold, then the
@@ -412,10 +422,18 @@ fn a_live_list_no_window_can_have_produced_is_an_error() {
     let more = decode(&with_index_section(&bytes, &index_section(t, &[1, 1, 1])))
         .expect("a quiet keyword may be live");
     more.validate_invariants().expect("invariants hold");
-    assert!(more.window_minima(KeywordId(3)).is_some());
+    let mut reference = WindowReference::new(
+        HOSTILE_CAPACITY,
+        4,
+        UserHasher::new(HOSTILE_SEED),
+        HOSTILE_THRESHOLD,
+    );
+    for (q, messages) in hostile_fixture_quanta().iter().enumerate() {
+        reference.push(q as u64, messages);
+    }
     assert_eq!(
-        more.window_sketch(KeywordId(3)),
-        window.window_sketch(KeywordId(3))
+        more.window_minima(KeywordId(3)),
+        Some(reference.minima(KeywordId(3)).as_slice())
     );
 }
 

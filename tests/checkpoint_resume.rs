@@ -48,6 +48,7 @@ use dengraph_json::{Decode, Encode};
 use dengraph_minhash::UserHasher;
 use dengraph_stream::generator::profiles::{es_profile, tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace, UserId};
+use dengraph_tests::window::WindowReference;
 use dengraph_text::KeywordId;
 
 #[path = "support/temp_dir.rs"]
@@ -121,10 +122,12 @@ fn window_state_round_trips_under_random_workloads() {
         let capacity = rng.gen_range(1..8usize);
         let sketch_size = rng.gen_range(2..20usize);
         let mut window = WindowState::new(capacity, sketch_size, UserHasher::new(0xBEEF));
+        let mut reference = WindowReference::new(capacity, sketch_size, UserHasher::new(0xBEEF), 1);
         let quanta = rng.gen_range(1..16u64);
         for q in 0..quanta {
             let messages = random_messages(&mut rng, q);
             window.push(QuantumRecord::from_messages(q, &messages));
+            reference.push(q, &messages);
         }
         let text = dengraph_json::to_string(&window.to_json());
         let back = WindowState::from_json(&dengraph_json::parse(&text).unwrap()).unwrap();
@@ -134,10 +137,10 @@ fn window_state_round_trips_under_random_workloads() {
         back.validate_invariants()
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
         // Probe the reads the detector actually issues.
-        for kw in (0..10u32).map(KeywordId) {
-            assert_eq!(back.window_sketch(kw), window.window_sketch(kw));
-            assert_eq!(back.window_user_set(kw), window.window_user_set(kw));
-            assert_eq!(back.last_seen(kw), window.last_seen(kw));
+        for (label, window) in [("original", &window), ("restored", &back)] {
+            reference
+                .check(window, (0..10u32).map(KeywordId))
+                .unwrap_or_else(|e| panic!("case {case}, {label}: {e}"));
         }
     }
 }

@@ -196,3 +196,41 @@ fn multi_component_cluster_maintenance_output_is_pinned() {
         "multi-component summaries and clusters"
     );
 }
+
+/// The length and FNV-1a-64 digest of the detector's raw binary body —
+/// `EventDetector::to_bin`, before the block codec packs it — at the end
+/// of a run.  The packed checkpoint sizes the benchmark gates move with
+/// the block codec's parse as well as with the format; these move only
+/// with the format (or with the state it describes).
+fn raw_body(trace: &Trace, config: DetectorConfig) -> (usize, u64) {
+    let mut session = DetectorBuilder::from_config(config)
+        .interner(trace.interner.clone())
+        .build()
+        .expect("valid config");
+    session.run(&trace.messages);
+    let mut w = dengraph_json::BinWriter::new();
+    session.detector().to_bin(&mut w);
+    let body = w.as_slice();
+    let digest = body.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    (body.len(), digest)
+}
+
+#[test]
+fn raw_checkpoint_body_is_pinned() {
+    let es = StreamGenerator::new(es_profile(32, ProfileScale::Small)).generate();
+    let dense = StreamGenerator::new(dense_profile(36, ProfileScale::Small)).generate();
+    let bodies = [
+        raw_body(&es, DetectorConfig::nominal().with_window_quanta(20)),
+        raw_body(&dense, DetectorConfig::nominal().with_window_quanta(24)),
+    ];
+    assert_eq!(
+        bodies,
+        [
+            (49_083, 18_022_107_929_469_125_591),
+            (208_912, 8_041_545_169_315_673_774)
+        ],
+        "es and dense raw bodies"
+    );
+}

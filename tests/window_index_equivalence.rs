@@ -9,16 +9,17 @@
 //!   records), and the output is pinned to digests recorded at commit
 //!   `1fa7546`, where the same runs were proven identical to the retired
 //!   `Rebuild` mode that walked the records on every read;
-//! * the raw window reads (sketches, user sets, counts, recency) against a
-//!   window built with `with_materialize_threshold(usize::MAX)`, which
-//!   indexes nothing and answers every read from the records, under
-//!   seeded ChaCha8 workloads;
-//! * for the churn a head-plus-overflow index has to get right — spill
-//!   past `4p`, refill below `p`, restamps on either side of the head's
-//!   last row, pooled entries — against a sketch built from scratch over
-//!   the users a plain copy of the last `w` quanta holds.
+//! * the raw window reads (sketches, counts, recency, and the estimates
+//!   the AKG scores) of every keyword of a small universe against
+//!   [`WindowReference`], a plain copy of the last `w` quanta that
+//!   recounts every read, under seeded ChaCha8 workloads: a keyword is
+//!   served exactly when the reference indexes it, and then as the
+//!   reference recounts it;
+//! * the same comparison under the churn a head-plus-overflow index has
+//!   to get right — spill past `4p`, refill below `p`, restamps on either
+//!   side of the head's last row, pooled entries.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -26,9 +27,10 @@ use rand_chacha::ChaCha8Rng;
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
 use dengraph_core::{DetectorBuilder, DetectorConfig, DetectorSession, WireFormat};
 use dengraph_json::{Decode, Encode};
-use dengraph_minhash::{MinHashSketch, UserHasher};
+use dengraph_minhash::{estimate_jaccard_minima, UserHasher};
 use dengraph_stream::generator::profiles::{es_profile, tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace, UserId};
+use dengraph_tests::window::{jaccard, WindowReference};
 use dengraph_text::KeywordId;
 
 /// Runs `trace` through a detector, checking every structural invariant
@@ -117,21 +119,22 @@ fn sigma_one_materializes_every_keyword_and_is_pinned() {
     assert_eq!(digest, 0xa70d_da5a_0f00_d9a2);
 }
 
-/// Raw window reads under random workloads: an indexed window and one
-/// that indexes nothing fed the same seeded ChaCha8 record stream, every
-/// per-keyword read compared after every slide.  This pins the *sketch*
-/// identity directly (the detector-level tests only observe sketches
-/// through admitted edges).
+/// Raw window reads under random workloads: an indexed window, at a
+/// random materialization threshold, and its reference fed the same seeded
+/// ChaCha8 stream, every keyword of the universe compared after every
+/// slide.  This pins the *sketch* directly (the detector-level tests only
+/// observe sketches through admitted edges).
 #[test]
 fn window_reads_are_bit_identical_under_random_workloads() {
     for case in 0..24u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x71D0_0000 + case);
         let capacity = rng.gen_range(1..8usize);
         let sketch_size = rng.gen_range(2..20usize);
+        let threshold = rng.gen_range(1..4usize);
         let hasher = UserHasher::new(0xBEEF);
-        let mut walk =
-            WindowState::new(capacity, sketch_size, hasher).with_materialize_threshold(usize::MAX);
-        let mut incremental = WindowState::new(capacity, sketch_size, hasher);
+        let mut reference = WindowReference::new(capacity, sketch_size, hasher, threshold);
+        let mut incremental =
+            WindowState::new(capacity, sketch_size, hasher).with_materialize_threshold(threshold);
         let quanta = rng.gen_range(5..20u64);
         for q in 0..quanta {
             // Occasionally an entirely empty quantum: pure slide.
@@ -149,57 +152,34 @@ fn window_reads_are_bit_identical_under_random_workloads() {
                     Message::new(user, q * 1000 + m as u64, keywords)
                 })
                 .collect();
-            let record = QuantumRecord::from_messages(q, &messages);
-            walk.push(record.clone());
-            incremental.push(record);
+            incremental.push(QuantumRecord::from_messages(q, &messages));
+            reference.push(q, &messages);
 
-            assert_eq!(
-                {
-                    let mut k: Vec<KeywordId> = walk.keywords_in_window().into_iter().collect();
-                    k.sort_unstable();
-                    k
-                },
-                {
-                    let mut k: Vec<KeywordId> =
-                        incremental.keywords_in_window().into_iter().collect();
-                    k.sort_unstable();
-                    k
-                },
-                "case {case}: keyword sets diverged at quantum {q}"
-            );
             // Probe every keyword in the universe, including absent ones.
-            for kw in (0..10u32).map(KeywordId) {
-                assert_eq!(
-                    walk.window_sketch(kw),
-                    incremental.window_sketch(kw),
-                    "case {case}: sketch diverged for {kw:?} at quantum {q}"
-                );
-                let users = walk.window_user_set(kw);
-                assert_eq!(
-                    users,
-                    incremental.window_user_set(kw),
-                    "case {case}: user set diverged for {kw:?} at quantum {q}"
-                );
-                assert_eq!(
-                    walk.window_user_count(kw),
-                    incremental.window_user_count(kw)
-                );
-                assert_eq!(walk.last_seen(kw), incremental.last_seen(kw));
-                assert_eq!(walk.is_stale(kw), incremental.is_stale(kw));
-            }
+            reference
+                .check(&incremental, (0..10u32).map(KeywordId))
+                .unwrap_or_else(|e| panic!("case {case}, quantum {q}: {e}"));
             // And the pairwise correlations the AKG consumes.
             for a in (0..10u32).map(KeywordId) {
                 for b in (a.0 + 1..10u32).map(KeywordId) {
+                    let (Some(sa), Some(sb)) =
+                        (incremental.window_minima(a), incremental.window_minima(b))
+                    else {
+                        continue;
+                    };
+                    let estimate = estimate_jaccard_minima(sa, sb, sketch_size);
                     assert!(
-                        walk.estimated_edge_correlation(a, b)
-                            == incremental.estimated_edge_correlation(a, b),
+                        estimate == reference.estimate(a, b),
                         "case {case}: estimated EC diverged for ({a:?},{b:?})"
                     );
-                    assert!(
-                        walk.exact_edge_correlation(a, b)
-                            == incremental.exact_edge_correlation(a, b),
-                        "case {case}: exact EC diverged for ({a:?},{b:?})"
-                    );
+                    // A union no wider than the sketch is estimated exactly.
+                    let (users_a, users_b) = (reference.users(a), reference.users(b));
+                    if users_a.union(&users_b).count() <= sketch_size {
+                        assert!(
+                            estimate == jaccard(&users_a, &users_b),
+                            "case {case}: a full-width estimate is not exact for ({a:?},{b:?})"
+                        );
+                    }
                 }
             }
         }
@@ -232,12 +212,13 @@ fn by_hash(users: impl IntoIterator<Item = u64>) -> Vec<u64> {
     users
 }
 
-/// An indexed window plus a plain copy of the last `w` quanta, fed the
-/// same stream and compared after every quantum.
+/// An indexed window plus its reference, fed the same stream and compared
+/// after every quantum.
 struct Differential {
-    sketch_size: usize,
     incremental: WindowState,
-    recent: VecDeque<(u64, Vec<Message>)>,
+    reference: WindowReference,
+    /// The record indices in the window, oldest first.
+    recent: VecDeque<u64>,
     pushed: u64,
     /// The `QuantumRecord::index` given to the n-th push, when it is not
     /// n.  The detector counts up — and `validate_invariants` holds the
@@ -248,27 +229,13 @@ struct Differential {
 impl Differential {
     fn new(sketch_size: usize, threshold: usize, w: usize) -> Self {
         Self {
-            sketch_size,
             incremental: WindowState::new(w, sketch_size, churn_hasher())
                 .with_materialize_threshold(threshold),
+            reference: WindowReference::new(w, sketch_size, churn_hasher(), threshold),
             recent: VecDeque::new(),
             pushed: 0,
             index_of: None,
         }
-    }
-
-    /// The users that mention `keyword` in the copied quanta, and the last
-    /// of those quanta it occurs in.
-    fn expected(&self, keyword: KeywordId) -> (BTreeSet<UserId>, Option<u64>) {
-        let mut users = BTreeSet::new();
-        let mut last_seen = None;
-        for (quantum, messages) in &self.recent {
-            for message in messages.iter().filter(|m| m.keywords.contains(&keyword)) {
-                users.insert(message.user);
-                last_seen = Some(*quantum);
-            }
-        }
-        (users, last_seen)
     }
 
     fn push(&mut self, messages: &[Message], keywords: u32, label: &str) {
@@ -279,7 +246,8 @@ impl Differential {
         self.pushed += 1;
         let record = QuantumRecord::from_messages(quantum, messages);
         self.incremental.push(record);
-        self.recent.push_back((quantum, messages.to_vec()));
+        self.reference.push(quantum, messages);
+        self.recent.push_back(quantum);
         if self.recent.len() > self.incremental.capacity() {
             self.recent.pop_front();
         }
@@ -290,24 +258,9 @@ impl Differential {
                 .unwrap_or_else(|e| panic!("{label}, quantum {quantum}: {e}"));
         }
         // One keyword past the universe: never in the window.
-        for keyword in (0..=keywords).map(KeywordId) {
-            let at = format!("{label}, quantum {quantum}, {keyword}");
-            let (users, last_seen) = self.expected(keyword);
-            let scratch = MinHashSketch::from_ids(
-                self.sketch_size,
-                &churn_hasher(),
-                users.iter().map(|u| u.raw()),
-            );
-            let window = &self.incremental;
-            assert_eq!(window.window_sketch(keyword), scratch, "{at}");
-            if let Some(minima) = window.window_minima(keyword) {
-                assert_eq!(minima, scratch.minima(), "{at}: minima in place");
-            }
-            let set: BTreeSet<UserId> = window.window_user_set(keyword).into_iter().collect();
-            assert_eq!(set, users, "{at}");
-            assert_eq!(window.window_user_count(keyword), users.len(), "{at}");
-            assert_eq!(window.last_seen(keyword), last_seen, "{at}");
-        }
+        self.reference
+            .check(&self.incremental, (0..=keywords).map(KeywordId))
+            .unwrap_or_else(|e| panic!("{label}, quantum {quantum}: {e}"));
         // What a snapshot does not carry comes back from the records.  A
         // window whose record indices do not strictly increase is one no
         // detector builds, and both decoders reject it.
@@ -315,7 +268,7 @@ impl Differential {
             .recent
             .iter()
             .zip(self.recent.iter().skip(1))
-            .all(|(a, b)| b.0 > a.0);
+            .all(|(a, b)| b > a);
         for format in [WireFormat::Binary, WireFormat::Json] {
             let decoded = WindowState::decode(&self.incremental.encode(format), format);
             if !increasing {
